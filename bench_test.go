@@ -35,7 +35,7 @@ var (
 
 // textDB builds (or returns) a text collection of n synthetic documents
 // indexed under CONTREP.
-func textDB(b *testing.B, n int) *moa.Database {
+func textDB(b testing.TB, n int) *moa.Database {
 	b.Helper()
 	textDBMu.Lock()
 	defer textDBMu.Unlock()

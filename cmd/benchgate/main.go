@@ -28,11 +28,41 @@ import (
 
 // rule gates one metric. Direction says which way is better; tol bounds
 // the allowed degradation relative to baseline: higher-better metrics
-// must stay ≥ baseline/tol, lower-better ones ≤ baseline·tol.
+// must stay ≥ baseline/tol, lower-better ones ≤ baseline·tol. A non-zero
+// abs is a fixed bound on the fresh value itself (≤ abs for lower-better,
+// ≥ abs for higher-better), for ratios whose acceptable range is known
+// without reference to a baseline; the gate is the tighter of the two and
+// applies even when the baseline lacks the metric.
 type rule struct {
 	metric string
 	higher bool    // true: larger is better
 	tol    float64 // ≥ 1; 1 = no degradation allowed
+	abs    float64 // 0 = none
+}
+
+// limit returns the bound the fresh value must meet given the baseline
+// value, or gated=false when the metric is neither in the baseline nor
+// absolutely bounded.
+func (g rule) limit(base float64, inBase bool) (limit float64, gated bool) {
+	if !inBase {
+		return g.abs, g.abs != 0
+	}
+	limit = base * g.tol
+	if g.higher {
+		limit = base / g.tol
+	}
+	if g.abs != 0 && g.met(g.abs, limit) { // the absolute bound is the tighter one
+		limit = g.abs
+	}
+	return limit, true
+}
+
+// met reports whether a fresh value satisfies the limit.
+func (g rule) met(fresh, limit float64) bool {
+	if g.higher {
+		return fresh >= limit
+	}
+	return fresh <= limit
 }
 
 // queryGates are the gated BENCH_queries.json metrics. Timing-derived
@@ -50,6 +80,10 @@ var queryGates = []rule{
 	{metric: "skewed_block_skip_rate", higher: true, tol: 1.1},      // skewed corpus, cold
 	{metric: "warm_theta_block_skip_rate", higher: true, tol: 1.05}, // skewed corpus, seeded
 	{metric: "decode_postings", higher: false, tol: 1.1},            // postings touched by pruned scans
+	// plan-cache hit + bind over a from-scratch compile: a prepared plan
+	// that costs more than a quarter of compiling has lost its point,
+	// whatever the baseline says.
+	{metric: "prepare_hit_vs_fresh", higher: false, tol: 4.0, abs: 0.25},
 }
 
 // load reads a bench JSON file into metric→value form. The emitters
@@ -86,14 +120,16 @@ type violation struct {
 }
 
 // check applies the gates. A metric missing from the baseline is
-// skipped (metrics are added over time; the next baseline commit picks
-// them up); a gated metric missing from the fresh run is itself a
-// violation — silently dropping a measurement must not pass the gate.
+// skipped unless its rule carries an absolute bound (metrics are added
+// over time; the next baseline commit picks them up); a gated metric
+// missing from the fresh run is itself a violation — silently dropping a
+// measurement must not pass the gate.
 func check(gates []rule, base, fresh map[string]float64) []violation {
 	var out []violation
 	for _, g := range gates {
-		b, ok := base[g.metric]
-		if !ok {
+		b, inBase := base[g.metric]
+		limit, gated := g.limit(b, inBase)
+		if !gated {
 			continue
 		}
 		f, ok := fresh[g.metric]
@@ -101,16 +137,8 @@ func check(gates []rule, base, fresh map[string]float64) []violation {
 			out = append(out, violation{rule: g, base: b, fresh: -1})
 			continue
 		}
-		if g.higher {
-			limit := b / g.tol
-			if f < limit {
-				out = append(out, violation{rule: g, base: b, fresh: f, limit: limit})
-			}
-		} else {
-			limit := b * g.tol
-			if f > limit {
-				out = append(out, violation{rule: g, base: b, fresh: f, limit: limit})
-			}
+		if !g.met(f, limit) {
+			out = append(out, violation{rule: g, base: b, fresh: f, limit: limit})
 		}
 	}
 	return out
@@ -136,26 +164,28 @@ func main() {
 	}
 	viols := check(queryGates, base, cur)
 	for _, g := range queryGates {
-		b, ok := base[g.metric]
-		if !ok {
+		b, inBase := base[g.metric]
+		limit, gated := g.limit(b, inBase)
+		if !gated {
 			fmt.Printf("  skip %-28s (not in baseline)\n", g.metric)
 			continue
 		}
-		dir := "≥"
-		limit := b / g.tol
+		dir, baseline := "≥", "none"
 		if !g.higher {
 			dir = "≤"
-			limit = b * g.tol
+		}
+		if inBase {
+			baseline = fmt.Sprintf("%.4g", b)
 		}
 		f, ok := cur[g.metric]
 		status, val := "ok  ", fmt.Sprintf("%.4g", f)
 		if !ok {
 			status, val = "FAIL", "missing"
-		} else if (g.higher && f < limit) || (!g.higher && f > limit) {
+		} else if !g.met(f, limit) {
 			status = "FAIL"
 		}
-		fmt.Printf("  %s %-28s baseline %.4g, fresh %s (gate %s %.4g)\n",
-			status, g.metric, b, val, dir, limit)
+		fmt.Printf("  %s %-28s baseline %s, fresh %s (gate %s %.4g)\n",
+			status, g.metric, baseline, val, dir, limit)
 	}
 	if len(viols) > 0 {
 		fmt.Fprintf(os.Stderr, "benchgate: %d metric(s) degraded past tolerance\n", len(viols))

@@ -42,6 +42,32 @@ func TestCheckMissingMetrics(t *testing.T) {
 	}
 }
 
+// An absolute bound holds whatever the baseline says — including a
+// baseline that lacks the metric or one loose enough that the relative
+// gate alone would pass.
+func TestCheckAbsoluteBound(t *testing.T) {
+	gates := []rule{{metric: "ratio", higher: false, tol: 4.0, abs: 0.25}}
+	for _, c := range []struct {
+		base  map[string]float64
+		fresh float64
+		fails bool
+	}{
+		{map[string]float64{}, 0.2, false},
+		{map[string]float64{}, 0.3, true},
+		{map[string]float64{"ratio": 0.2}, 0.3, true},    // within 4x of baseline, over the bound
+		{map[string]float64{"ratio": 0.04}, 0.2, true},   // under the bound, 5x the baseline
+		{map[string]float64{"ratio": 0.04}, 0.15, false}, // within both
+	} {
+		v := check(gates, c.base, map[string]float64{"ratio": c.fresh})
+		if (len(v) == 1) != c.fails {
+			t.Errorf("base %v fresh %v: violations %+v, want fail=%v", c.base, c.fresh, v, c.fails)
+		}
+	}
+	if v := check(gates, map[string]float64{}, map[string]float64{}); len(v) != 1 {
+		t.Fatalf("an absolutely bounded metric missing from the fresh run must fail: %+v", v)
+	}
+}
+
 // The committed BENCH_queries.json must gate against itself: every gated
 // metric present and trivially within tolerance, so the CI step cannot
 // fail on a no-change commit.

@@ -13,7 +13,9 @@
 //	\q <w1> <w2> ...             set the `query` parameter terms
 //	\topk <n>                    ranked cut for ad-hoc queries (pushed
 //	                             into the plan optimizer; 0 = full result)
-//	\plan <query;>               show the optimised logical plan
+//	\plan <query;>               show the optimised logical plan; prints
+//	                             "(cached plan)" when the shell's engine
+//	                             served it from its plan cache
 //	\mil                         toggle MIL display
 //	\milrun <stmt;>              execute raw MIL against the stored BATs
 //	                             (bindings persist across \milrun lines;
@@ -29,7 +31,9 @@
 //	                             counts, the serving epoch stamp that
 //	                             query answers carry over RPC, per-store
 //	                             postings footprint (compressed vs raw
-//	                             bytes) and block decode/skip counters
+//	                             bytes), block decode/skip counters and
+//	                             plan-cache hits/compiles (serving epoch
+//	                             and the shell's own engine)
 //	\help, \quit
 //
 // With -shards N the demo collection is hash-partitioned across N
@@ -151,6 +155,10 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 	var milEnv *mil.Env
 	var queryTerms []string
 	local := localStore(r, sharded)
+	// The shell's own engine over the live database: raw Moa queries and
+	// \plan go through its plan cache (\topk changes its options, which
+	// are part of the cache key).
+	eng := &moa.Engine{DB: local.Eng.DB, Opts: local.Eng.Opts}
 	fmt.Println(`moash: the Mirror DBMS Moa shell — \help for commands`)
 	for {
 		fmt.Print("moa> ")
@@ -172,14 +180,14 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 			fmt.Println("  \\terms <text>       thesaurus expansion")
 			fmt.Println("  \\q w1 w2 ...        set query terms")
 			fmt.Println("  \\mil                toggle MIL program display")
-			fmt.Println("  \\plan <query;>      show the optimised logical plan")
+			fmt.Println("  \\plan <query;>      show the optimised logical plan (marks one served from the plan cache)")
 			fmt.Println("  \\topk <n>           rank cut for ad-hoc queries (0 = full result)")
 			fmt.Println("  \\milrun <stmt;>     run raw MIL against the stored BATs (see docs/MIL.md)")
 			fmt.Println("  \\sets               list sets")
 			fmt.Println("  \\shards             sharded-layout introspection")
 			fmt.Println("  \\topology           serving topology (single store, sharded engine, distributed router)")
 			fmt.Println("  \\segments           index-segment / epoch introspection")
-			fmt.Println("  \\stats              serving state: size, pending, epoch, postings footprint")
+			fmt.Println("  \\stats              serving state: size, pending, epoch, postings footprint, plan cache")
 			fmt.Println("  \\quit")
 		case line == `\topology`:
 			if t, ok := r.(interface{ Topology() string }); ok {
@@ -226,6 +234,9 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 				fmt.Printf("block scans: %d blocks decoded, %d skipped via max-belief bounds (%.0f%% skip rate)\n",
 					ps.BlocksDecoded, ps.BlocksSkipped, 100*float64(ps.BlocksSkipped)/float64(total))
 			}
+			shellHits, shellMisses := eng.PlanCacheStats()
+			fmt.Printf("plan cache: serving epoch %d hits, %d compiles; shell %d hits, %d compiles\n",
+				ps.PlanHits, ps.PlanMisses, shellHits, shellMisses)
 		case line == `\segments`:
 			infos := r.Segments()
 			if infos == nil {
@@ -269,6 +280,7 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 			if _, err := fmt.Sscanf(strings.TrimPrefix(line, `\topk `), "%d", &topK); err != nil {
 				fmt.Printf("error: %v\n", err)
 			} else {
+				eng.Opts.TopK = max(topK, 0)
 				fmt.Printf("top-k cut: %d\n", topK)
 			}
 		case strings.HasPrefix(line, `\plan `):
@@ -279,14 +291,16 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 			if sharded != nil {
 				fmt.Printf("(sharded: the plan below runs on each of the %d shards; results merge through the bounded top-k selector)\n", sharded.NumShards())
 			}
-			eng := &moa.Engine{DB: local.Eng.DB, Opts: local.Eng.Opts}
-			eng.Opts.TopK = topK
+			hits, _ := eng.PlanCacheStats()
 			plan, err := eng.Explain(strings.TrimPrefix(line, `\plan `), params)
 			if err != nil {
 				fmt.Printf("error: %v\n", err)
-			} else {
-				fmt.Print(plan)
+				break
 			}
+			if after, _ := eng.PlanCacheStats(); after > hits {
+				fmt.Println("(cached plan)")
+			}
+			fmt.Print(plan)
 		case strings.HasPrefix(line, `\rank `):
 			hits, err := r.QueryAnnotations(strings.TrimPrefix(line, `\rank `), 10)
 			printHits(hits, err)
@@ -309,7 +323,7 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 			if sharded != nil {
 				runShardedQuery(sharded, line, queryTerms, topK)
 			} else {
-				runQuery(local, line, queryTerms, showMIL, topK)
+				runQuery(eng, line, queryTerms, showMIL)
 			}
 		}
 	}
@@ -326,14 +340,10 @@ func runShardedQuery(e *core.ShardedEngine, src string, queryTerms []string, top
 	printRows(res)
 }
 
-func runQuery(m *core.Mirror, src string, queryTerms []string, showMIL bool, topK int) {
+func runQuery(eng *moa.Engine, src string, queryTerms []string, showMIL bool) {
 	var params map[string]moa.Param
 	if queryTerms != nil {
 		params = ir.QueryParams(queryTerms)
-	}
-	eng := &moa.Engine{DB: m.Eng.DB, Opts: m.Eng.Opts}
-	if topK > 0 {
-		eng.Opts.TopK = topK
 	}
 	c, err := eng.Compile(src, params)
 	if err != nil {

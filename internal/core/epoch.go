@@ -78,8 +78,10 @@ func (m *Mirror) publishEpochLocked() error {
 			b.EnsureIndex()
 		}
 	}
-	eng := moa.NewEngine(db)
-	eng.Opts = m.Eng.Opts
+	// Build the frozen name→BAT map every query environment of this epoch
+	// opens over, once, here.
+	db.Base()
+	eng := &moa.Engine{DB: db, Opts: m.Eng.Opts}
 
 	m.epochSeq++
 	docs := 0
@@ -167,16 +169,12 @@ func (ep *IndexEpoch) urlOf(oid bat.OID) string {
 	return s
 }
 
-// queryTopK compiles and runs a query against the epoch snapshot with k
-// pushed into the plan optimizer; theta, when non-nil, is the shared
-// cross-shard pruning threshold.
+// queryTopK runs a query against the epoch snapshot with k pushed into the
+// plan optimizer; theta, when non-nil, is the shared cross-shard pruning
+// threshold. The plan comes from the epoch engine's cache: compiled on the
+// epoch's first call of (src, k), bound per call afterwards.
 func (ep *IndexEpoch) queryTopK(src string, params map[string]moa.Param, k int, theta *bat.TopKThreshold) (*moa.Result, error) {
-	eng := &moa.Engine{DB: ep.Eng.DB, Opts: ep.Eng.Opts}
-	if k > 0 {
-		eng.Opts.TopK = k
-		eng.Opts.TopKTheta = theta
-	}
-	return eng.Query(src, params)
+	return ep.Eng.QueryTopK(src, params, k, theta)
 }
 
 // rankRows converts a set-typed score result into sorted hits resolved
@@ -333,11 +331,15 @@ type PostingsInfo struct {
 
 // PostingsStats couples the per-store postings footprints with the
 // process-wide block-scan counters — monotone totals in the style of
-// CacheStats, shared by every store in the process.
+// CacheStats, shared by every store in the process — and the serving
+// epoch's plan-cache counters, which restart at every publish because the
+// cache belongs to the epoch's engine.
 type PostingsStats struct {
 	Stores        []PostingsInfo
-	BlocksDecoded int64 // postings blocks decoded by pruned scans
-	BlocksSkipped int64 // blocks skipped outright via their quantized max-belief bound
+	BlocksDecoded int64  // postings blocks decoded by pruned scans
+	BlocksSkipped int64  // blocks skipped outright via their quantized max-belief bound
+	PlanHits      uint64 // queries of the serving epoch answered with a cached plan
+	PlanMisses    uint64 // queries of the serving epoch that compiled their plan
 }
 
 // postingsOf reports the epoch's postings footprint for every CONTREP.
@@ -373,6 +375,7 @@ func (m *Mirror) PostingsStats() PostingsStats {
 	var st PostingsStats
 	if ep := m.currentEpoch(); ep != nil {
 		st.Stores = ep.postingsOf(m.shardIndex)
+		st.PlanHits, st.PlanMisses = ep.Eng.PlanCacheStats()
 	}
 	st.BlocksDecoded, st.BlocksSkipped = bat.BlockScanStats()
 	return st

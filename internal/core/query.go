@@ -249,10 +249,6 @@ func (m *Mirror) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.
 		res, err := ep.queryTopK(src, params, k, nil)
 		return res, ep.stamp(), err
 	}
-	eng := &moa.Engine{DB: m.Eng.DB, Opts: m.Eng.Opts}
-	if k > 0 {
-		eng.Opts.TopK = k
-	}
-	res, err := eng.Query(src, params)
+	res, err := m.Eng.QueryTopK(src, params, k, nil)
 	return res, EpochStamp{}, err
 }

@@ -946,12 +946,16 @@ func (e *ShardedEngine) SetStoreCodec(name string) error {
 }
 
 // PostingsStats reports every shard's postings footprint in the serving
-// engine epoch, plus the process-wide block-scan counters.
+// engine epoch, the plan-cache counters summed over its shard engines,
+// plus the process-wide block-scan counters.
 func (e *ShardedEngine) PostingsStats() PostingsStats {
 	var st PostingsStats
 	if ee := e.epoch.Load(); ee != nil {
 		for s, ep := range ee.shards {
 			st.Stores = append(st.Stores, ep.postingsOf(s)...)
+			hits, misses := ep.Eng.PlanCacheStats()
+			st.PlanHits += hits
+			st.PlanMisses += misses
 		}
 	}
 	st.BlocksDecoded, st.BlocksSkipped = bat.BlockScanStats()
@@ -1053,14 +1057,6 @@ func (e *ShardedEngine) QueryTopKStamped(src string, queryTerms []string, k int)
 	// isolated). A pre-index engine falls back to the live shard
 	// databases — moash's pre-pipeline browsing — which is safe only
 	// without concurrent ingest.
-	shardEval := func(s int, run func(*moa.Engine) (*moa.Result, error)) (*moa.Result, error) {
-		eng := &moa.Engine{DB: e.shards[s].Eng.DB, Opts: e.shards[s].Eng.Opts}
-		if k > 0 {
-			eng.Opts.TopK = k
-			eng.Opts.TopKTheta = theta
-		}
-		return run(eng)
-	}
 	ee := e.epoch.Load()
 	var stamp EpochStamp
 	if ee != nil {
@@ -1068,7 +1064,7 @@ func (e *ShardedEngine) QueryTopKStamped(src string, queryTerms []string, k int)
 	}
 	globalsOf := func(s int) []uint64 { return e.shards[s].globalOIDsSnapshot() }
 	evalShard := func(s int) (*moa.Result, error) {
-		return shardEval(s, func(eng *moa.Engine) (*moa.Result, error) { return eng.Query(src, params) })
+		return e.shards[s].Eng.QueryTopK(src, params, k, theta)
 	}
 	if ee != nil {
 		globalsOf = func(s int) []uint64 { return ee.shards[s].globals }

@@ -183,7 +183,7 @@ type RouterEngine struct {
 	schema     string
 
 	buildMu sync.Mutex
-	vecPtr  atomicVec
+	vecPtr  atomic.Pointer[epochVector]
 
 	// Threshold lifecycle state. thetaMemo seeds repeat scatters at the
 	// previous merge's terminal k-th score (keyed by the epoch-vector
@@ -196,25 +196,6 @@ type RouterEngine struct {
 	pushes    atomic.Int64
 	ctlMu     sync.Mutex
 	ctl       map[string]*core.Client
-}
-
-// atomicVec is a tiny typed wrapper (avoids atomic.Pointer import noise in
-// struct literals).
-type atomicVec struct {
-	mu sync.RWMutex
-	v  *epochVector
-}
-
-func (a *atomicVec) load() *epochVector {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.v
-}
-
-func (a *atomicVec) store(v *epochVector) {
-	a.mu.Lock()
-	a.v = v
-	a.mu.Unlock()
 }
 
 // NewRouter builds a router over explicit shard replica sets:
@@ -427,11 +408,11 @@ func (e *RouterEngine) URLs() []string {
 }
 
 // Indexed reports whether an epoch vector is being served.
-func (e *RouterEngine) Indexed() bool { return e.vecPtr.load() != nil }
+func (e *RouterEngine) Indexed() bool { return e.vecPtr.Load() != nil }
 
 // Current reports whether the vector covers every ingested document.
 func (e *RouterEngine) Current() bool {
-	vec := e.vecPtr.load()
+	vec := e.vecPtr.Load()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return vec != nil && vec.Docs == len(e.order)
@@ -439,7 +420,7 @@ func (e *RouterEngine) Current() bool {
 
 // Pending reports how many ingested documents the vector does not cover.
 func (e *RouterEngine) Pending() int {
-	vec := e.vecPtr.load()
+	vec := e.vecPtr.Load()
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	if vec == nil {
@@ -510,7 +491,7 @@ func (e *RouterEngine) SchemaSource() string {
 // ServingEpoch reports the router's epoch-vector stamp: Seq is the
 // publish tag, Docs the covered prefix of the global ingestion order.
 func (e *RouterEngine) ServingEpoch() (core.EpochStamp, bool) {
-	vec := e.vecPtr.load()
+	vec := e.vecPtr.Load()
 	if vec == nil {
 		return core.EpochStamp{}, false
 	}
@@ -639,7 +620,7 @@ func (e *RouterEngine) BuildContentIndex(opts core.IndexOptions) error {
 	gsImg := ir.CollectionStats(imgTerms)
 
 	tag := uint64(1)
-	if vec := e.vecPtr.load(); vec != nil {
+	if vec := e.vecPtr.Load(); vec != nil {
 		tag = vec.Tag + 1
 	}
 
@@ -664,7 +645,7 @@ func (e *RouterEngine) BuildContentIndex(opts core.IndexOptions) error {
 	}
 	e.codebook = cb
 	e.thes = thesaurus.Build(thDocs)
-	e.vecPtr.store(&epochVector{Tag: tag, Docs: len(order)})
+	e.vecPtr.Store(&epochVector{Tag: tag, Docs: len(order)})
 	e.thetaMemo.Load().Sweep(int64(tag))
 	return nil
 }
@@ -738,7 +719,7 @@ func (e *RouterEngine) Refresh() (core.RefreshStats, error) {
 	defer e.buildMu.Unlock()
 	var st core.RefreshStats
 
-	vec := e.vecPtr.load()
+	vec := e.vecPtr.Load()
 	if vec == nil {
 		return st, fmt.Errorf("core: Refresh: %w", core.ErrNotIndexed)
 	}
@@ -841,7 +822,7 @@ func (e *RouterEngine) Refresh() (core.RefreshStats, error) {
 	if ferr != nil {
 		return st, ferr
 	}
-	e.vecPtr.store(&epochVector{Tag: tag, Docs: orderLen})
+	e.vecPtr.Store(&epochVector{Tag: tag, Docs: orderLen})
 	e.thetaMemo.Load().Sweep(int64(tag))
 	st.NewDocs, st.Docs, st.Epoch = len(pendingURLs), orderLen, int64(tag)
 	return st, nil
@@ -1095,7 +1076,7 @@ func (e *RouterEngine) QueryAnnotations(text string, k int) ([]core.Hit, error) 
 
 // QueryAnnotationsStamped is QueryAnnotations plus the epoch-vector stamp.
 func (e *RouterEngine) QueryAnnotationsStamped(text string, k int) ([]core.Hit, core.EpochStamp, error) {
-	vec := e.vecPtr.load()
+	vec := e.vecPtr.Load()
 	if vec == nil {
 		return nil, core.EpochStamp{}, core.ErrNotIndexed
 	}
@@ -1105,7 +1086,7 @@ func (e *RouterEngine) QueryAnnotationsStamped(text string, k int) ([]core.Hit, 
 
 // QueryContent ranks by image content given cluster words.
 func (e *RouterEngine) QueryContent(clusterWords []string, k int) ([]core.Hit, error) {
-	return e.gatherHits(e.vecPtr.load(), "content", "", clusterWords, k)
+	return e.gatherHits(e.vecPtr.Load(), "content", "", clusterWords, k)
 }
 
 // QueryDualCoding combines annotation and content evidence; both legs
@@ -1117,7 +1098,7 @@ func (e *RouterEngine) QueryDualCoding(text string, k int) ([]core.Hit, error) {
 
 // QueryDualCodingStamped is QueryDualCoding plus the pinned vector stamp.
 func (e *RouterEngine) QueryDualCodingStamped(text string, k int) ([]core.Hit, core.EpochStamp, error) {
-	vec := e.vecPtr.load()
+	vec := e.vecPtr.Load()
 	if vec == nil {
 		return nil, core.EpochStamp{}, core.ErrNotIndexed
 	}
@@ -1147,7 +1128,7 @@ func (e *RouterEngine) QueryTopK(src string, queryTerms []string, k int) (*moa.R
 // router has no epoch to pin, so Moa queries return ErrNotIndexed until
 // the first build (browse a shard daemon directly instead).
 func (e *RouterEngine) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.Result, core.EpochStamp, error) {
-	vec := e.vecPtr.load()
+	vec := e.vecPtr.Load()
 	if vec == nil {
 		return nil, core.EpochStamp{}, core.ErrNotIndexed
 	}
@@ -1217,7 +1198,7 @@ func (s routerSite) vec() *epochVector {
 	if s.pin != nil {
 		return s.pin
 	}
-	return s.e.vecPtr.load()
+	return s.e.vecPtr.Load()
 }
 
 func (s routerSite) URLOf(oid uint64) string { return s.e.urlOf(oid) }

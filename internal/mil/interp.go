@@ -7,11 +7,14 @@ import (
 	"mirror/internal/bat"
 )
 
-// Env holds the variable bindings a program runs against. Base BATs (the
-// stored database) are usually bound before Run; the program adds
-// intermediates. Out receives print() output (defaults to io.Discard).
+// Env holds the variable bindings a program runs against, in two scopes:
+// a read-only base (the stored database's name→BAT map, shared by every
+// Env opened over it and never written) and the Env's own bindings
+// (parameters bound before Run, intermediates the program assigns), which
+// shadow the base. Out receives print() output (defaults to io.Discard).
 type Env struct {
 	vars map[string]any
+	base map[string]*bat.BAT
 	Out  io.Writer
 
 	// TopKTheta, when non-nil, is the shared pruning threshold the
@@ -24,22 +27,33 @@ type Env struct {
 }
 
 // NewEnv returns an empty environment.
-func NewEnv() *Env {
-	return &Env{vars: make(map[string]any), Out: io.Discard}
+func NewEnv() *Env { return NewEnvOver(nil) }
+
+// NewEnvOver returns an environment whose base scope is the given map.
+// The map is shared, not copied: the caller must not modify it while any
+// Env over it is in use (a published epoch's frozen map never changes; a
+// live database hands out a fresh map per structural version).
+func NewEnvOver(base map[string]*bat.BAT) *Env {
+	return &Env{vars: make(map[string]any), base: base, Out: io.Discard}
 }
 
-// Bind sets a variable.
+// Bind sets a variable in the Env's own scope.
 func (e *Env) Bind(name string, v any) { e.vars[name] = v }
 
-// Lookup fetches a variable.
+// Lookup fetches a variable: the Env's own bindings first, then the base.
 func (e *Env) Lookup(name string) (any, bool) {
-	v, ok := e.vars[name]
-	return v, ok
+	if v, ok := e.vars[name]; ok {
+		return v, true
+	}
+	if b, ok := e.base[name]; ok {
+		return b, true
+	}
+	return nil, false
 }
 
 // BAT fetches a variable and asserts it is a BAT.
 func (e *Env) BAT(name string) (*bat.BAT, error) {
-	v, ok := e.vars[name]
+	v, ok := e.Lookup(name)
 	if !ok {
 		return nil, errorf("undefined variable %q", name)
 	}
@@ -50,11 +64,11 @@ func (e *Env) BAT(name string) (*bat.BAT, error) {
 	return b, nil
 }
 
-// Fork returns a child environment sharing the same bindings map is NOT what
-// we want for repeated runs; Fork copies the bindings so a program's
-// intermediates do not pollute the base environment.
+// Fork returns a child environment with a copy of the Env's own bindings
+// (and the same shared base), so a program's intermediates do not pollute
+// the parent.
 func (e *Env) Fork() *Env {
-	c := NewEnv()
+	c := NewEnvOver(e.base)
 	c.Out = e.Out
 	for k, v := range e.vars {
 		c.vars[k] = v
@@ -94,7 +108,7 @@ func evalExpr(e Expr, env *Env) (any, error) {
 	case *Lit:
 		return x.V, nil
 	case *Ref:
-		v, ok := env.vars[x.Name]
+		v, ok := env.Lookup(x.Name)
 		if !ok {
 			return nil, errorf("undefined variable %q", x.Name)
 		}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"mirror/internal/bat"
 )
@@ -29,6 +30,20 @@ type Database struct {
 	sets     map[string]*SetDef
 	setOrder []string
 	counters map[string]uint64 // OID counters per namespace
+
+	// version counts structural changes: every definition, reset, and BAT
+	// installed, replaced or dropped (appends into an existing BAT are not
+	// structural). Written under mu; base memoises the name→BAT map of one
+	// version.
+	version atomic.Uint64
+	base    atomic.Pointer[baseScope]
+}
+
+// baseScope is the name→BAT map of one structural version, shared
+// read-only by every query environment opened at that version.
+type baseScope struct {
+	version uint64
+	bats    map[string]*bat.BAT
 }
 
 // SetDef records a defined collection.
@@ -59,6 +74,7 @@ func (db *Database) Define(name string, t Type) error {
 	if !ok {
 		return fmt.Errorf("moa: top-level definitions must be SET<...>, got %s", t)
 	}
+	db.version.Add(1)
 	if err := db.createColumns(name, st.Elem); err != nil {
 		return err
 	}
@@ -175,7 +191,7 @@ func (db *Database) BAT(name string) (*bat.BAT, bool) {
 func (db *Database) PutBAT(name string, b *bat.BAT) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.bats[name] = b
+	db.PutBATL(name, b)
 }
 
 // DropBAT removes a physical BAT from the database (derived columns a
@@ -185,11 +201,14 @@ func (db *Database) PutBAT(name string, b *bat.BAT) {
 func (db *Database) DropBAT(name string) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.bats, name)
+	db.DropBATL(name)
 }
 
 // DropBATL is DropBAT for Structure hooks running under the database lock.
-func (db *Database) DropBATL(name string) { delete(db.bats, name) }
+func (db *Database) DropBATL(name string) {
+	delete(db.bats, name)
+	db.version.Add(1)
+}
 
 // BATL fetches a BAT without taking the lock. It must only be called from
 // Structure hooks (Insert, Finalize), which the Database invokes while
@@ -200,7 +219,10 @@ func (db *Database) BATL(name string) (*bat.BAT, bool) {
 }
 
 // PutBATL is PutBAT for Structure hooks running under the database lock.
-func (db *Database) PutBATL(name string, b *bat.BAT) { db.bats[name] = b }
+func (db *Database) PutBATL(name string, b *bat.BAT) {
+	db.bats[name] = b
+	db.version.Add(1)
+}
 
 // BATNames lists all physical BATs, sorted.
 func (db *Database) BATNames() []string {
@@ -224,6 +246,31 @@ func (db *Database) Snapshot() map[string]*bat.BAT {
 		out[k] = v
 	}
 	return out
+}
+
+// Version identifies the database's current structure: which sets are
+// defined and which BAT object each physical name refers to. A compiled
+// plan, whose MIL names columns it found at compile time, is valid for
+// exactly one version; a published epoch's snapshot database is never
+// modified, so its version is fixed for the epoch's lifetime.
+func (db *Database) Version() uint64 { return db.version.Load() }
+
+// Base returns the name→BAT map of the current version as a shared
+// read-only map — the base scope of a mil.Env. Unlike Snapshot it is built
+// once per version, not once per call; callers must not modify it.
+func (db *Database) Base() map[string]*bat.BAT {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	v := db.version.Load() // stable: writers hold mu
+	if bs := db.base.Load(); bs != nil && bs.version == v {
+		return bs.bats
+	}
+	bs := &baseScope{version: v, bats: make(map[string]*bat.BAT, len(db.bats))}
+	for k, b := range db.bats {
+		bs.bats[k] = b
+	}
+	db.base.Store(bs)
+	return bs.bats
 }
 
 // NextOID allocates n OIDs in a namespace and returns the first.
@@ -402,6 +449,7 @@ func (db *Database) Reset(setName string) error {
 		}
 	}
 	def.Card = 0
+	db.version.Add(1)
 	return db.createColumns(setName, def.Type.(*SetType).Elem)
 }
 

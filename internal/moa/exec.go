@@ -10,10 +10,17 @@ import (
 )
 
 // Engine compiles and executes Moa queries against a Database using the
-// flattened (set-at-a-time) execution path.
+// flattened (set-at-a-time) execution path. Every entry point goes through
+// prepare + bind (prepare.go): a query is parsed, checked, planned and
+// lowered at most once per (database version, source, parameter types,
+// options), and the plan cache lives and dies with the Engine. The zero
+// value with DB set is ready to use; an Engine must not be copied after
+// first use.
 type Engine struct {
 	DB   *Database
 	Opts Options
+
+	plans planCache
 }
 
 // NewEngine returns an engine with all optimisations enabled.
@@ -72,77 +79,62 @@ func (r *Result) SortByScoreDesc() {
 	})
 }
 
-// Compiled is a reusable compiled query: parse/check/rewrite/flatten done
-// once, Run many times (the MIL program re-executes against the current
-// BATs).
+// Compiled is a prepared query bound to one call's parameter values: Run
+// executes the plan's MIL program against the current database state, any
+// number of times.
 type Compiled struct {
-	eng       *Engine
-	T         Type
-	prog      *mil.Program
-	bindings  map[string]*bat.BAT
-	outSet    *OutSet
-	outScalar Rep
-	src       string
-	parallel  bool
-	ranked    bool
+	T     Type
+	p     *Prepared
+	bound []binding
+	theta *bat.TopKThreshold
 }
 
-// Compile parses, checks, rewrites and flattens a query.
+// Compile prepares the query (from the plan cache when it can) and binds
+// the parameter values.
 func (e *Engine) Compile(src string, params map[string]Param) (*Compiled, error) {
-	expr, err := ParseQuery(src)
-	if err != nil {
-		return nil, err
-	}
-	ptypes := make(map[string]Type, len(params))
-	for k, p := range params {
-		ptypes[k] = p.T
-	}
-	if _, err := Check(expr, &CheckEnv{DB: e.DB, Params: ptypes}); err != nil {
-		return nil, err
-	}
-	tl, err := Translate(e.DB, expr, params, e.Opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Compiled{
-		eng: e, T: tl.T, prog: tl.Prog, bindings: tl.Bindings,
-		outSet: tl.OutSet, outScalar: tl.OutScalar, src: src,
-		parallel: tl.Parallel, ranked: tl.Ranked,
-	}, nil
+	return e.compile(src, params, e.Opts, nil)
 }
 
-// Explain parses, checks and plans a set-typed query, returning the
-// optimised logical plan as an indented operator tree (the shell's \plan
-// command). Scalar queries report their aggregate shape.
+func (e *Engine) compile(src string, params map[string]Param, opts Options, theta *bat.TopKThreshold) (*Compiled, error) {
+	p, err := e.prepare(src, params, opts)
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]any, len(p.tl.Slots))
+	for i, sl := range p.tl.Slots {
+		vals[i] = params[sl.Name].V
+	}
+	return p.Bind(vals, theta)
+}
+
+// Explain returns the query's optimised logical plan as an indented
+// operator tree (the shell's \plan command). Scalar queries report their
+// aggregate shape.
 func (e *Engine) Explain(src string, params map[string]Param) (string, error) {
-	expr, err := ParseQuery(src)
+	p, err := e.prepare(src, params, e.Opts)
 	if err != nil {
 		return "", err
 	}
-	ptypes := make(map[string]Type, len(params))
-	for k, p := range params {
-		ptypes[k] = p.T
-	}
-	if _, err := Check(expr, &CheckEnv{DB: e.DB, Params: ptypes}); err != nil {
-		return "", err
-	}
-	if _, isSet := ElemType(expr.Type()); !isSet {
-		return fmt.Sprintf("scalar [%s]\n", expr), nil
-	}
-	tr := &Translator{db: e.DB, params: params, opts: e.Opts}
-	plan, err := tr.BuildPlan(expr)
-	if err != nil {
-		return "", err
-	}
-	if e.Opts.TopK > 0 {
-		plan = &TopKPlan{Src: plan, K: e.Opts.TopK}
-	}
-	return PlanString(OptimizePlan(plan, e.Opts)), nil
+	return p.Explain(), nil
 }
 
 // Query compiles and runs in one step.
 func (e *Engine) Query(src string, params map[string]Param) (*Result, error) {
-	c, err := e.Compile(src, params)
+	return e.QueryTopK(src, params, 0, nil)
+}
+
+// QueryTopK is Query with a per-call ranked cut: k > 0 overrides
+// Options.TopK for this call and binds theta (which may be nil) as the
+// pruning threshold the plan's pruned top-k scan shares — a θ-memo seed or
+// a cross-shard bound. With k <= 0 it is Query.
+func (e *Engine) QueryTopK(src string, params map[string]Param, k int, theta *bat.TopKThreshold) (*Result, error) {
+	opts := e.Opts
+	if k > 0 {
+		opts.TopK = k
+	} else {
+		theta = nil
+	}
+	c, err := e.compile(src, params, opts, theta)
 	if err != nil {
 		return nil, err
 	}
@@ -151,26 +143,26 @@ func (e *Engine) Query(src string, params map[string]Param) (*Result, error) {
 
 // MIL returns the flattened program text (the paper's intermediate
 // language; cmd/moash shows it with \mil).
-func (c *Compiled) MIL() string { return c.prog.String() }
+func (c *Compiled) MIL() string { return c.p.tl.Prog.String() }
 
 // Run executes the compiled program against the current database state and
-// materialises the result.
+// materialises the result. The database's BATs are the environment's
+// shared read-only base scope; only the bound parameters and the program's
+// intermediates are bound per run.
 func (c *Compiled) Run() (*Result, error) {
-	env := mil.NewEnv()
-	env.TopKTheta = c.eng.Opts.TopKTheta
-	for k, v := range c.eng.DB.Snapshot() {
-		env.Bind(k, v)
+	tl, db := c.p.tl, c.p.db
+	env := mil.NewEnvOver(db.Base())
+	env.TopKTheta = c.theta
+	for _, b := range c.bound {
+		env.Bind(b.name, b.v)
 	}
-	for k, v := range c.bindings {
-		env.Bind(k, v)
+	if _, err := mil.Run(tl.Prog, env); err != nil {
+		return nil, fmt.Errorf("moa: executing %q: %w", c.p.src, err)
 	}
-	if _, err := mil.Run(c.prog, env); err != nil {
-		return nil, fmt.Errorf("moa: executing %q: %w", c.src, err)
-	}
-	res := &Result{T: c.T, Ranked: c.ranked}
-	if c.outSet != nil {
-		m := &materializer{eng: c.eng, env: env, assocIdx: map[string]map[bat.OID][]bat.OID{}}
-		dom, err := env.BAT(c.outSet.DomainVar)
+	res := &Result{T: tl.T, Ranked: tl.Ranked}
+	if out := tl.OutSet; out != nil {
+		m := &materializer{db: db, env: env, assocIdx: map[string]map[bat.OID][]bat.OID{}}
+		dom, err := env.BAT(out.DomainVar)
 		if err != nil {
 			return nil, err
 		}
@@ -180,14 +172,14 @@ func (c *Compiled) Run() (*Result, error) {
 		// work is read-only, then rows fill in parallel, one range per
 		// worker. Reps the warm-up cannot prove read-only (opaque structure
 		// Materialize hooks) fall back to the serial loop.
-		if c.parallel && n >= bat.ParallelThreshold() && bat.Parallelism() > 1 && m.prewarm(c.outSet.Elem) {
+		if tl.Parallel && n >= bat.ParallelThreshold() && bat.Parallelism() > 1 && m.prewarm(out.Elem) {
 			res.Rows = make([]Row, n)
 			var mu sync.Mutex
 			firstErr, errRow := error(nil), n
 			bat.ParallelFor(n, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
 					oid := dom.Head.OIDAt(i)
-					v, err := m.value(c.outSet.Elem, oid)
+					v, err := m.value(out.Elem, oid)
 					if err != nil {
 						mu.Lock()
 						if i < errRow {
@@ -207,7 +199,7 @@ func (c *Compiled) Run() (*Result, error) {
 		res.Rows = make([]Row, 0, n)
 		for i := 0; i < n; i++ {
 			oid := dom.Head.OIDAt(i)
-			v, err := m.value(c.outSet.Elem, oid)
+			v, err := m.value(out.Elem, oid)
 			if err != nil {
 				return nil, err
 			}
@@ -215,7 +207,7 @@ func (c *Compiled) Run() (*Result, error) {
 		}
 		return res, nil
 	}
-	switch r := c.outScalar.(type) {
+	switch r := tl.OutScalar.(type) {
 	case *ConstRep:
 		res.Scalar = r.V
 	case *VarRep:
@@ -232,7 +224,7 @@ func (c *Compiled) Run() (*Result, error) {
 
 // materializer turns flattened reps back into Go values.
 type materializer struct {
-	eng      *Engine
+	db       *Database
 	env      *mil.Env
 	assocIdx map[string]map[bat.OID][]bat.OID
 	posIdx   map[string][]int32 // var → dense OID→position index (-1 absent)
@@ -329,7 +321,7 @@ func (m *materializer) prewarm(rep Rep) bool {
 func (m *materializer) prewarmStored(prefix string, t Type) bool {
 	switch tt := t.(type) {
 	case *AtomType:
-		b, ok := m.eng.DB.BAT(prefix + "_val")
+		b, ok := m.db.BAT(prefix + "_val")
 		if !ok {
 			return false
 		}
@@ -340,7 +332,7 @@ func (m *materializer) prewarmStored(prefix string, t Type) bool {
 			fprefix := prefix + "_" + n
 			switch ft := tt.Types[i].(type) {
 			case *AtomType:
-				b, ok := m.eng.DB.BAT(fprefix)
+				b, ok := m.db.BAT(fprefix)
 				if !ok {
 					return false
 				}
@@ -415,7 +407,7 @@ func (m *materializer) value(rep Rep, oid bat.OID) (any, error) {
 	case *ElemRep:
 		return m.storedValue(r.Prefix, r.T, oid)
 	case *StructRep:
-		return r.T.S.Materialize(m.eng.DB, r.Prefix, oid)
+		return r.T.S.Materialize(m.db, r.Prefix, oid)
 	case *ParamSetRep:
 		vals, err := m.env.BAT(r.ValsVar)
 		if err != nil {
@@ -444,7 +436,7 @@ func (m *materializer) children(assocVar string, owner bat.OID) ([]bat.OID, erro
 			}
 		}
 		if b == nil {
-			bb, found := m.eng.DB.BAT(assocVar)
+			bb, found := m.db.BAT(assocVar)
 			if !found {
 				return nil, fmt.Errorf("moa: association %q not found", assocVar)
 			}
@@ -465,7 +457,7 @@ func (m *materializer) children(assocVar string, owner bat.OID) ([]bat.OID, erro
 func (m *materializer) storedValue(prefix string, t Type, oid bat.OID) (any, error) {
 	switch tt := t.(type) {
 	case *AtomType:
-		b, ok := m.eng.DB.BAT(prefix + "_val")
+		b, ok := m.db.BAT(prefix + "_val")
 		if !ok {
 			return nil, fmt.Errorf("moa: missing BAT %s_val", prefix)
 		}
@@ -477,14 +469,14 @@ func (m *materializer) storedValue(prefix string, t Type, oid bat.OID) (any, err
 			fprefix := prefix + "_" + n
 			switch ft := tt.Types[i].(type) {
 			case *AtomType:
-				b, ok := m.eng.DB.BAT(fprefix)
+				b, ok := m.db.BAT(fprefix)
 				if !ok {
 					return nil, fmt.Errorf("moa: missing BAT %s", fprefix)
 				}
 				v, _ := b.Find(oid)
 				out[n] = v
 			case *StructType:
-				v, err := ft.S.Materialize(m.eng.DB, fprefix, oid)
+				v, err := ft.S.Materialize(m.db, fprefix, oid)
 				if err != nil {
 					return nil, err
 				}

@@ -49,6 +49,10 @@ func FuzzMoaParse(f *testing.F) {
 // any query the naive plan (NoOptimize) and the fully optimised plan
 // (fusion, pushdown, CSE) must produce identical results. An input the
 // naive pipeline compiles but the optimised one rejects is also a bug.
+// It is also the cached-plan differential: one engine lives across all
+// inputs, so its plan cache fills, evicts and re-serves plans, and every
+// answer it gives — compiled now or served from the cache — must equal
+// the from-scratch optimised one.
 func FuzzPlanOptimizer(f *testing.F) {
 	seeds := []string{
 		"map[THIS * 2.0](map[THIS.score](People));",
@@ -68,35 +72,52 @@ func FuzzPlanOptimizer(f *testing.F) {
 		f.Add(s)
 	}
 	db := mkPeopleDB(f)
+	cached := &Engine{DB: db, Opts: DefaultOptions}
 	f.Fuzz(func(t *testing.T, src string) {
 		naive := &Engine{DB: db, Opts: NoOptimize}
 		opt := &Engine{DB: db, Opts: DefaultOptions}
 		rn, errN := naive.Query(src, nil)
 		ro, errO := opt.Query(src, nil)
+		for pass := 0; pass < 2; pass++ { // the second pass is a cache hit
+			rc, errC := cached.Query(src, nil)
+			if (errC == nil) != (errO == nil) {
+				t.Fatalf("cached engine pass %d: err %v, fresh engine: err %v\n%s", pass, errC, errO, src)
+			}
+			if errC == nil {
+				sameResult(t, "cached vs fresh, "+src, ro, rc)
+			}
+		}
 		if errN != nil {
 			return // invalid (or unflattenable) input either way
 		}
 		if errO != nil {
 			t.Fatalf("optimised pipeline rejects what the naive one runs: %v\n%s", errO, src)
 		}
-		if (rn.Rows == nil) != (ro.Rows == nil) {
-			t.Fatalf("result shape diverged for %s", src)
-		}
-		if rn.Rows == nil {
-			if fmtScalar(rn.Scalar) != fmtScalar(ro.Scalar) {
-				t.Fatalf("scalar diverged for %s: %v vs %v", src, rn.Scalar, ro.Scalar)
-			}
-			return
-		}
-		if len(rn.Rows) != len(ro.Rows) {
-			t.Fatalf("cardinality diverged for %s: %d vs %d", src, len(rn.Rows), len(ro.Rows))
-		}
-		for i := range rn.Rows {
-			if rn.Rows[i].OID != ro.Rows[i].OID || fmtScalar(rn.Rows[i].Value) != fmtScalar(ro.Rows[i].Value) {
-				t.Fatalf("row %d diverged for %s: %v vs %v", i, src, rn.Rows[i], ro.Rows[i])
-			}
-		}
+		sameResult(t, "naive vs optimised, "+src, rn, ro)
 	})
+}
+
+// sameResult demands two results agree in shape, cardinality, row order
+// and every value.
+func sameResult(t *testing.T, label string, want, got *Result) {
+	t.Helper()
+	if (want.Rows == nil) != (got.Rows == nil) {
+		t.Fatalf("result shape diverged for %s", label)
+	}
+	if want.Rows == nil {
+		if fmtScalar(want.Scalar) != fmtScalar(got.Scalar) {
+			t.Fatalf("scalar diverged for %s: %v vs %v", label, want.Scalar, got.Scalar)
+		}
+		return
+	}
+	if len(want.Rows) != len(got.Rows) {
+		t.Fatalf("cardinality diverged for %s: %d vs %d", label, len(want.Rows), len(got.Rows))
+	}
+	for i := range want.Rows {
+		if want.Rows[i].OID != got.Rows[i].OID || fmtScalar(want.Rows[i].Value) != fmtScalar(got.Rows[i].Value) {
+			t.Fatalf("row %d diverged for %s: %v vs %v", i, label, want.Rows[i], got.Rows[i])
+		}
+	}
 }
 
 func fmtScalar(v any) string { return fmt.Sprintf("%#v", v) }

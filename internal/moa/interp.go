@@ -455,8 +455,7 @@ func (ip *Interp) materializeSet(name string) ([]Row, error) {
 	}
 	def, _ := ip.DB.Set(name)
 	elem := def.Type.(*SetType).Elem
-	eng := &Engine{DB: ip.DB}
-	m := &materializer{eng: eng, env: nil, assocIdx: map[string]map[bat.OID][]bat.OID{}}
+	m := &materializer{db: ip.DB, env: nil, assocIdx: map[string]map[bat.OID][]bat.OID{}}
 	ids, ok := ip.DB.BAT(name + "__id")
 	if !ok {
 		return nil, fmt.Errorf("moa: missing identity BAT for %q", name)

@@ -364,48 +364,6 @@ func TestEngineParams(t *testing.T) {
 	}
 }
 
-func TestRewriteMapFusion(t *testing.T) {
-	db := mkPeopleDB(t)
-	src := `map[THIS * 2.0](map[THIS.score](People));`
-	e, err := ParseQuery(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Check(e, &CheckEnv{DB: db}); err != nil {
-		t.Fatal(err)
-	}
-	r := Rewrite(e, DefaultOptions)
-	m, ok := r.(*MapExpr)
-	if !ok {
-		t.Fatalf("rewritten = %T", r)
-	}
-	if _, stillNested := m.Src.(*MapExpr); stillNested {
-		t.Fatalf("maps not fused: %s", r)
-	}
-	if !strings.Contains(r.String(), "THIS.score * 2") {
-		t.Fatalf("fused body wrong: %s", r)
-	}
-}
-
-func TestRewriteSelectFusion(t *testing.T) {
-	db := mkPeopleDB(t)
-	src := `select[THIS.age > 21](select[THIS.score > 0.6](People));`
-	e, _ := ParseQuery(src)
-	if _, err := Check(e, &CheckEnv{DB: db}); err != nil {
-		t.Fatal(err)
-	}
-	r := Rewrite(e, DefaultOptions)
-	s := r.(*SelectExpr)
-	if _, nested := s.Src.(*SelectExpr); nested {
-		t.Fatalf("selects not fused: %s", r)
-	}
-	// with fusion off, structure is preserved
-	r2 := Rewrite(e, NoOptimize)
-	if _, nested := r2.(*SelectExpr).Src.(*SelectExpr); !nested {
-		t.Fatalf("NoOptimize should not fuse")
-	}
-}
-
 func TestOptimizedMatchesUnoptimized(t *testing.T) {
 	db := mkPeopleDB(t)
 	queries := []string{

@@ -14,6 +14,51 @@ import (
 // query optimization" lives here: rewrites operate on explicit operators
 // instead of being fused into a one-shot translator.
 
+// Options control the algebraic rewrites applied before flattening and the
+// common-subexpression elimination applied during it. The paper's claim
+// that the logical/physical split "provides an excellent basis for
+// algebraic query optimization" is exercised by toggling these
+// (BenchmarkE7_OptimizerAblation).
+type Options struct {
+	// FuseMaps rewrites map[f](map[g](S)) into map[f[THIS:=g]](S),
+	// eliminating the materialisation of the inner map's result.
+	FuseMaps bool
+	// FuseAggregates rewrites agg(structfn(args)) into the fused operator a
+	// structure registers for it; for CONTREP this turns sum(getBL(...))
+	// into the physical getbl operator instead of materialising per-term
+	// belief sets.
+	FuseAggregates bool
+	// FuseSelects rewrites select[p](select[q](S)) into select[p and q](S).
+	FuseSelects bool
+	// PushSelects rewrites select[p](map[f](S)) into
+	// map[f](select[p[THIS:=f]](S)), so the map materialises only the
+	// surviving elements.
+	PushSelects bool
+	// CSE deduplicates identical MIL operations during translation.
+	CSE bool
+	// Parallel lets the flattened executor materialise large set results
+	// over the shared parallel kernel (internal/bat); the MIL operators a
+	// query runs dispatch on input size independently of this flag.
+	Parallel bool
+	// TopK > 0 asks for only the K best elements of a set-typed query
+	// under the ranked-retrieval order (score descending, OID ascending).
+	// When the optimised plan is a retrieval the pruned top-k operator can
+	// serve (a full-collection scan scored by a function with a pruned
+	// form, e.g. getBLScore), the result comes back already ranked and cut
+	// (Result.Ranked); every other plan shape falls back to exhaustive
+	// evaluation and the caller's ranking applies the cut — the exact
+	// fallback. The externally owned pruning threshold such a scan may
+	// share is not an option: it is per call, bound with the parameters
+	// (Prepared.Bind).
+	TopK int
+}
+
+// DefaultOptions enables every optimisation.
+var DefaultOptions = Options{FuseMaps: true, FuseAggregates: true, FuseSelects: true, PushSelects: true, CSE: true, Parallel: true}
+
+// NoOptimize disables every optimisation (the ablation baseline).
+var NoOptimize = Options{}
+
 // Plan is one node of the logical query plan for a set-typed (sub)query.
 // Map and select bodies remain Moa expressions — Moa is a comprehension
 // algebra, and the element-wise work is what the expression compiler
@@ -86,8 +131,8 @@ func (*PrunedPlan) isPlan()    {}
 func (tr *Translator) BuildPlan(e Expr) (Plan, error) {
 	switch x := e.(type) {
 	case *Ident:
-		if p, ok := tr.params[x.Name]; ok {
-			st, ok := p.T.(*SetType)
+		if slot, ok := tr.slotIdx[x.Name]; ok {
+			st, ok := tr.slots[slot].T.(*SetType)
 			if !ok {
 				return nil, fmt.Errorf("moa: parameter %q is not a set", x.Name)
 			}
@@ -302,4 +347,80 @@ func (n *PrunedPlan) describe(sb *strings.Builder, d int) {
 	ind(sb, d)
 	fmt.Fprintf(sb, "pruned-topk %d [%s]\n", n.K, n.Call)
 	n.Src.describe(sb, d+1)
+}
+
+// substThis replaces every THIS in e (that refers to the current map level)
+// with repl. Nested map/select bodies introduce a fresh THIS and are left
+// alone below their boundary.
+func substThis(e Expr, repl Expr) Expr {
+	switch x := e.(type) {
+	case *This:
+		return repl
+	case *Field:
+		x.Recv = substThis(x.Recv, repl)
+	case *CallExpr:
+		for i := range x.Args {
+			x.Args[i] = substThis(x.Args[i], repl)
+		}
+	case *BinExpr:
+		x.L = substThis(x.L, repl)
+		x.R = substThis(x.R, repl)
+	case *UnExpr:
+		x.E = substThis(x.E, repl)
+	case *TupleExpr:
+		for i := range x.Elems {
+			x.Elems[i] = substThis(x.Elems[i], repl)
+		}
+	case *MapExpr:
+		// THIS inside the nested body refers to the nested element; only the
+		// source is in the current scope.
+		x.Src = substThis(x.Src, repl)
+	case *SelectExpr:
+		x.Src = substThis(x.Src, repl)
+	case *JoinExpr:
+		x.Left = substThis(x.Left, repl)
+		x.Right = substThis(x.Right, repl)
+	}
+	return e
+}
+
+// cloneExpr deep-copies an expression tree (types are shared; they are
+// immutable).
+func cloneExpr(e Expr) Expr {
+	switch x := e.(type) {
+	case *This:
+		c := *x
+		return &c
+	case *Ident:
+		c := *x
+		return &c
+	case *LitExpr:
+		c := *x
+		return &c
+	case *Field:
+		return &Field{Recv: cloneExpr(x.Recv), Name: x.Name, T: x.T}
+	case *MapExpr:
+		return &MapExpr{Body: cloneExpr(x.Body), Src: cloneExpr(x.Src), T: x.T}
+	case *SelectExpr:
+		return &SelectExpr{Pred: cloneExpr(x.Pred), Src: cloneExpr(x.Src), T: x.T}
+	case *JoinExpr:
+		return &JoinExpr{Pred: cloneExpr(x.Pred), Left: cloneExpr(x.Left), Right: cloneExpr(x.Right), T: x.T}
+	case *CallExpr:
+		args := make([]Expr, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = cloneExpr(a)
+		}
+		return &CallExpr{Fn: x.Fn, Args: args, T: x.T}
+	case *BinExpr:
+		return &BinExpr{Op: x.Op, L: cloneExpr(x.L), R: cloneExpr(x.R), T: x.T}
+	case *UnExpr:
+		return &UnExpr{Op: x.Op, E: cloneExpr(x.E), T: x.T}
+	case *TupleExpr:
+		elems := make([]Expr, len(x.Elems))
+		for i, a := range x.Elems {
+			elems[i] = cloneExpr(a)
+		}
+		return &TupleExpr{Names: append([]string(nil), x.Names...), Elems: elems, T: x.T}
+	}
+	panic(fmt.Sprintf("moa: cloneExpr: unknown node %T", e))
 }

@@ -15,15 +15,11 @@ func planFor(t *testing.T, db *Database, src string, opts Options) Plan {
 	if _, err := Check(e, &CheckEnv{DB: db}); err != nil {
 		t.Fatal(err)
 	}
-	tr := &Translator{db: db, params: nil, opts: opts}
-	p, err := tr.BuildPlan(e)
+	tl, err := Translate(db, e, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.TopK > 0 {
-		p = &TopKPlan{Src: p, K: opts.TopK}
-	}
-	return OptimizePlan(p, opts)
+	return tl.Plan
 }
 
 func TestPlanMapFusion(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"mirror/internal/bat"
 	"mirror/internal/mil"
@@ -17,12 +18,38 @@ type Param struct {
 	V any
 }
 
-// Translated is the output of flattening a Moa query: a MIL program, extra
-// environment bindings (parameter BATs), and the shape of the result.
+// ParamSlot declares one query parameter: its name and Moa type. A query's
+// slots are fixed — sorted by name — when it is translated; values are
+// bound later, one per slot, in slot order. The emitted MIL depends on the
+// slots only, never on a value.
+type ParamSlot struct {
+	Name string
+	T    Type
+}
+
+// slotsOf returns the slots a parameter map declares, in binding order.
+func slotsOf(params map[string]Param) []ParamSlot {
+	slots := make([]ParamSlot, 0, len(params))
+	for name, p := range params {
+		slots = append(slots, ParamSlot{Name: name, T: p.T})
+	}
+	sort.Slice(slots, func(i, j int) bool { return slots[i].Name < slots[j].Name })
+	return slots
+}
+
+// Translated is the output of flattening a Moa query: a MIL program, the
+// parameter slots with what binding them installs into the environment,
+// and the shape of the result. It is immutable once built and holds no
+// parameter value, so one Translated serves any number of concurrent
+// bind-and-run calls.
 type Translated struct {
-	Prog     *mil.Program
-	Bindings map[string]*bat.BAT
-	T        Type
+	Prog  *mil.Program
+	T     Type
+	Slots []ParamSlot
+
+	// Plan is the optimised logical plan Prog was lowered from; nil for
+	// scalar queries.
+	Plan Plan
 
 	// Set-typed results:
 	OutSet *OutSet
@@ -38,6 +65,70 @@ type Translated struct {
 	// Options.TopK — the optimiser pushed the top-k into a pruned
 	// physical operator, so the executor must not re-rank.
 	Ranked bool
+
+	sets    []setSlot     // set parameters the program reads as slot BATs
+	scalars []boundScalar // environment scalars computed from the values at bind time
+}
+
+// setSlot is a set-of-atoms parameter the program references: binding it
+// installs the value BAT [void, value] and the identity BAT [void, void]
+// under the two fixed names the lowering emitted.
+type setSlot struct {
+	slot            int
+	elem            *AtomType
+	valName, idName string
+}
+
+// scalarFn computes a bind-time scalar from the slot values.
+type scalarFn func(vals []any) (any, error)
+
+// boundScalar is an environment scalar Bind computes: an atom parameter,
+// or a constant expression over atom parameters folded once per bind
+// (with the same rules that fold literals at compile time).
+type boundScalar struct {
+	name string
+	fn   scalarFn
+}
+
+// binding is one environment entry a bound query installs before running.
+type binding struct {
+	name string
+	v    any
+}
+
+// bind turns one value per slot into the environment entries the program
+// expects.
+func (tl *Translated) bind(vals []any) ([]binding, error) {
+	if len(vals) != len(tl.Slots) {
+		return nil, fmt.Errorf("moa: bind: %d values for %d parameter slots", len(vals), len(tl.Slots))
+	}
+	out := make([]binding, 0, 2*len(tl.sets)+len(tl.scalars))
+	for _, ss := range tl.sets {
+		name := tl.Slots[ss.slot].Name
+		items, err := paramItems(vals[ss.slot])
+		if err != nil {
+			return nil, fmt.Errorf("moa: parameter %q: %w", name, err)
+		}
+		vb := bat.NewDense(0, ss.elem.Kind)
+		ids := bat.New(bat.KindVoid, bat.KindVoid)
+		for i, item := range items {
+			if err := vb.Append(bat.OID(i), coerceAtom(ss.elem, item)); err != nil {
+				return nil, fmt.Errorf("moa: parameter %q: %w", name, err)
+			}
+			if err := ids.Append(bat.OID(i), bat.OID(i)); err != nil {
+				return nil, err
+			}
+		}
+		out = append(out, binding{ss.valName, vb}, binding{ss.idName, ids})
+	}
+	for _, bs := range tl.scalars {
+		v, err := bs.fn(vals)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, binding{bs.name, v})
+	}
+	return out, nil
 }
 
 // OutSet describes a set-typed result: the domain variable enumerates the
@@ -53,29 +144,48 @@ type OutSet struct {
 type Translator struct {
 	db       *Database
 	prog     *mil.Program
-	params   map[string]Param
-	bindings map[string]*bat.BAT
+	slots    []ParamSlot
+	slotIdx  map[string]int
 	n        int
 	opts     Options
 	cse      map[string]string
 	paramSet map[string]*ParamSetRep
+	sets     []setSlot
+	scalars  []boundScalar
+	bound    map[string]scalarFn // bind-time scalars by environment name
 	ranked   bool
 }
 
 // Translate flattens a checked expression through the plan pipeline:
 // build the logical plan, optimise it (including top-k pushdown when
-// opts.TopK asks for a ranked cut), and lower the result to MIL.
-func Translate(db *Database, e Expr, params map[string]Param, opts Options) (*Translated, error) {
+// opts.TopK asks for a ranked cut), and lower the result to MIL. It reads
+// the parameters' names and types only; this is the one place in the
+// system a query is planned and lowered.
+func Translate(db *Database, e Expr, slots []ParamSlot, opts Options) (*Translated, error) {
 	tr := &Translator{
 		db:       db,
 		prog:     &mil.Program{},
-		params:   params,
-		bindings: map[string]*bat.BAT{},
+		slots:    slots,
+		slotIdx:  make(map[string]int, len(slots)),
 		opts:     opts,
 		cse:      map[string]string{},
 		paramSet: map[string]*ParamSetRep{},
+		bound:    map[string]scalarFn{},
 	}
-	out := &Translated{Prog: tr.prog, Bindings: tr.bindings, T: e.Type(), Parallel: opts.Parallel}
+	for i, sl := range slots {
+		tr.slotIdx[sl.Name] = i
+	}
+	out, err := tr.translate(e)
+	if err != nil {
+		return nil, err
+	}
+	out.Slots, out.sets, out.scalars = slots, tr.sets, tr.scalars
+	return out, nil
+}
+
+func (tr *Translator) translate(e Expr) (*Translated, error) {
+	opts := tr.opts
+	out := &Translated{Prog: tr.prog, T: e.Type(), Parallel: opts.Parallel}
 	if _, isSet := ElemType(e.Type()); isSet {
 		plan, err := tr.BuildPlan(e)
 		if err != nil {
@@ -85,6 +195,7 @@ func Translate(db *Database, e Expr, params map[string]Param, opts Options) (*Tr
 			plan = &TopKPlan{Src: plan, K: opts.TopK}
 		}
 		plan = OptimizePlan(plan, opts)
+		out.Plan = plan
 		sv, err := tr.lowerPlan(plan)
 		if err != nil {
 			return nil, err
@@ -244,6 +355,22 @@ func (tr *Translator) lowerPlan(p Plan) (*SetVal, error) {
 			sel := tr.Emit("sel", mil.C("select", mil.R(p.Var), mil.L(true)))
 			dom := tr.Emit("d", mil.C("mirror", mil.R(sel)))
 			return &SetVal{DomainVar: dom, Full: false, ElemT: src.ElemT, MkElem: src.MkElem}, nil
+		case *VarRep:
+			// A predicate over atom parameters alone keeps or drops the
+			// whole source, and which is known only at bind time: the
+			// program slices the domain to count·keep, keep ∈ {0, 1}.
+			keep, err := tr.foldScalars(FloatType, func(a []*ConstRep) (*ConstRep, error) {
+				if b, _ := a[0].V.(bool); b {
+					return &ConstRep{V: 1.0, T: FloatType}, nil
+				}
+				return &ConstRep{V: 0.0, T: FloatType}, nil
+			}, p)
+			if err != nil {
+				return nil, err
+			}
+			hi := tr.Emit("n", mil.C("calc", mil.L("*"), mil.C("count", mil.R(src.DomainVar)), constMilExpr(keep)))
+			dom := tr.Emit("d", mil.C("slice", mil.R(src.DomainVar), mil.L(int64(0)), mil.R(hi)))
+			return &SetVal{DomainVar: dom, Full: false, ElemT: src.ElemT, MkElem: src.MkElem}, nil
 		}
 		return nil, fmt.Errorf("moa: select predicate compiled to %T", pred)
 	case *JoinPlan:
@@ -359,38 +486,87 @@ func paramCtx(ctx *Ctx, idVar string) *Ctx {
 	return ctx
 }
 
-// bindParamSet builds the value BAT of a set parameter and binds it into the
-// execution environment.
+// bindParamSet declares a set parameter's slot BATs — the value BAT and
+// its identity BAT, under names fixed by the parameter's name — which Bind
+// builds from the call's value.
 func (tr *Translator) bindParamSet(name string, st *SetType) (*ParamSetRep, error) {
 	if psr, ok := tr.paramSet[name]; ok {
 		return psr, nil
 	}
-	p := tr.params[name]
 	at, ok := st.Elem.(*AtomType)
 	if !ok {
 		return nil, fmt.Errorf("moa: set parameter %q must contain atoms", name)
 	}
-	vals := bat.NewDense(0, at.Kind)
-	ids := bat.New(bat.KindVoid, bat.KindVoid)
-	items, err := paramItems(p.V)
-	if err != nil {
-		return nil, fmt.Errorf("moa: parameter %q: %w", name, err)
-	}
-	for i, item := range items {
-		if err := vals.Append(bat.OID(i), coerceAtom(at, item)); err != nil {
-			return nil, fmt.Errorf("moa: parameter %q: %w", name, err)
-		}
-		if err := ids.Append(bat.OID(i), bat.OID(i)); err != nil {
-			return nil, err
-		}
-	}
-	valsName := "param_" + name + "_val"
-	idName := "param_" + name + "_id"
-	tr.bindings[valsName] = vals
-	tr.bindings[idName] = ids
-	psr := &ParamSetRep{ValsVar: valsName, ElemT: st.Elem}
+	ss := setSlot{slot: tr.slotIdx[name], elem: at, valName: "param_" + name + "_val", idName: "param_" + name + "_id"}
+	tr.sets = append(tr.sets, ss)
+	psr := &ParamSetRep{ValsVar: ss.valName, ElemT: st.Elem}
 	tr.paramSet[name] = psr
 	return psr, nil
+}
+
+// paramScalar declares an atom parameter's environment scalar.
+func (tr *Translator) paramScalar(slot int, at *AtomType) *VarRep {
+	name := "param_" + tr.slots[slot].Name
+	if _, ok := tr.bound[name]; ok {
+		return &VarRep{Var: name, T: at}
+	}
+	return tr.bindScalar(name, at, func(vals []any) (any, error) { return coerceAtom(at, vals[slot]), nil })
+}
+
+// bindScalar registers an environment scalar computed at bind time.
+func (tr *Translator) bindScalar(name string, t Type, fn scalarFn) *VarRep {
+	tr.bound[name] = fn
+	tr.scalars = append(tr.scalars, boundScalar{name: name, fn: fn})
+	return &VarRep{Var: name, T: t}
+}
+
+// foldScalars applies a constant-folding rule to scalar operands: at once
+// when all are compile-time constants; when some derive from atom
+// parameters, as a scalar computed by the same rule once per bind. Scalars
+// a MIL aggregate computes at run time cannot be folded.
+func (tr *Translator) foldScalars(t Type, fold func([]*ConstRep) (*ConstRep, error), operands ...Rep) (Rep, error) {
+	consts := make([]*ConstRep, len(operands)) // nil where the operand is bind-time
+	fns := make([]scalarFn, len(operands))
+	types := make([]Type, len(operands))
+	allConst := true
+	for i, o := range operands {
+		switch c := o.(type) {
+		case *ConstRep:
+			consts[i] = c
+		case *VarRep:
+			allConst = false
+			if fns[i], types[i] = tr.bound[c.Var], c.T; fns[i] == nil {
+				return nil, fmt.Errorf("moa: run-time scalar %s cannot be an operand of a scalar expression", c.Var)
+			}
+		default:
+			return nil, fmt.Errorf("moa: %T is not a scalar operand", o)
+		}
+	}
+	if allConst {
+		c, err := fold(consts)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	return tr.bindScalar(tr.Fresh("ps"), t, func(vals []any) (any, error) {
+		args := make([]*ConstRep, len(consts))
+		for i, c := range consts {
+			if args[i] = c; c != nil {
+				continue
+			}
+			v, err := fns[i](vals)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = &ConstRep{V: v, T: types[i]}
+		}
+		c, err := fold(args)
+		if err != nil {
+			return nil, err
+		}
+		return c.V, nil
+	}), nil
 }
 
 func paramItems(v any) ([]any, error) {
@@ -586,18 +762,19 @@ func (tr *Translator) compile(e Expr, ctx *Ctx) (Rep, error) {
 		return &ConstRep{V: x.V, T: x.T}, nil
 
 	case *Ident:
-		if p, ok := tr.params[x.Name]; ok {
-			if p.T.Equal(StatsType) {
+		if slot, ok := tr.slotIdx[x.Name]; ok {
+			pt := tr.slots[slot].T
+			if pt.Equal(StatsType) {
 				return &StatsRep{}, nil
 			}
-			if st, ok := p.T.(*SetType); ok {
+			if st, ok := pt.(*SetType); ok {
 				return tr.bindParamSet(x.Name, st)
 			}
-			at, ok := p.T.(*AtomType)
+			at, ok := pt.(*AtomType)
 			if !ok {
-				return nil, fmt.Errorf("moa: unsupported parameter type %s", p.T)
+				return nil, fmt.Errorf("moa: unsupported parameter type %s", pt)
 			}
-			return &ConstRep{V: coerceAtom(at, p.V), T: at}, nil
+			return tr.paramScalar(slot, at), nil
 		}
 		return nil, fmt.Errorf("moa: name %q not usable in value position", x.Name)
 
@@ -620,8 +797,8 @@ func (tr *Translator) compile(e Expr, ctx *Ctx) (Rep, error) {
 			return nil, err
 		}
 		switch r := inner.(type) {
-		case *ConstRep:
-			return foldUnary(x.Op, r)
+		case *ConstRep, *VarRep:
+			return tr.foldScalars(x.T, func(a []*ConstRep) (*ConstRep, error) { return foldUnary(x.Op, a[0]) }, r)
 		case *AtomRep:
 			if x.Op == "not" {
 				return &AtomRep{Var: tr.Emit("u", mil.M("not", mil.R(r.Var))), T: BoolType}, nil
@@ -732,8 +909,8 @@ func (tr *Translator) compileCall(x *CallExpr, ctx *Ctx) (Rep, error) {
 			return nil, err
 		}
 		switch r := arg.(type) {
-		case *ConstRep:
-			return foldScalarFn(x.Fn, r)
+		case *ConstRep, *VarRep:
+			return tr.foldScalars(FloatType, func(a []*ConstRep) (*ConstRep, error) { return foldScalarFn(x.Fn, a[0]) }, r)
 		case *AtomRep:
 			return &AtomRep{Var: tr.Emit("f", mil.M(x.Fn, mil.R(r.Var))), T: FloatType}, nil
 		}
@@ -753,7 +930,7 @@ func (tr *Translator) compileAgg(x *CallExpr, ctx *Ctx) (Rep, error) {
 		return tr.scalarAggOverSet(x.Fn, arg, x.T)
 	case *Ident:
 		id := arg.(*Ident)
-		if _, isParam := tr.params[id.Name]; !isParam {
+		if _, isParam := tr.slotIdx[id.Name]; !isParam {
 			return tr.scalarAggOverSet(x.Fn, arg, x.T)
 		}
 	}
@@ -831,7 +1008,7 @@ func (tr *Translator) compileBin(x *BinExpr, ctx *Ctx) (Rep, error) {
 	ra, rAtom := r.(*AtomRep)
 	switch {
 	case lConst && rConst:
-		return foldBinary(x, lc, rc)
+		return tr.foldScalars(x.T, func(a []*ConstRep) (*ConstRep, error) { return foldBinary(x, a[0], a[1]) }, lc, rc)
 	case lAtom && rAtom:
 		return &AtomRep{Var: tr.Emit("b", mil.M(op, mil.R(la.Var), mil.R(ra.Var))), T: x.T}, nil
 	case lAtom && rConst:
@@ -862,14 +1039,8 @@ func constMilExpr(r Rep) mil.Expr {
 	panic("moa: not a scalar operand")
 }
 
-// foldBinary evaluates const⊕const at compile time where both are
-// compile-time constants; if either side is a run-time scalar it emits calc.
-func foldBinary(x *BinExpr, l, r Rep) (Rep, error) {
-	lc, lok := l.(*ConstRep)
-	rc, rok := r.(*ConstRep)
-	if !lok || !rok {
-		return nil, fmt.Errorf("moa: mixed scalar operands for %s not supported", x.Op)
-	}
+// foldBinary evaluates const⊕const.
+func foldBinary(x *BinExpr, lc, rc *ConstRep) (*ConstRep, error) {
 	switch x.Op {
 	case "and", "or":
 		lb, _ := lc.V.(bool)
@@ -931,7 +1102,7 @@ func foldBinary(x *BinExpr, l, r Rep) (Rep, error) {
 	return nil, fmt.Errorf("moa: cannot fold %s on %T,%T", x.Op, lc.V, rc.V)
 }
 
-func foldUnary(op string, c *ConstRep) (Rep, error) {
+func foldUnary(op string, c *ConstRep) (*ConstRep, error) {
 	switch op {
 	case "not":
 		b, ok := c.V.(bool)
@@ -950,7 +1121,7 @@ func foldUnary(op string, c *ConstRep) (Rep, error) {
 	return nil, fmt.Errorf("moa: cannot fold unary %s", op)
 }
 
-func foldScalarFn(fn string, c *ConstRep) (Rep, error) {
+func foldScalarFn(fn string, c *ConstRep) (*ConstRep, error) {
 	v, ok := numVal(c.V)
 	if !ok {
 		return nil, fmt.Errorf("moa: %s on %T", fn, c.V)
