@@ -26,11 +26,16 @@ import (
 	"mirror/internal/ir"
 )
 
-// e11Index is the physical fixture: both postings layouts over one corpus.
+// e11Index is the physical fixture: one corpus as the pruned operator's
+// block segment and as the exhaustive pipeline's pair columns.
 type e11Index struct {
 	n int // documents
-	// term-ordered layout (pruned operator input)
-	start, postDoc, postBel, maxBel *bat.BAT
+	// term-ordered postings: the block segment the pruned operator scans,
+	// and the flat arrays it was encoded from (mkE11Shards re-slices them)
+	seg     bat.PostingsSeg
+	starts  []int64
+	postDoc []bat.OID
+	postBel []float64
 	// original pair layout (exhaustive getbl input)
 	revTerm, doc, bel *bat.BAT
 	domain            *bat.BAT
@@ -94,9 +99,9 @@ func mkE11Index(n int) *e11Index {
 	return ix
 }
 
-// e11Assemble builds both physical layouts from generated postings
-// triples. Docs must ascend per term — the generation loops iterate d
-// ascending, so the counting sort by term preserves that order.
+// e11Assemble builds both physical representations from generated
+// postings triples. Docs must ascend per term — the generation loops
+// iterate d ascending, so the counting sort by term preserves that order.
 func e11Assemble(n, nterms int, termOf, docOf []bat.OID, belOf []float64) *e11Index {
 	p := len(termOf)
 	starts := make([]int64, nterms+1)
@@ -108,7 +113,6 @@ func e11Assemble(n, nterms int, termOf, docOf []bat.OID, belOf []float64) *e11In
 	}
 	pd := make([]bat.OID, p)
 	pb := make([]float64, p)
-	mx := make([]float64, nterms)
 	cur := append([]int64(nil), starts...)
 	for i := 0; i < p; i++ {
 		t := termOf[i]
@@ -116,18 +120,15 @@ func e11Assemble(n, nterms int, termOf, docOf []bat.OID, belOf []float64) *e11In
 		cur[t]++
 		pd[at] = docOf[i]
 		pb[at] = belOf[i]
-		if belOf[i] > mx[t] {
-			mx[t] = belOf[i]
-		}
 	}
 
 	ix := &e11Index{
 		n:       n,
 		nterms:  nterms,
-		start:   adoptVoid(bat.ColumnOfInts(starts)),
-		postDoc: adoptVoid(bat.ColumnOfOIDs(pd)),
-		postBel: adoptVoid(bat.ColumnOfFloats(pb)),
-		maxBel:  adoptVoid(bat.ColumnOfFloats(mx)),
+		seg:     e11Encode(starts, pd, pb),
+		starts:  starts,
+		postDoc: pd,
+		postBel: pb,
 		revTerm: &bat.BAT{Head: bat.ColumnOfOIDs(termOf), Tail: bat.NewVoid(0, p)},
 		doc:     adoptVoid(bat.ColumnOfOIDs(docOf)),
 		bel:     adoptVoid(bat.ColumnOfFloats(belOf)),
@@ -219,6 +220,20 @@ func mkE11SkewedIndex(n int) *e11Index {
 	return ix
 }
 
+// e11Encode encodes flat term-ordered postings as one block segment
+// (term frequencies are not part of the fixture; they encode as 1).
+func e11Encode(starts []int64, docs []bat.OID, bels []float64) bat.PostingsSeg {
+	tfs := make([]int64, len(docs))
+	for i := range tfs {
+		tfs[i] = 1
+	}
+	seg, err := bat.EncodeBlockSegment(starts, docs, tfs, bels)
+	if err != nil {
+		panic(err)
+	}
+	return seg
+}
+
 func adoptVoid(tail *bat.Column) *bat.BAT {
 	b := &bat.BAT{Head: bat.NewVoid(0, tail.Len()), Tail: tail}
 	b.HSorted, b.HKey = true, true
@@ -259,63 +274,31 @@ func e11Exhaustive(ix *e11Index, q []bat.OID, k int) (*bat.BAT, error) {
 }
 
 func e11Pruned(ix *e11Index, q []bat.OID, k int) (*bat.BAT, error) {
-	return bat.PrunedTopK(ix.start, ix.postDoc, ix.postBel, ix.maxBel, q, nil, ir.DefaultBelief, k, ix.domain)
+	return e11PrunedTheta(ix, q, k, nil)
 }
 
-// ---- block-compressed layout (the store codec, at the physical layer) ----
-
-var (
-	e11BlkMu    sync.Mutex
-	e11BlkCache = map[*e11Index]*bat.BlockSegColumns{}
-)
-
-// mkE11Blocks encodes the raw fixture into the block layout once per
-// fixture (the uniform and skewed corpora share sizes, so the cache keys
-// on the fixture identity).
-func mkE11Blocks(ix *e11Index) *bat.BlockSegColumns {
-	e11BlkMu.Lock()
-	defer e11BlkMu.Unlock()
-	if c, ok := e11BlkCache[ix]; ok {
-		return c
-	}
-	c, err := bat.EncodeBlockPostings(ix.start, ix.postDoc, nil, ix.postBel)
-	if err != nil {
-		panic(err)
-	}
-	e11BlkCache[ix] = c
-	return c
-}
-
-func e11BlockSeg(c *bat.BlockSegColumns) bat.PostingsSeg {
-	return bat.PostingsSeg{
-		Start: c.Start, MaxBel: c.MaxBel,
-		BlkStart: c.BlkStart, BlkDir: c.BlkDir, BlkDoc: c.BlkDoc,
-		BlkBDir: c.BlkBDir, BlkBel: c.BlkBel,
-	}
-}
-
-func e11PrunedBlock(ix *e11Index, q []bat.OID, k int) (*bat.BAT, error) {
-	seg := e11BlockSeg(mkE11Blocks(ix))
-	return bat.PrunedTopKSegs([]bat.PostingsSeg{seg}, q, nil, ir.DefaultBelief, k, ix.domain, nil)
-}
-
-// e11PrunedBlockTheta is e11PrunedBlock with a caller-owned threshold —
-// the warm-θ entry point. Seed it with a completed run's terminal bound
-// (what core's θ-memo does for repeat queries) and the scan prunes from
+// e11PrunedTheta is e11Pruned with a caller-owned threshold — the warm-θ
+// entry point. Seed it with a completed run's terminal bound (what
+// core's θ-memo does for repeat queries) and the scan prunes from
 // posting one; pass it fresh and its terminal Load() is that bound.
-func e11PrunedBlockTheta(ix *e11Index, q []bat.OID, k int, th *bat.TopKThreshold) (*bat.BAT, error) {
-	seg := e11BlockSeg(mkE11Blocks(ix))
-	return bat.PrunedTopKSegs([]bat.PostingsSeg{seg}, q, nil, ir.DefaultBelief, k, ix.domain, th)
+func e11PrunedTheta(ix *e11Index, q []bat.OID, k int, th *bat.TopKThreshold) (*bat.BAT, error) {
+	return bat.PrunedTopKSegs([]bat.PostingsSeg{ix.seg}, q, nil, ir.DefaultBelief, k, ix.domain, th)
 }
 
-// e11Footprint sizes both layouts of the same postings: every column a
-// pruned scan reads (offsets, postings payloads, per-term bounds).
+// e11SegColumns lists a segment's seven columns in NewBlockPostings order.
+func e11SegColumns(s bat.PostingsSeg) [7]*bat.BAT {
+	return [7]*bat.BAT{s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel}
+}
+
+// e11Footprint sizes the postings: every column a pruned scan reads
+// (offsets, postings payloads, per-term bounds) as stored, next to the
+// computed size of the same postings at 8 bytes per field — offsets,
+// bounds, and doc + tf + belief per posting, the formula ir.Footprint
+// reports for live stores.
 func e11Footprint(ix *e11Index) (rawBytes, blockBytes int64) {
-	for _, b := range []*bat.BAT{ix.start, ix.postDoc, ix.postBel, ix.maxBel} {
-		rawBytes += b.MemBytes()
-	}
-	c := mkE11Blocks(ix)
-	for _, b := range []*bat.BAT{c.Start, c.BlkStart, c.BlkDir, c.BlkDoc, c.BlkBDir, c.BlkBel, c.MaxBel} {
+	nt, np := int64(ix.nterms), int64(len(ix.postDoc))
+	rawBytes = 8*(nt+1) + 8*nt + 24*np
+	for _, b := range e11SegColumns(ix.seg) {
 		blockBytes += b.MemBytes()
 	}
 	return rawBytes, blockBytes
@@ -325,10 +308,8 @@ func e11Footprint(ix *e11Index) (rawBytes, blockBytes int64) {
 // reports postings decoded per second — the sequential decompression
 // speed a pruned scan pays when it cannot skip.
 func e11DecodeThroughput(ix *e11Index) (postings int64, perSec float64) {
-	bp, err := bat.NewBlockPostings(func() (a, b, c2, d, e, f, g *bat.BAT) {
-		c := mkE11Blocks(ix)
-		return c.Start, c.BlkStart, c.BlkDir, c.BlkDoc, c.BlkBDir, c.BlkBel, c.MaxBel
-	}())
+	c := e11SegColumns(ix.seg)
+	bp, err := bat.NewBlockPostings(c[0], c[1], c[2], c[3], c[4], c[5], c[6])
 	if err != nil {
 		panic(err)
 	}
@@ -381,59 +362,12 @@ func BenchmarkE11_PrunedTopK(b *testing.B) {
 	}
 }
 
-func BenchmarkE11_PrunedTopKBlock(b *testing.B) {
-	ix := mkE11Index(e11N())
-	mkE11Blocks(ix) // encode outside the timer
-	qs := e11Queries(ix)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e11PrunedBlock(ix, qs[i%len(qs)], 10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestE11BlockEqualsRaw pins, at CI scale, that the block-compressed
-// scan returns the raw pruned scan's ranking BUN-for-BUN, and that the
-// block layout is actually smaller.
-func TestE11BlockEqualsRaw(t *testing.T) {
-	n := 200_000
-	if testing.Short() {
-		n = 20_000
-	}
-	ix := mkE11Index(n)
-	for _, q := range e11Queries(ix) {
-		for _, k := range []int{1, 10, 100} {
-			want, err := e11Pruned(ix, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e11PrunedBlock(ix, q, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.Len() != want.Len() {
-				t.Fatalf("q=%v k=%d: %d hits vs %d", q, k, got.Len(), want.Len())
-			}
-			for i := 0; i < want.Len(); i++ {
-				if got.Head.OIDAt(i) != want.Head.OIDAt(i) || got.Tail.FloatAt(i) != want.Tail.FloatAt(i) {
-					t.Fatalf("q=%v k=%d rank %d: block (%d, %v), raw (%d, %v)",
-						q, k, i, got.Head.OIDAt(i), got.Tail.FloatAt(i), want.Head.OIDAt(i), want.Tail.FloatAt(i))
-				}
-			}
-		}
-	}
-	raw, blk := e11Footprint(ix)
-	if blk >= raw {
-		t.Errorf("block layout %d bytes >= raw %d", blk, raw)
-	}
-	t.Logf("footprint n=%d: raw %d bytes, block %d bytes (%.2fx)", n, raw, blk, float64(raw)/float64(blk))
-}
-
 // TestE11PrunedEqualsExhaustiveShape pins, at a size CI can afford, that
-// the two pipelines agree on the top-k set and scores. (Order within exact
-// ties differs only in how TopN's stable sort breaks them; the comparison
-// is on the canonical ranking, recomputed with the OID tie rule.)
+// the two pipelines agree on the top-k set and scores at shallow and deep
+// cuts, and that the block layout is actually smaller than 8 bytes per
+// field. (Order within exact ties differs only in how TopN's stable sort
+// breaks them; the comparison is on the canonical ranking, recomputed
+// with the OID tie rule.)
 func TestE11PrunedEqualsExhaustiveShape(t *testing.T) {
 	n := 200_000
 	if testing.Short() {
@@ -441,22 +375,28 @@ func TestE11PrunedEqualsExhaustiveShape(t *testing.T) {
 	}
 	ix := mkE11Index(n)
 	for _, q := range e11Queries(ix) {
-		const k = 10
-		pruned, err := e11Pruned(ix, q, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := e11CanonicalTopK(ix, q, k)
-		if pruned.Len() != len(want) {
-			t.Fatalf("q=%v: %d hits, want %d", q, pruned.Len(), len(want))
-		}
-		for i := range want {
-			if uint64(pruned.Head.OIDAt(i)) != want[i].Doc || pruned.Tail.FloatAt(i) != want[i].Score {
-				t.Fatalf("q=%v rank %d: got (%d, %v), want (%d, %v)",
-					q, i, pruned.Head.OIDAt(i), pruned.Tail.FloatAt(i), want[i].Doc, want[i].Score)
+		for _, k := range []int{1, 10, 100} {
+			pruned, err := e11Pruned(ix, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := e11CanonicalTopK(ix, q, k)
+			if pruned.Len() != len(want) {
+				t.Fatalf("q=%v k=%d: %d hits, want %d", q, k, pruned.Len(), len(want))
+			}
+			for i := range want {
+				if uint64(pruned.Head.OIDAt(i)) != want[i].Doc || pruned.Tail.FloatAt(i) != want[i].Score {
+					t.Fatalf("q=%v k=%d rank %d: got (%d, %v), want (%d, %v)",
+						q, k, i, pruned.Head.OIDAt(i), pruned.Tail.FloatAt(i), want[i].Doc, want[i].Score)
+				}
 			}
 		}
 	}
+	raw, blk := e11Footprint(ix)
+	if blk >= raw {
+		t.Errorf("block layout %d bytes >= %d at 8 bytes per field", blk, raw)
+	}
+	t.Logf("footprint n=%d: %d bytes at 8 B/field, block %d bytes (%.2fx)", n, raw, blk, float64(raw)/float64(blk))
 }
 
 // e11CanonicalTopK computes the exhaustive ranking serially with the
@@ -527,13 +467,11 @@ func TestEmitQueryBenchJSON(t *testing.T) {
 	}
 	const nShards = 8
 	shards := mkE11Shards(ix, nShards)
-	mkE11Blocks(ix) // encode outside the timers
 	exh := medianNs(3, func(_ int, q []bat.OID) error { _, err := e11Exhaustive(ix, q, k); return err })
-	prn := medianNs(7, func(_ int, q []bat.OID) error { _, err := e11Pruned(ix, q, k); return err })
-	shd := medianNs(7, func(_ int, q []bat.OID) error { _, err := e11Sharded(shards, q, k); return err })
 	dec0, skip0 := bat.BlockScanStats()
-	blk := medianNs(7, func(_ int, q []bat.OID) error { _, err := e11PrunedBlock(ix, q, k); return err })
+	prn := medianNs(7, func(_ int, q []bat.OID) error { _, err := e11Pruned(ix, q, k); return err })
 	dec1, skip1 := bat.BlockScanStats()
+	shd := medianNs(7, func(_ int, q []bat.OID) error { _, err := e11Sharded(shards, q, k); return err })
 	rawBytes, blkBytes := e11Footprint(ix)
 	decPostings, decPerSec := e11DecodeThroughput(ix)
 	skipRate := skipRateOf(dec0, skip0, dec1, skip1)
@@ -545,17 +483,16 @@ func TestEmitQueryBenchJSON(t *testing.T) {
 	// of the router's streamed-θ A/B (-no-theta-stream).
 	six := mkE11SkewedIndex(ix.n)
 	sShards := mkE11Shards(six, nShards)
-	mkE11Blocks(six) // encode outside the timers
 	cdec0, cskip0 := bat.BlockScanStats()
 	sCold := medianNs(7, func(_ int, q []bat.OID) error {
-		_, err := e11PrunedBlockTheta(six, q, k, bat.NewTopKThreshold())
+		_, err := e11PrunedTheta(six, q, k, bat.NewTopKThreshold())
 		return err
 	})
 	cdec1, cskip1 := bat.BlockScanStats()
 	terminal := make([]float64, len(qs))
 	for qi, q := range qs {
 		th := bat.NewTopKThreshold()
-		if _, err := e11PrunedBlockTheta(six, q, k, th); err != nil {
+		if _, err := e11PrunedTheta(six, q, k, th); err != nil {
 			t.Fatal(err)
 		}
 		terminal[qi] = th.Load()
@@ -564,7 +501,7 @@ func TestEmitQueryBenchJSON(t *testing.T) {
 	warm := medianNs(9, func(qi int, q []bat.OID) error {
 		th := bat.NewTopKThreshold()
 		th.Raise(terminal[qi])
-		_, err := e11PrunedBlockTheta(six, q, k, th)
+		_, err := e11PrunedTheta(six, q, k, th)
 		return err
 	})
 	wdec1, wskip1 := bat.BlockScanStats()
@@ -585,10 +522,9 @@ func TestEmitQueryBenchJSON(t *testing.T) {
 		"p50_sharded_ns":    shd,
 		"sharded_vs_single": fmt.Sprintf("%.2f", float64(shd)/float64(prn)),
 		"sharded_vs_exh":    fmt.Sprintf("%.1f", float64(exh)/float64(shd)),
-		// block codec: same scan over the compressed layout, plus the
-		// codec's standalone numbers (footprint and sequential decode).
-		"p50_pruned_block_ns":   blk,
-		"block_vs_raw_p50":      fmt.Sprintf("%.2f", float64(blk)/float64(prn)),
+		// block codec: the layout's standalone numbers (footprint against
+		// the computed 8-bytes-per-field size, skip rate of the pruned
+		// timing above, sequential decode).
 		"postings_raw_bytes":    rawBytes,
 		"postings_block_bytes":  blkBytes,
 		"compression_ratio":     fmt.Sprintf("%.2f", float64(rawBytes)/float64(blkBytes)),
@@ -616,9 +552,8 @@ func TestEmitQueryBenchJSON(t *testing.T) {
 	}
 	t.Logf("E11 n=%d k=%d: exhaustive p50 %.2fms, pruned p50 %.3fms (%.1fx), sharded(%d) p50 %.3fms",
 		ix.n, k, float64(exh)/1e6, float64(prn)/1e6, float64(exh)/float64(prn), nShards, float64(shd)/1e6)
-	t.Logf("E11 block codec: p50 %.3fms (%.2fx raw pruned), %d->%d bytes (%.2fx), skip rate %.1f%%, decode %.0f postings/s",
-		float64(blk)/1e6, float64(blk)/float64(prn), rawBytes, blkBytes,
-		float64(rawBytes)/float64(blkBytes), 100*skipRate, decPerSec)
+	t.Logf("E11 block codec: %d->%d bytes (%.2fx), skip rate %.1f%%, decode %.0f postings/s",
+		rawBytes, blkBytes, float64(rawBytes)/float64(blkBytes), 100*skipRate, decPerSec)
 	t.Logf("E11 threshold lifecycle (skewed): cold p50 %.3fms, warm-θ p50 %.1fµs (%.1fx), scatter shared %.3fms vs isolated %.3fms (%.2fx)",
 		float64(sCold)/1e6, float64(warm)/1e3, float64(sCold)/float64(warm),
 		float64(sShared)/1e6, float64(sIsolated)/1e6, float64(sIsolated)/float64(sShared))
@@ -672,16 +607,15 @@ func BenchmarkScoresPooling(b *testing.B) {
 // e11Shard is one document-range slice of the e11 postings — the physical
 // shape of one shard's CONTREP after a sharded index build.
 type e11Shard struct {
-	start, postDoc, postBel, maxBel, domain *bat.BAT
+	seg    bat.PostingsSeg
+	domain *bat.BAT
 }
 
 // mkE11Shards slices the corpus into n doc-range shards with shard-local
 // max-belief bounds. (The engine shards by URL hash; doc ranges give the
 // same per-shard shape with a cheaper fixture.)
 func mkE11Shards(ix *e11Index, n int) []e11Shard {
-	starts := ix.start.Tail.Ints()
-	docs := ix.postDoc.Tail.OIDs()
-	bels := ix.postBel.Tail.Floats()
+	starts, docs, bels := ix.starts, ix.postDoc, ix.postBel
 	shards := make([]e11Shard, n)
 	for s := 0; s < n; s++ {
 		lo := bat.OID(uint64(ix.n) * uint64(s) / uint64(n))
@@ -689,7 +623,6 @@ func mkE11Shards(ix *e11Index, n int) []e11Shard {
 		st := make([]int64, 0, ix.nterms+1)
 		var pd []bat.OID
 		var pb []float64
-		mx := make([]float64, ix.nterms)
 		for t := 0; t < ix.nterms; t++ {
 			st = append(st, int64(len(pd)))
 			tlo, thi := int(starts[t]), int(starts[t+1])
@@ -697,21 +630,12 @@ func mkE11Shards(ix *e11Index, n int) []e11Shard {
 			for ; p < thi && docs[p] < hi; p++ {
 				pd = append(pd, docs[p])
 				pb = append(pb, bels[p])
-				if bels[p] > mx[t] {
-					mx[t] = bels[p]
-				}
 			}
 		}
 		st = append(st, int64(len(pd)))
 		dom := &bat.BAT{Head: bat.NewVoid(lo, int(hi-lo)), Tail: bat.NewVoid(lo, int(hi-lo))}
 		dom.HSorted, dom.HKey = true, true
-		shards[s] = e11Shard{
-			start:   adoptVoid(bat.ColumnOfInts(st)),
-			postDoc: adoptVoid(bat.ColumnOfOIDs(pd)),
-			postBel: adoptVoid(bat.ColumnOfFloats(pb)),
-			maxBel:  adoptVoid(bat.ColumnOfFloats(mx)),
-			domain:  dom,
-		}
+		shards[s] = e11Shard{seg: e11Encode(st, pd, pb), domain: dom}
 	}
 	return shards
 }
@@ -758,8 +682,7 @@ func e11Scatter(shards []e11Shard, q []bat.OID, k int, thetaOf func(s int) *bat.
 		go func(s int) {
 			defer wg.Done()
 			sh := shards[s]
-			results[s], errs[s] = bat.PrunedTopKShared(
-				sh.start, sh.postDoc, sh.postBel, sh.maxBel, q, nil, ir.DefaultBelief, k, sh.domain, th)
+			results[s], errs[s] = bat.PrunedTopKSegs([]bat.PostingsSeg{sh.seg}, q, nil, ir.DefaultBelief, k, sh.domain, th)
 		}(s)
 	}
 	wg.Wait()
@@ -838,13 +761,13 @@ func TestE11WarmThetaEqualsCold(t *testing.T) {
 	for _, q := range e11Queries(ix) {
 		for _, k := range []int{1, 10, 100} {
 			cold := bat.NewTopKThreshold()
-			want, err := e11PrunedBlockTheta(ix, q, k, cold)
+			want, err := e11PrunedTheta(ix, q, k, cold)
 			if err != nil {
 				t.Fatal(err)
 			}
 			warm := bat.NewTopKThreshold()
 			warm.Raise(cold.Load())
-			got, err := e11PrunedBlockTheta(ix, q, k, warm)
+			got, err := e11PrunedTheta(ix, q, k, warm)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -885,15 +808,15 @@ func TestE11WarmThetaEqualsCold(t *testing.T) {
 
 // BenchmarkE11_WarmThetaTopKBlock is the repeat-query path: the block
 // scan seeded with the terminal θ a prior identical query left in the
-// memo. The gap to BenchmarkE11_PrunedTopKBlock is what the θ-memo buys.
+// memo. The gap to the same loop with fresh thresholds is what the
+// θ-memo buys.
 func BenchmarkE11_WarmThetaTopKBlock(b *testing.B) {
 	ix := mkE11SkewedIndex(e11N())
-	mkE11Blocks(ix) // encode outside the timer
 	qs := e11Queries(ix)
 	terminal := make([]float64, len(qs))
 	for qi, q := range qs {
 		th := bat.NewTopKThreshold()
-		if _, err := e11PrunedBlockTheta(ix, q, 10, th); err != nil {
+		if _, err := e11PrunedTheta(ix, q, 10, th); err != nil {
 			b.Fatal(err)
 		}
 		terminal[qi] = th.Load()
@@ -902,7 +825,7 @@ func BenchmarkE11_WarmThetaTopKBlock(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		th := bat.NewTopKThreshold()
 		th.Raise(terminal[i%len(qs)])
-		if _, err := e11PrunedBlockTheta(ix, qs[i%len(qs)], 10, th); err != nil {
+		if _, err := e11PrunedTheta(ix, qs[i%len(qs)], 10, th); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -43,7 +43,7 @@ func runShardMember(join, follow, name, dictAddr, addr string, fl memberFlags) {
 		var stats core.RecoveryStats
 		m, stats, err = core.OpenPersistent(core.PersistOptions{
 			Dir: fl.storeDir, WALSync: fl.walSync, Verify: fl.verify, NoMmap: fl.noMmap,
-			StoreCodec: fl.codec, ShardIndex: index, ShardCount: count,
+			ShardIndex: index, ShardCount: count,
 		})
 		if err != nil {
 			log.Fatalf("mirrord: open shard store: %v", err)
@@ -57,9 +57,6 @@ func runShardMember(join, follow, name, dictAddr, addr string, fl memberFlags) {
 		var err error
 		m, err = core.NewShardMember(index, count)
 		if err != nil {
-			log.Fatalf("mirrord: %v", err)
-		}
-		if err := m.SetStoreCodec(fl.codec); err != nil {
 			log.Fatalf("mirrord: %v", err)
 		}
 	}
@@ -128,7 +125,6 @@ type memberFlags struct {
 	walSync    bool
 	verify     bool
 	noMmap     bool
-	codec      string
 	ckptEvery  time.Duration
 	cacheBytes int64
 	thetaMemoN int

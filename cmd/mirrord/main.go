@@ -48,7 +48,6 @@ func main() {
 		noMmap    = flag.Bool("no-mmap", false, "load the store with the portable read path instead of mmap")
 		ckptEvery = flag.Duration("checkpoint-every", 0, "checkpoint the store on this interval (0 = only on shutdown/RPC)")
 		shards    = flag.Int("shards", 0, "shard the collection across N hash-partitioned stores (0 = reopen a store with its stored layout, or run unsharded when fresh)")
-		codec     = flag.String("store-codec", "block", "postings segment layout: block (delta-compressed blocks with block-max pruning bounds) or raw (8-byte columns); a store recovered in the other layout is converted losslessly at open and persisted at the next checkpoint")
 		refrEvery = flag.Duration("refresh-every", 0, "incrementally index newly ingested documents on this interval, publishing a fresh snapshot epoch (0 = only via the Mirror.Refresh RPC); queries are never blocked by a refresh")
 
 		cacheBytes = flag.Int64("query-cache", 64<<20, "bytes of epoch-keyed query result cache (0 disables); entries are invalidated automatically when a refresh/recovery publishes a new epoch")
@@ -81,7 +80,7 @@ func main() {
 	if *join != "" {
 		runShardMember(*join, *follow, *name, *dictAddr, *addr, memberFlags{
 			storeDir: *storeDir, walSync: *walSync, verify: *verify, noMmap: *noMmap,
-			codec: *codec, ckptEvery: *ckptEvery, cacheBytes: *cacheBytes,
+			ckptEvery: *ckptEvery, cacheBytes: *cacheBytes,
 			thetaMemoN: *thetaMemoN,
 		})
 		return
@@ -90,22 +89,16 @@ func main() {
 	var r core.Retriever
 	switch {
 	case *storeDir != "":
-		r = openStore(*storeDir, *shards, *walSync, *verify, *noMmap, *codec)
+		r = openStore(*storeDir, *shards, *walSync, *verify, *noMmap)
 	case *shards >= 1:
 		e, err := core.NewSharded(*shards)
 		if err != nil {
-			log.Fatalf("mirrord: %v", err)
-		}
-		if err := e.SetStoreCodec(*codec); err != nil {
 			log.Fatalf("mirrord: %v", err)
 		}
 		r = e
 	default:
 		m, err := core.New()
 		if err != nil {
-			log.Fatalf("mirrord: %v", err)
-		}
-		if err := m.SetStoreCodec(*codec); err != nil {
 			log.Fatalf("mirrord: %v", err)
 		}
 		r = m
@@ -263,7 +256,7 @@ func main() {
 // resolution: an explicit -shards N >= 1 demands a sharded store with N
 // members (fresh stores are created that way); -shards 0 reopens whatever
 // layout the directory holds, defaulting to standalone for fresh stores.
-func openStore(dir string, shards int, walSync, verify, noMmap bool, codec string) core.Retriever {
+func openStore(dir string, shards int, walSync, verify, noMmap bool) core.Retriever {
 	standalone := storage.IsStore(dir)
 	_, shard0Err := os.Stat(filepath.Join(dir, "shard-000"))
 	sharded := shards >= 1 || shard0Err == nil
@@ -273,7 +266,6 @@ func openStore(dir string, shards int, walSync, verify, noMmap bool, codec strin
 	if sharded {
 		e, stats, err := core.OpenShardedPersistent(core.ShardedPersistOptions{
 			Dir: dir, Shards: shards, WALSync: walSync, Verify: verify, NoMmap: noMmap,
-			StoreCodec: codec,
 		})
 		if err != nil {
 			log.Fatalf("mirrord: open sharded store: %v", err)
@@ -287,7 +279,6 @@ func openStore(dir string, shards int, walSync, verify, noMmap bool, codec strin
 	}
 	m, stats, err := core.OpenPersistent(core.PersistOptions{
 		Dir: dir, WALSync: walSync, Verify: verify, NoMmap: noMmap,
-		StoreCodec: codec,
 	})
 	if err != nil {
 		log.Fatalf("mirrord: open store: %v", err)

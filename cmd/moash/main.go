@@ -30,8 +30,9 @@
 //	\stats                       serving state: ingested/pending document
 //	                             counts, the serving epoch stamp that
 //	                             query answers carry over RPC, per-store
-//	                             postings footprint (compressed vs raw
-//	                             bytes), block decode/skip counters and
+//	                             postings footprint (stored bytes vs the
+//	                             computed 8-bytes-per-field size), block
+//	                             decode/skip counters and
 //	                             plan-cache hits/compiles (serving epoch
 //	                             and the shell's own engine)
 //	\help, \quit
@@ -70,7 +71,6 @@ func main() {
 		noPipe  = flag.Bool("no-pipeline", false, "skip the content pipeline (text-only)")
 		shardsN = flag.Int("shards", 0, "shard the demo collection across N in-memory stores (0 = unsharded)")
 		cacheB  = flag.Int64("query-cache", 0, "bytes of epoch-keyed query result cache for \\rank/\\dual (0 disables); invalidated automatically when \\refresh publishes a new epoch")
-		codecF  = flag.String("store-codec", "block", "postings segment layout: block (delta-compressed blocks with pruning bounds) or raw (8-byte columns)")
 	)
 	flag.Parse()
 
@@ -79,7 +79,7 @@ func main() {
 	switch {
 	case *load != "":
 		if _, err := os.Stat(*load + "/shard-000"); err == nil {
-			e, stats, err := core.OpenShardedPersistent(core.ShardedPersistOptions{Dir: *load, StoreCodec: *codecF})
+			e, stats, err := core.OpenShardedPersistent(core.ShardedPersistOptions{Dir: *load})
 			if err != nil {
 				log.Fatalf("moash: %v", err)
 			}
@@ -88,9 +88,6 @@ func main() {
 		} else {
 			m, err := core.Load(*load)
 			if err != nil {
-				log.Fatalf("moash: %v", err)
-			}
-			if err := m.SetStoreCodec(*codecF); err != nil {
 				log.Fatalf("moash: %v", err)
 			}
 			r = m
@@ -104,16 +101,10 @@ func main() {
 			if err != nil {
 				log.Fatalf("moash: %v", err)
 			}
-			if err := e.SetStoreCodec(*codecF); err != nil {
-				log.Fatalf("moash: %v", err)
-			}
 			sharded, r = e, e
 		} else {
 			m, err := core.New()
 			if err != nil {
-				log.Fatalf("moash: %v", err)
-			}
-			if err := m.SetStoreCodec(*codecF); err != nil {
 				log.Fatalf("moash: %v", err)
 			}
 			r = m
@@ -227,8 +218,8 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 				if pi.Bytes > 0 {
 					ratio = float64(pi.RawBytes) / float64(pi.Bytes)
 				}
-				fmt.Printf("postings shard %d %-24s codec=%-5s %2d segment(s) %8d postings %9d bytes (raw %9d, %.2fx)\n",
-					pi.Shard, pi.Prefix, pi.Codec, pi.Segments, pi.Postings, pi.Bytes, pi.RawBytes, ratio)
+				fmt.Printf("postings shard %d %-24s %2d segment(s) %8d postings %9d bytes (%9d at 8 B/field, %.2fx)\n",
+					pi.Shard, pi.Prefix, pi.Segments, pi.Postings, pi.Bytes, pi.RawBytes, ratio)
 			}
 			if total := ps.BlocksDecoded + ps.BlocksSkipped; total > 0 {
 				fmt.Printf("block scans: %d blocks decoded, %d skipped via max-belief bounds (%.0f%% skip rate)\n",
@@ -250,8 +241,8 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 				fmt.Printf("shard %d  %-40s epoch %-4d %6d docs  %d segment(s)\n",
 					info.Shard, info.Prefix, info.Epoch, info.Docs, len(info.Segs))
 				for _, seg := range info.Segs {
-					fmt.Printf("    seg %-3d %6d docs  %8d postings  %6d terms  %-5s %9d bytes\n",
-						seg.Slot, seg.Docs, seg.Postings, seg.Terms, seg.Codec, seg.Bytes)
+					fmt.Printf("    seg %-3d %6d docs  %8d postings  %6d terms  %9d bytes\n",
+						seg.Slot, seg.Docs, seg.Postings, seg.Terms, seg.Bytes)
 				}
 			}
 		case line == `\mil`:

@@ -2,10 +2,10 @@ package bat
 
 import "sync"
 
-// Pooled decode scratch for the block-compressed scan: borrow/return
-// discipline for blockCursorSet buffers.
+// Pooled decode scratch for the top-k scan: borrow/return discipline
+// for blockCursorSet buffers.
 //
-// Every block-layout scan in PrunedTopKSegs drives one cursor per query
+// Every scan in PrunedTopKSegs drives one cursor per query
 // term, and each cursor decodes postings into private buffers (docs +
 // beliefs + dictionary, PostingsBlockSize each). A query of m terms
 // over s segments and p partitions would otherwise allocate m·s·p such

@@ -14,8 +14,7 @@ import (
 func TestBlockCursorPoolNoLeaks(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	si := mkSynthIndex(rng, 10, 2500, 5, 4)
-	raw := segSplit(si, []int{900, 2500}, false)
-	blk := blockSegs(t, raw)
+	blk := segSplit(si, []int{900, 2500}, false)
 	base := LiveBlockCursors()
 
 	// Serial and parallel successful scans.
@@ -33,7 +32,7 @@ func TestBlockCursorPoolNoLeaks(t *testing.T) {
 	}
 
 	// Error path: corrupt payload must still release on the way out.
-	bad := blockSegs(t, raw)
+	bad := segSplit(si, []int{900, 2500}, false)
 	data := bad[0].BlkDoc.Tail.Bytes()
 	for i := range data {
 		data[i] = 0xff

@@ -2,12 +2,10 @@ package bat
 
 // Block-compressed postings codec (store format version 3).
 //
-// A segment's postings can be stored in two layouts. The raw layout
-// (_postdoc/_posttf/_postbel) is three parallel 8-byte columns. The
-// block layout re-codes the same postings into fixed-size blocks of
+// A segment's term-ordered postings are stored in fixed-size blocks of
 // PostingsBlockSize entries (the last block of each term may be short):
 //
-//	_poststart  [void,int]   nterms+1 posting offsets (same as raw)
+//	_poststart  [void,int]   nterms+1 posting offsets
 //	_blkstart   [void,int]   nterms+1 block offsets: term t owns blocks
 //	                         [blkstart[t], blkstart[t+1])
 //	_blkdir     [void,int]   2 ints per block: (lastDoc, docEnd) where
@@ -20,7 +18,7 @@ package bat
 //	                         the float32 bit pattern of the block's max
 //	                         belief rounded UP (a conservative bound)
 //	_blkbel     [void,bytes] per-term belief data
-//	_maxbel     [void,flt]   exact per-term max belief (same as raw)
+//	_maxbel     [void,flt]   exact per-term max belief
 //
 // Doc blocks. Each block's _blkdoc region starts with one format byte.
 // Format 0 (varint): count × (uvarint docDelta, uvarint tf). Deltas are
@@ -554,6 +552,10 @@ func (bp *BlockPostings) BlockSpan(t, b int) (plo, phi int) {
 // BlockLast reports the last doc id of block b.
 func (bp *BlockPostings) BlockLast(b int) OID { return OID(bp.blkDir[2*b]) }
 
+// termLastDoc reports the greatest doc id of term t (which must have
+// postings): its last block's directory entry, read without decoding.
+func (bp *BlockPostings) termLastDoc(t int) OID { return bp.BlockLast(int(bp.blkStart[t+1]) - 1) }
+
 // BlockMax reports block b's conservative max-belief bound (the upward
 // quantized float32 stored at encode time).
 func (bp *BlockPostings) BlockMax(b int) float64 {
@@ -751,95 +753,74 @@ func (bp *BlockPostings) DecodeBelBlock(t, b int, dict []float64, dataOff int64,
 	return nil
 }
 
-// seekBlock returns the first block of term t whose lastDoc is ≥ d
-// (term t's block containing d, if any), or bhi when every block ends
-// before d.
-func (bp *BlockPostings) seekBlock(t int, d OID) int {
-	blo, bhi := int(bp.blkStart[t]), int(bp.blkStart[t+1])
-	for blo < bhi {
-		mid := (blo + bhi) / 2
-		if OID(bp.blkDir[2*mid]) < d {
-			blo = mid + 1
-		} else {
-			bhi = mid
+// CheckPostingOffsets validates a segment's per-term posting offsets
+// against its posting count: nterms+1 entries, starting at 0, monotone,
+// ending at npostings — after which starts[t]:starts[t+1] slices any
+// npostings-long column safely.
+func CheckPostingOffsets(starts []int64, npostings int) error {
+	if len(starts) == 0 || starts[0] != 0 {
+		return fmt.Errorf("bat: posting offsets must start at 0")
+	}
+	for t := 0; t+1 < len(starts); t++ {
+		if starts[t] > starts[t+1] {
+			return fmt.Errorf("bat: posting offsets not monotone at term %d (%d > %d)", t, starts[t], starts[t+1])
 		}
 	}
-	return blo
+	if end := starts[len(starts)-1]; end != int64(npostings) {
+		return fmt.Errorf("bat: posting offsets end at %d, have %d postings", end, npostings)
+	}
+	return nil
 }
 
-// BlockSegColumns holds the seven segment columns of the block-compressed
-// postings layout, in storage order: _poststart, _blkstart, _blkdir,
-// _blkdoc, _blkbdir, _blkbel, _maxbel. All heads are dense void.
-type BlockSegColumns struct {
-	Start, BlkStart, BlkDir, BlkDoc, BlkBDir, BlkBel, MaxBel *BAT
-}
-
-// EncodeBlockPostings re-encodes flat postings columns into the block
-// layout. postTF may be nil (term frequencies then encode as 1; the scan
-// never reads them back). Beliefs survive bit-exact, _maxbel is the exact
-// per-term maximum recomputed from the beliefs themselves, and the output
-// is validated through NewBlockPostings before being returned, so a
-// successful encode is always loadable.
-func EncodeBlockPostings(start, postDoc, postTF, postBel *BAT) (*BlockSegColumns, error) {
-	pv, err := newPostingsView(start, postDoc, postBel, nil)
-	if err != nil {
-		return nil, err
+// EncodeBlockSegment encodes one segment's flat term-ordered postings —
+// starts holds nterms+1 offsets into docs/tfs/bels, each term's run
+// document-ascending — into the seven block-layout columns. It is the
+// only producer of the layout: segment build, merge and the legacy-raw
+// upgrade (internal/ir) all come through here. bels may be nil for a
+// structure-only encode: the segment then carries zero-belief
+// placeholders so it stays loadable until the beliefs are computed.
+// Beliefs survive bit-exact and MaxBel is their exact per-term maximum.
+// starts is adopted as the Start column. Malformed input (offsets out of
+// range or not monotone, a run not strictly ascending, a negative tf) is
+// an error, never a panic.
+func EncodeBlockSegment(starts []int64, docs []OID, tfs []int64, bels []float64) (PostingsSeg, error) {
+	if err := CheckPostingOffsets(starts, len(docs)); err != nil {
+		return PostingsSeg{}, err
 	}
-	var tfs []int64
-	if postTF != nil {
-		if postTF.Tail.Kind() != KindInt {
-			return nil, fmt.Errorf("bat: blockenc: tf tail must be int, got %s", postTF.Tail.Kind())
-		}
-		tfs = postTF.Tail.Ints()
-		if len(tfs) != len(pv.docs) {
-			return nil, fmt.Errorf("bat: blockenc: %d tfs for %d postings", len(tfs), len(pv.docs))
-		}
+	if len(tfs) != len(docs) || (bels != nil && len(bels) != len(docs)) {
+		return PostingsSeg{}, fmt.Errorf("bat: blockenc: postings misaligned (%d docs, %d tfs, %d beliefs)", len(docs), len(tfs), len(bels))
 	}
-	nterms := pv.nterms()
+	nterms := len(starts) - 1
 	enc := NewBlockPostingsEncoder(nterms)
 	bele := NewBlockBeliefsEncoder()
-	maxb := make([]float64, 0, nterms)
-	var ones []int64
+	maxb := make([]float64, nterms)
+	var zeros []float64
 	for t := 0; t < nterms; t++ {
-		lo, hi := int(pv.start[t]), int(pv.start[t+1])
-		tf := tfs
-		if tf != nil {
-			tf = tfs[lo:hi]
+		lo, hi := starts[t], starts[t+1]
+		if err := enc.AddTerm(docs[lo:hi], tfs[lo:hi]); err != nil {
+			return PostingsSeg{}, fmt.Errorf("bat: blockenc: term %d: %w", t, err)
+		}
+		var run []float64
+		if bels != nil {
+			run = bels[lo:hi]
 		} else {
-			for len(ones) < hi-lo {
-				ones = append(ones, 1)
+			for int64(len(zeros)) < hi-lo {
+				zeros = append(zeros, 0)
 			}
-			tf = ones[:hi-lo]
+			run = zeros[:hi-lo]
 		}
-		if err := enc.AddTerm(pv.docs[lo:hi], tf); err != nil {
-			return nil, fmt.Errorf("bat: blockenc: term %d: %w", t, err)
-		}
-		maxb = append(maxb, bele.AddTerm(pv.bels[lo:hi]))
+		maxb[t] = bele.AddTerm(run)
 	}
-	mk := func(tail *Column) (*BAT, error) {
-		return FromColumns(NewVoid(0, tail.Len()), tail, true, false, true, false)
+	dense := func(tail *Column) *BAT {
+		return &BAT{Head: NewVoid(0, tail.Len()), Tail: tail, HSorted: true, HKey: true}
 	}
-	cols := &BlockSegColumns{Start: start}
-	tails := []struct {
-		dst **BAT
-		c   *Column
-	}{
-		{&cols.BlkStart, ColumnOfInts(enc.BlkStart)},
-		{&cols.BlkDir, ColumnOfInts(enc.BlkDir)},
-		{&cols.BlkDoc, ColumnOfBytes(enc.Data)},
-		{&cols.BlkBDir, ColumnOfInts(bele.BelDir)},
-		{&cols.BlkBel, ColumnOfBytes(bele.Data)},
-		{&cols.MaxBel, ColumnOfFloats(maxb)},
-	}
-	for _, tl := range tails {
-		b, err := mk(tl.c)
-		if err != nil {
-			return nil, err
-		}
-		*tl.dst = b
-	}
-	if _, err := NewBlockPostings(cols.Start, cols.BlkStart, cols.BlkDir, cols.BlkDoc, cols.BlkBDir, cols.BlkBel, cols.MaxBel); err != nil {
-		return nil, fmt.Errorf("bat: blockenc: self-check: %w", err)
-	}
-	return cols, nil
+	return PostingsSeg{
+		Start:    dense(ColumnOfInts(starts)),
+		MaxBel:   dense(ColumnOfFloats(maxb)),
+		BlkStart: dense(ColumnOfInts(enc.BlkStart)),
+		BlkDir:   dense(ColumnOfInts(enc.BlkDir)),
+		BlkDoc:   dense(ColumnOfBytes(enc.Data)),
+		BlkBDir:  dense(ColumnOfInts(bele.BelDir)),
+		BlkBel:   dense(ColumnOfBytes(bele.Data)),
+	}, nil
 }

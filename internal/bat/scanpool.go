@@ -2,13 +2,14 @@ package bat
 
 import "sync"
 
-// Pooled per-scan scratch for the max-score loops: borrow/return
-// discipline for the slices both scan flavours (raw and block) need per
-// partition — the qterm states, the bound-descending permutation, the
-// suffix bound table, and the per-candidate belief/stamp arrays.
+// Pooled per-scan scratch for the max-score loop: borrow/return
+// discipline for the slices scanBlockPartition (the one borrower) needs
+// per partition — the qterm states, the bound-descending permutation,
+// the suffix bound table, the per-candidate belief/stamp arrays and the
+// block-directory cache.
 //
 // Every PrunedTopKSegs call runs one max-score scan per (segment ×
-// partition); without pooling each scan allocates ~6 small slices, which
+// partition); without pooling each scan allocates ~11 small slices, which
 // at server query rates is the dominant remaining allocation on the hot
 // path (the decode buffers are already pooled via blockCursorSet). The
 // same two enforcement layers apply:
@@ -33,8 +34,8 @@ type scanScratch struct {
 	suffix []float64 // suffixUB: m+1 entries
 	fbel   []float64 // per-candidate folded beliefs (stamped)
 	stamp  []int     // per-candidate stamps (zeroed on borrow)
-	docs   []OID     // block scan: cached current doc per term
-	// Block-max directory cache (block scan only): the posting span,
+	docs   []OID     // cached current doc per term
+	// Block-max directory cache: the posting span,
 	// index, last doc and bound of the block under each term's cursor,
 	// refreshed only when the cursor leaves the span — the skip loop
 	// re-reads these per block combination, and without the cache every

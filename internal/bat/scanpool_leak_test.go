@@ -7,34 +7,31 @@ import (
 	"testing"
 )
 
-// TestScanScratchPoolNoLeaks drives raw and block scans over success,
+// TestScanScratchPoolNoLeaks drives the scan over success,
 // parallel-partition, and corrupt-payload error paths and requires every
 // borrowed scan scratch to be back in the pool afterwards. Runs only
 // under -tags pooldebug.
 func TestScanScratchPoolNoLeaks(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	si := mkSynthIndex(rng, 10, 2500, 5, 4)
-	raw := segSplit(si, []int{900, 2500}, false)
-	blk := blockSegs(t, raw)
+	segs := segSplit(si, []int{900, 2500}, false)
 	base := LiveScanScratch()
 
 	for round := 0; round < 10; round++ {
 		query := []OID{OID(rng.Intn(11)), OID(rng.Intn(11)), OID(rng.Intn(11))}
-		for _, segs := range [][]PostingsSeg{raw, blk} {
-			if _, err := PrunedTopKSegs(segs, query, nil, 0.4, 1+rng.Intn(20), si.domain, nil); err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			old := SetParallelThreshold(1)
-			_, err := PrunedTopKSegs(segs, query, []float64{1, 2, 0}, 0.4, 5, si.domain, nil)
-			SetParallelThreshold(old)
-			if err != nil {
-				t.Fatalf("round %d parallel: %v", round, err)
-			}
+		if _, err := PrunedTopKSegs(segs, query, nil, 0.4, 1+rng.Intn(20), si.domain, nil); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		old := SetParallelThreshold(1)
+		_, err := PrunedTopKSegs(segs, query, []float64{1, 2, 0}, 0.4, 5, si.domain, nil)
+		SetParallelThreshold(old)
+		if err != nil {
+			t.Fatalf("round %d parallel: %v", round, err)
 		}
 	}
 
 	// Error path: corrupt block payload must still release on the way out.
-	bad := blockSegs(t, raw)
+	bad := segSplit(si, []int{900, 2500}, false)
 	data := bad[0].BlkDoc.Tail.Bytes()
 	for i := range data {
 		data[i] = 0xff

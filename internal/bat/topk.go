@@ -12,17 +12,14 @@ import (
 // postings with per-term belief upper bounds, feeding a bounded k-heap.
 // Where GetBL + SumBeliefs + a full sort score and order the whole match
 // set (O(matches + N log N) once the logical layer fills in defaults for
-// the entire collection), PrunedTopK visits only documents whose score
+// the entire collection), PrunedTopKSegs visits only documents whose score
 // *could* enter the current top k and returns the cut directly:
 // O(matches · log k) with skipping, never a collection-sized intermediate.
 //
-// The operator consumes the term-ordered postings representation CONTREP's
-// Finalize derives (internal/ir):
-//
-//	start  [termOID(void), int]  postings offset per term, nterms+1 entries
-//	doc    [void, docOID]        postings sorted by (term, doc asc)
-//	belief [void, flt]           beliefs aligned with doc
-//	maxbel [termOID(void), flt]  per-term maximum belief (the bound)
+// The operator consumes the block-compressed term-ordered postings
+// CONTREP's Finalize derives (internal/ir; layout in postcodec.go), one
+// PostingsSeg per index segment; the scan loop itself is in
+// topk_blocks.go.
 //
 // Determinism contract: the returned ranking is BUN-for-BUN identical to
 // exhaustively scoring every document with the *serial* fold
@@ -42,88 +39,6 @@ import (
 // padding by 1e-9 keeps the bound a true upper bound of the exactly-folded
 // score while costing only the occasional extra candidate evaluation.
 const boundSlack = 1e-9
-
-// postingsView validates and unwraps the four postings columns.
-type postingsView struct {
-	start []int64
-	docs  []OID
-	bels  []float64
-	maxb  []float64
-}
-
-// newPostingsView validates and unwraps the postings columns. maxBel may
-// be nil for consumers that only read posting lists (Postings). These
-// columns can arrive from arbitrary MIL programs, so every offset is
-// checked: a malformed start column must produce an error, never an
-// out-of-range panic that kills the shell or server.
-func newPostingsView(start, postDoc, postBel, maxBel *BAT) (*postingsView, error) {
-	if start.Tail.Kind() != KindInt {
-		return nil, fmt.Errorf("bat: prunedtopk: start tail must be int, got %s", start.Tail.Kind())
-	}
-	if postDoc.Tail.Kind() != KindOID || postBel.Tail.Kind() != KindFloat {
-		return nil, fmt.Errorf("bat: prunedtopk: postings columns must be [void,oid]/[void,flt]")
-	}
-	pv := &postingsView{
-		start: start.Tail.Ints(),
-		docs:  postDoc.Tail.OIDs(),
-		bels:  postBel.Tail.Floats(),
-	}
-	if len(pv.start) == 0 {
-		return nil, fmt.Errorf("bat: prunedtopk: start column is empty (run Finalize)")
-	}
-	if maxBel != nil {
-		if maxBel.Tail.Kind() != KindFloat {
-			return nil, fmt.Errorf("bat: prunedtopk: maxbel tail must be flt, got %s", maxBel.Tail.Kind())
-		}
-		pv.maxb = maxBel.Tail.Floats()
-		if len(pv.start)-1 != len(pv.maxb) {
-			return nil, fmt.Errorf("bat: prunedtopk: %d maxbel bounds for %d terms", len(pv.maxb), len(pv.start)-1)
-		}
-	}
-	total := pv.start[len(pv.start)-1]
-	if int(total) != len(pv.docs) || len(pv.docs) != len(pv.bels) {
-		return nil, fmt.Errorf("bat: prunedtopk: postings misaligned (%d offsets end, %d docs, %d beliefs)",
-			total, len(pv.docs), len(pv.bels))
-	}
-	if pv.start[0] < 0 {
-		return nil, fmt.Errorf("bat: prunedtopk: negative postings offset %d", pv.start[0])
-	}
-	for i := 0; i+1 < len(pv.start); i++ {
-		if pv.start[i] > pv.start[i+1] {
-			return nil, fmt.Errorf("bat: prunedtopk: postings offsets not monotone at term %d (%d > %d)",
-				i, pv.start[i], pv.start[i+1])
-		}
-	}
-	return pv, nil
-}
-
-// nterms reports the number of terms the offsets describe.
-func (pv *postingsView) nterms() int { return len(pv.start) - 1 }
-
-// termRange returns the posting range of term t ([lo,hi) into docs/bels);
-// out-of-range terms get an empty range (they behave as always-unmatched,
-// like an in-dictionary term no document contains).
-func (pv *postingsView) termRange(t OID) (lo, hi int) {
-	if int64(t) < 0 || int(t) >= pv.nterms() {
-		return 0, 0
-	}
-	return int(pv.start[t]), int(pv.start[t+1])
-}
-
-// Postings returns one term's posting list as [docOID, belief], doc
-// ascending — the postings-access operator the MIL surface exposes.
-func Postings(start, postDoc, postBel *BAT, t OID) (*BAT, error) {
-	pv, err := newPostingsView(start, postDoc, postBel, nil)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := pv.termRange(t)
-	out := New(KindOID, KindFloat)
-	out.Head.oids = append([]OID(nil), pv.docs[lo:hi]...)
-	out.Tail.flts = append([]float64(nil), pv.bels[lo:hi]...)
-	out.HSorted, out.HKey = true, true
-	return out, nil
-}
 
 // ---- the bounded k-heap ----
 
@@ -240,11 +155,11 @@ func worseCand(a, b topkCand) bool { return worseHit(a.score, a.doc, b.score, b.
 // scans cooperating on one top-k cut: each publishes its local k-th best,
 // and any scan's k-th best within its candidate subset is ≤ the global
 // k-th best, so skipping bound+slack ≤ θ can never drop a true top-k
-// document. Within one PrunedTopK call the doc-range partitions share one
-// automatically; a sharded engine passes the same object to every shard's
-// scan (PrunedTopKShared) so pruning tightens across shards exactly as it
-// does across partitions. Safe for concurrent use; zero value is NOT
-// ready — use NewTopKThreshold.
+// document. Within one PrunedTopKSegs call the segments and their
+// doc-range partitions share one automatically; a sharded engine passes
+// the same object to every shard's scan so pruning tightens across shards
+// exactly as it does across partitions. Safe for concurrent use; zero
+// value is NOT ready — use NewTopKThreshold.
 type TopKThreshold struct{ bits atomic.Uint64 }
 
 // NewTopKThreshold returns a threshold initialised to -Inf (nothing can be
@@ -282,10 +197,26 @@ type qterm struct {
 	weight float64 // per-term weight (1 in unweighted mode)
 }
 
-// PrunedTopK returns the top k documents of the query under the
+// PostingsSeg bundles the seven block-layout postings columns of one
+// index segment (postcodec.go; internal/ir splits the postings by
+// document range into generation-numbered segments). All heads are
+// dense void.
+type PostingsSeg struct {
+	Start    *BAT // [termOID(void), int]  per-term posting offsets, nterms+1 entries
+	MaxBel   *BAT // [termOID(void), flt]  exact per-term maximum belief in the segment
+	BlkStart *BAT // [termOID(void), int]  per-term block offsets
+	BlkDir   *BAT // [void, int]           2 per block: lastDoc, docEnd
+	BlkDoc   *BAT // [void, bytes]         doc-id + tf blocks
+	BlkBDir  *BAT // [void, int]           2 per block: belEnd, qmaxBits
+	BlkBel   *BAT // [void, bytes]         belief data
+}
+
+// PrunedTopKSegs returns the top k documents of the query under the
 // inference-network sum (weights == nil) or weighted sum (weights != nil,
 // all ≥ 0) score, as [docOID, flt] ordered score descending / OID
-// ascending, cut at k.
+// ascending, cut at k, over a LIST of postings segments that together
+// partition the document space (each document's postings live entirely
+// in one segment).
 //
 // Unweighted mode reproduces the full logical pipeline getbl + fill + rank:
 // documents matching no query term score qlen·def and are merged in (by
@@ -293,92 +224,22 @@ type qterm struct {
 // supplies their OIDs and must enumerate them ascending. Weighted mode
 // reproduces WSumBeliefs + rank: only matching documents appear, domain may
 // be nil.
-func PrunedTopK(start, postDoc, postBel, maxBel *BAT, query []OID, weights []float64, def float64, k int, domain *BAT) (*BAT, error) {
-	return PrunedTopKShared(start, postDoc, postBel, maxBel, query, weights, def, k, domain, nil)
-}
-
-// PrunedTopKShared is PrunedTopK with an externally owned pruning
-// threshold. A scatter-gather engine passes the same *TopKThreshold to
-// every shard's scan of one query: each shard raises it to its local k-th
-// best score, so a hot shard's threshold prunes the cold shards' scans.
-// The returned ranking is unchanged by sharing (the threshold is always a
-// valid global lower bound); only the amount of skipped work differs.
-// theta == nil behaves exactly like PrunedTopK (a private threshold).
-func PrunedTopKShared(start, postDoc, postBel, maxBel *BAT, query []OID, weights []float64, def float64, k int, domain *BAT, theta *TopKThreshold) (*BAT, error) {
-	return PrunedTopKSegs([]PostingsSeg{{Start: start, Doc: postDoc, Bel: postBel, MaxBel: maxBel}},
-		query, weights, def, k, domain, theta)
-}
-
-// PostingsSeg bundles the term-ordered postings columns of one index
-// segment (see internal/ir: incremental indexing splits the postings by
-// document range into generation-numbered segments). A segment arrives
-// in one of two layouts: raw (Doc/Bel set, the three 8-byte columns) or
-// block-compressed (BlkDoc et al. set, the postcodec.go layout). The
-// two evaluate identically — layout only changes the decode path.
-type PostingsSeg struct {
-	Start  *BAT // [termOID(void), int]  per-term offsets, nterms+1 entries
-	Doc    *BAT // [void, docOID]        raw: postings sorted by (term, doc asc)
-	Bel    *BAT // [void, flt]           raw: beliefs aligned with Doc
-	MaxBel *BAT // [termOID(void), flt]  per-term maximum belief in the segment
-
-	// Block-compressed layout (Doc/Bel nil when set):
-	BlkStart *BAT // [termOID(void), int] per-term block offsets
-	BlkDir   *BAT // [void, int]          2 per block: lastDoc, docEnd
-	BlkDoc   *BAT // [void, bytes]        doc-id + tf blocks
-	BlkBDir  *BAT // [void, int]          2 per block: belEnd, qmaxBits
-	BlkBel   *BAT // [void, bytes]        belief data
-}
-
-// segScan is one segment's validated read view: exactly one of raw/blk
-// is non-nil.
-type segScan struct {
-	raw *postingsView
-	blk *BlockPostings
-}
-
-// termRange returns term t's posting range in either layout.
-func (sv segScan) termRange(t OID) (lo, hi int) {
-	if sv.raw != nil {
-		return sv.raw.termRange(t)
-	}
-	if int64(t) < 0 || int(t) >= sv.blk.NTerms() {
-		return 0, 0
-	}
-	return sv.blk.TermRange(int(t))
-}
-
-// lastDocOf returns the greatest doc id in the (non-empty) full term
-// range [lo, hi) — for block views this is the term's last block's
-// directory entry, read without decoding.
-func (sv segScan) lastDocOf(t OID, hi int) OID {
-	if sv.raw != nil {
-		return sv.raw.docs[hi-1]
-	}
-	_, bhi := sv.blk.TermBlocks(int(t))
-	return sv.blk.BlockLast(bhi - 1)
-}
-
-// maxBelOf returns term t's per-segment maximum belief. Only valid for
-// terms with a non-empty range in this segment.
-func (sv segScan) maxBelOf(t OID) float64 {
-	if sv.raw != nil {
-		return sv.raw.maxb[t]
-	}
-	return sv.blk.MaxBelief(int(t))
-}
-
-// PrunedTopKSegs evaluates the pruned top-k retrieval over a LIST of
-// postings segments that together partition the document space (each
-// document's postings live entirely in one segment). The result is
-// BUN-for-BUN identical to PrunedTopK over the single segment obtained by
-// merging the list: every candidate's score is the same canonical fold
-// (all of a document's postings sit in one segment, so the fold order is
-// unchanged), and all segments share one rising threshold — exactly the
-// mechanism that already makes doc-range partitions inside one scan and
+//
+// The result is BUN-for-BUN identical to scanning the single segment
+// obtained by merging the list: every candidate's score is the same
+// canonical fold (all of a document's postings sit in one segment, so the
+// fold order is unchanged), and all segments share one rising threshold —
+// the mechanism that also makes doc-range partitions inside one scan and
 // shard scans across stores return the serial result. Segments may
 // disagree on dictionary size (a segment published before later terms
 // existed simply has no postings for them) and on per-term bounds (a
 // per-segment bound is tighter, pruning more, never less correctly).
+//
+// theta, when non-nil, is an externally owned pruning threshold: a
+// scatter-gather engine passes the same *TopKThreshold to every shard's
+// scan of one query, so a hot shard's k-th best prunes the cold shards'
+// scans. Sharing never changes the ranking (the threshold is always a
+// valid global lower bound), only the amount of skipped work.
 func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def float64, k int, domain *BAT, theta *TopKThreshold) (*BAT, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("bat: prunedtopk: k must be positive, got %d", k)
@@ -386,21 +247,15 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 	if len(segs) == 0 {
 		return nil, fmt.Errorf("bat: prunedtopk: no postings segments")
 	}
-	views := make([]segScan, len(segs))
+	// A segment without its block columns (a legacy raw-layout segment
+	// that skipped the upgrade at open) fails validation here.
+	views := make([]*BlockPostings, len(segs))
 	for i, s := range segs {
-		if s.BlkDoc != nil {
-			bp, err := cachedBlockPostings(s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel)
-			if err != nil {
-				return nil, fmt.Errorf("segment %d: %w", i, err)
-			}
-			views[i] = segScan{blk: bp}
-			continue
-		}
-		pv, err := newPostingsView(s.Start, s.Doc, s.Bel, s.MaxBel)
+		bp, err := cachedBlockPostings(s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel)
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
-		views[i] = segScan{raw: pv}
+		views[i] = bp
 	}
 	weighted := weights != nil
 	if weighted {
@@ -436,20 +291,26 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 	segMaxDoc := make([]OID, len(views))
 	segPostings := make([]int, len(views))
 	segImpact := make([]float64, len(views))
-	for vi, sv := range views {
+	for vi, bp := range views {
 		ranges := make([]postingRange, len(query))
 		maxDoc := OID(0)
 		totalPostings := 0
 		impact := 0.0
 		for i, t := range query {
-			lo, hi := sv.termRange(t)
+			// out-of-range terms get an empty range: they behave as
+			// always-unmatched, like an in-dictionary term no document
+			// contains
+			lo, hi := 0, 0
+			if int64(t) >= 0 && int(t) < bp.NTerms() {
+				lo, hi = bp.TermRange(int(t))
+			}
 			ranges[i] = postingRange{lo: lo, hi: hi, t: t}
 			totalPostings += hi - lo
 			if hi > lo {
-				if d := sv.lastDocOf(t, hi); d > maxDoc {
+				if d := bp.termLastDoc(int(t)); d > maxDoc {
 					maxDoc = d
 				}
-				mb := sv.maxBelOf(t)
+				mb := bp.MaxBelief(int(t))
 				if mb < def {
 					mb = def
 				}
@@ -482,7 +343,7 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 	}
 	var heaps []*BoundedTopK[topkCand]
 	for _, vi := range order {
-		sv := views[vi]
+		bp := views[vi]
 		ranges := segRanges[vi]
 		maxDoc := segMaxDoc[vi]
 		totalPostings := segPostings[vi]
@@ -501,23 +362,7 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 			runChunks(chunkRanges(nPar, nPar), func(_, lo, hi int) {
 				for c := lo; c < hi; c++ {
 					h := NewBoundedTopK(k, worseCand)
-					if sv.raw != nil {
-						sc := borrowScanScratch(len(query))
-						terms := sc.terms
-						for i := range query {
-							w := 1.0
-							if weighted {
-								w = weights[i]
-							}
-							tlo := searchDocFrom(sv.raw.docs, ranges[i].lo, ranges[i].hi, bounds[c])
-							thi := searchDocFrom(sv.raw.docs, tlo, ranges[i].hi, bounds[c+1])
-							terms[i] = qterm{qi: i, cur: tlo, hi: thi, weight: w}
-						}
-						maxscoreScan(sv.raw, terms, query, weights, def, fillBase, h, theta, sc)
-						releaseScanScratch(sc)
-					} else {
-						errs[c] = scanBlockPartition(sv.blk, ranges, query, weights, weighted, def, fillBase, bounds[c], bounds[c+1], h, theta)
-					}
+					errs[c] = scanBlockPartition(bp, ranges, query, weights, weighted, def, fillBase, bounds[c], bounds[c+1], h, theta)
 					segHeaps[c] = h
 				}
 			})
@@ -529,19 +374,7 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 			heaps = append(heaps, segHeaps...)
 		} else {
 			h := NewBoundedTopK(k, worseCand)
-			if sv.raw != nil {
-				sc := borrowScanScratch(len(query))
-				terms := sc.terms
-				for i := range query {
-					w := 1.0
-					if weighted {
-						w = weights[i]
-					}
-					terms[i] = qterm{qi: i, cur: ranges[i].lo, hi: ranges[i].hi, weight: w}
-				}
-				maxscoreScan(sv.raw, terms, query, weights, def, fillBase, h, theta, sc)
-				releaseScanScratch(sc)
-			} else if err := scanBlockPartition(sv.blk, ranges, query, weights, weighted, def, fillBase, 0, OID(math.MaxUint64), h, theta); err != nil {
+			if err := scanBlockPartition(bp, ranges, query, weights, weighted, def, fillBase, 0, OID(math.MaxUint64), h, theta); err != nil {
 				return nil, fmt.Errorf("segment %d: %w", vi, err)
 			}
 			heaps = append(heaps, h)
@@ -579,158 +412,8 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 	return out, nil
 }
 
-// maxscoreScan runs the max-score loop over one document partition: the
-// essential terms (largest bounds) are merged document-at-a-time; the
-// non-essential tail is probed by binary search only while a document's
-// score bound still clears the threshold. terms must be sc.terms (sc
-// supplies every working slice; the caller borrows and releases it).
-func maxscoreScan(pv *postingsView, terms []qterm, query []OID, weights []float64, def, fillBase float64, h *BoundedTopK[topkCand], theta *TopKThreshold, sc *scanScratch) {
-	m := len(terms)
-	if m == 0 {
-		return
-	}
-	for i := range terms {
-		t := query[terms[i].qi]
-		ub := 0.0
-		if lo, hi := pv.termRange(t); hi > lo {
-			mb := pv.maxb[t]
-			if mb < def {
-				mb = def
-			}
-			ub = terms[i].weight * (mb - def)
-		}
-		terms[i].ub = ub
-	}
-	// Bound-descending order; suffixUB[j] bounds the surplus of terms
-	// perm[j:]. Essential prefix perm[:e]: a document absent from all of it
-	// is bounded by fillBase+suffixUB[e].
-	perm := sc.perm
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.SliceStable(perm, func(a, b int) bool { return terms[perm[a]].ub > terms[perm[b]].ub })
-	suffixUB := sc.suffix
-	suffixUB[m] = 0
-	for j := m - 1; j >= 0; j-- {
-		suffixUB[j] = suffixUB[j+1] + terms[perm[j]].ub
-	}
-	e := m
-	negInf := math.Inf(-1)
-
-	// Per-candidate scratch, stamped instead of cleared (stamp arrives
-	// zeroed from the pool).
-	fbel := sc.fbel
-	stamp := sc.stamp
-	cur := 0
-
-	shrink := func(th float64) {
-		for e > 0 && fillBase+suffixUB[e-1]+boundSlack <= th {
-			e--
-		}
-	}
-
-	threshold := func() float64 {
-		if w, ok := h.Worst(); ok && h.Full() {
-			return w.score
-		}
-		return math.Inf(-1)
-	}
-	for {
-		th := threshold()
-		if g := theta.Load(); g > th {
-			th = g
-		}
-		// Prune against any finite threshold, not only a locally full
-		// heap: θ may arrive seeded (a prior run's exact k-th score) or
-		// raised by another shard/partition, and it is always a valid
-		// global lower bound — a document skipped under bound+slack ≤ θ
-		// can never belong to the global top k, whether or not THIS
-		// partition has retained k candidates yet.
-		if th > negInf {
-			shrink(th)
-		}
-		// Next candidate: the smallest current document among essential terms.
-		best := OID(math.MaxUint64)
-		found := false
-		for j := 0; j < e; j++ {
-			qt := &terms[perm[j]]
-			if qt.cur < qt.hi {
-				if d := pv.docs[qt.cur]; !found || d < best {
-					best, found = d, true
-				}
-			}
-		}
-		if !found {
-			return
-		}
-		cur++
-		known := 0.0
-		for j := 0; j < e; j++ {
-			qt := &terms[perm[j]]
-			if qt.cur < qt.hi && pv.docs[qt.cur] == best {
-				bel := pv.bels[qt.cur]
-				fbel[qt.qi], stamp[qt.qi] = bel, cur
-				known += qt.weight * (bel - def)
-				qt.cur++
-			}
-		}
-		bound := fillBase + known + suffixUB[e]
-		if bound+boundSlack <= th {
-			continue
-		}
-		pruned := false
-		for j := e; j < m; j++ {
-			qt := &terms[perm[j]]
-			bound -= qt.ub
-			if pos := searchDocFrom(pv.docs, qt.cur, qt.hi, best); pos < qt.hi && pv.docs[pos] == best {
-				bel := pv.bels[pos]
-				fbel[qt.qi], stamp[qt.qi] = bel, cur
-				bound += qt.weight * (bel - def)
-				qt.cur = pos + 1
-			} else {
-				qt.cur = pos
-			}
-			if bound+boundSlack <= th {
-				pruned = true
-				break
-			}
-		}
-		if pruned {
-			continue
-		}
-		// The canonical fold, exactly as SumBeliefs / WSumBeliefs compute it.
-		score := 0.0
-		if weights == nil {
-			matched := 0
-			for qi := 0; qi < m; qi++ {
-				if stamp[qi] == cur {
-					score += fbel[qi]
-					matched++
-				}
-			}
-			score += float64(m-matched) * def
-		} else {
-			for qi := 0; qi < m; qi++ {
-				if stamp[qi] == cur {
-					score += weights[qi] * (fbel[qi] - def)
-				}
-			}
-			score += fillBase
-		}
-		h.Offer(topkCand{doc: best, score: score})
-		if h.Full() {
-			theta.Raise(threshold())
-		}
-	}
-}
-
-// searchDocFrom finds the first position in docs[lo:hi) with docs[pos] >= d.
-func searchDocFrom(docs []OID, lo, hi int, d OID) int {
-	return lo + sort.Search(hi-lo, func(i int) bool { return docs[lo+i] >= d })
-}
-
-// postingRange is one query term's [lo,hi) slice of the postings columns,
-// tagged with the term id so block views can reach the term's directory.
+// postingRange is one query term's [lo,hi) global posting positions in a
+// segment, tagged with the term id that owns the block directory.
 type postingRange struct {
 	lo, hi int
 	t      OID
@@ -741,7 +424,7 @@ type postingRange struct {
 // tie-break by ascending OID, so the walk stops at the first one that no
 // longer beats the tail. A document is "matched" when any segment holds a
 // posting for it under any query term.
-func fillDefaults(views []segScan, segRanges [][]postingRange, domain *BAT, fillBase float64, k int, docs []OID, scores []float64) ([]OID, []float64, error) {
+func fillDefaults(views []*BlockPostings, segRanges [][]postingRange, domain *BAT, fillBase float64, k int, docs []OID, scores []float64) ([]OID, []float64, error) {
 	if len(docs) == k && scores[len(scores)-1] > fillBase {
 		// The current tail strictly beats any default-scored document; on a
 		// tie the walk below still runs, because a smaller unmatched OID wins.
@@ -751,10 +434,10 @@ func fillDefaults(views []segScan, segRanges [][]postingRange, domain *BAT, fill
 	// domain max; sparse OID spaces fall back to a map.
 	n := domain.Len()
 	maxDoc := OID(0)
-	for vi, sv := range views {
+	for vi, bp := range views {
 		for _, r := range segRanges[vi] {
 			if r.hi > r.lo {
-				if d := sv.lastDocOf(r.t, r.hi); d > maxDoc {
+				if d := bp.termLastDoc(int(r.t)); d > maxDoc {
 					maxDoc = d
 				}
 			}
@@ -787,17 +470,11 @@ func fillDefaults(views []segScan, segRanges [][]postingRange, domain *BAT, fill
 		return ok
 	}
 	cset := borrowBlockCursors(1)
-	for vi, sv := range views {
+	for vi, bp := range views {
 		for _, r := range segRanges[vi] {
-			if sv.raw != nil {
-				for p := r.lo; p < r.hi; p++ {
-					mark(sv.raw.docs[p])
-				}
-				continue
-			}
 			c := &cset.cs[0]
 			c.reset()
-			c.bind(sv.blk, int(r.t))
+			c.bind(bp, int(r.t))
 			for p := r.lo; p < r.hi; p++ {
 				d, ok := c.docAt(p)
 				if !ok {

@@ -6,15 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// Block-compressed variant of the max-score scan (topk.go): the same
-// document-at-a-time evaluation and the same canonical-fold scoring,
-// but postings arrive in PostingsBlockSize blocks (postcodec.go) that
-// are decoded lazily into pooled cursors — and, block-max WAND style,
-// whole blocks are skipped without decoding whenever the sum of the
-// essential terms' quantized per-block bounds cannot beat the shared
-// rising threshold. The bounds are quantized UP at encode time, so a
-// skipped block provably holds no top-k document: pruned ≡ exhaustive
-// stays BUN-for-BUN, ties included, exactly as for the raw layout.
+// The max-score scan loop of PrunedTopKSegs (topk.go): document-at-a-time
+// evaluation with canonical-fold scoring over postings that arrive in
+// PostingsBlockSize blocks (postcodec.go), decoded lazily into pooled
+// cursors — and, block-max WAND style, whole blocks are skipped without
+// decoding whenever the sum of the essential terms' quantized per-block
+// bounds cannot beat the shared rising threshold. The bounds are
+// quantized UP at encode time, so a skipped block provably holds no
+// top-k document: pruned ≡ exhaustive stays BUN-for-BUN, ties included.
 
 // blockScanStats counts block decode work across all scans (surfaced
 // through BlockScanStats into moash \stats). skipped counts blocks the
@@ -278,10 +277,12 @@ func scanBlockPartition(bp *BlockPostings, ranges []postingRange, query []OID, w
 	return err
 }
 
-// maxscoreScanBlocks is maxscoreScan over a block-layout segment: the
-// same essential/non-essential split, candidate selection and scoring
-// fold, plus block-max skipping. cs[i] is the cursor of terms[i]; terms
-// must be sc.terms (sc supplies every working slice).
+// maxscoreScanBlocks runs the max-score loop over one document
+// partition: the essential terms (largest bounds) are merged
+// document-at-a-time, with block-max skipping; the non-essential tail is
+// probed by binary search only while a document's score bound still
+// clears the threshold. cs[i] is the cursor of terms[i]; terms must be
+// sc.terms (sc supplies every working slice).
 func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, query []OID, weights []float64, def, fillBase float64, h *BoundedTopK[topkCand], theta *TopKThreshold, sc *scanScratch) error {
 	m := len(terms)
 	if m == 0 {
@@ -300,6 +301,9 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 		}
 		terms[i].ub = ub
 	}
+	// Bound-descending order; suffixUB[j] bounds the surplus of terms
+	// perm[j:]. Essential prefix perm[:e]: a document absent from all of it
+	// is bounded by fillBase+suffixUB[e].
 	perm := sc.perm
 	for i := range perm {
 		perm[i] = i
@@ -313,6 +317,8 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 	e := m
 	negInf := math.Inf(-1)
 
+	// Per-candidate scratch, stamped instead of cleared (stamp arrives
+	// zeroed from the pool).
 	fbel := sc.fbel
 	stamp := sc.stamp
 	cur := 0
@@ -403,9 +409,13 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 	// th carries max(local k-th best, shared θ) across candidates. Both
 	// sources are monotone — the heap's worst moves only on Offer, the
 	// shared bound only rises — so th is maintained at those two events
-	// instead of re-deriving it (two heap calls) per candidate. Prunes
-	// against any finite threshold (seeded or shared), not only a locally
-	// full heap — see maxscoreScan.
+	// instead of re-deriving it (two heap calls) per candidate. It prunes
+	// against any finite threshold, not only a locally full heap: θ may
+	// arrive seeded (a prior run's exact k-th score) or raised by another
+	// shard/partition, and it is always a valid global lower bound — a
+	// document skipped under bound+slack ≤ θ can never belong to the
+	// global top k, whether or not THIS partition has retained k
+	// candidates yet.
 	th := threshold()
 	if th > negInf {
 		shrink(th)
@@ -589,6 +599,7 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 		if pruned {
 			continue
 		}
+		// The canonical fold, exactly as SumBeliefs / WSumBeliefs compute it.
 		score := 0.0
 		if weights == nil {
 			matched := 0

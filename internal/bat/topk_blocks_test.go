@@ -3,129 +3,20 @@ package bat
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 )
 
-// blockSegs re-encodes raw segments into the block-compressed layout.
-// The originals are left untouched, so a test can run both layouts over
-// the same corpus and demand identical rankings.
-func blockSegs(t *testing.T, segs []PostingsSeg) []PostingsSeg {
-	t.Helper()
-	out := make([]PostingsSeg, len(segs))
-	for i, s := range segs {
-		cols, err := EncodeBlockPostings(s.Start, s.Doc, nil, s.Bel)
-		if err != nil {
-			t.Fatalf("EncodeBlockPostings(seg %d): %v", i, err)
-		}
-		out[i] = PostingsSeg{
-			Start:    cols.Start,
-			MaxBel:   cols.MaxBel,
-			BlkStart: cols.BlkStart,
-			BlkDir:   cols.BlkDir,
-			BlkDoc:   cols.BlkDoc,
-			BlkBDir:  cols.BlkBDir,
-			BlkBel:   cols.BlkBel,
-		}
-	}
-	return out
-}
-
-// mustEqualRanking fails unless two rankings agree BUN for BUN, scores
-// bit-for-bit included.
-func mustEqualRanking(t *testing.T, label string, want, got *BAT) {
-	t.Helper()
-	if want.Len() != got.Len() {
-		t.Fatalf("%s: %d vs %d hits", label, want.Len(), got.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if want.Head.OIDAt(i) != got.Head.OIDAt(i) || want.Tail.FloatAt(i) != got.Tail.FloatAt(i) {
-			t.Fatalf("%s hit %d: want (%d,%v) got (%d,%v)", label, i,
-				want.Head.OIDAt(i), want.Tail.FloatAt(i),
-				got.Head.OIDAt(i), got.Tail.FloatAt(i))
-		}
-	}
-}
-
-// TestPrunedTopKSegsBlockMatchesRaw pins the tentpole differential
-// guarantee: the block-compressed scan returns BUN-for-BUN (ties
-// included) the raw exhaustive-equivalent ranking, for random corpora
-// with manufactured ties, duplicate and OOV query terms, unweighted
-// (domain fill) and weighted modes, arbitrary segmentations, and lists
-// that mix raw and block segments.
-func TestPrunedTopKSegsBlockMatchesRaw(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const def = 0.4
-	for round := 0; round < 60; round++ {
-		ndocs := 1 + rng.Intn(300)
-		nterms := 2 + rng.Intn(30)
-		si := mkSynthIndex(rng, nterms, ndocs, 6, 3)
-
-		nseg := 1 + rng.Intn(5)
-		cuts := map[int]bool{ndocs: true}
-		for len(cuts) < nseg {
-			cuts[1+rng.Intn(ndocs)] = true
-		}
-		var bounds []int
-		for c := range cuts {
-			bounds = append(bounds, c)
-		}
-		sort.Ints(bounds)
-		raw := segSplit(si, bounds, rng.Intn(2) == 0)
-		blk := blockSegs(t, raw)
-
-		k := 1 + rng.Intn(ndocs+3)
-		qlen := 1 + rng.Intn(5)
-		query := make([]OID, qlen)
-		for i := range query {
-			query[i] = OID(rng.Intn(nterms + 2)) // may exceed dict: OOV
-		}
-		var weights []float64
-		if rng.Intn(2) == 0 {
-			weights = make([]float64, qlen)
-			for i := range weights {
-				weights[i] = float64(rng.Intn(4))
-			}
-		}
-
-		want, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, query, weights, def, k, si.domain)
-		if err != nil {
-			t.Fatalf("round %d: raw merged: %v", round, err)
-		}
-		got, err := PrunedTopKSegs(blk, query, weights, def, k, si.domain, nil)
-		if err != nil {
-			t.Fatalf("round %d: block: %v", round, err)
-		}
-		mustEqualRanking(t, fmt.Sprintf("round %d ", round)+"block", want, got)
-
-		// Mixed layouts in one list: alternate raw/block per segment.
-		mixed := make([]PostingsSeg, len(raw))
-		for i := range mixed {
-			if i%2 == 0 {
-				mixed[i] = blk[i]
-			} else {
-				mixed[i] = raw[i]
-			}
-		}
-		got, err = PrunedTopKSegs(mixed, query, weights, def, k, si.domain, nil)
-		if err != nil {
-			t.Fatalf("round %d: mixed: %v", round, err)
-		}
-		mustEqualRanking(t, fmt.Sprintf("round %d ", round)+"mixed", want, got)
-	}
-}
-
 // TestPrunedTopKBlocksParallelMatchesSerial forces the document-range
 // partitioned path (threshold lowered to 1) on a corpus large enough to
-// span many blocks and demands the identical ranking to the default
-// serial scan, raw and block alike. This exercises the partition-seek
-// logic in scanBlockPartition (mid-block doc bounds) specifically.
+// span many blocks and demands the exhaustive reference ranking from it
+// and from the forced-serial scan alike. This exercises the
+// partition-seek logic in scanBlockPartition (mid-block doc bounds)
+// specifically.
 func TestPrunedTopKBlocksParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const def = 0.4
 	si := mkSynthIndex(rng, 12, 4000, 6, 5)
-	raw := segSplit(si, []int{1500, 4000}, false)
-	blk := blockSegs(t, raw)
+	segs := segSplit(si, []int{1500, 4000}, false)
 
 	for round := 0; round < 25; round++ {
 		k := 1 + rng.Intn(40)
@@ -141,34 +32,15 @@ func TestPrunedTopKBlocksParallelMatchesSerial(t *testing.T) {
 				weights[i] = float64(rng.Intn(4))
 			}
 		}
-
-		want, err := PrunedTopKSegs(raw, query, weights, def, k, si.domain, nil)
-		if err != nil {
-			t.Fatalf("round %d: raw serial: %v", round, err)
+		for _, thr := range []int{1, 1 << 30} { // parallel, then forced serial
+			old := SetParallelThreshold(thr)
+			got, err := PrunedTopKSegs(segs, query, weights, def, k, si.domain, nil)
+			SetParallelThreshold(old)
+			if err != nil {
+				t.Fatalf("round %d thr %d: %v", round, thr, err)
+			}
+			mustEqualRef(t, fmt.Sprintf("round %d thr %d", round, thr), si, query, weights, def, k, got)
 		}
-
-		old := SetParallelThreshold(1)
-		gotB, errB := PrunedTopKSegs(blk, query, weights, def, k, si.domain, nil)
-		gotR, errR := PrunedTopKSegs(raw, query, weights, def, k, si.domain, nil)
-		SetParallelThreshold(old)
-		if errB != nil {
-			t.Fatalf("round %d: block parallel: %v", round, errB)
-		}
-		if errR != nil {
-			t.Fatalf("round %d: raw parallel: %v", round, errR)
-		}
-		mustEqualRanking(t, fmt.Sprintf("round %d ", round)+"block-par", want, gotB)
-		mustEqualRanking(t, fmt.Sprintf("round %d ", round)+"raw-par", want, gotR)
-
-		// Serial block scan too (default threshold keeps it serial at this size
-		// only when postings are few; force it for determinism).
-		old = SetParallelThreshold(1 << 30)
-		gotS, errS := PrunedTopKSegs(blk, query, weights, def, k, si.domain, nil)
-		SetParallelThreshold(old)
-		if errS != nil {
-			t.Fatalf("round %d: block serial: %v", round, errS)
-		}
-		mustEqualRanking(t, fmt.Sprintf("round %d ", round)+"block-serial", want, gotS)
 	}
 }
 
@@ -179,7 +51,7 @@ func TestPrunedTopKBlocksParallelMatchesSerial(t *testing.T) {
 func TestBlockScanStatsCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	si := mkSynthIndex(rng, 8, 3000, 5, 0)
-	blk := blockSegs(t, segSplit(si, []int{3000}, false))
+	blk := segSplit(si, []int{3000}, false)
 
 	d0, s0 := BlockScanStats()
 	if _, err := PrunedTopKSegs(blk, []OID{0, 1, 2}, nil, 0.4, 5, si.domain, nil); err != nil {
@@ -200,7 +72,7 @@ func TestBlockScanStatsCount(t *testing.T) {
 func TestPrunedTopKSegsBlockCorruptErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	si := mkSynthIndex(rng, 6, 400, 5, 0)
-	blk := blockSegs(t, segSplit(si, []int{400}, false))
+	blk := segSplit(si, []int{400}, false)
 
 	// Corrupt the doc payload in place: flip bytes until validation still
 	// passes but decode fails somewhere. Zeroing the whole payload is the

@@ -7,13 +7,12 @@ import (
 )
 
 // synthIndex is a term-ordered postings fixture mirroring what CONTREP's
-// Finalize derives: start/doc/belief/maxbel columns over nterms terms.
+// Finalize derives: the whole corpus as one block segment (through the
+// one encoder, like every production segment) plus the per-document
+// beliefs the exhaustive reference scores from.
 type synthIndex struct {
 	nterms, ndocs int
-	start         *BAT
-	doc           *BAT
-	bel           *BAT
-	maxb          *BAT
+	seg           PostingsSeg
 	domain        *BAT
 	// perDoc[d][t] = belief of term t in doc d (absent → unmatched)
 	perDoc []map[OID]float64
@@ -41,41 +40,49 @@ func mkSynthIndex(rng *rand.Rand, nterms, ndocs, maxTermsPerDoc, dupEvery int) *
 		}
 		si.perDoc[d] = m
 	}
-	// scatter into term-ordered postings
-	type post struct {
-		d OID
-		b float64
-	}
-	byTerm := make([][]post, nterms)
-	for d := 0; d < ndocs; d++ {
-		for t, b := range si.perDoc[d] {
-			byTerm[t] = append(byTerm[t], post{OID(d), b})
-		}
-	}
-	si.start = NewDense(0, KindInt)
-	si.doc = NewDense(0, KindOID)
-	si.bel = NewDense(0, KindFloat)
-	si.maxb = NewDense(0, KindFloat)
+	si.seg = si.encodeRange(0, ndocs, nterms)
 	si.domain = New(KindVoid, KindVoid)
-	off := int64(0)
-	for t := 0; t < nterms; t++ {
-		si.start.MustAppend(OID(t), off)
-		mx := 0.0
-		for _, p := range byTerm[t] { // doc ascending by construction
-			si.doc.MustAppend(OID(off), p.d)
-			si.bel.MustAppend(OID(off), p.b)
-			if p.b > mx {
-				mx = p.b
-			}
-			off++
-		}
-		si.maxb.MustAppend(OID(t), mx)
-	}
-	si.start.MustAppend(OID(nterms), off)
 	for d := 0; d < ndocs; d++ {
 		si.domain.MustAppend(OID(d), OID(d))
 	}
 	return si
+}
+
+// encodeRange scatters documents [lo, hi) into term-ordered postings over
+// the first nterms dictionary entries and encodes them as one block
+// segment — what a segment (or a shard) covering that document range
+// holds, with range-local max-belief bounds.
+func (si *synthIndex) encodeRange(lo, hi, nterms int) PostingsSeg {
+	byTerm := make([][]OID, nterms)
+	for d := lo; d < hi; d++ { // doc ascending by construction
+		for t := range si.perDoc[d] {
+			if int(t) < nterms {
+				byTerm[t] = append(byTerm[t], OID(d))
+			}
+		}
+	}
+	starts := make([]int64, 1, nterms+1)
+	var docs []OID
+	var tfs []int64
+	var bels []float64
+	for t := 0; t < nterms; t++ {
+		for _, d := range byTerm[t] {
+			docs = append(docs, d)
+			tfs = append(tfs, 1)
+			bels = append(bels, si.perDoc[d][OID(t)])
+		}
+		starts = append(starts, int64(len(docs)))
+	}
+	seg, err := EncodeBlockSegment(starts, docs, tfs, bels)
+	if err != nil {
+		panic(err)
+	}
+	return seg
+}
+
+// scan runs the pruned operator over the whole corpus as one segment.
+func (si *synthIndex) scan(query []OID, weights []float64, def float64, k int, domain *BAT, theta *TopKThreshold) (*BAT, error) {
+	return PrunedTopKSegs([]PostingsSeg{si.seg}, query, weights, def, k, domain, theta)
 }
 
 // refTopK is the exhaustive reference: score every domain document with the
@@ -131,23 +138,30 @@ func (si *synthIndex) refTopK(query []OID, weights []float64, def float64, k int
 	return docs, scores
 }
 
-func checkTopK(t *testing.T, si *synthIndex, query []OID, weights []float64, k int) {
+// mustEqualRef fails unless got is BUN-for-BUN (scores bit-for-bit) the
+// exhaustive reference ranking of the query.
+func mustEqualRef(t *testing.T, label string, si *synthIndex, query []OID, weights []float64, def float64, k int, got *BAT) {
 	t.Helper()
-	const def = 0.4
-	got, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, query, weights, def, k, si.domain)
-	if err != nil {
-		t.Fatalf("PrunedTopK: %v", err)
-	}
 	wantD, wantS := si.refTopK(query, weights, def, k)
 	if got.Len() != len(wantD) {
-		t.Fatalf("k=%d q=%v: got %d hits, want %d", k, query, got.Len(), len(wantD))
+		t.Fatalf("%s k=%d q=%v: got %d hits, want %d", label, k, query, got.Len(), len(wantD))
 	}
 	for i := 0; i < got.Len(); i++ {
 		if got.Head.OIDAt(i) != wantD[i] || got.Tail.FloatAt(i) != wantS[i] {
-			t.Fatalf("k=%d q=%v rank %d: got (%d, %v), want (%d, %v)",
-				k, query, i, got.Head.OIDAt(i), got.Tail.FloatAt(i), wantD[i], wantS[i])
+			t.Fatalf("%s k=%d q=%v rank %d: got (%d, %v), want (%d, %v)",
+				label, k, query, i, got.Head.OIDAt(i), got.Tail.FloatAt(i), wantD[i], wantS[i])
 		}
 	}
+}
+
+func checkTopK(t *testing.T, si *synthIndex, query []OID, weights []float64, k int) {
+	t.Helper()
+	const def = 0.4
+	got, err := si.scan(query, weights, def, k, si.domain, nil)
+	if err != nil {
+		t.Fatalf("PrunedTopKSegs: %v", err)
+	}
+	mustEqualRef(t, "single segment", si, query, weights, def, k, got)
 }
 
 // TestPrunedTopKMatchesExhaustive is the differential property test: over
@@ -190,7 +204,8 @@ func TestPrunedTopKMatchesExhaustive(t *testing.T) {
 }
 
 // TestPrunedTopKParallelIdentical pins the determinism contract: the
-// parallel partitioned scan returns exactly the serial result.
+// parallel partitioned scan returns exactly the serial result, and both
+// the exhaustive reference.
 func TestPrunedTopKParallelIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	si := mkSynthIndex(rng, 40, 5000, 8, 4)
@@ -198,24 +213,17 @@ func TestPrunedTopKParallelIdentical(t *testing.T) {
 	const def = 0.4
 	for _, k := range []int{1, 10, 200} {
 		oldPar := SetParallelism(1)
-		serial, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, query, nil, def, k, si.domain)
+		serial, err := si.scan(query, nil, def, k, si.domain, nil)
 		SetParallelism(4)
 		oldThr := SetParallelThreshold(1)
-		par, err2 := PrunedTopK(si.start, si.doc, si.bel, si.maxb, query, nil, def, k, si.domain)
+		par, err2 := si.scan(query, nil, def, k, si.domain, nil)
 		SetParallelism(oldPar)
 		SetParallelThreshold(oldThr)
 		if err != nil || err2 != nil {
 			t.Fatalf("errors: %v / %v", err, err2)
 		}
-		if serial.Len() != par.Len() {
-			t.Fatalf("k=%d: serial %d hits, parallel %d", k, serial.Len(), par.Len())
-		}
-		for i := 0; i < serial.Len(); i++ {
-			if serial.Head.OIDAt(i) != par.Head.OIDAt(i) || serial.Tail.FloatAt(i) != par.Tail.FloatAt(i) {
-				t.Fatalf("k=%d rank %d: serial (%d,%v) vs parallel (%d,%v)", k, i,
-					serial.Head.OIDAt(i), serial.Tail.FloatAt(i), par.Head.OIDAt(i), par.Tail.FloatAt(i))
-			}
-		}
+		mustEqualRef(t, "serial", si, query, nil, def, k, serial)
+		mustEqualRanking(t, "parallel vs serial", serial, par)
 	}
 }
 
@@ -223,7 +231,7 @@ func TestPrunedTopKEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	si := mkSynthIndex(rng, 8, 50, 4, 0)
 	// empty query: every document scores 0, ranking is OID ascending
-	got, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, nil, nil, 0.4, 5, si.domain)
+	got, err := si.scan(nil, nil, 0.4, 5, si.domain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,85 +244,56 @@ func TestPrunedTopKEdges(t *testing.T) {
 		}
 	}
 	// invalid k
-	if _, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, nil, nil, 0.4, 0, si.domain); err == nil {
+	if _, err := si.scan(nil, nil, 0.4, 0, si.domain, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 	// negative weight rejected (exhaustive fallback territory)
-	if _, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, []OID{1}, []float64{-1}, 0.4, 3, si.domain); err == nil {
+	if _, err := si.scan([]OID{1}, []float64{-1}, 0.4, 3, si.domain, nil); err == nil {
 		t.Fatal("negative weight accepted")
 	}
 	// unweighted mode needs a domain
-	if _, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, []OID{1}, nil, 0.4, 3, nil); err == nil {
+	if _, err := si.scan([]OID{1}, nil, 0.4, 3, nil, nil); err == nil {
 		t.Fatal("nil domain accepted")
 	}
 }
 
-func TestPostingsAccess(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	si := mkSynthIndex(rng, 10, 100, 5, 0)
-	for term := OID(0); term < 10; term++ {
-		got, err := Postings(si.start, si.doc, si.bel, term)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		prev := OID(0)
-		for d := 0; d < si.ndocs; d++ {
-			if b, ok := si.perDoc[d][term]; ok {
-				if got.Head.OIDAt(want) != OID(d) || got.Tail.FloatAt(want) != b {
-					t.Fatalf("term %d posting %d mismatch", term, want)
-				}
-				if want > 0 && got.Head.OIDAt(want) <= prev {
-					t.Fatalf("term %d postings not doc-ascending", term)
-				}
-				prev = got.Head.OIDAt(want)
-				want++
-			}
-		}
-		if got.Len() != want {
-			t.Fatalf("term %d: %d postings, want %d", term, got.Len(), want)
-		}
-	}
-	// out-of-range term → empty list
-	got, err := Postings(si.start, si.doc, si.bel, 99)
-	if err != nil || got.Len() != 0 {
-		t.Fatalf("OOV postings: len=%d err=%v", got.Len(), err)
-	}
-}
-
-// TestPrunedTopKMalformedOffsets: hand-built (MIL-reachable) postings with
-// corrupt offsets must produce an error, never an out-of-range panic that
-// would kill the shell or server.
-func TestPrunedTopKMalformedOffsets(t *testing.T) {
-	mkStart := func(vals ...int64) *BAT {
-		b := NewDense(0, KindInt)
-		for i, v := range vals {
-			b.MustAppend(OID(i), v)
-		}
-		return b
-	}
-	doc := NewDense(0, KindOID)
-	bel := NewDense(0, KindFloat)
-	for i := 0; i < 3; i++ {
-		doc.MustAppend(OID(i), OID(i))
-		bel.MustAppend(OID(i), 0.5)
-	}
-	maxb := NewDense(0, KindFloat)
-	maxb.MustAppend(OID(0), 0.5)
-	maxb.MustAppend(OID(1), 0.5)
-	domain := New(KindVoid, KindVoid)
-	domain.MustAppend(OID(0), OID(0))
-	for _, start := range []*BAT{
-		mkStart(0, 5, 3),  // intermediate offset past the postings
-		mkStart(-1, 2, 3), // negative offset
-		mkStart(2, 1, 3),  // non-monotone
+// TestEncodeBlockSegmentMalformed: the one encoder takes flat arrays from
+// callers that may have read them off disk (the legacy-raw upgrade), so
+// corrupt offsets, misaligned columns and unsorted runs must produce an
+// error, never an out-of-range panic.
+func TestEncodeBlockSegmentMalformed(t *testing.T) {
+	docs := []OID{0, 1, 2}
+	tfs := []int64{1, 1, 1}
+	bels := []float64{0.5, 0.5, 0.5}
+	for _, c := range []struct {
+		name   string
+		starts []int64
+		docs   []OID
+		tfs    []int64
+		bels   []float64
+	}{
+		{"empty offsets", nil, docs, tfs, bels},
+		{"intermediate offset past the postings", []int64{0, 5, 3}, docs, tfs, bels},
+		{"negative offset", []int64{-1, 2, 3}, docs, tfs, bels},
+		{"non-monotone", []int64{0, 2, 1, 3}, docs, tfs, bels},
+		{"non-zero first offset", []int64{2, 2, 3}, docs, tfs, bels},
+		{"last offset short of the postings", []int64{0, 1, 2}, docs, tfs, bels},
+		{"tfs misaligned", []int64{0, 2, 3}, docs, tfs[:2], bels},
+		{"beliefs misaligned", []int64{0, 2, 3}, docs, tfs, bels[:1]},
+		{"run not ascending", []int64{0, 3, 3}, []OID{0, 2, 1}, tfs, bels},
+		{"negative tf", []int64{0, 2, 3}, docs, []int64{1, -1, 1}, bels},
 	} {
-		if _, err := PrunedTopK(start, doc, bel, maxb, []OID{0, 1}, nil, 0.4, 1, domain); err == nil {
-			t.Fatalf("malformed offsets %v accepted", start.Tail.Ints())
+		if _, err := EncodeBlockSegment(c.starts, c.docs, c.tfs, c.bels); err == nil {
+			t.Errorf("%s: accepted", c.name)
 		}
-		if _, err := Postings(start, doc, bel, 0); err == nil {
-			t.Fatalf("malformed offsets %v accepted by postings", start.Tail.Ints())
-		}
+	}
+	// the well-formed neighbour of the cases above encodes and validates
+	seg, err := EncodeBlockSegment([]int64{0, 2, 3}, docs, tfs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewBlockPostings(seg.Start, seg.BlkStart, seg.BlkDir, seg.BlkDoc, seg.BlkBDir, seg.BlkBel, seg.MaxBel); err != nil {
+		t.Fatalf("structure-only encode does not load: %v", err)
 	}
 }
 
@@ -345,42 +324,17 @@ func TestBoundedTopK(t *testing.T) {
 // shardSlice cuts a synthIndex to the document range [lo, hi): the
 // term-ordered postings restricted to those documents, with shard-local
 // max-belief bounds — exactly what one shard of a sharded store holds.
-func (si *synthIndex) shardSlice(lo, hi OID) (start, doc, bel, maxb, domain *BAT) {
-	start = NewDense(0, KindInt)
-	doc = NewDense(0, KindOID)
-	bel = NewDense(0, KindFloat)
-	maxb = NewDense(0, KindFloat)
-	off := int64(0)
-	for t := 0; t < si.nterms; t++ {
-		start.MustAppend(OID(t), off)
-		tlo, thi := int(si.start.Tail.IntAt(t)), int(si.start.Tail.IntAt(t+1))
-		mx := 0.0
-		for p := tlo; p < thi; p++ {
-			d := si.doc.Tail.OIDAt(p)
-			if d < lo || d >= hi {
-				continue
-			}
-			b := si.bel.Tail.FloatAt(p)
-			doc.MustAppend(OID(off), d)
-			bel.MustAppend(OID(off), b)
-			if b > mx {
-				mx = b
-			}
-			off++
-		}
-		maxb.MustAppend(OID(t), mx)
-	}
-	start.MustAppend(OID(si.nterms), off)
+func (si *synthIndex) shardSlice(lo, hi OID) (seg PostingsSeg, domain *BAT) {
 	domain = &BAT{Head: NewVoid(lo, int(hi-lo)), Tail: NewVoid(lo, int(hi-lo))}
 	domain.HSorted, domain.HKey = true, true
-	return
+	return si.encodeRange(int(lo), int(hi), si.nterms), domain
 }
 
 // TestPrunedTopKSharedAcrossShards is the shard-level analog of the
 // partition property: document-range "shards" scanned concurrently with
 // ONE shared threshold, merged through the bounded selector, must equal
-// the single-store scan BUN-for-BUN — the threshold may only prune work,
-// never results.
+// the exhaustive reference BUN-for-BUN — the threshold may only prune
+// work, never results.
 func TestPrunedTopKSharedAcrossShards(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	si := mkSynthIndex(rng, 40, 600, 6, 7)
@@ -394,10 +348,7 @@ func TestPrunedTopKSharedAcrossShards(t *testing.T) {
 	for _, nShards := range []int{2, 3, 8} {
 		for _, q := range queries {
 			for _, k := range []int{1, 5, 40} {
-				want, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, q, nil, def, k, si.domain)
-				if err != nil {
-					t.Fatal(err)
-				}
+				wantD, wantS := si.refTopK(q, nil, def, k)
 				theta := NewTopKThreshold()
 				merged := NewBoundedTopK(k, worseCand)
 				var mu sync.Mutex
@@ -408,8 +359,8 @@ func TestPrunedTopKSharedAcrossShards(t *testing.T) {
 					wg.Add(1)
 					go func(lo, hi OID) {
 						defer wg.Done()
-						start, doc, bel, maxb, domain := si.shardSlice(lo, hi)
-						got, err := PrunedTopKShared(start, doc, bel, maxb, q, nil, def, k, domain, theta)
+						seg, domain := si.shardSlice(lo, hi)
+						got, err := PrunedTopKSegs([]PostingsSeg{seg}, q, nil, def, k, domain, theta)
 						if err != nil {
 							t.Error(err)
 							return
@@ -423,13 +374,13 @@ func TestPrunedTopKSharedAcrossShards(t *testing.T) {
 				}
 				wg.Wait()
 				ranked := merged.Ranked()
-				if len(ranked) != want.Len() {
-					t.Fatalf("shards=%d q=%v k=%d: merged %d hits, want %d", nShards, q, k, len(ranked), want.Len())
+				if len(ranked) != len(wantD) {
+					t.Fatalf("shards=%d q=%v k=%d: merged %d hits, want %d", nShards, q, k, len(ranked), len(wantD))
 				}
 				for i, c := range ranked {
-					if c.doc != want.Head.OIDAt(i) || c.score != want.Tail.FloatAt(i) {
-						t.Fatalf("shards=%d q=%v k=%d rank %d: merged (%d, %v), single (%d, %v)",
-							nShards, q, k, i, c.doc, c.score, want.Head.OIDAt(i), want.Tail.FloatAt(i))
+					if c.doc != wantD[i] || c.score != wantS[i] {
+						t.Fatalf("shards=%d q=%v k=%d rank %d: merged (%d, %v), reference (%d, %v)",
+							nShards, q, k, i, c.doc, c.score, wantD[i], wantS[i])
 					}
 				}
 			}
@@ -451,7 +402,7 @@ func TestTopKThresholdMonotone(t *testing.T) {
 	si := mkSynthIndex(rng, 20, 300, 5, 5)
 	q := []OID{1, 2, 3}
 	const k, def = 10, 0.4
-	first, err := PrunedTopK(si.start, si.doc, si.bel, si.maxb, q, nil, def, k, si.domain)
+	first, err := si.scan(q, nil, def, k, si.domain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +410,7 @@ func TestTopKThresholdMonotone(t *testing.T) {
 	// shard sees) must return the identical ranking, ties included
 	theta := NewTopKThreshold()
 	theta.Raise(first.Tail.FloatAt(first.Len() - 1))
-	second, err := PrunedTopKShared(si.start, si.doc, si.bel, si.maxb, q, nil, def, k, si.domain, theta)
+	second, err := si.scan(q, nil, def, k, si.domain, theta)
 	if err != nil {
 		t.Fatal(err)
 	}

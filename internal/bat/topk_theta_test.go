@@ -30,8 +30,7 @@ func TestPrunedTopKSeededThetaMatchesCold(t *testing.T) {
 				bounds = append(bounds, c)
 			}
 			sort.Ints(bounds)
-			raw := segSplit(si, bounds, false)
-			blk := blockSegs(t, raw)
+			segs := segSplit(si, bounds, false)
 
 			k := 1 + rng.Intn(30)
 			qlen := 1 + rng.Intn(5)
@@ -47,29 +46,28 @@ func TestPrunedTopKSeededThetaMatchesCold(t *testing.T) {
 				}
 			}
 
-			cold, err := PrunedTopKSegs(raw, query, weights, def, k, si.domain, nil)
+			cold, err := PrunedTopKSegs(segs, query, weights, def, k, si.domain, nil)
 			if err != nil {
 				t.Fatalf("round %d nseg %d: cold: %v", round, nseg, err)
 			}
+			mustEqualRef(t, fmt.Sprintf("round %d nseg %d cold", round, nseg), si, query, weights, def, k, cold)
 			if cold.Len() < k {
 				continue // fewer than k scoreable docs: no exact seed exists
 			}
 			sk := cold.Tail.FloatAt(cold.Len() - 1)
 
 			for si2, seed := range []float64{sk, sk - 0.07} {
-				for _, segs := range [][]PostingsSeg{raw, blk} {
-					for _, thr := range []int{1, 1 << 30} { // parallel and serial
-						label := fmt.Sprintf("round %d nseg %d seed %d thr %d", round, nseg, si2, thr)
-						theta := NewTopKThreshold()
-						theta.Raise(seed)
-						old := SetParallelThreshold(thr)
-						warm, err := PrunedTopKSegs(segs, query, weights, def, k, si.domain, theta)
-						SetParallelThreshold(old)
-						if err != nil {
-							t.Fatalf("%s: warm: %v", label, err)
-						}
-						mustEqualRanking(t, label, cold, warm)
+				for _, thr := range []int{1, 1 << 30} { // parallel and serial
+					label := fmt.Sprintf("round %d nseg %d seed %d thr %d", round, nseg, si2, thr)
+					theta := NewTopKThreshold()
+					theta.Raise(seed)
+					old := SetParallelThreshold(thr)
+					warm, err := PrunedTopKSegs(segs, query, weights, def, k, si.domain, theta)
+					SetParallelThreshold(old)
+					if err != nil {
+						t.Fatalf("%s: warm: %v", label, err)
 					}
+					mustEqualRanking(t, label, cold, warm)
 				}
 			}
 		}
@@ -97,7 +95,7 @@ func TestSeededThetaSkipsWork(t *testing.T) {
 			}
 		}
 	}
-	blk := blockSegs(t, segSplit(si, []int{20000}, false))
+	blk := segSplit(si, []int{20000}, false)
 	query := []OID{0, 1, 2}
 	const k = 10
 

@@ -357,21 +357,6 @@ func (m *Mirror) urlOf(oid bat.OID) string {
 	return s
 }
 
-// SetStoreCodec selects the postings segment layout ("block" or "raw";
-// "" = block) used by newly derived, merged or rewritten segments.
-// Existing segments convert at the next refresh/publish (persistent
-// opens convert during recovery instead).
-func (m *Mirror) SetStoreCodec(name string) error {
-	c, err := ir.CodecFromString(name)
-	if err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ir.SetStoreCodec(m.DB, c)
-	return nil
-}
-
 // SetResultCache installs (or, with maxBytes <= 0, removes) an
 // epoch-keyed query result cache bounded to roughly maxBytes. Safe to
 // call at any time; in-flight queries keep using the cache they loaded.

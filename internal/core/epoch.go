@@ -297,8 +297,9 @@ func (ep *IndexEpoch) segmentsOf(shard int) []SegmentsInfo {
 		info := SegmentsInfo{Shard: shard, Prefix: prefix, Epoch: ep.Seq, Docs: ep.Docs}
 		info.Segs = ir.SegmentStats(ep.DB, prefix)
 		if info.Segs == nil {
-			// store checkpointed before segmentation: one monolithic segment
-			if b, ok := ep.DB.BAT(prefix + "_postdoc"); ok {
+			// store checkpointed before segmentation: one monolithic
+			// segment over every posting pair
+			if b, ok := ep.DB.BAT(prefix + "_term"); ok {
 				info.Segs = []ir.SegmentStat{{Slot: 0, Docs: ep.Docs, Postings: b.Len()}}
 			}
 		}
@@ -322,11 +323,10 @@ func (m *Mirror) Segments() []SegmentsInfo {
 type PostingsInfo struct {
 	Shard    int // member index; 0 on standalone stores
 	Prefix   string
-	Codec    string // stored segment codec ("block"/"raw"; "mixed" mid-conversion)
 	Segments int
 	Postings int64 // total postings across segments
-	Bytes    int64 // resident bytes of the stored postings layout
-	RawBytes int64 // bytes the raw 8-byte-per-field layout would occupy
+	Bytes    int64 // resident bytes of the stored postings columns
+	RawBytes int64 // computed size of the same postings at 8 bytes per field (ir.PostingsFootprint)
 }
 
 // PostingsStats couples the per-store postings footprints with the
@@ -347,20 +347,8 @@ func (ep *IndexEpoch) postingsOf(shard int) []PostingsInfo {
 	out := make([]PostingsInfo, 0, len(contrepPrefixes))
 	for _, prefix := range contrepPrefixes {
 		fp := ir.Footprint(ep.DB, prefix)
-		// The codec is a property of the stored segments, not the codec
-		// registry (the epoch DB is a frozen snapshot): report what the
-		// segments actually are, flagging a mid-conversion mix.
-		codec := ""
-		for _, st := range ir.SegmentStats(ep.DB, prefix) {
-			switch {
-			case codec == "":
-				codec = st.Codec
-			case codec != st.Codec:
-				codec = "mixed"
-			}
-		}
 		out = append(out, PostingsInfo{
-			Shard: shard, Prefix: prefix, Codec: codec,
+			Shard: shard, Prefix: prefix,
 			Segments: fp.Segments, Postings: fp.Postings,
 			Bytes: fp.Bytes, RawBytes: fp.RawBytes,
 		})

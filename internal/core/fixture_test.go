@@ -1,83 +1,71 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"testing"
 
-	"mirror/internal/corpus"
+	"mirror/internal/ir"
 )
 
 // preBlockFixture is a committed store checkpointed in the pre-block-
 // codec format: raw postings columns, manifest version 2 (the version
-// every release before the block codec wrote). The cross-version tests
-// below pin that today's binary still opens it, converts it losslessly,
-// and answers queries identically before and after conversion.
+// every release before the block codec wrote). It is immutable history —
+// no current code can write that layout, so it cannot be regenerated —
+// and the cross-version tests below pin that today's binary still opens
+// it, upgrades it losslessly, and answers exactly what the last binary
+// that served the raw layout answered. (Built from corpus.Generate{N: 14,
+// W: 48, H: 48, Seed: 7, AnnotateRate: 0.8}, features rgb_coarse + gabor,
+// KMax 5.)
 const preBlockFixture = "testdata/store-v2-raw"
 
-// preBlockFixtureCorpus regenerates the exact corpus the fixture was
-// built from (corpus generation is seed-deterministic).
-func preBlockFixtureCorpus() []*corpus.Item {
-	return corpus.Generate(corpus.Config{N: 14, W: 48, H: 48, Seed: 7, AnnotateRate: 0.8})
+// preBlockGolden holds the hit lists that last raw-serving binary (the
+// parent of the commit that retired the raw scan) returned for the
+// fixture opened in its native layout: dual-coding and annotation
+// queries at k = 8, 3 and 0, default-score ties included.
+const preBlockGolden = "testdata/store-v2-raw.golden.json"
+
+type goldenCase struct {
+	Surface string `json:"surface"` // "dual" or "annotations"
+	Text    string `json:"text"`
+	K       int    `json:"k"`
+	Hits    []Hit  `json:"hits"`
 }
 
-// TestRegenPreBlockFixture rebuilds the committed fixture. Guarded: it
-// only runs when MIRROR_REGEN_FIXTURES is set (regenerating rewrites
-// testdata, which is otherwise immutable history).
-func TestRegenPreBlockFixture(t *testing.T) {
-	if os.Getenv("MIRROR_REGEN_FIXTURES") == "" {
-		t.Skip("set MIRROR_REGEN_FIXTURES=1 to regenerate the committed fixture")
-	}
-	if err := os.RemoveAll(preBlockFixture); err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := OpenPersistent(PersistOptions{Dir: preBlockFixture, Verify: true, StoreCodec: "raw"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range preBlockFixtureCorpus() {
-		if err := m.AddImage(it.URL, it.Annotation, it.Scene.Img); err != nil {
-			t.Fatal(err)
-		}
-	}
-	opts := DefaultIndexOptions()
-	opts.Features = []string{"rgb_coarse", "gabor"}
-	opts.KMax = 5
-	if err := m.BuildContentIndex(opts); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.ClosePersistent(); err != nil {
-		t.Fatal(err)
-	}
-	// Stamp the manifest back to version 2 — exactly what a pre-block
-	// release wrote for a store without bytes-kind columns (the raw
-	// codec uses none). The manifest is plain JSON with no self-CRC.
-	stampManifestVersion(t, preBlockFixture, 2)
-}
-
-func stampManifestVersion(t *testing.T, dir string, v int) {
+func loadPreBlockGolden(t *testing.T) []goldenCase {
 	t.Helper()
-	path := filepath.Join(dir, "MANIFEST")
-	raw, err := os.ReadFile(path)
+	raw, err := os.ReadFile(preBlockGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var man map[string]any
-	if err := json.Unmarshal(raw, &man); err != nil {
+	var cases []goldenCase
+	if err := json.Unmarshal(raw, &cases); err != nil {
 		t.Fatal(err)
 	}
-	man["version"] = v
-	out, err := json.Marshal(man)
-	if err != nil {
-		t.Fatal(err)
+	if len(cases) == 0 {
+		t.Fatal("empty golden file")
 	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
+	return cases
+}
+
+// assertGoldenHits replays every golden query against m and demands the
+// recorded ranking hit-for-hit, scores bit-for-bit.
+func assertGoldenHits(t *testing.T, label string, m *Mirror, cases []goldenCase) {
+	t.Helper()
+	for _, c := range cases {
+		query := m.QueryAnnotations
+		if c.Surface == "dual" {
+			query = m.QueryDualCoding
+		}
+		got, err := query(c.Text, c.K)
+		if err != nil {
+			t.Fatalf("%s: %s %q k=%d: %v", label, c.Surface, c.Text, c.K, err)
+		}
+		assertSameHits(t, fmt.Sprintf("%s: %s %q k=%d", label, c.Surface, c.Text, c.K), c.Hits, got)
 	}
 }
 
@@ -129,101 +117,140 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-func fixtureCodec(t *testing.T, m *Mirror) string {
+// assertBlockSegments fails unless every CONTREP of m is stored as block
+// segments with no legacy raw column left.
+func assertBlockSegments(t *testing.T, label string, m *Mirror) {
 	t.Helper()
-	ps := m.PostingsStats()
-	codec := ""
-	for _, pi := range ps.Stores {
-		if pi.Segments == 0 {
-			continue
+	for _, prefix := range contrepPrefixes {
+		n := ir.SegmentCount(m.DB, prefix)
+		if n == 0 {
+			t.Fatalf("%s: %s is not segmented", label, prefix)
 		}
-		switch {
-		case codec == "":
-			codec = pi.Codec
-		case codec != pi.Codec:
-			t.Fatalf("stores disagree on codec: %q vs %q", codec, pi.Codec)
+		for s := 0; s < n; s++ {
+			if _, ok := m.DB.BAT(ir.SegColumn(prefix, s, "_blkdoc")); !ok {
+				t.Fatalf("%s: %s segment %d has no block columns", label, prefix, s)
+			}
+			for _, suffix := range []string{"_postdoc", "_posttf", "_postbel"} {
+				if _, ok := m.DB.BAT(ir.SegColumn(prefix, s, suffix)); ok {
+					t.Fatalf("%s: %s segment %d still carries the raw %s column", label, prefix, s, suffix)
+				}
+			}
 		}
 	}
-	return codec
 }
 
 // TestPreBlockFixtureOpensAndConverts is the cross-version guarantee:
 // a store checkpointed by a pre-block-codec release (manifest v2, raw
-// postings) opens under today's default, converts to the block layout
-// in memory, answers the same queries hit-for-hit, and persists the
-// converted layout (manifest v3) at the next checkpoint.
+// postings) opens under today's binary, is upgraded to block segments in
+// memory, serves from them, answers the golden hit lists hit-for-hit,
+// and persists the upgraded layout (manifest v3) at the next checkpoint.
 func TestPreBlockFixtureOpensAndConverts(t *testing.T) {
-	if _, err := os.Stat(preBlockFixture); err != nil {
-		t.Fatalf("committed fixture missing (regenerate with MIRROR_REGEN_FIXTURES=1): %v", err)
-	}
 	if v := manifestVersion(t, preBlockFixture); v != 2 {
 		t.Fatalf("fixture manifest version = %d, want 2 (the fixture must stay pre-compression)", v)
 	}
+	golden := loadPreBlockGolden(t)
 	dir := filepath.Join(t.TempDir(), "store")
 	copyTree(t, preBlockFixture, dir)
 
-	text := corpus.CanonicalTerm(mostAnnotatedClass(preBlockFixtureCorpus()))
-
-	// Pass 1: open in the layout the store was written in — the raw
-	// baseline every later pass must match hit-for-hit.
-	m, _, err := OpenPersistent(PersistOptions{Dir: dir, Verify: true, StoreCodec: "raw"})
+	// Pass 1: open — recovery upgrades.
+	m, _, err := OpenPersistent(PersistOptions{Dir: dir, Verify: true})
 	if err != nil {
-		t.Fatalf("open fixture raw: %v", err)
+		t.Fatalf("open fixture: %v", err)
 	}
 	if !m.Indexed() {
 		t.Fatal("fixture recovered unindexed")
 	}
-	if got := fixtureCodec(t, m); got != "raw" {
-		t.Fatalf("fixture stores codec %q, want raw", got)
+	assertBlockSegments(t, "opened", m)
+	decoded := m.PostingsStats().BlocksDecoded
+	assertGoldenHits(t, "upgraded", m, golden)
+	if m.PostingsStats().BlocksDecoded == decoded {
+		t.Fatal("golden queries decoded no postings blocks: the upgraded store is not serving the block scan")
 	}
-	want, err := m.QueryDualCoding(text, 8)
-	if err != nil || len(want) == 0 {
-		t.Fatalf("baseline query: %v (%d hits)", err, len(want))
-	}
-	m.ClosePersistent()
-
-	// Pass 2: open under the default block codec — recovery converts.
-	m2, _, err := OpenPersistent(PersistOptions{Dir: dir, Verify: true})
-	if err != nil {
-		t.Fatalf("open fixture under block codec: %v", err)
-	}
-	if got := fixtureCodec(t, m2); got != "block" {
-		t.Fatalf("recovered store codec %q, want block (conversion at open)", got)
-	}
-	got, err := m2.QueryDualCoding(text, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameHits(t, "converted", want, got)
-	// Footprint accounting is live after conversion. (No compression
+	// Footprint accounting is live after the upgrade. (No compression
 	// assertion here: at 14 documents the per-block directories dominate;
 	// the ≥3x ratio is pinned at scale by the query benchmark.)
-	ps := m2.PostingsStats()
-	for _, pi := range ps.Stores {
+	for _, pi := range m.PostingsStats().Stores {
 		if pi.Segments > 0 && (pi.Bytes <= 0 || pi.RawBytes <= 0) {
 			t.Errorf("%s: footprint not reported: %+v", pi.Prefix, pi)
 		}
 	}
-	if _, err := m2.Checkpoint(); err != nil {
+	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	m2.ClosePersistent()
+	m.ClosePersistent()
 	if v := manifestVersion(t, dir); v != 3 {
-		t.Fatalf("post-conversion checkpoint wrote manifest version %d, want 3", v)
+		t.Fatalf("post-upgrade checkpoint wrote manifest version %d, want 3", v)
 	}
 
-	// Pass 3: the converted store reopens from disk (block columns now
+	// Pass 2: the upgraded store reopens from disk (block columns now
 	// come through the pool) and still answers identically.
-	m3, _, err := OpenPersistent(PersistOptions{Dir: dir, Verify: true})
+	m2, _, err := OpenPersistent(PersistOptions{Dir: dir, Verify: true})
 	if err != nil {
-		t.Fatalf("reopen converted store: %v", err)
+		t.Fatalf("reopen upgraded store: %v", err)
 	}
-	defer m3.ClosePersistent()
-	got3, err := m3.QueryDualCoding(text, 8)
+	defer m2.ClosePersistent()
+	assertBlockSegments(t, "reopened", m2)
+	assertGoldenHits(t, "reopened", m2, golden)
+}
+
+// TestUpgradeIsIdempotent: the upgrade runs at every open, so on a store
+// that is already block (here: the fixture, upgraded by the open itself)
+// it must touch nothing — no BAT replaced, so nothing turns dirty and
+// the next checkpoint writes no postings column again.
+func TestUpgradeIsIdempotent(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	copyTree(t, preBlockFixture, dir)
+	m, _, err := OpenPersistent(PersistOptions{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameHits(t, "reopened", want, got3)
+	defer m.ClosePersistent()
+	before := m.DB.Snapshot()
+	for _, prefix := range contrepPrefixes {
+		if err := ir.UpgradeRawSegments(m.DB, prefix); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := m.DB.Snapshot()
+	if len(after) != len(before) {
+		t.Fatalf("second upgrade changed the BAT count: %d -> %d", len(before), len(after))
+	}
+	for name, b := range after {
+		if before[name] != b {
+			t.Fatalf("second upgrade replaced %s", name)
+		}
+	}
+	assertGoldenHits(t, "after a second upgrade", m, loadPreBlockGolden(t))
+}
+
+// TestCorruptLegacyStoreFailsOpen: a v2 store whose raw postings offsets
+// are damaged on disk (CRC verification off, as -verify=false runs) must
+// fail OpenPersistent with an error — the upgrade is the only reader of
+// those columns, and it validates them — never panic.
+func TestCorruptLegacyStoreFailsOpen(t *testing.T) {
+	for name, corrupt := range map[string]func(offsets []byte){
+		"offset past the postings": func(b []byte) { binary.LittleEndian.PutUint64(b[8:], 1<<40) },
+		"negative offset":          func(b []byte) { binary.LittleEndian.PutUint64(b[8:], ^uint64(0)) },
+		"non-monotone offsets":     func(b []byte) { copy(b[8:16], b[len(b)-8:]) },
+		"non-zero first offset":    func(b []byte) { binary.LittleEndian.PutUint64(b, 1) },
+	} {
+		dir := filepath.Join(t.TempDir(), "store")
+		copyTree(t, preBlockFixture, dir)
+		path := filepath.Join(dir, "bats", "ImageLibraryInternal_annotation_poststart.g1.tail")
+		offsets, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(offsets)
+		if err := os.WriteFile(path, offsets, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, _, err := OpenPersistent(PersistOptions{Dir: dir})
+		if err == nil {
+			m.ClosePersistent()
+			t.Errorf("%s: corrupt legacy store opened", name)
+		}
+	}
 }
 
 func assertSameHits(t *testing.T, label string, want, got []Hit) {

@@ -81,12 +81,6 @@ type PersistOptions struct {
 	NoMmap  bool   // force the portable (copying) load path
 	Budget  int64  // pool byte budget for clean unpinned BATs; 0 = unlimited
 
-	// StoreCodec selects the postings segment layout ("block" or "raw";
-	// empty = block). A store recovered in the other layout is converted
-	// in memory during open — the conversion is lossless both ways and
-	// persists at the next checkpoint.
-	StoreCodec string
-
 	// ShardIndex/ShardCount declare the store a member of a sharded
 	// layout (ShardCount > 0). A fresh store is stamped with them; an
 	// existing store must have been built with the same identity —
@@ -339,6 +333,15 @@ func buildFromBATs(bats map[string]*bat.BAT, extra map[string]string) (*Mirror, 
 		db.PutBAT(name, b)
 	}
 	db.SyncAfterLoad()
+	// A checkpoint written before the block codec holds raw-layout
+	// postings segments: re-encode them as blocks before anything (WAL
+	// replay, refresh, the planner) meets them. In memory only — the next
+	// checkpoint persists the upgrade.
+	for _, prefix := range contrepPrefixes {
+		if err := ir.UpgradeRawSegments(db, prefix); err != nil {
+			return nil, fmt.Errorf("core: postings layout upgrade (%s): %w", prefix, err)
+		}
+	}
 
 	m := &Mirror{
 		DB:           db,
@@ -422,15 +425,13 @@ type RecoveryStats struct {
 // OpenPersistent opens (or initialises) a durable Mirror store: the
 // last checkpoint is loaded through the BAT buffer pool — zero-copy on
 // linux — and the WAL tail is replayed on top, restoring every insert
-// and feedback event since that checkpoint. The returned Mirror keeps
-// the pool and WAL open; call Checkpoint to flush changed BATs and
-// truncate the WAL, and ClosePersistent on shutdown.
+// and feedback event since that checkpoint. A checkpoint in the legacy
+// raw postings layout (manifest v2) is upgraded to block segments in
+// memory on the way (buildFromBATs). The returned Mirror keeps the pool and WAL open;
+// call Checkpoint to flush changed BATs and truncate the WAL, and
+// ClosePersistent on shutdown.
 func OpenPersistent(opts PersistOptions) (*Mirror, RecoveryStats, error) {
 	var stats RecoveryStats
-	codec, err := ir.CodecFromString(opts.StoreCodec)
-	if err != nil {
-		return nil, stats, err
-	}
 	pool, err := storage.OpenOrCreate(opts.Dir, storage.Options{
 		Verify: opts.Verify, NoMmap: opts.NoMmap, Budget: opts.Budget,
 	})
@@ -464,10 +465,6 @@ func OpenPersistent(opts PersistOptions) (*Mirror, RecoveryStats, error) {
 		}
 	}
 	stats.BATs = len(names)
-
-	// Register the postings codec before WAL replay: replayed publishes
-	// derive their delta segments in it.
-	ir.SetStoreCodec(m.DB, codec)
 
 	// Shard identity: stamp a fresh store, verify an existing one. The
 	// layout is a stored property of the manifest — a store only ever
@@ -525,10 +522,7 @@ func OpenPersistent(opts PersistOptions) (*Mirror, RecoveryStats, error) {
 	// publish.
 	if m.indexed && !m.deferredDelta {
 		m.mu.Lock()
-		perr := m.ensureCodecLocked()
-		if perr == nil {
-			perr = m.publishEpochLocked()
-		}
+		perr := m.publishEpochLocked()
 		m.mu.Unlock()
 		if perr != nil {
 			pool.Close()

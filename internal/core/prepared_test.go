@@ -17,7 +17,7 @@ import (
 // call afterwards) must equal, BUN-for-BUN and ties included, the answer
 // of a plan compiled from scratch against the same snapshot — across
 // publishes that change what the lowering emits (segment count 1 → n →
-// merged, raw ↔ block codec), on single stores and on sharded engines.
+// merged), on single stores and on sharded engines.
 
 // freshTopK answers like ep.queryTopK with a plan compiled from scratch: a
 // new engine over the epoch's snapshot has an empty plan cache.
@@ -130,18 +130,6 @@ func TestPreparedEqualsFreshSingleStore(t *testing.T) {
 		if !grew || !merged {
 			t.Fatalf("round %d: segment list never grew (%v) or never merged (%v)", round, grew, merged)
 		}
-
-		// Codec switches rewrite the stored layout at the next publish:
-		// the plan's physical operator and its column list change.
-		for _, codec := range []string{"raw", "block"} {
-			if err := m.SetStoreCodec(codec); err != nil {
-				t.Fatal(err)
-			}
-			add(2 + rng.Intn(3))
-			refreshStub(t, m)
-			storeCodecOf(t, m, codec)
-			check("codec " + codec)
-		}
 	}
 }
 
@@ -193,15 +181,6 @@ func TestPreparedEqualsFreshSharded(t *testing.T) {
 			add(6)
 			engineRefreshStub(t, e)
 			check(fmt.Sprintf("refresh %d", i))
-		}
-		for _, codec := range []string{"raw", "block"} {
-			if err := e.SetStoreCodec(codec); err != nil {
-				t.Fatal(err)
-			}
-			add(6)
-			engineRefreshStub(t, e)
-			storeCodecOf(t, e, codec)
-			check("codec " + codec)
 		}
 	}
 }

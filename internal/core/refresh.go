@@ -108,20 +108,6 @@ func (m *Mirror) covered() int {
 	return m.coveredLocked()
 }
 
-// ensureCodecLocked converts every CONTREP's segments to the database's
-// registered postings codec — the in-memory half of a -store-codec
-// switch on an existing store (the next checkpoint persists it). The
-// conversion is lossless both ways, so a no-op when layouts already
-// match. Callers hold m.mu (write).
-func (m *Mirror) ensureCodecLocked() error {
-	for _, prefix := range contrepPrefixes {
-		if err := ir.EnsureCodec(m.DB, prefix); err != nil {
-			return fmt.Errorf("core: postings codec conversion (%s): %w", prefix, err)
-		}
-	}
-	return nil
-}
-
 // finishDeferredDelta completes a shard's structurally replayed publish
 // records: the engine has re-registered the global statistics overrides
 // and unioned the vocabulary, so segment derivation and belief
@@ -131,9 +117,6 @@ func (m *Mirror) ensureCodecLocked() error {
 func (m *Mirror) finishDeferredDelta() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if err := m.ensureCodecLocked(); err != nil {
-		return err
-	}
 	for _, prefix := range contrepPrefixes {
 		if ir.SegmentCount(m.DB, prefix) == 0 {
 			if err := ir.EnsureSegmented(m.DB, prefix); err != nil {
@@ -215,9 +198,6 @@ func (m *Mirror) applyDeltaLocked(urls []string, words map[string][]string, annV
 			if err := ir.EnsureSegmented(m.DB, prefix); err != nil {
 				return nil, err
 			}
-		}
-		if err := m.ensureCodecLocked(); err != nil {
-			return nil, err
 		}
 	}
 	base := m.coveredLocked()

@@ -934,17 +934,6 @@ func (e *ShardedEngine) ThetaMemoStats() ThetaMemoStats {
 	return e.thetaMemo.Load().stats()
 }
 
-// SetStoreCodec selects the postings segment layout every shard uses for
-// newly derived, merged or rewritten segments ("block"/"raw"; "" = block).
-func (e *ShardedEngine) SetStoreCodec(name string) error {
-	for _, sh := range e.shards {
-		if err := sh.SetStoreCodec(name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // PostingsStats reports every shard's postings footprint in the serving
 // engine epoch, the plan-cache counters summed over its shard engines,
 // plus the process-wide block-scan counters.
@@ -1124,11 +1113,10 @@ type ShardedPersistOptions struct {
 	Dir    string // store root; shards live in Dir/shard-NNN
 	Shards int    // shard count; 0 = reopen with the stored layout
 	// Per-shard pool/WAL knobs, identical to PersistOptions.
-	WALSync    bool
-	Verify     bool
-	NoMmap     bool
-	Budget     int64  // total byte budget, split evenly across shards
-	StoreCodec string // postings segment layout ("block"/"raw"; empty = block)
+	WALSync bool
+	Verify  bool
+	NoMmap  bool
+	Budget  int64 // total byte budget, split evenly across shards
 }
 
 // ShardRecoveryStats aggregates per-shard recovery.
@@ -1197,7 +1185,6 @@ func OpenShardedPersistent(opts ShardedPersistOptions) (*ShardedEngine, ShardRec
 				Verify:     opts.Verify,
 				NoMmap:     opts.NoMmap,
 				Budget:     opts.Budget / int64(n),
-				StoreCodec: opts.StoreCodec,
 				ShardIndex: i,
 				ShardCount: n,
 			})

@@ -12,9 +12,8 @@ import (
 
 // TestDistributedPreparedEqualsFresh: behind the router every shard leg
 // runs on a shard member's epoch engine, i.e. on cached plans after the
-// epoch's first query. Across a build, a refresh (one more segment per
-// member) and a raw ↔ block codec switch, every routed answer — asked
-// twice, so the repeat is served by warm plans on both members — must
+// epoch's first query. Across a build and a refresh (one more segment
+// per member), every routed answer — asked twice, so the repeat is served by warm plans on both members — must
 // equal, ties included, what a from-scratch plan computes over a single
 // store holding the same documents.
 func TestDistributedPreparedEqualsFresh(t *testing.T) {
@@ -102,22 +101,4 @@ func TestDistributedPreparedEqualsFresh(t *testing.T) {
 	ingest(4)
 	refresh()
 	check("refresh")
-
-	for _, codec := range []string{"raw", "block"} {
-		for _, m := range append([]*core.Mirror{single}, c.primaries...) {
-			if err := m.SetStoreCodec(codec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		ingest(4)
-		refresh()
-		for i, m := range c.primaries {
-			for _, pi := range m.PostingsStats().Stores {
-				if pi.Segments > 0 && pi.Codec != codec {
-					t.Fatalf("shard %d %s stored as %q after switching to %q", i, pi.Prefix, pi.Codec, codec)
-				}
-			}
-		}
-		check("codec " + codec)
-	}
 }

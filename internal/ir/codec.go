@@ -2,86 +2,27 @@ package ir
 
 import (
 	"fmt"
-	"sync"
 
 	"mirror/internal/bat"
 	"mirror/internal/moa"
 )
 
-// Postings codec selection.
+// Postings segment storage.
 //
-// A derived postings segment is stored in one of two layouts:
+// A derived postings segment is stored block-compressed:
+// _poststart/_blkstart/_blkdir/_blkdoc/_blkbdir/_blkbel/_maxbel — fixed-
+// size blocks of delta-compressed doc ids + term frequencies and
+// dictionary-coded beliefs, with per-block upward-quantized max-belief
+// bounds (bat/postcodec.go). The beliefs survive bit-exact and _maxbel is
+// the exact per-term maximum. Segment build, merge and refinalize write
+// only this layout, and the scan (bat.PrunedTopKSegs) reads only it.
 //
-//	raw    _poststart/_postdoc/_posttf/_postbel/_maxbel — three 8-byte
-//	       columns per posting, the layout every store used before the
-//	       block codec existed.
-//	block  _poststart/_blkstart/_blkdir/_blkdoc/_blkbdir/_blkbel/_maxbel
-//	       — fixed-size blocks of delta-compressed doc ids + term
-//	       frequencies and dictionary-coded beliefs, with per-block
-//	       upward-quantized max-belief bounds (bat/postcodec.go). The
-//	       beliefs themselves survive bit-exact, and _maxbel stays the
-//	       exact per-term maximum, so pruned results are BUN-for-BUN
-//	       identical between the layouts; only footprint and the scan's
-//	       block-skipping differ.
-//
-// The codec is chosen per database (the -store-codec flag in the
-// daemons) and registered here, like the GlobalStats override: segment
-// build, merge and the EnsureCodec upgrade consult the registry. The
-// default is the block codec.
-
-// Codec selects the storage layout of derived postings segments.
-type Codec int
-
-const (
-	// CodecBlock is the block-compressed layout (the default).
-	CodecBlock Codec = iota
-	// CodecRaw is the uncompressed 8-byte-per-field layout.
-	CodecRaw
-)
-
-func (c Codec) String() string {
-	if c == CodecRaw {
-		return "raw"
-	}
-	return "block"
-}
-
-// CodecFromString parses a -store-codec flag value.
-func CodecFromString(s string) (Codec, error) {
-	switch s {
-	case "block", "":
-		return CodecBlock, nil
-	case "raw":
-		return CodecRaw, nil
-	}
-	return CodecBlock, fmt.Errorf("ir: unknown postings codec %q (want block or raw)", s)
-}
-
-var (
-	codecMu  sync.Mutex
-	codecReg = map[*moa.Database]Codec{}
-)
-
-// SetStoreCodec registers the postings codec newly built or merged
-// segments of this database use. Existing segments are not rewritten;
-// call EnsureCodec for that.
-func SetStoreCodec(db *moa.Database, c Codec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	if c == CodecBlock {
-		delete(codecReg, db) // the default needs no entry
-		return
-	}
-	codecReg[db] = c
-}
-
-// StoreCodec reports the registered codec for the database (CodecBlock
-// unless overridden).
-func StoreCodec(db *moa.Database) Codec {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	return codecReg[db]
-}
+// Stores checkpointed before the block codec existed hold the legacy raw
+// layout instead — _poststart/_postdoc/_posttf/_postbel/_maxbel, three
+// 8-byte columns per posting. That layout is a read-once input: every
+// open runs UpgradeRawSegments, which decodes it (readSegData's legacy
+// branch, the only raw code left) and re-encodes it as blocks; the next
+// checkpoint persists the upgrade. Nothing writes it any more.
 
 // segIsBlock reports whether segment slot s is stored block-compressed.
 func segIsBlock(a dbAccess, prefix string, slot int) bool {
@@ -107,8 +48,8 @@ func segBlockView(a dbAccess, prefix string, slot int) (*bat.BlockPostings, erro
 	return bp, nil
 }
 
-// segData is one segment's postings, decoded to flat arrays — the
-// layout-independent form the merge and the codec converters work on.
+// segData is one segment's postings, decoded to flat arrays — the form
+// the merge and the legacy upgrade work on.
 type segData struct {
 	starts []int64
 	docs   []bat.OID
@@ -117,147 +58,132 @@ type segData struct {
 	maxb   []float64
 }
 
-// readSegData decodes slot s of either layout into flat arrays. withBel
-// false skips the belief columns (structure-only callers).
-func readSegData(a dbAccess, prefix string, slot int, withBel bool) (*segData, error) {
-	if segIsBlock(a, prefix, slot) {
-		bp, err := segBlockView(a, prefix, slot)
-		if err != nil {
-			return nil, err
-		}
-		nt := bp.NTerms()
-		np := 0
-		if nt > 0 {
-			_, np = bp.TermRange(nt - 1)
-		}
-		sd := &segData{
-			starts: make([]int64, nt+1),
-			docs:   make([]bat.OID, 0, np),
-			tfs:    make([]int64, 0, np),
-		}
-		if withBel {
-			sd.bels = make([]float64, 0, np)
-			sd.maxb = make([]float64, nt)
-		}
-		var docBuf [bat.PostingsBlockSize]bat.OID
-		var tfBuf [bat.PostingsBlockSize]int64
-		var belBuf [bat.PostingsBlockSize]float64
-		var dictBuf []float64
-		for t := 0; t < nt; t++ {
-			sd.starts[t] = int64(len(sd.docs))
-			blo, bhi := bp.TermBlocks(t)
-			var dict []float64
-			var dictOff int64
-			if withBel && bhi > blo {
-				if dict, dictOff, err = bp.TermDict(t, dictBuf); err != nil {
-					return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
-				}
-				dictBuf = dict
-			}
-			for b := blo; b < bhi; b++ {
-				n, err := bp.DecodeDocBlock(t, b, docBuf[:], tfBuf[:])
-				if err != nil {
-					return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
-				}
-				sd.docs = append(sd.docs, docBuf[:n]...)
-				sd.tfs = append(sd.tfs, tfBuf[:n]...)
-				if withBel {
-					if err := bp.DecodeBelBlock(t, b, dict, dictOff, belBuf[:n]); err != nil {
-						return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
-					}
-					sd.bels = append(sd.bels, belBuf[:n]...)
-				}
-			}
-			if withBel {
-				sd.maxb[t] = bp.MaxBelief(t)
-			}
-		}
-		sd.starts[nt] = int64(len(sd.docs))
-		return sd, nil
+// readSegData decodes slot s into flat arrays.
+func readSegData(a dbAccess, prefix string, slot int) (*segData, error) {
+	if !segIsBlock(a, prefix, slot) {
+		return readLegacyRawSeg(a, prefix, slot)
 	}
-
-	startB, ok1 := a.get(SegColumn(prefix, slot, "_poststart"))
-	docB, ok2 := a.get(SegColumn(prefix, slot, "_postdoc"))
-	tfB, ok3 := a.get(SegColumn(prefix, slot, "_posttf"))
-	if !ok1 || !ok2 || !ok3 {
-		return nil, fmt.Errorf("ir: %s: segment %d lost its structure", prefix, slot)
+	bp, err := segBlockView(a, prefix, slot)
+	if err != nil {
+		return nil, err
+	}
+	nt := bp.NTerms()
+	np := 0
+	if nt > 0 {
+		_, np = bp.TermRange(nt - 1)
 	}
 	sd := &segData{
-		starts: append([]int64(nil), startB.Tail.Ints()...),
-		docs:   docB.Tail.OIDs(),
-		tfs:    tfB.Tail.Ints(),
+		starts: make([]int64, nt+1),
+		docs:   make([]bat.OID, 0, np),
+		tfs:    make([]int64, 0, np),
+		bels:   make([]float64, 0, np),
+		maxb:   make([]float64, nt),
 	}
-	if withBel {
-		belB, ok4 := a.get(SegColumn(prefix, slot, "_postbel"))
-		maxbB, ok5 := a.get(SegColumn(prefix, slot, "_maxbel"))
-		if !ok4 || !ok5 {
-			return nil, fmt.Errorf("ir: %s: segment %d has no beliefs (refinalize first)", prefix, slot)
+	var docBuf [bat.PostingsBlockSize]bat.OID
+	var tfBuf [bat.PostingsBlockSize]int64
+	var belBuf [bat.PostingsBlockSize]float64
+	var dictBuf []float64
+	for t := 0; t < nt; t++ {
+		sd.starts[t] = int64(len(sd.docs))
+		blo, bhi := bp.TermBlocks(t)
+		var dict []float64
+		var dictOff int64
+		if bhi > blo {
+			if dict, dictOff, err = bp.TermDict(t, dictBuf); err != nil {
+				return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
+			}
+			dictBuf = dict
 		}
-		sd.bels = belB.Tail.Floats()
-		sd.maxb = maxbB.Tail.Floats()
+		for b := blo; b < bhi; b++ {
+			n, err := bp.DecodeDocBlock(t, b, docBuf[:], tfBuf[:])
+			if err != nil {
+				return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
+			}
+			sd.docs = append(sd.docs, docBuf[:n]...)
+			sd.tfs = append(sd.tfs, tfBuf[:n]...)
+			if err := bp.DecodeBelBlock(t, b, dict, dictOff, belBuf[:n]); err != nil {
+				return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
+			}
+			sd.bels = append(sd.bels, belBuf[:n]...)
+		}
+		sd.maxb[t] = bp.MaxBelief(t)
+	}
+	sd.starts[nt] = int64(len(sd.docs))
+	return sd, nil
+}
+
+// readLegacyRawSeg reads slot s of a pre-block-codec store: the five raw
+// columns straight off disk. Nothing else validates them (CRC
+// verification is optional and proves bytes, not structure), and the
+// merge and the encoder slice by these offsets, so kinds, lengths and
+// offsets are checked here: a corrupt legacy store is an error at open,
+// never a panic. (A run that is not document-ascending is caught by the
+// encoder every consumer of this data ends in.)
+func readLegacyRawSeg(a dbAccess, prefix string, slot int) (*segData, error) {
+	var cols [5]*bat.BAT
+	for i, c := range []struct {
+		suffix string
+		kind   bat.Kind
+	}{
+		{"_poststart", bat.KindInt}, {"_postdoc", bat.KindOID}, {"_posttf", bat.KindInt},
+		{"_postbel", bat.KindFloat}, {"_maxbel", bat.KindFloat},
+	} {
+		b, ok := a.get(SegColumn(prefix, slot, c.suffix))
+		if !ok {
+			return nil, fmt.Errorf("ir: %s: segment %d lost %s", prefix, slot, c.suffix)
+		}
+		if b.Tail.Kind() != c.kind {
+			return nil, fmt.Errorf("ir: %s: segment %d: %s tail is %s, want %s", prefix, slot, c.suffix, b.Tail.Kind(), c.kind)
+		}
+		cols[i] = b
+	}
+	sd := &segData{
+		// copied: the encoder adopts the offsets as the new _poststart,
+		// and these may be a read-only mapping of the checkpoint file
+		starts: append([]int64(nil), cols[0].Tail.Ints()...),
+		docs:   cols[1].Tail.OIDs(),
+		tfs:    cols[2].Tail.Ints(),
+		bels:   cols[3].Tail.Floats(),
+		maxb:   cols[4].Tail.Floats(),
+	}
+	if err := bat.CheckPostingOffsets(sd.starts, len(sd.docs)); err != nil {
+		return nil, fmt.Errorf("ir: %s: segment %d: %w", prefix, slot, err)
+	}
+	if len(sd.tfs) != len(sd.docs) || len(sd.bels) != len(sd.docs) || len(sd.maxb) != len(sd.starts)-1 {
+		return nil, fmt.Errorf("ir: %s: segment %d: legacy postings misaligned (%d docs, %d tfs, %d beliefs; %d bounds for %d terms)",
+			prefix, slot, len(sd.docs), len(sd.tfs), len(sd.bels), len(sd.maxb), len(sd.starts)-1)
 	}
 	return sd, nil
 }
 
-// writeSegData stores flat postings arrays as slot s in the requested
-// codec, deleting the other layout's columns at that slot so converted
-// or merged slots never carry stale twins. sd.bels/sd.maxb may be nil
-// for structure-only writes (the block layout then gets zero-belief
-// placeholders so the segment stays loadable; RefinalizeSegments
+// writeSegData stores flat postings arrays as slot s, deleting any legacy
+// raw columns at that slot so upgraded or merged slots never carry stale
+// twins. sd.bels may be nil for a structure-only write (the segment then
+// gets zero-belief placeholders so it stays loadable; RefinalizeSegments
 // overwrites them before the segment serves queries).
-func writeSegData(a dbAccess, prefix string, slot int, c Codec, sd *segData) error {
-	nt := len(sd.starts) - 1
-	if c == CodecRaw {
-		a.put(SegColumn(prefix, slot, "_poststart"), adoptDense(bat.ColumnOfInts(sd.starts)))
-		a.put(SegColumn(prefix, slot, "_postdoc"), adoptDense(bat.ColumnOfOIDs(sd.docs)))
-		a.put(SegColumn(prefix, slot, "_posttf"), adoptDense(bat.ColumnOfInts(sd.tfs)))
-		if sd.bels != nil {
-			a.put(SegColumn(prefix, slot, "_postbel"), adoptDense(bat.ColumnOfFloats(sd.bels)))
-			a.put(SegColumn(prefix, slot, "_maxbel"), adoptDense(bat.ColumnOfFloats(sd.maxb)))
-		}
-		for _, suffix := range blockOnlySuffixes {
-			a.del(SegColumn(prefix, slot, suffix))
-		}
-		return nil
+func writeSegData(a dbAccess, prefix string, slot int, sd *segData) error {
+	seg, err := bat.EncodeBlockSegment(sd.starts, sd.docs, sd.tfs, sd.bels)
+	if err != nil {
+		return fmt.Errorf("ir: %s: segment %d: %w", prefix, slot, err)
 	}
-	enc := bat.NewBlockPostingsEncoder(nt)
-	bele := bat.NewBlockBeliefsEncoder()
-	maxb := make([]float64, nt)
-	var zeros []float64
-	for t := 0; t < nt; t++ {
-		lo, hi := sd.starts[t], sd.starts[t+1]
-		if err := enc.AddTerm(sd.docs[lo:hi], sd.tfs[lo:hi]); err != nil {
-			return fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
-		}
-		bels := zeros
-		if sd.bels != nil {
-			bels = sd.bels[lo:hi]
-		} else {
-			for int64(len(zeros)) < hi-lo {
-				zeros = append(zeros, 0)
-			}
-			bels = zeros[:hi-lo]
-		}
-		maxb[t] = bele.AddTerm(bels)
-	}
-	a.put(SegColumn(prefix, slot, "_poststart"), adoptDense(bat.ColumnOfInts(sd.starts)))
-	a.put(SegColumn(prefix, slot, "_blkstart"), adoptDense(bat.ColumnOfInts(enc.BlkStart)))
-	a.put(SegColumn(prefix, slot, "_blkdir"), adoptDense(bat.ColumnOfInts(enc.BlkDir)))
-	a.put(SegColumn(prefix, slot, "_blkdoc"), adoptDense(bat.ColumnOfBytes(enc.Data)))
-	a.put(SegColumn(prefix, slot, "_blkbdir"), adoptDense(bat.ColumnOfInts(bele.BelDir)))
-	a.put(SegColumn(prefix, slot, "_blkbel"), adoptDense(bat.ColumnOfBytes(bele.Data)))
-	a.put(SegColumn(prefix, slot, "_maxbel"), adoptDense(bat.ColumnOfFloats(maxb)))
-	for _, suffix := range rawOnlySuffixes {
+	a.put(SegColumn(prefix, slot, "_poststart"), seg.Start)
+	a.put(SegColumn(prefix, slot, "_blkstart"), seg.BlkStart)
+	a.put(SegColumn(prefix, slot, "_blkdir"), seg.BlkDir)
+	a.put(SegColumn(prefix, slot, "_blkdoc"), seg.BlkDoc)
+	a.put(SegColumn(prefix, slot, "_blkbdir"), seg.BlkBDir)
+	a.put(SegColumn(prefix, slot, "_blkbel"), seg.BlkBel)
+	a.put(SegColumn(prefix, slot, "_maxbel"), seg.MaxBel)
+	for _, suffix := range legacyRawSuffixes {
 		a.del(SegColumn(prefix, slot, suffix))
 	}
 	return nil
 }
 
-// refinalizeBlockSegment recomputes a block segment's beliefs under the
+// refinalizeBlockSegment recomputes a segment's beliefs under the
 // (possibly overridden) collection statistics: the immutable doc/tf
-// blocks are decoded, per-posting beliefs recomputed with the exact
-// arithmetic of the raw path, and only _blkbdir/_blkbel/_maxbel are
-// rewritten — the structure columns never change after build.
+// blocks are decoded, per-posting beliefs recomputed, and only
+// _blkbdir/_blkbel/_maxbel are rewritten — the structure columns never
+// change after build.
 func refinalizeBlockSegment(a dbAccess, prefix string, slot int, dlenOf map[bat.OID]int64, avgdl float64, df []int64, n int) error {
 	bp, err := segBlockView(a, prefix, slot)
 	if err != nil {
@@ -293,30 +219,27 @@ func refinalizeBlockSegment(a dbAccess, prefix string, slot int, dlenOf map[bat.
 	return nil
 }
 
-// EnsureCodec rewrites every existing segment of the CONTREP into the
-// database's registered codec (a no-op for segments already there, and
-// for stores that predate segmentation — EnsureSegmented runs first).
-// Beliefs are copied bit-exact in both directions, so converted stores
-// answer queries hit-for-hit identically; only footprint changes. The
-// one-shot conversion mirrors EnsureSegmented: opening an old raw store
-// under the default block codec upgrades it in place, and the next
-// Checkpoint persists the converted layout.
-func EnsureCodec(db *moa.Database, prefix string) error {
+// UpgradeRawSegments re-encodes every legacy raw-layout segment of the
+// CONTREP as a block segment (a no-op for block segments, and for stores
+// that predate segmentation — EnsureSegmented rebuilds those from the
+// pair columns). Beliefs are copied bit-exact, so an upgraded store
+// answers queries hit-for-hit identically. core runs it on every loaded
+// checkpoint; the next Checkpoint persists the result.
+func UpgradeRawSegments(db *moa.Database, prefix string) error {
 	a := access(db)
-	target := StoreCodec(db)
 	sd, ok := readSegDir(a, prefix)
 	if !ok {
 		return nil
 	}
 	for s := 0; s < sd.count(); s++ {
-		if segIsBlock(a, prefix, s) == (target == CodecBlock) {
+		if segIsBlock(a, prefix, s) {
 			continue
 		}
-		data, err := readSegData(a, prefix, s, true)
+		data, err := readLegacyRawSeg(a, prefix, s)
 		if err != nil {
 			return err
 		}
-		if err := writeSegData(a, prefix, s, target, data); err != nil {
+		if err := writeSegData(a, prefix, s, data); err != nil {
 			return err
 		}
 	}
@@ -324,13 +247,14 @@ func EnsureCodec(db *moa.Database, prefix string) error {
 }
 
 // PostingsFootprint sums the storage of a CONTREP's derived postings
-// columns across segments, next to what the raw layout would occupy —
-// the compression ratio the block codec actually achieves on this store.
+// columns across segments, next to the analytic size of the same postings
+// at 8 bytes per field — the compression ratio the block codec achieves
+// on this store.
 type PostingsFootprint struct {
 	Segments int
 	Postings int64 // total postings across segments
 	Bytes    int64 // resident bytes of the derived postings columns
-	RawBytes int64 // the same postings in the raw 8-byte-per-field layout
+	RawBytes int64 // computed, not stored: 8·(nt+1) offsets + 8·nt bounds + 24 per posting (doc, tf, belief)
 }
 
 // Footprint reports the postings footprint of one CONTREP. Zero value
@@ -354,21 +278,19 @@ func Footprint(db *moa.Database, prefix string) PostingsFootprint {
 			np = startB.Tail.IntAt(startB.Len() - 1)
 		}
 		fp.Postings += np
-		// raw layout: start + maxbel + 8-byte doc/tf/bel per posting
 		fp.RawBytes += 8*(nt+1) + 8*nt + 24*np
-		suffixes := rawOnlySuffixes
-		if segIsBlock(a, prefix, s) {
-			suffixes = blockOnlySuffixes
-		}
-		fp.Bytes += startB.MemBytes()
-		if b, ok := a.get(SegColumn(prefix, s, "_maxbel")); ok {
-			fp.Bytes += b.MemBytes()
-		}
-		for _, suffix := range suffixes {
-			if b, ok := a.get(SegColumn(prefix, s, suffix)); ok {
-				fp.Bytes += b.MemBytes()
-			}
-		}
+		fp.Bytes += segBytes(a, prefix, s)
 	}
 	return fp
+}
+
+// segBytes sums the resident bytes of slot s's seven postings columns.
+func segBytes(a dbAccess, prefix string, slot int) int64 {
+	var n int64
+	for _, suffix := range blockSegSuffixes {
+		if b, ok := a.get(SegColumn(prefix, slot, suffix)); ok {
+			n += b.MemBytes()
+		}
+	}
+	return n
 }

@@ -28,11 +28,17 @@ import (
 //	                                     the physical getbl operator probes
 //	prefix_poststart [termOID(void),int] term-ordered postings offsets
 //	                                     (derived), nterms+1 entries
-//	prefix_postdoc  [void, ownerOID]     postings re-sorted by (term, doc)
-//	prefix_postbel  [void, flt]          beliefs aligned with _postdoc
+//	prefix_blk…                          the postings re-sorted by (term,
+//	                                     doc) with their tfs and beliefs,
+//	                                     block-compressed: _blkstart,
+//	                                     _blkdir, _blkdoc, _blkbdir,
+//	                                     _blkbel (derived; codec.go)
 //	prefix_maxbel   [termOID(void), flt] per-term maximum belief — the
 //	                                     upper bound driving max-score
 //	                                     pruned top-k retrieval
+//
+// The term-ordered columns exist once per index segment (segment.go);
+// slot 0 carries the names above.
 //
 // The structure registers the query functions getBL (per-term beliefs, the
 // paper's operator) and getBLScore (the sum∘getBL fusion target, which
@@ -250,7 +256,7 @@ func (c *Contrep) Finalize(db *moa.Database, prefix string) error {
 	a := accessLocked(db)
 	dropSegments(a, prefix)
 	writeSegDir(a, prefix, &segDir{})
-	if _, err := appendSegment(a, db, prefix); err != nil {
+	if _, err := appendSegment(a, prefix); err != nil {
 		return err
 	}
 	return refinalizeSegments(a, db, prefix)
@@ -436,27 +442,12 @@ func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []
 	// indexing splits the derived representation into segments — slot 0
 	// keeps the canonical names, delta slots are suffixed _seg<s> — so the
 	// emitted scan enumerates whatever segment list this database (a
-	// published epoch snapshot) holds. A segment is stored in one of two
-	// codecs (_blkdoc present = block-compressed, else raw); the pruned
-	// operators take one layout uniformly, so a mixed-codec store — a
-	// transient state mid-EnsureCodec — keeps the exhaustive plan, which
-	// is always safe.
-	blkLayout := tr.HasBAT(sr.Prefix + "_blkdoc")
-	rawSuffixes := []string{"_poststart", "_postdoc", "_postbel", "_maxbel"}
-	segSuffixes := rawSuffixes
-	if blkLayout {
-		segSuffixes = blockSegSuffixes
-	}
-	for _, suffix := range segSuffixes {
-		if !tr.HasBAT(sr.Prefix + suffix) {
-			return nil, moa.ErrNoPrunedForm
-		}
-	}
-	nsegs := 1
-	for tr.HasBAT(SegColumn(sr.Prefix, nsegs, "_poststart")) {
-		for _, suffix := range segSuffixes {
+	// published epoch snapshot) holds, seven block-layout columns each.
+	nsegs := 0
+	for nsegs == 0 || tr.HasBAT(SegColumn(sr.Prefix, nsegs, "_poststart")) {
+		for _, suffix := range blockSegSuffixes {
 			if !tr.HasBAT(SegColumn(sr.Prefix, nsegs, suffix)) {
-				return nil, moa.ErrNoPrunedForm // half-published or mixed-codec slot
+				return nil, moa.ErrNoPrunedForm // no derived columns, or a half-published slot
 			}
 		}
 		nsegs++
@@ -465,30 +456,13 @@ func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []
 	if err != nil {
 		return nil, err
 	}
-	var pk string
-	switch {
-	case blkLayout:
-		args := []mil.Expr{mil.R(q), mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar)}
-		for s := 0; s < nsegs; s++ {
-			for _, suffix := range blockSegSuffixes {
-				args = append(args, mil.R(SegColumn(sr.Prefix, s, suffix)))
-			}
+	args := []mil.Expr{mil.R(q), mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar)}
+	for s := 0; s < nsegs; s++ {
+		for _, suffix := range blockSegSuffixes {
+			args = append(args, mil.R(SegColumn(sr.Prefix, s, suffix)))
 		}
-		pk = tr.Emit("pk", mil.C("prunedtopkblk", args...))
-	case nsegs == 1:
-		pk = tr.Emit("pk", mil.C("prunedtopk",
-			mil.R(sr.Prefix+"_poststart"), mil.R(sr.Prefix+"_postdoc"),
-			mil.R(sr.Prefix+"_postbel"), mil.R(sr.Prefix+"_maxbel"),
-			mil.R(q), mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar)))
-	default:
-		args := []mil.Expr{mil.R(q), mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar)}
-		for s := 0; s < nsegs; s++ {
-			for _, suffix := range rawSuffixes {
-				args = append(args, mil.R(SegColumn(sr.Prefix, s, suffix)))
-			}
-		}
-		pk = tr.Emit("pk", mil.C("prunedtopkseg", args...))
 	}
+	pk := tr.Emit("pk", mil.C("prunedtopk", args...))
 	dom := tr.Emit("pkd", mil.C("mirror", mil.R(pk)))
 	return &moa.SetVal{
 		DomainVar: dom,

@@ -24,15 +24,16 @@ import (
 //	                             (unsuffixed) derived names, so stores
 //	                             written before segmentation read as a
 //	                             single segment
-//	prefix_seg<s>_poststart …    slots s ≥ 1: _poststart/_postdoc/
-//	                             _posttf/_postbel/_maxbel per segment
+//	prefix_seg<s>_poststart …    slots s ≥ 1: the seven block-layout
+//	                             columns per segment (codec.go)
 //
-// _posttf (term frequencies aligned with _postdoc) is what makes belief
-// recomputation independent of segment *structure*: when collection
-// statistics move (every delta publish moves df/N/avgdl, and exactness
-// demands all beliefs reflect the new statistics), only the _postbel/
-// _maxbel float columns are rewritten — the counting sort that built
-// _poststart/_postdoc/_posttf is never repeated for old segments.
+// The term frequencies stored beside the doc ids in _blkdoc are what
+// makes belief recomputation independent of segment *structure*: when
+// collection statistics move (every delta publish moves df/N/avgdl, and
+// exactness demands all beliefs reflect the new statistics), only the
+// _blkbdir/_blkbel/_maxbel belief columns are rewritten — the counting
+// sort that built _poststart/_blkstart/_blkdir/_blkdoc is never repeated
+// for old segments.
 //
 // Invariants (the segment tests pin them):
 //
@@ -50,16 +51,16 @@ import (
 //
 // A segment's _poststart length records the dictionary size when the
 // segment was derived; terms added later simply have no postings run in
-// older segments (bat's termRange treats out-of-range terms as empty).
+// older segments (the scan treats out-of-range terms as empty).
 
-// Per-segment derived column suffixes. _poststart and _maxbel are shared
-// between the two codecs (exact offsets and exact per-term bounds);
-// the rest belong to exactly one layout (codec.go).
+// Per-segment derived column suffixes: the seven block-layout columns in
+// the prunedtopk builtin's argument order, and the three columns only a legacy
+// raw-layout segment holds (codec.go) — slot moves and drops must clear
+// those too, so an un-upgraded slot never leaves stale twins behind.
 var (
 	blockSegSuffixes  = []string{"_poststart", "_blkstart", "_blkdir", "_blkdoc", "_blkbdir", "_blkbel", "_maxbel"}
-	rawOnlySuffixes   = []string{"_postdoc", "_posttf", "_postbel"}
-	blockOnlySuffixes = []string{"_blkstart", "_blkdir", "_blkdoc", "_blkbdir", "_blkbel"}
-	allSegSuffixes    = []string{"_poststart", "_maxbel", "_postdoc", "_posttf", "_postbel", "_blkstart", "_blkdir", "_blkdoc", "_blkbdir", "_blkbel"}
+	legacyRawSuffixes = []string{"_postdoc", "_posttf", "_postbel"}
+	allSegSuffixes    = append(append([]string(nil), blockSegSuffixes...), legacyRawSuffixes...)
 )
 
 // SegColumn names slot s's derived column for the given canonical suffix
@@ -128,12 +129,11 @@ func writeSegDir(a dbAccess, prefix string, sd *segDir) {
 
 // SegmentStat describes one index segment for introspection.
 type SegmentStat struct {
-	Slot     int    // directory position (0 = oldest)
-	Docs     int    // documents covered (docEnd - previous docEnd)
-	Postings int    // raw postings covered
-	Terms    int    // dictionary size when the segment was derived
-	Codec    string // postings layout: "block" or "raw"
-	Bytes    int64  // resident bytes of the segment's postings columns
+	Slot     int   // directory position (0 = oldest)
+	Docs     int   // documents covered (docEnd - previous docEnd)
+	Postings int   // postings covered
+	Terms    int   // dictionary size when the segment was derived
+	Bytes    int64 // resident bytes of the segment's postings columns
 }
 
 // SegmentStats reports the segment layout of a CONTREP, oldest first; nil
@@ -147,19 +147,9 @@ func SegmentStats(db *moa.Database, prefix string) []SegmentStat {
 	out := make([]SegmentStat, 0, sd.count())
 	prevPair, prevDoc := 0, 0
 	for s := 0; s < sd.count(); s++ {
-		st := SegmentStat{Slot: s, Docs: sd.docEnd[s] - prevDoc, Postings: sd.pairEnd[s] - prevPair, Codec: CodecRaw.String()}
+		st := SegmentStat{Slot: s, Docs: sd.docEnd[s] - prevDoc, Postings: sd.pairEnd[s] - prevPair, Bytes: segBytes(a, prefix, s)}
 		if b, ok := a.get(SegColumn(prefix, s, "_poststart")); ok && b.Len() > 0 {
 			st.Terms = b.Len() - 1
-		}
-		layout := rawOnlySuffixes
-		if segIsBlock(a, prefix, s) {
-			st.Codec = CodecBlock.String()
-			layout = blockOnlySuffixes
-		}
-		for _, suffix := range append([]string{"_poststart", "_maxbel"}, layout...) {
-			if b, ok := a.get(SegColumn(prefix, s, suffix)); ok {
-				st.Bytes += b.MemBytes()
-			}
 		}
 		out = append(out, st)
 		prevPair, prevDoc = sd.pairEnd[s], sd.docEnd[s]
@@ -180,11 +170,11 @@ func SegmentCount(db *moa.Database, prefix string) int {
 // buildSegmentStructure derives slot's postings structure from the raw
 // pair range [pairLo, pairHi): a counting sort by term, each term's run
 // document-ascending (a repair sort runs if a caller ever violated
-// insertion order), stored in the database's registered codec. Beliefs
-// are NOT computed here — they depend on collection statistics and are
-// filled in by RefinalizeSegments (the block layout gets zero-belief
-// placeholders so the segment stays structurally loadable meanwhile).
-func buildSegmentStructure(a dbAccess, db *moa.Database, prefix string, slot, pairLo, pairHi int) error {
+// insertion order). Beliefs are NOT computed here — they depend on
+// collection statistics and are filled in by RefinalizeSegments (the
+// segment gets zero-belief placeholders so it stays structurally
+// loadable meanwhile).
+func buildSegmentStructure(a dbAccess, prefix string, slot, pairLo, pairHi int) error {
 	termB, ok1 := a.get(prefix + "_term")
 	docB, ok2 := a.get(prefix + "_doc")
 	tfB, ok3 := a.get(prefix + "_tf")
@@ -223,7 +213,7 @@ func buildSegmentStructure(a dbAccess, db *moa.Database, prefix string, slot, pa
 			}
 		}
 	}
-	return writeSegData(a, prefix, slot, StoreCodec(db), &segData{starts: starts, docs: postDoc, tfs: postTF})
+	return writeSegData(a, prefix, slot, &segData{starts: starts, docs: postDoc, tfs: postTF})
 }
 
 // sortSegRun repairs one term's (doc, tf) run into document order.
@@ -248,10 +238,10 @@ func sortSegRun(docs []bat.OID, tfs []int64) {
 // The caller must follow up with RefinalizeSegments before serving the
 // new segment (beliefs and statistics are stale until then).
 func AppendSegment(db *moa.Database, prefix string) (bool, error) {
-	return appendSegment(access(db), db, prefix)
+	return appendSegment(access(db), prefix)
 }
 
-func appendSegment(a dbAccess, db *moa.Database, prefix string) (bool, error) {
+func appendSegment(a dbAccess, prefix string) (bool, error) {
 	termB, ok1 := a.get(prefix + "_term")
 	dlenB, ok2 := a.get(prefix + "_dlen")
 	if !ok1 || !ok2 {
@@ -273,7 +263,7 @@ func appendSegment(a dbAccess, db *moa.Database, prefix string) (bool, error) {
 		return false, nil
 	}
 	slot := sd.count()
-	if err := buildSegmentStructure(a, db, prefix, slot, pairLo, pairHi); err != nil {
+	if err := buildSegmentStructure(a, prefix, slot, pairLo, pairHi); err != nil {
 		return false, err
 	}
 	sd.pairEnd = append(sd.pairEnd, pairHi)
@@ -284,7 +274,7 @@ func appendSegment(a dbAccess, db *moa.Database, prefix string) (bool, error) {
 
 // RefinalizeSegments recomputes everything that depends on collection
 // statistics — the _df/_stats columns, the pair-ordered _bel column, and
-// every segment's _postbel/_maxbel — plus the reversed term/dictionary
+// every segment's belief columns — plus the reversed term/dictionary
 // views, honouring a registered GlobalStats override exactly like the
 // monolithic Finalize. Segment structure is left untouched. New derived
 // BATs replace the old wholesale, so a published epoch's frozen views
@@ -371,40 +361,16 @@ func refinalizeSegments(a dbAccess, db *moa.Database, prefix string) error {
 	stats.MustAppend(bat.OID(2), DefaultBelief)
 	stats.MustAppend(bat.OID(3), float64(dict.Len()))
 
-	// Per-segment beliefs and bounds, walking each segment's term runs.
-	// Belief is a pure per-posting function, so these are exactly the
-	// pair-ordered values scattered — no fold-order concern. Block
-	// segments decode their immutable doc/tf blocks and rewrite only the
-	// belief columns (and their upward-quantized per-block bounds); the
-	// structure columns are never re-encoded here.
+	// Per-segment beliefs and bounds. Belief is a pure per-posting
+	// function, so these are exactly the pair-ordered values scattered —
+	// no fold-order concern. Each segment decodes its immutable doc/tf
+	// blocks and rewrites only the belief columns (and their
+	// upward-quantized per-block bounds); the structure columns are never
+	// re-encoded here.
 	for s := 0; s < sd.count(); s++ {
-		if segIsBlock(a, prefix, s) {
-			if err := refinalizeBlockSegment(a, prefix, s, dlenOf, avgdl, df, n); err != nil {
-				return err
-			}
-			continue
+		if err := refinalizeBlockSegment(a, prefix, s, dlenOf, avgdl, df, n); err != nil {
+			return err
 		}
-		startB, ok1 := a.get(SegColumn(prefix, s, "_poststart"))
-		pdocB, ok2 := a.get(SegColumn(prefix, s, "_postdoc"))
-		ptfB, ok3 := a.get(SegColumn(prefix, s, "_posttf"))
-		if !ok1 || !ok2 || !ok3 {
-			return fmt.Errorf("ir: %s: segment %d lost its structure", prefix, s)
-		}
-		np := pdocB.Len()
-		pbel := make([]float64, np)
-		maxb := make([]float64, startB.Len()-1)
-		for t := 0; t+1 < startB.Len(); t++ {
-			lo, hi := startB.Tail.IntAt(t), startB.Tail.IntAt(t+1)
-			for i := lo; i < hi; i++ {
-				b := Belief(int(ptfB.Tail.IntAt(int(i))), int(dlenOf[pdocB.Tail.OIDAt(int(i))]), avgdl, int(df[t]), n)
-				pbel[i] = b
-				if b > maxb[t] {
-					maxb[t] = b
-				}
-			}
-		}
-		a.put(SegColumn(prefix, s, "_postbel"), adoptDense(bat.ColumnOfFloats(pbel)))
-		a.put(SegColumn(prefix, s, "_maxbel"), adoptDense(bat.ColumnOfFloats(maxb)))
 	}
 
 	a.put(prefix+"_df", dfB)
@@ -420,9 +386,8 @@ func refinalizeSegments(a dbAccess, db *moa.Database, prefix string) error {
 // document-ascending, so the merged run is pure per-term concatenation in
 // slot order — beliefs are copied bit-exact, never recomputed (statistics
 // do not move at a merge), and the merged per-term bound is the max of
-// the slot bounds. Input segments may be stored in either codec; the
-// merged segment is written in the database's registered codec. Higher
-// slots shift down; stale slot names are dropped.
+// the slot bounds. Higher slots shift down; stale slot names are
+// dropped.
 func MergeSegments(db *moa.Database, prefix string, lo, hi int) error {
 	a := access(db)
 	sd, ok := readSegDir(a, prefix)
@@ -437,7 +402,7 @@ func MergeSegments(db *moa.Database, prefix string, lo, hi int) error {
 	nt := 0
 	np := int64(0)
 	for s := lo; s < hi; s++ {
-		data, err := readSegData(a, prefix, s, true)
+		data, err := readSegData(a, prefix, s)
 		if err != nil {
 			return fmt.Errorf("ir: %s: segment %d incomplete, cannot merge: %w", prefix, s, err)
 		}
@@ -475,8 +440,8 @@ func MergeSegments(db *moa.Database, prefix string, lo, hi int) error {
 	// Install the merged segment at slot lo, shift survivors down, drop
 	// the now-unused tail slot names, rewrite the directory. The shift
 	// deletes any suffix absent at the source slot so a destination never
-	// keeps the other codec's columns from its previous occupant.
-	if err := writeSegData(a, prefix, lo, StoreCodec(db), merged); err != nil {
+	// keeps a column from its previous occupant.
+	if err := writeSegData(a, prefix, lo, merged); err != nil {
 		return err
 	}
 
@@ -533,7 +498,7 @@ func PickMerge(sizes []int, fanIn int) (lo, hi int, ok bool) {
 
 // EnsureSegmented upgrades a CONTREP whose derived representation
 // predates segmentation (a store checkpointed by an older build): the
-// existing postings become segment 0 (structure re-derived from the raw
+// existing postings become segment 0 (structure re-derived from the pair
 // columns — the old layout lacks _posttf) covering everything so far.
 // No-op when a directory already exists.
 func EnsureSegmented(db *moa.Database, prefix string) error {
@@ -542,7 +507,7 @@ func EnsureSegmented(db *moa.Database, prefix string) error {
 		return nil
 	}
 	writeSegDir(a, prefix, &segDir{})
-	if _, err := appendSegment(a, db, prefix); err != nil {
+	if _, err := appendSegment(a, prefix); err != nil {
 		return err
 	}
 	return refinalizeSegments(a, db, prefix)

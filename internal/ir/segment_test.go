@@ -73,7 +73,7 @@ func assertDerivedEqual(t *testing.T, want, got *moa.Database, prefix, label str
 		dict, _ := db.BAT(prefix + "_dict")
 		out := map[string][]string{}
 		for s := 0; s < maxSeg(db, prefix); s++ {
-			data, err := readSegData(access(db), prefix, s, true)
+			data, err := readSegData(access(db), prefix, s)
 			if err != nil {
 				t.Fatalf("%s: segment %d: %v", label, s, err)
 			}
@@ -243,13 +243,11 @@ func TestMergePolicyBoundedFanIn(t *testing.T) {
 
 // TestEnsureSegmentedUpgradesOldLayout simulates a store checkpointed
 // before segmentation existed: canonical raw derived columns only, no
-// directory, no _posttf. EnsureSegmented must produce a 1-segment layout
-// — in the registered codec, block by default — whose derived state
-// matches a fresh Finalize.
+// directory, no _posttf. EnsureSegmented must produce a 1-segment block
+// layout whose derived state matches a fresh Finalize.
 func TestEnsureSegmentedUpgradesOldLayout(t *testing.T) {
 	const prefix = "Lib_body"
 	db := segTestDB(t)
-	SetStoreCodec(db, CodecRaw) // old checkpoints are raw by definition
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 12; i++ {
 		segInsert(t, db, i, segTestDoc(rng, i))
@@ -257,13 +255,14 @@ func TestEnsureSegmentedUpgradesOldLayout(t *testing.T) {
 	if err := db.Finalize("Lib"); err != nil {
 		t.Fatal(err)
 	}
-	// Strip the segmented extras, as an old checkpoint would present.
+	// Present what an old checkpoint would: raw columns, none of the
+	// segmented extras.
+	writeLegacyRawSegs(t, db, prefix)
 	db.DropBAT(prefix + "_segdir")
 	db.DropBAT(prefix + "_posttf")
 	if SegmentCount(db, prefix) != 0 {
 		t.Fatal("directory still present after strip")
 	}
-	SetStoreCodec(db, CodecBlock) // the upgrade runs under today's default
 	if err := EnsureSegmented(db, prefix); err != nil {
 		t.Fatal(err)
 	}

@@ -55,9 +55,9 @@ func TestRunBothTopologies(t *testing.T) {
 			if rep.FinalEpoch == 0 || rep.FinalDocs < spec.Preload {
 				t.Fatalf("bad final state: %+v", rep)
 			}
-			// Default codec is block: the query traffic above must have
-			// decoded postings blocks, and the counters must survive the
-			// Stats RPC hop into the report.
+			// Every ranked query scans block postings: the query traffic
+			// above must have decoded blocks, and the counters must survive
+			// the Stats RPC hop into the report.
 			if rep.BlocksDecoded == 0 {
 				t.Fatalf("no blocks decoded in report: %+v", rep)
 			}

@@ -71,12 +71,9 @@ func init() {
 		"exists": biExists,
 
 		// probabilistic retrieval operators (the paper's physical extension)
-		"getbl":         biGetBL,
-		"wsum_bel":      biWSumBel,
-		"prunedtopk":    biPrunedTopK,
-		"prunedtopkseg": biPrunedTopKSeg,
-		"prunedtopkblk": biPrunedTopKBlk,
-		"postings":      biPostings,
+		"getbl":      biGetBL,
+		"wsum_bel":   biWSumBel,
+		"prunedtopk": biPrunedTopK,
 
 		// I/O
 		"print": biPrint,
@@ -508,119 +505,26 @@ func biWSumBel(_ *Env, args []any) (any, error) {
 
 // biPrunedTopK is the MIL surface of the pruned ranked-retrieval operator:
 //
-//	prunedtopk(poststart, postdoc, postbel, maxbel, query, default, k, domain)
+//	prunedtopk(query, default, k, domain,
+//	           s0_poststart, s0_blkstart, s0_blkdir, s0_blkdoc,
+//	           s0_blkbdir, s0_blkbel, s0_maxbel,
+//	           [s1_poststart, ...])
 //	    → [docOID, score]
 //
-// It evaluates the inference-network sum score with max-score skipping over
-// the term-ordered postings (bat.PrunedTopK) and returns only the k best
-// documents, already ordered score descending / OID ascending — identical
-// BUN-for-BUN to getbl + fill + a full descending sort cut at k. domain
-// supplies the OIDs of documents matching no query term (they score
-// count(query)·default and are merged in when the match set cannot fill k).
+// It evaluates the inference-network sum score with block-max max-score
+// skipping over a list of block-layout postings segments (seven BATs per
+// segment, the bat/postcodec.go layout; bat.PrunedTopKSegs) and returns
+// only the k best documents, already ordered score descending / OID
+// ascending — identical BUN-for-BUN to getbl + fill + a full descending
+// sort cut at k. The segments must partition the document space (each
+// document's postings entirely in one segment — which is how internal/ir
+// publishes them); all segments share one rising threshold and every
+// score is the same canonical fold. domain supplies the OIDs of documents
+// matching no query term (they score count(query)·default and are merged
+// in when the match set cannot fill k).
 func biPrunedTopK(env *Env, args []any) (any, error) {
-	if err := wantArgs(args, 8); err != nil {
-		return nil, err
-	}
-	start, err := argBAT(args, 0)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := argBAT(args, 1)
-	if err != nil {
-		return nil, err
-	}
-	bel, err := argBAT(args, 2)
-	if err != nil {
-		return nil, err
-	}
-	maxb, err := argBAT(args, 3)
-	if err != nil {
-		return nil, err
-	}
-	qb, err := argBAT(args, 4)
-	if err != nil {
-		return nil, err
-	}
-	def, err := argFloat(args, 5)
-	if err != nil {
-		return nil, err
-	}
-	k, err := argInt(args, 6)
-	if err != nil {
-		return nil, err
-	}
-	domain, err := argBAT(args, 7)
-	if err != nil {
-		return nil, err
-	}
-	query := make([]bat.OID, qb.Len())
-	for i := range query {
-		query[i] = qb.Tail.OIDAt(i)
-	}
-	return bat.PrunedTopKShared(start, doc, bel, maxb, query, nil, def, int(k), domain, env.TopKTheta)
-}
-
-// biPrunedTopKSeg is the segment-list form of prunedtopk, the physical
-// operator behind snapshot-isolated incremental indexes:
-//
-//	prunedtopkseg(query, default, k, domain,
-//	              s0_start, s0_doc, s0_bel, s0_maxbel,
-//	              [s1_start, s1_doc, s1_bel, s1_maxbel, ...])
-//	    → [docOID, score]
-//
-// The segments must partition the document space (each document's
-// postings entirely in one segment — which is how internal/ir publishes
-// them); the result is then BUN-for-BUN identical to prunedtopk over the
-// single segment obtained by merging the list, because all segments share
-// one rising threshold and every score is the same canonical fold.
-func biPrunedTopKSeg(env *Env, args []any) (any, error) {
-	if len(args) < 8 || (len(args)-4)%4 != 0 {
-		return nil, errorf("prunedtopkseg expects 4 scalar args plus 4 BATs per segment, got %d args", len(args))
-	}
-	qb, err := argBAT(args, 0)
-	if err != nil {
-		return nil, err
-	}
-	def, err := argFloat(args, 1)
-	if err != nil {
-		return nil, err
-	}
-	k, err := argInt(args, 2)
-	if err != nil {
-		return nil, err
-	}
-	domain, err := argBAT(args, 3)
-	if err != nil {
-		return nil, err
-	}
-	nsegs := (len(args) - 4) / 4
-	segs := make([]bat.PostingsSeg, nsegs)
-	for s := 0; s < nsegs; s++ {
-		base := 4 + 4*s
-		var cols [4]*bat.BAT
-		for j := range cols {
-			if cols[j], err = argBAT(args, base+j); err != nil {
-				return nil, err
-			}
-		}
-		segs[s] = bat.PostingsSeg{Start: cols[0], Doc: cols[1], Bel: cols[2], MaxBel: cols[3]}
-	}
-	query := make([]bat.OID, qb.Len())
-	for i := range query {
-		query[i] = qb.Tail.OIDAt(i)
-	}
-	return bat.PrunedTopKSegs(segs, query, nil, def, int(k), domain, env.TopKTheta)
-}
-
-// biPrunedTopKBlk is prunedtopkseg over block-compressed segments:
-// prunedtopkblk(query, default, k, domain, then SEVEN BATs per segment —
-// poststart, blkstart, blkdir, blkdoc, blkbdir, blkbel, maxbel (the
-// bat/postcodec.go layout). Results are BUN-for-BUN identical to the raw
-// operators over the same logical postings; only the decode path and the
-// per-block bound skipping differ.
-func biPrunedTopKBlk(env *Env, args []any) (any, error) {
 	if len(args) < 11 || (len(args)-4)%7 != 0 {
-		return nil, errorf("prunedtopkblk expects 4 scalar args plus 7 BATs per segment, got %d args", len(args))
+		return nil, errorf("prunedtopk expects 4 scalar args plus 7 BATs per segment, got %d args", len(args))
 	}
 	qb, err := argBAT(args, 0)
 	if err != nil {
@@ -658,32 +562,6 @@ func biPrunedTopKBlk(env *Env, args []any) (any, error) {
 		query[i] = qb.Tail.OIDAt(i)
 	}
 	return bat.PrunedTopKSegs(segs, query, nil, def, int(k), domain, env.TopKTheta)
-}
-
-// biPostings: postings(poststart, postdoc, postbel, t) → [docOID, belief],
-// one term's posting list in ascending document order (the postings-access
-// primitive over the term-ordered representation).
-func biPostings(_ *Env, args []any) (any, error) {
-	if err := wantArgs(args, 4); err != nil {
-		return nil, err
-	}
-	start, err := argBAT(args, 0)
-	if err != nil {
-		return nil, err
-	}
-	doc, err := argBAT(args, 1)
-	if err != nil {
-		return nil, err
-	}
-	bel, err := argBAT(args, 2)
-	if err != nil {
-		return nil, err
-	}
-	t, err := argInt(args, 3)
-	if err != nil {
-		return nil, err
-	}
-	return bat.Postings(start, doc, bel, bat.OID(t))
 }
 
 func biPrint(env *Env, args []any) (any, error) {

@@ -1,6 +1,7 @@
 package mil
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -239,22 +240,36 @@ func TestParallelismBuiltins(t *testing.T) {
 }
 
 // TestPrunedTopKBuiltin exercises the MIL surface of the pruned retrieval
-// operator on a hand-built term-ordered postings fixture: two terms, four
-// documents, one unmatched document merged in at the default score.
+// operator on a hand-built block-layout postings fixture: two segments,
+// two terms, four documents, one unmatched document merged in at the
+// default score.
 func TestPrunedTopKBuiltin(t *testing.T) {
-	// term 0 → postings (doc 0, 0.9), (doc 2, 0.5); term 1 → (doc 1, 0.6)
-	start := mk(t, bat.KindInt, int64(0), int64(2), int64(3))
-	doc := mk(t, bat.KindOID, bat.OID(0), bat.OID(2), bat.OID(1))
-	bel := mk(t, bat.KindFloat, 0.9, 0.5, 0.6)
-	maxb := mk(t, bat.KindFloat, 0.9, 0.6)
+	// segment 0: term 0 → (doc 0, 0.9); term 1 → (doc 1, 0.6)
+	// segment 1: term 0 → (doc 2, 0.5)
+	s0, err := bat.EncodeBlockSegment([]int64{0, 1, 2}, []bat.OID{0, 1}, []int64{1, 1}, []float64{0.9, 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, err := bat.EncodeBlockSegment([]int64{0, 1, 1}, []bat.OID{2}, []int64{1}, []float64{0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := mk(t, bat.KindOID, bat.OID(0), bat.OID(1))
 	domain := bat.New(bat.KindVoid, bat.KindVoid)
 	for i := 0; i < 4; i++ {
 		domain.MustAppend(bat.OID(i), bat.OID(i))
 	}
-	bind := map[string]any{"st": start, "d": doc, "b": bel, "mb": maxb, "q": q, "dom": domain}
+	bind := map[string]any{"q": q, "dom": domain}
+	segArgs := ""
+	for i, s := range []bat.PostingsSeg{s0, s1} {
+		for j, b := range []*bat.BAT{s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel} {
+			name := fmt.Sprintf("s%dc%d", i, j)
+			bind[name] = b
+			segArgs += ", " + name
+		}
+	}
 
-	v := runSrc(t, "prunedtopk(st, d, b, mb, q, 0.4, 4, dom);", bind)
+	v := runSrc(t, "prunedtopk(q, 0.4, 4, dom"+segArgs+");", bind)
 	out := v.(*bat.BAT)
 	// scores: doc0 = 0.9+0.4 = 1.3, doc1 = 0.4+0.6 = 1.0, doc2 = 0.5+0.4 = 0.9,
 	// doc3 unmatched = 2·0.4 = 0.8
@@ -269,23 +284,16 @@ func TestPrunedTopKBuiltin(t *testing.T) {
 		}
 	}
 	// k cuts
-	out = runSrc(t, "prunedtopk(st, d, b, mb, q, 0.4, 2, dom);", bind).(*bat.BAT)
+	out = runSrc(t, "prunedtopk(q, 0.4, 2, dom"+segArgs+");", bind).(*bat.BAT)
 	if out.Len() != 2 || out.Head.OIDAt(0) != 0 || out.Head.OIDAt(1) != 1 {
 		t.Fatalf("k=2 cut wrong: %v", out)
 	}
-}
-
-func TestPostingsBuiltin(t *testing.T) {
-	start := mk(t, bat.KindInt, int64(0), int64(2), int64(3))
-	doc := mk(t, bat.KindOID, bat.OID(0), bat.OID(2), bat.OID(1))
-	bel := mk(t, bat.KindFloat, 0.9, 0.5, 0.6)
-	bind := map[string]any{"st": start, "d": doc, "b": bel}
-	out := runSrc(t, "postings(st, d, b, 0);", bind).(*bat.BAT)
-	if out.Len() != 2 || out.Head.OIDAt(0) != 0 || out.Tail.FloatAt(1) != 0.5 {
-		t.Fatalf("postings(0): %v", out)
+	// a segment short of its seven columns is an arity error, not a panic
+	env := NewEnv()
+	for k, v := range bind {
+		env.Bind(k, v)
 	}
-	out = runSrc(t, "postings(st, d, b, 7);", bind).(*bat.BAT)
-	if out.Len() != 0 {
-		t.Fatalf("postings OOV: %v", out)
+	if _, err := RunSource("prunedtopk(q, 0.4, 2, dom, s0c0, s0c1, s0c2, s0c3);", env); err == nil {
+		t.Fatal("four-column (legacy raw) segment accepted")
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Prepared plans. A query's MIL program depends on four things only: the
-// database's structure (which sets exist, which physical columns — segment
-// slots, codec layout — the lowering found), the source text, the
+// database's structure (which sets exist, which physical columns — the
+// segment slots — the lowering found), the source text, the
 // parameters' names and types, and the optimiser options. None of them
 // changes between two calls of the same query against one published epoch,
 // so parse → check → plan → optimise → lower runs once and every call
@@ -131,7 +131,7 @@ type planEntry struct {
 // planCache is an engine's fixed-capacity plan store. Invalidation is by
 // lifetime: a published epoch's database never changes and its engine —
 // with this cache — is dropped with the epoch, so a publish that changes
-// the segment list, the codec or the vocabulary starts from an empty
+// the segment list or the vocabulary starts from an empty
 // cache without any sweep. A live database bumps its version on every
 // structural change, which empties the cache on the next lookup.
 type planCache struct {
