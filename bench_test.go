@@ -269,36 +269,6 @@ func BenchmarkE5_ScalabilitySweep(b *testing.B) {
 	}
 }
 
-// BenchmarkE5_ParallelVsSerialKernel runs the ranking query at n=16000 with
-// the parallel BAT kernel forced off ("serial", parallelism 1) and at the
-// machine default ("parallel", NumCPU workers). The ratio is the speedup
-// the partitioned execution layer delivers on this machine; on a single
-// core the two are equivalent (the dispatcher never partitions).
-func BenchmarkE5_ParallelVsSerialKernel(b *testing.B) {
-	db := textDB(b, 16000)
-	params := ir.QueryParams(corpus.QueryTerms(4))
-	for _, mode := range []struct {
-		name string
-		par  int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(mode.name, func(b *testing.B) {
-			old := bat.SetParallelism(mode.par)
-			defer bat.SetParallelism(old)
-			eng := moa.NewEngine(db)
-			c, err := eng.Compile(docsRankQuery, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkE5_PhysicalGetBL isolates the physical operator (no fill, no
 // materialisation): the cost that scales with posting lists, not with the
 // collection.

@@ -399,11 +399,9 @@ func TestE11PrunedEqualsExhaustiveShape(t *testing.T) {
 	t.Logf("footprint n=%d: %d bytes at 8 B/field, block %d bytes (%.2fx)", n, raw, blk, float64(raw)/float64(blk))
 }
 
-// e11CanonicalTopK computes the exhaustive ranking serially with the
-// canonical fold and tie order.
+// e11CanonicalTopK computes the exhaustive ranking with the canonical
+// fold and tie order.
 func e11CanonicalTopK(ix *e11Index, q []bat.OID, k int) []ir.Ranked {
-	old := bat.SetParallelism(1)
-	defer bat.SetParallelism(old)
 	beliefs, counts, err := bat.GetBL(ix.revTerm, ix.doc, ix.bel, q)
 	if err != nil {
 		panic(err)

@@ -11,8 +11,8 @@
 // self-contained reproduction, consumed through its examples and
 // binaries):
 //
-//	internal/bat        the binary-relational physical layer (BATs),
-//	                    serial + morsel-parallel operators
+//	internal/bat        the binary-relational physical layer (BATs) and
+//	                    its operators, one goroutine per query
 //	internal/storage    the persistent BAT buffer pool (BBP): heap
 //	                    files, mmap loads, incremental checkpoints
 //	internal/mil        the MIL physical execution language
@@ -30,7 +30,8 @@
 //
 // ARCHITECTURE.md at the repository root maps the paper onto these
 // packages, specifies the on-disk store format (manifest, heap files,
-// WAL, recovery sequence), and describes the parallel execution layer;
+// WAL, recovery sequence), and says why queries run in parallel with each
+// other but never inside one;
 // docs/MIL.md is the reference for every MIL builtin, each with an
 // example runnable in cmd/moash via \milrun.
 //

@@ -8,7 +8,7 @@ import "sync"
 // Every scan in PrunedTopKSegs drives one cursor per query
 // term, and each cursor decodes postings into private buffers (docs +
 // beliefs + dictionary, PostingsBlockSize each). A query of m terms
-// over s segments and p partitions would otherwise allocate m·s·p such
+// over s segments would otherwise allocate m·s such
 // buffer sets per request; at server query rates that is pure allocator
 // churn on the hottest path in the system, so cursor sets come from a
 // sync.Pool with the same two enforcement layers as ir's Scores maps:

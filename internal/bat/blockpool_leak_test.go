@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestBlockCursorPoolNoLeaks drives the compressed scan over success,
-// parallel-partition, and corrupt-payload error paths and requires every
+// TestBlockCursorPoolNoLeaks drives the compressed scan over success
+// (unweighted and weighted) and corrupt-payload error paths and requires every
 // borrowed cursor set to be back in the pool afterwards. Runs only under
 // -tags pooldebug (the borrow registry is compiled out otherwise).
 func TestBlockCursorPoolNoLeaks(t *testing.T) {
@@ -17,17 +17,13 @@ func TestBlockCursorPoolNoLeaks(t *testing.T) {
 	blk := segSplit(si, []int{900, 2500}, false)
 	base := LiveBlockCursors()
 
-	// Serial and parallel successful scans.
 	for round := 0; round < 10; round++ {
 		query := []OID{OID(rng.Intn(11)), OID(rng.Intn(11)), OID(rng.Intn(11))}
 		if _, err := PrunedTopKSegs(blk, query, nil, 0.4, 1+rng.Intn(20), si.domain, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		old := SetParallelThreshold(1)
-		_, err := PrunedTopKSegs(blk, query, []float64{1, 2, 0}, 0.4, 5, si.domain, nil)
-		SetParallelThreshold(old)
-		if err != nil {
-			t.Fatalf("round %d parallel: %v", round, err)
+		if _, err := PrunedTopKSegs(blk, query, []float64{1, 2, 0}, 0.4, 5, si.domain, nil); err != nil {
+			t.Fatalf("round %d weighted: %v", round, err)
 		}
 	}
 
@@ -37,13 +33,8 @@ func TestBlockCursorPoolNoLeaks(t *testing.T) {
 	for i := range data {
 		data[i] = 0xff
 	}
-	for _, thr := range []int{0, 1} {
-		old := SetParallelThreshold(thr)
-		_, err := PrunedTopKSegs(bad, []OID{0, 1, 2}, nil, 0.4, 5, si.domain, nil)
-		SetParallelThreshold(old)
-		if err == nil {
-			t.Fatal("corrupt scan returned no error")
-		}
+	if _, err := PrunedTopKSegs(bad, []OID{0, 1, 2}, nil, 0.4, 5, si.domain, nil); err == nil {
+		t.Fatal("corrupt scan returned no error")
 	}
 
 	if live := LiveBlockCursors(); live != base {

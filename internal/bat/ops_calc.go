@@ -6,10 +6,7 @@ import (
 )
 
 // The bulk arithmetic operators pre-size their output columns and fill them
-// by index — one allocation, no per-row append — and fan the fill over the
-// parallel kernel (ParallelFor) for large inputs. Every output element
-// depends only on its own inputs, so the parallel result is bit-identical
-// to the serial one.
+// by index — one allocation, no per-row append.
 
 // Multiplex lifts a binary scalar operator over two positionally aligned
 // BATs: MIL's [op](a, b). The result is [a.head, a.tail op b.tail]. Both
@@ -32,18 +29,14 @@ func Multiplex(op string, a, b *BAT) (*BAT, error) {
 				out.HSorted, out.HKey = a.HSorted || a.HDense(), a.HKey || a.HDense()
 				if boolResult {
 					out.Tail = &Column{kind: KindBool, bools: make([]bool, n)}
-					ParallelFor(n, func(lo, hi int) {
-						for i := lo; i < hi; i++ {
-							out.Tail.bools[i] = f(av(i), bv(i)) != 0
-						}
-					})
+					for i := 0; i < n; i++ {
+						out.Tail.bools[i] = f(av(i), bv(i)) != 0
+					}
 				} else {
 					out.Tail = &Column{kind: KindFloat, flts: make([]float64, n)}
-					ParallelFor(n, func(lo, hi int) {
-						for i := lo; i < hi; i++ {
-							out.Tail.flts[i] = f(av(i), bv(i))
-						}
-					})
+					for i := 0; i < n; i++ {
+						out.Tail.flts[i] = f(av(i), bv(i))
+					}
 				}
 				return out, nil
 			}
@@ -55,18 +48,14 @@ func Multiplex(op string, a, b *BAT) (*BAT, error) {
 		switch op {
 		case "+":
 			out.Tail = &Column{kind: KindStr, strs: make([]string, n)}
-			ParallelFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out.Tail.strs[i] = a.Tail.strs[i] + b.Tail.strs[i]
-				}
-			})
+			for i := 0; i < n; i++ {
+				out.Tail.strs[i] = a.Tail.strs[i] + b.Tail.strs[i]
+			}
 		case "==", "!=", "<", "<=", ">", ">=":
 			out.Tail = &Column{kind: KindBool, bools: make([]bool, n)}
-			ParallelFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out.Tail.bools[i] = strCompare(op, a.Tail.strs[i], b.Tail.strs[i])
-				}
-			})
+			for i := 0; i < n; i++ {
+				out.Tail.bools[i] = strCompare(op, a.Tail.strs[i], b.Tail.strs[i])
+			}
 		default:
 			return nil, fmt.Errorf("bat: multiplex [%s] unsupported on str", op)
 		}
@@ -87,11 +76,9 @@ func Multiplex(op string, a, b *BAT) (*BAT, error) {
 			return nil, fmt.Errorf("bat: multiplex [%s] unsupported on bit", op)
 		}
 		out := &BAT{Head: a.Head.clone(), Tail: &Column{kind: KindBool, bools: make([]bool, n)}}
-		ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.Tail.bools[i] = f(a.Tail.bools[i], b.Tail.bools[i])
-			}
-		})
+		for i := 0; i < n; i++ {
+			out.Tail.bools[i] = f(a.Tail.bools[i], b.Tail.bools[i])
+		}
 		return out, nil
 	}
 	return nil, fmt.Errorf("bat: multiplex [%s] on %s/%s tails", op, a.Tail.Kind(), b.Tail.Kind())
@@ -118,18 +105,14 @@ func MultiplexConst(op string, a *BAT, c any, rightConst bool) (*BAT, error) {
 		}
 		if boolResult {
 			out.Tail = &Column{kind: KindBool, bools: make([]bool, n)}
-			ParallelFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out.Tail.bools[i] = apply(i) != 0
-				}
-			})
+			for i := 0; i < n; i++ {
+				out.Tail.bools[i] = apply(i) != 0
+			}
 		} else {
 			out.Tail = &Column{kind: KindFloat, flts: make([]float64, n)}
-			ParallelFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					out.Tail.flts[i] = apply(i)
-				}
-			})
+			for i := 0; i < n; i++ {
+				out.Tail.flts[i] = apply(i)
+			}
 		}
 		return out, nil
 	}
@@ -137,27 +120,23 @@ func MultiplexConst(op string, a *BAT, c any, rightConst bool) (*BAT, error) {
 		out := &BAT{Head: a.Head.clone()}
 		if op == "+" {
 			out.Tail = &Column{kind: KindStr, strs: make([]string, n)}
-			ParallelFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					if rightConst {
-						out.Tail.strs[i] = a.Tail.strs[i] + s
-					} else {
-						out.Tail.strs[i] = s + a.Tail.strs[i]
-					}
+			for i := 0; i < n; i++ {
+				if rightConst {
+					out.Tail.strs[i] = a.Tail.strs[i] + s
+				} else {
+					out.Tail.strs[i] = s + a.Tail.strs[i]
 				}
-			})
+			}
 			return out, nil
 		}
 		out.Tail = &Column{kind: KindBool, bools: make([]bool, n)}
-		ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				l, r := a.Tail.strs[i], s
-				if !rightConst {
-					l, r = r, l
-				}
-				out.Tail.bools[i] = strCompare(op, l, r)
+		for i := 0; i < n; i++ {
+			l, r := a.Tail.strs[i], s
+			if !rightConst {
+				l, r = r, l
 			}
-		})
+			out.Tail.bools[i] = strCompare(op, l, r)
+		}
 		return out, nil
 	}
 	return nil, fmt.Errorf("bat: multiplex [%s] const %T on %s tail", op, c, a.Tail.Kind())
@@ -171,11 +150,9 @@ func MultiplexUnary(fn string, a *BAT) (*BAT, error) {
 			return nil, fmt.Errorf("bat: [not] needs bit tail, got %s", a.Tail.Kind())
 		}
 		out := &BAT{Head: a.Head.clone(), Tail: &Column{kind: KindBool, bools: make([]bool, n)}}
-		ParallelFor(n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.Tail.bools[i] = !a.Tail.bools[i]
-			}
-		})
+		for i := 0; i < n; i++ {
+			out.Tail.bools[i] = !a.Tail.bools[i]
+		}
 		return out, nil
 	}
 	av, err := numericReader(a.Tail)
@@ -205,11 +182,9 @@ func MultiplexUnary(fn string, a *BAT) (*BAT, error) {
 	}
 	out := &BAT{Head: a.Head.clone(), Tail: &Column{kind: KindFloat, flts: make([]float64, n)}}
 	out.HSorted, out.HKey = a.HSorted || a.HDense(), a.HKey || a.HDense()
-	ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Tail.flts[i] = f(av(i))
-		}
-	})
+	for i := 0; i < n; i++ {
+		out.Tail.flts[i] = f(av(i))
+	}
 	return out, nil
 }
 

@@ -7,17 +7,8 @@ import (
 
 // Group computes equivalence classes over the tail values of b (MIL
 // group/CTgroup). The result maps each head value to a dense group OID
-// (0..G-1, numbered in order of first occurrence). Large inputs run on the
-// parallel kernel (par_ops.go) with identical output.
+// (0..G-1, numbered in order of first occurrence).
 func Group(b *BAT) (*BAT, error) {
-	if useParallel(b.Len()) {
-		return parGroup(b)
-	}
-	return groupSerial(b)
-}
-
-// groupSerial is the single-threaded reference implementation of Group.
-func groupSerial(b *BAT) (*BAT, error) {
 	out := &BAT{
 		Head: b.Head.clone(),
 		Tail: NewColumn(KindOID),
@@ -181,16 +172,6 @@ func PumpAggregate(agg AggKind, vals, grp *BAT) (*BAT, error) {
 	if vals.Len() != grp.Len() {
 		return nil, fmt.Errorf("bat: pump length mismatch: vals %d vs grp %d", vals.Len(), grp.Len())
 	}
-	if useParallel(vals.Len()) {
-		return parPumpAggregate(agg, vals, grp)
-	}
-	return pumpAggregateSerial(agg, vals, grp)
-}
-
-// pumpAggregateSerial is the single-threaded reference implementation of
-// PumpAggregate; it shares the accumulator and emit code with the parallel
-// variant so the two differ only in scan order.
-func pumpAggregateSerial(agg AggKind, vals, grp *BAT) (*BAT, error) {
 	n := grp.Len()
 	if k := vals.Tail.Kind(); k == KindStr && agg != AggCount && n > 0 {
 		return nil, fmt.Errorf("bat: pump %s on non-numeric tail %s", agg, k)
@@ -211,8 +192,54 @@ func pumpAggregateSerial(agg AggKind, vals, grp *BAT) (*BAT, error) {
 	return emitPump(agg, vals.Tail.Kind(), maxG, acc)
 }
 
-// emitPump renders accumulated per-group state as the [void, agg] result,
-// identically for the serial and parallel paths.
+// pumpAcc is PumpAggregate's per-group aggregate state, one slot per group.
+type pumpAcc struct {
+	sums   []float64
+	counts []int64
+	mins   []float64
+	maxs   []float64
+	prods  []float64
+}
+
+func newPumpAcc(g int) *pumpAcc {
+	a := &pumpAcc{
+		sums:   make([]float64, g),
+		counts: make([]int64, g),
+		mins:   make([]float64, g),
+		maxs:   make([]float64, g),
+		prods:  make([]float64, g),
+	}
+	for i := range a.mins {
+		a.mins[i] = math.Inf(1)
+		a.maxs[i] = math.Inf(-1)
+		a.prods[i] = 1
+	}
+	return a
+}
+
+func (a *pumpAcc) add(g OID, v float64) {
+	a.sums[g] += v
+	a.counts[g]++
+	if v < a.mins[g] {
+		a.mins[g] = v
+	}
+	if v > a.maxs[g] {
+		a.maxs[g] = v
+	}
+	a.prods[g] *= v
+}
+
+// pumpReader returns the positional numeric reader PumpAggregate uses;
+// unsupported kinds read as 0 (only reachable for AggCount, which ignores
+// the value — other aggregates reject those kinds before reading).
+func pumpReader(c *Column) func(int) float64 {
+	if r, err := numericReader(c); err == nil {
+		return r
+	}
+	return func(int) float64 { return 0 }
+}
+
+// emitPump renders accumulated per-group state as the [void, agg] result.
 func emitPump(agg AggKind, valKind Kind, maxG OID, acc *pumpAcc) (*BAT, error) {
 	out := NewDense(0, resultKind(agg, valKind))
 	for g := OID(0); g < maxG; g++ {

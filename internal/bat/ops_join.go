@@ -5,18 +5,8 @@ import "fmt"
 // Join is the Monet join: it matches l's tail values against r's head
 // values and returns [l.head, r.tail] for every matching pair, preserving
 // l's BUN order. r is hashed on its head (or probed arithmetically when its
-// head is void/dense). Large probes run partitioned on the parallel kernel
-// with identical output.
+// head is void/dense).
 func Join(l, r *BAT) (*BAT, error) {
-	if useParallel(l.Len()) {
-		return parJoin(l, r)
-	}
-	return joinSerial(l, r)
-}
-
-// joinSerial is the single-threaded reference implementation of Join; the
-// parallel kernel runs it per partition.
-func joinSerial(l, r *BAT) (*BAT, error) {
 	out := &BAT{
 		Head: NewColumn(materialKind(l.Head.Kind())),
 		Tail: NewColumn(materialKind(r.Tail.Kind())),
@@ -77,11 +67,6 @@ func SemiJoin(l, r *BAT) (*BAT, error) {
 	if err != nil {
 		return nil, err
 	}
-	if useParallel(l.Len()) {
-		return parSelectWhere(l, func(p *BAT) (func(int) bool, error) {
-			return func(i int) bool { return member(p.Head.Get(i)) }, nil
-		})
-	}
 	return selectWhere(l, func(i int) bool { return member(l.Head.Get(i)) }), nil
 }
 
@@ -91,11 +76,6 @@ func Diff(l, r *BAT) (*BAT, error) {
 	member, err := headMembership(r)
 	if err != nil {
 		return nil, err
-	}
-	if useParallel(l.Len()) {
-		return parSelectWhere(l, func(p *BAT) (func(int) bool, error) {
-			return func(i int) bool { return !member(p.Head.Get(i)) }, nil
-		})
 	}
 	return selectWhere(l, func(i int) bool { return !member(l.Head.Get(i)) }), nil
 }
@@ -232,9 +212,6 @@ func fillFastFloat(b, domain *BAT, fillValue any) (*BAT, bool, error) {
 	inDomain := make([]bool, maxOID+1)
 	for i := 0; i < domain.Len(); i++ {
 		inDomain[domain.Head.OIDAt(i)] = true
-	}
-	if useParallel(b.Len() + domain.Len()) {
-		return parFillFastFloat(b, domain, fv, inDomain, maxOID)
 	}
 	present := make([]bool, maxOID+1)
 	out := New(KindOID, KindFloat)

@@ -5,14 +5,8 @@ import (
 )
 
 // Select returns the BUNs of b whose tail equals v, as in MIL
-// b.select(v). The head kind is materialised. Large inputs run partitioned
-// on the parallel kernel with identical output.
+// b.select(v). The head kind is materialised.
 func Select(b *BAT, v any) (*BAT, error) {
-	if useParallel(b.Len()) {
-		return parSelectWhere(b, func(p *BAT) (func(int) bool, error) {
-			return equalPred(p.Tail, v)
-		})
-	}
 	pred, err := equalPred(b.Tail, v)
 	if err != nil {
 		return nil, err
@@ -23,11 +17,6 @@ func Select(b *BAT, v any) (*BAT, error) {
 // SelectRange returns the BUNs whose tail t satisfies lo <= t <= hi
 // (MIL b.select(lo, hi)). Either bound may be nil for open-ended ranges.
 func SelectRange(b *BAT, lo, hi any) (*BAT, error) {
-	if useParallel(b.Len()) {
-		return parSelectWhere(b, func(p *BAT) (func(int) bool, error) {
-			return rangePred(p.Tail, lo, hi)
-		})
-	}
 	pred, err := rangePred(b.Tail, lo, hi)
 	if err != nil {
 		return nil, err
@@ -56,15 +45,6 @@ func USelectRange(b *BAT, lo, hi any) (*BAT, error) {
 
 // SelectNot returns BUNs whose tail differs from v.
 func SelectNot(b *BAT, v any) (*BAT, error) {
-	if useParallel(b.Len()) {
-		return parSelectWhere(b, func(p *BAT) (func(int) bool, error) {
-			pred, err := equalPred(p.Tail, v)
-			if err != nil {
-				return nil, err
-			}
-			return func(i int) bool { return !pred(i) }, nil
-		})
-	}
 	pred, err := equalPred(b.Tail, v)
 	if err != nil {
 		return nil, err
@@ -76,11 +56,6 @@ func SelectNot(b *BAT, v any) (*BAT, error) {
 func LikeSelect(b *BAT, pat string) (*BAT, error) {
 	if b.Tail.Kind() != KindStr {
 		return nil, fmt.Errorf("bat: like_select needs str tail, got %s", b.Tail.Kind())
-	}
-	if useParallel(b.Len()) {
-		return parSelectWhere(b, func(p *BAT) (func(int) bool, error) {
-			return func(i int) bool { return containsFold(p.Tail.strs[i], pat) }, nil
-		})
 	}
 	return selectWhere(b, func(i int) bool { return containsFold(b.Tail.strs[i], pat) }), nil
 }

@@ -61,35 +61,24 @@ func GetBL(revTerm, doc, belief *BAT, query []OID) (beliefs, counts *BAT, err er
 		total += len(positions)
 	}
 
-	// Flatten the matched position lists once; the beliefs fill is then a
-	// pure index-parallel gather into pre-sized columns (no per-row append).
-	posFlat := make([]int, total)
-	at := 0
-	for _, positions := range matched {
-		at += copy(posFlat[at:], positions)
-	}
+	// Gather the beliefs term by term, in query order, into pre-sized
+	// columns (no per-row append).
 	beliefs = New(KindOID, KindFloat)
-	beliefs.Head.oids = make([]OID, total)
-	beliefs.Tail.flts = make([]float64, total)
-	ParallelFor(total, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			p := posFlat[i]
-			beliefs.Head.oids[i] = doc.Tail.OIDAt(p)
-			beliefs.Tail.flts[i] = belief.Tail.flts[p]
+	beliefs.Head.oids = make([]OID, 0, total)
+	beliefs.Tail.flts = make([]float64, 0, total)
+	for _, positions := range matched {
+		for _, p := range positions {
+			beliefs.Head.oids = append(beliefs.Head.oids, doc.Tail.OIDAt(p))
+			beliefs.Tail.flts = append(beliefs.Tail.flts, belief.Tail.flts[p])
 		}
-	})
+	}
 
 	// Dense accumulator fast path: document OIDs are small integers after
 	// flattening (0..card-1), so per-document counters live in a flat array
 	// rather than a hash map — the columnar execution style the physical
 	// layer exists for. Falls back to a map for sparse OID spaces.
-	maxDoc := parMaxOID(beliefs.Head.oids)
+	maxDoc := maxOID(beliefs.Head.oids)
 	useDense := uint64(maxDoc) < uint64(4*total+1024)
-	// Parallel counting carries one maxDoc-sized counter array per chunk;
-	// only worth it when that total stays proportional to the match volume.
-	if useDense && useParallel(total) && denseParWorthwhile(maxDoc, Parallelism(), total) {
-		return beliefs, parCountDocs(beliefs.Head.oids, maxDoc), nil
-	}
 	var cntArr []int64
 	var cntMap map[OID]int64
 	if useDense {
@@ -141,47 +130,20 @@ func SumBeliefs(beliefs, counts *BAT, qlen int, defaultBelief float64) (*BAT, er
 	}
 	// dense accumulator when the doc OID space is compact (see GetBL)
 	n := beliefs.Len()
-	maxDoc := parMaxOID(beliefs.Head.oids)
+	maxDoc := maxOID(beliefs.Head.oids)
 	out := New(KindOID, KindFloat)
 	out.Head.oids = make([]OID, 0, counts.Len())
 	out.Tail.flts = make([]float64, 0, counts.Len())
 	if uint64(maxDoc) < uint64(4*n+1024) {
-		// Per-partition partial sum arrays, reduced in partition order. The
-		// float reduction may differ from the serial fold in the last ulps
-		// (documented in parallel.go); the emit below is exact given sums.
-		var sums []float64
-		if useParallel(n) && denseParWorthwhile(maxDoc, Parallelism(), n) {
-			ranges := chunkRanges(n, Parallelism())
-			partial := make([][]float64, len(ranges))
-			runChunks(ranges, func(c, lo, hi int) {
-				s := make([]float64, maxDoc+1)
-				for i := lo; i < hi; i++ {
-					s[beliefs.Head.oids[i]] += beliefs.Tail.flts[i]
-				}
-				partial[c] = s
-			})
-			sums = partial[0]
-			for _, s := range partial[1:] {
-				for d := range sums {
-					sums[d] += s[d]
-				}
-			}
-		} else {
-			sums = make([]float64, maxDoc+1)
-			for i, d := range beliefs.Head.oids {
-				sums[d] += beliefs.Tail.flts[i]
-			}
+		sums := make([]float64, maxDoc+1)
+		for i, d := range beliefs.Head.oids {
+			sums[d] += beliefs.Tail.flts[i]
 		}
-		m := counts.Len()
-		out.Head.oids = out.Head.oids[:m]
-		out.Tail.flts = out.Tail.flts[:m]
-		ParallelFor(m, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				d := counts.Head.oids[i]
-				out.Head.oids[i] = d
-				out.Tail.flts[i] = sums[d] + float64(qlen-int(counts.Tail.ints[i]))*defaultBelief
-			}
-		})
+		for i := 0; i < counts.Len(); i++ {
+			d := counts.Head.oids[i]
+			out.Head.oids = append(out.Head.oids, d)
+			out.Tail.flts = append(out.Tail.flts, sums[d]+float64(qlen-int(counts.Tail.ints[i]))*defaultBelief)
+		}
 	} else {
 		sums := make(map[OID]float64, counts.Len())
 		for i := 0; i < beliefs.Len(); i++ {
@@ -196,6 +158,17 @@ func SumBeliefs(beliefs, counts *BAT, qlen int, defaultBelief float64) (*BAT, er
 	}
 	out.HKey = true
 	return out, nil
+}
+
+// maxOID returns the maximum value in oids (0 when empty).
+func maxOID(oids []OID) OID {
+	m := OID(0)
+	for _, d := range oids {
+		if d > m {
+			m = d
+		}
+	}
+	return m
 }
 
 // WSumBeliefs is the weighted variant used by the #wsum inference-network

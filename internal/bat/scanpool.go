@@ -3,13 +3,13 @@ package bat
 import "sync"
 
 // Pooled per-scan scratch for the max-score loop: borrow/return
-// discipline for the slices scanBlockPartition (the one borrower) needs
-// per partition — the qterm states, the bound-descending permutation,
-// the suffix bound table, the per-candidate belief/stamp arrays and the
+// discipline for the slices scanBlockSegment (the one borrower) needs
+// per segment — the qterm states, the bound-descending permutation, the
+// suffix bound table, the per-candidate belief/stamp arrays and the
 // block-directory cache.
 //
-// Every PrunedTopKSegs call runs one max-score scan per (segment ×
-// partition); without pooling each scan allocates ~11 small slices, which
+// Every PrunedTopKSegs call runs one max-score scan per segment; without
+// pooling each scan allocates ~11 small slices, which
 // at server query rates is the dominant remaining allocation on the hot
 // path (the decode buffers are already pooled via blockCursorSet). The
 // same two enforcement layers apply:
@@ -48,7 +48,7 @@ type scanScratch struct {
 	blkUB        []float64
 }
 
-// scanScratchPool recycles scan scratch between partitions.
+// scanScratchPool recycles scan scratch between scans.
 var scanScratchPool = sync.Pool{New: func() any { return &scanScratch{} }}
 
 // borrowScanScratch returns scratch sized for an m-term query. The

@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// TestScanScratchPoolNoLeaks drives the scan over success,
-// parallel-partition, and corrupt-payload error paths and requires every
+// TestScanScratchPoolNoLeaks drives the scan over success (unweighted
+// and weighted) and corrupt-payload error paths and requires every
 // borrowed scan scratch to be back in the pool afterwards. Runs only
 // under -tags pooldebug.
 func TestScanScratchPoolNoLeaks(t *testing.T) {
@@ -22,11 +22,8 @@ func TestScanScratchPoolNoLeaks(t *testing.T) {
 		if _, err := PrunedTopKSegs(segs, query, nil, 0.4, 1+rng.Intn(20), si.domain, nil); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		old := SetParallelThreshold(1)
-		_, err := PrunedTopKSegs(segs, query, []float64{1, 2, 0}, 0.4, 5, si.domain, nil)
-		SetParallelThreshold(old)
-		if err != nil {
-			t.Fatalf("round %d parallel: %v", round, err)
+		if _, err := PrunedTopKSegs(segs, query, []float64{1, 2, 0}, 0.4, 5, si.domain, nil); err != nil {
+			t.Fatalf("round %d weighted: %v", round, err)
 		}
 	}
 
@@ -36,13 +33,8 @@ func TestScanScratchPoolNoLeaks(t *testing.T) {
 	for i := range data {
 		data[i] = 0xff
 	}
-	for _, thr := range []int{0, 1} {
-		old := SetParallelThreshold(thr)
-		_, err := PrunedTopKSegs(bad, []OID{0, 1, 2}, nil, 0.4, 5, si.domain, nil)
-		SetParallelThreshold(old)
-		if err == nil {
-			t.Fatal("corrupt scan returned no error")
-		}
+	if _, err := PrunedTopKSegs(bad, []OID{0, 1, 2}, nil, 0.4, 5, si.domain, nil); err == nil {
+		t.Fatal("corrupt scan returned no error")
 	}
 
 	if live := LiveScanScratch(); live != base {

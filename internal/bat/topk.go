@@ -30,9 +30,10 @@ import (
 // ascending ties, and cutting at k. Candidate scores are computed with that
 // fold verbatim; pruning bounds are padded by boundSlack so floating-point
 // reassociation in the bound arithmetic can never skip a true top-k
-// document. Parallel and serial execution return identical BUNs: partitions
-// only decide which documents are *considered*, every returned score is the
-// same canonical fold.
+// document. One call runs on one goroutine, so the result and the block
+// counters are the same at any GOMAXPROCS; a shared threshold only decides
+// which documents are *considered*, every returned score is the same
+// canonical fold.
 
 // boundSlack pads every pruning-bound comparison. Bounds are sums of at
 // most a few hundred beliefs in [0,1], so their rounding error is < 1e-10;
@@ -76,7 +77,7 @@ func NewBoundedTopK[T any](k int, worse func(a, b T) bool) *BoundedTopK[T] {
 // NewBoundedTopKInto is NewBoundedTopK reusing scratch's backing array
 // for the retained items (pass pooled scratch to avoid the per-selection
 // allocation; scratch may be nil). The selector owns scratch until
-// Items/Ranked hands the — possibly reallocated — slice back.
+// Ranked hands the — possibly reallocated — slice back.
 func NewBoundedTopKInto[T any](scratch []T, k int, worse func(a, b T) bool) *BoundedTopK[T] {
 	return &BoundedTopK[T]{k: k, worse: worse, items: scratch[:0]}
 }
@@ -131,9 +132,6 @@ func (h *BoundedTopK[T]) siftDown(i int) {
 	}
 }
 
-// Items returns the retained elements in heap (unspecified) order.
-func (h *BoundedTopK[T]) Items() []T { return h.items }
-
 // Ranked sorts the retained elements best-first and returns them; the
 // selector must not be Offered to afterwards.
 func (h *BoundedTopK[T]) Ranked() []T {
@@ -149,17 +147,17 @@ type topkCand struct {
 
 func worseCand(a, b topkCand) bool { return worseHit(a.score, a.doc, b.score, b.doc) }
 
-// ---- shared threshold across partitions and shards ----
+// ---- shared threshold across segments and shards ----
 
 // TopKThreshold is a monotonically rising score lower bound shared by all
 // scans cooperating on one top-k cut: each publishes its local k-th best,
 // and any scan's k-th best within its candidate subset is ≤ the global
 // k-th best, so skipping bound+slack ≤ θ can never drop a true top-k
-// document. Within one PrunedTopKSegs call the segments and their
-// doc-range partitions share one automatically; a sharded engine passes
-// the same object to every shard's scan so pruning tightens across shards
-// exactly as it does across partitions. Safe for concurrent use; zero
-// value is NOT ready — use NewTopKThreshold.
+// document. Within one PrunedTopKSegs call the segments share one
+// automatically; a sharded engine passes the same object to every shard's
+// scan so pruning tightens across shards exactly as it does across
+// segments. Safe for concurrent use; zero value is NOT ready — use
+// NewTopKThreshold.
 type TopKThreshold struct{ bits atomic.Uint64 }
 
 // NewTopKThreshold returns a threshold initialised to -Inf (nothing can be
@@ -188,11 +186,11 @@ func (t *TopKThreshold) Raise(v float64) {
 
 // ---- the operator ----
 
-// qterm is one query term's scan state within a partition.
+// qterm is one query term's scan state within a segment.
 type qterm struct {
 	qi     int     // position in the original query (the canonical fold order)
 	cur    int     // next unread posting position (also the search start)
-	hi     int     // partition-local end of the term's posting range
+	hi     int     // end of the term's posting range in the segment
 	ub     float64 // upper bound on the term's score surplus over the default
 	weight float64 // per-term weight (1 in unweighted mode)
 }
@@ -228,9 +226,9 @@ type PostingsSeg struct {
 // The result is BUN-for-BUN identical to scanning the single segment
 // obtained by merging the list: every candidate's score is the same
 // canonical fold (all of a document's postings sit in one segment, so the
-// fold order is unchanged), and all segments share one rising threshold —
-// the mechanism that also makes doc-range partitions inside one scan and
-// shard scans across stores return the serial result. Segments may
+// fold order is unchanged), and the segments are scanned one after another
+// into one heap under one rising threshold — the mechanism that also makes
+// shard scans across stores return the single-store result. Segments may
 // disagree on dictionary size (a segment published before later terms
 // existed simply has no postings for them) and on per-term bounds (a
 // per-segment bound is tighter, pruning more, never less correctly).
@@ -284,17 +282,11 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 		fillBase = float64(len(query)) * def
 	}
 
-	// Resolve term ranges once per segment; within a segment, partition
-	// the *document space* so each worker owns a contiguous OID range of
-	// every posting list.
+	// Resolve term ranges once per segment.
 	segRanges := make([][]postingRange, len(views))
-	segMaxDoc := make([]OID, len(views))
-	segPostings := make([]int, len(views))
 	segImpact := make([]float64, len(views))
 	for vi, bp := range views {
 		ranges := make([]postingRange, len(query))
-		maxDoc := OID(0)
-		totalPostings := 0
 		impact := 0.0
 		for i, t := range query {
 			// out-of-range terms get an empty range: they behave as
@@ -305,11 +297,7 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 				lo, hi = bp.TermRange(int(t))
 			}
 			ranges[i] = postingRange{lo: lo, hi: hi, t: t}
-			totalPostings += hi - lo
 			if hi > lo {
-				if d := bp.termLastDoc(int(t)); d > maxDoc {
-					maxDoc = d
-				}
 				mb := bp.MaxBelief(int(t))
 				if mb < def {
 					mb = def
@@ -322,14 +310,12 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 			}
 		}
 		segRanges[vi] = ranges
-		segMaxDoc[vi] = maxDoc
-		segPostings[vi] = totalPostings
 		segImpact[vi] = impact
 	}
 	// Visit segments in descending impact (sum of per-term score-surplus
 	// bounds): the segment that can produce the highest scores is scanned
-	// first, so the shared threshold reaches its terminal height early and
-	// the remaining segments scan mostly above it. Order changes only the
+	// first, so the threshold reaches its terminal height early and the
+	// remaining segments scan mostly above it. Order changes only the
 	// skipped work, never the result (segRanges stays index-aligned with
 	// views for fillDefaults).
 	order := make([]int, len(views))
@@ -341,55 +327,13 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 	if theta == nil {
 		theta = NewTopKThreshold()
 	}
-	var heaps []*BoundedTopK[topkCand]
+	h := NewBoundedTopK(k, worseCand)
 	for _, vi := range order {
-		bp := views[vi]
-		ranges := segRanges[vi]
-		maxDoc := segMaxDoc[vi]
-		totalPostings := segPostings[vi]
-
-		nPar := Parallelism()
-		if useParallel(totalPostings) && nPar > 1 {
-			// Document-range partitions: per-partition max-score with local
-			// heaps plus the shared rising threshold, merged below.
-			bounds := make([]OID, 0, nPar+1)
-			span := uint64(maxDoc) + 1
-			for c := 0; c <= nPar; c++ {
-				bounds = append(bounds, OID(span*uint64(c)/uint64(nPar)))
-			}
-			segHeaps := make([]*BoundedTopK[topkCand], nPar)
-			errs := make([]error, nPar)
-			runChunks(chunkRanges(nPar, nPar), func(_, lo, hi int) {
-				for c := lo; c < hi; c++ {
-					h := NewBoundedTopK(k, worseCand)
-					errs[c] = scanBlockPartition(bp, ranges, query, weights, weighted, def, fillBase, bounds[c], bounds[c+1], h, theta)
-					segHeaps[c] = h
-				}
-			})
-			for _, err := range errs {
-				if err != nil {
-					return nil, fmt.Errorf("segment %d: %w", vi, err)
-				}
-			}
-			heaps = append(heaps, segHeaps...)
-		} else {
-			h := NewBoundedTopK(k, worseCand)
-			if err := scanBlockPartition(bp, ranges, query, weights, weighted, def, fillBase, 0, OID(math.MaxUint64), h, theta); err != nil {
-				return nil, fmt.Errorf("segment %d: %w", vi, err)
-			}
-			heaps = append(heaps, h)
+		if err := scanBlockSegment(views[vi], segRanges[vi], query, weights, weighted, def, fillBase, h, theta); err != nil {
+			return nil, fmt.Errorf("segment %d: %w", vi, err)
 		}
 	}
-
-	// Merge the per-partition candidates; the full exact scores make the
-	// selection deterministic regardless of partitioning.
-	merged := NewBoundedTopK(k, worseCand)
-	for _, h := range heaps {
-		for _, c := range h.Items() {
-			merged.Offer(c)
-		}
-	}
-	ranked := merged.Ranked()
+	ranked := h.Ranked()
 	resDocs := make([]OID, 0, k)
 	resScores := make([]float64, 0, k)
 	for _, c := range ranked {

@@ -235,11 +235,10 @@ func (c *blockCursor) flushStats() {
 	c.decoded, c.skipped = 0, 0
 }
 
-// scanBlockPartition runs one document-range partition [docLo, docHi)
-// of a block-layout segment: it borrows a cursor set, seeks every term
-// to the partition bounds, runs the block-max scan, and releases the
-// cursors on every path.
-func scanBlockPartition(bp *BlockPostings, ranges []postingRange, query []OID, weights []float64, weighted bool, def, fillBase float64, docLo, docHi OID, h *BoundedTopK[topkCand], theta *TopKThreshold) error {
+// scanBlockSegment runs the block-max scan over one block-layout
+// segment: it borrows a cursor set, binds every term to its posting
+// range, runs the scan, and releases the cursors on every path.
+func scanBlockSegment(bp *BlockPostings, ranges []postingRange, query []OID, weights []float64, weighted bool, def, fillBase float64, h *BoundedTopK[topkCand], theta *TopKThreshold) error {
 	cset := borrowBlockCursors(len(query))
 	defer releaseBlockCursors(cset)
 	sc := borrowScanScratch(len(query))
@@ -255,17 +254,7 @@ func scanBlockPartition(bp *BlockPostings, ranges []postingRange, query []OID, w
 			t = int(ranges[i].t)
 		}
 		cset.cs[i].bind(bp, t)
-		tlo, thi := ranges[i].lo, ranges[i].hi
-		if t >= 0 && docLo > 0 {
-			tlo = cset.cs[i].search(tlo, thi, docLo)
-		}
-		if t >= 0 && docHi != OID(math.MaxUint64) {
-			thi = cset.cs[i].search(tlo, thi, docHi)
-		}
-		// partition seeks jump over blocks other partitions own; they are
-		// not pruning work, so keep them out of the skip-rate counter
-		cset.cs[i].skipped = 0
-		terms[i] = qterm{qi: i, cur: tlo, hi: thi, weight: w}
+		terms[i] = qterm{qi: i, cur: ranges[i].lo, hi: ranges[i].hi, weight: w}
 	}
 	err := maxscoreScanBlocks(bp, cset.cs, terms, query, weights, def, fillBase, h, theta, sc)
 	for i := range cset.cs {
@@ -277,8 +266,8 @@ func scanBlockPartition(bp *BlockPostings, ranges []postingRange, query []OID, w
 	return err
 }
 
-// maxscoreScanBlocks runs the max-score loop over one document
-// partition: the essential terms (largest bounds) are merged
+// maxscoreScanBlocks runs the max-score loop over one segment: the
+// essential terms (largest bounds) are merged
 // document-at-a-time, with block-max skipping; the non-essential tail is
 // probed by binary search only while a document's score bound still
 // clears the threshold. cs[i] is the cursor of terms[i]; terms must be
@@ -412,10 +401,9 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 	// instead of re-deriving it (two heap calls) per candidate. It prunes
 	// against any finite threshold, not only a locally full heap: θ may
 	// arrive seeded (a prior run's exact k-th score) or raised by another
-	// shard/partition, and it is always a valid global lower bound — a
-	// document skipped under bound+slack ≤ θ can never belong to the
-	// global top k, whether or not THIS partition has retained k
-	// candidates yet.
+	// shard, and it is always a valid global lower bound — a document
+	// skipped under bound+slack ≤ θ can never belong to the global top k,
+	// whether or not THIS scan has retained k candidates yet.
 	th := threshold()
 	if th > negInf {
 		shrink(th)

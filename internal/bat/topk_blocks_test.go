@@ -3,15 +3,15 @@ package bat
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// TestPrunedTopKBlocksParallelMatchesSerial forces the document-range
-// partitioned path (threshold lowered to 1) on a corpus large enough to
-// span many blocks and demands the exhaustive reference ranking from it
-// and from the forced-serial scan alike. This exercises the
-// partition-seek logic in scanBlockPartition (mid-block doc bounds)
-// specifically.
+// TestPrunedTopKBlocksParallelMatchesSerial runs random queries over a
+// corpus split mid-way into two segments, large enough to span many
+// blocks, at GOMAXPROCS 4 and then 1, and demands the exhaustive
+// reference ranking from both. This exercises the per-segment block seeks
+// and the cross-segment merge of PrunedTopKSegs.
 func TestPrunedTopKBlocksParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const def = 0.4
@@ -32,14 +32,79 @@ func TestPrunedTopKBlocksParallelMatchesSerial(t *testing.T) {
 				weights[i] = float64(rng.Intn(4))
 			}
 		}
-		for _, thr := range []int{1, 1 << 30} { // parallel, then forced serial
-			old := SetParallelThreshold(thr)
+		for _, procs := range []int{4, 1} {
+			old := runtime.GOMAXPROCS(procs)
 			got, err := PrunedTopKSegs(segs, query, weights, def, k, si.domain, nil)
-			SetParallelThreshold(old)
+			runtime.GOMAXPROCS(old)
 			if err != nil {
-				t.Fatalf("round %d thr %d: %v", round, thr, err)
+				t.Fatalf("round %d GOMAXPROCS %d: %v", round, procs, err)
 			}
-			mustEqualRef(t, fmt.Sprintf("round %d thr %d", round, thr), si, query, weights, def, k, got)
+			mustEqualRef(t, fmt.Sprintf("round %d GOMAXPROCS %d", round, procs), si, query, weights, def, k, got)
+		}
+	}
+}
+
+// TestPrunedTopKSameAtAnyGOMAXPROCS pins that one query is one
+// goroutine: over a two-segment corpus whose 3–6-term queries touch well
+// over 8 192 postings per segment, the same PrunedTopKSegs calls under
+// GOMAXPROCS 1 and 4 return identical hits and identical BlockScanStats
+// deltas, so the skip counters the benchmark reports are exact rather
+// than sampled. The first rounds are also checked against the exhaustive
+// reference ranking (which is quadratic, hence only a few).
+func TestPrunedTopKSameAtAnyGOMAXPROCS(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const def = 0.4
+	si := mkSynthIndex(rng, 6, 20000, 6, 5)
+	segs := segSplit(si, []int{10000, 20000}, false)
+
+	type round struct {
+		query   []OID
+		weights []float64
+		k       int
+	}
+	rounds := make([]round, 12)
+	for i := range rounds {
+		qlen := 3 + rng.Intn(4)
+		r := round{query: make([]OID, qlen), k: 1 + rng.Intn(40)}
+		for j := range r.query {
+			r.query[j] = OID(rng.Intn(8)) // 6 and 7 are out of vocabulary
+		}
+		if i%3 == 2 {
+			r.weights = make([]float64, qlen)
+			for j := range r.weights {
+				r.weights[j] = float64(rng.Intn(4))
+			}
+		}
+		rounds[i] = r
+	}
+
+	type outcome struct {
+		hits             *BAT
+		decoded, skipped int64
+	}
+	run := func(procs int) []outcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		out := make([]outcome, len(rounds))
+		for i, r := range rounds {
+			d0, s0 := BlockScanStats()
+			got, err := PrunedTopKSegs(segs, r.query, r.weights, def, r.k, si.domain, nil)
+			if err != nil {
+				t.Fatalf("GOMAXPROCS=%d round %d: %v", procs, i, err)
+			}
+			d1, s1 := BlockScanStats()
+			if procs == 1 && i < 2 {
+				mustEqualRef(t, fmt.Sprintf("round %d", i), si, r.query, r.weights, def, r.k, got)
+			}
+			out[i] = outcome{got, d1 - d0, s1 - s0}
+		}
+		return out
+	}
+	one, four := run(1), run(4)
+	for i := range rounds {
+		mustEqualRanking(t, fmt.Sprintf("round %d GOMAXPROCS 1 vs 4", i), one[i].hits, four[i].hits)
+		if one[i].decoded != four[i].decoded || one[i].skipped != four[i].skipped {
+			t.Fatalf("round %d: blocks decoded/skipped %d/%d at GOMAXPROCS=1, %d/%d at 4",
+				i, one[i].decoded, one[i].skipped, four[i].decoded, four[i].skipped)
 		}
 	}
 }

@@ -57,18 +57,14 @@ func TestPrunedTopKSeededThetaMatchesCold(t *testing.T) {
 			sk := cold.Tail.FloatAt(cold.Len() - 1)
 
 			for si2, seed := range []float64{sk, sk - 0.07} {
-				for _, thr := range []int{1, 1 << 30} { // parallel and serial
-					label := fmt.Sprintf("round %d nseg %d seed %d thr %d", round, nseg, si2, thr)
-					theta := NewTopKThreshold()
-					theta.Raise(seed)
-					old := SetParallelThreshold(thr)
-					warm, err := PrunedTopKSegs(segs, query, weights, def, k, si.domain, theta)
-					SetParallelThreshold(old)
-					if err != nil {
-						t.Fatalf("%s: warm: %v", label, err)
-					}
-					mustEqualRanking(t, label, cold, warm)
+				label := fmt.Sprintf("round %d nseg %d seed %d", round, nseg, si2)
+				theta := NewTopKThreshold()
+				theta.Raise(seed)
+				warm, err := PrunedTopKSegs(segs, query, weights, def, k, si.domain, theta)
+				if err != nil {
+					t.Fatalf("%s: warm: %v", label, err)
 				}
+				mustEqualRanking(t, label, cold, warm)
 			}
 		}
 	}
@@ -98,9 +94,6 @@ func TestSeededThetaSkipsWork(t *testing.T) {
 	blk := segSplit(si, []int{20000}, false)
 	query := []OID{0, 1, 2}
 	const k = 10
-
-	old := SetParallelThreshold(1 << 30)
-	defer SetParallelThreshold(old)
 
 	cold0, _ := BlockScanStats()
 	coldRes, err := PrunedTopKSegs(blk, query, nil, def, k, si.domain, nil)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,13 +11,12 @@ import (
 )
 
 // TestParallelPipelineMatchesSerial builds the content index twice — once
-// with the worker pool forced to 1 (serial reference) and once with 4
-// workers — and requires the resulting databases to answer identically:
-// the parallel extraction fan-out must not change what gets indexed.
+// at GOMAXPROCS=1 (one extraction worker, the serial reference) and once
+// at 4 — and requires the resulting databases to answer identically: the
+// extraction fan-out must not change what gets indexed.
 func TestParallelPipelineMatchesSerial(t *testing.T) {
-	build := func(par int) *Mirror {
-		old := bat.SetParallelism(par)
-		defer bat.SetParallelism(old)
+	build := func(procs int) *Mirror {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		items := corpus.Generate(corpus.Config{N: 12, W: 48, H: 48, Seed: 11, AnnotateRate: 0.75})
 		m, err := New()
 		if err != nil {
@@ -64,10 +64,11 @@ func TestParallelPipelineMatchesSerial(t *testing.T) {
 }
 
 // TestConcurrentQueriesOverlap hammers one served Mirror DBMS with many
-// clients issuing text, dual-coding, and raw Moa queries at once, with the
-// parallel BAT kernel forced on. Every response must match the
-// single-client answer; -race in CI checks the read path (shared BATs,
-// lazily built hash indexes, the worker pool) for data races.
+// clients issuing text, dual-coding, and raw Moa queries at once: each
+// query runs on its own goroutine, so concurrency across queries is the
+// only concurrency on the read path. Every response must match the
+// single-client answer; -race in CI checks that path (shared BATs, lazily
+// built hash indexes, the caches) for data races.
 func TestConcurrentQueriesOverlap(t *testing.T) {
 	m, items := buildDemo(t, 12)
 	addr, stop, err := m.Serve("127.0.0.1:0", "")
@@ -75,13 +76,6 @@ func TestConcurrentQueriesOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-
-	oldP := bat.SetParallelism(4)
-	oldT := bat.SetParallelThreshold(1)
-	defer func() {
-		bat.SetParallelism(oldP)
-		bat.SetParallelThreshold(oldT)
-	}()
 
 	term := corpus.CanonicalTerm(mostAnnotatedClass(items))
 	ref, err := DialMirror(addr)

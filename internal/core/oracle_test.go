@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -105,6 +106,26 @@ func TestOracleVerifiesShardedEngine(t *testing.T) {
 		}
 		if st.Docs != len(urls) {
 			t.Fatalf("stamped Docs = %d, want %d", st.Docs, len(urls))
+		}
+		if err := o.VerifyHits(st.Docs, q, 10, oracleWire(hits)); err != nil {
+			t.Fatalf("q=%q: %v", q, err)
+		}
+	}
+}
+
+// On a store large enough that the exhaustive reference folds over 8 192
+// belief BUNs, pruned k = 10 replies to 3–6-term queries must verify
+// against the oracle's k = 0 ranking bit for bit; GOMAXPROCS=4 would make
+// a partitioned fold fan out even on a 1-CPU machine.
+func TestOracleAcceptsPrunedRepliesOnLargeStore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	urls, anns := refreshCorpus(largeRoundDocs, 99)
+	m := oneShotStub(t, urls, anns)
+	o := oracleFor(urls, anns)
+	for _, q := range largeRoundQueries() {
+		hits, st, err := m.QueryAnnotationsStamped(q, 10)
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := o.VerifyHits(st.Docs, q, 10, oracleWire(hits)); err != nil {
 			t.Fatalf("q=%q: %v", q, err)

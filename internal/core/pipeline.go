@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -129,7 +130,7 @@ func (m *Mirror) buildIndex(opts IndexOptions, pipe segmentExtractor) error {
 // extractFeatures is stage 1 of the pipeline: segmentation plus feature
 // extraction over the given document order. Both stages are
 // embarrassingly parallel per item/segment; they fan out over up to
-// bat.Parallelism() workers with results collected positionally, so the
+// GOMAXPROCS workers with results collected positionally, so the
 // populated schema is identical to a serial run. The extractors, the
 // segmenter, and the daemon RPC clients are all safe for concurrent use.
 func extractFeatures(pipe segmentExtractor, featureNames, order []string) (segURLs []string, perFeature map[string][][]float64, err error) {
@@ -315,15 +316,15 @@ func (m *Mirror) populateShardIndex(imageWords map[string][]string, annDict, img
 	return nil
 }
 
-// parallelEach runs f(i) for every i in [0, n) on up to bat.Parallelism()
-// workers (the same knob that sizes the BAT kernel's pool). Unlike
-// bat.ParallelFor it has no minimum-size threshold: pipeline items are few
-// but each costs milliseconds of image work, so even two are worth a
-// goroutine. A non-nil return from f stops the dispatch of further items —
+// parallelEach runs f(i) for every i in [0, n) on up to GOMAXPROCS
+// workers. It is the one fan-out inside a single request: pipeline items
+// are few but each costs milliseconds of image work, so even two are worth
+// a goroutine (query operators, by contrast, run on the caller's
+// goroutine). A non-nil return from f stops the dispatch of further items —
 // matching the serial loops this replaced, which aborted at first failure —
 // though items already in flight still finish.
 func parallelEach(n int, f func(i int) error) {
-	workers := bat.Parallelism()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

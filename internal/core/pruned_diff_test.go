@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -15,10 +17,31 @@ import (
 // block-max bounds are quantized conservatively, so any divergence here
 // is a pruning bug, not an accepted approximation. (These suites took
 // over the corpora of the former raw-vs-block differential when the raw
-// layout stopped being writable. The query mix is the one every core
-// differential uses; the >2-term last-ulp gap between the two plans on
-// large collections — ROADMAP item 1 — does not arise at these sizes and
-// is not this suite's to fix.)
+// layout stopped being writable.) Each suite ends with a large round:
+// 20 000 documents and 3–6-term queries, whose exhaustive plan folds well
+// over 8 192 belief BUNs — the size at which a BUN-partitioned SumBeliefs
+// once added per-chunk partial sums as (a)+(b+c) and missed the scan's
+// fold by an ulp. The suites run at GOMAXPROCS=4 so that such a kernel
+// would fan out even on a 1-CPU machine.
+
+// largeRoundDocs is the collection size of the large rounds.
+const largeRoundDocs = 20000
+
+// largeRoundQueries are the large rounds' annotation queries: two that
+// diverged by an ulp under the partitioned fold, then 3–6-term queries
+// drawn from refreshVocab.
+func largeRoundQueries() []string {
+	qs := []string{"kelp foam buoy", "gull tide pier rope"}
+	rng := rand.New(rand.NewSource(77))
+	for len(qs) < 8 {
+		words := make([]string, 3+rng.Intn(4))
+		for i := range words {
+			words[i] = refreshVocab[rng.Intn(len(refreshVocab))]
+		}
+		qs = append(qs, strings.Join(words, " "))
+	}
+	return qs
+}
 
 // buildStubIncremental builds one store over the corpus: batch over a
 // prefix, then delta refreshes over rng-chosen cut points.
@@ -59,35 +82,59 @@ func buildStubIncremental(t *testing.T, urls, anns []string, seed int64) *Mirror
 // rides along as the control.
 func assertPrunedEqualsExhaustive(t *testing.T, label string, site retrievalSite, k int) {
 	t.Helper()
-	check := func(what string, query func(k int) ([]Hit, error)) {
-		t.Helper()
-		full, err := query(0)
-		if err != nil {
-			t.Fatalf("%s: exhaustive %s: %v", label, what, err)
-		}
-		cut, err := query(k)
-		if err != nil {
-			t.Fatalf("%s: pruned %s: %v", label, what, err)
-		}
-		if len(full) > k {
-			full = full[:k]
-		}
-		if !hitsEqual(full, cut) {
-			t.Fatalf("%s: %s top-%d diverges from the exhaustive ranking:\n  want %v\n  got  %v", label, what, k, full, cut)
-		}
-	}
 	for _, q := range []string{"harbor gull", "tide", "kelp foam buoy", "lantern mist salt", "gull gull pier"} {
-		check(fmt.Sprintf("annotations %q", q), func(k int) ([]Hit, error) { return site.QueryAnnotations(q, k) })
-		check(fmt.Sprintf("dual coding %q", q), func(k int) ([]Hit, error) { return site.QueryDualCoding(q, k) })
+		assertCutIsPrefix(t, label, fmt.Sprintf("annotations %q", q), k, func(k int) ([]Hit, error) { return site.QueryAnnotations(q, k) })
+		assertCutIsPrefix(t, label, fmt.Sprintf("dual coding %q", q), k, func(k int) ([]Hit, error) { return site.QueryDualCoding(q, k) })
 	}
 	for _, cw := range [][]string{{"stub_a_0", "stub_b_2"}, {"stub_a_1", "stub_a_3", "stub_b_0"}} {
-		check(fmt.Sprintf("content %v", cw), func(k int) ([]Hit, error) { return site.QueryContent(cw, k) })
+		assertCutIsPrefix(t, label, fmt.Sprintf("content %v", cw), k, func(k int) ([]Hit, error) { return site.QueryContent(cw, k) })
+	}
+}
+
+// assertLargeRound runs the large rounds' annotation queries at k = 1 and
+// 10 against their own k = 0 ranking.
+func assertLargeRound(t *testing.T, label string, site retrievalSite) {
+	t.Helper()
+	for _, q := range largeRoundQueries() {
+		full, err := site.QueryAnnotations(q, 0)
+		if err != nil {
+			t.Fatalf("%s: exhaustive %q: %v", label, q, err)
+		}
+		for _, k := range []int{1, 10} {
+			assertCutIsPrefix(t, label, fmt.Sprintf("annotations %q", q), k, func(k int) ([]Hit, error) {
+				if k == 0 {
+					return full, nil
+				}
+				return site.QueryAnnotations(q, k)
+			})
+		}
+	}
+}
+
+// assertCutIsPrefix demands that query's k-cut is hit-for-hit the first k
+// of its k = 0 ranking.
+func assertCutIsPrefix(t *testing.T, label, what string, k int, query func(k int) ([]Hit, error)) {
+	t.Helper()
+	full, err := query(0)
+	if err != nil {
+		t.Fatalf("%s: exhaustive %s: %v", label, what, err)
+	}
+	cut, err := query(k)
+	if err != nil {
+		t.Fatalf("%s: pruned %s: %v", label, what, err)
+	}
+	if len(full) > k {
+		full = full[:k]
+	}
+	if !hitsEqual(full, cut) {
+		t.Fatalf("%s: %s top-%d diverges from the exhaustive ranking:\n  want %v\n  got  %v", label, what, k, full, cut)
 	}
 }
 
 // TestPrunedEqualsExhaustiveSingleStore: single store, segmented by
 // delta refreshes (and compacted by the merge policy).
 func TestPrunedEqualsExhaustiveSingleStore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for round := 0; round < 4; round++ {
 		rng := rand.New(rand.NewSource(int64(500 + round)))
 		n := 20 + rng.Intn(25)
@@ -98,42 +145,60 @@ func TestPrunedEqualsExhaustiveSingleStore(t *testing.T) {
 			assertPrunedEqualsExhaustive(t, label, m, k)
 		}
 	}
+	urls, anns := refreshCorpus(largeRoundDocs, 99)
+	assertLargeRound(t, "large round", buildStubIncremental(t, urls, anns, 44))
 }
 
 // TestPrunedEqualsExhaustiveSharded extends the guarantee across shard
 // counts N ∈ {1, 2, 8}, with per-shard segment directories built by the
 // same delta interleavings.
 func TestPrunedEqualsExhaustiveSharded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const n = 30
 	urls, anns := refreshCorpus(n, 17)
 	for _, shards := range []int{1, 2, 8} {
-		e, err := NewSharded(shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(int64(60 + shards)))
-		batch := 8 + rng.Intn(10)
-		for i := 0; i < batch; i++ {
-			if err := e.AddImage(urls[i], anns[i], nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.buildIndex(DefaultIndexOptions(), stubPipeline{}); err != nil {
-			t.Fatal(err)
-		}
-		for at := batch; at < n; {
-			step := 1 + rng.Intn(n-at)
-			for i := at; i < at+step; i++ {
-				if err := e.AddImage(urls[i], anns[i], nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			at += step
-			engineRefreshStub(t, e)
-		}
+		e := buildShardedIncremental(t, shards, urls, anns, 8, int64(60+shards))
 		label := fmt.Sprintf("%d shards", shards)
 		for _, k := range []int{1, 10, n + 3} {
 			assertPrunedEqualsExhaustive(t, label, e, k)
 		}
 	}
+	urls, anns = refreshCorpus(largeRoundDocs, 99)
+	for _, shards := range []int{2, 8} {
+		e := buildShardedIncremental(t, shards, urls, anns, largeRoundDocs/2, int64(70+shards))
+		assertLargeRound(t, fmt.Sprintf("large round, %d shards", shards), e)
+	}
+}
+
+// buildShardedIncremental builds a sharded engine over the corpus: a batch
+// of at least minBatch documents, then delta refreshes over rng-chosen cut
+// points.
+func buildShardedIncremental(t *testing.T, shards int, urls, anns []string, minBatch int, seed int64) *ShardedEngine {
+	t.Helper()
+	e, err := NewSharded(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	n := len(urls)
+	batch := minBatch + rng.Intn(10)
+	for i := 0; i < batch; i++ {
+		if err := e.AddImage(urls[i], anns[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.buildIndex(DefaultIndexOptions(), stubPipeline{}); err != nil {
+		t.Fatal(err)
+	}
+	for at := batch; at < n; {
+		step := 1 + rng.Intn(n-at)
+		for i := at; i < at+step; i++ {
+			if err := e.AddImage(urls[i], anns[i], nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		at += step
+		engineRefreshStub(t, e)
+	}
+	return e
 }

@@ -29,8 +29,9 @@ import (
 // goroutine and the query path is read-only over immutable BATs (hash
 // indexes build atomically), so independent queries genuinely overlap. The
 // gate below bounds how many run at once so heavy traffic degrades to
-// queueing instead of oversubscribing the cores the parallel BAT kernel is
-// already using.
+// queueing instead of oversubscribing the cores. A query runs on its
+// handler goroutine from Moa down to the block scan, so concurrency across
+// queries is the only parallelism on the read path.
 
 // Retriever is the serving surface of the Mirror DBMS: one store
 // (*Mirror) or a sharded scatter-gather engine (*ShardedEngine). The RPC

@@ -42,7 +42,7 @@ import (
 //
 //   - Shared pruning threshold. Ranked (k > 0) queries hand every shard's
 //     pruned top-k scan one bat.TopKThreshold, so a hot shard's k-th best
-//     score prunes the cold shards' scans exactly as doc-range partitions
+//     score prunes the cold shards' scans exactly as a store's segments
 //     prune each other inside one scan.
 //
 // Together these yield the differential guarantee the tests pin: for any

@@ -175,7 +175,7 @@ func TestPrunedTopKAblation(t *testing.T) {
 	db := mkTopKDB(t, rng, 40, 0)
 	want := exhaustiveRanking(t, db, []string{"tiger", "lion"}, 7)
 
-	eng := &moa.Engine{DB: db, Opts: moa.Options{TopK: 7, Parallel: true}}
+	eng := &moa.Engine{DB: db, Opts: moa.Options{TopK: 7}}
 	c, err := eng.Compile(rankQuery, QueryParams([]string{"tiger", "lion"}))
 	if err != nil {
 		t.Fatal(err)

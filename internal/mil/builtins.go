@@ -77,13 +77,6 @@ func init() {
 
 		// I/O
 		"print": biPrint,
-
-		// execution control: parallelism() reports the kernel's worker
-		// count, parallelism(n) overrides it (0 restores the machine
-		// default) and returns the previous override — MIL programs and
-		// tests steer the parallel BAT kernel without recompiling.
-		"parallelism":        biParallelism,
-		"parallel_threshold": biParallelThreshold,
 	}
 }
 
@@ -97,34 +90,6 @@ func BuiltinNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-func biParallelism(_ *Env, args []any) (any, error) {
-	switch len(args) {
-	case 0:
-		return int64(bat.Parallelism()), nil
-	case 1:
-		n, err := argInt(args, 0)
-		if err != nil {
-			return nil, err
-		}
-		return int64(bat.SetParallelism(int(n))), nil
-	}
-	return nil, errorf("parallelism: want 0 or 1 arguments, got %d", len(args))
-}
-
-func biParallelThreshold(_ *Env, args []any) (any, error) {
-	switch len(args) {
-	case 0:
-		return int64(bat.ParallelThreshold()), nil
-	case 1:
-		n, err := argInt(args, 0)
-		if err != nil {
-			return nil, err
-		}
-		return int64(bat.SetParallelThreshold(int(n))), nil
-	}
-	return nil, errorf("parallel_threshold: want 0 or 1 arguments, got %d", len(args))
 }
 
 // ---- argument helpers ----

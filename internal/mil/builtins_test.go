@@ -219,26 +219,6 @@ func TestMuxBoolOps(t *testing.T) {
 	}
 }
 
-func TestParallelismBuiltins(t *testing.T) {
-	defer func() {
-		bat.SetParallelism(0)
-		bat.SetParallelThreshold(0)
-	}()
-	v := runSrc(t, "parallelism(3); parallelism();", nil)
-	if v.(int64) != 3 {
-		t.Fatalf("parallelism() = %v, want 3", v)
-	}
-	v = runSrc(t, "parallel_threshold(16); parallel_threshold();", nil)
-	if v.(int64) != 16 {
-		t.Fatalf("parallel_threshold() = %v, want 16", v)
-	}
-	// restore defaults from MIL and confirm the override is gone
-	runSrc(t, "parallelism(0); parallel_threshold(0);", nil)
-	if got := bat.ParallelThreshold(); got != bat.DefaultParallelThreshold {
-		t.Fatalf("threshold after reset = %d", got)
-	}
-}
-
 // TestPrunedTopKBuiltin exercises the MIL surface of the pruned retrieval
 // operator on a hand-built block-layout postings fixture: two segments,
 // two terms, four documents, one unmatched document merged in at the

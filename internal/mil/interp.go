@@ -21,7 +21,7 @@ type Env struct {
 	// prunedtopk builtin passes to the physical operator. A scatter-gather
 	// engine binds one bat.TopKThreshold into the Env of every shard's
 	// program for a query, so a hot shard's k-th best score prunes the
-	// cold shards' scans (exactly as doc-range partitions already share a
+	// cold shards' scans (exactly as a store's segments already share a
 	// threshold within one scan). Nil means a private per-call threshold.
 	TopKTheta *bat.TopKThreshold
 }

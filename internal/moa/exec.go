@@ -3,7 +3,6 @@ package moa
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"mirror/internal/bat"
 	"mirror/internal/mil"
@@ -167,35 +166,6 @@ func (c *Compiled) Run() (*Result, error) {
 			return nil, err
 		}
 		n := dom.Len()
-		// Large results materialise over the shared parallel kernel: the
-		// lazily built lookup indexes are warmed up front so the per-row
-		// work is read-only, then rows fill in parallel, one range per
-		// worker. Reps the warm-up cannot prove read-only (opaque structure
-		// Materialize hooks) fall back to the serial loop.
-		if tl.Parallel && n >= bat.ParallelThreshold() && bat.Parallelism() > 1 && m.prewarm(out.Elem) {
-			res.Rows = make([]Row, n)
-			var mu sync.Mutex
-			firstErr, errRow := error(nil), n
-			bat.ParallelFor(n, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					oid := dom.Head.OIDAt(i)
-					v, err := m.value(out.Elem, oid)
-					if err != nil {
-						mu.Lock()
-						if i < errRow {
-							firstErr, errRow = err, i
-						}
-						mu.Unlock()
-						return
-					}
-					res.Rows[i] = Row{OID: oid, Value: v}
-				}
-			})
-			if firstErr != nil {
-				return nil, firstErr
-			}
-			return res, nil
-		}
 		res.Rows = make([]Row, 0, n)
 		for i := 0; i < n; i++ {
 			oid := dom.Head.OIDAt(i)
@@ -277,81 +247,6 @@ func (m *materializer) lookupAtom(varName string, oid bat.OID) (any, bool, error
 	}
 	v, ok := b.Find(oid)
 	return v, ok, nil
-}
-
-// prewarm builds every lazily cached index the rep tree will touch and
-// reports whether per-row materialisation is then read-only, i.e. safe to
-// run concurrently. Opaque structure Materialize hooks cannot be proven
-// read-only and force the serial path; so does any missing BAT (the serial
-// loop then reports the error in row order).
-func (m *materializer) prewarm(rep Rep) bool {
-	switch r := rep.(type) {
-	case *ConstRep, *VarRep, *ParamSetRep, *StatsRep:
-		return true
-	case *AtomRep:
-		_, _, err := m.lookupAtom(r.Var, 0)
-		return err == nil
-	case *TupleRep:
-		for _, f := range r.Fields {
-			if !m.prewarm(f) {
-				return false
-			}
-		}
-		return true
-	case *SetRep:
-		if _, err := m.children(r.AssocVar, 0); err != nil {
-			return false
-		}
-		if r.ValsVar != "" {
-			vals, err := m.env.BAT(r.ValsVar)
-			if err != nil {
-				return false
-			}
-			vals.Find(bat.OID(0)) // build the hash index once
-		}
-		return true
-	case *ElemRep:
-		return m.prewarmStored(r.Prefix, r.T)
-	}
-	return false
-}
-
-// prewarmStored walks the static type structure storedValue will traverse,
-// warming the association indexes and hash indexes along the way.
-func (m *materializer) prewarmStored(prefix string, t Type) bool {
-	switch tt := t.(type) {
-	case *AtomType:
-		b, ok := m.db.BAT(prefix + "_val")
-		if !ok {
-			return false
-		}
-		b.Find(bat.OID(0))
-		return true
-	case *TupleType:
-		for i, n := range tt.Names {
-			fprefix := prefix + "_" + n
-			switch ft := tt.Types[i].(type) {
-			case *AtomType:
-				b, ok := m.db.BAT(fprefix)
-				if !ok {
-					return false
-				}
-				b.Find(bat.OID(0))
-			case *SetType, *ListType:
-				if _, err := m.children(fprefix, 0); err != nil {
-					return false
-				}
-				et, _ := ElemType(ft)
-				if !m.prewarmStored(fprefix, et) {
-					return false
-				}
-			default:
-				return false
-			}
-		}
-		return true
-	}
-	return false
 }
 
 func (m *materializer) value(rep Rep, oid bat.OID) (any, error) {

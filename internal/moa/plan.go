@@ -36,10 +36,6 @@ type Options struct {
 	PushSelects bool
 	// CSE deduplicates identical MIL operations during translation.
 	CSE bool
-	// Parallel lets the flattened executor materialise large set results
-	// over the shared parallel kernel (internal/bat); the MIL operators a
-	// query runs dispatch on input size independently of this flag.
-	Parallel bool
 	// TopK > 0 asks for only the K best elements of a set-typed query
 	// under the ranked-retrieval order (score descending, OID ascending).
 	// When the optimised plan is a retrieval the pruned top-k operator can
@@ -54,7 +50,7 @@ type Options struct {
 }
 
 // DefaultOptions enables every optimisation.
-var DefaultOptions = Options{FuseMaps: true, FuseAggregates: true, FuseSelects: true, PushSelects: true, CSE: true, Parallel: true}
+var DefaultOptions = Options{FuseMaps: true, FuseAggregates: true, FuseSelects: true, PushSelects: true, CSE: true}
 
 // NoOptimize disables every optimisation (the ablation baseline).
 var NoOptimize = Options{}

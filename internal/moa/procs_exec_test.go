@@ -2,16 +2,15 @@ package moa
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
-
-	"mirror/internal/bat"
 )
 
 // TestParallelMaterializationMatchesSerial runs set-typed queries through
-// the flattened executor twice — serial reference vs forced-parallel
-// kernel + parallel row materialisation — and requires identical results
-// row for row. This is the Moa-layer end of the differential harness in
-// internal/bat/par_diff_test.go.
+// the flattened executor at GOMAXPROCS 1 and 4 and requires identical
+// results row for row: a query runs on one goroutine, so neither the MIL
+// operators nor the row materialisation may depend on the processor
+// count. This is the Moa-layer end of internal/bat/procs_diff_test.go.
 func TestParallelMaterializationMatchesSerial(t *testing.T) {
 	db := NewDatabase()
 	err := db.DefineFromSource(`
@@ -47,32 +46,16 @@ func TestParallelMaterializationMatchesSerial(t *testing.T) {
 		`map[THIS.grades](Crowd);`,
 		`Crowd;`,
 	}
+	at := func(procs int, q string) *Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		res, err := NewEngine(db).Query(q, nil)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS=%d %q: %v", procs, q, err)
+		}
+		return res
+	}
 	for _, q := range queries {
-		var ser, par *Result
-		func() {
-			oldP := bat.SetParallelism(1)
-			defer bat.SetParallelism(oldP)
-			eng := NewEngine(db)
-			var err error
-			ser, err = eng.Query(q, nil)
-			if err != nil {
-				t.Fatalf("serial %q: %v", q, err)
-			}
-		}()
-		func() {
-			oldP := bat.SetParallelism(4)
-			oldT := bat.SetParallelThreshold(1)
-			defer func() {
-				bat.SetParallelism(oldP)
-				bat.SetParallelThreshold(oldT)
-			}()
-			eng := NewEngine(db)
-			var err error
-			par, err = eng.Query(q, nil)
-			if err != nil {
-				t.Fatalf("parallel %q: %v", q, err)
-			}
-		}()
+		ser, par := at(1, q), at(4, q)
 		if len(ser.Rows) != len(par.Rows) {
 			t.Fatalf("%q: %d rows vs %d", q, len(ser.Rows), len(par.Rows))
 		}

@@ -56,10 +56,6 @@ type Translated struct {
 	// Scalar results:
 	OutScalar Rep // ConstRep or VarRep
 
-	// Parallel records, at flatten time, whether the executor may
-	// materialise the result rows on the parallel kernel.
-	Parallel bool
-
 	// Ranked reports that the emitted program already returns the result
 	// in ranking order (score descending, OID ascending) cut at
 	// Options.TopK — the optimiser pushed the top-k into a pruned
@@ -185,7 +181,7 @@ func Translate(db *Database, e Expr, slots []ParamSlot, opts Options) (*Translat
 
 func (tr *Translator) translate(e Expr) (*Translated, error) {
 	opts := tr.opts
-	out := &Translated{Prog: tr.prog, T: e.Type(), Parallel: opts.Parallel}
+	out := &Translated{Prog: tr.prog, T: e.Type()}
 	if _, isSet := ElemType(e.Type()); isSet {
 		plan, err := tr.BuildPlan(e)
 		if err != nil {
