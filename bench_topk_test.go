@@ -477,8 +477,8 @@ func TestEmitQueryBenchJSON(t *testing.T) {
 	// Threshold-lifecycle rows run on the skewed twin of the corpus (the
 	// regime pruning targets; the uniform fixture is block-max's worst
 	// case). Cold block scan, the warm (memo-seeded) repeat, and the
-	// scatter with shared vs isolated thresholds — the in-process analog
-	// of the router's streamed-θ A/B (-no-theta-stream).
+	// scatter with shared vs isolated thresholds — what threshold sharing
+	// (the router streams it into in-flight legs) buys a scatter.
 	six := mkE11SkewedIndex(ix.n)
 	sShards := mkE11Shards(six, nShards)
 	cdec0, cskip0 := bat.BlockScanStats()
@@ -662,8 +662,8 @@ func e11Sharded(shards []e11Shard, q []bat.OID, k int) ([]e11Hit, error) {
 
 // e11ShardedStatic is the same scatter with per-shard isolated
 // thresholds: no bound ever crosses shard boundaries, the way a
-// distributed scatter behaves under mirrord -no-theta-stream with an
-// empty memo (each leg departs with a -Inf floor and never hears the
+// distributed scatter would behave with an empty memo and no streamed
+// raises (each leg departs with a -Inf floor and never hears the
 // router's rising bound). The A/B against e11Sharded measures what
 // threshold sharing buys the scatter.
 func e11ShardedStatic(shards []e11Shard, q []bat.OID, k int) ([]e11Hit, error) {

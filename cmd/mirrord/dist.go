@@ -137,8 +137,8 @@ type memberFlags struct {
 // surface. The router holds no store of its own — durability lives with
 // the shard members; a restarted router re-crawls (deterministic order)
 // and converges on the shards' surviving state.
-func runRouter(replicas int, dictAddr, mediaURL, addr string, refrEvery time.Duration, thetaMemoN int, noThetaStream bool) {
-	e, err := dist.Discover(dictAddr, dist.Options{NoThetaStream: noThetaStream})
+func runRouter(replicas int, dictAddr, mediaURL, addr string, refrEvery time.Duration, thetaMemoN int) {
+	e, err := dist.Discover(dictAddr, dist.Options{})
 	if err != nil {
 		log.Fatalf("mirrord: %v", err)
 	}

@@ -53,8 +53,6 @@ func main() {
 		cacheBytes = flag.Int64("query-cache", 64<<20, "bytes of epoch-keyed query result cache (0 disables); entries are invalidated automatically when a refresh/recovery publishes a new epoch")
 		thetaMemoN = flag.Int("theta-memo", 8192, "entries of epoch-keyed threshold memo: repeat ranked queries reopen their pruned scan with the previous run's terminal k-th score, turning them into near-pure block-directory walks (0 disables; pruning-only, results are unaffected)")
 
-		noThetaStream = flag.Bool("no-theta-stream", false, "with -replicas: restrict scatter pruning to send-time threshold floors instead of streaming the router's rising bound into in-flight shard scans (pruning-only either way; for A/B measurement)")
-
 		join     = flag.String("join", "", "serve as networked shard member \"i/N\" of a distributed layout (the router owns the index lifecycle; no crawl)")
 		follow   = flag.String("follow", "", "with -join: run as a replication follower of the shard primary at this address, replaying its WAL-shipped stream")
 		name     = flag.String("name", "", "with -follow: unique follower suffix for dictionary registration (default pid<N>)")
@@ -74,7 +72,7 @@ func main() {
 		log.Fatal("mirrord: -follow needs -join \"i/N\" to state which shard it mirrors")
 	}
 	if *replicas > 0 {
-		runRouter(*replicas, *dictAddr, *mediaURL, *addr, *refrEvery, *thetaMemoN, *noThetaStream)
+		runRouter(*replicas, *dictAddr, *mediaURL, *addr, *refrEvery, *thetaMemoN)
 		return
 	}
 	if *join != "" {

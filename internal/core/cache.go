@@ -4,24 +4,36 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
+
+	"mirror/internal/bat"
 )
 
-// Epoch-keyed query result cache.
+// Epoch-keyed LRUs: the query result cache and the threshold memo.
 //
 // PR 5's epoch snapshots make invalidation trivial: every published
-// epoch carries a monotone sequence number, and cache entries are keyed
-// on it — an epoch swap (Refresh, recovery, rebuild) is a generation bump
-// that makes every old entry unreachable, with no locking against the
-// query path. The publish choke points (publishEpochLocked /
-// publishEngineEpochLocked) additionally sweep stale generations out so
-// their bytes return promptly.
+// epoch carries a monotone sequence number, and entries are keyed on it —
+// an epoch swap (Refresh, recovery, rebuild) is a generation bump that
+// makes every old entry unreachable, with no locking against the query
+// path. Stale generations are additionally swept out on publish so their
+// memory returns promptly; correctness never depends on the sweep.
 //
-// The cache is bounded by bytes with per-stripe LRU eviction. Stripes are
-// shared-nothing: a key hashes to exactly one stripe with its own mutex,
-// list and budget, so concurrent queries on different keys rarely
-// contend. Hits return a shared immutable []Hit — callers must treat
-// cached results as read-only (every caller in the tree renders or copies
-// them).
+// Both are one striped LRU bounded by a per-entry cost: the result cache
+// stores whole rankings and charges their estimated bytes; the threshold
+// memo stores one float64 seed per query and charges 1, so it stays warm
+// long after byte pressure has evicted the rankings themselves. Stripes
+// are shared-nothing: a key hashes to exactly one stripe with its own
+// mutex, list and budget, so concurrent queries on different keys rarely
+// contend. A cached ranking is a shared immutable []Hit — callers must
+// treat it as read-only (every caller in the tree renders or copies it).
+//
+// The memo's exactness argument: a pruned top-k scan finishes with its
+// threshold at the exact k-th score of the full ranking, and any θ ≤ the
+// true global k-th score only prunes documents that provably cannot enter
+// the top k (ties at the k-th score survive, because a tied document's
+// bound is strictly above θ by the slack). So a repeat of the same
+// (epoch, surface, k, query) seeded with the terminal value returns the
+// BUN-for-BUN identical ranking while skipping nearly all decode and
+// scoring work.
 
 // cacheKind separates the three ranked query surfaces in the key space.
 type cacheKind uint8
@@ -37,47 +49,59 @@ const cacheStripeCount = 16
 
 // cacheKey is scalar-only so lookups allocate nothing.
 type cacheKey struct {
-	gen  int64 // epoch sequence number the result was computed against
+	gen  int64 // epoch sequence number the value was computed against
 	kind cacheKind
 	k    int
 	hash uint64 // fnv64a over the query surface (text or terms)
 }
 
-// cacheEntry pins the query surface verbatim so a hash collision can
-// never serve a wrong result: hits are returned only when text and terms
-// match the stored key exactly.
-type cacheEntry struct {
+// lruEntry pins the query surface verbatim so a hash collision can never
+// serve (or seed with) another query's value: values are returned only
+// when text and terms match the stored key exactly.
+type lruEntry[V any] struct {
 	key   cacheKey
 	text  string
 	terms []string
-	hits  []Hit
-	size  int64
+	val   V
+	cost  int64
 }
 
-type cacheStripe struct {
-	mu    sync.Mutex
-	lru   *list.List // front = most recently used; values are *cacheEntry
-	idx   map[cacheKey]*list.Element
-	bytes int64
-	max   int64
+type lruStripe[V any] struct {
+	mu   sync.Mutex
+	lru  *list.List // front = most recently used; values are *lruEntry[V]
+	idx  map[cacheKey]*list.Element
+	used int64
+	max  int64
 }
 
-// resultCache is the engine-wide cache; the zero Pointer (nil *resultCache)
-// means caching is disabled, and all methods are nil-receiver safe.
-type resultCache struct {
-	stripes [cacheStripeCount]cacheStripe
+// epochLRU is the striped epoch-keyed LRU; a nil *epochLRU is disabled,
+// and every method is nil-receiver safe.
+type epochLRU[V any] struct {
+	stripes [cacheStripeCount]lruStripe[V]
+	cost    func(*lruEntry[V]) int64
 	hits    atomic.Int64
 	misses  atomic.Int64
 }
 
-// newResultCache builds a cache bounded to roughly maxBytes across all
-// stripes; maxBytes <= 0 returns nil (disabled).
-func newResultCache(maxBytes int64) *resultCache {
-	if maxBytes <= 0 {
+// resultCache stores rankings, bounded by their estimated bytes.
+type resultCache = epochLRU[[]Hit]
+
+// ThetaMemo memoises terminal pruning thresholds, bounded by entry count.
+type ThetaMemo = epochLRU[float64]
+
+type (
+	cacheEntry = lruEntry[[]Hit]
+	thetaEntry = lruEntry[float64]
+)
+
+// newEpochLRU builds an LRU whose entries' costs sum to roughly budget
+// across all stripes; budget <= 0 returns nil (disabled).
+func newEpochLRU[V any](budget int64, cost func(*lruEntry[V]) int64) *epochLRU[V] {
+	if budget <= 0 {
 		return nil
 	}
-	c := &resultCache{}
-	per := maxBytes / cacheStripeCount
+	c := &epochLRU[V]{cost: cost}
+	per := budget / cacheStripeCount
 	if per < 1 {
 		per = 1
 	}
@@ -89,8 +113,18 @@ func newResultCache(maxBytes int64) *resultCache {
 	return c
 }
 
+// newResultCache builds a cache bounded to roughly maxBytes.
+func newResultCache(maxBytes int64) *resultCache {
+	return newEpochLRU(maxBytes, cacheEntrySize)
+}
+
+// newThetaMemo builds a memo bounded to roughly maxEntries seeds.
+func newThetaMemo(maxEntries int) *ThetaMemo {
+	return newEpochLRU(int64(maxEntries), func(*thetaEntry) int64 { return 1 })
+}
+
 // cacheHash is fnv64a over the query surface; inlined byte-at-a-time so a
-// cache hit performs zero allocations.
+// lookup performs zero allocations.
 func cacheHash(text string, terms []string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -111,7 +145,7 @@ func cacheHash(text string, terms []string) uint64 {
 
 // matches reports whether the entry was stored for exactly this query
 // surface (collision guard).
-func (e *cacheEntry) matches(text string, terms []string) bool {
+func (e *lruEntry[V]) matches(text string, terms []string) bool {
 	if e.text != text || len(e.terms) != len(terms) {
 		return false
 	}
@@ -123,47 +157,45 @@ func (e *cacheEntry) matches(text string, terms []string) bool {
 	return true
 }
 
-// get returns the cached ranking for (gen, kind, k, surface) and whether
-// it was present. The returned slice is shared: read-only for the caller.
-// k <= 0 requests (full rankings) are never cached.
-func (c *resultCache) get(gen int64, kind cacheKind, k int, text string, terms []string) ([]Hit, bool) {
+// get returns the value stored for (gen, kind, k, surface) and whether it
+// was present. k <= 0 requests (full rankings) are never stored.
+func (c *epochLRU[V]) get(gen int64, kind cacheKind, k int, text string, terms []string) (V, bool) {
+	var zero V
 	if c == nil || k <= 0 {
-		return nil, false
+		return zero, false
 	}
 	key := cacheKey{gen: gen, kind: kind, k: k, hash: cacheHash(text, terms)}
 	st := &c.stripes[key.hash&(cacheStripeCount-1)]
 	st.mu.Lock()
-	el, ok := st.idx[key]
-	if ok {
-		e := el.Value.(*cacheEntry)
-		if e.matches(text, terms) {
+	if el, ok := st.idx[key]; ok {
+		if e := el.Value.(*lruEntry[V]); e.matches(text, terms) {
 			st.lru.MoveToFront(el)
-			hits := e.hits
+			v := e.val
 			st.mu.Unlock()
 			c.hits.Add(1)
-			return hits, true
+			return v, true
 		}
 	}
 	st.mu.Unlock()
 	c.misses.Add(1)
-	return nil, false
+	return zero, false
 }
 
-// put stores a computed ranking. The hits slice is retained and shared
-// with future get callers; the query surface is copied (callers may reuse
-// their terms slice). Entries larger than a whole stripe are not cached.
-func (c *resultCache) put(gen int64, kind cacheKind, k int, text string, terms []string, hits []Hit) {
+// put stores a value; the query surface is copied (callers may reuse
+// their terms slice). Entries costing more than a whole stripe are not
+// stored.
+func (c *epochLRU[V]) put(gen int64, kind cacheKind, k int, text string, terms []string, v V) {
 	if c == nil || k <= 0 {
 		return
 	}
 	key := cacheKey{gen: gen, kind: kind, k: k, hash: cacheHash(text, terms)}
-	e := &cacheEntry{key: key, text: text, hits: hits}
+	e := &lruEntry[V]{key: key, text: text, val: v}
 	if len(terms) > 0 {
 		e.terms = append(make([]string, 0, len(terms)), terms...)
 	}
-	e.size = cacheEntrySize(e)
+	e.cost = c.cost(e)
 	st := &c.stripes[key.hash&(cacheStripeCount-1)]
-	if e.size > st.max {
+	if e.cost > st.max {
 		return
 	}
 	st.mu.Lock()
@@ -175,28 +207,22 @@ func (c *resultCache) put(gen int64, kind cacheKind, k int, text string, terms [
 		return
 	}
 	st.idx[key] = st.lru.PushFront(e)
-	st.bytes += e.size
-	for st.bytes > st.max {
-		back := st.lru.Back()
-		if back == nil {
-			break
-		}
-		st.evictLocked(back)
+	st.used += e.cost
+	for st.used > st.max {
+		st.evictLocked(st.lru.Back())
 	}
 }
 
 // evictLocked removes one entry; the stripe mutex is held.
-func (st *cacheStripe) evictLocked(el *list.Element) {
-	e := el.Value.(*cacheEntry)
+func (st *lruStripe[V]) evictLocked(el *list.Element) {
+	e := el.Value.(*lruEntry[V])
 	st.lru.Remove(el)
 	delete(st.idx, e.key)
-	st.bytes -= e.size
+	st.used -= e.cost
 }
 
 // sweep drops every entry computed against a generation older than gen.
-// Publishing an epoch calls this: correctness never depends on it (stale
-// generations can no longer be looked up), it just returns the bytes.
-func (c *resultCache) sweep(gen int64) {
+func (c *epochLRU[V]) sweep(gen int64) {
 	if c == nil {
 		return
 	}
@@ -206,7 +232,7 @@ func (c *resultCache) sweep(gen int64) {
 		var next *list.Element
 		for el := st.lru.Front(); el != nil; el = next {
 			next = el.Next()
-			if el.Value.(*cacheEntry).key.gen < gen {
+			if el.Value.(*lruEntry[V]).key.gen < gen {
 				st.evictLocked(el)
 			}
 		}
@@ -214,15 +240,31 @@ func (c *resultCache) sweep(gen int64) {
 	}
 }
 
-// cacheEntrySize estimates the entry's resident bytes (slice headers,
-// strings, map/list bookkeeping) for the LRU budget.
+// stats snapshots the counters; Bytes is the summed entry cost.
+func (c *epochLRU[V]) stats() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
+	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	for i := range c.stripes {
+		st := &c.stripes[i]
+		st.mu.Lock()
+		s.Bytes += st.used
+		s.Items += st.lru.Len()
+		st.mu.Unlock()
+	}
+	return s
+}
+
+// cacheEntrySize estimates a cached ranking's resident bytes (slice
+// headers, strings, map/list bookkeeping) for the LRU budget.
 func cacheEntrySize(e *cacheEntry) int64 {
 	n := int64(128) // entry struct + list element + index slot overhead
 	n += int64(len(e.text))
 	for _, t := range e.terms {
 		n += int64(len(t)) + 16
 	}
-	for _, h := range e.hits {
+	for _, h := range e.val {
 		n += int64(len(h.URL)) + 32
 	}
 	return n
@@ -236,18 +278,46 @@ type CacheStats struct {
 	Items  int
 }
 
-// stats snapshots the counters (nil-safe, like every method).
-func (c *resultCache) stats() CacheStats {
-	if c == nil {
-		return CacheStats{}
+// ThetaMemoStats reports threshold-memo effectiveness counters.
+type ThetaMemoStats struct {
+	Hits   int64
+	Misses int64
+	Items  int
+}
+
+// memoStats snapshots a threshold memo's counters (zero when disabled).
+func memoStats(tm *ThetaMemo) ThetaMemoStats {
+	s := tm.stats()
+	return ThetaMemoStats{Hits: s.Hits, Misses: s.Misses, Items: s.Items}
+}
+
+// DefaultThetaMemoEntries is the constructor default memo bound: seeds
+// are ~100 bytes each, so the default memo tops out near a megabyte while
+// covering far more distinct queries than the byte-bounded result cache
+// retains rankings for.
+const DefaultThetaMemoEntries = 8192
+
+// seededTheta builds the scan threshold for one query surface: nil when
+// the memo holds no seed, else a fresh TopKThreshold raised to the
+// memoised terminal k-th score (pruning-only — the scan still computes
+// the exact ranking).
+func seededTheta(tm *ThetaMemo, gen int64, kind cacheKind, k int, text string, terms []string) *bat.TopKThreshold {
+	seed, ok := tm.get(gen, kind, k, text, terms)
+	if !ok {
+		return nil
 	}
-	s := CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
-	for i := range c.stripes {
-		st := &c.stripes[i]
-		st.mu.Lock()
-		s.Bytes += st.bytes
-		s.Items += st.lru.Len()
-		st.mu.Unlock()
+	th := bat.NewTopKThreshold()
+	th.Raise(seed)
+	return th
+}
+
+// memoTheta records a completed ranking's terminal threshold. Only a
+// full ranking (len(hits) == k) carries an exact k-th score; short
+// rankings mean fewer than k scoreable documents, where no finite seed
+// is safe to pre-raise.
+func memoTheta(tm *ThetaMemo, gen int64, kind cacheKind, k int, text string, terms []string, hits []Hit) {
+	if k <= 0 || len(hits) != k {
+		return
 	}
-	return s
+	tm.put(gen, kind, k, text, terms, hits[k-1].Score)
 }

@@ -87,6 +87,54 @@ func TestCacheDifferentialSharded(t *testing.T) {
 	}
 }
 
+// TestCacheHitAllocatesNothing pins the served-from-cache path of a ranked
+// text query at zero allocations, on a single store and on the sharded
+// gather: the key is scalar-only, the hash is inlined, the view pin is an
+// atomic load, and the stored ranking is returned shared.
+func TestCacheHitAllocatesNothing(t *testing.T) {
+	urls, anns := refreshCorpus(40, 3)
+	sharded, err := NewSharded(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range urls {
+		if err := sharded.AddImage(urls[i], anns[i], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sharded.buildIndex(DefaultIndexOptions(), stubPipeline{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		r    interface {
+			SetResultCache(int64)
+			ResultCacheStats() CacheStats
+			QueryAnnotationsStamped(string, int) ([]Hit, EpochStamp, error)
+		}
+	}{
+		{"single", oneShotStub(t, urls, anns)},
+		{"sharded", sharded},
+	} {
+		const text, k = "harbor gull", 10
+		tc.r.SetResultCache(1 << 20)
+		if _, _, err := tc.r.QueryAnnotationsStamped(text, k); err != nil {
+			t.Fatal(err) // cold: populates the cache
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, _, err := tc.r.QueryAnnotationsStamped(text, k); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if st := tc.r.ResultCacheStats(); st.Hits < 200 {
+			t.Fatalf("%s: the measured calls were not cache hits: %+v", tc.name, st)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: a result-cache hit allocates %.1f objects, want 0", tc.name, allocs)
+		}
+	}
+}
+
 // TestCacheUnit exercises the resultCache directly: keying, LRU byte
 // budget, generation sweep, counters, and the disabled (nil) cache.
 func TestCacheUnit(t *testing.T) {

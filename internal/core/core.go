@@ -172,7 +172,7 @@ func New() (*Mirror, error) {
 		urls:         map[string]struct{}{},
 		contentTerms: map[bat.OID][]string{},
 	}
-	m.thetaMemo.Store(newThetaMemo(defaultThetaMemoEntries))
+	m.thetaMemo.Store(newThetaMemo(DefaultThetaMemoEntries))
 	return m, nil
 }
 
@@ -332,13 +332,6 @@ type Hit struct {
 	Score float64
 }
 
-// urlResolver maps a document OID to its source URL; Mirror resolves
-// shard-local OIDs through the internal set, ShardedEngine global OIDs
-// through its ingestion order.
-type urlResolver interface {
-	urlOf(oid bat.OID) string
-}
-
 // urlOf resolves an internal-set OID to its source URL against the live
 // database, under the read lock (the epoch-pinned query paths resolve
 // through their snapshot instead).
@@ -381,7 +374,7 @@ func (m *Mirror) SetThetaMemo(maxEntries int) {
 // ThetaMemoStats reports the threshold memo's effectiveness counters
 // (zero when the memo is disabled).
 func (m *Mirror) ThetaMemoStats() ThetaMemoStats {
-	return m.thetaMemo.Load().stats()
+	return memoStats(m.thetaMemo.Load())
 }
 
 // AnalyzeQuery exposes the text analysis pipeline used for queries.

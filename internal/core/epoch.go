@@ -182,11 +182,6 @@ func (ep *IndexEpoch) queryTopK(src string, params map[string]moa.Param, k int, 
 // (res.Ranked) arrive ordered and cut; exhaustive results with k > 0 go
 // through the bounded partial selection.
 func (ep *IndexEpoch) rankRows(res *moa.Result, k int) []Hit {
-	return rankRowsResolved(ep, res, k)
-}
-
-// rankRowsResolved is rankRows over any URL resolver.
-func rankRowsResolved(r urlResolver, res *moa.Result, k int) []Hit {
 	rows := res.Rows
 	switch {
 	case res.Ranked:
@@ -203,7 +198,7 @@ func rankRowsResolved(r urlResolver, res *moa.Result, k int) []Hit {
 	hits := make([]Hit, 0, len(rows))
 	for _, row := range rows {
 		score, _ := row.Value.(float64)
-		hits = append(hits, Hit{OID: row.OID, URL: r.urlOf(row.OID), Score: score})
+		hits = append(hits, Hit{OID: row.OID, URL: ep.urlOf(row.OID), Score: score})
 	}
 	return hits
 }
@@ -228,9 +223,10 @@ func (ep *IndexEpoch) queryContent(clusterWords []string, k int, theta *bat.TopK
 	return ep.rankRows(res, k), nil
 }
 
-// QueryAnnotations / QueryContent / ExpandQuery / urlOf make a pinned
-// epoch a dualCodingSite, so combined-evidence retrieval reads ONE
-// consistent snapshot even while refreshes publish new epochs mid-query.
+// QueryAnnotations / QueryContent / ExpandQuery / Thesaurus / urlOf make
+// a pinned epoch the retrieval half of a single store's site (epochSite),
+// so combined-evidence retrieval reads ONE consistent snapshot even while
+// refreshes publish new epochs mid-query.
 func (ep *IndexEpoch) QueryAnnotations(text string, k int) ([]Hit, error) {
 	return ep.queryAnnotations(text, k, nil)
 }
@@ -243,10 +239,13 @@ func (ep *IndexEpoch) ExpandQuery(text string, topK int) []string {
 	return expandConcepts(ep.thes, text, topK)
 }
 
-// weightedContentScores scores the epoch's image CONTREP with per-term
+func (ep *IndexEpoch) Thesaurus() *thesaurus.Thesaurus { return ep.thes }
+
+// WeightedContentScores scores the epoch's image CONTREP with per-term
 // weights via the wsum physical operator (the relevance-feedback
-// primitive), shard-locally.
-func (ep *IndexEpoch) weightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
+// primitive), shard-locally. The returned map is pooled: the caller
+// releases it with ir.ReleaseScores.
+func (ep *IndexEpoch) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
 	if len(terms) != len(weights) {
 		return nil, fmt.Errorf("core: %d terms vs %d weights", len(terms), len(weights))
 	}

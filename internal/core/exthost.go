@@ -1,89 +1,6 @@
 package core
 
-import (
-	"mirror/internal/bat"
-	"mirror/internal/ir"
-	"mirror/internal/media"
-	"mirror/internal/thesaurus"
-)
-
-// SessionSite is the retrieval surface an out-of-package engine (the
-// networked router of internal/dist) provides so core can host feedback
-// sessions and dual-coding retrieval over it with EXACTLY the in-process
-// semantics: Session.Run/Feedback and queryDualCoding contain the
-// combination arithmetic, and running them over this interface — rather
-// than reimplementing them remotely — is what keeps distributed session
-// results bit-identical to a single store's.
-type SessionSite interface {
-	// URLOf resolves an engine-global document OID to its source URL.
-	URLOf(oid uint64) string
-	QueryAnnotations(text string, k int) ([]Hit, error)
-	QueryContent(clusterWords []string, k int) ([]Hit, error)
-	ExpandQuery(text string, topK int) []string
-	// WeightedContentScores returns a POOLED score map (ir.NewScores);
-	// ownership transfers to the caller, which releases it with
-	// ir.ReleaseScores.
-	WeightedContentScores(terms []string, weights []float64) (ir.Scores, error)
-	ContentTerms(oid uint64) []string
-	Thesaurus() *thesaurus.Thesaurus
-	RequireIndex() error
-	ReinforceLogged(words, concepts []string, relevant bool) error
-}
-
-// siteAdapter bridges a SessionSite to the unexported sessionHost and
-// dualCodingSite interfaces the session/dual-coding machinery runs over.
-type siteAdapter struct{ s SessionSite }
-
-func (a siteAdapter) urlOf(oid bat.OID) string { return a.s.URLOf(uint64(oid)) }
-
-func (a siteAdapter) QueryAnnotations(text string, k int) ([]Hit, error) {
-	return a.s.QueryAnnotations(text, k)
-}
-
-func (a siteAdapter) QueryContent(clusterWords []string, k int) ([]Hit, error) {
-	return a.s.QueryContent(clusterWords, k)
-}
-
-func (a siteAdapter) ExpandQuery(text string, topK int) []string {
-	return a.s.ExpandQuery(text, topK)
-}
-
-func (a siteAdapter) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
-	s, err := a.s.WeightedContentScores(terms, weights)
-	return s, err
-}
-
-func (a siteAdapter) ContentTerms(oid bat.OID) []string { return a.s.ContentTerms(uint64(oid)) }
-
-func (a siteAdapter) Thesaurus() *thesaurus.Thesaurus { return a.s.Thesaurus() }
-
-func (a siteAdapter) requireIndex() error { return a.s.RequireIndex() }
-
-func (a siteAdapter) reinforceLogged(words, concepts []string, relevant bool) error {
-	return a.s.ReinforceLogged(words, concepts, relevant)
-}
-
-// NewSessionFor starts a relevance-feedback session against an external
-// retrieval site (Mirror and ShardedEngine keep their NewSession methods).
-func NewSessionFor(site SessionSite, text string) (*Session, error) {
-	return newSession(siteAdapter{site}, text)
-}
-
-// QueryDualCodingSite runs combined-evidence (dual coding) retrieval
-// against an external retrieval site.
-func QueryDualCodingSite(site SessionSite, text string, k int) ([]Hit, error) {
-	return queryDualCoding(siteAdapter{site}, text, k)
-}
-
-// ExpandWith exposes thesaurus query expansion over an externally held
-// thesaurus with the exact in-process semantics.
-func ExpandWith(thes *thesaurus.Thesaurus, text string, topK int) []string {
-	return expandConcepts(thes, text, topK)
-}
-
-// HitWorse is the ranked-retrieval total order — score descending, global
-// OID ascending on ties — exported for external scatter-gather merges.
-func HitWorse(a, b Hit) bool { return hitWorse(a, b) }
+import "mirror/internal/media"
 
 // RunLocalExtraction runs pipeline stages 1–3 (segmentation, feature
 // extraction, AutoClass clustering) in-process over the given document

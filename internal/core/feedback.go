@@ -6,7 +6,6 @@ import (
 
 	"mirror/internal/bat"
 	"mirror/internal/ir"
-	"mirror/internal/thesaurus"
 )
 
 // Session is an interactive retrieval session with relevance feedback, the
@@ -18,7 +17,7 @@ import (
 // Rocchio-style (relevant items add their cluster words' weight,
 // non-relevant subtract).
 type Session struct {
-	m         sessionHost
+	m         site
 	Text      string
 	textTerms []string
 	weights   map[string]float64 // cluster word → weight
@@ -30,25 +29,16 @@ type Session struct {
 	Alpha, Beta, Gamma float64
 }
 
-// sessionHost is the store surface a feedback session drives; Mirror (one
-// store) and ShardedEngine (scatter-gather over many) both provide it.
-type sessionHost interface {
-	urlResolver
-	QueryAnnotations(text string, k int) ([]Hit, error)
-	WeightedContentScores(terms []string, weights []float64) (ir.Scores, error)
-	ContentTerms(oid bat.OID) []string
-	Thesaurus() *thesaurus.Thesaurus
-	requireIndex() error
-	reinforceLogged(words, concepts []string, relevant bool) error
-}
-
 // NewSession starts a session from a free-text query.
-func (m *Mirror) NewSession(text string) (*Session, error) { return newSession(m, text) }
-
-func newSession(h sessionHost, text string) (*Session, error) {
-	if err := h.requireIndex(); err != nil {
+func (m *Mirror) NewSession(text string) (*Session, error) {
+	if _, err := m.requireEpoch(); err != nil {
 		return nil, err
 	}
+	return newSession(m, text), nil
+}
+
+// newSession starts a session over an indexed site.
+func newSession(h site, text string) *Session {
 	s := &Session{
 		m: h, Text: text,
 		textTerms: ir.Analyze(text),
@@ -58,7 +48,7 @@ func newSession(h sessionHost, text string) (*Session, error) {
 	for _, a := range h.Thesaurus().Associate(s.textTerms, 5) {
 		s.weights[a.Concept] = a.Belief
 	}
-	return s, nil
+	return s
 }
 
 // ClusterWeights returns the current content query (sorted by weight).

@@ -350,7 +350,7 @@ func buildFromBATs(bats map[string]*bat.BAT, extra map[string]string) (*Mirror, 
 		urls:         map[string]struct{}{},
 		contentTerms: map[bat.OID][]string{},
 	}
-	m.thetaMemo.Store(newThetaMemo(defaultThetaMemoEntries))
+	m.thetaMemo.Store(newThetaMemo(DefaultThetaMemoEntries))
 	var meta persistMeta
 	if raw := extra["meta"]; raw != "" {
 		if err := json.Unmarshal([]byte(raw), &meta); err != nil {

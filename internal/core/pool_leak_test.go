@@ -138,10 +138,7 @@ func (f *failingWCSHost) WeightedContentScores([]string, []float64) (ir.Scores, 
 // map must still be released.
 func TestSessionRunErrorPathDoesNotLeak(t *testing.T) {
 	m := leakStub(t)
-	sess, err := newSession(&failingWCSHost{m}, "harbor gull")
-	if err != nil {
-		t.Fatal(err)
-	}
+	sess := newSession(&failingWCSHost{m}, "harbor gull")
 	sess.weights["c000"] = 1 // guarantee the failing arm runs
 
 	before := snapshotPools()
@@ -154,7 +151,10 @@ func TestSessionRunErrorPathDoesNotLeak(t *testing.T) {
 // failingContentSite is a dual-coding site whose content query always
 // fails — the second pre-PR leak: queryDualCoding dropped the text map
 // on that return.
-type failingContentSite struct{ hits []Hit }
+type failingContentSite struct {
+	site // the session half of the interface, never called by dual coding
+	hits []Hit
+}
 
 func (f failingContentSite) urlOf(bat.OID) string { return "" }
 func (f failingContentSite) QueryAnnotations(string, int) ([]Hit, error) {
@@ -166,9 +166,9 @@ func (f failingContentSite) QueryContent([]string, int) ([]Hit, error) {
 func (f failingContentSite) ExpandQuery(string, int) []string { return []string{"c000"} }
 
 func TestDualCodingErrorPathDoesNotLeak(t *testing.T) {
-	site := failingContentSite{hits: []Hit{{OID: 1, Score: 0.5}, {OID: 2, Score: 0.25}}}
+	fs := failingContentSite{hits: []Hit{{OID: 1, Score: 0.5}, {OID: 2, Score: 0.25}}}
 	before := snapshotPools()
-	if _, err := queryDualCoding(site, "harbor gull", 5); !errors.Is(err, errInjected) {
+	if _, err := queryDualCoding(fs, "harbor gull", 5); !errors.Is(err, errInjected) {
 		t.Fatalf("queryDualCoding error = %v, want injected failure", err)
 	}
 	assertNoLeak(t, "queryDualCoding error path", before)

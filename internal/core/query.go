@@ -118,28 +118,50 @@ func (m *Mirror) QueryDualCodingStamped(text string, k int) ([]Hit, EpochStamp, 
 	if hits, ok := c.get(ep.Seq, cacheDual, k, text, nil); ok {
 		return hits, ep.stamp(), nil
 	}
-	hits, err := queryDualCoding(ep, text, k)
+	hits, err := queryDualCoding(epochSite{ep, m}, text, k)
 	if err == nil {
 		c.put(ep.Seq, cacheDual, k, text, nil, hits)
 	}
 	return hits, ep.stamp(), err
 }
 
-// dualCodingSite is the retrieval surface dual coding combines evidence
-// over; a pinned IndexEpoch and the ShardedEngine both provide it (the
-// sharded engine's hits already carry global OIDs, so the #sum
-// combination is shard-oblivious).
-type dualCodingSite interface {
-	urlResolver
+// epochSite is a single store's site pinned to one epoch: retrieval reads
+// the epoch, the per-document and durable halves stay the store's. (The
+// epoch itself must not point back at its store: the store's current
+// epoch carries a finalizer, and a cycle through it is never collected.)
+type epochSite struct {
+	*IndexEpoch
+	m *Mirror
+}
+
+func (s epochSite) ContentTerms(oid bat.OID) []string { return s.m.ContentTerms(oid) }
+
+func (s epochSite) reinforceLogged(words, concepts []string, relevant bool) error {
+	return s.m.reinforceLogged(words, concepts, relevant)
+}
+
+// site is the retrieval surface dual coding and feedback sessions combine
+// evidence over: a single store, one of its pinned epochs, or a sharded
+// engine's gather (in-process or networked) at a pinned or the current
+// view. Every implementation answers under the OIDs its hits carry, so the
+// #sum/#wsum combination above it is oblivious to how many stores answer.
+type site interface {
 	QueryAnnotations(text string, k int) ([]Hit, error)
 	QueryContent(clusterWords []string, k int) ([]Hit, error)
+	// WeightedContentScores returns a pooled score map the caller
+	// releases with ir.ReleaseScores.
+	WeightedContentScores(terms []string, weights []float64) (ir.Scores, error)
 	ExpandQuery(text string, topK int) []string
+	ContentTerms(oid bat.OID) []string
+	Thesaurus() *thesaurus.Thesaurus
+	urlOf(oid bat.OID) string
+	reinforceLogged(words, concepts []string, relevant bool) error
 }
 
 // queryDualCoding implements QueryDualCoding over any retrieval site.
 // Every borrowed Scores map is released on every path, including the
 // error returns (poolcheck-enforced).
-func queryDualCoding(site dualCodingSite, text string, k int) ([]Hit, error) {
+func queryDualCoding(site site, text string, k int) ([]Hit, error) {
 	textHits, err := site.QueryAnnotations(text, 0)
 	if err != nil {
 		return nil, err
@@ -176,7 +198,7 @@ func queryDualCoding(site dualCodingSite, text string, k int) ([]Hit, error) {
 // with the bounded partial selection. The ranking scratch is pooled;
 // RankInto may grow the backing array, so the borrow is threaded through
 // the same variable.
-func scoresToHits(r urlResolver, s ir.Scores, k int) []Hit {
+func scoresToHits(r site, s ir.Scores, k int) []Hit {
 	ranked := borrowRanked()
 	ranked = ir.RankInto(ranked, s, k)
 	hits := make([]Hit, 0, len(ranked))
@@ -196,15 +218,7 @@ func (m *Mirror) WeightedContentScores(terms []string, weights []float64) (ir.Sc
 	if err != nil {
 		return nil, err
 	}
-	return ep.weightedContentScores(terms, weights)
-}
-
-// requireIndex rejects queries before any index epoch has been published.
-func (m *Mirror) requireIndex() error {
-	if m.currentEpoch() == nil {
-		return ErrNotIndexed
-	}
-	return nil
+	return ep.WeightedContentScores(terms, weights)
 }
 
 // hitsToScores converts hits into a pooled Scores map; callers release it

@@ -43,7 +43,6 @@ import (
 
 	"mirror/internal/bat"
 	"mirror/internal/ir"
-	"mirror/internal/moa"
 	"mirror/internal/thesaurus"
 )
 
@@ -330,144 +329,6 @@ func (m *Mirror) populateCoveredLocked(docs []walDoc, annDict, imgDict []string)
 		return nil, err
 	}
 	return thDocs, nil
-}
-
-// ---- tag-pinned shard queries ----
-
-// shardTopK evaluates one scatter leg at the epoch carrying args.Tag,
-// reproducing exactly what the in-process engineEpoch does per shard:
-// evaluate with the pruning threshold seeded at the router's floor, remap
-// local OIDs to global, cut unranked results to the global top k. The
-// reply's theta feeds the router's shared rising threshold.
-func (m *Mirror) shardTopK(args *ShardQueryArgs) (*ShardQueryReply, error) {
-	ep, err := m.epochForTag(args.Tag)
-	if err != nil {
-		return nil, err
-	}
-	rep := &ShardQueryReply{Epoch: ep.Seq, Docs: ep.Docs}
-	var theta *bat.TopKThreshold
-	if args.K > 0 {
-		theta = bat.NewTopKThreshold()
-		theta.Raise(args.ThetaFloor)
-		if args.ScanID != 0 {
-			// Accept router RaiseTheta pushes while this leg scans.
-			defer registerScanTheta(args.ScanID, theta)()
-		}
-	}
-
-	switch args.Kind {
-	case "wsum":
-		sc, err := ep.weightedContentScores(args.Terms, args.Weights)
-		if err != nil {
-			ir.ReleaseScores(sc) // nil on error; release is nil-safe
-			return nil, err
-		}
-		for oid, s := range sc {
-			g, gerr := globalOIDOf(ep, bat.OID(oid))
-			if gerr != nil {
-				ir.ReleaseScores(sc)
-				return nil, gerr
-			}
-			rep.OIDs = append(rep.OIDs, g)
-			rep.Scores = append(rep.Scores, s)
-		}
-		ir.ReleaseScores(sc)
-		return rep, nil
-
-	case "moa":
-		var params map[string]moa.Param
-		if args.Terms != nil {
-			params = ir.QueryParams(args.Terms)
-		}
-		res, err := ep.queryTopK(args.Text, params, args.K, theta)
-		if err != nil {
-			return nil, err
-		}
-		if res.Rows == nil {
-			return nil, fmt.Errorf("scalar Moa queries cannot be merged across shards (run against one shard)")
-		}
-		rows := res.Rows
-		for i := range rows {
-			g, gerr := globalOIDOf(ep, rows[i].OID)
-			if gerr != nil {
-				return nil, gerr
-			}
-			rows[i].OID = bat.OID(g)
-		}
-		// The router's bounded merge only needs this shard's global top k;
-		// cutting here (on GLOBAL OIDs, after the remap — tie order must
-		// match the router's) is exact and bounds the reply size.
-		if args.K > 0 && !res.Ranked && len(rows) > args.K {
-			sel := bat.NewBoundedTopK(args.K, moa.RowWorse)
-			for _, row := range rows {
-				sel.Offer(row)
-			}
-			rows = sel.Ranked()
-		}
-		rep.Ranked = res.Ranked || args.K > 0
-		rep.Numeric = true
-		for _, row := range rows {
-			rep.OIDs = append(rep.OIDs, uint64(row.OID))
-			f, isF := row.Value.(float64)
-			if !isF {
-				rep.Numeric = false
-			}
-			rep.Floats = append(rep.Floats, isF)
-			rep.Scores = append(rep.Scores, f)
-			rep.Values = append(rep.Values, fmt.Sprintf("%v", row.Value))
-		}
-		if theta != nil {
-			rep.Theta = theta.Load()
-		}
-		return rep, nil
-
-	case "ann", "content":
-		var src string
-		var params map[string]moa.Param
-		if args.Kind == "ann" {
-			src = annotationQuery
-			params = ir.QueryParams(ir.Analyze(args.Text))
-		} else {
-			src = contentQuery
-			params = ir.QueryParams(args.Terms)
-		}
-		res, err := ep.queryTopK(src, params, args.K, theta)
-		if err != nil {
-			return nil, err
-		}
-		hits := make([]Hit, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			g, gerr := globalOIDOf(ep, row.OID)
-			if gerr != nil {
-				return nil, gerr
-			}
-			score, _ := row.Value.(float64)
-			hits = append(hits, Hit{OID: bat.OID(g), URL: ep.urlOf(row.OID), Score: score})
-		}
-		if !res.Ranked && args.K > 0 && len(hits) > args.K {
-			hits = topKHits(hits, args.K)
-		}
-		for _, h := range hits {
-			rep.OIDs = append(rep.OIDs, uint64(h.OID))
-			rep.URLs = append(rep.URLs, h.URL)
-			rep.Scores = append(rep.Scores, h.Score)
-		}
-		rep.Ranked = res.Ranked || args.K > 0
-		if theta != nil {
-			rep.Theta = theta.Load()
-		}
-		return rep, nil
-	}
-	return nil, fmt.Errorf("core: unknown shard query kind %q", args.Kind)
-}
-
-// globalOIDOf maps a shard-local document OID to its engine-global OID
-// within the pinned epoch.
-func globalOIDOf(ep *IndexEpoch, local bat.OID) (uint64, error) {
-	if uint64(local) >= uint64(len(ep.globals)) {
-		return 0, fmt.Errorf("local OID %d beyond %d mapped documents", local, len(ep.globals))
-	}
-	return ep.globals[local], nil
 }
 
 // ---- replication: primary side ----

@@ -12,9 +12,11 @@ import (
 	"bytes"
 	"fmt"
 
+	"mirror/internal/bat"
 	"mirror/internal/dict"
 	"mirror/internal/ir"
 	"mirror/internal/media"
+	"mirror/internal/moa"
 )
 
 // mirror unwraps the served Retriever as a single store; shard RPCs are
@@ -40,36 +42,63 @@ type ShardQueryArgs struct {
 	ScanID     uint64    // non-zero: accept RaiseTheta pushes mid-scan under this id
 }
 
-// ShardQueryReply carries one shard's leg of the scatter: rows already
-// remapped to engine-global OIDs and (for unranked legs) already cut to
-// the global top k, plus the epoch stamp of the pinned snapshot and the
-// pruning threshold reached — the router folds Theta into its shared
-// rising threshold for the remaining legs.
+// ShardQueryReply is one shard's leg of the scatter on the wire: rows
+// already remapped to engine-global OIDs and (for unranked legs) already
+// cut to the global top k, plus the pruning threshold reached — the
+// router folds Theta into its shared rising threshold for the remaining
+// legs. A row value travels as its float64 in Scores where it is one (all
+// "ann", "content" and "wsum" rows) and rendered with %v in Values where
+// it is not; Floats is nil when every value is a float64.
 type ShardQueryReply struct {
-	OIDs    []uint64
-	URLs    []string  // "ann"/"content" legs only
-	Scores  []float64 // belief scores; Moa legs: float64 values (see Numeric)
-	Values  []string  // "moa" legs: rendered row values
-	Numeric bool      // every Moa row value was a float64 (Scores authoritative)
-	Floats  []bool    // "moa" legs: per-row, Scores[i] is the authoritative float64 value
-	Ranked  bool      // rows arrive ranked (pruned top-k or shard-side cut)
-	Theta   float64   // pruning threshold after this leg (K > 0 only)
-	Epoch   int64
-	Docs    int
+	OIDs   []uint64
+	Scores []float64
+	Values []string
+	Floats []bool
+	Theta  float64 // pruning threshold after this leg (K > 0 only)
 }
 
-// ShardQuery evaluates one scatter leg at the epoch carrying args.Tag.
+// ShardQuery evaluates one scatter leg at the epoch carrying args.Tag:
+// the same leg an in-process engine runs, its threshold seeded at the
+// router's floor and, under a ScanID, raisable mid-scan by RaiseTheta.
 func (s *Service) ShardQuery(args ShardQueryArgs, reply *ShardQueryReply) error {
 	m, err := s.mirror()
 	if err != nil {
 		return err
 	}
 	defer s.acquire()()
-	rep, err := m.shardTopK(&args)
+	ep, err := m.epochForTag(args.Tag)
 	if err != nil {
 		return err
 	}
-	*reply = *rep
+	var theta *bat.TopKThreshold
+	if args.K > 0 {
+		theta = bat.NewTopKThreshold()
+		theta.Raise(args.ThetaFloor)
+		if args.ScanID != 0 {
+			defer registerScanTheta(args.ScanID, theta)()
+		}
+	}
+	l, err := ep.leg(args, theta)
+	if err != nil {
+		return err
+	}
+	*reply = ShardQueryReply{OIDs: l.oids, Scores: l.scores, Theta: l.theta}
+	mixed := false
+	for _, row := range l.rows {
+		f, isF := row.Value.(float64)
+		reply.OIDs = append(reply.OIDs, uint64(row.OID))
+		reply.Scores = append(reply.Scores, f)
+		mixed = mixed || !isF
+	}
+	if mixed {
+		reply.Floats = make([]bool, len(l.rows))
+		reply.Values = make([]string, len(l.rows))
+		for i, row := range l.rows {
+			if _, reply.Floats[i] = row.Value.(float64); !reply.Floats[i] {
+				reply.Values[i] = fmt.Sprintf("%v", row.Value)
+			}
+		}
+	}
 	return nil
 }
 
@@ -288,11 +317,26 @@ func (s *Service) Topology(_ dict.Empty, reply *TopologyReply) error {
 
 // ---- typed client surface (internal/dist) ----
 
-// ShardQuery runs one scatter leg against a shard daemon.
-func (c *Client) ShardQuery(args ShardQueryArgs) (*ShardQueryReply, error) {
+// ShardQuery runs one scatter leg against a shard daemon and decodes the
+// reply into the leg the gather merges.
+func (c *Client) ShardQuery(args ShardQueryArgs) (*ShardLeg, error) {
 	var reply ShardQueryReply
-	err := c.call("Mirror.ShardQuery", args, &reply)
-	return &reply, wireErr(err)
+	if err := c.call("Mirror.ShardQuery", args, &reply); err != nil {
+		return nil, wireErr(err)
+	}
+	l := &ShardLeg{theta: reply.Theta}
+	if args.Kind == "wsum" {
+		l.oids, l.scores = reply.OIDs, reply.Scores
+		return l, nil
+	}
+	l.rows = make([]moa.Row, len(reply.OIDs))
+	for i, oid := range reply.OIDs {
+		l.rows[i] = moa.Row{OID: bat.OID(oid), Value: reply.Scores[i]}
+		if reply.Floats != nil && !reply.Floats[i] {
+			l.rows[i].Value = reply.Values[i]
+		}
+	}
+	return l, nil
 }
 
 // RaiseTheta streams a threshold raise into an in-flight scatter leg.

@@ -12,7 +12,6 @@ import (
 	"mirror/internal/bat"
 	"mirror/internal/ir"
 	"mirror/internal/media"
-	"mirror/internal/moa"
 	"mirror/internal/storage"
 	"mirror/internal/thesaurus"
 )
@@ -79,18 +78,10 @@ type ShardedEngine struct {
 	epochSeq int64
 	buildMu  sync.Mutex
 
-	// cache is the optional epoch-keyed query result cache
-	// (SetResultCache); nil disables caching. Keyed on the engine epoch
-	// sequence number, so every engine-level publish invalidates it for
-	// free. One cache serves the whole engine (results carry global OIDs);
-	// internally it is striped shared-nothing.
-	cache atomic.Pointer[resultCache]
-
-	// thetaMemo memoises each completed pruned query's terminal k-th
-	// score, keyed on the engine epoch sequence number, so a repeat
-	// query opens every shard's scan with the shared threshold already
-	// at terminal height (SetThetaMemo; on by default).
-	thetaMemo atomic.Pointer[ThetaMemo]
+	// Gather is the engine's query half: scatter-gather over the pinned
+	// engine epoch, plus the result cache and θ-memo keyed on its sequence
+	// number, so every engine-level publish invalidates them for free.
+	*Gather
 
 	// Frozen content model and running global collection statistics (the
 	// exact integer bookkeeping behind df/N/avgdl), maintained
@@ -108,35 +99,6 @@ type engineEpoch struct {
 	live   int      // covered documents (crash gaps excluded) — the wire stamp
 	order  []string // frozen prefix of the global ingestion order
 	shards []*IndexEpoch
-	thes   *thesaurus.Thesaurus
-}
-
-// urlOf resolves a global OID against the epoch's frozen order.
-func (ee *engineEpoch) urlOf(oid bat.OID) string {
-	if uint64(oid) >= uint64(len(ee.order)) {
-		return ""
-	}
-	return ee.order[oid]
-}
-
-// fanOutEps runs f on every shard epoch concurrently, first error wins.
-func fanOutEps(shards []*IndexEpoch, f func(s int, ep *IndexEpoch) error) error {
-	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, ep := range shards {
-		wg.Add(1)
-		go func(i int, ep *IndexEpoch) {
-			defer wg.Done()
-			errs[i] = f(i, ep)
-		}(i, ep)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("core: shard %d: %w", i, err)
-		}
-	}
-	return nil
 }
 
 type shardLoc struct {
@@ -150,7 +112,7 @@ func NewSharded(n int) (*ShardedEngine, error) {
 		return nil, fmt.Errorf("core: shard count must be >= 1, got %d", n)
 	}
 	e := &ShardedEngine{urls: map[string]struct{}{}}
-	e.thetaMemo.Store(newThetaMemo(defaultThetaMemoEntries))
+	e.Gather = NewGather(e)
 	for i := 0; i < n; i++ {
 		m, err := New()
 		if err != nil {
@@ -263,10 +225,6 @@ func (e *ShardedEngine) URLs() []string {
 	}
 	return out
 }
-
-// Indexed reports whether an engine epoch is being served (the content
-// index exists; documents pending a Refresh do not un-index the engine).
-func (e *ShardedEngine) Indexed() bool { return e.epoch.Load() != nil }
 
 // Current reports whether the serving engine epoch covers every ingested
 // document.
@@ -480,11 +438,6 @@ func (e *ShardedEngine) publishEngineEpochLocked(docs int) {
 	for i, sh := range e.shards {
 		shardEps[i] = sh.currentEpoch()
 	}
-	// The new sequence number invalidates every cached result and every
-	// memoised threshold seed for free; sweeping just returns the stale
-	// generations' bytes promptly.
-	defer e.cache.Load().sweep(e.epochSeq)
-	defer e.thetaMemo.Load().sweep(e.epochSeq)
 	// Crash gaps (order[g] == "" after a WAL-truncating recovery) occupy
 	// global positions but hold no document; the wire stamp counts only
 	// live documents so it matches the ingest-order prefix length.
@@ -500,7 +453,6 @@ func (e *ShardedEngine) publishEngineEpochLocked(docs int) {
 		live:   live,
 		order:  e.order[:docs:docs],
 		shards: shardEps,
-		thes:   e.thes,
 	})
 }
 
@@ -527,23 +479,6 @@ func (e *ShardedEngine) Thesaurus() *thesaurus.Thesaurus {
 
 // SchemaSource returns the DDL (identical on every shard).
 func (e *ShardedEngine) SchemaSource() string { return e.shards[0].SchemaSource() }
-
-// urlOf resolves a global OID through the ingestion order.
-func (e *ShardedEngine) urlOf(oid bat.OID) string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if uint64(oid) >= uint64(len(e.order)) {
-		return ""
-	}
-	return e.order[oid]
-}
-
-func (e *ShardedEngine) requireIndex() error {
-	if e.epoch.Load() == nil {
-		return ErrNotIndexed
-	}
-	return nil
-}
 
 // ---- index build (global pipeline) ----
 
@@ -712,16 +647,71 @@ func sortedKeys(m map[string]int) []string {
 	return out
 }
 
-// ---- scatter-gather queries ----
+// ---- queries (the Gather) ----
 
-// hitWorse orders hits under the ranked-retrieval total order: score
-// descending, global OID ascending on ties — the same order a single
-// store's ranking uses, which is what makes the merge a pure top-k union.
-func hitWorse(a, b Hit) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
+// An engine epoch is the in-process transport of the one gather: its legs
+// scan their shard epochs directly under the gather's shared threshold.
+
+// Stamp derives the wire stamp of a pinned engine epoch. Docs is the live
+// document count (crash gaps in the frozen order excluded), precomputed
+// at publish.
+func (ee *engineEpoch) Stamp() EpochStamp { return EpochStamp{Seq: ee.seq, Docs: ee.live} }
+
+func (ee *engineEpoch) NumShards() int { return len(ee.shards) }
+
+// URLOf resolves a global OID against the epoch's frozen order.
+func (ee *engineEpoch) URLOf(oid bat.OID) string {
+	if uint64(oid) >= uint64(len(ee.order)) {
+		return ""
 	}
-	return a.OID > b.OID
+	return ee.order[oid]
+}
+
+func (ee *engineEpoch) Leg(s int, q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg, error) {
+	return ee.shards[s].leg(q, theta)
+}
+
+// View pins the serving engine epoch (nil before the first publish).
+func (e *ShardedEngine) View() ShardView {
+	if ee := e.epoch.Load(); ee != nil {
+		return ee
+	}
+	return nil
+}
+
+// liveView evaluates against the live shard databases: moash's
+// pre-pipeline browsing of an engine that never published, safe only
+// without concurrent ingest.
+func (e *ShardedEngine) liveView() ShardView {
+	ee := &engineEpoch{shards: make([]*IndexEpoch, len(e.shards))}
+	for s, sh := range e.shards {
+		ee.shards[s] = &IndexEpoch{DB: sh.DB, Eng: sh.Eng, globals: sh.globalOIDsSnapshot()}
+	}
+	return ee
+}
+
+// PostingsStats reports every shard's postings footprint in the serving
+// engine epoch, the plan-cache counters summed over its shard engines,
+// plus the process-wide block-scan counters.
+func (e *ShardedEngine) PostingsStats() PostingsStats {
+	var st PostingsStats
+	if ee := e.epoch.Load(); ee != nil {
+		for s, ep := range ee.shards {
+			st.Stores = append(st.Stores, ep.postingsOf(s)...)
+			hits, misses := ep.Eng.PlanCacheStats()
+			st.PlanHits += hits
+			st.PlanMisses += misses
+		}
+	}
+	st.BlocksDecoded, st.BlocksSkipped = bat.BlockScanStats()
+	return st
+}
+
+// ReinforceLogged routes feedback reinforcement to shard 0 — the durable
+// authority for the shared thesaurus (its WAL carries the feedback
+// records; every shard checkpoints the same shared state).
+func (e *ShardedEngine) ReinforceLogged(words, concepts []string, relevant bool) error {
+	return e.shards[0].reinforceLogged(words, concepts, relevant)
 }
 
 // fanOut runs f on every shard concurrently and returns the first error.
@@ -742,365 +732,6 @@ func (e *ShardedEngine) fanOut(f func(s int, sh *Mirror) error) error {
 		}
 	}
 	return nil
-}
-
-// gatherHits fans a ranking query out to every shard epoch of one pinned
-// engine epoch and merges the shard-local rankings into the global one.
-// k > 0 shares one pruning threshold across all shards' scans and merges
-// through the bounded selector; k <= 0 returns the full ranking.
-func (e *ShardedEngine) gatherHits(src string, params map[string]moa.Param, k int) ([]Hit, error) {
-	ee := e.epoch.Load()
-	if ee == nil {
-		return nil, ErrNotIndexed
-	}
-	return ee.gatherHits(src, params, k)
-}
-
-func (ee *engineEpoch) gatherHits(src string, params map[string]moa.Param, k int) ([]Hit, error) {
-	return ee.gatherHitsTheta(src, params, k, nil)
-}
-
-// gatherHitsTheta is gatherHits with the shared pruning threshold
-// supplied by the caller — a θ-memo seed pre-raises it to the previous
-// run's terminal height, and every shard scan starts there instead of
-// climbing from -Inf independently.
-func (ee *engineEpoch) gatherHitsTheta(src string, params map[string]moa.Param, k int, theta *bat.TopKThreshold) ([]Hit, error) {
-	if k > 0 && theta == nil {
-		theta = bat.NewTopKThreshold()
-	}
-	perShard := make([][]Hit, len(ee.shards))
-	err := fanOutEps(ee.shards, func(s int, ep *IndexEpoch) error {
-		res, err := ep.queryTopK(src, params, k, theta)
-		if err != nil {
-			return err
-		}
-		hits := make([]Hit, 0, len(res.Rows))
-		for _, row := range res.Rows {
-			if uint64(row.OID) >= uint64(len(ep.globals)) {
-				return fmt.Errorf("local OID %d beyond %d mapped documents", row.OID, len(ep.globals))
-			}
-			score, _ := row.Value.(float64)
-			g := bat.OID(ep.globals[row.OID])
-			hits = append(hits, Hit{OID: g, URL: ee.urlOf(g), Score: score})
-		}
-		// An exhaustive fallback returns unranked rows; rank them locally
-		// so the merge below sees each shard's best first either way.
-		if !res.Ranked && k > 0 && len(hits) > k {
-			hits = topKHits(hits, k)
-		}
-		perShard[s] = hits
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if k > 0 {
-		merged := bat.NewBoundedTopK(k, hitWorse)
-		for _, hits := range perShard {
-			for _, h := range hits {
-				merged.Offer(h)
-			}
-		}
-		return merged.Ranked(), nil
-	}
-	var all []Hit
-	for _, hits := range perShard {
-		all = append(all, hits...)
-	}
-	sort.Slice(all, func(i, j int) bool { return hitWorse(all[j], all[i]) })
-	return all, nil
-}
-
-// QueryAnnotations / QueryContent / ExpandQuery make a pinned engineEpoch
-// a dualCodingSite (combined evidence reads one consistent snapshot).
-func (ee *engineEpoch) QueryAnnotations(text string, k int) ([]Hit, error) {
-	return ee.gatherHits(annotationQuery, ir.QueryParams(ir.Analyze(text)), k)
-}
-
-func (ee *engineEpoch) QueryContent(clusterWords []string, k int) ([]Hit, error) {
-	return ee.gatherHits(contentQuery, ir.QueryParams(clusterWords), k)
-}
-
-func (ee *engineEpoch) ExpandQuery(text string, topK int) []string {
-	return expandConcepts(ee.thes, text, topK)
-}
-
-// topKHits cuts hits to the k best under hitWorse.
-func topKHits(hits []Hit, k int) []Hit {
-	h := bat.NewBoundedTopK(k, hitWorse)
-	for _, x := range hits {
-		h.Offer(x)
-	}
-	return h.Ranked()
-}
-
-// QueryAnnotations ranks the whole collection against a free-text query —
-// scatter, then gather; see Mirror.QueryAnnotations for semantics.
-func (e *ShardedEngine) QueryAnnotations(text string, k int) ([]Hit, error) {
-	hits, _, err := e.QueryAnnotationsStamped(text, k)
-	return hits, err
-}
-
-// QueryAnnotationsStamped is QueryAnnotations plus the stamp of the
-// engine epoch the scatter-gather ran against.
-func (e *ShardedEngine) QueryAnnotationsStamped(text string, k int) ([]Hit, EpochStamp, error) {
-	ee := e.epoch.Load()
-	if ee == nil {
-		return nil, EpochStamp{}, ErrNotIndexed
-	}
-	c := e.cache.Load()
-	if hits, ok := c.get(ee.seq, cacheAnnotations, k, text, nil); ok {
-		return hits, ee.stamp(), nil
-	}
-	tm := e.thetaMemo.Load()
-	theta := seededTheta(tm, ee.seq, cacheAnnotations, k, text, nil)
-	hits, err := ee.gatherHitsTheta(annotationQuery, ir.QueryParams(ir.Analyze(text)), k, theta)
-	if err == nil {
-		c.put(ee.seq, cacheAnnotations, k, text, nil, hits)
-		memoTheta(tm, ee.seq, cacheAnnotations, k, text, nil, hits)
-	}
-	return hits, ee.stamp(), err
-}
-
-// QueryContent ranks by image content given cluster words.
-func (e *ShardedEngine) QueryContent(clusterWords []string, k int) ([]Hit, error) {
-	ee := e.epoch.Load()
-	if ee == nil {
-		return nil, ErrNotIndexed
-	}
-	c := e.cache.Load()
-	if hits, ok := c.get(ee.seq, cacheContent, k, "", clusterWords); ok {
-		return hits, nil
-	}
-	tm := e.thetaMemo.Load()
-	theta := seededTheta(tm, ee.seq, cacheContent, k, "", clusterWords)
-	hits, err := ee.gatherHitsTheta(contentQuery, ir.QueryParams(clusterWords), k, theta)
-	if err == nil {
-		c.put(ee.seq, cacheContent, k, "", clusterWords, hits)
-		memoTheta(tm, ee.seq, cacheContent, k, "", clusterWords, hits)
-	}
-	return hits, err
-}
-
-// QueryDualCoding combines annotation and content evidence (#sum); the
-// combination runs on global OIDs, so it is shard-oblivious, and both
-// evidence sources read one pinned engine epoch.
-func (e *ShardedEngine) QueryDualCoding(text string, k int) ([]Hit, error) {
-	hits, _, err := e.QueryDualCodingStamped(text, k)
-	return hits, err
-}
-
-// QueryDualCodingStamped is QueryDualCoding plus the stamp of the pinned
-// engine epoch both evidence sources read.
-func (e *ShardedEngine) QueryDualCodingStamped(text string, k int) ([]Hit, EpochStamp, error) {
-	ee := e.epoch.Load()
-	if ee == nil {
-		return nil, EpochStamp{}, ErrNotIndexed
-	}
-	c := e.cache.Load()
-	if hits, ok := c.get(ee.seq, cacheDual, k, text, nil); ok {
-		return hits, ee.stamp(), nil
-	}
-	hits, err := queryDualCoding(ee, text, k)
-	if err == nil {
-		c.put(ee.seq, cacheDual, k, text, nil, hits)
-	}
-	return hits, ee.stamp(), err
-}
-
-// SetResultCache installs (or, with maxBytes <= 0, removes) an
-// epoch-keyed query result cache bounded to roughly maxBytes, shared by
-// all shards (the gathered results it stores carry global OIDs).
-func (e *ShardedEngine) SetResultCache(maxBytes int64) {
-	e.cache.Store(newResultCache(maxBytes))
-}
-
-// ResultCacheStats reports the result cache's effectiveness counters
-// (zero when caching is disabled).
-func (e *ShardedEngine) ResultCacheStats() CacheStats {
-	return e.cache.Load().stats()
-}
-
-// SetThetaMemo installs (or, with maxEntries <= 0, removes) the
-// epoch-keyed threshold memo bounded to roughly maxEntries; seeds are
-// pruning-only, so toggling it is always safe.
-func (e *ShardedEngine) SetThetaMemo(maxEntries int) {
-	e.thetaMemo.Store(newThetaMemo(maxEntries))
-}
-
-// ThetaMemoStats reports the threshold memo's effectiveness counters
-// (zero when the memo is disabled).
-func (e *ShardedEngine) ThetaMemoStats() ThetaMemoStats {
-	return e.thetaMemo.Load().stats()
-}
-
-// PostingsStats reports every shard's postings footprint in the serving
-// engine epoch, the plan-cache counters summed over its shard engines,
-// plus the process-wide block-scan counters.
-func (e *ShardedEngine) PostingsStats() PostingsStats {
-	var st PostingsStats
-	if ee := e.epoch.Load(); ee != nil {
-		for s, ep := range ee.shards {
-			st.Stores = append(st.Stores, ep.postingsOf(s)...)
-			hits, misses := ep.Eng.PlanCacheStats()
-			st.PlanHits += hits
-			st.PlanMisses += misses
-		}
-	}
-	st.BlocksDecoded, st.BlocksSkipped = bat.BlockScanStats()
-	return st
-}
-
-// ExpandQuery maps free text to associated content clusters via the
-// shared thesaurus.
-func (e *ShardedEngine) ExpandQuery(text string, topK int) []string {
-	return expandConcepts(e.Thesaurus(), text, topK)
-}
-
-// WeightedContentScores scatters the weighted-sum scoring across one
-// pinned engine epoch and gathers the per-shard score maps under global
-// OIDs (shards are disjoint, so the merge is a plain union).
-func (e *ShardedEngine) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
-	ee := e.epoch.Load()
-	if ee == nil {
-		return nil, ErrNotIndexed
-	}
-	perShard := make([]ir.Scores, len(ee.shards))
-	err := fanOutEps(ee.shards, func(s int, ep *IndexEpoch) error {
-		scores, err := ep.weightedContentScores(terms, weights)
-		if err != nil {
-			ir.ReleaseScores(scores) // nil on error; release is nil-safe
-			return err
-		}
-		// The shard-local map is pooled scratch: remap to global OIDs into
-		// a plain map (perShard escapes the borrow scope) and release.
-		out := make(ir.Scores, len(scores))
-		for local, score := range scores {
-			if local >= uint64(len(ep.globals)) {
-				ir.ReleaseScores(scores)
-				return fmt.Errorf("local OID %d beyond %d mapped documents", local, len(ep.globals))
-			}
-			out[ep.globals[local]] = score
-		}
-		ir.ReleaseScores(scores)
-		perShard[s] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	total := 0
-	for _, s := range perShard {
-		total += len(s)
-	}
-	merged := make(ir.Scores, total)
-	for _, s := range perShard {
-		for g, score := range s {
-			merged[g] = score
-		}
-	}
-	return merged, nil
-}
-
-// NewSession starts a relevance-feedback session over the sharded
-// collection; judgments arrive as global OIDs (what hits carry).
-func (e *ShardedEngine) NewSession(text string) (*Session, error) { return newSession(e, text) }
-
-// reinforceLogged routes feedback reinforcement to shard 0 — the durable
-// authority for the shared thesaurus (its WAL carries the feedback
-// records; every shard checkpoints the same shared state).
-func (e *ShardedEngine) reinforceLogged(words, concepts []string, relevant bool) error {
-	return e.shards[0].reinforceLogged(words, concepts, relevant)
-}
-
-// Query runs a raw Moa query across all shards (see QueryTopK).
-func (e *ShardedEngine) Query(src string, queryTerms []string) (*moa.Result, error) {
-	return e.QueryTopK(src, queryTerms, 0)
-}
-
-// QueryTopK runs a raw Moa query on every shard and merges set-typed
-// results under global OIDs: k > 0 merges the shard rankings through the
-// bounded selector (rows come back ranked and cut — on a sharded store
-// the cut always happens engine-side, even for plans served exhaustively
-// on the shards); k <= 0 concatenates in ascending global OID order.
-// Scalar queries are refused: aggregating arbitrary scalars across shards
-// is query-specific, and silently summing or averaging would lie.
-func (e *ShardedEngine) QueryTopK(src string, queryTerms []string, k int) (*moa.Result, error) {
-	res, _, err := e.QueryTopKStamped(src, queryTerms, k)
-	return res, err
-}
-
-// QueryTopKStamped is QueryTopK plus the stamp of the engine epoch every
-// shard evaluated against; the live-database fallback (no epoch published)
-// returns the zero stamp.
-func (e *ShardedEngine) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.Result, EpochStamp, error) {
-	var params map[string]moa.Param
-	if queryTerms != nil {
-		params = ir.QueryParams(queryTerms)
-	}
-	var theta *bat.TopKThreshold
-	if k > 0 {
-		theta = bat.NewTopKThreshold()
-	}
-	// Indexed engines evaluate against the pinned engine epoch (snapshot-
-	// isolated). A pre-index engine falls back to the live shard
-	// databases — moash's pre-pipeline browsing — which is safe only
-	// without concurrent ingest.
-	ee := e.epoch.Load()
-	var stamp EpochStamp
-	if ee != nil {
-		stamp = ee.stamp()
-	}
-	globalsOf := func(s int) []uint64 { return e.shards[s].globalOIDsSnapshot() }
-	evalShard := func(s int) (*moa.Result, error) {
-		return e.shards[s].Eng.QueryTopK(src, params, k, theta)
-	}
-	if ee != nil {
-		globalsOf = func(s int) []uint64 { return ee.shards[s].globals }
-		evalShard = func(s int) (*moa.Result, error) {
-			return ee.shards[s].queryTopK(src, params, k, theta)
-		}
-	}
-	results := make([]*moa.Result, len(e.shards))
-	err := e.fanOut(func(s int, _ *Mirror) error {
-		res, err := evalShard(s)
-		if err != nil {
-			return err
-		}
-		if res.Rows == nil {
-			return fmt.Errorf("scalar Moa queries cannot be merged across shards (run against one shard)")
-		}
-		globals := globalsOf(s)
-		for i := range res.Rows {
-			local := res.Rows[i].OID
-			if uint64(local) >= uint64(len(globals)) {
-				return fmt.Errorf("local OID %d beyond %d mapped documents", local, len(globals))
-			}
-			res.Rows[i].OID = bat.OID(globals[local])
-		}
-		results[s] = res
-		return nil
-	})
-	if err != nil {
-		return nil, stamp, err
-	}
-	out := &moa.Result{T: results[0].T}
-	if k > 0 {
-		merged := bat.NewBoundedTopK(k, moa.RowWorse)
-		for _, res := range results {
-			for _, row := range res.Rows {
-				merged.Offer(row)
-			}
-		}
-		out.Rows = merged.Ranked()
-		out.Ranked = true
-		return out, stamp, nil
-	}
-	for _, res := range results {
-		out.Rows = append(out.Rows, res.Rows...)
-	}
-	sort.Slice(out.Rows, func(i, j int) bool { return out.Rows[i].OID < out.Rows[j].OID })
-	return out, stamp, nil
 }
 
 // ---- persistence ----
@@ -1171,7 +802,7 @@ func OpenShardedPersistent(opts ShardedPersistOptions) (*ShardedEngine, ShardRec
 		persistent: true,
 		root:       opts.Dir,
 	}
-	e.thetaMemo.Store(newThetaMemo(defaultThetaMemoEntries))
+	e.Gather = NewGather(e)
 	perStats := make([]RecoveryStats, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mirror/internal/bat"
 	"mirror/internal/corpus"
+	"mirror/internal/moa"
 )
 
 // The sharded differential suite: a ShardedEngine over any shard count
@@ -168,6 +170,75 @@ func TestShardedMoaQueryEqualsSingleStore(t *testing.T) {
 	// scalar queries cannot be merged and must say so
 	if _, err := e.Query("count(ImageLibrary);", nil); err == nil {
 		t.Fatal("scalar query across shards should be refused")
+	}
+}
+
+// TestShardedMoaNativeValues: Moa rows whose values are not float64 — a
+// string attribute, a tuple — must come back from the in-process engine
+// exactly as a single store returns them, native values included (the
+// wire's %v rendering belongs to the networked transport only), at k = 0
+// and k > 0, both on an indexed engine and on the pre-index fallback over
+// the live shard databases.
+func TestShardedMoaNativeValues(t *testing.T) {
+	urls, anns := refreshCorpus(30, 9)
+	terms := []string{"harbor", "gull"}
+	for _, n := range []int{2, 8} {
+		for _, indexed := range []bool{false, true} {
+			single, err := New()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, err := NewSharded(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range urls {
+				for _, r := range []Retriever{single, sharded} {
+					if err := r.AddImage(urls[i], anns[i], nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			queries := []string{`map[THIS.source](ImageLibrary);`}
+			if indexed {
+				if err := single.buildIndex(DefaultIndexOptions(), stubPipeline{}); err != nil {
+					t.Fatal(err)
+				}
+				if err := sharded.buildIndex(DefaultIndexOptions(), stubPipeline{}); err != nil {
+					t.Fatal(err)
+				}
+				queries = append(queries,
+					`map[TUPLE<u: THIS.source, s: sum(getBL(THIS.annotation, query, stats))>](ImageLibraryInternal);`)
+			}
+			for _, src := range queries {
+				for _, k := range []int{0, 4} {
+					label := fmt.Sprintf("N=%d indexed=%v k=%d %s", n, indexed, k, src)
+					want, err := single.QueryTopK(src, terms, k)
+					if err != nil {
+						t.Fatalf("%s: single: %v", label, err)
+					}
+					got, err := sharded.QueryTopK(src, terms, k)
+					if err != nil {
+						t.Fatalf("%s: sharded: %v", label, err)
+					}
+					// A single store returns an exhaustive plan uncut (its
+					// callers rank and cut); the gather always cuts.
+					wantRows := want.Rows
+					if k > 0 && !want.Ranked {
+						wantRows = moa.TopKRows(append([]moa.Row(nil), want.Rows...), k)
+					}
+					if len(wantRows) == 0 {
+						t.Fatalf("%s: empty reference result", label)
+					}
+					if _, isF := wantRows[0].Value.(float64); isF {
+						t.Fatalf("%s: reference rows are float64 valued; the query does not exercise native values", label)
+					}
+					if !reflect.DeepEqual(wantRows, got.Rows) {
+						t.Fatalf("%s:\n want %v\n got  %v", label, wantRows, got.Rows)
+					}
+				}
+			}
+		}
 	}
 }
 

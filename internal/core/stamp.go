@@ -19,11 +19,6 @@ type EpochStamp struct {
 // stamp derives the wire stamp of a pinned standalone epoch.
 func (ep *IndexEpoch) stamp() EpochStamp { return EpochStamp{Seq: ep.Seq, Docs: ep.Docs} }
 
-// stamp derives the wire stamp of a pinned engine epoch. Docs is the live
-// document count (crash gaps in the frozen order excluded), precomputed
-// at publish.
-func (ee *engineEpoch) stamp() EpochStamp { return EpochStamp{Seq: ee.seq, Docs: ee.live} }
-
 // ServingEpoch reports the stamp of the epoch queries are currently
 // served from; ok is false (and the stamp zero) before the first publish.
 // Because queries pin their own epoch, a stamp observed here only brackets
@@ -34,13 +29,4 @@ func (m *Mirror) ServingEpoch() (EpochStamp, bool) {
 		return EpochStamp{}, false
 	}
 	return ep.stamp(), true
-}
-
-// ServingEpoch reports the engine-wide serving stamp; see Mirror.ServingEpoch.
-func (e *ShardedEngine) ServingEpoch() (EpochStamp, bool) {
-	ee := e.epoch.Load()
-	if ee == nil {
-		return EpochStamp{}, false
-	}
-	return ee.stamp(), true
 }

@@ -98,7 +98,7 @@ func TestThetaMemoUnit(t *testing.T) {
 			t.Fatal("nil memo returned a seed")
 		}
 		tm.sweep(2)
-		if st := tm.stats(); st != (ThetaMemoStats{}) {
+		if st := tm.stats(); st != (CacheStats{}) {
 			t.Fatalf("nil memo stats = %+v", st)
 		}
 		if newThetaMemo(0) != nil || newThetaMemo(-1) != nil {

@@ -2,13 +2,16 @@ package dist
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"mirror/internal/bat"
 	"mirror/internal/core"
 	"mirror/internal/corpus"
+	"mirror/internal/media"
 )
 
 // annQuerySrc mirrors the paper's Section 3 ranking expression (the same
@@ -226,6 +229,113 @@ func checkEpochVector(t *testing.T, c *cluster) {
 				fst.Tag != pst.Tag || fst.Epoch != pst.Epoch || fst.Docs != pst.Docs {
 				t.Fatalf("shard %d replica %d diverged:\n primary %+v\n follower %+v", i, f, pst, fst)
 			}
+		}
+	}
+}
+
+// TestDifferentialLargeRound is the distributed differential at a size
+// where pruning, ties and segmentation matter: 4 000 documents ingested in
+// refresh chunks (so every shard serves several segments), multi-term
+// annotation and content queries at k ∈ {1, 10, 0}, for N ∈ {2, 8}. The
+// router, the in-process sharded engine and a single store must agree BUN
+// for BUN, ties included — the vocabulary is small, so ties are common.
+func TestDifferentialLargeRound(t *testing.T) {
+	// The full build clusters its chunk (the expensive step), so it is
+	// kept small; every refresh only assigns its delta to the clusters.
+	const docs, first, chunk = 4000, 400, 600
+	items := corpus.Generate(corpus.Config{N: docs, W: 16, H: 16, Seed: 5, AnnotateRate: 0.8})
+	opts := testIndexOptions()
+	opts.Features = []string{"rgb_coarse"}
+	opts.KMax = 3
+
+	var vocab []string
+	for class := range media.Classes {
+		vocab = append(vocab, corpus.ClassWords(class)...)
+	}
+	rng := rand.New(rand.NewSource(17))
+	var queries []string
+	for i := 0; i < 8; i++ {
+		words := make([]string, 3+rng.Intn(4))
+		for j := range words {
+			words[j] = vocab[rng.Intn(len(vocab))]
+		}
+		queries = append(queries, strings.Join(words, " "))
+	}
+
+	// publish grows every engine chunk by chunk: a full build over the
+	// first chunk, an incremental refresh per later one.
+	publish := func(r core.Retriever, add func(batch []*corpus.Item)) {
+		add(items[:first])
+		if err := r.BuildContentIndex(opts); err != nil {
+			t.Fatal(err)
+		}
+		for lo := first; lo < docs; lo += chunk {
+			add(items[lo : lo+chunk])
+			if _, err := r.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	addTo := func(r core.Retriever) func([]*corpus.Item) {
+		return func(batch []*corpus.Item) {
+			for _, it := range batch {
+				if err := r.AddImage(it.URL, it.Annotation, it.Scene.Img); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	single, err := core.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	publish(single, addTo(single))
+
+	for _, n := range []int{2, 8} {
+		sharded, err := core.NewSharded(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		publish(sharded, addTo(sharded))
+		multiSeg := false
+		for _, si := range sharded.Segments() {
+			multiSeg = multiSeg || len(si.Segs) > 1
+		}
+		if !multiSeg {
+			t.Fatalf("N%d: no shard serves more than one segment; the round does not exercise multi-segment scans", n)
+		}
+		c := startCluster(t, n, 1)
+		publish(c.router, c.ingest)
+
+		contentRuns := 0
+		for _, q := range queries {
+			words := single.ExpandQuery(q, 6)
+			for _, k := range []int{1, 10, 0} {
+				label := fmt.Sprintf("N%d/%q/k=%d", n, q, k)
+				want, err1 := single.QueryAnnotations(q, k)
+				got2, err2 := sharded.QueryAnnotations(q, k)
+				got3, err3 := c.router.QueryAnnotations(q, k)
+				if err1 != nil || err2 != nil || err3 != nil {
+					t.Fatalf("%s ann: errs %v/%v/%v", label, err1, err2, err3)
+				}
+				sameHits(t, label+"/ann/sharded", want, got2, k)
+				sameHits(t, label+"/ann/router", want, got3, k)
+				if len(words) == 0 {
+					continue
+				}
+				want, err1 = single.QueryContent(words, k)
+				got2, err2 = sharded.QueryContent(words, k)
+				got3, err3 = c.router.QueryContent(words, k)
+				if err1 != nil || err2 != nil || err3 != nil {
+					t.Fatalf("%s content: errs %v/%v/%v", label, err1, err2, err3)
+				}
+				sameHits(t, label+"/content/sharded", want, got2, k)
+				sameHits(t, label+"/content/router", want, got3, k)
+				contentRuns++
+			}
+		}
+		if contentRuns == 0 {
+			t.Fatalf("N%d: no query expanded to cluster words; content retrieval went untested", n)
 		}
 	}
 }

@@ -32,7 +32,6 @@ package dist
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/rpc"
 	"sort"
 	"strings"
@@ -45,7 +44,6 @@ import (
 	"mirror/internal/dict"
 	"mirror/internal/ir"
 	"mirror/internal/media"
-	"mirror/internal/moa"
 	"mirror/internal/storage"
 	"mirror/internal/thesaurus"
 )
@@ -59,12 +57,6 @@ type Options struct {
 	Timeout time.Duration // per-RPC bound; 0 = 5s
 	Retries int           // extra failover rounds per call; <0 = 0, default 2
 	Backoff time.Duration // base backoff between rounds (doubles); 0 = 50ms
-
-	// NoThetaStream restricts scatter pruning to send-time threshold
-	// floors: in-flight legs never receive mid-query RaiseTheta pushes.
-	// Streaming is pruning-only, so results are identical either way —
-	// this switch exists for differentials and A/B measurement.
-	NoThetaStream bool
 }
 
 func (o Options) withDefaults() Options {
@@ -154,15 +146,20 @@ type shardLoc struct {
 
 // epochVector is the router's published serving state: every shard
 // answers queries at the epoch carrying Tag, which covers the first Docs
-// documents of the global ingestion order.
+// documents of the global ingestion order. It is the networked transport
+// of core's one gather (a core.ShardView): its legs run on the shard
+// daemons through callShard's failover.
 type epochVector struct {
 	Tag  uint64
 	Docs int
+	e    *RouterEngine
 }
 
 // RouterEngine scatter-gathers the full Retriever surface over remote
-// shard daemons.
+// shard daemons; its query half is core's Gather over epochVector legs.
 type RouterEngine struct {
+	*core.Gather
+
 	n       int
 	timeout time.Duration
 	retries int
@@ -185,17 +182,12 @@ type RouterEngine struct {
 	buildMu sync.Mutex
 	vecPtr  atomic.Pointer[epochVector]
 
-	// Threshold lifecycle state. thetaMemo seeds repeat scatters at the
-	// previous merge's terminal k-th score (keyed by the epoch-vector
-	// tag). ctl holds dedicated control connections for mid-flight
-	// RaiseTheta pushes — the query connections are serially occupied by
-	// the very scans being raised. pushes counts raises sent (A/B
-	// observability).
-	noStream  bool
-	thetaMemo atomic.Pointer[core.ThetaMemo]
-	pushes    atomic.Int64
-	ctlMu     sync.Mutex
-	ctl       map[string]*core.Client
+	// ctl holds dedicated control connections for mid-flight RaiseTheta
+	// pushes — the query connections are serially occupied by the very
+	// scans being raised. pushes counts raises sent (observability).
+	pushes atomic.Int64
+	ctlMu  sync.Mutex
+	ctl    map[string]*core.Client
 }
 
 // NewRouter builds a router over explicit shard replica sets:
@@ -210,14 +202,13 @@ func NewRouter(shards [][]string, opts Options) (*RouterEngine, error) {
 		timeout:    opts.Timeout,
 		retries:    opts.Retries,
 		backoff:    opts.Backoff,
-		noStream:   opts.NoThetaStream,
 		urls:       map[string]struct{}{},
 		localCount: make([]int, len(shards)),
 		anns:       map[string]string{},
 		rasters:    map[string]*media.Image{},
 		terms:      map[string][]string{},
 	}
-	e.thetaMemo.Store(core.NewThetaMemo(core.DefaultThetaMemoEntries))
+	e.Gather = core.NewGather(e)
 	for i, reps := range shards {
 		if len(reps) == 0 {
 			return nil, fmt.Errorf("dist: shard %d has no replicas", i)
@@ -407,9 +398,6 @@ func (e *RouterEngine) URLs() []string {
 	return append([]string(nil), e.order...)
 }
 
-// Indexed reports whether an epoch vector is being served.
-func (e *RouterEngine) Indexed() bool { return e.vecPtr.Load() != nil }
-
 // Current reports whether the vector covers every ingested document.
 func (e *RouterEngine) Current() bool {
 	vec := e.vecPtr.Load()
@@ -429,16 +417,6 @@ func (e *RouterEngine) Pending() int {
 	return len(e.order) - vec.Docs
 }
 
-// urlOf resolves a global OID through the ingestion order.
-func (e *RouterEngine) urlOf(oid uint64) string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if oid >= uint64(len(e.order)) {
-		return ""
-	}
-	return e.order[oid]
-}
-
 // ContentTerms returns the cluster words of a document by global OID.
 func (e *RouterEngine) ContentTerms(oid bat.OID) []string {
 	e.mu.RLock()
@@ -455,11 +433,6 @@ func (e *RouterEngine) Thesaurus() *thesaurus.Thesaurus {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return e.thes
-}
-
-// ExpandQuery maps free text to associated content clusters.
-func (e *RouterEngine) ExpandQuery(text string, topK int) []string {
-	return core.ExpandWith(e.Thesaurus(), text, topK)
 }
 
 // SchemaSource returns the DDL of the served database (probed from the
@@ -486,16 +459,6 @@ func (e *RouterEngine) SchemaSource() string {
 	e.schema = src
 	e.mu.Unlock()
 	return src
-}
-
-// ServingEpoch reports the router's epoch-vector stamp: Seq is the
-// publish tag, Docs the covered prefix of the global ingestion order.
-func (e *RouterEngine) ServingEpoch() (core.EpochStamp, bool) {
-	vec := e.vecPtr.Load()
-	if vec == nil {
-		return core.EpochStamp{}, false
-	}
-	return core.EpochStamp{Seq: int64(vec.Tag), Docs: vec.Docs}, true
 }
 
 // Persistent reports false: the router itself holds no store (durability
@@ -645,8 +608,7 @@ func (e *RouterEngine) BuildContentIndex(opts core.IndexOptions) error {
 	}
 	e.codebook = cb
 	e.thes = thesaurus.Build(thDocs)
-	e.vecPtr.Store(&epochVector{Tag: tag, Docs: len(order)})
-	e.thetaMemo.Load().Sweep(int64(tag))
+	e.vecPtr.Store(&epochVector{Tag: tag, Docs: len(order), e: e})
 	return nil
 }
 
@@ -822,120 +784,65 @@ func (e *RouterEngine) Refresh() (core.RefreshStats, error) {
 	if ferr != nil {
 		return st, ferr
 	}
-	e.vecPtr.Store(&epochVector{Tag: tag, Docs: orderLen})
-	e.thetaMemo.Load().Sweep(int64(tag))
+	e.vecPtr.Store(&epochVector{Tag: tag, Docs: orderLen, e: e})
 	st.NewDocs, st.Docs, st.Epoch = len(pendingURLs), orderLen, int64(tag)
 	return st, nil
 }
 
-// ---- scatter-gather queries ----
+// ---- scatter-gather queries (core.Gather over epochVector legs) ----
 
-// scanNonce + scanSeq generate process-unique scan ids for streamed
-// threshold pushes. The nonce makes ids from two routers sharing a shard
-// fleet (or a restarted router) overwhelmingly unlikely to collide; even
-// a collision only risks an extra pruning raise on a scan whose router
-// streams exact-safe floors of its own.
-var (
-	scanNonce = uint64(time.Now().UnixNano())
-	scanSeq   atomic.Uint64
-)
-
-func nextScanID() uint64 {
-	for {
-		if id := scanNonce + scanSeq.Add(1); id != 0 {
-			return id
-		}
+// View pins the serving epoch vector (nil before the first build).
+func (e *RouterEngine) View() core.ShardView {
+	if vec := e.vecPtr.Load(); vec != nil {
+		return vec
 	}
+	return nil
 }
 
-// queryShards fans one tag-pinned query leg to every shard with shared
-// rising-threshold pruning. The threshold rises from three sources: each
-// leg is seeded with the height at send time (seed = a memoised terminal
-// score, or -Inf), each reply folds its reached threshold AND its merged
-// rows (fold returns the router-side merge's k-th best once full — the
-// straggler fix: late legs now prune under everything already gathered,
-// not just under completed legs' own thetas), and unless the router was
-// built NoThetaStream, every rise is pushed mid-flight into the legs
-// still scanning. Pruning-only — the threshold never exceeds the global
-// k-th best score, so results stay exact.
-//
-// fold (nil for unranked scatters) is called once per successful reply,
-// serialized under an internal lock — implementations need no locking of
-// their own.
-func (e *RouterEngine) queryShards(tag uint64, k int, seed float64, build func(floor float64) core.ShardQueryArgs, fold func(*core.ShardQueryReply) float64) ([]*core.ShardQueryReply, error) {
-	theta := bat.NewTopKThreshold()
-	theta.Raise(seed)
-	reps := make([]*core.ShardQueryReply, e.n)
-	errs := make([]error, e.n)
-
-	var scanID uint64
-	if k > 0 && e.n > 1 && !e.noStream {
-		scanID = nextScanID()
-	}
-	var mu sync.Mutex // serializes fold and the pending/sent bookkeeping
-	done := make([]bool, e.n)
-	sent := theta.Load() // every leg departs at >= the seed; only pushes above it help
-	fin := func(s int, rep *core.ShardQueryReply) {
-		mu.Lock()
-		done[s] = true
-		theta.Raise(rep.Theta)
-		if fold != nil {
-			theta.Raise(fold(rep))
-		}
-		cur := theta.Load()
-		var pending []int
-		if scanID != 0 && cur > sent {
-			sent = cur
-			for x := 0; x < e.n; x++ {
-				if !done[x] {
-					pending = append(pending, x)
-				}
-			}
-		}
-		mu.Unlock()
-		if len(pending) > 0 {
-			e.streamTheta(scanID, cur, pending)
-		}
-	}
-
-	var wg sync.WaitGroup
-	for s := 0; s < e.n; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			errs[s] = e.callShard(s, false, func(c *core.Client) error {
-				args := build(theta.Load())
-				args.Tag, args.K, args.ScanID = tag, k, scanID
-				rep, err := c.ShardQuery(args)
-				if err != nil {
-					return err
-				}
-				reps[s] = rep
-				return nil
-			})
-			if errs[s] == nil && k > 0 {
-				fin(s, reps[s])
-			}
-		}(s)
-	}
-	wg.Wait()
-	for s, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d: %w", s, err)
-		}
-	}
-	return reps, nil
+// Stamp is the epoch-vector stamp: Seq is the publish tag, Docs the
+// covered prefix of the global ingestion order.
+func (v *epochVector) Stamp() core.EpochStamp {
+	return core.EpochStamp{Seq: int64(v.Tag), Docs: v.Docs}
 }
 
-// streamTheta pushes a risen threshold into the shards whose legs are
-// still in flight, over dedicated control connections (each query
-// connection is serially occupied by the very scan being raised). The
-// whole replica set of each pending shard is addressed — failover means
-// the router cannot know which member a leg landed on; the others treat
-// the unknown scan id as a no-op. Best-effort: a lost push costs
-// pruning, never correctness.
-func (e *RouterEngine) streamTheta(scanID uint64, th float64, pending []int) {
-	for _, s := range pending {
+func (v *epochVector) NumShards() int { return v.e.n }
+
+// URLOf resolves a global OID through the router's ingestion order.
+func (v *epochVector) URLOf(oid bat.OID) string {
+	v.e.mu.RLock()
+	defer v.e.mu.RUnlock()
+	if uint64(oid) >= uint64(len(v.e.order)) {
+		return ""
+	}
+	return v.e.order[oid]
+}
+
+// Leg runs one scatter leg on shard s at the vector's tag, failing over
+// across the shard's replicas. Each attempt carries the shared
+// threshold's current height as its floor.
+func (v *epochVector) Leg(s int, q core.ShardQueryArgs, theta *bat.TopKThreshold) (*core.ShardLeg, error) {
+	q.Tag = v.Tag
+	var leg *core.ShardLeg
+	err := v.e.callShard(s, false, func(c *core.Client) error {
+		if theta != nil {
+			q.ThetaFloor = theta.Load()
+		}
+		var err error
+		leg, err = c.ShardQuery(q)
+		return err
+	})
+	return leg, err
+}
+
+// ThetaRose pushes a risen threshold into the shards whose legs are still
+// running, over dedicated control connections (each query connection is
+// serially occupied by the very scan being raised). The whole replica set
+// of each running shard is addressed — failover means the router cannot
+// know which member a leg landed on; the others treat the unknown scan id
+// as a no-op. Best-effort: a lost push costs pruning, never correctness.
+func (v *epochVector) ThetaRose(scanID uint64, th float64, running []int) {
+	e := v.e
+	for _, s := range running {
 		g := e.groups[s]
 		for _, r := range append([]*replica{g.primary}, g.followers...) {
 			addr := r.addr
@@ -988,284 +895,18 @@ func (e *RouterEngine) dropCtl(addr string, c *core.Client) {
 // has pushed (benchmark/observability counter).
 func (e *RouterEngine) ThetaStreamed() int64 { return e.pushes.Load() }
 
-// SetThetaMemo resizes (or, with maxEntries <= 0, disables) the router's
-// scatter threshold memo — the -theta-memo flag's router-side face.
-func (e *RouterEngine) SetThetaMemo(maxEntries int) {
-	e.thetaMemo.Store(core.NewThetaMemo(maxEntries))
-}
-
-// ThetaMemoStats snapshots the router memo's effectiveness counters.
-func (e *RouterEngine) ThetaMemoStats() core.ThetaMemoStats { return e.thetaMemo.Load().Stats() }
-
-// thetaKindOf maps a scatter kind to its memo surface. Moa legs are not
-// memoised (row values need not be belief scores), and wsum legs are
-// unranked.
-func thetaKindOf(kind string) (core.ThetaKind, bool) {
-	switch kind {
-	case "ann":
-		return core.ThetaAnnotations, true
-	case "content":
-		return core.ThetaContent, true
-	}
-	return 0, false
-}
-
-// gatherHits merges per-shard hit legs exactly like the in-process
-// engine: bounded top-k union for k > 0 (legs arrive ranked and cut),
-// full concatenation sorted by the ranked-retrieval order otherwise.
-// Ranked legs fold into the merged selection as each reply lands, so the
-// merge's k-th best — the tightest exact-safe bound the router ever has
-// — raises the shared threshold for legs still in flight; a repeat query
-// seeds the whole scatter from the memoised terminal score and records
-// the fresh terminal on the way out.
-func (e *RouterEngine) gatherHits(vec *epochVector, kind, text string, terms []string, k int) ([]core.Hit, error) {
-	if vec == nil {
-		return nil, core.ErrNotIndexed
-	}
-	gen := int64(vec.Tag)
-	tm := e.thetaMemo.Load()
-	memoKind, memoOK := thetaKindOf(kind)
-	seed := math.Inf(-1)
-	if memoOK && k > 0 {
-		if s, ok := tm.Get(gen, memoKind, k, text, terms); ok {
-			seed = s
-		}
-	}
-	var merged *bat.BoundedTopK[core.Hit]
-	var fold func(*core.ShardQueryReply) float64
-	if k > 0 {
-		merged = bat.NewBoundedTopK(k, core.HitWorse)
-		fold = func(rep *core.ShardQueryReply) float64 {
-			for i := range rep.OIDs {
-				merged.Offer(core.Hit{OID: bat.OID(rep.OIDs[i]), URL: rep.URLs[i], Score: rep.Scores[i]})
-			}
-			if w, ok := merged.Worst(); ok && merged.Full() {
-				return w.Score
-			}
-			return math.Inf(-1)
-		}
-	}
-	reps, err := e.queryShards(vec.Tag, k, seed, func(floor float64) core.ShardQueryArgs {
-		return core.ShardQueryArgs{Kind: kind, Text: text, Terms: terms, ThetaFloor: floor}
-	}, fold)
-	if err != nil {
-		return nil, err
-	}
-	if k > 0 {
-		hits := merged.Ranked()
-		if memoOK {
-			tm.Record(gen, memoKind, k, text, terms, hits)
-		}
-		return hits, nil
-	}
-	var all []core.Hit
-	for _, rep := range reps {
-		for i := range rep.OIDs {
-			all = append(all, core.Hit{OID: bat.OID(rep.OIDs[i]), URL: rep.URLs[i], Score: rep.Scores[i]})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return core.HitWorse(all[j], all[i]) })
-	return all, nil
-}
-
-// QueryAnnotations ranks the whole collection against a free-text query.
-func (e *RouterEngine) QueryAnnotations(text string, k int) ([]core.Hit, error) {
-	hits, _, err := e.QueryAnnotationsStamped(text, k)
-	return hits, err
-}
-
-// QueryAnnotationsStamped is QueryAnnotations plus the epoch-vector stamp.
-func (e *RouterEngine) QueryAnnotationsStamped(text string, k int) ([]core.Hit, core.EpochStamp, error) {
-	vec := e.vecPtr.Load()
-	if vec == nil {
-		return nil, core.EpochStamp{}, core.ErrNotIndexed
-	}
-	hits, err := e.gatherHits(vec, "ann", text, nil, k)
-	return hits, vec.stamp(), err
-}
-
-// QueryContent ranks by image content given cluster words.
-func (e *RouterEngine) QueryContent(clusterWords []string, k int) ([]core.Hit, error) {
-	return e.gatherHits(e.vecPtr.Load(), "content", "", clusterWords, k)
-}
-
-// QueryDualCoding combines annotation and content evidence; both legs
-// read one pinned epoch vector.
-func (e *RouterEngine) QueryDualCoding(text string, k int) ([]core.Hit, error) {
-	hits, _, err := e.QueryDualCodingStamped(text, k)
-	return hits, err
-}
-
-// QueryDualCodingStamped is QueryDualCoding plus the pinned vector stamp.
-func (e *RouterEngine) QueryDualCodingStamped(text string, k int) ([]core.Hit, core.EpochStamp, error) {
-	vec := e.vecPtr.Load()
-	if vec == nil {
-		return nil, core.EpochStamp{}, core.ErrNotIndexed
-	}
-	hits, err := core.QueryDualCodingSite(routerSite{e: e, pin: vec}, text, k)
-	return hits, vec.stamp(), err
-}
-
-func (v *epochVector) stamp() core.EpochStamp {
-	return core.EpochStamp{Seq: int64(v.Tag), Docs: v.Docs}
-}
-
-// Query runs a raw Moa query across all shards (see QueryTopK).
-func (e *RouterEngine) Query(src string, queryTerms []string) (*moa.Result, error) {
-	return e.QueryTopK(src, queryTerms, 0)
-}
-
-// QueryTopK runs a raw Moa query on every shard and merges set-typed
-// results under global OIDs, exactly like the in-process engine: ranked
-// bounded merge for k > 0, ascending-OID concatenation otherwise.
-func (e *RouterEngine) QueryTopK(src string, queryTerms []string, k int) (*moa.Result, error) {
-	res, _, err := e.QueryTopKStamped(src, queryTerms, k)
-	return res, err
-}
-
-// QueryTopKStamped is QueryTopK plus the epoch-vector stamp. Unlike the
-// in-process engine there is no pre-index live fallback: an unindexed
-// router has no epoch to pin, so Moa queries return ErrNotIndexed until
-// the first build (browse a shard daemon directly instead).
-func (e *RouterEngine) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.Result, core.EpochStamp, error) {
-	vec := e.vecPtr.Load()
-	if vec == nil {
-		return nil, core.EpochStamp{}, core.ErrNotIndexed
-	}
-	rows := func(rep *core.ShardQueryReply) []moa.Row {
-		out := make([]moa.Row, len(rep.OIDs))
-		for i := range rep.OIDs {
-			out[i] = moa.Row{OID: bat.OID(rep.OIDs[i]), Value: rep.Values[i]}
-			if rep.Numeric || (i < len(rep.Floats) && rep.Floats[i]) {
-				out[i].Value = rep.Scores[i]
-			}
-		}
-		return out
-	}
-	var merged *bat.BoundedTopK[moa.Row]
-	var fold func(*core.ShardQueryReply) float64
-	if k > 0 {
-		merged = bat.NewBoundedTopK(k, moa.RowWorse)
-		numeric := true
-		fold = func(rep *core.ShardQueryReply) float64 {
-			numeric = numeric && rep.Numeric
-			for _, row := range rows(rep) {
-				merged.Offer(row)
-			}
-			// Only all-numeric merges order by score; a worst row from a
-			// mixed merge is not a pruning bound.
-			if w, ok := merged.Worst(); ok && merged.Full() && numeric {
-				if f, isF := w.Value.(float64); isF {
-					return f
-				}
-			}
-			return math.Inf(-1)
-		}
-	}
-	reps, err := e.queryShards(vec.Tag, k, math.Inf(-1), func(floor float64) core.ShardQueryArgs {
-		return core.ShardQueryArgs{Kind: "moa", Text: src, Terms: queryTerms, ThetaFloor: floor}
-	}, fold)
-	if err != nil {
-		return nil, vec.stamp(), err
-	}
-	out := &moa.Result{}
-	if k > 0 {
-		out.Rows = merged.Ranked()
-		out.Ranked = true
-		return out, vec.stamp(), nil
-	}
-	for _, rep := range reps {
-		out.Rows = append(out.Rows, rows(rep)...)
-	}
-	sort.Slice(out.Rows, func(i, j int) bool { return out.Rows[i].OID < out.Rows[j].OID })
-	return out, vec.stamp(), nil
-}
-
-// ---- sessions and feedback ----
-
-// routerSite adapts the router to core.SessionSite so feedback sessions
-// and dual-coding retrieval run core's OWN combination arithmetic over
-// the networked scatter — which is what keeps their results bit-identical
-// to a single store's. pin == nil reads the current vector per call
-// (sessions span publishes, like the in-process engine's); a non-nil pin
-// holds one vector for multi-leg reads.
-type routerSite struct {
-	e   *RouterEngine
-	pin *epochVector
-}
-
-func (s routerSite) vec() *epochVector {
-	if s.pin != nil {
-		return s.pin
-	}
-	return s.e.vecPtr.Load()
-}
-
-func (s routerSite) URLOf(oid uint64) string { return s.e.urlOf(oid) }
-
-func (s routerSite) QueryAnnotations(text string, k int) ([]core.Hit, error) {
-	return s.e.gatherHits(s.vec(), "ann", text, nil, k)
-}
-
-func (s routerSite) QueryContent(clusterWords []string, k int) ([]core.Hit, error) {
-	return s.e.gatherHits(s.vec(), "content", "", clusterWords, k)
-}
-
-func (s routerSite) ExpandQuery(text string, topK int) []string {
-	return s.e.ExpandQuery(text, topK)
-}
-
-// WeightedContentScores scatters the weighted-sum scoring and unions the
-// per-shard maps (shards are disjoint under global OIDs).
-func (s routerSite) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
-	vec := s.vec()
-	if vec == nil {
-		return nil, core.ErrNotIndexed
-	}
-	reps, err := s.e.queryShards(vec.Tag, 0, math.Inf(-1), func(float64) core.ShardQueryArgs {
-		return core.ShardQueryArgs{Kind: "wsum", Terms: terms, Weights: weights}
-	}, nil)
-	if err != nil {
-		return nil, err
-	}
-	merged := ir.NewScores() // ownership transfers to the caller
-	for _, rep := range reps {
-		for i := range rep.OIDs {
-			merged[rep.OIDs[i]] = rep.Scores[i]
-		}
-	}
-	return merged, nil
-}
-
-func (s routerSite) ContentTerms(oid uint64) []string { return s.e.ContentTerms(bat.OID(oid)) }
-
-func (s routerSite) Thesaurus() *thesaurus.Thesaurus { return s.e.Thesaurus() }
-
-func (s routerSite) RequireIndex() error {
-	if s.vec() == nil {
-		return core.ErrNotIndexed
-	}
-	return nil
-}
-
 // ReinforceLogged applies feedback to the router's thesaurus (what its
 // query expansion reads) and WAL-logs it on shard 0's primary — the
 // durable authority, mirroring the in-process engine's routing.
-func (s routerSite) ReinforceLogged(words, concepts []string, relevant bool) error {
-	s.e.mu.Lock()
-	if s.e.thes != nil {
-		s.e.thes.Reinforce(words, concepts, relevant)
+func (e *RouterEngine) ReinforceLogged(words, concepts []string, relevant bool) error {
+	e.mu.Lock()
+	if e.thes != nil {
+		e.thes.Reinforce(words, concepts, relevant)
 	}
-	s.e.mu.Unlock()
-	return s.e.callShard(0, true, func(c *core.Client) error {
+	e.mu.Unlock()
+	return e.callShard(0, true, func(c *core.Client) error {
 		return c.Reinforce(words, concepts, relevant)
 	})
-}
-
-// NewSession starts a relevance-feedback session over the distributed
-// collection; judgments arrive as global OIDs (what hits carry).
-func (e *RouterEngine) NewSession(text string) (*core.Session, error) {
-	return core.NewSessionFor(routerSite{e: e}, text)
 }
 
 // dedupTerms sort-dedups a term list (the shard-insert normal form).

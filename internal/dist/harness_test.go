@@ -50,14 +50,6 @@ func startMember(t *testing.T, index, count int, follower bool) (*core.Mirror, s
 // shard (the primary counts; replicas-1 followers each).
 func startCluster(t *testing.T, n, replicas int) *cluster {
 	t.Helper()
-	return startClusterOpts(t, n, replicas, Options{Timeout: 10 * time.Second})
-}
-
-// startClusterOpts is startCluster with explicit router Options (the
-// streamed-θ differential builds one streaming and one send-time-floor
-// router over otherwise identical clusters).
-func startClusterOpts(t *testing.T, n, replicas int, opts Options) *cluster {
-	t.Helper()
 	c := &cluster{t: t}
 	shards := make([][]string, n)
 	for i := 0; i < n; i++ {
@@ -78,7 +70,7 @@ func startClusterOpts(t *testing.T, n, replicas int, opts Options) *cluster {
 		c.followers = append(c.followers, fols)
 		c.folAddr = append(c.folAddr, folAddrs)
 	}
-	r, err := NewRouter(shards, opts)
+	r, err := NewRouter(shards, Options{Timeout: 10 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

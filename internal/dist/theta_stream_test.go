@@ -1,94 +1,69 @@
 package dist
 
 import (
-	"fmt"
 	"testing"
-	"time"
 
+	"mirror/internal/core"
 	"mirror/internal/corpus"
 )
 
 // The streamed-θ differential: a router that pushes its rising pruning
-// bound into in-flight shard scans (the default) must answer every
-// retrieval surface BUN-for-BUN identically to a router restricted to
-// send-time threshold floors (NoThetaStream) — on the first pass, on the
-// memo-seeded repeat pass, and across an incremental refresh whose new
-// tag must orphan every memoised seed. Streaming and seeding are
-// pruning-only; any divergence means a threshold exceeded the global
+// bound into in-flight shard scans must answer every retrieval surface
+// BUN-for-BUN identically to the in-process sharded engine (whose legs
+// read the shared threshold live) and to a single store — on the first
+// pass, on the memo-seeded repeat pass, and across an incremental refresh
+// whose new tag must orphan every memoised seed. Streaming and seeding
+// are pruning-only; any divergence means a threshold exceeded the global
 // k-th best score somewhere.
 func TestStreamedThetaDifferential(t *testing.T) {
 	items := testItems(26)
 	first, rest := items[:18], items[18:]
 	opts := testIndexOptions()
 
-	streaming := startCluster(t, 3, 2)
-	static := startClusterOpts(t, 3, 2, Options{Timeout: 10 * time.Second, NoThetaStream: true})
+	single, err := core.New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := core.NewSharded(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := startCluster(t, 3, 2)
+	ingest := func(batch []*corpus.Item) {
+		for _, it := range batch {
+			for _, r := range []core.Retriever{single, sharded} {
+				if err := r.AddImage(it.URL, it.Annotation, it.Scene.Img); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		c.ingest(batch)
+	}
 
-	for _, c := range []*cluster{streaming, static} {
-		c.ingest(first)
-		if err := c.router.BuildContentIndex(opts); err != nil {
+	ingest(first)
+	for _, r := range []core.Retriever{single, sharded, c.router} {
+		if err := r.BuildContentIndex(opts); err != nil {
 			t.Fatal(err)
 		}
 	}
-	compareRouters(t, "build", static.router, streaming.router)
+	compareEngines(t, "build", single, sharded, c.router)
 
 	// Repeat pass: identical queries now scatter with every leg's floor
 	// seeded at the previous merge's terminal k-th score.
-	compareRouters(t, "seeded", static.router, streaming.router)
-	if st := streaming.router.ThetaMemoStats(); st.Hits == 0 {
+	compareEngines(t, "seeded", single, sharded, c.router)
+	if st := c.router.ThetaMemoStats(); st.Hits == 0 {
 		t.Fatalf("repeat pass never reused a memoised scatter seed: %+v", st)
 	}
 
 	// Incremental round: the refresh advances the epoch-vector tag, so
-	// stale seeds must be unreachable and both routers re-derive.
-	for _, c := range []*cluster{streaming, static} {
-		c.ingest(rest)
-		if _, err := c.router.Refresh(); err != nil {
+	// stale seeds must be unreachable and every engine re-derives.
+	ingest(rest)
+	for _, r := range []core.Retriever{single, sharded, c.router} {
+		if _, err := r.Refresh(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	compareRouters(t, "refresh", static.router, streaming.router)
-	compareRouters(t, "refresh seeded", static.router, streaming.router)
-	t.Logf("streamed θ raises pushed: %d", streaming.router.ThetaStreamed())
-}
-
-// compareRouters drives the retrieval surfaces against both routers and
-// requires identical answers, ties included.
-func compareRouters(t *testing.T, phase string, want, got *RouterEngine) {
-	t.Helper()
-	for class := 0; class < 6; class++ {
-		term := corpus.CanonicalTerm(class)
-		label := fmt.Sprintf("%s/%s", phase, term)
-		for _, k := range []int{5, 0} {
-			h1, _, err1 := want.QueryAnnotationsStamped(term, k)
-			h2, _, err2 := got.QueryAnnotationsStamped(term, k)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s ann k=%d: errs %v/%v", label, k, err1, err2)
-			}
-			sameHits(t, label+"/ann", h1, h2, k)
-		}
-
-		d1, err1 := want.QueryDualCoding(term, 5)
-		d2, err2 := got.QueryDualCoding(term, 5)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s dual: errs %v/%v", label, err1, err2)
-		}
-		sameHits(t, label+"/dual", d1, d2, 5)
-
-		if e1 := want.ExpandQuery(term, 6); len(e1) > 0 {
-			q1, err1 := want.QueryContent(e1, 5)
-			q2, err2 := got.QueryContent(e1, 5)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("%s content: errs %v/%v", label, err1, err2)
-			}
-			sameHits(t, label+"/content", q1, q2, 5)
-		}
-
-		r1, _, err1 := want.QueryTopKStamped(annQuerySrc, []string{term}, 5)
-		r2, _, err2 := got.QueryTopKStamped(annQuerySrc, []string{term}, 5)
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s moa: errs %v/%v", label, err1, err2)
-		}
-		sameRows(t, label+"/moa", r1.Rows, r2.Rows)
-	}
+	compareEngines(t, "refresh", single, sharded, c.router)
+	compareEngines(t, "refresh seeded", single, sharded, c.router)
+	t.Logf("streamed θ raises pushed: %d", c.router.ThetaStreamed())
 }
