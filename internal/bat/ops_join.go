@@ -149,39 +149,63 @@ func headMembership(r *BAT) (func(any) bool, error) {
 
 // Fill completes b over a domain: the result contains every BUN of b whose
 // head occurs in domain's head, plus (h, fillValue) for every domain head
-// missing from b. Order: b's BUNs first (restricted), then missing heads in
-// domain order. This implements total-function semantics for aggregates
+// missing from b. This implements total-function semantics for aggregates
 // over possibly-empty nested sets (sum over an empty set is 0, a document
 // matching no query term scores qlen·defaultBelief, ...).
+//
+// Order: domain order — a head's BUNs of b (in b's order) at its first
+// domain occurrence, a missing head's fill BUN at each of its. Two fills
+// over one domain therefore come out positionally aligned, which is what
+// the flattener's BAT⊕BAT multiplex of two filled scores relies on.
 func Fill(b, domain *BAT, fillValue any) (*BAT, error) {
 	if out, ok, err := fillFastFloat(b, domain, fillValue); ok {
 		return out, err
 	}
-	inDomain, err := headMembership(domain)
-	if err != nil {
-		return nil, err
+	var positions func(v any) []int
+	if b.HDense() {
+		base, n := b.Head.Base(), b.Len()
+		one := make([]int, 1)
+		positions = func(v any) []int {
+			o, ok := toOID(v)
+			if i := int(int64(o) - int64(base)); ok && i >= 0 && i < n {
+				one[0] = i
+				return one
+			}
+			return nil
+		}
+	} else {
+		bh := b.ensureHash()
+		positions = func(v any) []int { return bh.positions(b.Head, v) }
 	}
-	restricted := selectWhere(b, func(i int) bool { return inDomain(b.Head.Get(i)) })
-	inB, err := headMembership(b)
-	if err != nil {
-		return nil, err
+	out := &BAT{
+		Head: NewColumn(materialKind(b.Head.Kind())),
+		Tail: NewColumn(materialKind(b.Tail.Kind())),
 	}
-	out := restricted
+	taken := make([]bool, b.Len())
 	for i := 0; i < domain.Len(); i++ {
 		h := domain.Head.Get(i)
-		if inB(h) {
+		ps := positions(h)
+		if len(ps) == 0 {
+			if err := out.Append(h, fillValue); err != nil {
+				return nil, fmt.Errorf("bat: fill: %w", err)
+			}
 			continue
 		}
-		if err := out.Append(h, fillValue); err != nil {
-			return nil, fmt.Errorf("bat: fill: %w", err)
+		for _, p := range ps {
+			if !taken[p] {
+				taken[p] = true
+				out.Head.appendFrom(b.Head, p)
+				out.Tail.appendFrom(b.Tail, p)
+			}
 		}
 	}
 	return out, nil
 }
 
 // fillFastFloat is the columnar fast path of Fill for the dominant case in
-// query plans — OID heads, float tails, compact OID space — using flat
-// presence arrays instead of hashes. ok=false means "use the general path".
+// query plans — OID heads, float tails, compact OID space, heads of b
+// unique — using a flat position array instead of hashes. ok=false means
+// "use the general path".
 func fillFastFloat(b, domain *BAT, fillValue any) (*BAT, bool, error) {
 	if b.Tail.Kind() != KindFloat {
 		return nil, false, nil
@@ -209,26 +233,26 @@ func fillFastFloat(b, domain *BAT, fillValue any) (*BAT, bool, error) {
 	if uint64(maxOID) >= uint64(4*(b.Len()+domain.Len())+1024) {
 		return nil, false, nil // sparse OID space: general path
 	}
-	inDomain := make([]bool, maxOID+1)
-	for i := 0; i < domain.Len(); i++ {
-		inDomain[domain.Head.OIDAt(i)] = true
+	// pos[h] = 1 + b's position of head h; 0 = absent, -1 = already emitted
+	pos := make([]int, maxOID+1)
+	for i := 0; i < b.Len(); i++ {
+		h := b.Head.OIDAt(i)
+		if pos[h] != 0 {
+			return nil, false, nil // duplicate head: the general path keeps all its BUNs
+		}
+		pos[h] = i + 1
 	}
-	present := make([]bool, maxOID+1)
 	out := New(KindOID, KindFloat)
 	out.Head.oids = make([]OID, 0, domain.Len())
 	out.Tail.flts = make([]float64, 0, domain.Len())
-	for i := 0; i < b.Len(); i++ {
-		h := b.Head.OIDAt(i)
-		if !inDomain[h] {
-			continue
-		}
-		present[h] = true
-		out.Head.oids = append(out.Head.oids, h)
-		out.Tail.flts = append(out.Tail.flts, b.Tail.flts[i])
-	}
 	for i := 0; i < domain.Len(); i++ {
 		h := domain.Head.OIDAt(i)
-		if !present[h] {
+		switch p := pos[h]; {
+		case p > 0:
+			pos[h] = -1
+			out.Head.oids = append(out.Head.oids, h)
+			out.Tail.flts = append(out.Tail.flts, b.Tail.flts[p-1])
+		case p == 0:
 			out.Head.oids = append(out.Head.oids, h)
 			out.Tail.flts = append(out.Tail.flts, fv)
 		}

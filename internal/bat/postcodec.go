@@ -355,6 +355,8 @@ type BlockPostings struct {
 	belData  []byte
 	maxb     []float64
 	nterms   int
+	nblocks  int
+	lastDoc  OID // greatest doc id of any posting (meaningless when nblocks == 0)
 }
 
 // NewBlockPostings validates the seven block-layout columns and wraps
@@ -442,12 +444,19 @@ func NewBlockPostings(start, blkStart, blkDir, blkDoc, blkBDir, blkBel, maxBel *
 		}
 	}
 	prevEnd := int64(0)
+	lastDoc := int64(0)
 	for b := 0; b < nblocks; b++ {
 		end := bd[2*b+1]
 		if end < prevEnd || end > int64(len(dd)) {
 			return nil, fmt.Errorf("bat: block postings: _blkdir offset %d out of range (prev %d, data %d)", end, prevEnd, len(dd))
 		}
 		prevEnd = end
+		if bd[2*b] < 0 {
+			return nil, fmt.Errorf("bat: block postings: negative last doc in block %d", b)
+		}
+		if bd[2*b] > lastDoc {
+			lastDoc = bd[2*b]
+		}
 	}
 	if nblocks > 0 && prevEnd != int64(len(dd)) {
 		return nil, fmt.Errorf("bat: block postings: _blkdoc has %d trailing bytes", int64(len(dd))-prevEnd)
@@ -463,6 +472,7 @@ func NewBlockPostings(start, blkStart, blkDir, blkDoc, blkBDir, blkBel, maxBel *
 	return &BlockPostings{
 		start: starts, blkStart: bs, blkDir: bd, docData: dd,
 		belDir: bbd, belData: bel, maxb: maxb, nterms: nterms,
+		nblocks: nblocks, lastDoc: OID(lastDoc),
 	}, nil
 }
 

@@ -143,6 +143,47 @@ func TestPropFillCovers(t *testing.T) {
 	}
 }
 
+// TestFillEmitsDomainOrder pins Fill's order on both paths (float tails
+// take the positional fast path, int tails the hashed one): matched and
+// filled BUNs interleave in domain order, a duplicated head of b keeps
+// all its BUNs, so two fills over one domain align for [op](a, b).
+func TestFillEmitsDomainOrder(t *testing.T) {
+	domain := New(KindVoid, KindVoid)
+	for i := 0; i < 5; i++ {
+		domain.MustAppend(OID(i), OID(i))
+	}
+	flt := New(KindOID, KindFloat)
+	flt.MustAppend(OID(3), 0.5)
+	flt.MustAppend(OID(1), 0.25)
+	flt.MustAppend(OID(9), 0.75) // outside the domain: dropped
+	ints := New(KindOID, KindInt)
+	ints.MustAppend(OID(3), int64(7))
+	ints.MustAppend(OID(1), int64(5))
+	ints.MustAppend(OID(3), int64(8))
+	for _, tc := range []struct {
+		b     *BAT
+		fill  any
+		heads []OID
+		tails []any
+	}{
+		{flt, 0.0, []OID{0, 1, 2, 3, 4}, []any{0.0, 0.25, 0.0, 0.5, 0.0}},
+		{ints, int64(0), []OID{0, 1, 2, 3, 3, 4}, []any{int64(0), int64(5), int64(0), int64(7), int64(8), int64(0)}},
+	} {
+		out, err := Fill(tc.b, domain, tc.fill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != len(tc.heads) {
+			t.Fatalf("%s fill: %d BUNs, want %d", tc.b.Tail.Kind(), out.Len(), len(tc.heads))
+		}
+		for i := range tc.heads {
+			if out.Head.OIDAt(i) != tc.heads[i] || out.Tail.Get(i) != tc.tails[i] {
+				t.Fatalf("%s fill BUN %d: (%d, %v), want (%d, %v)", tc.b.Tail.Kind(), i, out.Head.OIDAt(i), out.Tail.Get(i), tc.heads[i], tc.tails[i])
+			}
+		}
+	}
+}
+
 // Property: dense-path GetBL agrees with a naive per-document scan.
 func TestPropGetBLMatchesNaive(t *testing.T) {
 	f := func(seed int64) bool {

@@ -12,28 +12,30 @@ import (
 // postings with per-term belief upper bounds, feeding a bounded k-heap.
 // Where GetBL + SumBeliefs + a full sort score and order the whole match
 // set (O(matches + N log N) once the logical layer fills in defaults for
-// the entire collection), PrunedTopKSegs visits only documents whose score
+// the entire collection), PrunedTopK visits only documents whose score
 // *could* enter the current top k and returns the cut directly:
 // O(matches · log k) with skipping, never a collection-sized intermediate.
 //
 // The operator consumes the block-compressed term-ordered postings
 // CONTREP's Finalize derives (internal/ir; layout in postcodec.go), one
-// PostingsSeg per index segment; the scan loop itself is in
-// topk_blocks.go.
+// PostingsSeg per index segment, from one or more evidence sources (one
+// CONTREP each); the scan loop itself is in topk_blocks.go.
 //
 // Determinism contract: the returned ranking is BUN-for-BUN identical to
-// exhaustively scoring every document with the *serial* fold
+// exhaustively scoring every document with the *serial* folds
 //
-//	score(d) = Σ_{qi asc, matched} bel(q[qi], d) + (qlen − matched)·def
+//	fold_s(d) = Σ_{qi asc, matched} bel(q_s[qi], d) + (qlen_s − matched)·def
+//	score(d)  = (fold_1(d) + … + fold_n(d)) / div
 //
-// (exactly SumBeliefs' arithmetic), ordering by score descending with OID
-// ascending ties, and cutting at k. Candidate scores are computed with that
-// fold verbatim; pruning bounds are padded by boundSlack so floating-point
-// reassociation in the bound arithmetic can never skip a true top-k
-// document. One call runs on one goroutine, so the result and the block
-// counters are the same at any GOMAXPROCS; a shared threshold only decides
-// which documents are *considered*, every returned score is the same
-// canonical fold.
+// (exactly SumBeliefs' arithmetic per source, then the flattened
+// [+] and [/] multiplexes), ordering by score descending with OID
+// ascending ties, and cutting at k. Candidate scores are computed with
+// that fold verbatim; pruning bounds are padded by boundSlack so
+// floating-point reassociation in the bound arithmetic can never skip a
+// true top-k document. One call runs on one goroutine, so the result and
+// the block counters are the same at any GOMAXPROCS; a shared threshold
+// only decides which documents are *considered*, every returned score is
+// the same canonical fold.
 
 // boundSlack pads every pruning-bound comparison. Bounds are sums of at
 // most a few hundred beliefs in [0,1], so their rounding error is < 1e-10;
@@ -153,7 +155,7 @@ func worseCand(a, b topkCand) bool { return worseHit(a.score, a.doc, b.score, b.
 // scans cooperating on one top-k cut: each publishes its local k-th best,
 // and any scan's k-th best within its candidate subset is ≤ the global
 // k-th best, so skipping bound+slack ≤ θ can never drop a true top-k
-// document. Within one PrunedTopKSegs call the segments share one
+// document. Within one PrunedTopK call the slices share one
 // automatically; a sharded engine passes the same object to every shard's
 // scan so pruning tightens across shards exactly as it does across
 // segments. Safe for concurrent use; zero value is NOT ready — use
@@ -186,11 +188,11 @@ func (t *TopKThreshold) Raise(v float64) {
 
 // ---- the operator ----
 
-// qterm is one query term's scan state within a segment.
+// qterm is one query term's scan state within a slice.
 type qterm struct {
-	qi     int     // position in the original query (the canonical fold order)
+	qi     int     // position in the concatenated query (sources in order: the canonical fold order)
 	cur    int     // next unread posting position (also the search start)
-	hi     int     // end of the term's posting range in the segment
+	hi     int     // end of the term's posting range in the slice
 	ub     float64 // upper bound on the term's score surplus over the default
 	weight float64 // per-term weight (1 in unweighted mode)
 }
@@ -209,128 +211,108 @@ type PostingsSeg struct {
 	BlkBel   *BAT // [void, bytes]         belief data
 }
 
-// PrunedTopKSegs returns the top k documents of the query under the
-// inference-network sum (weights == nil) or weighted sum (weights != nil,
-// all ≥ 0) score, as [docOID, flt] ordered score descending / OID
-// ascending, cut at k, over a LIST of postings segments that together
-// partition the document space (each document's postings live entirely
-// in one segment).
-//
-// Unweighted mode reproduces the full logical pipeline getbl + fill + rank:
-// documents matching no query term score qlen·def and are merged in (by
-// ascending OID) when the match set cannot fill the top k alone; domain
-// supplies their OIDs and must enumerate them ascending. Weighted mode
-// reproduces WSumBeliefs + rank: only matching documents appear, domain may
-// be nil.
-//
-// The result is BUN-for-BUN identical to scanning the single segment
-// obtained by merging the list: every candidate's score is the same
-// canonical fold (all of a document's postings sit in one segment, so the
-// fold order is unchanged), and the segments are scanned one after another
-// into one heap under one rising threshold — the mechanism that also makes
-// shard scans across stores return the single-store result. Segments may
-// disagree on dictionary size (a segment published before later terms
-// existed simply has no postings for them) and on per-term bounds (a
-// per-segment bound is tighter, pruning more, never less correctly).
-//
-// theta, when non-nil, is an externally owned pruning threshold: a
-// scatter-gather engine passes the same *TopKThreshold to every shard's
-// scan of one query, so a hot shard's k-th best prunes the cold shards'
-// scans. Sharing never changes the ranking (the threshold is always a
-// valid global lower bound), only the amount of skipped work.
+// TopKSource is one evidence source of a pruned ranking: the query-term
+// OIDs of one CONTREP and that CONTREP's postings segments, which
+// together partition the document space in ascending document order
+// (each document's postings live entirely in one segment). Weights,
+// when non-nil, hold one non-negative weight per query term and select
+// the weighted-sum fold.
+type TopKSource struct {
+	Segs    []PostingsSeg
+	Query   []OID
+	Weights []float64
+}
+
+// PrunedTopKSegs is PrunedTopK over one source and divisor 1: the ranking
+// of one CONTREP under the inference-network sum (weights == nil) or
+// weighted sum (weights != nil, all ≥ 0).
 func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def float64, k int, domain *BAT, theta *TopKThreshold) (*BAT, error) {
+	return PrunedTopK([]TopKSource{{Segs: segs, Query: query, Weights: weights}}, 1, def, k, domain, theta)
+}
+
+// PrunedTopK returns the top k documents under
+//
+//	score(d) = (fold_1(d) + … + fold_n(d)) / div
+//
+// with one fold per source, as [docOID, flt] ordered score descending /
+// OID ascending, cut at k. div must be positive; with one source and
+// div = 1 the score is that source's fold itself.
+//
+// Unweighted sources reproduce the full logical pipeline getbl + fill
+// (per source) + [+] + [/] + rank: a document matching no term of a
+// source folds to qlen·def there, and documents matching nothing at all
+// are merged in (by ascending OID) when the match set cannot fill the
+// top k alone; domain supplies their OIDs and must enumerate them
+// ascending. Weighted sources reproduce WSumBeliefs + rank: only
+// documents matching some term appear, and domain may be nil. All
+// sources must use the same mode.
+//
+// The result is BUN-for-BUN identical to scanning each source as the one
+// segment obtained by merging its list. The sources' segment lists need
+// not align: the scan walks the common refinement of their document
+// ranges (a segment's range ends past its last posting), one slice at a
+// time into one heap under one rising threshold — the mechanism that
+// also makes shard scans across stores return the single-store result.
+// Within a slice each source has at most one segment; a term's posting
+// range is narrowed to the slice only where the slice is smaller than the
+// segment. Slices are visited in descending impact (the sum of their
+// per-term score-surplus bounds), so the threshold reaches its terminal
+// height early. Segments may disagree on dictionary size (a segment
+// published before later terms existed simply has no postings for them)
+// and on per-term bounds (a per-segment bound is tighter, pruning more,
+// never less correctly).
+//
+// theta, when non-nil, is an externally owned pruning threshold in score
+// units: a scatter-gather engine passes the same *TopKThreshold to every
+// shard's scan of one query, so a hot shard's k-th best prunes the cold
+// shards' scans. Sharing never changes the ranking (the threshold is
+// always a valid global lower bound), only the amount of skipped work.
+func PrunedTopK(srcs []TopKSource, div, def float64, k int, domain *BAT, theta *TopKThreshold) (*BAT, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("bat: prunedtopk: k must be positive, got %d", k)
 	}
-	if len(segs) == 0 {
-		return nil, fmt.Errorf("bat: prunedtopk: no postings segments")
+	if len(srcs) == 0 {
+		return nil, fmt.Errorf("bat: prunedtopk: no sources")
 	}
-	// A segment without its block columns (a legacy raw-layout segment
-	// that skipped the upgrade at open) fails validation here.
-	views := make([]*BlockPostings, len(segs))
-	for i, s := range segs {
-		bp, err := cachedBlockPostings(s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel)
-		if err != nil {
-			return nil, fmt.Errorf("segment %d: %w", i, err)
-		}
-		views[i] = bp
+	if !(div > 0) || math.IsInf(div, 1) {
+		return nil, fmt.Errorf("bat: prunedtopk: divisor must be positive and finite, got %v", div)
 	}
-	weighted := weights != nil
-	if weighted {
-		if len(weights) != len(query) {
-			return nil, fmt.Errorf("bat: prunedtopk: %d terms vs %d weights", len(query), len(weights))
+	weighted := srcs[0].Weights != nil
+	scans := make([]sourceScan, len(srcs))
+	m := 0
+	// fillBase is the fold sum of a document matching nothing, in the
+	// exact arithmetic of the exhaustive path.
+	var fillBase float64
+	for i := range srcs {
+		if (srcs[i].Weights != nil) != weighted {
+			return nil, fmt.Errorf("bat: prunedtopk: source %d mixes weighted and unweighted folds", i)
 		}
-		for _, w := range weights {
-			if w < 0 {
-				return nil, fmt.Errorf("bat: prunedtopk: negative weight %v (use the exhaustive path)", w)
-			}
+		if err := scans[i].resolve(&srcs[i], def, m); err != nil {
+			return nil, fmt.Errorf("source %d: %w", i, err)
 		}
-	} else if domain == nil {
+		m += len(srcs[i].Query)
+		if i == 0 {
+			fillBase = scans[i].fillBase
+		} else {
+			fillBase += scans[i].fillBase
+		}
+	}
+	if !weighted && domain == nil {
 		return nil, fmt.Errorf("bat: prunedtopk: unweighted mode needs a domain for default-scored documents")
 	}
 
-	// fillBase is the score of a document matching nothing, in the exact
-	// arithmetic of the exhaustive path (count(q)·def resp. wtot·def).
-	var fillBase float64
-	if weighted {
-		wtot := 0.0
-		for _, w := range weights {
-			wtot += w
-		}
-		fillBase = wtot * def
-	} else {
-		fillBase = float64(len(query)) * def
-	}
-
-	// Resolve term ranges once per segment.
-	segRanges := make([][]postingRange, len(views))
-	segImpact := make([]float64, len(views))
-	for vi, bp := range views {
-		ranges := make([]postingRange, len(query))
-		impact := 0.0
-		for i, t := range query {
-			// out-of-range terms get an empty range: they behave as
-			// always-unmatched, like an in-dictionary term no document
-			// contains
-			lo, hi := 0, 0
-			if int64(t) >= 0 && int(t) < bp.NTerms() {
-				lo, hi = bp.TermRange(int(t))
-			}
-			ranges[i] = postingRange{lo: lo, hi: hi, t: t}
-			if hi > lo {
-				mb := bp.MaxBelief(int(t))
-				if mb < def {
-					mb = def
-				}
-				w := 1.0
-				if weighted {
-					w = weights[i]
-				}
-				impact += w * (mb - def)
-			}
-		}
-		segRanges[vi] = ranges
-		segImpact[vi] = impact
-	}
-	// Visit segments in descending impact (sum of per-term score-surplus
-	// bounds): the segment that can produce the highest scores is scanned
-	// first, so the threshold reaches its terminal height early and the
-	// remaining segments scan mostly above it. Order changes only the
-	// skipped work, never the result (segRanges stays index-aligned with
-	// views for fillDefaults).
-	order := make([]int, len(views))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return segImpact[order[a]] > segImpact[order[b]] })
+	slices := refineSlices(scans)
+	// Descending impact; order changes only the skipped work, never the
+	// result.
+	sort.SliceStable(slices, func(a, b int) bool { return slices[a].impact > slices[b].impact })
 
 	if theta == nil {
 		theta = NewTopKThreshold()
 	}
 	h := NewBoundedTopK(k, worseCand)
-	for _, vi := range order {
-		if err := scanBlockSegment(views[vi], segRanges[vi], query, weights, weighted, def, fillBase, h, theta); err != nil {
-			return nil, fmt.Errorf("segment %d: %w", vi, err)
+	for i := range slices {
+		if err := scanSlice(scans, &slices[i], m, div, def, fillBase, h, theta); err != nil {
+			return nil, err
 		}
 	}
 	ranked := h.Ranked()
@@ -343,7 +325,7 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 
 	if !weighted {
 		var err error
-		resDocs, resScores, err = fillDefaults(views, segRanges, domain, fillBase, k, resDocs, resScores)
+		resDocs, resScores, err = fillDefaults(scans, domain, fillBase/div, k, resDocs, resScores)
 		if err != nil {
 			return nil, err
 		}
@@ -363,13 +345,167 @@ type postingRange struct {
 	t      OID
 }
 
+// sourceScan is one source resolved against its segments: validated
+// views, every term's posting range per segment, and each segment's
+// nominal document range and impact.
+type sourceScan struct {
+	segs     []segScan
+	ranges   []postingRange // segment g's ranges are ranges[g*len(query):][:len(query)]
+	query    []OID
+	weights  []float64
+	fillBase float64 // the fold of a document matching no term: qlen·def resp. wtot·def
+	off      int     // position of the source's first term in the concatenated query
+}
+
+// segScan is one segment of a source. [lo, hi) is its nominal document
+// range: from the previous non-empty segment's end to one past its own
+// last posting, so a source's ranges tile the document space in order.
+// An empty segment (no postings at all) covers nothing: lo == hi.
+type segScan struct {
+	view   *BlockPostings
+	lo, hi OID
+	impact float64 // Σ weighted per-term score-surplus bounds
+}
+
+// resolve validates src's segments (a segment without its block columns
+// — a legacy raw-layout segment that skipped the upgrade at open — fails
+// here) and resolves every term's posting range once per segment.
+func (ss *sourceScan) resolve(src *TopKSource, def float64, off int) error {
+	if len(src.Segs) == 0 {
+		return fmt.Errorf("bat: prunedtopk: no postings segments")
+	}
+	if src.Weights != nil {
+		if len(src.Weights) != len(src.Query) {
+			return fmt.Errorf("bat: prunedtopk: %d terms vs %d weights", len(src.Query), len(src.Weights))
+		}
+		wtot := 0.0
+		for _, w := range src.Weights {
+			if w < 0 {
+				return fmt.Errorf("bat: prunedtopk: negative weight %v (use the exhaustive path)", w)
+			}
+			wtot += w
+		}
+		ss.fillBase = wtot * def
+	} else {
+		ss.fillBase = float64(len(src.Query)) * def
+	}
+	ss.query, ss.weights, ss.off = src.Query, src.Weights, off
+	ss.segs = make([]segScan, len(src.Segs))
+	ss.ranges = make([]postingRange, len(src.Segs)*len(src.Query))
+	end := OID(0)
+	for g, s := range src.Segs {
+		bp, err := cachedBlockPostings(s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel)
+		if err != nil {
+			return fmt.Errorf("segment %d: %w", g, err)
+		}
+		seg := &ss.segs[g]
+		seg.view, seg.lo, seg.hi = bp, end, end
+		if bp.nblocks > 0 {
+			if bp.lastDoc < end {
+				return fmt.Errorf("segment %d: bat: prunedtopk: segments out of document order", g)
+			}
+			end = bp.lastDoc + 1
+			seg.hi = end
+		}
+		ranges := ss.ranges[g*len(src.Query) : (g+1)*len(src.Query)]
+		for i, t := range src.Query {
+			// out-of-range terms get an empty range: they behave as
+			// always-unmatched, like an in-dictionary term no document
+			// contains
+			lo, hi := 0, 0
+			if int64(t) >= 0 && int(t) < bp.NTerms() {
+				lo, hi = bp.TermRange(int(t))
+			}
+			ranges[i] = postingRange{lo: lo, hi: hi, t: t}
+			if hi > lo {
+				mb := bp.MaxBelief(int(t))
+				if mb < def {
+					mb = def
+				}
+				w := 1.0
+				if src.Weights != nil {
+					w = src.Weights[i]
+				}
+				seg.impact += w * (mb - def)
+			}
+		}
+	}
+	return nil
+}
+
+// segRanges returns segment g's per-term posting ranges.
+func (ss *sourceScan) segRanges(g int) []postingRange {
+	n := len(ss.query)
+	return ss.ranges[g*n : (g+1)*n]
+}
+
+// docSlice is one piece [lo, hi) of the common refinement of the
+// sources' document ranges: segs[s] is source s's one segment covering
+// it, or -1 when the source has no postings that far.
+type docSlice struct {
+	lo, hi OID
+	segs   []int
+	impact float64
+}
+
+// refineSlices cuts the document space at every non-empty segment's end
+// in any source. With one source the slices are exactly its non-empty
+// segments, in order.
+func refineSlices(scans []sourceScan) []docSlice {
+	n := 0
+	for s := range scans {
+		n += len(scans[s].segs)
+	}
+	slices := make([]docSlice, 0, n)
+	for s := range scans {
+		for _, seg := range scans[s].segs {
+			if seg.hi > seg.lo {
+				slices = append(slices, docSlice{hi: seg.hi})
+			}
+		}
+	}
+	if len(scans) > 1 {
+		sort.Slice(slices, func(a, b int) bool { return slices[a].hi < slices[b].hi })
+		u := 0
+		for i := range slices {
+			if i == 0 || slices[i].hi != slices[u-1].hi {
+				slices[u] = slices[i]
+				u++
+			}
+		}
+		slices = slices[:u]
+	}
+	segIdx := make([]int, len(slices)*len(scans))
+	for s := range scans {
+		segs := scans[s].segs
+		lo, g := OID(0), 0 // g: the source's first segment not ending before lo
+		for i := range slices {
+			sl := &slices[i]
+			if s == 0 {
+				sl.lo, sl.segs = lo, segIdx[i*len(scans):(i+1)*len(scans)]
+			}
+			for g < len(segs) && segs[g].hi <= lo {
+				g++ // ends before the slice (or is empty)
+			}
+			if g < len(segs) {
+				sl.segs[s] = g
+				sl.impact += segs[g].impact
+			} else {
+				sl.segs[s] = -1
+			}
+			lo = sl.hi
+		}
+	}
+	return slices
+}
+
 // fillDefaults merges default-scored (unmatched) documents into a ranked
-// result when they can still enter the top k: they all score fillBase and
-// tie-break by ascending OID, so the walk stops at the first one that no
-// longer beats the tail. A document is "matched" when any segment holds a
-// posting for it under any query term.
-func fillDefaults(views []*BlockPostings, segRanges [][]postingRange, domain *BAT, fillBase float64, k int, docs []OID, scores []float64) ([]OID, []float64, error) {
-	if len(docs) == k && scores[len(scores)-1] > fillBase {
+// result when they can still enter the top k: they all score fillScore
+// and tie-break by ascending OID, so the walk stops at the first one that
+// no longer beats the tail. A document is "matched" when any segment of
+// any source holds a posting for it under any of that source's terms.
+func fillDefaults(scans []sourceScan, domain *BAT, fillScore float64, k int, docs []OID, scores []float64) ([]OID, []float64, error) {
+	if len(docs) == k && scores[len(scores)-1] > fillScore {
 		// The current tail strictly beats any default-scored document; on a
 		// tie the walk below still runs, because a smaller unmatched OID wins.
 		return docs, scores, nil
@@ -378,11 +514,13 @@ func fillDefaults(views []*BlockPostings, segRanges [][]postingRange, domain *BA
 	// domain max; sparse OID spaces fall back to a map.
 	n := domain.Len()
 	maxDoc := OID(0)
-	for vi, bp := range views {
-		for _, r := range segRanges[vi] {
-			if r.hi > r.lo {
-				if d := bp.termLastDoc(int(r.t)); d > maxDoc {
-					maxDoc = d
+	for s := range scans {
+		for g, seg := range scans[s].segs {
+			for _, r := range scans[s].segRanges(g) {
+				if r.hi > r.lo {
+					if d := seg.view.termLastDoc(int(r.t)); d > maxDoc {
+						maxDoc = d
+					}
 				}
 			}
 		}
@@ -414,21 +552,23 @@ func fillDefaults(views []*BlockPostings, segRanges [][]postingRange, domain *BA
 		return ok
 	}
 	cset := borrowBlockCursors(1)
-	for vi, bp := range views {
-		for _, r := range segRanges[vi] {
-			c := &cset.cs[0]
-			c.reset()
-			c.bind(bp, int(r.t))
-			for p := r.lo; p < r.hi; p++ {
-				d, ok := c.docAt(p)
-				if !ok {
-					err := c.err
-					releaseBlockCursors(cset)
-					return nil, nil, err
+	for s := range scans {
+		for g, seg := range scans[s].segs {
+			for _, r := range scans[s].segRanges(g) {
+				c := &cset.cs[0]
+				c.reset()
+				c.bind(seg.view, int(r.t))
+				for p := r.lo; p < r.hi; p++ {
+					d, ok := c.docAt(p)
+					if !ok {
+						err := c.err
+						releaseBlockCursors(cset)
+						return nil, nil, err
+					}
+					mark(d)
 				}
-				mark(d)
+				c.flushStats()
 			}
-			c.flushStats()
 		}
 	}
 	releaseBlockCursors(cset)
@@ -438,18 +578,18 @@ func fillDefaults(views []*BlockPostings, segRanges [][]postingRange, domain *BA
 			continue
 		}
 		if len(docs) >= k {
-			if !worseHit(scores[len(scores)-1], docs[len(docs)-1], fillBase, d) {
+			if !worseHit(scores[len(scores)-1], docs[len(docs)-1], fillScore, d) {
 				break // every later unmatched doc is worse still
 			}
 			docs, scores = docs[:len(docs)-1], scores[:len(scores)-1]
 		}
-		// Insert (d, fillBase) keeping rank order.
-		pos := sort.Search(len(docs), func(j int) bool { return worseHit(scores[j], docs[j], fillBase, d) })
+		// Insert (d, fillScore) keeping rank order.
+		pos := sort.Search(len(docs), func(j int) bool { return worseHit(scores[j], docs[j], fillScore, d) })
 		docs = append(docs, 0)
 		scores = append(scores, 0)
 		copy(docs[pos+1:], docs[pos:])
 		copy(scores[pos+1:], scores[pos:])
-		docs[pos], scores[pos] = d, fillBase
+		docs[pos], scores[pos] = d, fillScore
 	}
 	return docs, scores, nil
 }

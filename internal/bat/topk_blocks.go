@@ -235,28 +235,57 @@ func (c *blockCursor) flushStats() {
 	c.decoded, c.skipped = 0, 0
 }
 
-// scanBlockSegment runs the block-max scan over one block-layout
-// segment: it borrows a cursor set, binds every term to its posting
-// range, runs the scan, and releases the cursors on every path.
-func scanBlockSegment(bp *BlockPostings, ranges []postingRange, query []OID, weights []float64, weighted bool, def, fillBase float64, h *BoundedTopK[topkCand], theta *TopKThreshold) error {
-	cset := borrowBlockCursors(len(query))
+// clip narrows the posting range [lo, hi) of the cursor's term to the
+// documents in [dlo, dhi), cutting only the ends the caller asks for.
+// The blocks it passes over belong to neighbouring slices, which scan
+// them, so they do not count as skipped.
+func (c *blockCursor) clip(lo, hi int, dlo, dhi OID, cutLo, cutHi bool) (int, int) {
+	skipped := c.skipped
+	if cutHi {
+		hi = c.search(lo, hi, dhi)
+	}
+	if cutLo {
+		lo = c.search(lo, hi, dlo)
+	}
+	c.skipped = skipped
+	return lo, hi
+}
+
+// scanSlice runs the block-max scan over one slice of the document
+// space: it borrows a cursor set over all m terms of all sources, binds
+// each to its posting range in its source's segment covering the slice
+// (clipped where the slice is smaller than the segment), runs the scan,
+// and releases the cursors on every path.
+func scanSlice(scans []sourceScan, sl *docSlice, m int, div, def, fillBase float64, h *BoundedTopK[topkCand], theta *TopKThreshold) error {
+	cset := borrowBlockCursors(m)
 	defer releaseBlockCursors(cset)
-	sc := borrowScanScratch(len(query))
+	sc := borrowScanScratch(m)
 	defer releaseScanScratch(sc)
 	terms := sc.terms
-	for i := range query {
-		w := 1.0
-		if weighted {
-			w = weights[i]
+	for s := range scans {
+		ss := &scans[s]
+		g := sl.segs[s]
+		var seg segScan
+		var ranges []postingRange
+		if g >= 0 {
+			seg, ranges = ss.segs[g], ss.segRanges(g)
 		}
-		t := -1
-		if ranges[i].hi > ranges[i].lo {
-			t = int(ranges[i].t)
+		for j := range ss.query {
+			i := ss.off + j
+			terms[i] = qterm{qi: i, weight: 1}
+			if ss.weights != nil {
+				terms[i].weight = ss.weights[j]
+			}
+			if g < 0 || ranges[j].hi <= ranges[j].lo {
+				cset.cs[i].bind(seg.view, -1)
+				continue
+			}
+			c := &cset.cs[i]
+			c.bind(seg.view, int(ranges[j].t))
+			terms[i].cur, terms[i].hi = c.clip(ranges[j].lo, ranges[j].hi, sl.lo, sl.hi, sl.lo > seg.lo, sl.hi < seg.hi)
 		}
-		cset.cs[i].bind(bp, t)
-		terms[i] = qterm{qi: i, cur: ranges[i].lo, hi: ranges[i].hi, weight: w}
 	}
-	err := maxscoreScanBlocks(bp, cset.cs, terms, query, weights, def, fillBase, h, theta, sc)
+	err := maxscoreScanBlocks(cset.cs, terms, scans, div, def, fillBase, h, theta, sc)
 	for i := range cset.cs {
 		if err == nil && cset.cs[i].err != nil {
 			err = cset.cs[i].err
@@ -266,27 +295,27 @@ func scanBlockSegment(bp *BlockPostings, ranges []postingRange, query []OID, wei
 	return err
 }
 
-// maxscoreScanBlocks runs the max-score loop over one segment: the
+// maxscoreScanBlocks runs the max-score loop over one slice: the
 // essential terms (largest bounds) are merged
 // document-at-a-time, with block-max skipping; the non-essential tail is
 // probed by binary search only while a document's score bound still
 // clears the threshold. cs[i] is the cursor of terms[i]; terms must be
-// sc.terms (sc supplies every working slice).
-func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, query []OID, weights []float64, def, fillBase float64, h *BoundedTopK[topkCand], theta *TopKThreshold, sc *scanScratch) error {
+// sc.terms (sc supplies every working slice). Bounds are in fold-sum
+// units (fillBase is the fold sum of a document matching nothing); the
+// threshold is in score units, so it is compared as th·div.
+func maxscoreScanBlocks(cs []blockCursor, terms []qterm, scans []sourceScan, div, def, fillBase float64, h *BoundedTopK[topkCand], theta *TopKThreshold, sc *scanScratch) error {
 	m := len(terms)
 	if m == 0 {
 		return nil
 	}
 	for i := range terms {
 		ub := 0.0
-		if t := cs[i].t; t >= 0 {
-			if lo, hi := bp.TermRange(t); hi > lo {
-				mb := bp.MaxBelief(t)
-				if mb < def {
-					mb = def
-				}
-				ub = terms[i].weight * (mb - def)
+		if t := cs[i].t; t >= 0 && terms[i].hi > terms[i].cur {
+			mb := cs[i].bp.MaxBelief(t)
+			if mb < def {
+				mb = def
 			}
+			ub = terms[i].weight * (mb - def)
 		}
 		terms[i].ub = ub
 	}
@@ -338,8 +367,8 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 		}
 	}
 
-	shrink := func(th float64) {
-		for e > 0 && fillBase+suffixUB[e-1]+boundSlack <= th {
+	shrink := func(lim float64) {
+		for e > 0 && fillBase+suffixUB[e-1]+boundSlack <= lim {
 			e--
 		}
 	}
@@ -387,9 +416,9 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 		c := &cs[i]
 		b := c.blockOf(cur)
 		blkIdx[i] = b
-		blkLo[i], blkHi[i] = bp.BlockSpan(c.t, b)
-		blkLast[i] = bp.BlockLast(b)
-		qm := bp.BlockMax(b)
+		blkLo[i], blkHi[i] = c.bp.BlockSpan(c.t, b)
+		blkLast[i] = c.bp.BlockLast(b)
+		qm := c.bp.BlockMax(b)
 		if qm < def {
 			qm = def
 		}
@@ -403,15 +432,17 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 	// arrive seeded (a prior run's exact k-th score) or raised by another
 	// shard, and it is always a valid global lower bound — a document
 	// skipped under bound+slack ≤ θ can never belong to the global top k,
-	// whether or not THIS scan has retained k candidates yet.
+	// whether or not THIS scan has retained k candidates yet. lim is th
+	// in fold-sum units, the bounds' (th·1 == th on one source).
 	th := threshold()
+	lim := th * div
 	if th > negInf {
-		shrink(th)
+		shrink(lim)
 	}
 	for {
 		if g := theta.Load(); g > th {
-			th = g
-			shrink(th)
+			th, lim = g, g*div
+			shrink(lim)
 		}
 		best := exhausted
 		for j := 0; j < e; j++ {
@@ -452,7 +483,7 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 					}
 					active = true
 				}
-				if !(active && fillBase+sumUB+suffixUB[e]+boundSlack <= th) {
+				if !(active && fillBase+sumUB+suffixUB[e]+boundSlack <= lim) {
 					skipFence, fenceTh, fenced = minLast, th, true
 					break
 				}
@@ -476,7 +507,7 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 						c.skipped++
 					}
 					t := c.t
-					if nb := b + 1; nb < int(bp.blkStart[t+1]) {
+					if nb := b + 1; nb < int(c.bp.blkStart[t+1]) {
 						pos := blkHi[i] // next block starts where this span ends
 						if pos > qt.hi {
 							pos = qt.hi
@@ -548,7 +579,7 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 			}
 		}
 		bound := fillBase + known + suffixUB[e]
-		if bound+boundSlack <= th {
+		if bound+boundSlack <= lim {
 			continue
 		}
 		pruned := false
@@ -579,7 +610,7 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 			} else {
 				qt.cur = pos
 			}
-			if bound+boundSlack <= th {
+			if bound+boundSlack <= lim {
 				pruned = true
 				break
 			}
@@ -587,30 +618,44 @@ func maxscoreScanBlocks(bp *BlockPostings, cs []blockCursor, terms []qterm, quer
 		if pruned {
 			continue
 		}
-		// The canonical fold, exactly as SumBeliefs / WSumBeliefs compute it.
+		// The canonical folds, exactly as SumBeliefs / WSumBeliefs compute
+		// them per source, added left to right and divided as the
+		// flattened [+] and [/] multiplexes do.
 		score := 0.0
-		if weights == nil {
-			matched := 0
-			for qi := 0; qi < m; qi++ {
-				if stamp[qi] == cur {
-					score += fbel[qi]
-					matched++
+		for s := range scans {
+			ss := &scans[s]
+			fold := 0.0
+			if ss.weights == nil {
+				matched := 0
+				for qi := ss.off; qi < ss.off+len(ss.query); qi++ {
+					if stamp[qi] == cur {
+						fold += fbel[qi]
+						matched++
+					}
 				}
-			}
-			score += float64(m-matched) * def
-		} else {
-			for qi := 0; qi < m; qi++ {
-				if stamp[qi] == cur {
-					score += weights[qi] * (fbel[qi] - def)
+				fold += float64(len(ss.query)-matched) * def
+			} else {
+				for j, w := range ss.weights {
+					if qi := ss.off + j; stamp[qi] == cur {
+						fold += w * (fbel[qi] - def)
+					}
 				}
+				fold += ss.fillBase
 			}
-			score += fillBase
+			if s == 0 {
+				score = fold
+			} else {
+				score += fold
+			}
+		}
+		if div != 1 {
+			score /= div
 		}
 		h.Offer(topkCand{doc: best, score: score})
 		if h.Full() {
 			if w := threshold(); w > th {
-				th = w
-				shrink(th)
+				th, lim = w, w*div
+				shrink(lim)
 			}
 			theta.Raise(th)
 		}

@@ -203,43 +203,21 @@ func (ep *IndexEpoch) rankRows(res *moa.Result, k int) []Hit {
 	return hits
 }
 
+// rank runs a ranking expression against the epoch and resolves its
+// rows to hits. theta, when non-nil, opens a pruned scan with a
+// pre-raised threshold (a θ-memo seed).
+func (ep *IndexEpoch) rank(src string, params map[string]moa.Param, k int, theta *bat.TopKThreshold) ([]Hit, error) {
+	res, err := ep.queryTopK(src, params, k, theta)
+	if err != nil {
+		return nil, err
+	}
+	return ep.rankRows(res, k), nil
+}
+
 // queryAnnotations ranks the epoch's collection against a text query.
-// theta, when non-nil, opens the scan with a pre-raised pruning
-// threshold (a θ-memo seed or a cross-shard shared bound).
 func (ep *IndexEpoch) queryAnnotations(text string, k int, theta *bat.TopKThreshold) ([]Hit, error) {
-	res, err := ep.queryTopK(annotationQuery, ir.QueryParams(ir.Analyze(text)), k, theta)
-	if err != nil {
-		return nil, err
-	}
-	return ep.rankRows(res, k), nil
+	return ep.rank(annotationQuery, ir.QueryParams(ir.Analyze(text)), k, theta)
 }
-
-// queryContent ranks the epoch's collection by content cluster words.
-func (ep *IndexEpoch) queryContent(clusterWords []string, k int, theta *bat.TopKThreshold) ([]Hit, error) {
-	res, err := ep.queryTopK(contentQuery, ir.QueryParams(clusterWords), k, theta)
-	if err != nil {
-		return nil, err
-	}
-	return ep.rankRows(res, k), nil
-}
-
-// QueryAnnotations / QueryContent / ExpandQuery / Thesaurus / urlOf make
-// a pinned epoch the retrieval half of a single store's site (epochSite),
-// so combined-evidence retrieval reads ONE consistent snapshot even while
-// refreshes publish new epochs mid-query.
-func (ep *IndexEpoch) QueryAnnotations(text string, k int) ([]Hit, error) {
-	return ep.queryAnnotations(text, k, nil)
-}
-
-func (ep *IndexEpoch) QueryContent(clusterWords []string, k int) ([]Hit, error) {
-	return ep.queryContent(clusterWords, k, nil)
-}
-
-func (ep *IndexEpoch) ExpandQuery(text string, topK int) []string {
-	return expandConcepts(ep.thes, text, topK)
-}
-
-func (ep *IndexEpoch) Thesaurus() *thesaurus.Thesaurus { return ep.thes }
 
 // WeightedContentScores scores the epoch's image CONTREP with per-term
 // weights via the wsum physical operator (the relevance-feedback

@@ -29,7 +29,7 @@ import (
 // Everything above the seam is shared: the θ-memo seed and record, the
 // fold of each landed leg's merged k-th best into the shared threshold,
 // the bounded merge (k > 0) or sorted concatenation (k <= 0), the wsum
-// score union, and the dual-coding and feedback-session site.
+// score union, and the feedback-session site.
 
 // Shards is a sharded engine as its gather sees it: the serving view
 // legs run against, plus the engine-global state sessions read and write.
@@ -44,8 +44,8 @@ type Shards interface {
 
 // ShardView is one pinned serving view of a sharded collection — a
 // vector of per-shard epochs that together cover one prefix of the
-// global ingestion order. Every leg of one query (and every evidence
-// source of one dual-coding query) runs against the same view.
+// global ingestion order. Every leg of one query runs against the same
+// view.
 type ShardView interface {
 	// Stamp identifies the view; Seq is the generation keying the result
 	// cache and the θ-memo.
@@ -67,8 +67,8 @@ type thetaStreamer interface {
 }
 
 // ShardLeg is one shard's answer to one scatter leg under engine-global
-// OIDs: rows ("ann", "content", "moa"; unranked legs already cut to the
-// global top k) or a score vector ("wsum").
+// OIDs: rows ("ann", "content", "dual", "moa"; unranked legs already cut
+// to the global top k) or a score vector ("wsum").
 type ShardLeg struct {
 	rows   []moa.Row
 	typ    moa.Type // "moa" legs evaluated in-process
@@ -91,6 +91,8 @@ func (ep *IndexEpoch) leg(q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg
 		src, params = annotationQuery, ir.QueryParams(ir.Analyze(q.Text))
 	case "content":
 		src, params = contentQuery, ir.QueryParams(q.Terms)
+	case "dual":
+		src, params = dualQuery, dualParams(q.Text, q.Terms)
 	case "moa":
 		if q.Terms != nil {
 			params = ir.QueryParams(q.Terms)
@@ -342,9 +344,9 @@ func (g *Gather) view() ShardView {
 	return v
 }
 
-// hits runs a ranking ("ann" or "content") over one pinned view: the
-// result cache answers repeats, the θ-memo seeds the shared threshold,
-// and a full ranking records its terminal k-th score.
+// hits runs a ranking ("ann", "content" or "dual") over one pinned view:
+// the result cache answers repeats, the θ-memo seeds the shared
+// threshold, and a full ranking records its terminal k-th score.
 func (g *Gather) hits(v ShardView, kind cacheKind, q ShardQueryArgs) ([]Hit, error) {
 	gen := v.Stamp().Seq
 	c := g.cache.Load()
@@ -406,33 +408,32 @@ func (g *Gather) QueryAnnotationsStamped(text string, k int) ([]Hit, EpochStamp,
 
 // QueryContent ranks by image content given cluster words.
 func (g *Gather) QueryContent(clusterWords []string, k int) ([]Hit, error) {
-	return gatherSite{g: g}.QueryContent(clusterWords, k)
+	v := g.view()
+	if v == nil {
+		return nil, ErrNotIndexed
+	}
+	return g.hits(v, cacheContent, ShardQueryArgs{Kind: "content", Terms: clusterWords, K: k})
 }
 
-// QueryDualCoding combines annotation and content evidence (#sum); the
-// combination runs on global OIDs, so it is shard-oblivious, and both
-// evidence sources read one pinned view.
+// QueryDualCoding combines annotation and content evidence (#sum): one
+// "dual" leg per shard, each the same two-source pruned scan a single
+// store runs, under the shared threshold; see Mirror.QueryDualCoding.
 func (g *Gather) QueryDualCoding(text string, k int) ([]Hit, error) {
 	hits, _, err := g.QueryDualCodingStamped(text, k)
 	return hits, err
 }
 
 // QueryDualCodingStamped is QueryDualCoding plus the stamp of the pinned
-// view both evidence sources read.
+// view every leg read. The gather expands the text once, with the
+// engine's thesaurus, and ships the concepts in the leg, so they key the
+// cache and the θ-memo beside the text.
 func (g *Gather) QueryDualCodingStamped(text string, k int) ([]Hit, EpochStamp, error) {
 	v := g.view()
 	if v == nil {
 		return nil, EpochStamp{}, ErrNotIndexed
 	}
-	gen := v.Stamp().Seq
-	c := g.cache.Load()
-	if hits, ok := c.get(gen, cacheDual, k, text, nil); ok {
-		return hits, v.Stamp(), nil
-	}
-	hits, err := queryDualCoding(gatherSite{g: g, pin: v}, text, k)
-	if err == nil {
-		c.put(gen, cacheDual, k, text, nil, hits)
-	}
+	q := ShardQueryArgs{Kind: "dual", Text: text, Terms: g.ExpandQuery(text, dualConcepts), K: k}
+	hits, err := g.hits(v, cacheDual, q)
 	return hits, v.Stamp(), err
 }
 
@@ -519,19 +520,12 @@ func (g *Gather) SetThetaMemo(maxEntries int) { g.memo.Store(newThetaMemo(maxEnt
 // (zero when the memo is disabled).
 func (g *Gather) ThetaMemoStats() ThetaMemoStats { return memoStats(g.memo.Load()) }
 
-// gatherSite is a gather as the site dual coding and feedback sessions
-// combine evidence over: pinned to one view (dual coding reads one
-// consistent snapshot), or reading the current view per call (pin nil:
-// sessions span publishes, like a single store's).
-type gatherSite struct {
-	g   *Gather
-	pin ShardView
-}
+// gatherSite is a gather as the site feedback sessions combine evidence
+// over, reading the current view per call (sessions span publishes, like
+// a single store's).
+type gatherSite struct{ g *Gather }
 
 func (s gatherSite) view() (ShardView, error) {
-	if s.pin != nil {
-		return s.pin, nil
-	}
 	if v := s.g.view(); v != nil {
 		return v, nil
 	}
@@ -546,14 +540,6 @@ func (s gatherSite) QueryAnnotations(text string, k int) ([]Hit, error) {
 	return s.g.hits(v, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: text, K: k})
 }
 
-func (s gatherSite) QueryContent(clusterWords []string, k int) ([]Hit, error) {
-	v, err := s.view()
-	if err != nil {
-		return nil, err
-	}
-	return s.g.hits(v, cacheContent, ShardQueryArgs{Kind: "content", Terms: clusterWords, K: k})
-}
-
 func (s gatherSite) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
 	v, err := s.view()
 	if err != nil {
@@ -561,8 +547,6 @@ func (s gatherSite) WeightedContentScores(terms []string, weights []float64) (ir
 	}
 	return gatherWSum(v, terms, weights)
 }
-
-func (s gatherSite) ExpandQuery(text string, topK int) []string { return s.g.ExpandQuery(text, topK) }
 
 func (s gatherSite) ContentTerms(oid bat.OID) []string { return s.g.shards.ContentTerms(oid) }
 

@@ -14,23 +14,28 @@ import (
 
 // The pooldebug leak tests snapshot the live-borrow counters around every
 // retrieval entry point — success and injected-failure paths alike — and
-// require the delta be zero: no pooled Scores map, ranking slice or row
-// scratch may outlive the call that borrowed it. They complement the
+// require the delta be zero: no pooled Scores map, ranking slice, row
+// scratch, scan scratch or block cursor set may outlive the call that
+// borrowed it. They complement the
 // static poolcheck analyzer: poolcheck proves the release calls exist on
 // every path, these tests prove the calls actually run.
 
-type poolCounters struct{ scores, ranked, rows int }
+type poolCounters struct{ scores, ranked, rows, scan, cursors int }
 
 func snapshotPools() poolCounters {
-	return poolCounters{scores: ir.LiveScores(), ranked: LiveRanked(), rows: moa.LiveRows()}
+	return poolCounters{
+		scores: ir.LiveScores(), ranked: LiveRanked(), rows: moa.LiveRows(),
+		scan: bat.LiveScanScratch(), cursors: bat.LiveBlockCursors(),
+	}
 }
 
 func assertNoLeak(t *testing.T, label string, before poolCounters) {
 	t.Helper()
 	after := snapshotPools()
 	if after != before {
-		t.Errorf("%s leaked pooled scratch: scores %+d, ranked %+d, rows %+d",
-			label, after.scores-before.scores, after.ranked-before.ranked, after.rows-before.rows)
+		t.Errorf("%s leaked pooled scratch: scores %+d, ranked %+d, rows %+d, scan %+d, cursors %+d",
+			label, after.scores-before.scores, after.ranked-before.ranked, after.rows-before.rows,
+			after.scan-before.scan, after.cursors-before.cursors)
 	}
 }
 
@@ -148,30 +153,29 @@ func TestSessionRunErrorPathDoesNotLeak(t *testing.T) {
 	assertNoLeak(t, "Session.Run error path", before)
 }
 
-// failingContentSite is a dual-coding site whose content query always
-// fails — the second pre-PR leak: queryDualCoding dropped the text map
-// on that return.
-type failingContentSite struct {
-	site // the session half of the interface, never called by dual coding
-	hits []Hit
-}
-
-func (f failingContentSite) urlOf(bat.OID) string { return "" }
-func (f failingContentSite) QueryAnnotations(string, int) ([]Hit, error) {
-	return f.hits, nil
-}
-func (f failingContentSite) QueryContent([]string, int) ([]Hit, error) {
-	return nil, errInjected
-}
-func (f failingContentSite) ExpandQuery(string, int) []string { return []string{"c000"} }
-
-func TestDualCodingErrorPathDoesNotLeak(t *testing.T) {
-	fs := failingContentSite{hits: []Hit{{OID: 1, Score: 0.5}, {OID: 2, Score: 0.25}}}
-	before := snapshotPools()
-	if _, err := queryDualCoding(fs, "harbor gull", 5); !errors.Is(err, errInjected) {
-		t.Fatalf("queryDualCoding error = %v, want injected failure", err)
+// TestDualCodingScanErrorDoesNotLeak drives the dual-coding plan into a
+// scan failure — the image CONTREP's block payload corrupted under the
+// serving epoch — and requires the error to surface with every scan
+// scratch and cursor set released on the way out.
+func TestDualCodingScanErrorDoesNotLeak(t *testing.T) {
+	m := leakStub(t)
+	const text = "harbor gull"
+	if len(m.ExpandQuery(text, dualConcepts)) == 0 {
+		t.Fatal("stub thesaurus expands the probe to nothing; the content source would not scan")
 	}
-	assertNoLeak(t, "queryDualCoding error path", before)
+	blk, ok := m.currentEpoch().DB.BAT(InternalSet + "_image_blkdoc")
+	if !ok {
+		t.Fatal("no image block postings")
+	}
+	data := blk.Tail.Bytes()
+	for i := range data {
+		data[i] = 0xff
+	}
+	before := snapshotPools()
+	if _, err := m.QueryDualCoding(text, 5); err == nil {
+		t.Fatal("dual coding over a corrupt content segment returned no error")
+	}
+	assertNoLeak(t, "dual-coding scan error path", before)
 }
 
 // TestShardedQueryPathsDoNotLeak repeats the coverage over the

@@ -294,7 +294,7 @@ func TestPreparedSharedAcrossGoroutines(t *testing.T) {
 	wg.Wait()
 }
 
-// warmPlanAllocs is the allocs/op of a warm-plan IndexEpoch.QueryAnnotations
+// warmPlanAllocs is the allocs/op of a warm-plan IndexEpoch.queryAnnotations
 // on the fixture below, measured with go1.24 on linux/amd64. Before
 // prepared plans the same call allocated 266 objects: every query
 // re-lexed, re-parsed, re-checked, re-planned and re-lowered the ranking
@@ -310,11 +310,11 @@ func TestWarmPlanAllocsPinned(t *testing.T) {
 	m := oneShotStub(t, urls, anns)
 	ep := m.currentEpoch()
 	const text, k = "kelp foam buoy", 10
-	if _, err := ep.QueryAnnotations(text, k); err != nil {
+	if _, err := ep.queryAnnotations(text, k, nil); err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(200, func() {
-		if _, err := ep.QueryAnnotations(text, k); err != nil {
+		if _, err := ep.queryAnnotations(text, k, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

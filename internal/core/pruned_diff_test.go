@@ -77,9 +77,8 @@ func buildStubIncremental(t *testing.T, urls, anns []string, seed int64) *Mirror
 
 // assertPrunedEqualsExhaustive demands, for every retrieval surface, that
 // the k-cut is hit-for-hit (ties included) the first k of the same
-// site's k = 0 ranking. Annotation and content cuts run the pruned plan;
-// dual coding combines two exhaustive evidence scans either way and
-// rides along as the control.
+// site's k = 0 ranking. Annotation and content cuts run the pruned plan,
+// dual-coding cuts its two-source form.
 func assertPrunedEqualsExhaustive(t *testing.T, label string, site retrievalSite, k int) {
 	t.Helper()
 	for _, q := range []string{"harbor gull", "tide", "kelp foam buoy", "lantern mist salt", "gull gull pier"} {
@@ -91,22 +90,27 @@ func assertPrunedEqualsExhaustive(t *testing.T, label string, site retrievalSite
 	}
 }
 
-// assertLargeRound runs the large rounds' annotation queries at k = 1 and
-// 10 against their own k = 0 ranking.
+// assertLargeRound runs the large rounds' annotation and dual-coding
+// queries at k = 1 and 10 against their own k = 0 ranking.
 func assertLargeRound(t *testing.T, label string, site retrievalSite) {
 	t.Helper()
 	for _, q := range largeRoundQueries() {
-		full, err := site.QueryAnnotations(q, 0)
-		if err != nil {
-			t.Fatalf("%s: exhaustive %q: %v", label, q, err)
-		}
-		for _, k := range []int{1, 10} {
-			assertCutIsPrefix(t, label, fmt.Sprintf("annotations %q", q), k, func(k int) ([]Hit, error) {
-				if k == 0 {
-					return full, nil
-				}
-				return site.QueryAnnotations(q, k)
-			})
+		for what, query := range map[string]func(string, int) ([]Hit, error){
+			"annotations": site.QueryAnnotations,
+			"dual coding": site.QueryDualCoding,
+		} {
+			full, err := query(q, 0)
+			if err != nil {
+				t.Fatalf("%s: exhaustive %s %q: %v", label, what, q, err)
+			}
+			for _, k := range []int{1, 10} {
+				assertCutIsPrefix(t, label, fmt.Sprintf("%s %q", what, q), k, func(k int) ([]Hit, error) {
+					if k == 0 {
+						return full, nil
+					}
+					return query(q, k)
+				})
+			}
 		}
 	}
 }

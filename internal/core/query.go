@@ -19,6 +19,26 @@ const contentQuery = `
 	map[sum(THIS)](
 		map[getBL(THIS.image, query, stats)]( ImageLibraryInternal ));`
 
+// dualQuery is the Section 5.2 expression: the text query ranks the
+// annotations directly and, through the thesaurus, the image content
+// (the `concepts` it expands to); #sum averages the two belief sources.
+// A top-k request runs it as one two-source pruned scan.
+const dualQuery = `
+	map[(sum(getBL(THIS.annotation, query, stats)) + sum(getBL(THIS.image, concepts, stats))) / 2](
+		ImageLibraryInternal );`
+
+// dualConcepts is how many thesaurus concepts a dual-coding query
+// expands to.
+const dualConcepts = 5
+
+// dualParams binds dualQuery: the analysed text as `query`, the
+// thesaurus expansion as `concepts`.
+func dualParams(text string, concepts []string) map[string]moa.Param {
+	params := ir.QueryParams(ir.Analyze(text))
+	params["concepts"] = ir.TermsParam(concepts)
+	return params
+}
+
 // Every ranked-retrieval entry point pins the current index epoch with
 // one atomic load and evaluates entirely against that snapshot: queries
 // never block on ingest/refresh/checkpoint activity and never observe a
@@ -42,16 +62,9 @@ func (m *Mirror) QueryAnnotationsStamped(text string, k int) ([]Hit, EpochStamp,
 	if err != nil {
 		return nil, EpochStamp{}, err
 	}
-	c := m.cache.Load()
-	if hits, ok := c.get(ep.Seq, cacheAnnotations, k, text, nil); ok {
-		return hits, ep.stamp(), nil
-	}
-	tm := m.thetaMemo.Load()
-	hits, err := ep.queryAnnotations(text, k, seededTheta(tm, ep.Seq, cacheAnnotations, k, text, nil))
-	if err == nil {
-		c.put(ep.Seq, cacheAnnotations, k, text, nil, hits)
-		memoTheta(tm, ep.Seq, cacheAnnotations, k, text, nil, hits)
-	}
+	hits, err := m.ranked(ep, cacheAnnotations, k, text, nil, func(theta *bat.TopKThreshold) ([]Hit, error) {
+		return ep.queryAnnotations(text, k, theta)
+	})
 	return hits, ep.stamp(), err
 }
 
@@ -63,15 +76,50 @@ func (m *Mirror) QueryContent(clusterWords []string, k int) ([]Hit, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.ranked(ep, cacheContent, k, "", clusterWords, func(theta *bat.TopKThreshold) ([]Hit, error) {
+		return ep.rank(contentQuery, ir.QueryParams(clusterWords), k, theta)
+	})
+}
+
+// QueryDualCoding is the full Section 5.2 retrieval: the text query ranks
+// annotations directly AND, through the thesaurus, the image content
+// representation; the two belief sources are combined with the inference
+// network's #sum operator — one Moa expression (dualQuery) over ONE
+// pinned epoch. k behaves as in QueryAnnotations.
+func (m *Mirror) QueryDualCoding(text string, k int) ([]Hit, error) {
+	hits, _, err := m.QueryDualCodingStamped(text, k)
+	return hits, err
+}
+
+// QueryDualCodingStamped is QueryDualCoding plus the stamp of the pinned
+// epoch it read. The thesaurus expansion is part of the cache key:
+// feedback reinforces the thesaurus without publishing an epoch, so one
+// text can expand differently within one epoch.
+func (m *Mirror) QueryDualCodingStamped(text string, k int) ([]Hit, EpochStamp, error) {
+	ep, err := m.requireEpoch()
+	if err != nil {
+		return nil, EpochStamp{}, err
+	}
+	concepts := expandConcepts(ep.thes, text, dualConcepts)
+	hits, err := m.ranked(ep, cacheDual, k, text, concepts, func(theta *bat.TopKThreshold) ([]Hit, error) {
+		return ep.rank(dualQuery, dualParams(text, concepts), k, theta)
+	})
+	return hits, ep.stamp(), err
+}
+
+// ranked serves one ranked query surface (kind, k, text, terms) of the
+// pinned epoch: the result cache answers repeats, the θ-memo seeds the
+// scan run evaluates, and a full ranking records its terminal k-th score.
+func (m *Mirror) ranked(ep *IndexEpoch, kind cacheKind, k int, text string, terms []string, run func(theta *bat.TopKThreshold) ([]Hit, error)) ([]Hit, error) {
 	c := m.cache.Load()
-	if hits, ok := c.get(ep.Seq, cacheContent, k, "", clusterWords); ok {
+	if hits, ok := c.get(ep.Seq, kind, k, text, terms); ok {
 		return hits, nil
 	}
 	tm := m.thetaMemo.Load()
-	hits, err := ep.queryContent(clusterWords, k, seededTheta(tm, ep.Seq, cacheContent, k, "", clusterWords))
+	hits, err := run(seededTheta(tm, ep.Seq, kind, k, text, terms))
 	if err == nil {
-		c.put(ep.Seq, cacheContent, k, "", clusterWords, hits)
-		memoTheta(tm, ep.Seq, cacheContent, k, "", clusterWords, hits)
+		c.put(ep.Seq, kind, k, text, terms, hits)
+		memoTheta(tm, ep.Seq, kind, k, text, terms, hits)
 	}
 	return hits, err
 }
@@ -98,100 +146,19 @@ func (m *Mirror) ExpandQuery(text string, topK int) []string {
 	return expandConcepts(m.Thesaurus(), text, topK)
 }
 
-// QueryDualCoding is the full Section 5.2 retrieval: the text query ranks
-// annotations directly AND, through the thesaurus, the image content
-// representation; the two belief sources are combined with the inference
-// network's #sum operator. Both evidence sources read ONE pinned epoch.
-func (m *Mirror) QueryDualCoding(text string, k int) ([]Hit, error) {
-	hits, _, err := m.QueryDualCodingStamped(text, k)
-	return hits, err
-}
-
-// QueryDualCodingStamped is QueryDualCoding plus the stamp of the pinned
-// epoch both evidence sources read.
-func (m *Mirror) QueryDualCodingStamped(text string, k int) ([]Hit, EpochStamp, error) {
-	ep, err := m.requireEpoch()
-	if err != nil {
-		return nil, EpochStamp{}, err
-	}
-	c := m.cache.Load()
-	if hits, ok := c.get(ep.Seq, cacheDual, k, text, nil); ok {
-		return hits, ep.stamp(), nil
-	}
-	hits, err := queryDualCoding(epochSite{ep, m}, text, k)
-	if err == nil {
-		c.put(ep.Seq, cacheDual, k, text, nil, hits)
-	}
-	return hits, ep.stamp(), err
-}
-
-// epochSite is a single store's site pinned to one epoch: retrieval reads
-// the epoch, the per-document and durable halves stay the store's. (The
-// epoch itself must not point back at its store: the store's current
-// epoch carries a finalizer, and a cycle through it is never collected.)
-type epochSite struct {
-	*IndexEpoch
-	m *Mirror
-}
-
-func (s epochSite) ContentTerms(oid bat.OID) []string { return s.m.ContentTerms(oid) }
-
-func (s epochSite) reinforceLogged(words, concepts []string, relevant bool) error {
-	return s.m.reinforceLogged(words, concepts, relevant)
-}
-
-// site is the retrieval surface dual coding and feedback sessions combine
-// evidence over: a single store, one of its pinned epochs, or a sharded
-// engine's gather (in-process or networked) at a pinned or the current
-// view. Every implementation answers under the OIDs its hits carry, so the
-// #sum/#wsum combination above it is oblivious to how many stores answer.
+// site is the retrieval surface feedback sessions combine evidence over:
+// a single store, or a sharded engine's gather (in-process or networked).
+// Every implementation answers under the OIDs its hits carry, so the
+// #wsum combination above it is oblivious to how many stores answer.
 type site interface {
 	QueryAnnotations(text string, k int) ([]Hit, error)
-	QueryContent(clusterWords []string, k int) ([]Hit, error)
 	// WeightedContentScores returns a pooled score map the caller
 	// releases with ir.ReleaseScores.
 	WeightedContentScores(terms []string, weights []float64) (ir.Scores, error)
-	ExpandQuery(text string, topK int) []string
 	ContentTerms(oid bat.OID) []string
 	Thesaurus() *thesaurus.Thesaurus
 	urlOf(oid bat.OID) string
 	reinforceLogged(words, concepts []string, relevant bool) error
-}
-
-// queryDualCoding implements QueryDualCoding over any retrieval site.
-// Every borrowed Scores map is released on every path, including the
-// error returns (poolcheck-enforced).
-func queryDualCoding(site site, text string, k int) ([]Hit, error) {
-	textHits, err := site.QueryAnnotations(text, 0)
-	if err != nil {
-		return nil, err
-	}
-	ts := hitsToScores(textHits)
-	clusterWords := site.ExpandQuery(text, 5)
-	var contentHits []Hit
-	if len(clusterWords) > 0 {
-		contentHits, err = site.QueryContent(clusterWords, 0)
-		if err != nil {
-			ir.ReleaseScores(ts)
-			return nil, err
-		}
-	}
-	cs := hitsToScores(contentHits)
-	nText := float64(len(ir.Analyze(text)))
-	nContent := float64(len(clusterWords))
-	combined, err := ir.CombineSum(
-		[]ir.Scores{ts, cs},
-		[]float64{nText * ir.DefaultBelief, nContent * ir.DefaultBelief},
-	)
-	ir.ReleaseScores(ts)
-	ir.ReleaseScores(cs)
-	if err != nil {
-		ir.ReleaseScores(combined)
-		return nil, err
-	}
-	hits := scoresToHits(site, combined, k)
-	ir.ReleaseScores(combined)
-	return hits, nil
 }
 
 // scoresToHits ranks a combined score map and resolves URLs; k > 0 cuts

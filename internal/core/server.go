@@ -497,26 +497,12 @@ func ServeAs(r Retriever, addr, dictAddr, kind, name string) (string, func(), er
 		l.Close()
 		return "", nil, err
 	}
-	drain := &rpcDrain{}
-	var connMu sync.Mutex
-	conns := map[net.Conn]struct{}{}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			connMu.Lock()
-			conns[conn] = struct{}{}
-			connMu.Unlock()
-			go func() {
-				srv.ServeCodec(newCountedServerCodec(conn, drain))
-				connMu.Lock()
-				delete(conns, conn)
-				connMu.Unlock()
-			}()
-		}
-	}()
+	// Register before serving: a peer that finds this address in the
+	// dictionary must find the server answering, and no call may be
+	// answered before the dictionary knows the server (a router's
+	// discovery would otherwise miss a member its caller already saw
+	// serving). Connections that arrive meanwhile wait in the listen
+	// backlog.
 	if dictAddr != "" {
 		dc, err := dict.Dial(dictAddr)
 		if err != nil {
@@ -537,6 +523,26 @@ func ServeAs(r Retriever, addr, dictAddr, kind, name string) (string, func(), er
 			}
 		}
 	}
+	drain := &rpcDrain{}
+	var connMu sync.Mutex
+	conns := map[net.Conn]struct{}{}
+	go func() {
+		for {
+			conn, err := l.Accept()
+			if err != nil {
+				return
+			}
+			connMu.Lock()
+			conns[conn] = struct{}{}
+			connMu.Unlock()
+			go func() {
+				srv.ServeCodec(newCountedServerCodec(conn, drain))
+				connMu.Lock()
+				delete(conns, conn)
+				connMu.Unlock()
+			}()
+		}
+	}()
 	stop := func() {
 		// No new connections, drain handlers already computing (their
 		// replies reach the wire), then drop the established connections —

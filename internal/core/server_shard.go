@@ -32,9 +32,9 @@ func (s *Service) mirror() (*Mirror, error) {
 // ShardQueryArgs is one scatter leg of a router query, pinned to the
 // epoch published under Tag so every shard answers from the same round.
 type ShardQueryArgs struct {
-	Kind       string    // "ann" | "content" | "moa" | "wsum"
-	Text       string    // query text ("ann") or Moa source ("moa")
-	Terms      []string  // cluster words ("content", "wsum") or query terms ("moa")
+	Kind       string    // "ann" | "content" | "dual" | "moa" | "wsum"
+	Text       string    // query text ("ann", "dual") or Moa source ("moa")
+	Terms      []string  // cluster words ("content", "wsum"), concepts ("dual") or query terms ("moa")
 	Weights    []float64 // per-term weights ("wsum")
 	K          int       // ranked top-k request; <= 0 = exhaustive
 	Tag        uint64    // publish tag the reply must be served at
@@ -47,8 +47,8 @@ type ShardQueryArgs struct {
 // cut to the global top k, plus the pruning threshold reached — the
 // router folds Theta into its shared rising threshold for the remaining
 // legs. A row value travels as its float64 in Scores where it is one (all
-// "ann", "content" and "wsum" rows) and rendered with %v in Values where
-// it is not; Floats is nil when every value is a float64.
+// "ann", "content", "dual" and "wsum" rows) and rendered with %v in
+// Values where it is not; Floats is nil when every value is a float64.
 type ShardQueryReply struct {
 	OIDs   []uint64
 	Scores []float64

@@ -236,7 +236,8 @@ func checkEpochVector(t *testing.T, c *cluster) {
 // TestDifferentialLargeRound is the distributed differential at a size
 // where pruning, ties and segmentation matter: 4 000 documents ingested in
 // refresh chunks (so every shard serves several segments), multi-term
-// annotation and content queries at k ∈ {1, 10, 0}, for N ∈ {2, 8}. The
+// annotation, content and dual-coding queries (one all out of vocabulary,
+// so its expansion is empty) at k ∈ {1, 10, 100, 0}, for N ∈ {2, 8}. The
 // router, the in-process sharded engine and a single store must agree BUN
 // for BUN, ties included — the vocabulary is small, so ties are common.
 func TestDifferentialLargeRound(t *testing.T) {
@@ -261,6 +262,7 @@ func TestDifferentialLargeRound(t *testing.T) {
 		}
 		queries = append(queries, strings.Join(words, " "))
 	}
+	queries = append(queries, "zeppelin quux")
 
 	// publish grows every engine chunk by chunk: a full build over the
 	// first chunk, an incremental refresh per later one.
@@ -310,7 +312,7 @@ func TestDifferentialLargeRound(t *testing.T) {
 		contentRuns := 0
 		for _, q := range queries {
 			words := single.ExpandQuery(q, 6)
-			for _, k := range []int{1, 10, 0} {
+			for _, k := range []int{1, 10, 100, 0} {
 				label := fmt.Sprintf("N%d/%q/k=%d", n, q, k)
 				want, err1 := single.QueryAnnotations(q, k)
 				got2, err2 := sharded.QueryAnnotations(q, k)
@@ -320,6 +322,14 @@ func TestDifferentialLargeRound(t *testing.T) {
 				}
 				sameHits(t, label+"/ann/sharded", want, got2, k)
 				sameHits(t, label+"/ann/router", want, got3, k)
+				want, err1 = single.QueryDualCoding(q, k)
+				got2, err2 = sharded.QueryDualCoding(q, k)
+				got3, err3 = c.router.QueryDualCoding(q, k)
+				if err1 != nil || err2 != nil || err3 != nil {
+					t.Fatalf("%s dual: errs %v/%v/%v", label, err1, err2, err3)
+				}
+				sameHits(t, label+"/dual/sharded", want, got2, k)
+				sameHits(t, label+"/dual/router", want, got3, k)
 				if len(words) == 0 {
 					continue
 				}

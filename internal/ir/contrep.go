@@ -423,43 +423,53 @@ func emitGetBLScore(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.
 // prunedtopk operator runs max-score skipping over the term-ordered
 // postings and returns only the top k documents, already ranked (score
 // descending, OID ascending). The plan optimizer calls this when a query's
-// top-k root sits directly on a full-collection getBLScore map; any other
+// top-k root sits directly on a full-collection map of one getBLScore, or
+// of a sum of them over several CONTREPs divided by a constant (the dual
+// coding #sum); each call becomes one source of the operator. Any other
 // shape keeps the exhaustive path.
-func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.Rep, k int) (*moa.SetVal, error) {
-	sr, ok := recv.(*moa.StructRep)
-	if !ok {
-		return nil, fmt.Errorf("moa: getBLScore receiver must be a CONTREP field, got %T", recv)
-	}
-	if len(extra) != 2 {
-		return nil, fmt.Errorf("moa: getBLScore needs query and stats arguments")
-	}
+func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, calls []moa.TopKCall, div float64, k int) (*moa.SetVal, error) {
 	if !ctx.Full {
 		return nil, fmt.Errorf("moa: pruned top-k requires a full-collection scan")
 	}
-	// A checkpoint written before the term-ordered postings existed (or a
-	// CONTREP never finalized) lacks the derived columns: fall back to the
-	// exhaustive plan instead of emitting dangling references. Incremental
-	// indexing splits the derived representation into segments — slot 0
-	// keeps the canonical names, delta slots are suffixed _seg<s> — so the
-	// emitted scan enumerates whatever segment list this database (a
-	// published epoch snapshot) holds, seven block-layout columns each.
-	nsegs := 0
-	for nsegs == 0 || tr.HasBAT(SegColumn(sr.Prefix, nsegs, "_poststart")) {
-		for _, suffix := range blockSegSuffixes {
-			if !tr.HasBAT(SegColumn(sr.Prefix, nsegs, suffix)) {
-				return nil, moa.ErrNoPrunedForm // no derived columns, or a half-published slot
-			}
+	prefixes := make([]string, len(calls))
+	nsegs := make([]int, len(calls))
+	for i, c := range calls {
+		sr, ok := c.Recv.(*moa.StructRep)
+		if !ok {
+			return nil, fmt.Errorf("moa: getBLScore receiver must be a CONTREP field, got %T", c.Recv)
 		}
-		nsegs++
+		if len(c.Extra) != 2 {
+			return nil, fmt.Errorf("moa: getBLScore needs query and stats arguments")
+		}
+		// A checkpoint written before the term-ordered postings existed (or
+		// a CONTREP never finalized) lacks the derived columns: fall back to
+		// the exhaustive plan instead of emitting dangling references.
+		// Incremental indexing splits the derived representation into
+		// segments — slot 0 keeps the canonical names, delta slots are
+		// suffixed _seg<s> — so the emitted scan enumerates whatever segment
+		// list this database (a published epoch snapshot) holds, seven
+		// block-layout columns each.
+		for nsegs[i] == 0 || tr.HasBAT(SegColumn(sr.Prefix, nsegs[i], "_poststart")) {
+			for _, suffix := range blockSegSuffixes {
+				if !tr.HasBAT(SegColumn(sr.Prefix, nsegs[i], suffix)) {
+					return nil, moa.ErrNoPrunedForm // no derived columns, or a half-published slot
+				}
+			}
+			nsegs[i]++
+		}
+		prefixes[i] = sr.Prefix
 	}
-	q, err := queryTermsVar(tr, sr.Prefix, extra[0])
-	if err != nil {
-		return nil, err
-	}
-	args := []mil.Expr{mil.R(q), mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar)}
-	for s := 0; s < nsegs; s++ {
-		for _, suffix := range blockSegSuffixes {
-			args = append(args, mil.R(SegColumn(sr.Prefix, s, suffix)))
+	args := []mil.Expr{mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar), mil.L(div)}
+	for i, c := range calls {
+		q, err := queryTermsVar(tr, prefixes[i], c.Extra[0])
+		if err != nil {
+			return nil, err
+		}
+		args = append(args, mil.R(q), mil.L(int64(nsegs[i])))
+		for s := 0; s < nsegs[i]; s++ {
+			for _, suffix := range blockSegSuffixes {
+				args = append(args, mil.R(SegColumn(prefixes[i], s, suffix)))
+			}
 		}
 	}
 	pk := tr.Emit("pk", mil.C("prunedtopk", args...))
@@ -543,12 +553,18 @@ func queryTermList(v any) ([]string, error) {
 // QueryParams builds the standard parameter bindings for the paper's
 // queries: `query` (a set of pre-analysed terms) and `stats`.
 func QueryParams(terms []string) map[string]moa.Param {
+	return map[string]moa.Param{
+		"query": TermsParam(terms),
+		"stats": {T: moa.StatsType, V: "stats"},
+	}
+}
+
+// TermsParam binds a set of pre-analysed terms (or cluster words) as a
+// Moa set parameter, the form getBL's query argument takes.
+func TermsParam(terms []string) moa.Param {
 	anyTerms := make([]any, len(terms))
 	for i, t := range terms {
 		anyTerms[i] = t
 	}
-	return map[string]moa.Param{
-		"query": {T: &moa.SetType{Elem: moa.StrType}, V: anyTerms},
-		"stats": {T: moa.StatsType, V: "stats"},
-	}
+	return moa.Param{T: &moa.SetType{Elem: moa.StrType}, V: anyTerms}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // TestFlagsPrePRLeaks pins the analyzer against the exact pre-fix
-// Session.Run / queryDualCoding shapes (testdata/leaky mirrors the tree
+// Session.Run / dual-coding combination shapes (testdata/leaky mirrors the tree
 // before this change): both error-path leaks must be reported.
 func TestFlagsPrePRLeaks(t *testing.T) {
 	diags, err := CheckDir(filepath.Join("testdata", "leaky"))
@@ -41,7 +41,7 @@ func TestFlagsPrePRLeaks(t *testing.T) {
 	}
 	// The two pre-existing leaks the fix addresses: ts dropped on the
 	// WeightedContentScores error path of sessionRun AND on the
-	// QueryContent error path of queryDualCoding.
+	// QueryContent error path of combineDualEvidence.
 	tsLeaks := 0
 	for _, d := range diags {
 		if strings.Contains(d.Msg, `"ts" is not released`) {

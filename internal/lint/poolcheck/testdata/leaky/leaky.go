@@ -1,5 +1,5 @@
 // Package leaky reproduces the pre-PR error-path pool leaks verbatim:
-// the exact Session.Run and queryDualCoding shapes this analyzer was
+// the exact Session.Run and dual-coding combination shapes this analyzer was
 // built to catch. Never compiled — parsed by poolcheck_test only.
 package leaky
 
@@ -38,10 +38,10 @@ func sessionRun(k int) ([]Hit, error) {
 	return hits, nil
 }
 
-// queryDualCoding is the pre-fix dual-coding path: the text-evidence
+// combineDualEvidence is the pre-fix dual-coding path: the text-evidence
 // borrow is dropped when the content retrieval fails, and combined leaks
 // when CombineSum fails.
-func queryDualCoding(site dualCodingSite, text string, k int) ([]Hit, error) {
+func combineDualEvidence(site dualCodingSite, text string, k int) ([]Hit, error) {
 	textHits, err := site.QueryAnnotations(text, 0)
 	if err != nil {
 		return nil, err

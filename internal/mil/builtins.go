@@ -470,63 +470,79 @@ func biWSumBel(_ *Env, args []any) (any, error) {
 
 // biPrunedTopK is the MIL surface of the pruned ranked-retrieval operator:
 //
-//	prunedtopk(query, default, k, domain,
-//	           s0_poststart, s0_blkstart, s0_blkdir, s0_blkdoc,
-//	           s0_blkbdir, s0_blkbel, s0_maxbel,
-//	           [s1_poststart, ...])
+//	prunedtopk(default, k, domain, div,
+//	           query_1, nsegs_1, s0_poststart, s0_blkstart, s0_blkdir,
+//	           s0_blkdoc, s0_blkbdir, s0_blkbel, s0_maxbel, [s1_poststart, ...]
+//	           [, query_2, nsegs_2, ...])
 //	    → [docOID, score]
 //
-// It evaluates the inference-network sum score with block-max max-score
-// skipping over a list of block-layout postings segments (seven BATs per
-// segment, the bat/postcodec.go layout; bat.PrunedTopKSegs) and returns
-// only the k best documents, already ordered score descending / OID
-// ascending — identical BUN-for-BUN to getbl + fill + a full descending
-// sort cut at k. The segments must partition the document space (each
-// document's postings entirely in one segment — which is how internal/ir
-// publishes them); all segments share one rising threshold and every
-// score is the same canonical fold. domain supplies the OIDs of documents
-// matching no query term (they score count(query)·default and are merged
-// in when the match set cannot fill k).
+// Each source is one CONTREP's query-term OIDs, its segment count and
+// seven block-layout BATs per segment (the bat/postcodec.go layout);
+// bat.PrunedTopK). It evaluates the inference-network sum of every
+// source with block-max max-score skipping, adds the per-source folds
+// and divides by div, and returns only the k best documents, already
+// ordered score descending / OID ascending — identical BUN-for-BUN to
+// getbl + fill per source, the [+] and [/] multiplexes and a full
+// descending sort cut at k. A source's segments must partition the
+// document space in ascending order (each document's postings entirely
+// in one segment — which is how internal/ir publishes them); the
+// sources' segmentations need not agree. domain supplies the OIDs of
+// documents matching no query term (they score Σ count(query_s)·default
+// / div and are merged in when the match set cannot fill k).
 func biPrunedTopK(env *Env, args []any) (any, error) {
-	if len(args) < 11 || (len(args)-4)%7 != 0 {
-		return nil, errorf("prunedtopk expects 4 scalar args plus 7 BATs per segment, got %d args", len(args))
-	}
-	qb, err := argBAT(args, 0)
+	def, err := argFloat(args, 0)
 	if err != nil {
 		return nil, err
 	}
-	def, err := argFloat(args, 1)
+	k, err := argInt(args, 1)
 	if err != nil {
 		return nil, err
 	}
-	k, err := argInt(args, 2)
+	domain, err := argBAT(args, 2)
 	if err != nil {
 		return nil, err
 	}
-	domain, err := argBAT(args, 3)
+	div, err := argFloat(args, 3)
 	if err != nil {
 		return nil, err
 	}
-	nsegs := (len(args) - 4) / 7
-	segs := make([]bat.PostingsSeg, nsegs)
-	for s := 0; s < nsegs; s++ {
-		base := 4 + 7*s
-		var cols [7]*bat.BAT
-		for j := range cols {
-			if cols[j], err = argBAT(args, base+j); err != nil {
-				return nil, err
+	var srcs []bat.TopKSource
+	for i := 4; i < len(args); {
+		qb, err := argBAT(args, i)
+		if err != nil {
+			return nil, err
+		}
+		nsegs, err := argInt(args, i+1)
+		if err != nil {
+			return nil, err
+		}
+		i += 2
+		if nsegs < 1 || int64(len(args)-i) < 7*nsegs {
+			return nil, errorf("prunedtopk source %d: %d segments need %d BATs, %d args remain", len(srcs)+1, nsegs, 7*nsegs, len(args)-i)
+		}
+		src := bat.TopKSource{Segs: make([]bat.PostingsSeg, nsegs), Query: make([]bat.OID, qb.Len())}
+		for s := range src.Segs {
+			var cols [7]*bat.BAT
+			for j := range cols {
+				if cols[j], err = argBAT(args, i); err != nil {
+					return nil, err
+				}
+				i++
+			}
+			src.Segs[s] = bat.PostingsSeg{
+				Start: cols[0], BlkStart: cols[1], BlkDir: cols[2], BlkDoc: cols[3],
+				BlkBDir: cols[4], BlkBel: cols[5], MaxBel: cols[6],
 			}
 		}
-		segs[s] = bat.PostingsSeg{
-			Start: cols[0], BlkStart: cols[1], BlkDir: cols[2], BlkDoc: cols[3],
-			BlkBDir: cols[4], BlkBel: cols[5], MaxBel: cols[6],
+		for j := range src.Query {
+			src.Query[j] = qb.Tail.OIDAt(j)
 		}
+		srcs = append(srcs, src)
 	}
-	query := make([]bat.OID, qb.Len())
-	for i := range query {
-		query[i] = qb.Tail.OIDAt(i)
+	if len(srcs) == 0 {
+		return nil, errorf("prunedtopk expects 4 scalar args plus at least one source, got %d args", len(args))
 	}
-	return bat.PrunedTopKSegs(segs, query, nil, def, int(k), domain, env.TopKTheta)
+	return bat.PrunedTopK(srcs, div, def, int(k), domain, env.TopKTheta)
 }
 
 func biPrint(env *Env, args []any) (any, error) {

@@ -222,7 +222,8 @@ func TestMuxBoolOps(t *testing.T) {
 // TestPrunedTopKBuiltin exercises the MIL surface of the pruned retrieval
 // operator on a hand-built block-layout postings fixture: two segments,
 // two terms, four documents, one unmatched document merged in at the
-// default score.
+// default score — then the same postings as the second source of a
+// two-source #sum, segmented differently.
 func TestPrunedTopKBuiltin(t *testing.T) {
 	// segment 0: term 0 → (doc 0, 0.9); term 1 → (doc 1, 0.6)
 	// segment 1: term 0 → (doc 2, 0.5)
@@ -234,22 +235,31 @@ func TestPrunedTopKBuiltin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// the same postings as one merged segment
+	whole, err := bat.EncodeBlockSegment([]int64{0, 2, 3}, []bat.OID{0, 2, 1}, []int64{1, 1, 1}, []float64{0.9, 0.5, 0.6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := mk(t, bat.KindOID, bat.OID(0), bat.OID(1))
 	domain := bat.New(bat.KindVoid, bat.KindVoid)
 	for i := 0; i < 4; i++ {
 		domain.MustAppend(bat.OID(i), bat.OID(i))
 	}
 	bind := map[string]any{"q": q, "dom": domain}
-	segArgs := ""
-	for i, s := range []bat.PostingsSeg{s0, s1} {
-		for j, b := range []*bat.BAT{s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel} {
-			name := fmt.Sprintf("s%dc%d", i, j)
-			bind[name] = b
-			segArgs += ", " + name
+	segArgs := func(prefix string, segs ...bat.PostingsSeg) string {
+		out := fmt.Sprintf(", %d", len(segs))
+		for i, s := range segs {
+			for j, b := range []*bat.BAT{s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel} {
+				name := fmt.Sprintf("%s%dc%d", prefix, i, j)
+				bind[name] = b
+				out += ", " + name
+			}
 		}
+		return out
 	}
+	split, merged := segArgs("s", s0, s1), segArgs("w", whole)
 
-	v := runSrc(t, "prunedtopk(q, 0.4, 4, dom"+segArgs+");", bind)
+	v := runSrc(t, "prunedtopk(0.4, 4, dom, 1.0, q"+split+");", bind)
 	out := v.(*bat.BAT)
 	// scores: doc0 = 0.9+0.4 = 1.3, doc1 = 0.4+0.6 = 1.0, doc2 = 0.5+0.4 = 0.9,
 	// doc3 unmatched = 2·0.4 = 0.8
@@ -264,16 +274,29 @@ func TestPrunedTopKBuiltin(t *testing.T) {
 		}
 	}
 	// k cuts
-	out = runSrc(t, "prunedtopk(q, 0.4, 2, dom"+segArgs+");", bind).(*bat.BAT)
+	out = runSrc(t, "prunedtopk(0.4, 2, dom, 1.0, q"+split+");", bind).(*bat.BAT)
 	if out.Len() != 2 || out.Head.OIDAt(0) != 0 || out.Head.OIDAt(1) != 1 {
 		t.Fatalf("k=2 cut wrong: %v", out)
+	}
+	// two sources, differently segmented: every score is (s + s) / 2 = s
+	out = runSrc(t, "prunedtopk(0.4, 4, dom, 2, q"+split+", q"+merged+");", bind).(*bat.BAT)
+	for i := range wantD {
+		if out.Head.OIDAt(i) != wantD[i] || math.Abs(out.Tail.FloatAt(i)-wantS[i]) > 1e-12 {
+			t.Fatalf("two sources rank %d: (%d, %v)", i, out.Head.OIDAt(i), out.Tail.FloatAt(i))
+		}
 	}
 	// a segment short of its seven columns is an arity error, not a panic
 	env := NewEnv()
 	for k, v := range bind {
 		env.Bind(k, v)
 	}
-	if _, err := RunSource("prunedtopk(q, 0.4, 2, dom, s0c0, s0c1, s0c2, s0c3);", env); err == nil {
-		t.Fatal("four-column (legacy raw) segment accepted")
+	for _, src := range []string{
+		"prunedtopk(0.4, 2, dom, 1.0, q, 1, s0c0, s0c1, s0c2, s0c3);",
+		"prunedtopk(0.4, 2, dom, 1.0);",
+		"prunedtopk(0.4, 2, dom, 1.0, q, 0);",
+	} {
+		if _, err := RunSource(src, env); err == nil {
+			t.Fatalf("%s accepted", src)
+		}
 	}
 }

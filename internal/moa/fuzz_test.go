@@ -67,11 +67,15 @@ func FuzzPlanOptimizer(f *testing.F) {
 		"count(select[THIS.age > 21](People));",
 		"sum(map[THIS.score](People));",
 		"join[THIS1.name = THIS2.name](People, People);",
+		// dualQuery's shape (Section 5.2's #sum of two evidence sums) over
+		// two nested sets that are empty for different elements
+		"map[(sum(THIS.a) + sum(THIS.b)) / 2](Evidence);",
+		"map[sum(THIS.a) + sum(THIS.b) + count(THIS.a)](Evidence);",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	db := mkPeopleDB(f)
+	db := mkEvidenceDB(f)
 	cached := &Engine{DB: db, Opts: DefaultOptions}
 	f.Fuzz(func(t *testing.T, src string) {
 		naive := &Engine{DB: db, Opts: NoOptimize}
@@ -121,3 +125,27 @@ func sameResult(t *testing.T, label string, want, got *Result) {
 }
 
 func fmtScalar(v any) string { return fmt.Sprintf("%#v", v) }
+
+// mkEvidenceDB is mkPeopleDB plus a set whose two nested float sets are
+// empty for different elements: the two filled sums of a body like
+// dualQuery's then fill different elements, which is what the positional
+// [+] multiplex of two filled BATs must survive.
+func mkEvidenceDB(t testing.TB) *Database {
+	t.Helper()
+	db := mkPeopleDB(t)
+	if err := db.DefineFromSource(`define Evidence as SET<TUPLE<SET<Atomic<flt>>: a, SET<Atomic<flt>>: b>>;`); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []map[string]any{
+		{"a": []any{}, "b": []any{0.5, 0.25}},
+		{"a": []any{1.0}, "b": []any{}},
+		{"a": []any{2.0, 3.0}, "b": []any{4.0}},
+		{"a": []any{}, "b": []any{}},
+		{"a": []any{8.0}, "b": []any{16.0}},
+	} {
+		if _, err := db.Insert("Evidence", r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}

@@ -2,6 +2,8 @@ package moa
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -103,14 +105,19 @@ type TopKPlan struct {
 	K   int
 }
 
-// PrunedPlan is the fusion of TopK ∘ Map[score-call] ∘ Scan: the structure
-// function's EmitTopK hook emits a single physical operator that evaluates
-// the retrieval with upper-bound pruning and returns only the ranked top K.
+// PrunedPlan is the fusion of TopK ∘ Map[score] ∘ Scan, where the score
+// is one score call, or a sum of them divided by a positive constant
+// (Section 5.2's #sum of annotation and content evidence): the structure
+// function's EmitTopK hook emits a single physical operator that
+// evaluates the retrieval with upper-bound pruning and returns only the
+// ranked top K.
 type PrunedPlan struct {
-	Src  *ScanPlan
-	Call *CallExpr
-	Fn   *StructFunc
-	K    int
+	Src   *ScanPlan
+	Body  Expr        // the fused map body (the exhaustive fallback's)
+	Calls []*CallExpr // the summed score calls, left to right
+	Div   float64     // the constant divisor (1 without one)
+	Fn    *StructFunc
+	K     int
 }
 
 func (*ScanPlan) isPlan()      {}
@@ -237,23 +244,75 @@ func rewritePlan(p Plan, opts Options, changed *bool) Plan {
 
 	case *TopKPlan:
 		n.Src = rewritePlan(n.Src, opts, changed)
-		// top-k pushdown: topk(map[f-with-pruned-form](scan S)) → pruned
-		// operator. Only a full-collection scan qualifies: the physical
-		// operator's bounds cover the whole posting file, so a restricted
-		// domain (selects, joins, nested maps) keeps the exhaustive path.
+		// top-k pushdown: topk(map[(f₁ + … + fₙ) / c](scan S)) → pruned
+		// operator, for score calls fᵢ with a pruned form. Only a
+		// full-collection scan qualifies: the physical operator's bounds
+		// cover the whole posting file, so a restricted domain (selects,
+		// joins, nested maps) keeps the exhaustive path.
 		if mp, ok := n.Src.(*MapPlan); ok {
 			if scan, ok := mp.Src.(*ScanPlan); ok {
-				if call, ok := mp.Body.(*CallExpr); ok && len(call.Args) > 0 {
-					if sf, ok := lookupStructFunc(call.Fn, call.Args[0].Type()); ok && sf.EmitTopK != nil {
-						*changed = true
-						return &PrunedPlan{Src: scan, Call: call, Fn: sf, K: n.K}
-					}
+				if calls, div, sf, ok := prunedScore(mp.Body); ok {
+					*changed = true
+					return &PrunedPlan{Src: scan, Body: mp.Body, Calls: calls, Div: div, Fn: sf, K: n.K}
 				}
 			}
 		}
 		return n
 	}
 	return p
+}
+
+// prunedScore matches a map body the pruned operator can score: a call
+// of a structure function with a pruned form, or a left-deep sum of calls
+// of one such function, either optionally divided by a positive numeric
+// literal. Left-deep is the fold order the operator reproduces; any
+// other shape keeps the exhaustive path.
+func prunedScore(body Expr) ([]*CallExpr, float64, *StructFunc, bool) {
+	div := 1.0
+	if b, ok := body.(*BinExpr); ok && b.Op == "/" {
+		lit, ok := b.R.(*LitExpr)
+		if !ok {
+			return nil, 0, nil, false
+		}
+		v, ok := numVal(lit.V)
+		if !ok || !(v > 0) || math.IsInf(v, 1) {
+			return nil, 0, nil, false
+		}
+		body, div = b.L, v
+	}
+	var calls []*CallExpr
+	for {
+		b, ok := body.(*BinExpr)
+		if !ok {
+			break
+		}
+		call, ok := b.R.(*CallExpr)
+		if b.Op != "+" || !ok {
+			return nil, 0, nil, false
+		}
+		calls = append(calls, call)
+		body = b.L
+	}
+	call, ok := body.(*CallExpr)
+	if !ok {
+		return nil, 0, nil, false
+	}
+	calls = append(calls, call)
+	slices.Reverse(calls)
+	var sf *StructFunc
+	for _, c := range calls {
+		if len(c.Args) == 0 || c.Fn != calls[0].Fn {
+			return nil, 0, nil, false
+		}
+		f, ok := lookupStructFunc(c.Fn, c.Args[0].Type())
+		if !ok || f.EmitTopK == nil {
+			return nil, 0, nil, false
+		}
+		if sf == nil {
+			sf = f
+		}
+	}
+	return calls, div, sf, true
 }
 
 // rewriteExprAggs applies the aggregate-fusion rule inside a map body or
@@ -341,7 +400,7 @@ func (n *TopKPlan) describe(sb *strings.Builder, d int) {
 
 func (n *PrunedPlan) describe(sb *strings.Builder, d int) {
 	ind(sb, d)
-	fmt.Fprintf(sb, "pruned-topk %d [%s]\n", n.K, n.Call)
+	fmt.Fprintf(sb, "pruned-topk %d [%s]\n", n.K, n.Body)
 	n.Src.describe(sb, d+1)
 }
 

@@ -63,12 +63,21 @@ type StructFunc struct {
 	// optimizer that sum∘getBL collapses into the physical getbl operator.
 	FuseAgg map[string]string
 	// EmitTopK, when non-nil, lets the plan optimizer fuse a top-k request
-	// over a full-collection map of this function into one pruned physical
-	// operator: it emits MIL returning the k best elements already ranked
-	// (score descending, OID ascending) and describes the result as a
-	// SetVal whose domain is in ranking order. CONTREP registers this for
-	// getBLScore (max-score pruned retrieval).
-	EmitTopK func(tr *Translator, ctx *Ctx, recv Rep, extra []Rep, k int) (*SetVal, error)
+	// over a full-collection map of this function — or of a left-to-right
+	// sum of calls of it, optionally divided by a positive constant div
+	// (1 otherwise) — into one pruned physical operator: it emits MIL
+	// returning the k best elements already ranked (score descending, OID
+	// ascending) and describes the result as a SetVal whose domain is in
+	// ranking order. calls holds the compiled calls in summation order.
+	// CONTREP registers this for getBLScore (max-score pruned retrieval).
+	EmitTopK func(tr *Translator, ctx *Ctx, calls []TopKCall, div float64, k int) (*SetVal, error)
+}
+
+// TopKCall is one compiled call of a fused top-k retrieval: its receiver
+// and its remaining arguments.
+type TopKCall struct {
+	Recv  Rep
+	Extra []Rep
 }
 
 var (

@@ -382,7 +382,7 @@ func (tr *Translator) lowerPlan(p Plan) (*SetVal, error) {
 			// The physical form is unavailable (e.g. a store written
 			// before the term-ordered postings existed): lower the
 			// equivalent exhaustive map and let the caller rank.
-			return tr.lowerPlan(&MapPlan{Src: n.Src, Body: n.Call})
+			return tr.lowerPlan(&MapPlan{Src: n.Src, Body: n.Body})
 		}
 		if err != nil {
 			return nil, err
@@ -448,26 +448,28 @@ func (tr *Translator) lowerParamScan(n *ParamScanPlan) (*SetVal, error) {
 }
 
 // lowerPruned compiles the fused top-k retrieval: the scan supplies the
-// full context, the structure's EmitTopK emits the physical operator.
+// full context, the structure's EmitTopK emits the physical operator over
+// every summed call.
 func (tr *Translator) lowerPruned(n *PrunedPlan) (*SetVal, error) {
 	scan, err := tr.lowerScan(n.Src)
 	if err != nil {
 		return nil, err
 	}
 	ctx := tr.newCtx(scan)
-	recv, err := tr.compile(n.Call.Args[0], ctx)
-	if err != nil {
-		return nil, err
-	}
-	extra := make([]Rep, 0, len(n.Call.Args)-1)
-	for _, a := range n.Call.Args[1:] {
-		r, err := tr.compile(a, ctx)
-		if err != nil {
+	calls := make([]TopKCall, len(n.Calls))
+	for i, call := range n.Calls {
+		if calls[i].Recv, err = tr.compile(call.Args[0], ctx); err != nil {
 			return nil, err
 		}
-		extra = append(extra, r)
+		for _, a := range call.Args[1:] {
+			r, err := tr.compile(a, ctx)
+			if err != nil {
+				return nil, err
+			}
+			calls[i].Extra = append(calls[i].Extra, r)
+		}
 	}
-	return n.Fn.EmitTopK(tr, ctx, recv, extra, n.K)
+	return n.Fn.EmitTopK(tr, ctx, calls, n.Div, n.K)
 }
 
 // paramCtx adapts a context for a parameter set: parameters live in their

@@ -290,3 +290,33 @@ func TestConcurrentReadQueries(t *testing.T) {
 type errRows int
 
 func (e errRows) Error() string { return "unexpected row count" }
+
+// TestTwoFilledSumsMatchInterp is the Interp ≡ flattened check for a body
+// adding two aggregates over nested sets that are empty for different
+// elements (dualQuery's shape): each sum fills its own missing elements,
+// and the positional [+] multiplex must still pair every element's two
+// sums — which holds because fill emits domain order.
+func TestTwoFilledSumsMatchInterp(t *testing.T) {
+	db := mkEvidenceDB(t)
+	const src = `map[(sum(THIS.a) + sum(THIS.b)) / 2](Evidence);`
+	want := []float64{0.375, 0.5, 4.5, 0, 12}
+	for _, opts := range []Options{DefaultOptions, NoOptimize} {
+		res, err := (&Engine{DB: db, Opts: opts}).Query(src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ires, err := NewInterp(db, nil).Query(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != len(want) || len(ires.Rows) != len(want) {
+			t.Fatalf("rows: flattened %d, interp %d, want %d", len(res.Rows), len(ires.Rows), len(want))
+		}
+		for _, row := range res.Rows {
+			irow, ok := ires.Find(row.OID)
+			if !ok || row.Value != want[row.OID] || irow.Value != want[row.OID] {
+				t.Fatalf("element %d: flattened %v, interp %v, want %v", row.OID, row.Value, irow.Value, want[row.OID])
+			}
+		}
+	}
+}
