@@ -77,8 +77,8 @@ func runShardMember(join, follow, name, dictAddr, addr string, fl memberFlags) {
 	} else {
 		m.EnableShipping()
 	}
-	setResultCache(m, fl.cacheBytes)
-	setThetaMemo(m, fl.thetaMemoN)
+	m.SetResultCache(fl.cacheBytes)
+	m.SetThetaMemo(fl.thetaMemoN)
 
 	bound, stop, err := core.ServeAs(m, addr, dictAddr, "mirror-shard", regName)
 	if err != nil {
@@ -142,7 +142,7 @@ func runRouter(replicas int, dictAddr, mediaURL, addr string, refrEvery time.Dur
 	if err != nil {
 		log.Fatalf("mirrord: %v", err)
 	}
-	setThetaMemo(e, thetaMemoN)
+	e.SetThetaMemo(thetaMemoN)
 	if min := e.MinReplicas(); min < replicas {
 		log.Fatalf("mirrord: -replicas %d: a shard has only %d replicas registered", replicas, min)
 	}

@@ -101,8 +101,8 @@ func main() {
 		}
 		r = m
 	}
-	setResultCache(r, *cacheBytes)
-	setThetaMemo(r, *thetaMemoN)
+	r.SetResultCache(*cacheBytes)
+	r.SetThetaMemo(*thetaMemoN)
 
 	// A fully indexed, current recovered store serves immediately.
 	// Anything else — fresh store, no store, a store recovered from a
@@ -287,23 +287,4 @@ func openStore(dir string, shards int, walSync, verify, noMmap bool) core.Retrie
 	fmt.Printf("mirrord: store %s: %d BATs, %d WAL records replayed, %d items\n",
 		dir, stats.BATs, stats.WALRecords, m.Size())
 	return m
-}
-
-// setResultCache turns on the epoch-keyed query result cache for either
-// retriever shape (single store or sharded engine).
-func setResultCache(r core.Retriever, maxBytes int64) {
-	type cacheSetter interface{ SetResultCache(int64) }
-	if cs, ok := r.(cacheSetter); ok {
-		cs.SetResultCache(maxBytes)
-	}
-}
-
-// setThetaMemo sizes (or disables) the epoch-keyed threshold memo for
-// either retriever shape. The constructor default matches the flag
-// default, so this only acts when the operator overrides it.
-func setThetaMemo(r core.Retriever, maxEntries int) {
-	type memoSetter interface{ SetThetaMemo(int) }
-	if ms, ok := r.(memoSetter); ok {
-		ms.SetThetaMemo(maxEntries)
-	}
 }

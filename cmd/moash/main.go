@@ -121,11 +121,7 @@ func main() {
 			}
 		}
 	}
-	if sharded != nil {
-		sharded.SetResultCache(*cacheB)
-	} else if m, ok := r.(*core.Mirror); ok {
-		m.SetResultCache(*cacheB)
-	}
+	r.SetResultCache(*cacheB)
 	repl(r, sharded)
 }
 
@@ -181,11 +177,7 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 			fmt.Println("  \\stats              serving state: size, pending, epoch, postings footprint, plan cache")
 			fmt.Println("  \\quit")
 		case line == `\topology`:
-			if t, ok := r.(interface{ Topology() string }); ok {
-				fmt.Println(t.Topology())
-			} else {
-				fmt.Printf("%T\n", r)
-			}
+			fmt.Println(r.Topology())
 		case line == `\shards`:
 			if sharded == nil {
 				fmt.Println("unsharded: one store answers everything (run with -shards N, or point -load at a sharded store root)")

@@ -18,7 +18,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"mirror/internal/core"
 	"mirror/internal/corpus"
@@ -28,29 +30,36 @@ import (
 )
 
 func main() {
-	fmt.Println("== Figure 1: the open distributed architecture ==")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; it prints to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "== Figure 1: the open distributed architecture ==")
 
 	// 1. the distributed data dictionary
 	dictAddr, stopDict, err := dict.Start("127.0.0.1:0")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer stopDict()
-	fmt.Printf("data dictionary     %s\n", dictAddr)
+	fmt.Fprintf(w, "data dictionary     %s\n", dictAddr)
 
 	// 2. the media server (a web server owning the footage)
 	items := corpus.Generate(corpus.Config{N: 24, W: 48, H: 48, Seed: 3, AnnotateRate: 0.75})
 	mediaURL, stopMedia, err := mediaserver.Start(items)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer stopMedia()
-	fmt.Printf("media server        %s\n", mediaURL)
+	fmt.Fprintf(w, "media server        %s\n", mediaURL)
 
 	// 3. the daemons, each registering with the dictionary
 	handles, err := daemon.StartDemoDaemons(dictAddr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer func() {
 		for _, h := range handles {
@@ -58,63 +67,64 @@ func main() {
 		}
 	}()
 	for _, h := range handles {
-		fmt.Printf("daemon %-12s %-10s %s\n", h.Info.Name, h.Info.Kind, h.Info.Addr)
+		fmt.Fprintf(w, "daemon %-12s %-10s %s\n", h.Info.Name, h.Info.Kind, h.Info.Addr)
 	}
 
 	// 4. the Mirror DBMS: crawl, extract via daemons, serve
 	crawled, err := mediaserver.Crawl(mediaURL)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	m, err := core.New()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, it := range crawled {
 		img, err := mediaserver.DecodeItemImage(it)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := m.AddImage(it.URL, it.Annotation, img); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("robot crawled %d items; running pipeline via daemons...\n", m.Size())
+	fmt.Fprintf(w, "robot crawled %d items; running pipeline via daemons...\n", m.Size())
 	opts := core.DefaultIndexOptions()
 	if err := m.BuildContentIndexDistributed(opts, dictAddr); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	dbmsAddr, stopDBMS, err := m.Serve("127.0.0.1:0", dictAddr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer stopDBMS()
-	fmt.Printf("Mirror DBMS         %s\n", dbmsAddr)
+	fmt.Fprintf(w, "Mirror DBMS         %s\n", dbmsAddr)
 
 	// 5. a client: discover the DBMS through the dictionary, query it
 	client, err := core.DiscoverMirror(dictAddr)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer client.Close()
 	schema, err := client.Schema()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nclient sees schema:\n%s\n", schema)
+	fmt.Fprintf(w, "\nclient sees schema:\n%s\n", schema)
 
 	hits, err := client.TextQuery("forest", 5, true)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("client dual-coding query \"forest\":")
+	fmt.Fprintln(w, "client dual-coding query \"forest\":")
 	for i, h := range hits {
-		fmt.Printf("  %d. %-40s %.4f\n", i+1, h.URL, h.Score)
+		fmt.Fprintf(w, "  %d. %-40s %.4f\n", i+1, h.URL, h.Score)
 	}
 
 	reply, err := client.MoaQuery(`count(ImageLibraryInternal);`, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nclient Moa query count(ImageLibraryInternal) = %s\n", reply.Scalar)
+	fmt.Fprintf(w, "\nclient Moa query count(ImageLibraryInternal) = %s\n", reply.Scalar)
+	return nil
 }

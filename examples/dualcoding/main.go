@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"mirror/internal/core"
 	"mirror/internal/corpus"
@@ -21,48 +23,55 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; it prints to w.
+func run(w io.Writer) error {
 	items := corpus.Generate(corpus.Config{N: 60, W: 64, H: 64, Seed: 5, AnnotateRate: 0.6})
 	m, err := core.New()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, it := range items {
 		if err := m.AddImage(it.URL, it.Annotation, it.Scene.Img); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	if err := m.BuildContentIndex(core.DefaultIndexOptions()); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println("== word → cluster associations ==")
+	fmt.Fprintln(w, "== word → cluster associations ==")
 	for class := 0; class < len(media.Classes); class++ {
 		term := corpus.CanonicalTerm(class)
 		assocs := m.Thes.Associate(ir.Analyze(term), 3)
-		fmt.Printf("  %-10s →", term)
+		fmt.Fprintf(w, "  %-10s →", term)
 		for _, a := range assocs {
-			fmt.Printf("  %s(%.2f)", a.Concept, a.Belief)
+			fmt.Fprintf(w, "  %s(%.2f)", a.Concept, a.Belief)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
-	fmt.Println("\n== cluster → word associations (what does each cluster 'mean'?) ==")
+	fmt.Fprintln(w, "\n== cluster → word associations (what does each cluster 'mean'?) ==")
 	for i, c := range m.Thes.Concepts() {
 		if i >= 8 {
-			fmt.Printf("  ... and %d more clusters\n", len(m.Thes.Concepts())-8)
+			fmt.Fprintf(w, "  ... and %d more clusters\n", len(m.Thes.Concepts())-8)
 			break
 		}
 		words := m.Thes.WordsFor(c, 3)
-		fmt.Printf("  %-14s →", c)
-		for _, w := range words {
-			fmt.Printf("  %s(%.2f)", w.Concept, w.Belief)
+		fmt.Fprintf(w, "  %-14s →", c)
+		for _, a := range words {
+			fmt.Fprintf(w, "  %s(%.2f)", a.Concept, a.Belief)
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 
 	// Quantify dual coding: for each class's canonical term, how early does
 	// the first ground-truth-relevant UNANNOTATED image appear?
-	fmt.Println("\n== retrieval of unannotated relevant images ==")
+	fmt.Fprintln(w, "\n== retrieval of unannotated relevant images ==")
 	var textRankings, dualRankings [][]core.Hit
 	relevanceFns := make([]func(core.Hit) bool, 0, len(media.Classes))
 	for class := 0; class < len(media.Classes); class++ {
@@ -85,11 +94,11 @@ func main() {
 		}
 		th, err := m.QueryAnnotations(term, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		dh, err := m.QueryDualCoding(term, 0)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		textRankings = append(textRankings, th)
 		dualRankings = append(dualRankings, dh)
@@ -107,8 +116,9 @@ func main() {
 		}
 		return sum / float64(len(rankings))
 	}
-	fmt.Printf("  MRR of first unannotated relevant image, text only:   %.3f\n", mrr(textRankings))
-	fmt.Printf("  MRR of first unannotated relevant image, dual coding: %.3f\n", mrr(dualRankings))
-	fmt.Println("  (text-only retrieval cannot see unannotated images at all;")
-	fmt.Println("   any lift comes purely from the thesaurus → content path)")
+	fmt.Fprintf(w, "  MRR of first unannotated relevant image, text only:   %.3f\n", mrr(textRankings))
+	fmt.Fprintf(w, "  MRR of first unannotated relevant image, dual coding: %.3f\n", mrr(dualRankings))
+	fmt.Fprintln(w, "  (text-only retrieval cannot see unannotated images at all;")
+	fmt.Fprintln(w, "   any lift comes purely from the thesaurus → content path)")
+	return nil
 }

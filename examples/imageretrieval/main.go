@@ -13,7 +13,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"mirror/internal/bat"
 	"mirror/internal/core"
@@ -21,25 +23,32 @@ import (
 )
 
 func main() {
-	fmt.Println("== Mirror DBMS image retrieval demo (Section 5) ==")
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; it prints to w.
+func run(w io.Writer) error {
+	fmt.Fprintln(w, "== Mirror DBMS image retrieval demo (Section 5) ==")
 	items := corpus.Generate(corpus.Config{N: 48, W: 64, H: 64, Seed: 7, AnnotateRate: 0.7})
 
 	m, err := core.New()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, it := range items {
 		if err := m.AddImage(it.URL, it.Annotation, it.Scene.Img); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
-	fmt.Printf("ingested %d images (%d annotated)\n", m.Size(), countAnnotated(items))
+	fmt.Fprintf(w, "ingested %d images (%d annotated)\n", m.Size(), countAnnotated(items))
 
-	fmt.Println("running daemons: segmenter, rgb_coarse, rgb_fine, gabor, glcm, autocorr, fractal; AutoClass; thesaurus...")
+	fmt.Fprintln(w, "running daemons: segmenter, rgb_coarse, rgb_fine, gabor, glcm, autocorr, fractal; AutoClass; thesaurus...")
 	if err := m.BuildContentIndex(core.DefaultIndexOptions()); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("content vocabulary: %d cluster words\n\n", len(m.Thes.Concepts()))
+	fmt.Fprintf(w, "content vocabulary: %d cluster words\n\n", len(m.Thes.Concepts()))
 
 	queryText := "ocean"
 	class := 2 // media class "water"; its canonical annotation term is "ocean"
@@ -47,36 +56,36 @@ func main() {
 	// 1. plain annotation retrieval (only annotated items can match)
 	hits, err := m.QueryAnnotations(queryText, 5)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("text-only retrieval for %q:\n", queryText)
-	printHits(hits, items, class)
+	fmt.Fprintf(w, "text-only retrieval for %q:\n", queryText)
+	printHits(w, hits, items, class)
 
 	// 2. thesaurus expansion: which content clusters does "ocean" evoke?
 	clusters := m.ExpandQuery(queryText, 5)
-	fmt.Printf("\nthesaurus associates %q with clusters %v\n", queryText, clusters)
+	fmt.Fprintf(w, "\nthesaurus associates %q with clusters %v\n", queryText, clusters)
 
 	// 3. dual coding: text + content evidence combined
 	dual, err := m.QueryDualCoding(queryText, 8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("\ndual-coding retrieval (finds unannotated water images too):")
-	printHits(dual, items, class)
+	fmt.Fprintln(w, "\ndual-coding retrieval (finds unannotated water images too):")
+	printHits(w, dual, items, class)
 
 	// 4. relevance feedback loop
 	sess, err := m.NewSession(queryText)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	relevant := func(h core.Hit) bool { return items[h.OID].HasClass(class) }
 	for round := 1; round <= 3; round++ {
 		hits, err := sess.Run(10)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		p := core.PrecisionAtK(hits, 10, relevant)
-		fmt.Printf("\nfeedback round %d: precision@10 = %.2f\n", round-1, p)
+		fmt.Fprintf(w, "\nfeedback round %d: precision@10 = %.2f\n", round-1, p)
 		var rel, nonrel []bat.OID
 		for _, h := range hits {
 			if relevant(h) {
@@ -86,17 +95,18 @@ func main() {
 			}
 		}
 		if err := sess.Feedback(rel, nonrel); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	final, err := sess.Run(10)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("\nafter feedback: precision@10 = %.2f\n", core.PrecisionAtK(final, 10, relevant))
+	fmt.Fprintf(w, "\nafter feedback: precision@10 = %.2f\n", core.PrecisionAtK(final, 10, relevant))
+	return nil
 }
 
-func printHits(hits []core.Hit, items []*corpus.Item, class int) {
+func printHits(w io.Writer, hits []core.Hit, items []*corpus.Item, class int) {
 	for i, h := range hits {
 		it := items[h.OID]
 		mark := " "
@@ -110,7 +120,7 @@ func printHits(hits []core.Hit, items []*corpus.Item, class int) {
 		if len(ann) > 46 {
 			ann = ann[:46] + "…"
 		}
-		fmt.Printf("  %s %d. %-34s %.4f  %s\n", mark, i+1, h.URL, h.Score, ann)
+		fmt.Fprintf(w, "  %s %d. %-34s %.4f  %s\n", mark, i+1, h.URL, h.Score, ann)
 	}
 }
 

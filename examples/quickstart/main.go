@@ -10,13 +10,22 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"mirror/internal/ir"
 	"mirror/internal/moa"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the whole example; it prints to w.
+func run(w io.Writer) error {
 	db := moa.NewDatabase()
 
 	// The schema, verbatim from Section 3 of the paper.
@@ -28,7 +37,7 @@ func main() {
 				CONTREP<Text>: annotation
 			>>;`)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	images := []struct{ url, annotation string }{
@@ -43,12 +52,12 @@ func main() {
 		if _, err := db.Insert("TraditionalImgLib", map[string]any{
 			"source": im.url, "annotation": im.annotation,
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 	// Recompute collection statistics and beliefs after the batch.
 	if err := db.Finalize("TraditionalImgLib"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// "Ranking the images with respect to a query is then performed with
@@ -63,25 +72,25 @@ func main() {
 
 	compiled, err := eng.Compile(rankingQuery, params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("Moa query:")
-	fmt.Println(rankingQuery)
-	fmt.Println("flattens to MIL:")
-	fmt.Print(compiled.MIL())
-	fmt.Println()
+	fmt.Fprintln(w, "Moa query:")
+	fmt.Fprintln(w, rankingQuery)
+	fmt.Fprintln(w, "flattens to MIL:")
+	fmt.Fprint(w, compiled.MIL())
+	fmt.Fprintln(w)
 
 	res, err := compiled.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res.SortByScoreDesc()
 
 	srcBAT, _ := db.BAT("TraditionalImgLib_source")
-	fmt.Printf("ranking for query %q:\n", queryText)
+	fmt.Fprintf(w, "ranking for query %q:\n", queryText)
 	for i, row := range res.Rows {
 		url, _ := srcBAT.Find(row.OID)
-		fmt.Printf("  %d. %-26s %.4f\n", i+1, url, row.Value)
+		fmt.Fprintf(w, "  %d. %-26s %.4f\n", i+1, url, row.Value)
 	}
 
 	// The same engine answers ordinary relational queries, and IR and data
@@ -91,10 +100,11 @@ func main() {
 			map[getBL(THIS.annotation, query, stats)](
 				select[THIS.source != "http://lib/reef.ppm"](TraditionalImgLib)));`, params)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res2.SortByScoreDesc()
-	fmt.Printf("\nsame query, reef excluded via relational select: top hit ")
+	fmt.Fprintf(w, "\nsame query, reef excluded via relational select: top hit ")
 	url, _ := srcBAT.Find(res2.Rows[0].OID)
-	fmt.Printf("%v (%.4f)\n", url, res2.Rows[0].Value)
+	fmt.Fprintf(w, "%v (%.4f)\n", url, res2.Rows[0].Value)
+	return nil
 }

@@ -4,8 +4,6 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"mirror/internal/bat"
 )
 
 // Epoch-keyed LRUs: the query result cache and the threshold memo.
@@ -14,8 +12,9 @@ import (
 // epoch carries a monotone sequence number, and entries are keyed on it —
 // an epoch swap (Refresh, recovery, rebuild) is a generation bump that
 // makes every old entry unreachable, with no locking against the query
-// path. Stale generations are additionally swept out on publish so their
-// memory returns promptly; correctness never depends on the sweep.
+// path. The first query of a new generation additionally sweeps the
+// stale ones out (Gather.view) so their memory returns promptly;
+// correctness never depends on the sweep.
 //
 // Both are one striped LRU bounded by a per-entry cost: the result cache
 // stores whole rankings and charges their estimated bytes; the threshold
@@ -296,20 +295,6 @@ func memoStats(tm *ThetaMemo) ThetaMemoStats {
 // covering far more distinct queries than the byte-bounded result cache
 // retains rankings for.
 const DefaultThetaMemoEntries = 8192
-
-// seededTheta builds the scan threshold for one query surface: nil when
-// the memo holds no seed, else a fresh TopKThreshold raised to the
-// memoised terminal k-th score (pruning-only — the scan still computes
-// the exact ranking).
-func seededTheta(tm *ThetaMemo, gen int64, kind cacheKind, k int, text string, terms []string) *bat.TopKThreshold {
-	seed, ok := tm.get(gen, kind, k, text, terms)
-	if !ok {
-		return nil
-	}
-	th := bat.NewTopKThreshold()
-	th.Raise(seed)
-	return th
-}
 
 // memoTheta records a completed ranking's terminal threshold. Only a
 // full ranking (len(hits) == k) carries an exact k-th score; short

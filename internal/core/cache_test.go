@@ -284,7 +284,7 @@ func TestAlphaOneMatchesUnweightedSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := scoresToHits(m, combined, 10)
+	want := scoresToHits(m.view(), combined, 10)
 	ir.ReleaseScores(combined)
 
 	if !hitsEqual(want, got) {

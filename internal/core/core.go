@@ -71,6 +71,11 @@ type Mirror struct {
 	DB  *moa.Database
 	Eng *moa.Engine
 
+	// Gather is the store's query half: a one-leg gather over the serving
+	// epoch (storeShards), so every ranked and Moa query runs the same
+	// code a sharded engine runs, result cache and θ-memo included.
+	*Gather
+
 	// raster store: the demo keeps decoded images keyed by URL so the
 	// extraction daemons can reach them (the media server owns the
 	// authoritative copies).
@@ -91,17 +96,6 @@ type Mirror struct {
 	epoch    atomic.Pointer[IndexEpoch]
 	epochSeq int64 // last published epoch number (persisted)
 	buildMu  sync.Mutex
-
-	// cache is the optional epoch-keyed query result cache (SetResultCache);
-	// nil (the default) disables caching. Entries are keyed on the epoch
-	// sequence number, so every publish invalidates them for free.
-	cache atomic.Pointer[resultCache]
-
-	// thetaMemo memoises each completed pruned query's terminal k-th
-	// score, keyed on the epoch sequence number, so a repeat of the same
-	// (epoch, surface, k, query) opens its scan with the threshold
-	// already at terminal height (SetThetaMemo; on by default).
-	thetaMemo atomic.Pointer[ThetaMemo]
 
 	// codebook freezes the feature clustering of the last full build so
 	// delta refreshes can assign new documents to the existing clusters
@@ -165,6 +159,11 @@ func New() (*Mirror, error) {
 	if err := db.DefineFromSource(internalSchema); err != nil {
 		return nil, err
 	}
+	return newMirror(db), nil
+}
+
+// newMirror wraps a database in an empty store and its query half.
+func newMirror(db *moa.Database) *Mirror {
 	m := &Mirror{
 		DB:           db,
 		Eng:          moa.NewEngine(db),
@@ -172,8 +171,8 @@ func New() (*Mirror, error) {
 		urls:         map[string]struct{}{},
 		contentTerms: map[bat.OID][]string{},
 	}
-	m.thetaMemo.Store(newThetaMemo(DefaultThetaMemoEntries))
-	return m, nil
+	m.Gather = NewGather(storeShards{m})
+	return m
 }
 
 // AddImage ingests one library item: its URL, its (possibly empty)
@@ -330,51 +329,6 @@ type Hit struct {
 	OID   bat.OID
 	URL   string
 	Score float64
-}
-
-// urlOf resolves an internal-set OID to its source URL against the live
-// database, under the read lock (the epoch-pinned query paths resolve
-// through their snapshot instead).
-func (m *Mirror) urlOf(oid bat.OID) string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	b, ok := m.DB.BAT(InternalSet + "_source")
-	if !ok {
-		return ""
-	}
-	v, ok := b.Find(oid)
-	if !ok {
-		return ""
-	}
-	s, _ := v.(string)
-	return s
-}
-
-// SetResultCache installs (or, with maxBytes <= 0, removes) an
-// epoch-keyed query result cache bounded to roughly maxBytes. Safe to
-// call at any time; in-flight queries keep using the cache they loaded.
-func (m *Mirror) SetResultCache(maxBytes int64) {
-	m.cache.Store(newResultCache(maxBytes))
-}
-
-// ResultCacheStats reports the result cache's effectiveness counters
-// (zero when caching is disabled).
-func (m *Mirror) ResultCacheStats() CacheStats {
-	return m.cache.Load().stats()
-}
-
-// SetThetaMemo installs (or, with maxEntries <= 0, removes) the
-// epoch-keyed threshold memo bounded to roughly maxEntries. Seeds are
-// pruning-only — they never change what a query returns — so toggling
-// the memo is always safe.
-func (m *Mirror) SetThetaMemo(maxEntries int) {
-	m.thetaMemo.Store(newThetaMemo(maxEntries))
-}
-
-// ThetaMemoStats reports the threshold memo's effectiveness counters
-// (zero when the memo is disabled).
-func (m *Mirror) ThetaMemoStats() ThetaMemoStats {
-	return memoStats(m.thetaMemo.Load())
 }
 
 // AnalyzeQuery exposes the text analysis pipeline used for queries.

@@ -110,11 +110,6 @@ func (m *Mirror) publishEpochLocked() error {
 			m.epochHist = append(m.epochHist[:0], m.epochHist[excess:]...)
 		}
 	}
-	// The new sequence number invalidates every cached result and every
-	// memoised threshold seed for free; sweeping just returns the stale
-	// generations' bytes promptly.
-	m.cache.Load().sweep(ep.Seq)
-	m.thetaMemo.Load().sweep(ep.Seq)
 	return nil
 }
 
@@ -122,15 +117,6 @@ func (m *Mirror) publishEpochLocked() error {
 // publish. Lock-free: a single atomic pointer load, so queries never
 // block on ingest, refresh or checkpoint activity.
 func (m *Mirror) currentEpoch() *IndexEpoch { return m.epoch.Load() }
-
-// requireEpoch returns the serving snapshot or ErrNotIndexed.
-func (m *Mirror) requireEpoch() (*IndexEpoch, error) {
-	ep := m.currentEpoch()
-	if ep == nil {
-		return nil, ErrNotIndexed
-	}
-	return ep, nil
-}
 
 // epochForTag returns the retained epoch carrying the given publish tag:
 // the serving epoch when it matches, else the newest ring entry with the
@@ -167,56 +153,6 @@ func (ep *IndexEpoch) urlOf(oid bat.OID) string {
 	}
 	s, _ := v.(string)
 	return s
-}
-
-// queryTopK runs a query against the epoch snapshot with k pushed into the
-// plan optimizer; theta, when non-nil, is the shared cross-shard pruning
-// threshold. The plan comes from the epoch engine's cache: compiled on the
-// epoch's first call of (src, k), bound per call afterwards.
-func (ep *IndexEpoch) queryTopK(src string, params map[string]moa.Param, k int, theta *bat.TopKThreshold) (*moa.Result, error) {
-	return ep.Eng.QueryTopK(src, params, k, theta)
-}
-
-// rankRows converts a set-typed score result into sorted hits resolved
-// against the epoch. Results the pruned top-k operator produced
-// (res.Ranked) arrive ordered and cut; exhaustive results with k > 0 go
-// through the bounded partial selection.
-func (ep *IndexEpoch) rankRows(res *moa.Result, k int) []Hit {
-	rows := res.Rows
-	switch {
-	case res.Ranked:
-		// already ranked by the pruned operator; defensive cut only
-	case k > 0 && k < len(rows):
-		rows = moa.TopKRows(rows, k)
-	default:
-		res.SortByScoreDesc()
-		rows = res.Rows
-	}
-	if k > 0 && len(rows) > k {
-		rows = rows[:k]
-	}
-	hits := make([]Hit, 0, len(rows))
-	for _, row := range rows {
-		score, _ := row.Value.(float64)
-		hits = append(hits, Hit{OID: row.OID, URL: ep.urlOf(row.OID), Score: score})
-	}
-	return hits
-}
-
-// rank runs a ranking expression against the epoch and resolves its
-// rows to hits. theta, when non-nil, opens a pruned scan with a
-// pre-raised threshold (a θ-memo seed).
-func (ep *IndexEpoch) rank(src string, params map[string]moa.Param, k int, theta *bat.TopKThreshold) ([]Hit, error) {
-	res, err := ep.queryTopK(src, params, k, theta)
-	if err != nil {
-		return nil, err
-	}
-	return ep.rankRows(res, k), nil
-}
-
-// queryAnnotations ranks the epoch's collection against a text query.
-func (ep *IndexEpoch) queryAnnotations(text string, k int, theta *bat.TopKThreshold) ([]Hit, error) {
-	return ep.rank(annotationQuery, ir.QueryParams(ir.Analyze(text)), k, theta)
 }
 
 // WeightedContentScores scores the epoch's image CONTREP with per-term

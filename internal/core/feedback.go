@@ -6,6 +6,7 @@ import (
 
 	"mirror/internal/bat"
 	"mirror/internal/ir"
+	"mirror/internal/thesaurus"
 )
 
 // Session is an interactive retrieval session with relevance feedback, the
@@ -17,7 +18,7 @@ import (
 // Rocchio-style (relevant items add their cluster words' weight,
 // non-relevant subtract).
 type Session struct {
-	m         site
+	g         *Gather
 	Text      string
 	textTerms []string
 	weights   map[string]float64 // cluster word → weight
@@ -29,23 +30,16 @@ type Session struct {
 	Alpha, Beta, Gamma float64
 }
 
-// NewSession starts a session from a free-text query.
-func (m *Mirror) NewSession(text string) (*Session, error) {
-	if _, err := m.requireEpoch(); err != nil {
-		return nil, err
-	}
-	return newSession(m, text), nil
-}
-
-// newSession starts a session over an indexed site.
-func newSession(h site, text string) *Session {
+// newSession starts a session over a gather, seeding the content query
+// from the thesaurus of the view it was opened on.
+func newSession(g *Gather, thes *thesaurus.Thesaurus, text string) *Session {
 	s := &Session{
-		m: h, Text: text,
+		g: g, Text: text,
 		textTerms: ir.Analyze(text),
 		weights:   map[string]float64{},
 		Alpha:     1, Beta: 0.75, Gamma: 0.25,
 	}
-	for _, a := range h.Thesaurus().Associate(s.textTerms, 5) {
+	for _, a := range thes.Associate(s.textTerms, 5) {
 		s.weights[a.Concept] = a.Belief
 	}
 	return s
@@ -70,14 +64,18 @@ func (s *Session) ClusterWeights() ([]string, []float64) {
 	return terms, ws
 }
 
-// Run evaluates the current session query and returns the top k hits:
-// text evidence plus weighted content evidence combined with #wsum, the
-// text term weighted by the session's Rocchio Alpha gain (Alpha = 1, the
-// default, reduces to the unweighted #sum exactly). Every borrowed Scores
-// map is released on every path, including error returns
-// (poolcheck-enforced).
+// Run evaluates the current session query over one pinned view and
+// returns the top k hits: text evidence plus weighted content evidence
+// combined with #wsum, the text term weighted by the session's Rocchio
+// Alpha gain (Alpha = 1, the default, reduces to the unweighted #sum
+// exactly). Every borrowed Scores map is released on every path,
+// including error returns (poolcheck-enforced).
 func (s *Session) Run(k int) ([]Hit, error) {
-	textHits, err := s.m.QueryAnnotations(s.Text, 0)
+	v := s.g.view()
+	if v == nil {
+		return nil, ErrNotIndexed
+	}
+	textHits, err := s.g.hits(v, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: s.Text})
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +87,7 @@ func (s *Session) Run(k int) ([]Hit, error) {
 		wtot += w
 	}
 	if len(terms) > 0 {
-		cs, err = s.m.WeightedContentScores(terms, ws)
+		cs, err = weightedContentScores(v, terms, ws)
 		if err != nil {
 			ir.ReleaseScores(cs) // nil on error; release is nil-safe
 			ir.ReleaseScores(ts)
@@ -107,7 +105,7 @@ func (s *Session) Run(k int) ([]Hit, error) {
 		ir.ReleaseScores(combined)
 		return nil, err
 	}
-	hits := scoresToHits(s.m, combined, k)
+	hits := scoresToHits(v, combined, k)
 	ir.ReleaseScores(combined)
 	return hits, nil
 }
@@ -126,7 +124,7 @@ func (s *Session) Feedback(relevant, nonrelevant []bat.OID) error {
 	}
 	apply := func(oids []bat.OID, gain float64, rel bool) error {
 		for _, oid := range oids {
-			words := s.m.ContentTerms(oid)
+			words := s.g.shards.ContentTerms(oid)
 			for _, w := range words {
 				s.weights[w] += gain
 				if s.weights[w] <= 0 {
@@ -135,7 +133,7 @@ func (s *Session) Feedback(relevant, nonrelevant []bat.OID) error {
 			}
 			// Under the write lock: reinforcement + WAL append stay
 			// atomic with any concurrent Checkpoint.
-			if err := s.m.reinforceLogged(s.textTerms, words, rel); err != nil {
+			if err := s.g.shards.ReinforceLogged(s.textTerms, words, rel); err != nil {
 				return err
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -14,48 +15,55 @@ import (
 	"mirror/internal/thesaurus"
 )
 
-// The one scatter-gather query path. A ranked query over N shards is one
-// per-shard leg (IndexEpoch.leg) and one gather (Gather) whichever way
-// the legs travel; the in-process ShardedEngine and the networked
-// dist.RouterEngine differ only in the transport below the seam:
+// The one ranked-query path. A query over N >= 1 shards is one per-shard
+// leg (IndexEpoch.leg) and one gather (Gather) whichever way the legs
+// travel; the single store, the in-process ShardedEngine and the networked
+// dist.RouterEngine differ only in the view below the seam:
 //
-//   - in-process legs scan their shard's pinned epoch directly, under the
-//     gather's live shared threshold pointer;
+//   - a single store is a one-leg view of its serving epoch (storeView);
+//     its leg keeps the store's own OIDs (identity remap) and runs on the
+//     caller's goroutine, and its rows are the answer — nothing to merge;
+//   - in-process engine legs scan their shard's pinned epoch directly,
+//     under the gather's live shared threshold pointer;
 //   - networked legs run the same leg on a shard daemon (Service.
 //     ShardQuery) at the router's tag-pinned epoch, carry the threshold's
 //     height at send time as their floor, and receive mid-flight raises
 //     through the view's optional ThetaRose hook.
 //
-// Everything above the seam is shared: the θ-memo seed and record, the
-// fold of each landed leg's merged k-th best into the shared threshold,
-// the bounded merge (k > 0) or sorted concatenation (k <= 0), the wsum
-// score union, and the feedback-session site.
+// Everything above the seam is shared: the result cache, the θ-memo seed
+// and record, the fold of each landed leg's merged k-th best into the
+// shared threshold, the bounded merge (k > 0) or sorted concatenation
+// (k <= 0), the wsum score union, dual expansion and feedback sessions.
+// Nothing above the seam takes an engine lock: a view pins everything a
+// query reads (its thesaurus and its URL order included) at publish.
 
-// Shards is a sharded engine as its gather sees it: the serving view
-// legs run against, plus the engine-global state sessions read and write.
+// Shards is an engine as its gather sees it: the serving view legs run
+// against, plus the engine-global state sessions read and write.
 type Shards interface {
 	// View pins the current serving view; nil before the first publish.
 	View() ShardView
 	ContentTerms(oid bat.OID) []string
-	Thesaurus() *thesaurus.Thesaurus
 	// ReinforceLogged applies one durable thesaurus reinforcement.
 	ReinforceLogged(words, concepts []string, relevant bool) error
 }
 
-// ShardView is one pinned serving view of a sharded collection — a
-// vector of per-shard epochs that together cover one prefix of the
-// global ingestion order. Every leg of one query runs against the same
-// view.
+// ShardView is one pinned serving view of a collection — a vector of
+// per-shard epochs that together cover one prefix of the global ingestion
+// order. Every leg of one query runs against the same view, and every
+// method is lock-free.
 type ShardView interface {
 	// Stamp identifies the view; Seq is the generation keying the result
 	// cache and the θ-memo.
 	Stamp() EpochStamp
 	NumShards() int
-	// URLOf resolves an engine-global OID.
+	// URLOf resolves an OID of the view's answers.
 	URLOf(oid bat.OID) string
-	// Leg runs q on shard s and returns its answer under global OIDs.
-	// theta is the gather's shared pruning threshold (nil for unranked
-	// legs); the leg may only raise it.
+	// Thesaurus is the thesaurus the view was published with (nil when
+	// none was built); dual expansion and session seeding read it.
+	Thesaurus() *thesaurus.Thesaurus
+	// Leg runs q on shard s. theta is the gather's shared pruning
+	// threshold (nil for unranked legs and unseeded one-leg views); the
+	// leg may only raise it.
 	Leg(s int, q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg, error)
 }
 
@@ -66,27 +74,35 @@ type thetaStreamer interface {
 	ThetaRose(scanID uint64, theta float64, running []int)
 }
 
-// ShardLeg is one shard's answer to one scatter leg under engine-global
-// OIDs: rows ("ann", "content", "dual", "moa"; unranked legs already cut
-// to the global top k) or a score vector ("wsum").
+// ShardLeg is one shard's answer to one leg: rows ("ann", "content",
+// "dual", "moa"; a k > 0 leg is ranked and cut to k), a score vector
+// ("wsum"), or a scalar "moa" result, which only a one-leg view passes
+// through.
 type ShardLeg struct {
 	rows   []moa.Row
 	typ    moa.Type // "moa" legs evaluated in-process
+	scalar *moa.Result
 	oids   []uint64 // "wsum"
 	scores []float64
 	theta  float64 // pruning threshold the leg's scan reached (K > 0)
 }
 
-// leg evaluates one scatter leg against the epoch: the one per-shard leg
-// both transports run. It evaluates with the given pruning threshold,
-// remaps local OIDs to global, and cuts an unranked result to the global
-// top k.
-func (ep *IndexEpoch) leg(q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg, error) {
+// errScalarMerge refuses a scalar Moa result on a view of more than one
+// shard: aggregating arbitrary scalars across shards is query-specific,
+// and silently summing or averaging would lie.
+var errScalarMerge = errors.New("scalar Moa queries cannot be merged across shards (run against one shard)")
+
+// leg evaluates one leg against the epoch: the one per-shard leg every
+// view runs. It evaluates with the given pruning threshold, remaps local
+// OIDs to global when remap is set (sharded legs; a store answering for
+// itself keeps its own OIDs), and ranks and cuts an unranked k > 0 result
+// to k.
+func (ep *IndexEpoch) leg(q ShardQueryArgs, theta *bat.TopKThreshold, remap bool) (*ShardLeg, error) {
 	var params map[string]moa.Param
 	src := q.Text
 	switch q.Kind {
 	case "wsum":
-		return ep.wsumLeg(q.Terms, q.Weights)
+		return ep.wsumLeg(q.Terms, q.Weights, remap)
 	case "ann":
 		src, params = annotationQuery, ir.QueryParams(ir.Analyze(q.Text))
 	case "content":
@@ -100,23 +116,24 @@ func (ep *IndexEpoch) leg(q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg
 	default:
 		return nil, fmt.Errorf("core: unknown shard query kind %q", q.Kind)
 	}
-	res, err := ep.queryTopK(src, params, q.K, theta)
+	res, err := ep.Eng.QueryTopK(src, params, q.K, theta)
 	if err != nil {
 		return nil, err
 	}
 	if res.Rows == nil {
-		return nil, fmt.Errorf("scalar Moa queries cannot be merged across shards (run against one shard)")
+		return &ShardLeg{scalar: res}, nil
 	}
 	rows := res.Rows
-	for i := range rows {
-		if rows[i].OID, err = ep.globalOID(rows[i].OID); err != nil {
-			return nil, err
+	if remap {
+		for i := range rows {
+			if rows[i].OID, err = ep.globalOID(rows[i].OID); err != nil {
+				return nil, err
+			}
 		}
 	}
-	// The gather's bounded merge only needs this shard's global top k;
-	// cutting here (on GLOBAL OIDs, after the remap — tie order must match
-	// the merge's) is exact and bounds the leg.
-	if q.K > 0 && !res.Ranked && len(rows) > q.K {
+	// Cutting after the remap keeps the tie order the gather's merge
+	// uses, and bounds the leg.
+	if q.K > 0 && !res.Ranked {
 		rows = moa.TopKRows(rows, q.K)
 	}
 	l := &ShardLeg{rows: rows, typ: res.T}
@@ -126,9 +143,9 @@ func (ep *IndexEpoch) leg(q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg
 	return l, nil
 }
 
-// wsumLeg scores the epoch's image CONTREP with per-term weights under
-// global OIDs (the relevance-feedback primitive).
-func (ep *IndexEpoch) wsumLeg(terms []string, weights []float64) (*ShardLeg, error) {
+// wsumLeg scores the epoch's image CONTREP with per-term weights (the
+// relevance-feedback primitive), under global OIDs when remap is set.
+func (ep *IndexEpoch) wsumLeg(terms []string, weights []float64, remap bool) (*ShardLeg, error) {
 	sc, err := ep.WeightedContentScores(terms, weights)
 	if err != nil {
 		ir.ReleaseScores(sc) // nil on error; release is nil-safe
@@ -136,12 +153,14 @@ func (ep *IndexEpoch) wsumLeg(terms []string, weights []float64) (*ShardLeg, err
 	}
 	l := &ShardLeg{oids: make([]uint64, 0, len(sc)), scores: make([]float64, 0, len(sc))}
 	for local, s := range sc {
-		g, err := ep.globalOID(bat.OID(local))
-		if err != nil {
-			ir.ReleaseScores(sc)
-			return nil, err
+		oid := bat.OID(local)
+		if remap {
+			if oid, err = ep.globalOID(oid); err != nil {
+				ir.ReleaseScores(sc)
+				return nil, err
+			}
 		}
-		l.oids = append(l.oids, uint64(g))
+		l.oids = append(l.oids, uint64(oid))
 		l.scores = append(l.scores, s)
 	}
 	ir.ReleaseScores(sc)
@@ -241,10 +260,21 @@ func scatter(v ShardView, q ShardQueryArgs, seed float64, fold func(*ShardLeg) f
 	return legs, nil
 }
 
-// gatherRows scatters a row leg and merges: the bounded top-k union under
-// moa.RowWorse for k > 0 (legs fold in as they land), the plain
+// gatherRows answers a row leg over the view. A one-leg view is not a
+// scatter: its leg runs on the caller's goroutine (with a threshold only
+// when the θ-memo seeds one) and its answer is the result, scalars
+// included. Otherwise the legs scatter and merge: the bounded top-k union
+// under moa.RowWorse for k > 0 (legs fold in as they land), the plain
 // concatenation otherwise (callers order it).
-func gatherRows(v ShardView, q ShardQueryArgs, seed float64) ([]moa.Row, moa.Type, error) {
+func gatherRows(v ShardView, q ShardQueryArgs, seed float64) (*ShardLeg, error) {
+	if v.NumShards() == 1 {
+		var theta *bat.TopKThreshold
+		if q.K > 0 && seed > math.Inf(-1) {
+			theta = bat.NewTopKThreshold()
+			theta.Raise(seed)
+		}
+		return v.Leg(0, q, theta)
+	}
 	var merged *bat.BoundedTopK[moa.Row]
 	var fold func(*ShardLeg) float64
 	if q.K > 0 {
@@ -266,23 +296,27 @@ func gatherRows(v ShardView, q ShardQueryArgs, seed float64) ([]moa.Row, moa.Typ
 	}
 	legs, err := scatter(v, q, seed, fold)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	typ := legs[0].typ
-	if q.K > 0 {
-		return merged.Ranked(), typ, nil
-	}
-	var all []moa.Row
+	out := &ShardLeg{typ: legs[0].typ}
 	for _, l := range legs {
-		all = append(all, l.rows...)
+		if l.scalar != nil {
+			return nil, fmt.Errorf("core: %w", errScalarMerge)
+		}
+		if q.K <= 0 {
+			out.rows = append(out.rows, l.rows...)
+		}
 	}
-	return all, typ, nil
+	if q.K > 0 {
+		out.rows = merged.Ranked()
+	}
+	return out, nil
 }
 
-// gatherWSum scatters a weighted-sum leg and unions the per-shard scores
-// (shards are disjoint under global OIDs) into a pooled map whose
-// ownership transfers to the caller.
-func gatherWSum(v ShardView, terms []string, weights []float64) (ir.Scores, error) {
+// weightedContentScores runs a weighted-sum leg over the view and unions
+// the per-shard scores (shards are disjoint under global OIDs) into a
+// pooled map whose ownership transfers to the caller.
+func weightedContentScores(v ShardView, terms []string, weights []float64) (ir.Scores, error) {
 	legs, err := scatter(v, ShardQueryArgs{Kind: "wsum", Terms: terms, Weights: weights}, math.Inf(-1), nil)
 	if err != nil {
 		return nil, err
@@ -297,8 +331,8 @@ func gatherWSum(v ShardView, terms []string, weights []float64) (ir.Scores, erro
 }
 
 // hitWorse orders hits under the ranked-retrieval total order: score
-// descending, global OID ascending on ties — the same order a single
-// store's ranking uses, which is what makes the merge a pure top-k union.
+// descending, OID ascending on ties — the same order every leg ranks by,
+// which is what makes the merge a pure top-k union.
 func hitWorse(a, b Hit) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
@@ -306,10 +340,10 @@ func hitWorse(a, b Hit) bool {
 	return a.OID > b.OID
 }
 
-// Gather is the query half of a sharded engine, shared by the in-process
-// ShardedEngine and the networked dist.RouterEngine: the Retriever query
-// surface, the epoch-keyed result cache and θ-memo, and the dual-coding
-// and session site, all over the engine's Shards.
+// Gather is the query half of every engine — a single store (a one-leg
+// view), the in-process ShardedEngine and the networked dist.RouterEngine:
+// the Retriever query surface, the epoch-keyed result cache and θ-memo,
+// dual expansion and feedback sessions, all over the engine's Shards.
 type Gather struct {
 	shards Shards
 	// cache (SetResultCache, nil = off) and memo (SetThetaMemo, on by
@@ -321,7 +355,7 @@ type Gather struct {
 	swept atomic.Int64
 }
 
-// NewGather builds the query half of a sharded engine over its shards.
+// NewGather builds the query half of an engine over its shards.
 func NewGather(shards Shards) *Gather {
 	g := &Gather{shards: shards}
 	g.memo.Store(newThetaMemo(DefaultThetaMemoEntries))
@@ -344,9 +378,12 @@ func (g *Gather) view() ShardView {
 	return v
 }
 
+// Indexed reports whether a view is being served.
+func (g *Gather) Indexed() bool { return g.shards.View() != nil }
+
 // hits runs a ranking ("ann", "content" or "dual") over one pinned view:
-// the result cache answers repeats, the θ-memo seeds the shared
-// threshold, and a full ranking records its terminal k-th score.
+// the result cache answers repeats, the θ-memo seeds the threshold, and a
+// full ranking records its terminal k-th score.
 func (g *Gather) hits(v ShardView, kind cacheKind, q ShardQueryArgs) ([]Hit, error) {
 	gen := v.Stamp().Seq
 	c := g.cache.Load()
@@ -358,12 +395,12 @@ func (g *Gather) hits(v ShardView, kind cacheKind, q ShardQueryArgs) ([]Hit, err
 	if s, ok := tm.get(gen, kind, q.K, q.Text, q.Terms); ok {
 		seed = s
 	}
-	rows, _, err := gatherRows(v, q, seed)
+	l, err := gatherRows(v, q, seed)
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]Hit, len(rows))
-	for i, row := range rows {
+	hits := make([]Hit, len(l.rows))
+	for i, row := range l.rows {
 		score, _ := row.Value.(float64)
 		hits[i] = Hit{OID: row.OID, URL: v.URLOf(row.OID), Score: score}
 	}
@@ -375,11 +412,16 @@ func (g *Gather) hits(v ShardView, kind cacheKind, q ShardQueryArgs) ([]Hit, err
 	return hits, nil
 }
 
-// Indexed reports whether a view is being served.
-func (g *Gather) Indexed() bool { return g.shards.View() != nil }
+// Every ranked-retrieval entry point pins the current view with one
+// atomic load and evaluates entirely against that snapshot: queries never
+// block on ingest/refresh/checkpoint activity and never observe a
+// partially published segment. Before the first publish they fail with
+// ErrNotIndexed.
 
 // ServingEpoch reports the stamp of the view queries are currently served
-// from; see Mirror.ServingEpoch.
+// from; ok is false (and the stamp zero) before the first publish. Because
+// queries pin their own view, a stamp observed here only brackets
+// concurrent answers — per-answer stamps come from the Stamped variants.
 func (g *Gather) ServingEpoch() (EpochStamp, bool) {
 	v := g.shards.View()
 	if v == nil {
@@ -388,15 +430,19 @@ func (g *Gather) ServingEpoch() (EpochStamp, bool) {
 	return v.Stamp(), true
 }
 
-// QueryAnnotations ranks the whole collection against a free-text query —
-// scatter, then gather; see Mirror.QueryAnnotations for semantics.
+// QueryAnnotations ranks the collection against a free-text query using
+// the textual annotations (the Section 3 scenario). The text passes
+// through the same analyzer as the indexed annotations. k > 0 is pushed
+// down into the query plan (pruned top-k retrieval); k <= 0 returns the
+// full ranking.
 func (g *Gather) QueryAnnotations(text string, k int) ([]Hit, error) {
 	hits, _, err := g.QueryAnnotationsStamped(text, k)
 	return hits, err
 }
 
 // QueryAnnotationsStamped is QueryAnnotations plus the stamp of the view
-// every leg ran against.
+// every leg ran against — the same pinned view, so the stamp can never
+// mislabel the answer under concurrent publishes.
 func (g *Gather) QueryAnnotationsStamped(text string, k int) ([]Hit, EpochStamp, error) {
 	v := g.view()
 	if v == nil {
@@ -406,7 +452,9 @@ func (g *Gather) QueryAnnotationsStamped(text string, k int) ([]Hit, EpochStamp,
 	return hits, v.Stamp(), err
 }
 
-// QueryContent ranks by image content given cluster words.
+// QueryContent ranks the collection by image content given cluster words
+// (normally chosen through the thesaurus). k behaves as in
+// QueryAnnotations.
 func (g *Gather) QueryContent(clusterWords []string, k int) ([]Hit, error) {
 	v := g.view()
 	if v == nil {
@@ -415,51 +463,59 @@ func (g *Gather) QueryContent(clusterWords []string, k int) ([]Hit, error) {
 	return g.hits(v, cacheContent, ShardQueryArgs{Kind: "content", Terms: clusterWords, K: k})
 }
 
-// QueryDualCoding combines annotation and content evidence (#sum): one
-// "dual" leg per shard, each the same two-source pruned scan a single
-// store runs, under the shared threshold; see Mirror.QueryDualCoding.
+// QueryDualCoding is the full Section 5.2 retrieval: the text query ranks
+// annotations directly AND, through the thesaurus, the image content
+// representation; the two belief sources are combined with the inference
+// network's #sum operator — one Moa expression (dualQuery) per leg, each
+// one two-source pruned scan under the shared threshold. k behaves as in
+// QueryAnnotations.
 func (g *Gather) QueryDualCoding(text string, k int) ([]Hit, error) {
 	hits, _, err := g.QueryDualCodingStamped(text, k)
 	return hits, err
 }
 
 // QueryDualCodingStamped is QueryDualCoding plus the stamp of the pinned
-// view every leg read. The gather expands the text once, with the
-// engine's thesaurus, and ships the concepts in the leg, so they key the
-// cache and the θ-memo beside the text.
+// view every leg read. The gather expands the text once, with the view's
+// thesaurus, and ships the concepts in the leg. The expansion is part of
+// the cache and θ-memo key: feedback reinforces the thesaurus without
+// publishing, so one text can expand differently within one view.
 func (g *Gather) QueryDualCodingStamped(text string, k int) ([]Hit, EpochStamp, error) {
 	v := g.view()
 	if v == nil {
 		return nil, EpochStamp{}, ErrNotIndexed
 	}
-	q := ShardQueryArgs{Kind: "dual", Text: text, Terms: g.ExpandQuery(text, dualConcepts), K: k}
+	q := ShardQueryArgs{Kind: "dual", Text: text, Terms: expandConcepts(v.Thesaurus(), text, dualConcepts), K: k}
 	hits, err := g.hits(v, cacheDual, q)
 	return hits, v.Stamp(), err
 }
 
-// Query runs a raw Moa query across all shards (see QueryTopK).
+// Query exposes raw Moa queries (used by moash and the network server).
+// The optional query terms bind the `query`/`stats` parameters.
 func (g *Gather) Query(src string, queryTerms []string) (*moa.Result, error) {
 	return g.QueryTopK(src, queryTerms, 0)
 }
 
-// QueryTopK runs a raw Moa query on every shard and merges set-typed
-// results under global OIDs: k > 0 merges the shard rankings through the
-// bounded selector (rows come back ranked and cut — on a sharded engine
-// the cut always happens gather-side, even for plans served exhaustively
-// on the shards); k <= 0 concatenates in ascending global OID order.
-// Scalar queries are refused: aggregating arbitrary scalars across shards
-// is query-specific, and silently summing or averaging would lie.
+// QueryTopK runs a raw Moa query on every leg. k > 0 pushes a ranked
+// top-k request into each leg's plan optimizer and returns at most k rows,
+// ranked, whether the plan pruned or ran exhaustively; k <= 0 returns every
+// row in ascending OID order. A one-leg view (a single store) returns a
+// scalar result as is; a merge of several legs refuses it.
+//
+// Indexed engines evaluate against the serving view (snapshot-isolated);
+// an engine that never published evaluates against its live databases —
+// the pre-index browsing moash supports — which is safe only without
+// concurrent ingest.
 func (g *Gather) QueryTopK(src string, queryTerms []string, k int) (*moa.Result, error) {
 	res, _, err := g.QueryTopKStamped(src, queryTerms, k)
 	return res, err
 }
 
 // liveViewer is the optional Shards hook behind pre-index Moa browsing: a
-// view over the live shard databases (the in-process engine has one; a
-// router has no epoch to pin before its first build).
+// view over the live databases (a store and the in-process engine have
+// one; a router has no epoch to pin before its first build).
 type liveViewer interface{ liveView() ShardView }
 
-// QueryTopKStamped is QueryTopK plus the stamp of the view every shard
+// QueryTopKStamped is QueryTopK plus the stamp of the view every leg
 // evaluated against; the live-database fallback returns the zero stamp.
 func (g *Gather) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.Result, EpochStamp, error) {
 	v := g.view()
@@ -470,96 +526,67 @@ func (g *Gather) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.
 		}
 		v = lv.liveView()
 	}
-	rows, typ, err := gatherRows(v, ShardQueryArgs{Kind: "moa", Text: src, Terms: queryTerms, K: k}, math.Inf(-1))
+	l, err := gatherRows(v, ShardQueryArgs{Kind: "moa", Text: src, Terms: queryTerms, K: k}, math.Inf(-1))
 	if err != nil {
 		return nil, v.Stamp(), err
 	}
-	if k <= 0 {
-		sort.Slice(rows, func(i, j int) bool { return rows[i].OID < rows[j].OID })
+	if l.scalar != nil {
+		return l.scalar, v.Stamp(), nil
 	}
-	return &moa.Result{T: typ, Rows: rows, Ranked: k > 0}, v.Stamp(), nil
+	if k <= 0 {
+		sort.Slice(l.rows, func(i, j int) bool { return l.rows[i].OID < l.rows[j].OID })
+	}
+	return &moa.Result{T: l.typ, Rows: l.rows, Ranked: k > 0}, v.Stamp(), nil
 }
 
-// WeightedContentScores scatters the weighted-sum scoring across one
-// pinned view and unions the per-shard scores under global OIDs. The
-// returned map is pooled: the caller releases it with ir.ReleaseScores.
+// WeightedContentScores scores the image CONTREP with per-term weights via
+// the wsum physical operator over one pinned view — the primitive the
+// relevance feedback loop uses. The returned map is pooled: the caller
+// releases it with ir.ReleaseScores.
 func (g *Gather) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
-	return gatherSite{g: g}.WeightedContentScores(terms, weights)
-}
-
-// ExpandQuery maps free text to associated content clusters via the
-// engine's thesaurus.
-func (g *Gather) ExpandQuery(text string, topK int) []string {
-	return expandConcepts(g.shards.Thesaurus(), text, topK)
-}
-
-// NewSession starts a relevance-feedback session over the sharded
-// collection; judgments arrive as global OIDs (what hits carry).
-func (g *Gather) NewSession(text string) (*Session, error) {
-	if g.view() == nil {
+	v := g.view()
+	if v == nil {
 		return nil, ErrNotIndexed
 	}
-	return newSession(gatherSite{g: g}, text), nil
+	return weightedContentScores(v, terms, weights)
 }
 
-// SetResultCache installs (or, with maxBytes <= 0, removes) a result
-// cache bounded to roughly maxBytes, shared by all shards (the gathered
-// results it stores carry global OIDs).
+// ExpandQuery maps free text to the topK associated content clusters via
+// the serving view's thesaurus (the demo's query formulation step);
+// nothing before the first publish.
+func (g *Gather) ExpandQuery(text string, topK int) []string {
+	v := g.shards.View()
+	if v == nil {
+		return nil
+	}
+	return expandConcepts(v.Thesaurus(), text, topK)
+}
+
+// NewSession starts a relevance-feedback session from a free-text query;
+// judgments arrive as the OIDs the engine's hits carry.
+func (g *Gather) NewSession(text string) (*Session, error) {
+	v := g.view()
+	if v == nil {
+		return nil, ErrNotIndexed
+	}
+	return newSession(g, v.Thesaurus(), text), nil
+}
+
+// SetResultCache installs (or, with maxBytes <= 0, removes) an
+// epoch-keyed query result cache bounded to roughly maxBytes. Safe to call
+// at any time; in-flight queries keep using the cache they loaded.
 func (g *Gather) SetResultCache(maxBytes int64) { g.cache.Store(newResultCache(maxBytes)) }
 
 // ResultCacheStats reports the result cache's effectiveness counters
 // (zero when caching is disabled).
 func (g *Gather) ResultCacheStats() CacheStats { return g.cache.Load().stats() }
 
-// SetThetaMemo installs (or, with maxEntries <= 0, removes) the threshold
-// memo bounded to roughly maxEntries; seeds are pruning-only, so toggling
-// it is always safe.
+// SetThetaMemo installs (or, with maxEntries <= 0, removes) the
+// epoch-keyed threshold memo bounded to roughly maxEntries. Seeds are
+// pruning-only — they never change what a query returns — so toggling
+// the memo is always safe.
 func (g *Gather) SetThetaMemo(maxEntries int) { g.memo.Store(newThetaMemo(maxEntries)) }
 
 // ThetaMemoStats reports the threshold memo's effectiveness counters
 // (zero when the memo is disabled).
 func (g *Gather) ThetaMemoStats() ThetaMemoStats { return memoStats(g.memo.Load()) }
-
-// gatherSite is a gather as the site feedback sessions combine evidence
-// over, reading the current view per call (sessions span publishes, like
-// a single store's).
-type gatherSite struct{ g *Gather }
-
-func (s gatherSite) view() (ShardView, error) {
-	if v := s.g.view(); v != nil {
-		return v, nil
-	}
-	return nil, ErrNotIndexed
-}
-
-func (s gatherSite) QueryAnnotations(text string, k int) ([]Hit, error) {
-	v, err := s.view()
-	if err != nil {
-		return nil, err
-	}
-	return s.g.hits(v, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: text, K: k})
-}
-
-func (s gatherSite) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
-	v, err := s.view()
-	if err != nil {
-		return nil, err
-	}
-	return gatherWSum(v, terms, weights)
-}
-
-func (s gatherSite) ContentTerms(oid bat.OID) []string { return s.g.shards.ContentTerms(oid) }
-
-func (s gatherSite) Thesaurus() *thesaurus.Thesaurus { return s.g.shards.Thesaurus() }
-
-func (s gatherSite) urlOf(oid bat.OID) string {
-	v, err := s.view()
-	if err != nil {
-		return ""
-	}
-	return v.URLOf(oid)
-}
-
-func (s gatherSite) reinforceLogged(words, concepts []string, relevant bool) error {
-	return s.g.shards.ReinforceLogged(words, concepts, relevant)
-}

@@ -343,14 +343,7 @@ func buildFromBATs(bats map[string]*bat.BAT, extra map[string]string) (*Mirror, 
 		}
 	}
 
-	m := &Mirror{
-		DB:           db,
-		Eng:          moa.NewEngine(db),
-		rasters:      map[string]*media.Image{},
-		urls:         map[string]struct{}{},
-		contentTerms: map[bat.OID][]string{},
-	}
-	m.thetaMemo.Store(newThetaMemo(DefaultThetaMemoEntries))
+	m := newMirror(db)
 	var meta persistMeta
 	if raw := extra["meta"]; raw != "" {
 		if err := json.Unmarshal([]byte(raw), &meta); err != nil {

@@ -127,23 +127,16 @@ func TestSessionRunDoesNotLeak(t *testing.T) {
 	}
 }
 
-var errInjected = errors.New("injected failure")
-
-// failingWCSHost is a session host whose WeightedContentScores always
-// fails — the exact error path that leaked the text-evidence map before
-// this change.
-type failingWCSHost struct{ *Mirror }
-
-func (f *failingWCSHost) WeightedContentScores([]string, []float64) (ir.Scores, error) {
-	return nil, errInjected
-}
-
 // TestSessionRunErrorPathDoesNotLeak pins the first pre-PR bug: when
 // WeightedContentScores fails mid-Run, the already-borrowed text score
 // map must still be released.
 func TestSessionRunErrorPathDoesNotLeak(t *testing.T) {
 	m := leakStub(t)
-	sess := newSession(&failingWCSHost{m}, "harbor gull")
+	spy := &legSpy{storeView: storeView{m.currentEpoch()}, fail: "wsum"}
+	sess, err := NewGather(spyShards{storeShards{m}, spy}).NewSession("harbor gull")
+	if err != nil {
+		t.Fatal(err)
+	}
 	sess.weights["c000"] = 1 // guarantee the failing arm runs
 
 	before := snapshotPools()

@@ -58,7 +58,7 @@ func assertPreparedEqualsFresh(t *testing.T, label string, ep *IndexEpoch) {
 		for _, qq := range qs {
 			want := freshTopK(t, ep, qq.src, qq.params, k)
 			for pass := 0; pass < 2; pass++ {
-				got, err := ep.queryTopK(qq.src, qq.params, k, nil)
+				got, err := ep.Eng.QueryTopK(qq.src, qq.params, k, nil)
 				if err != nil {
 					t.Fatalf("%s k=%d: %v", label, k, err)
 				}
@@ -294,35 +294,45 @@ func TestPreparedSharedAcrossGoroutines(t *testing.T) {
 	wg.Wait()
 }
 
-// warmPlanAllocs is the allocs/op of a warm-plan IndexEpoch.queryAnnotations
-// on the fixture below, measured with go1.24 on linux/amd64. Before
-// prepared plans the same call allocated 266 objects: every query
+// warmPlanAllocs pins the allocs/op of a warm-plan miss on the public
+// surface — Mirror.QueryAnnotationsStamped with the result cache off and
+// the θ-memo disabled, so every call compiles nothing and scans in full —
+// on the fixture below, measured at 93 with go1.24 on linux/amd64.
+// Before prepared plans the same query allocated 266 objects: every query
 // re-lexed, re-parsed, re-checked, re-planned and re-lowered the ranking
 // expression and copied the snapshot map into its environment.
-const warmPlanAllocs = 100
+const warmPlanAllocs = 93
+
+// raceEnabled is set under the race detector, whose sync.Pool drops
+// pooled scratch at random: allocation counts are then not exact.
+var raceEnabled bool
 
 // TestWarmPlanAllocsPinned is the deterministic counter behind the claimed
 // latency gain: allocations per served query do not depend on the host's
 // load, so a change that quietly puts compile work (or the snapshot copy)
 // back on the per-query path fails here, not in a noisy timing ratio.
 func TestWarmPlanAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
 	urls, anns := refreshCorpus(400, 7)
 	m := oneShotStub(t, urls, anns)
+	m.SetThetaMemo(0)
 	ep := m.currentEpoch()
 	const text, k = "kelp foam buoy", 10
-	if _, err := ep.queryAnnotations(text, k, nil); err != nil {
+	if _, _, err := m.QueryAnnotationsStamped(text, k); err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(200, func() {
-		if _, err := ep.queryAnnotations(text, k, nil); err != nil {
+		if _, _, err := m.QueryAnnotationsStamped(text, k); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if hits, misses := ep.Eng.PlanCacheStats(); misses != 1 || hits < 200 {
 		t.Fatalf("the measured calls were not warm: %d hits, %d misses", hits, misses)
 	}
-	t.Logf("warm-plan QueryAnnotations: %.0f allocs/op (pinned %d, before prepared plans 266)", got, warmPlanAllocs)
-	if got > warmPlanAllocs*1.10 {
-		t.Fatalf("warm-plan QueryAnnotations allocates %.0f objects/op, more than 10%% over the pinned %d", got, warmPlanAllocs)
+	t.Logf("warm-plan QueryAnnotationsStamped: %.0f allocs/op (pinned %d, before prepared plans 266)", got, warmPlanAllocs)
+	if got > warmPlanAllocs {
+		t.Fatalf("warm-plan QueryAnnotationsStamped allocates %.0f objects/op, over the pinned %d", got, warmPlanAllocs)
 	}
 }

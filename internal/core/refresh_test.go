@@ -322,7 +322,7 @@ func TestRefreshIsSnapshotIsolated(t *testing.T) {
 	urls, anns := refreshCorpus(16, 3)
 	m := oneShotStub(t, urls[:12], anns[:12])
 	ep := m.currentEpoch()
-	before, err := ep.queryAnnotations("harbor gull", 0, nil)
+	before, err := new(Gather).hits(storeView{ep}, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: "harbor gull"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestRefreshIsSnapshotIsolated(t *testing.T) {
 		t.Fatalf("refresh covered %d docs (current=%v), want 4/true", st.NewDocs, m.Current())
 	}
 	// The pinned pre-refresh epoch still answers exactly as before.
-	after, err := ep.queryAnnotations("harbor gull", 0, nil)
+	after, err := new(Gather).hits(storeView{ep}, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: "harbor gull"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,9 +34,11 @@ import (
 // queries is the only parallelism on the read path.
 
 // Retriever is the serving surface of the Mirror DBMS: one store
-// (*Mirror) or a sharded scatter-gather engine (*ShardedEngine). The RPC
-// service and the shells run against it, so clients cannot tell how many
-// stores answer their queries — routing is transparent.
+// (*Mirror), an in-process sharded engine (*ShardedEngine) or a networked
+// router (dist.RouterEngine). Each answers its queries through an embedded
+// *Gather. The RPC service and the shells run against it, so clients
+// cannot tell how many stores answer their queries — routing is
+// transparent.
 type Retriever interface {
 	AddImage(url, annotation string, img *media.Image) error
 	AddRaster(url string, img *media.Image) error
@@ -53,6 +55,9 @@ type Retriever interface {
 	ServingEpoch() (EpochStamp, bool)
 	ExpandQuery(text string, topK int) []string
 	NewSession(text string) (*Session, error)
+	SetResultCache(maxBytes int64)
+	SetThetaMemo(maxEntries int)
+	Topology() string
 	ContentTerms(oid bat.OID) []string
 	Size() int
 	Pending() int
@@ -140,9 +145,9 @@ type TextQueryReply struct {
 }
 
 // MoaQueryArgs carries a raw Moa query plus optional query-term bindings.
-// K > 0 pushes a ranked top-k request into the query plan: retrievals the
-// pruned operator can serve return only the k best rows (already ranked);
-// other plans run exhaustively and are cut server-side.
+// K > 0 pushes a ranked top-k request into the query plan and returns at
+// most the k best rows, ranked — pruned or exhaustive plan alike (every
+// Retriever's QueryTopK ranks and cuts).
 type MoaQueryArgs struct {
 	Source     string
 	QueryTerms []string
@@ -197,21 +202,7 @@ func (s *Service) MoaQuery(args MoaQueryArgs, reply *MoaQueryReply) error {
 		reply.Scalar = fmt.Sprintf("%v", res.Scalar)
 		return nil
 	}
-	rows := res.Rows
-	if args.K > 0 && !res.Ranked {
-		// Exhaustive fallback: rank and cut server-side, so the wire
-		// carries only the k best rows either way.
-		if args.K < len(rows) {
-			rows = moa.TopKRows(rows, args.K)
-		} else {
-			res.SortByScoreDesc()
-			rows = res.Rows
-		}
-	}
-	if args.K > 0 && len(rows) > args.K {
-		rows = rows[:args.K]
-	}
-	for _, row := range rows {
+	for _, row := range res.Rows {
 		reply.OIDs = append(reply.OIDs, uint64(row.OID))
 		reply.Values = append(reply.Values, fmt.Sprintf("%v", row.Value))
 	}

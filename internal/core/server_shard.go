@@ -78,9 +78,12 @@ func (s *Service) ShardQuery(args ShardQueryArgs, reply *ShardQueryReply) error 
 			defer registerScanTheta(args.ScanID, theta)()
 		}
 	}
-	l, err := ep.leg(args, theta)
+	l, err := ep.leg(args, theta, true)
 	if err != nil {
 		return err
+	}
+	if l.scalar != nil {
+		return errScalarMerge
 	}
 	*reply = ShardQueryReply{OIDs: l.oids, Scores: l.scores, Theta: l.theta}
 	mixed := false
@@ -307,11 +310,7 @@ type TopologyReply struct{ Desc string }
 // Topology reports the served Retriever's place in the topology (moash
 // \topology against a remote server).
 func (s *Service) Topology(_ dict.Empty, reply *TopologyReply) error {
-	if t, ok := s.m.(interface{ Topology() string }); ok {
-		reply.Desc = t.Topology()
-	} else {
-		reply.Desc = fmt.Sprintf("%T", s.m)
-	}
+	reply.Desc = s.m.Topology()
 	return nil
 }
 

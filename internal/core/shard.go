@@ -99,6 +99,7 @@ type engineEpoch struct {
 	live   int      // covered documents (crash gaps excluded) — the wire stamp
 	order  []string // frozen prefix of the global ingestion order
 	shards []*IndexEpoch
+	thes   *thesaurus.Thesaurus // the shared thesaurus at publish
 }
 
 type shardLoc struct {
@@ -453,6 +454,7 @@ func (e *ShardedEngine) publishEngineEpochLocked(docs int) {
 		live:   live,
 		order:  e.order[:docs:docs],
 		shards: shardEps,
+		thes:   e.thes,
 	})
 }
 
@@ -667,8 +669,10 @@ func (ee *engineEpoch) URLOf(oid bat.OID) string {
 	return ee.order[oid]
 }
 
+func (ee *engineEpoch) Thesaurus() *thesaurus.Thesaurus { return ee.thes }
+
 func (ee *engineEpoch) Leg(s int, q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg, error) {
-	return ee.shards[s].leg(q, theta)
+	return ee.shards[s].leg(q, theta, true)
 }
 
 // View pins the serving engine epoch (nil before the first publish).

@@ -7,7 +7,6 @@ import (
 
 	"mirror/internal/bat"
 	"mirror/internal/corpus"
-	"mirror/internal/moa"
 )
 
 // The sharded differential suite: a ShardedEngine over any shard count
@@ -221,12 +220,7 @@ func TestShardedMoaNativeValues(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: sharded: %v", label, err)
 					}
-					// A single store returns an exhaustive plan uncut (its
-					// callers rank and cut); the gather always cuts.
 					wantRows := want.Rows
-					if k > 0 && !want.Ranked {
-						wantRows = moa.TopKRows(append([]moa.Row(nil), want.Rows...), k)
-					}
 					if len(wantRows) == 0 {
 						t.Fatalf("%s: empty reference result", label)
 					}

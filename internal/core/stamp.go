@@ -18,15 +18,3 @@ type EpochStamp struct {
 
 // stamp derives the wire stamp of a pinned standalone epoch.
 func (ep *IndexEpoch) stamp() EpochStamp { return EpochStamp{Seq: ep.Seq, Docs: ep.Docs} }
-
-// ServingEpoch reports the stamp of the epoch queries are currently
-// served from; ok is false (and the stamp zero) before the first publish.
-// Because queries pin their own epoch, a stamp observed here only brackets
-// concurrent answers — per-answer stamps come from the Stamped variants.
-func (m *Mirror) ServingEpoch() (EpochStamp, bool) {
-	ep := m.currentEpoch()
-	if ep == nil {
-		return EpochStamp{}, false
-	}
-	return ep.stamp(), true
-}

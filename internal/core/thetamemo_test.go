@@ -1,9 +1,39 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
+
+	"mirror/internal/bat"
 )
+
+var errInjected = errors.New("injected failure")
+
+// legSpy is a one-leg view over a real epoch that records the threshold
+// every leg receives and fails the legs of one kind (fail) with
+// errInjected.
+type legSpy struct {
+	storeView
+	fail   string
+	thetas []*bat.TopKThreshold
+}
+
+func (v *legSpy) Leg(s int, q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg, error) {
+	v.thetas = append(v.thetas, theta)
+	if q.Kind == v.fail {
+		return nil, errInjected
+	}
+	return v.storeView.Leg(s, q, theta)
+}
+
+// spyShards serves a store's session state over a legSpy view.
+type spyShards struct {
+	storeShards
+	v *legSpy
+}
+
+func (s spyShards) View() ShardView { return s.v }
 
 // TestThetaMemoDifferentialSingle: with the threshold memo enabled (the
 // default), every ranking must be hit-for-hit identical to a memo-less
@@ -104,8 +134,21 @@ func TestThetaMemoUnit(t *testing.T) {
 		if newThetaMemo(0) != nil || newThetaMemo(-1) != nil {
 			t.Fatal("non-positive bound must disable the memo")
 		}
-		if th := seededTheta(nil, 1, cacheAnnotations, 10, "q", nil); th != nil {
-			t.Fatal("nil memo produced a threshold")
+	})
+
+	t.Run("one leg allocates a threshold only for a seed", func(t *testing.T) {
+		urls, anns := refreshCorpus(40, 3)
+		m := oneShotStub(t, urls, anns)
+		spy := &legSpy{storeView: storeView{m.currentEpoch()}}
+		g := NewGather(spyShards{storeShards{m}, spy})
+		for pass := 0; pass < 2; pass++ {
+			hits, err := g.QueryAnnotations("harbor gull", 3)
+			if err != nil || len(hits) != 3 {
+				t.Fatalf("pass %d: %d hits, %v", pass, len(hits), err)
+			}
+		}
+		if len(spy.thetas) != 2 || spy.thetas[0] != nil || spy.thetas[1] == nil {
+			t.Fatalf("leg thresholds %v: want none on the memo miss, a seeded one on the repeat", spy.thetas)
 		}
 	})
 

@@ -32,6 +32,7 @@ package dist
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/rpc"
 	"sort"
 	"strings"
@@ -148,11 +149,15 @@ type shardLoc struct {
 // answers queries at the epoch carrying Tag, which covers the first Docs
 // documents of the global ingestion order. It is the networked transport
 // of core's one gather (a core.ShardView): its legs run on the shard
-// daemons through callShard's failover.
+// daemons through callShard's failover. The order prefix and the
+// thesaurus are pinned at publish, so queries never take the router's
+// lock.
 type epochVector struct {
-	Tag  uint64
-	Docs int
-	e    *RouterEngine
+	Tag   uint64
+	Docs  int
+	e     *RouterEngine
+	order []string // frozen prefix of the global ingestion order (Docs long)
+	thes  *thesaurus.Thesaurus
 }
 
 // RouterEngine scatter-gathers the full Retriever surface over remote
@@ -608,7 +613,7 @@ func (e *RouterEngine) BuildContentIndex(opts core.IndexOptions) error {
 	}
 	e.codebook = cb
 	e.thes = thesaurus.Build(thDocs)
-	e.vecPtr.Store(&epochVector{Tag: tag, Docs: len(order), e: e})
+	e.vecPtr.Store(&epochVector{Tag: tag, Docs: len(order), e: e, order: order, thes: e.thes})
 	return nil
 }
 
@@ -784,7 +789,7 @@ func (e *RouterEngine) Refresh() (core.RefreshStats, error) {
 	if ferr != nil {
 		return st, ferr
 	}
-	e.vecPtr.Store(&epochVector{Tag: tag, Docs: orderLen, e: e})
+	e.vecPtr.Store(&epochVector{Tag: tag, Docs: orderLen, e: e, order: e.order[:orderLen:orderLen], thes: e.thes})
 	st.NewDocs, st.Docs, st.Epoch = len(pendingURLs), orderLen, int64(tag)
 	return st, nil
 }
@@ -807,23 +812,27 @@ func (v *epochVector) Stamp() core.EpochStamp {
 
 func (v *epochVector) NumShards() int { return v.e.n }
 
-// URLOf resolves a global OID through the router's ingestion order.
+// URLOf resolves a global OID through the vector's frozen order.
 func (v *epochVector) URLOf(oid bat.OID) string {
-	v.e.mu.RLock()
-	defer v.e.mu.RUnlock()
-	if uint64(oid) >= uint64(len(v.e.order)) {
+	if uint64(oid) >= uint64(len(v.order)) {
 		return ""
 	}
-	return v.e.order[oid]
+	return v.order[oid]
 }
+
+// Thesaurus is the router's thesaurus as of the vector's publish (the
+// global authority; shard-local thesauri only serve shard-direct queries).
+func (v *epochVector) Thesaurus() *thesaurus.Thesaurus { return v.thes }
 
 // Leg runs one scatter leg on shard s at the vector's tag, failing over
 // across the shard's replicas. Each attempt carries the shared
-// threshold's current height as its floor.
+// threshold's current height as its floor (-Inf when the gather hands
+// the leg none: an unseeded one-leg view).
 func (v *epochVector) Leg(s int, q core.ShardQueryArgs, theta *bat.TopKThreshold) (*core.ShardLeg, error) {
 	q.Tag = v.Tag
 	var leg *core.ShardLeg
 	err := v.e.callShard(s, false, func(c *core.Client) error {
+		q.ThetaFloor = math.Inf(-1)
 		if theta != nil {
 			q.ThetaFloor = theta.Load()
 		}

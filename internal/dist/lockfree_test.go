@@ -1,0 +1,47 @@
+package dist
+
+import (
+	"testing"
+	"time"
+)
+
+// TestRouterQueriesIgnoreWriteLock write-holds the router's metadata lock —
+// which Refresh and BuildContentIndex hold across their publish fan-out —
+// and requires annotation, content and dual-coding queries to answer
+// within a second: the gather reads only the pinned epoch vector, whose
+// URL order and thesaurus were frozen at publish.
+func TestRouterQueriesIgnoreWriteLock(t *testing.T) {
+	c := startCluster(t, 2, 1)
+	c.ingest(testItems(18))
+	if err := c.router.BuildContentIndex(testIndexOptions()); err != nil {
+		t.Fatal(err)
+	}
+	const text = "ocean forest"
+	concepts := c.router.ExpandQuery(text, 3)
+	if len(concepts) == 0 {
+		t.Fatalf("%q expands to no concepts; the content query would not scan", text)
+	}
+	c.router.mu.Lock()
+	defer c.router.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		if _, err := c.router.QueryAnnotations(text, 5); err != nil {
+			done <- err
+			return
+		}
+		if _, err := c.router.QueryContent(concepts, 5); err != nil {
+			done <- err
+			return
+		}
+		_, err := c.router.QueryDualCoding(text, 5)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("router queries blocked behind its write lock")
+	}
+}
