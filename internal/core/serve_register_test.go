@@ -75,7 +75,7 @@ func TestServeRegistersBeforeAnswering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := rpc.NewClient(conn)
+	c := newWireClient(conn)
 	defer c.Close()
 	call := c.Go("Mirror.ShardState", dict.Empty{}, new(ShardStateReply), make(chan *rpc.Call, 1))
 	select {

@@ -1,11 +1,8 @@
 package core
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"net"
 	"net/rpc"
 	"runtime"
@@ -184,9 +181,7 @@ func (s *Service) TextQuery(args TextQueryArgs, reply *TextQueryReply) error {
 		return err
 	}
 	reply.Epoch, reply.EpochDocs = st.Seq, st.Docs
-	for _, h := range hits {
-		reply.Hits = append(reply.Hits, WireHit{OID: uint64(h.OID), URL: h.URL, Score: h.Score})
-	}
+	reply.Hits = wireHits(hits)
 	return nil
 }
 
@@ -396,10 +391,17 @@ func (s *Service) SessionRun(args SessionRunArgs, reply *SessionRunReply) error 
 		return err
 	}
 	reply.Round = ss.s.Round
-	for _, h := range hits {
-		reply.Hits = append(reply.Hits, WireHit{OID: uint64(h.OID), URL: h.URL, Score: h.Score})
-	}
+	reply.Hits = wireHits(hits)
 	return nil
+}
+
+// wireHits converts a ranking for the wire, sized up front.
+func wireHits(hits []Hit) []WireHit {
+	out := make([]WireHit, len(hits))
+	for i, h := range hits {
+		out[i] = WireHit{OID: uint64(h.OID), URL: h.URL, Score: h.Score}
+	}
+	return out
 }
 
 // SessionFeedbackArgs applies one round of relevance judgments.
@@ -596,44 +598,6 @@ func (d *rpcDrain) wait(timeout time.Duration) {
 	}
 }
 
-// gobServerCodec is the standard net/rpc gob wire format over a buffered
-// connection; spelled out here (net/rpc keeps its own unexported) so the
-// counting wrapper below can sit between the server loop and the wire.
-type gobServerCodec struct {
-	rwc    io.ReadWriteCloser
-	dec    *gob.Decoder
-	enc    *gob.Encoder
-	encBuf *bufio.Writer
-	closed bool
-}
-
-func (c *gobServerCodec) ReadRequestHeader(r *rpc.Request) error { return c.dec.Decode(r) }
-func (c *gobServerCodec) ReadRequestBody(body any) error         { return c.dec.Decode(body) }
-
-func (c *gobServerCodec) WriteResponse(r *rpc.Response, body any) (err error) {
-	if err = c.enc.Encode(r); err != nil {
-		if c.encBuf.Flush() == nil {
-			c.Close() // encode failure poisons the stream; tear it down
-		}
-		return
-	}
-	if err = c.enc.Encode(body); err != nil {
-		if c.encBuf.Flush() == nil {
-			c.Close()
-		}
-		return
-	}
-	return c.encBuf.Flush()
-}
-
-func (c *gobServerCodec) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	return c.rwc.Close()
-}
-
 // countedServerCodec marks a request in flight when its header is read
 // and done when its response is written, feeding the drain.
 type countedServerCodec struct {
@@ -642,11 +606,7 @@ type countedServerCodec struct {
 }
 
 func newCountedServerCodec(conn net.Conn, d *rpcDrain) rpc.ServerCodec {
-	buf := bufio.NewWriter(conn)
-	return &countedServerCodec{
-		ServerCodec: &gobServerCodec{rwc: conn, dec: gob.NewDecoder(conn), enc: gob.NewEncoder(buf), encBuf: buf},
-		d:           d,
-	}
+	return &countedServerCodec{ServerCodec: newWireServerCodec(conn), d: d}
 }
 
 func (c *countedServerCodec) ReadRequestHeader(r *rpc.Request) error {
@@ -673,11 +633,11 @@ type Client struct {
 
 // DialMirror connects directly to a Mirror DBMS address.
 func DialMirror(addr string) (*Client, error) {
-	c, err := rpc.Dial("tcp", addr)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("core: dial %s: %w", addr, err)
 	}
-	return &Client{c: c}, nil
+	return &Client{c: newWireClient(conn)}, nil
 }
 
 // DialMirrorTimeout is DialMirror with a bound on connection establishment
@@ -687,7 +647,7 @@ func DialMirrorTimeout(addr string, d time.Duration) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: dial %s: %w", addr, err)
 	}
-	return &Client{c: rpc.NewClient(conn), timeout: d}, nil
+	return &Client{c: newWireClient(conn), timeout: d}, nil
 }
 
 // SetCallTimeout bounds every subsequent call on this client; 0 restores
