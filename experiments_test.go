@@ -32,16 +32,12 @@ func rgbCoarse(img *media.Image) []float64 {
 
 // fitSelect standardises and model-selects (bench helper).
 func fitSelect(data [][]float64, kmin, kmax int, seed int64) (*cluster.Model, []int, error) {
-	std, means, stds := cluster.Standardize(data)
+	std, _, _ := cluster.Standardize(data)
 	m, err := cluster.Select(std, kmin, kmax, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	assign := make([]int, len(data))
-	for i, x := range data {
-		assign[i] = m.Assign(cluster.ApplyStandardize(x, means, stds))
-	}
-	return m, assign, nil
+	return m, m.AssignAll(std), nil
 }
 
 // buildTextDB builds a CONTREP-indexed synthetic text collection.

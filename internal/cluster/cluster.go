@@ -10,6 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // Model is a fitted mixture of diagonal Gaussians.
@@ -58,14 +61,16 @@ func Fit(data [][]float64, k int, seed int64) (*Model, error) {
 	for i := range resp {
 		resp[i] = make([]float64, k)
 	}
+	var sc scorer
 	prev := math.Inf(-1)
 	for iter := 0; iter < emIters; iter++ {
 		// E step
+		sc.reset(m)
 		ll := 0.0
 		for i, x := range data {
 			maxLog := math.Inf(-1)
 			for j := 0; j < k; j++ {
-				resp[i][j] = math.Log(m.Weights[j]+1e-300) + m.logGauss(j, x)
+				resp[i][j] = sc.logJoint(j, x)
 				if resp[i][j] > maxLog {
 					maxLog = resp[i][j]
 				}
@@ -131,35 +136,93 @@ func Fit(data [][]float64, k int, seed int64) (*Model, error) {
 	return m, nil
 }
 
-// logGauss is the log density of component j at x (diagonal covariance).
-func (m *Model) logGauss(j int, x []float64) float64 {
-	s := 0.0
-	for t := 0; t < m.D; t++ {
-		v := m.Vars[j][t]
-		d := x[t] - m.Means[j][t]
-		s += -0.5*math.Log(2*math.Pi*v) - d*d/(2*v)
-	}
-	return s
+// scorer evaluates the log joint log(w_j) + log N(x | μ_j, diag v_j) of a
+// model's components. The per-component terms that do not depend on x —
+// log(w_j+1e-300) and −½·log(2π·v_jt) — are computed once in reset, not
+// once per point, and the per-point sum adds them in the same order as the
+// direct formula Σ_t [−½·log(2π·v_jt) − (x_t−μ_jt)²/(2·v_jt)], so every
+// score is bit-identical to evaluating that formula in full. A scorer is
+// valid until the model's parameters change.
+type scorer struct {
+	m    *Model
+	logW []float64 // K
+	c    []float64 // K×D, row-major
 }
 
-// Assign returns the most probable component for x.
-func (m *Model) Assign(x []float64) int {
-	best, bestV := 0, math.Inf(-1)
+func newScorer(m *Model) *scorer {
+	sc := &scorer{}
+	sc.reset(m)
+	return sc
+}
+
+// reset recomputes the constants from m's current parameters, reusing the
+// scorer's buffers.
+func (sc *scorer) reset(m *Model) {
+	sc.m = m
+	if cap(sc.logW) < m.K || cap(sc.c) < m.K*m.D {
+		sc.logW = make([]float64, m.K)
+		sc.c = make([]float64, m.K*m.D)
+	}
+	sc.logW, sc.c = sc.logW[:m.K], sc.c[:m.K*m.D]
 	for j := 0; j < m.K; j++ {
-		v := math.Log(m.Weights[j]+1e-300) + m.logGauss(j, x)
-		if v > bestV {
+		sc.logW[j] = math.Log(m.Weights[j] + 1e-300)
+		c := sc.c[j*m.D : (j+1)*m.D]
+		for t, v := range m.Vars[j] {
+			c[t] = -0.5 * math.Log(2*math.Pi*v)
+		}
+	}
+}
+
+// logJoint is log(w_j) + log density of component j at x.
+func (sc *scorer) logJoint(j int, x []float64) float64 {
+	d := sc.m.D
+	c := sc.c[j*d : (j+1)*d]
+	mean, vr := sc.m.Means[j][:d], sc.m.Vars[j][:d]
+	x = x[:d]
+	s := 0.0
+	for t := range c {
+		v := vr[t]
+		dt := x[t] - mean[t]
+		s += c[t] - dt*dt/(2*v)
+	}
+	return sc.logW[j] + s
+}
+
+// assign returns the most probable component for x.
+func (sc *scorer) assign(x []float64) int {
+	best, bestV := 0, math.Inf(-1)
+	for j := 0; j < sc.m.K; j++ {
+		if v := sc.logJoint(j, x); v > bestV {
 			best, bestV = j, v
 		}
 	}
 	return best
 }
 
+// Assign returns the most probable component for x.
+func (m *Model) Assign(x []float64) int {
+	return newScorer(m).assign(x)
+}
+
+// AssignAll returns the most probable component of every row of xs; each
+// entry equals Assign of that row, but the component constants are
+// computed once for the whole batch.
+func (m *Model) AssignAll(xs [][]float64) []int {
+	sc := newScorer(m)
+	out := make([]int, len(xs))
+	for i, x := range xs {
+		out[i] = sc.assign(x)
+	}
+	return out
+}
+
 // Posterior returns P(component | x).
 func (m *Model) Posterior(x []float64) []float64 {
+	sc := newScorer(m)
 	logs := make([]float64, m.K)
 	maxLog := math.Inf(-1)
 	for j := 0; j < m.K; j++ {
-		logs[j] = math.Log(m.Weights[j]+1e-300) + m.logGauss(j, x)
+		logs[j] = sc.logJoint(j, x)
 		if logs[j] > maxLog {
 			maxLog = logs[j]
 		}
@@ -176,23 +239,44 @@ func (m *Model) Posterior(x []float64) []float64 {
 }
 
 // Select fits models for k in [kmin, kmax] and returns the one with the
-// best (lowest) BIC — AutoClass's search over the number of classes.
+// best (lowest) BIC — AutoClass's search over the number of classes. The
+// fits are independent and run on up to GOMAXPROCS goroutines; the pick
+// then scans them in ascending k, so the result (ties go to the smaller
+// k) is the serial search's.
 func Select(data [][]float64, kmin, kmax int, seed int64) (*Model, error) {
 	if kmin < 1 || kmax < kmin {
 		return nil, fmt.Errorf("cluster: bad k range [%d,%d]", kmin, kmax)
 	}
+	if kmax > len(data) {
+		kmax = len(data)
+	}
+	if kmax < kmin {
+		return nil, fmt.Errorf("cluster: no model fitted")
+	}
+	models := make([]*Model, kmax-kmin+1)
+	errs := make([]error, len(models))
+	workers := min(runtime.GOMAXPROCS(0), len(models))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(models); i = int(next.Add(1)) - 1 {
+				k := kmin + i
+				models[i], errs[i] = Fit(data, k, seed+int64(k))
+			}
+		}()
+	}
+	wg.Wait()
 	var best *Model
-	for k := kmin; k <= kmax && k <= len(data); k++ {
-		m, err := Fit(data, k, seed+int64(k))
-		if err != nil {
-			return nil, err
+	for i, m := range models {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 		if best == nil || m.BIC < best.BIC {
 			best = m
 		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("cluster: no model fitted")
 	}
 	return best, nil
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"runtime"
 	"sync"
@@ -8,12 +10,15 @@ import (
 
 	"mirror/internal/bat"
 	"mirror/internal/corpus"
+	"mirror/internal/feature"
 )
 
 // TestParallelPipelineMatchesSerial builds the content index twice — once
-// at GOMAXPROCS=1 (one extraction worker, the serial reference) and once
-// at 4 — and requires the resulting databases to answer identically: the
-// extraction fan-out must not change what gets indexed.
+// at GOMAXPROCS=1 (one extraction worker and one class-search fit at a
+// time, the serial reference) and once at 4 — with all six feature daemons
+// and the default class range, and requires the same codebook bit for bit
+// and databases that answer identically: neither the extraction fan-out
+// nor the concurrent class search may change what gets indexed.
 func TestParallelPipelineMatchesSerial(t *testing.T) {
 	build := func(procs int) *Mirror {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
@@ -27,16 +32,29 @@ func TestParallelPipelineMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		opts := DefaultIndexOptions()
-		opts.Features = []string{"rgb_coarse", "gabor"}
-		opts.KMax = 6
-		if err := m.BuildContentIndex(opts); err != nil {
+		if err := m.BuildContentIndex(DefaultIndexOptions()); err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
 	ser := build(1)
 	par := build(4)
+	if len(ser.codebook.Spaces) != len(feature.All()) {
+		t.Fatalf("codebook has %d feature spaces, want %d", len(ser.codebook.Spaces), len(feature.All()))
+	}
+	// encoding/json writes each float64 in the shortest form that parses
+	// back to the same bits, so equal JSON means bit-equal codebooks.
+	sj, err := json.Marshal(ser.codebook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pj, err := json.Marshal(par.codebook)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sj, pj) {
+		t.Fatalf("codebooks diverge:\n%s\n%s", sj, pj)
+	}
 	for oid := bat.OID(0); oid < 12; oid++ {
 		s, p := ser.ContentTerms(oid), par.ContentTerms(oid)
 		if fmt.Sprint(s) != fmt.Sprint(p) {

@@ -53,9 +53,14 @@ type SpaceCodebook struct {
 	Model *cluster.Model `json:"model"`
 }
 
-// Assign returns the cluster index of a raw (unstandardised) vector.
-func (sc *SpaceCodebook) Assign(x []float64) int {
-	return sc.Model.Assign(cluster.ApplyStandardize(x, sc.Means, sc.Stds))
+// AssignAll returns the cluster index of every raw (unstandardised)
+// vector.
+func (sc *SpaceCodebook) AssignAll(xs [][]float64) []int {
+	std := make([][]float64, len(xs))
+	for i, x := range xs {
+		std[i] = cluster.ApplyStandardize(x, sc.Means, sc.Stds)
+	}
+	return sc.Model.AssignAll(std)
 }
 
 // Codebook freezes the whole content-model of a full build — one
@@ -244,8 +249,8 @@ func assignExtraction(pipe segmentExtractor, cb *Codebook, order []string) (map[
 		if sc == nil || sc.Model == nil {
 			return nil, fmt.Errorf("core: codebook has no model for feature %q", fname)
 		}
-		for si, vec := range perFeature[fname] {
-			segWords[si] = append(segWords[si], fmt.Sprintf("%s_%d", fname, sc.Assign(vec)))
+		for si, cl := range sc.AssignAll(perFeature[fname]) {
+			segWords[si] = append(segWords[si], fmt.Sprintf("%s_%d", fname, cl))
 		}
 	}
 	imageWords := make(map[string][]string, len(order))
@@ -317,7 +322,9 @@ func (m *Mirror) populateShardIndex(imageWords map[string][]string, annDict, img
 }
 
 // parallelEach runs f(i) for every i in [0, n) on up to GOMAXPROCS
-// workers. It is the one fan-out inside a single request: pipeline items
+// workers. It is one of the two fan-outs inside a single request, both in
+// the content pipeline; the other is cluster.Select, which fits a feature
+// space's k range concurrently inside one of these workers. Pipeline items
 // are few but each costs milliseconds of image work, so even two are worth
 // a goroutine (query operators, by contrast, run on the caller's
 // goroutine). A non-nil return from f stops the dispatch of further items —
@@ -429,12 +436,9 @@ func (p *localPipeline) fit(data [][]float64, kmin, kmax int, seed int64) ([]int
 	if err != nil {
 		return nil, nil, err
 	}
-	sc := &SpaceCodebook{Means: means, Stds: stds, Model: model}
-	assign := make([]int, len(data))
-	for i, x := range data {
-		assign[i] = sc.Assign(x)
-	}
-	return assign, sc, nil
+	// Standardize built std with ApplyStandardize, so these are the rows
+	// SpaceCodebook.AssignAll(data) would standardise again.
+	return model.AssignAll(std), &SpaceCodebook{Means: means, Stds: stds, Model: model}, nil
 }
 
 func (p *localPipeline) close() {}

@@ -61,11 +61,7 @@ func stubSpaceCodebook() *SpaceCodebook {
 
 func (stubPipeline) fit(data [][]float64, _, _ int, _ int64) ([]int, *SpaceCodebook, error) {
 	sc := stubSpaceCodebook()
-	assign := make([]int, len(data))
-	for i, x := range data {
-		assign[i] = sc.Assign(x)
-	}
-	return assign, sc, nil
+	return sc.AssignAll(data), sc, nil
 }
 
 // ---- corpus ----

@@ -155,7 +155,7 @@ func (*ClusterService) Fit(args FitArgs, reply *FitReply) error {
 	if len(args.Data) == 0 {
 		return fmt.Errorf("daemon: cluster fit on empty data")
 	}
-	std, means, stds := cluster.Standardize(args.Data)
+	std, _, _ := cluster.Standardize(args.Data)
 	m, err := cluster.Select(std, args.KMin, args.KMax, args.Seed)
 	if err != nil {
 		return err
@@ -163,10 +163,7 @@ func (*ClusterService) Fit(args FitArgs, reply *FitReply) error {
 	reply.Model = *m
 	reply.ChoseK = m.K
 	reply.DataBIC = m.BIC
-	reply.Assign = make([]int, len(args.Data))
-	for i, x := range args.Data {
-		reply.Assign[i] = m.Assign(cluster.ApplyStandardize(x, means, stds))
-	}
+	reply.Assign = m.AssignAll(std)
 	return nil
 }
 

@@ -177,7 +177,7 @@ type RouterEngine struct {
 	urls       map[string]struct{}
 	locs       []shardLoc
 	localCount []int
-	anns       map[string]string
+	annToks    map[string][]string // ir.Analyze of each annotation, once at AddImage
 	rasters    map[string]*media.Image
 	terms      map[string][]string // deduped cluster words by URL (post-build)
 	codebook   *core.Codebook
@@ -209,7 +209,7 @@ func NewRouter(shards [][]string, opts Options) (*RouterEngine, error) {
 		backoff:    opts.Backoff,
 		urls:       map[string]struct{}{},
 		localCount: make([]int, len(shards)),
-		anns:       map[string]string{},
+		annToks:    map[string][]string{},
 		rasters:    map[string]*media.Image{},
 		terms:      map[string][]string{},
 	}
@@ -362,7 +362,7 @@ func (e *RouterEngine) AddImage(url, annotation string, img *media.Image) error 
 	e.urls[url] = struct{}{}
 	e.locs = append(e.locs, shardLoc{shard: s, local: e.localCount[s]})
 	e.localCount[s]++
-	e.anns[url] = annotation
+	e.annToks[url] = ir.Analyze(annotation)
 	if img != nil {
 		e.rasters[url] = img
 	}
@@ -577,10 +577,9 @@ func (e *RouterEngine) BuildContentIndex(opts core.IndexOptions) error {
 	imgTerms := make([][]string, len(order))
 	var thDocs []thesaurus.Doc
 	for i, url := range order {
-		ann := e.anns[url]
-		annTokens[i] = ir.Analyze(ann)
+		annTokens[i] = e.annToks[url]
 		imgTerms[i] = dedupTerms(imageWords[url])
-		if ann != "" {
+		if len(annTokens[i]) > 0 {
 			thDocs = append(thDocs, thesaurus.Doc{Words: annTokens[i], Concepts: imgTerms[i]})
 		}
 	}
@@ -749,7 +748,7 @@ func (e *RouterEngine) Refresh() (core.RefreshStats, error) {
 	imgTerms := make([][]string, orderLen)
 	for g := 0; g < orderLen; g++ {
 		url := e.order[g]
-		annTokens[g] = ir.Analyze(e.anns[url])
+		annTokens[g] = e.annToks[url]
 		imgTerms[g] = e.terms[url]
 	}
 	gsAnn := ir.CollectionStats(annTokens)
@@ -771,9 +770,9 @@ func (e *RouterEngine) Refresh() (core.RefreshStats, error) {
 		}
 		perShard[l.shard] = append(perShard[l.shard], url)
 		words[l.shard][url] = assigned[url]
-		if ann := e.anns[url]; ann != "" {
+		if toks := e.annToks[url]; len(toks) > 0 {
 			thDocsByShard[l.shard] = append(thDocsByShard[l.shard],
-				thesaurus.Doc{Words: ir.Analyze(ann), Concepts: e.terms[url]})
+				thesaurus.Doc{Words: toks, Concepts: e.terms[url]})
 		}
 	}
 

@@ -194,73 +194,104 @@ func (g *GLCM) Dim() int { return 10 }
 
 // Extract implements Extractor.
 func (g *GLCM) Extract(img *media.Image) []float64 {
-	offsets := [][2]int{{1, 0}, {0, 1}}
-	out := make([]float64, 0, g.Dim())
-	for _, off := range offsets {
-		out = append(out, g.haralick(img, off[0], off[1])...)
+	// Quantise every pixel once; both offsets read the same levels. A
+	// pipeline tile fits the stack buffer, larger rasters allocate.
+	var qbuf [64]uint8
+	var q []uint8
+	if n := img.W * img.H; n <= len(qbuf) {
+		q = qbuf[:n]
+	} else {
+		q = make([]uint8, n)
 	}
+	for y := 0; y < img.H; y++ {
+		for x := 0; x < img.W; x++ {
+			q[y*img.W+x] = uint8(int(img.Gray(x, y)) * g.levels / 256)
+		}
+	}
+	out := make([]float64, 0, g.Dim())
+	var cells [32]glcmCell
+	out = g.haralick(out, q, img.W, img.H, 1, 0, cells[:0])
+	out = g.haralick(out, q, img.W, img.H, 0, 1, cells[:0])
 	return out
 }
 
-func (g *GLCM) haralick(img *media.Image, dx, dy int) []float64 {
+// glcmCell is one touched co-occurrence cell: its row-major index i·L+j
+// and its count, later its probability.
+type glcmCell struct {
+	idx int
+	p   float64
+}
+
+// addCell counts one co-occurrence of cell idx in cells, which stays
+// sorted by idx.
+func addCell(cells []glcmCell, idx int) []glcmCell {
+	lo, hi := 0, len(cells)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cells[mid].idx < idx {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(cells) && cells[lo].idx == idx {
+		cells[lo].p++
+		return cells
+	}
+	cells = append(cells, glcmCell{})
+	copy(cells[lo+1:], cells[lo:])
+	cells[lo] = glcmCell{idx: idx, p: 1}
+	return cells
+}
+
+// haralick appends the five features of the co-occurrence matrix of the
+// quantised w×h raster q at offset (dx, dy). The matrix is kept sparse:
+// only touched cells, walked in ascending (i, j) order — the order of a
+// dense L×L scan. The cells it skips hold p = 0 and would add exactly +0 to
+// each sum (every term is a finite value times p, and the sums start at
+// +0), so the features are bit-identical to the dense computation.
+func (g *GLCM) haralick(out []float64, q []uint8, w, h, dx, dy int, cells []glcmCell) []float64 {
 	L := g.levels
-	m := make([]float64, L*L)
 	var total float64
-	for y := 0; y < img.H-dy; y++ {
-		for x := 0; x < img.W-dx; x++ {
-			a := int(img.Gray(x, y)) * L / 256
-			b := int(img.Gray(x+dx, y+dy)) * L / 256
-			m[a*L+b]++
+	for y := 0; y < h-dy; y++ {
+		for x := 0; x < w-dx; x++ {
+			cells = addCell(cells, int(q[y*w+x])*L+int(q[(y+dy)*w+x+dx]))
 			total++
 		}
 	}
-	feats := make([]float64, 5)
 	if total == 0 {
-		return feats
+		return append(out, 0, 0, 0, 0, 0)
 	}
 	var meanI, meanJ float64
-	for i := 0; i < L; i++ {
-		for j := 0; j < L; j++ {
-			p := m[i*L+j] / total
-			m[i*L+j] = p
-			meanI += float64(i) * p
-			meanJ += float64(j) * p
-		}
+	for k := range cells {
+		p := cells[k].p / total
+		cells[k].p = p
+		i, j := cells[k].idx/L, cells[k].idx%L
+		meanI += float64(i) * p
+		meanJ += float64(j) * p
 	}
 	var varI, varJ float64
-	for i := 0; i < L; i++ {
-		for j := 0; j < L; j++ {
-			p := m[i*L+j]
-			varI += (float64(i) - meanI) * (float64(i) - meanI) * p
-			varJ += (float64(j) - meanJ) * (float64(j) - meanJ) * p
-		}
+	for _, c := range cells {
+		i, j, p := c.idx/L, c.idx%L, c.p
+		varI += (float64(i) - meanI) * (float64(i) - meanI) * p
+		varJ += (float64(j) - meanJ) * (float64(j) - meanJ) * p
 	}
 	var contrast, energy, entropy, homog, corr float64
-	for i := 0; i < L; i++ {
-		for j := 0; j < L; j++ {
-			p := m[i*L+j]
-			if p == 0 {
-				continue
-			}
-			d := float64(i - j)
-			contrast += d * d * p
-			energy += p * p
-			entropy -= p * math.Log2(p)
-			homog += p / (1 + d*d)
-			corr += (float64(i) - meanI) * (float64(j) - meanJ) * p
-		}
+	for _, c := range cells {
+		i, j, p := c.idx/L, c.idx%L, c.p
+		d := float64(i - j)
+		contrast += d * d * p
+		energy += p * p
+		entropy -= p * math.Log2(p)
+		homog += p / (1 + d*d)
+		corr += (float64(i) - meanI) * (float64(j) - meanJ) * p
 	}
 	if varI > 0 && varJ > 0 {
 		corr /= math.Sqrt(varI * varJ)
 	} else {
 		corr = 0
 	}
-	feats[0] = contrast / float64(L*L)
-	feats[1] = energy
-	feats[2] = entropy / 8
-	feats[3] = homog
-	feats[4] = corr
-	return feats
+	return append(out, contrast/float64(L*L), energy, entropy/8, homog, corr)
 }
 
 // ---- autocorrelation ----
