@@ -2,6 +2,7 @@ package mirror
 
 import (
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -263,6 +264,57 @@ func TestDocsCrashMatrixNamesRealTests(t *testing.T) {
 	for _, m := range cited {
 		if !strings.Contains(all, "func "+m[1]+"(") {
 			t.Errorf("docs/OPERATIONS.md cites %s, which no longer exists", m[1])
+		}
+	}
+}
+
+// TestDocsExperimentsNamesRealTests keeps EXPERIMENTS.md's experiments
+// table anchored to the suite: every Test, Fuzz or Benchmark it names must
+// be a function in some _test.go file of the tree, and a `Name*` entry
+// must prefix at least one.
+func TestDocsExperimentsNamesRealTests(t *testing.T) {
+	src, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src)
+	lo := strings.Index(doc, "## The experiments")
+	hi := strings.Index(doc, "## Reference numbers")
+	if lo < 0 || hi < lo {
+		t.Fatal("EXPERIMENTS.md lost its experiments table section")
+	}
+	cited := regexp.MustCompile("`((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*)(\\*?)`").FindAllStringSubmatch(doc[lo:hi], -1)
+	if len(cited) == 0 {
+		t.Fatal("the experiments table names no tests")
+	}
+	var testSrc strings.Builder
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && strings.HasPrefix(d.Name(), ".") && path != "." {
+			return filepath.SkipDir
+		}
+		if !d.IsDir() && strings.HasSuffix(path, "_test.go") {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			testSrc.Write(b)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := testSrc.String()
+	for _, m := range cited {
+		decl := "func " + m[1]
+		if m[2] == "" {
+			decl += "("
+		}
+		if !strings.Contains(all, decl) {
+			t.Errorf("EXPERIMENTS.md's experiments table names %s%s, which matches no function", m[1], m[2])
 		}
 	}
 }

@@ -1,8 +1,10 @@
 package bat
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync/atomic"
 )
@@ -137,8 +139,29 @@ func (h *BoundedTopK[T]) siftDown(i int) {
 // Ranked sorts the retained elements best-first and returns them; the
 // selector must not be Offered to afterwards.
 func (h *BoundedTopK[T]) Ranked() []T {
-	sort.Slice(h.items, func(i, j int) bool { return h.worse(h.items[j], h.items[i]) })
+	slices.SortFunc(h.items, func(a, b T) int {
+		switch {
+		case h.worse(b, a):
+			return -1
+		case h.worse(a, b):
+			return 1
+		}
+		return 0
+	})
 	return h.items
+}
+
+// descending is a slices.SortStableFunc comparator putting larger values
+// first. Unordered pairs (NaN) compare equal, as under the strict ">" a
+// sort.SliceStable less function would use.
+func descending(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case a < b:
+		return 1
+	}
+	return 0
 }
 
 // topkCand is the pruned operator's heap element.
@@ -301,17 +324,17 @@ func PrunedTopK(srcs []TopKSource, div, def float64, k int, domain *BAT, theta *
 		return nil, fmt.Errorf("bat: prunedtopk: unweighted mode needs a domain for default-scored documents")
 	}
 
-	slices := refineSlices(scans)
+	parts := refineSlices(scans)
 	// Descending impact; order changes only the skipped work, never the
 	// result.
-	sort.SliceStable(slices, func(a, b int) bool { return slices[a].impact > slices[b].impact })
+	slices.SortStableFunc(parts, func(a, b docSlice) int { return descending(a.impact, b.impact) })
 
 	if theta == nil {
 		theta = NewTopKThreshold()
 	}
 	h := NewBoundedTopK(k, worseCand)
-	for i := range slices {
-		if err := scanSlice(scans, &slices[i], m, div, def, fillBase, h, theta); err != nil {
+	for i := range parts {
+		if err := scanSlice(scans, &parts[i], m, div, def, fillBase, h, theta); err != nil {
 			return nil, err
 		}
 	}
@@ -456,31 +479,31 @@ func refineSlices(scans []sourceScan) []docSlice {
 	for s := range scans {
 		n += len(scans[s].segs)
 	}
-	slices := make([]docSlice, 0, n)
+	parts := make([]docSlice, 0, n)
 	for s := range scans {
 		for _, seg := range scans[s].segs {
 			if seg.hi > seg.lo {
-				slices = append(slices, docSlice{hi: seg.hi})
+				parts = append(parts, docSlice{hi: seg.hi})
 			}
 		}
 	}
 	if len(scans) > 1 {
-		sort.Slice(slices, func(a, b int) bool { return slices[a].hi < slices[b].hi })
+		slices.SortFunc(parts, func(a, b docSlice) int { return cmp.Compare(a.hi, b.hi) })
 		u := 0
-		for i := range slices {
-			if i == 0 || slices[i].hi != slices[u-1].hi {
-				slices[u] = slices[i]
+		for i := range parts {
+			if i == 0 || parts[i].hi != parts[u-1].hi {
+				parts[u] = parts[i]
 				u++
 			}
 		}
-		slices = slices[:u]
+		parts = parts[:u]
 	}
-	segIdx := make([]int, len(slices)*len(scans))
+	segIdx := make([]int, len(parts)*len(scans))
 	for s := range scans {
 		segs := scans[s].segs
 		lo, g := OID(0), 0 // g: the source's first segment not ending before lo
-		for i := range slices {
-			sl := &slices[i]
+		for i := range parts {
+			sl := &parts[i]
 			if s == 0 {
 				sl.lo, sl.segs = lo, segIdx[i*len(scans):(i+1)*len(scans)]
 			}
@@ -496,7 +519,7 @@ func refineSlices(scans []sourceScan) []docSlice {
 			lo = sl.hi
 		}
 	}
-	return slices
+	return parts
 }
 
 // fillDefaults merges default-scored (unmatched) documents into a ranked

@@ -2,7 +2,7 @@ package bat
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -326,7 +326,7 @@ func maxscoreScanBlocks(cs []blockCursor, terms []qterm, scans []sourceScan, div
 	for i := range perm {
 		perm[i] = i
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return terms[perm[a]].ub > terms[perm[b]].ub })
+	slices.SortStableFunc(perm, func(a, b int) int { return descending(terms[a].ub, terms[b].ub) })
 	suffixUB := sc.suffix
 	suffixUB[m] = 0
 	for j := m - 1; j >= 0; j-- {

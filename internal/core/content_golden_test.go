@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"mirror/internal/bat"
@@ -17,6 +18,14 @@ import (
 // (feature extraction, AutoClass fitting and assignment) may get faster but
 // must not change a single output bit, so this hash is fixed.
 const contentModelHash = "7905e192ba9dbc414db8b66ebe398dbc9fcd42b3447abb25e6c9e88f684dab71"
+
+// internalSetHash is the sha256 of the same store's internal set: every
+// physical column of the annotation and image CONTREPs — dictionaries,
+// postings, beliefs, segment directories. How a publish inserts and
+// folds (one analysis per annotation, the thesaurus fold beside the
+// CONTREP apply) may change, but not one stored value, so this hash is
+// fixed too.
+const internalSetHash = "c717d612a3f4de43c1ab70d0c0af7896931dfa241abef8cb0e7c8304f62066d5"
 
 func TestContentModelGolden(t *testing.T) {
 	items := corpus.Generate(corpus.Config{N: 3000, W: 8, H: 8, Seed: 1, AnnotateRate: 0.9, ClassZipf: 1.3})
@@ -54,5 +63,24 @@ func TestContentModelGolden(t *testing.T) {
 	h.Write(th)
 	if got := hex.EncodeToString(h.Sum(nil)); got != contentModelHash {
 		t.Fatalf("content model hash %s, want %s", got, contentModelHash)
+	}
+
+	h = sha256.New()
+	for _, name := range m.DB.BATNames() {
+		if !strings.HasPrefix(name, InternalSet+"_") {
+			continue
+		}
+		b, _ := m.DB.BAT(name)
+		fmt.Fprintln(h, name, b.Len())
+		for i := 0; i < b.Len(); i++ {
+			hd, tl, err := b.Fetch(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(h, hd, tl)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != internalSetHash {
+		t.Fatalf("internal set hash %s, want %s", got, internalSetHash)
 	}
 }

@@ -8,12 +8,10 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mirror/internal/bat"
 	"mirror/internal/cluster"
 	"mirror/internal/daemon"
 	"mirror/internal/dict"
 	"mirror/internal/feature"
-	"mirror/internal/ir"
 	"mirror/internal/media"
 	"mirror/internal/thesaurus"
 )
@@ -268,43 +266,11 @@ func assignExtraction(pipe segmentExtractor, cb *Codebook, order []string) (map[
 // by the engine beforehand). Returns the thesaurus training docs in local
 // document order; callers hold m.mu.
 func (m *Mirror) populateContentLocked(imageWords map[string][]string, annDict, imgDict []string) ([]thesaurus.Doc, error) {
-	if err := m.DB.Reset(InternalSet); err != nil {
-		return nil, err
-	}
-	m.contentTerms = map[bat.OID][]string{}
-	annB, _ := m.DB.BAT(LibrarySet + "_annotation")
-	var thDocs []thesaurus.Doc
+	docs := make([]walDoc, len(m.order))
 	for i, url := range m.order {
-		annV, _ := annB.Find(bat.OID(i))
-		ann, _ := annV.(string)
-		terms := dedupSorted(imageWords[url])
-		oid, err := m.DB.Insert(InternalSet, map[string]any{
-			"source":     url,
-			"annotation": ann,
-			"image":      terms,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.contentTerms[oid] = terms
-		if ann != "" {
-			thDocs = append(thDocs, thesaurus.Doc{Words: ir.Analyze(ann), Concepts: terms})
-		}
+		docs[i] = walDoc{URL: url, Words: imageWords[url]}
 	}
-	if annDict != nil {
-		if err := ir.EnsureDictTerms(m.DB, InternalSet+"_annotation", annDict); err != nil {
-			return nil, err
-		}
-	}
-	if imgDict != nil {
-		if err := ir.EnsureDictTerms(m.DB, InternalSet+"_image", imgDict); err != nil {
-			return nil, err
-		}
-	}
-	if err := m.DB.Finalize(InternalSet); err != nil {
-		return nil, err
-	}
-	return thDocs, nil
+	return m.populateCoveredLocked(docs, annDict, imgDict)
 }
 
 // populateShardIndex is the per-shard half of a sharded index build: the

@@ -297,11 +297,12 @@ func TestPreparedSharedAcrossGoroutines(t *testing.T) {
 // warmPlanAllocs pins the allocs/op of a warm-plan miss on the public
 // surface — Mirror.QueryAnnotationsStamped with the result cache off and
 // the θ-memo disabled, so every call compiles nothing and scans in full —
-// on the fixture below, measured at 93 with go1.24 on linux/amd64.
+// on the fixture below, measured at 87 with go1.24 on linux/amd64 (93
+// before the top-k sorts moved from sort.Slice to slices.SortFunc).
 // Before prepared plans the same query allocated 266 objects: every query
 // re-lexed, re-parsed, re-checked, re-planned and re-lowered the ranking
 // expression and copied the snapshot map into its environment.
-const warmPlanAllocs = 93
+const warmPlanAllocs = 87
 
 // raceEnabled is set under the race detector, whose sync.Pool drops
 // pooled scratch at random: allocation counts are then not exact.

@@ -200,29 +200,33 @@ func (m *Mirror) applyDeltaLocked(urls []string, words map[string][]string, annV
 			}
 		}
 	}
-	base := m.coveredLocked()
-	annB, _ := m.DB.BAT(LibrarySet + "_annotation")
-	walDocs := make([]walDoc, 0, len(urls))
-	var thDocs []thesaurus.Doc
+	walDocs := make([]walDoc, len(urls))
 	for i, url := range urls {
-		var ann string
-		if annB != nil {
-			if v, ok := annB.Find(orderOID(base + i)); ok {
-				ann, _ = v.(string)
+		walDocs[i] = walDoc{URL: url, Words: words[url]}
+	}
+	staged, thDocs := m.stageDocsLocked(m.coveredLocked(), walDocs)
+	for i := range walDocs { // the publish record logs the deduplicated words
+		walDocs[i].Words = staged[i].terms
+	}
+	if refinalize && len(thDocs) > 0 {
+		// The thesaurus fold shares no state with the CONTREP work below,
+		// so it runs beside it on one goroutine (the shared instance
+		// synchronises internally, so concurrent Associates stay safe).
+		// Joined on every return path: the caller's WAL publish record,
+		// compaction and epoch publish see the folded thesaurus.
+		folded := make(chan *thesaurus.Thesaurus, 1)
+		go func(t *thesaurus.Thesaurus) {
+			if t == nil {
+				t = thesaurus.Build(thDocs)
+			} else {
+				t.AddDocs(thDocs)
 			}
-		}
-		terms := dedupSorted(append([]string(nil), words[url]...))
-		oid, err := m.DB.Insert(InternalSet, map[string]any{
-			"source": url, "annotation": ann, "image": terms,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: delta insert %s: %w", url, err)
-		}
-		m.contentTerms[oid] = terms
-		walDocs = append(walDocs, walDoc{URL: url, Words: terms})
-		if ann != "" {
-			thDocs = append(thDocs, thesaurus.Doc{Words: ir.Analyze(ann), Concepts: terms})
-		}
+			folded <- t
+		}(m.Thes)
+		defer func() { m.Thes = <-folded }()
+	}
+	if err := m.insertStagedLocked(staged); err != nil {
+		return nil, fmt.Errorf("core: delta insert %w", err)
 	}
 	if annVocab != nil {
 		if err := ir.EnsureDictTerms(m.DB, InternalSet+"_annotation", annVocab); err != nil {
@@ -251,13 +255,57 @@ func (m *Mirror) applyDeltaLocked(urls []string, words map[string][]string, annV
 			return nil, err
 		}
 	}
-	switch {
-	case m.Thes != nil:
-		m.Thes.AddDocs(thDocs)
-	case len(thDocs) > 0:
-		m.Thes = thesaurus.Build(thDocs)
-	}
 	return walDocs, nil
+}
+
+// stagedDoc is one document on its way into the internal set, its
+// annotation analysed once: toks feeds both the annotation CONTREP insert
+// and the thesaurus training doc.
+type stagedDoc struct {
+	url   string
+	toks  []string
+	terms []string // deduplicated, sorted content words
+}
+
+// stageDocsLocked reads the library annotation of position base+i for
+// docs[i] and analyses it once. It returns the staged documents and the
+// thesaurus training docs of the annotated ones, in order. Callers hold
+// m.mu.
+func (m *Mirror) stageDocsLocked(base int, docs []walDoc) ([]stagedDoc, []thesaurus.Doc) {
+	annB, _ := m.DB.BAT(LibrarySet + "_annotation")
+	staged := make([]stagedDoc, len(docs))
+	var thDocs []thesaurus.Doc
+	for i, d := range docs {
+		var ann string
+		if annB != nil {
+			if v, ok := annB.Find(orderOID(base + i)); ok {
+				ann, _ = v.(string)
+			}
+		}
+		sd := stagedDoc{url: d.URL, terms: dedupSorted(append([]string(nil), d.Words...))}
+		if ann != "" {
+			sd.toks = ir.Analyze(ann)
+			thDocs = append(thDocs, thesaurus.Doc{Words: sd.toks, Concepts: sd.terms})
+		}
+		staged[i] = sd
+	}
+	return staged, thDocs
+}
+
+// insertStagedLocked appends staged documents to the internal set. The
+// annotation goes in as its analysed tokens, which the CONTREP indexes
+// exactly as it would the raw text. Callers hold m.mu (write).
+func (m *Mirror) insertStagedLocked(staged []stagedDoc) error {
+	for _, sd := range staged {
+		oid, err := m.DB.Insert(InternalSet, map[string]any{
+			"source": sd.url, "annotation": sd.toks, "image": sd.terms,
+		})
+		if err != nil {
+			return fmt.Errorf("%s: %w", sd.url, err)
+		}
+		m.contentTerms[oid] = sd.terms
+	}
+	return nil
 }
 
 // compactLocked applies the tiered bounded-fan-in merge policy until no

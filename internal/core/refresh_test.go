@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -308,6 +309,12 @@ func TestIncrementalEqualsOneShotSharded(t *testing.T) {
 		assertSameRetrieval(t, label+" inc-vs-sharded-oneshot", ref, inc, 10)
 		assertSameRetrieval(t, label+" inc-vs-single-oneshot", single, inc, 10)
 		assertSameRetrieval(t, label+" full-ranking", single, inc, 0)
+		// Every shard member folds its delta into the shared thesaurus
+		// beside its own CONTREP apply; the folds must add up to the
+		// single store's.
+		if !reflect.DeepEqual(inc.Thesaurus().State(), single.Thesaurus().State()) {
+			t.Fatalf("%s: incremental engine thesaurus differs from the single store's", label)
+		}
 	}
 }
 

@@ -286,34 +286,19 @@ func (m *Mirror) applyStatsPublishLocked(r walRecord) (bool, error) {
 // publish). docs[i] must be the library's i-th document. Callers hold
 // m.mu (write).
 func (m *Mirror) populateCoveredLocked(docs []walDoc, annDict, imgDict []string) ([]thesaurus.Doc, error) {
-	if err := m.DB.Reset(InternalSet); err != nil {
-		return nil, err
-	}
-	m.contentTerms = map[bat.OID][]string{}
-	annB, _ := m.DB.BAT(LibrarySet + "_annotation")
-	var thDocs []thesaurus.Doc
 	for i, d := range docs {
 		if i >= len(m.order) || m.order[i] != d.URL {
 			return nil, fmt.Errorf("core: publish document %d is %q, library order has %q",
 				i, d.URL, orderAt(m.order, i))
 		}
-		var ann string
-		if annB != nil {
-			if v, ok := annB.Find(bat.OID(i)); ok {
-				ann, _ = v.(string)
-			}
-		}
-		terms := dedupSorted(append([]string(nil), d.Words...))
-		oid, err := m.DB.Insert(InternalSet, map[string]any{
-			"source": d.URL, "annotation": ann, "image": terms,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.contentTerms[oid] = terms
-		if ann != "" {
-			thDocs = append(thDocs, thesaurus.Doc{Words: ir.Analyze(ann), Concepts: terms})
-		}
+	}
+	if err := m.DB.Reset(InternalSet); err != nil {
+		return nil, err
+	}
+	m.contentTerms = map[bat.OID][]string{}
+	staged, thDocs := m.stageDocsLocked(0, docs)
+	if err := m.insertStagedLocked(staged); err != nil {
+		return nil, err
 	}
 	if annDict != nil {
 		if err := ir.EnsureDictTerms(m.DB, InternalSet+"_annotation", annDict); err != nil {

@@ -68,6 +68,7 @@ func runDifferential(t *testing.T, n int) {
 	compareEngines(t, "build", single, sharded, c.router)
 	c.catchUp()
 	checkEpochVector(t, c)
+	checkShardThesauri(t, "build", single, sharded, c)
 
 	// Incremental round: ingest the remainder everywhere, snapshot the
 	// replicas mid-ingest (their epoch vectors must stay consistent at
@@ -99,6 +100,49 @@ func runDifferential(t *testing.T, n int) {
 	compareEngines(t, "refresh", single, sharded, c.router)
 	c.catchUp()
 	checkEpochVector(t, c)
+	checkShardThesauri(t, "refresh", single, sharded, c)
+}
+
+// checkShardThesauri pins the thesaurus fold on every publish path. The
+// in-process engine's shards fold into one shared instance, which must
+// equal the single store's. A router's shard members each fold only
+// their own documents — full builds and deltas alike run the members'
+// publish path — so their co-occurrence counts must sum to the router's
+// global thesaurus, and every follower must replay its primary's.
+func checkShardThesauri(t *testing.T, phase string, single *core.Mirror, sharded *core.ShardedEngine, c *cluster) {
+	t.Helper()
+	want := single.Thesaurus().State()
+	if len(want.TF) == 0 {
+		t.Fatalf("%s: the single store's thesaurus is empty", phase)
+	}
+	if got := sharded.Thesaurus().State(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: sharded engine thesaurus differs from the single store's", phase)
+	}
+	global := c.router.Thesaurus().State()
+	tf := map[string]map[string]int{}
+	clen := map[string]int{}
+	for s, p := range c.primaries {
+		st := p.Thesaurus().State()
+		for _, f := range c.followers[s] {
+			if !reflect.DeepEqual(f.Thesaurus().State(), st) {
+				t.Fatalf("%s: shard %d follower thesaurus differs from its primary's", phase, s)
+			}
+		}
+		for concept, words := range st.TF {
+			if tf[concept] == nil {
+				tf[concept] = map[string]int{}
+			}
+			for w, n := range words {
+				tf[concept][w] += n
+			}
+		}
+		for concept, n := range st.CLen {
+			clen[concept] += n
+		}
+	}
+	if !reflect.DeepEqual(tf, global.TF) || !reflect.DeepEqual(clen, global.CLen) {
+		t.Fatalf("%s: shard members' co-occurrence counts do not sum to the router's thesaurus", phase)
+	}
 }
 
 // compareEngines drives every retrieval surface against the three

@@ -9,7 +9,8 @@
 package thesaurus
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"mirror/internal/ir"
@@ -58,29 +59,71 @@ func Build(docs []Doc) *Thesaurus {
 // relies on (delta publishes extend the shared thesaurus in place while
 // queries keep Associating concurrently).
 func (t *Thesaurus) AddDocs(docs []Doc) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, d := range docs {
+	// Count the batch before touching the shared maps: words get dense
+	// ids, each concept's docs are tallied into one reused counter array,
+	// and then every distinct (concept, word) pair of the batch costs one
+	// read and one write of its map, however often it occurs. The counts
+	// only grow, so the result equals folding pair by pair.
+	wordID := map[string]int32{}
+	var vocab []string
+	docWords := make([][]int32, len(docs))
+	byConcept := map[string][]int{} // concept → its docs, in order
+	var order []string              // concepts by first appearance
+	for i, d := range docs {
 		if len(d.Words) == 0 {
 			continue
 		}
-		for _, c := range d.Concepts {
-			m, ok := t.tf[c]
+		ids := make([]int32, len(d.Words))
+		for j, w := range d.Words {
+			id, ok := wordID[w]
 			if !ok {
-				m = map[string]int{}
-				t.tf[c] = m
-				t.concepts = append(t.concepts, c)
+				id = int32(len(vocab))
+				wordID[w] = id
+				vocab = append(vocab, w)
 			}
-			for _, w := range d.Words {
-				if m[w] == 0 {
-					t.df[w]++
-				}
-				m[w]++
-				t.clen[c]++
+			ids[j] = id
+		}
+		docWords[i] = ids
+		for _, c := range d.Concepts {
+			if _, ok := byConcept[c]; !ok {
+				order = append(order, c)
 			}
+			byConcept[c] = append(byConcept[c], i)
 		}
 	}
-	sort.Strings(t.concepts)
+
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	count := make([]int, len(vocab))
+	var touched []int32
+	for _, c := range order {
+		m, ok := t.tf[c]
+		if !ok {
+			m = map[string]int{}
+			t.tf[c] = m
+			t.concepts = append(t.concepts, c)
+		}
+		for _, i := range byConcept[c] {
+			for _, id := range docWords[i] {
+				if count[id] == 0 {
+					touched = append(touched, id)
+				}
+				count[id]++
+			}
+			t.clen[c] += len(docWords[i])
+		}
+		for _, id := range touched {
+			w := vocab[id]
+			n := m[w]
+			if n == 0 {
+				t.df[w]++
+			}
+			m[w] = n + count[id]
+			count[id] = 0
+		}
+		touched = touched[:0]
+	}
+	slices.Sort(t.concepts)
 	var total int
 	for _, l := range t.clen {
 		total += l
@@ -183,12 +226,7 @@ func (t *Thesaurus) Associate(queryWords []string, k int) []Association {
 			out = append(out, Association{Concept: c, Belief: score})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Belief != out[j].Belief {
-			return out[i].Belief > out[j].Belief
-		}
-		return out[i].Concept < out[j].Concept
-	})
+	slices.SortFunc(out, byBeliefDesc)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
@@ -208,16 +246,23 @@ func (t *Thesaurus) WordsFor(concept string, k int) []Association {
 			Belief:  ir.Belief(tf, t.clen[concept], t.avgLen, t.df[w], len(t.concepts)),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Belief != out[j].Belief {
-			return out[i].Belief > out[j].Belief
-		}
-		return out[i].Concept < out[j].Concept
-	})
+	slices.SortFunc(out, byBeliefDesc)
 	if k > 0 && len(out) > k {
 		out = out[:k]
 	}
 	return out
+}
+
+// byBeliefDesc orders associations by descending belief, ties by
+// ascending name — a total order, since names are unique within a ranking.
+func byBeliefDesc(a, b Association) int {
+	switch {
+	case a.Belief > b.Belief:
+		return -1
+	case a.Belief < b.Belief:
+		return 1
+	}
+	return strings.Compare(a.Concept, b.Concept)
 }
 
 // Reinforce adapts the thesaurus from relevance feedback ("we are
@@ -238,7 +283,7 @@ func (t *Thesaurus) Reinforce(queryWords []string, concepts []string, relevant b
 			m = map[string]int{}
 			t.tf[c] = m
 			t.concepts = append(t.concepts, c)
-			sort.Strings(t.concepts)
+			slices.Sort(t.concepts)
 		}
 		for _, w := range queryWords {
 			old := m[w]
