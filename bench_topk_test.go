@@ -385,9 +385,9 @@ func TestE11PrunedEqualsExhaustiveShape(t *testing.T) {
 				t.Fatalf("q=%v k=%d: %d hits, want %d", q, k, pruned.Len(), len(want))
 			}
 			for i := range want {
-				if uint64(pruned.Head.OIDAt(i)) != want[i].Doc || pruned.Tail.FloatAt(i) != want[i].Score {
+				if pruned.Head.OIDAt(i) != want[i].doc || pruned.Tail.FloatAt(i) != want[i].score {
 					t.Fatalf("q=%v k=%d rank %d: got (%d, %v), want (%d, %v)",
-						q, k, i, pruned.Head.OIDAt(i), pruned.Tail.FloatAt(i), want[i].Doc, want[i].Score)
+						q, k, i, pruned.Head.OIDAt(i), pruned.Tail.FloatAt(i), want[i].doc, want[i].score)
 				}
 			}
 		}
@@ -400,8 +400,8 @@ func TestE11PrunedEqualsExhaustiveShape(t *testing.T) {
 }
 
 // e11CanonicalTopK computes the exhaustive ranking with the canonical
-// fold and tie order.
-func e11CanonicalTopK(ix *e11Index, q []bat.OID, k int) []ir.Ranked {
+// fold and tie order (score descending, OID ascending).
+func e11CanonicalTopK(ix *e11Index, q []bat.OID, k int) []e11Hit {
 	beliefs, counts, err := bat.GetBL(ix.revTerm, ix.doc, ix.bel, q)
 	if err != nil {
 		panic(err)
@@ -410,17 +410,19 @@ func e11CanonicalTopK(ix *e11Index, q []bat.OID, k int) []ir.Ranked {
 	if err != nil {
 		panic(err)
 	}
-	s := make(ir.Scores, ix.n)
-	for i := 0; i < scores.Len(); i++ {
-		s[uint64(scores.Head.OIDAt(i))] = scores.Tail.FloatAt(i)
-	}
 	base := float64(len(q)) * ir.DefaultBelief
-	for d := 0; d < ix.n; d++ {
-		if _, ok := s[uint64(d)]; !ok {
-			s[uint64(d)] = base
-		}
+	all := make([]e11Hit, ix.n)
+	for d := range all {
+		all[d] = e11Hit{doc: bat.OID(d), score: base}
 	}
-	return ir.Rank(s, k)
+	for i := 0; i < scores.Len(); i++ {
+		all[scores.Head.OIDAt(i)].score = scores.Tail.FloatAt(i)
+	}
+	h := bat.NewBoundedTopK(k, e11HitWorse)
+	for _, e := range all {
+		h.Offer(e)
+	}
+	return h.Ranked()
 }
 
 // TestEmitQueryBenchJSON measures p50 query latency of both paths and, when
@@ -555,49 +557,6 @@ func TestEmitQueryBenchJSON(t *testing.T) {
 	t.Logf("E11 threshold lifecycle (skewed): cold p50 %.3fms, warm-θ p50 %.1fµs (%.1fx), scatter shared %.3fms vs isolated %.3fms (%.2fx)",
 		float64(sCold)/1e6, float64(warm)/1e3, float64(sCold)/float64(warm),
 		float64(sShared)/1e6, float64(sIsolated)/1e6, float64(sIsolated)/float64(sShared))
-}
-
-// BenchmarkScoresPooling quantifies the sync.Pool satellite: the same
-// #sum combination with pooled Scores maps (the production path, maps
-// released after use) vs fresh map allocation per query.
-func BenchmarkScoresPooling(b *testing.B) {
-	mk := func(n int, pooled bool) ir.Scores {
-		var s ir.Scores
-		if pooled {
-			s = ir.NewScores()
-		} else {
-			s = make(ir.Scores)
-		}
-		for d := 0; d < n; d++ {
-			s[uint64(d)] = 0.4 + float64(d%100)/250
-		}
-		return s
-	}
-	const n = 20000
-	b.Run("pooled", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a, c := mk(n, true), mk(n, true)
-			out, err := ir.CombineSum([]ir.Scores{a, c}, []float64{0.4, 0.4})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ir.ReleaseScores(a)
-			ir.ReleaseScores(c)
-			ir.ReleaseScores(out)
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			a, c := mk(n, false), mk(n, false)
-			out := make(ir.Scores, len(a))
-			for d := range a {
-				out[d] = (a[d] + c[d]) / 2
-			}
-			_ = out
-		}
-	})
 }
 
 // ---- sharded scatter-gather vs single store (PR 4) ----

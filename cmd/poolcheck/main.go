@@ -1,6 +1,6 @@
 // Command poolcheck statically enforces the pooled borrow/return
 // discipline on the query hot path (see internal/lint/poolcheck): every
-// pooled Scores map and ranking slice must be released exactly once on
+// piece of pooled query scratch must be released exactly once on
 // every control-flow path, including error returns. CI runs it over
 // ./internal; it exits non-zero when any violation is found.
 //

@@ -11,7 +11,7 @@ import "sync"
 // over s segments would otherwise allocate m·s such
 // buffer sets per request; at server query rates that is pure allocator
 // churn on the hottest path in the system, so cursor sets come from a
-// sync.Pool with the same two enforcement layers as ir's Scores maps:
+// sync.Pool with the same two enforcement layers as every query scratch pool:
 //
 //   - internal/lint/poolcheck statically checks every borrow is
 //     released on every control-flow path;

@@ -61,8 +61,9 @@ func worseHit(s1 float64, d1 OID, s2 float64, d2 OID) bool {
 // ranks after b". Internally a binary min-heap whose root is the current
 // worst retained element, so selection costs O(N log k). The comparator
 // being a total order makes the retained set independent of offer order.
-// Every ranking cut in the system (the pruned retrieval operator, ir.Rank,
-// core's row ranking) runs on this one implementation.
+// Every ranking cut in the system (the pruned retrieval operator, the
+// row ranking of exhaustive plans and the gather's merge) runs on this
+// one implementation.
 type BoundedTopK[T any] struct {
 	worse func(a, b T) bool
 	items []T
@@ -238,8 +239,8 @@ type PostingsSeg struct {
 // OIDs of one CONTREP and that CONTREP's postings segments, which
 // together partition the document space in ascending document order
 // (each document's postings live entirely in one segment). Weights,
-// when non-nil, hold one non-negative weight per query term and select
-// the weighted-sum fold.
+// when non-nil, hold one finite, non-negative weight per query term and
+// select the weighted-sum fold for this source.
 type TopKSource struct {
 	Segs    []PostingsSeg
 	Query   []OID
@@ -248,7 +249,7 @@ type TopKSource struct {
 
 // PrunedTopKSegs is PrunedTopK over one source and divisor 1: the ranking
 // of one CONTREP under the inference-network sum (weights == nil) or
-// weighted sum (weights != nil, all ≥ 0).
+// weighted sum (weights != nil, all finite and ≥ 0).
 func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def float64, k int, domain *BAT, theta *TopKThreshold) (*BAT, error) {
 	return PrunedTopK([]TopKSource{{Segs: segs, Query: query, Weights: weights}}, 1, def, k, domain, theta)
 }
@@ -261,14 +262,13 @@ func PrunedTopKSegs(segs []PostingsSeg, query []OID, weights []float64, def floa
 // OID ascending, cut at k. div must be positive; with one source and
 // div = 1 the score is that source's fold itself.
 //
-// Unweighted sources reproduce the full logical pipeline getbl + fill
-// (per source) + [+] + [/] + rank: a document matching no term of a
-// source folds to qlen·def there, and documents matching nothing at all
-// are merged in (by ascending OID) when the match set cannot fill the
-// top k alone; domain supplies their OIDs and must enumerate them
-// ascending. Weighted sources reproduce WSumBeliefs + rank: only
-// documents matching some term appear, and domain may be nil. All
-// sources must use the same mode.
+// The result reproduces the full logical pipeline — per source getbl +
+// fill (unweighted) or wsum_bel + fill (weighted), then [+], [/] and
+// rank — and the two fold kinds mix freely. A document matching no term
+// of a source folds to qlen·def resp. wtot·def there, and documents
+// matching nothing at all are merged in (by ascending OID) when the match
+// set cannot fill the top k alone; domain supplies their OIDs and must
+// enumerate them ascending.
 //
 // The result is BUN-for-BUN identical to scanning each source as the one
 // segment obtained by merging its list. The sources' segment lists need
@@ -300,16 +300,15 @@ func PrunedTopK(srcs []TopKSource, div, def float64, k int, domain *BAT, theta *
 	if !(div > 0) || math.IsInf(div, 1) {
 		return nil, fmt.Errorf("bat: prunedtopk: divisor must be positive and finite, got %v", div)
 	}
-	weighted := srcs[0].Weights != nil
+	if domain == nil {
+		return nil, fmt.Errorf("bat: prunedtopk: a domain is needed for default-scored documents")
+	}
 	scans := make([]sourceScan, len(srcs))
 	m := 0
 	// fillBase is the fold sum of a document matching nothing, in the
 	// exact arithmetic of the exhaustive path.
 	var fillBase float64
 	for i := range srcs {
-		if (srcs[i].Weights != nil) != weighted {
-			return nil, fmt.Errorf("bat: prunedtopk: source %d mixes weighted and unweighted folds", i)
-		}
 		if err := scans[i].resolve(&srcs[i], def, m); err != nil {
 			return nil, fmt.Errorf("source %d: %w", i, err)
 		}
@@ -319,9 +318,6 @@ func PrunedTopK(srcs []TopKSource, div, def float64, k int, domain *BAT, theta *
 		} else {
 			fillBase += scans[i].fillBase
 		}
-	}
-	if !weighted && domain == nil {
-		return nil, fmt.Errorf("bat: prunedtopk: unweighted mode needs a domain for default-scored documents")
 	}
 
 	parts := refineSlices(scans)
@@ -338,20 +334,19 @@ func PrunedTopK(srcs []TopKSource, div, def float64, k int, domain *BAT, theta *
 			return nil, err
 		}
 	}
+	// Sized by what the scan and the domain can supply, never by k alone:
+	// k is a caller's request and may be arbitrarily large.
 	ranked := h.Ranked()
-	resDocs := make([]OID, 0, k)
-	resScores := make([]float64, 0, k)
+	n := min(k, len(ranked)+domain.Len())
+	resDocs := make([]OID, 0, n)
+	resScores := make([]float64, 0, n)
 	for _, c := range ranked {
 		resDocs = append(resDocs, c.doc)
 		resScores = append(resScores, c.score)
 	}
-
-	if !weighted {
-		var err error
-		resDocs, resScores, err = fillDefaults(scans, domain, fillBase/div, k, resDocs, resScores)
-		if err != nil {
-			return nil, err
-		}
+	resDocs, resScores, err := fillDefaults(scans, domain, fillBase/div, k, resDocs, resScores)
+	if err != nil {
+		return nil, err
 	}
 
 	out := New(KindOID, KindFloat)
@@ -403,10 +398,13 @@ func (ss *sourceScan) resolve(src *TopKSource, def float64, off int) error {
 		}
 		wtot := 0.0
 		for _, w := range src.Weights {
-			if w < 0 {
-				return fmt.Errorf("bat: prunedtopk: negative weight %v (use the exhaustive path)", w)
+			if !(w >= 0) {
+				return fmt.Errorf("bat: prunedtopk: negative or NaN weight %v", w)
 			}
 			wtot += w
+		}
+		if math.IsInf(wtot, 1) {
+			return fmt.Errorf("bat: prunedtopk: weights sum to +Inf")
 		}
 		ss.fillBase = wtot * def
 	} else {

@@ -2,23 +2,24 @@ package bat
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
 
 // sourcesCase is one multi-source ranking: a corpus per source over one
 // shared document space, each split by its own segmentation, with its
-// own query (and, in weighted mode, weights).
+// own query and, for a weighted source, weights.
 type sourcesCase struct {
-	sis     []*synthIndex
-	srcs    []TopKSource
-	div     float64
-	k       int
-	domain  *BAT
-	ndocs   int
-	label   string
-	weights bool
+	sis    []*synthIndex
+	srcs   []TopKSource
+	div    float64
+	k      int
+	domain *BAT
+	ndocs  int
+	label  string
 }
 
 // randomCut returns ascending exclusive segment ends over [0, ndocs)
@@ -36,11 +37,19 @@ func randomCut(rng *rand.Rand, ndocs, maxSegs int) []int {
 	return bounds
 }
 
+// Fold modes of randomSourcesCase.
+const (
+	foldsUnweighted = iota
+	foldsWeighted
+	foldsMixed // each source picks its own fold
+)
+
 // randomSourcesCase draws nsrc sources over ndocs documents, each with
-// its own corpus, segmentation and query; weighted picks the #wsum fold
-// for every source.
-func randomSourcesCase(rng *rand.Rand, nsrc, ndocs, maxSegs int, weighted bool) *sourcesCase {
-	c := &sourcesCase{ndocs: ndocs, weights: weighted}
+// its own corpus, segmentation and query; mode picks the #sum fold, the
+// weighted fold, or a per-source mix. Weights include zeros and span
+// 1e-3…1e3.
+func randomSourcesCase(rng *rand.Rand, nsrc, ndocs, maxSegs, mode int) *sourcesCase {
+	c := &sourcesCase{ndocs: ndocs}
 	for s := 0; s < nsrc; s++ {
 		nterms := 1 + rng.Intn(12)
 		si := mkSynthIndex(rng, nterms, ndocs, 1+rng.Intn(6), rng.Intn(4))
@@ -53,10 +62,15 @@ func randomSourcesCase(rng *rand.Rand, nsrc, ndocs, maxSegs int, weighted bool) 
 			query[1] = query[0] // duplicate term
 		}
 		src := TopKSource{Segs: segSplit(si, randomCut(rng, ndocs, maxSegs), rng.Intn(2) == 0), Query: query}
-		if weighted {
+		if mode == foldsWeighted || (mode == foldsMixed && rng.Intn(2) == 0) {
 			src.Weights = make([]float64, qlen)
 			for i := range src.Weights {
-				src.Weights[i] = float64(rng.Intn(4)) * 0.5 // includes zero weights
+				switch rng.Intn(3) {
+				case 0:
+					src.Weights[i] = float64(rng.Intn(4)) * 0.5 // includes zero weights
+				default:
+					src.Weights[i] = math.Pow(10, -3+6*rng.Float64())
+				}
 			}
 		}
 		c.sis = append(c.sis, si)
@@ -68,65 +82,88 @@ func randomSourcesCase(rng *rand.Rand, nsrc, ndocs, maxSegs int, weighted bool) 
 	return c
 }
 
-// ref is the exhaustive reference: every document scored with each
-// source's canonical fold, added left to right, divided, fully sorted
-// (score descending, OID ascending) and cut at k. Weighted folds keep
-// only documents some source matches.
-func (c *sourcesCase) ref(def float64) ([]OID, []float64) {
-	type hit struct {
-		d OID
-		s float64
-	}
-	var hits []hit
-	for d := 0; d < c.ndocs; d++ {
-		score, any := 0.0, false
-		for s, src := range c.srcs {
-			si := c.sis[s]
-			sum, matched, wtot := 0.0, 0, 0.0
-			for qi, t := range src.Query {
-				if src.Weights != nil {
-					wtot += src.Weights[qi]
-				}
-				bel, ok := 0.0, false
-				if int(t) < si.nterms {
-					bel, ok = si.perDoc[d][t]
-				}
-				if !ok {
-					continue
-				}
-				if src.Weights == nil {
-					sum += bel
-				} else {
-					sum += src.Weights[qi] * (bel - def)
-				}
-				matched++
-			}
-			fold := sum + float64(len(src.Query)-matched)*def
-			if src.Weights != nil {
-				fold = sum + wtot*def
-			}
-			any = any || matched > 0
-			if s == 0 {
-				score = fold
-			} else {
-				score += fold
-			}
+// columns lays a corpus out as the exhaustive operators read it: the
+// [term, position] reverse index and the [position, doc] / [position,
+// belief] columns, postings in document order.
+func (si *synthIndex) columns() (rev, doc, bel *BAT) {
+	term := NewDense(0, KindOID)
+	doc, bel = NewDense(0, KindOID), NewDense(0, KindFloat)
+	p := OID(0)
+	for d := 0; d < si.ndocs; d++ {
+		terms := make([]OID, 0, len(si.perDoc[d]))
+		for t := range si.perDoc[d] {
+			terms = append(terms, t)
 		}
-		if c.weights && !any {
-			continue
+		slices.Sort(terms)
+		for _, t := range terms {
+			term.MustAppend(p, t)
+			doc.MustAppend(p, OID(d))
+			bel.MustAppend(p, si.perDoc[d][t])
+			p++
 		}
-		hits = append(hits, hit{OID(d), score / c.div})
 	}
-	sort.Slice(hits, func(i, j int) bool { return worseHit(hits[j].s, hits[j].d, hits[i].s, hits[i].d) })
-	if len(hits) > c.k {
-		hits = hits[:c.k]
+	return term.Reverse(), doc, bel
+}
+
+// ref is the exhaustive composition the operator must reproduce: per
+// source getbl + SumBeliefs (unweighted) or WSumBeliefs (weighted), each
+// filled over the domain at qlen·def resp. wtot·def, the folds added
+// left to right ([+]), divided ([/]), fully sorted (score descending,
+// OID ascending) and cut at k.
+func (c *sourcesCase) ref(t *testing.T, def float64) ([]OID, []float64) {
+	t.Helper()
+	var total *BAT
+	for s, src := range c.srcs {
+		rev, doc, bel := c.sis[s].columns()
+		var scored *BAT
+		var err error
+		fill := float64(len(src.Query)) * def
+		if src.Weights == nil {
+			beliefs, counts, gerr := GetBL(rev, doc, bel, src.Query)
+			if gerr != nil {
+				t.Fatal(gerr)
+			}
+			scored, err = SumBeliefs(beliefs, counts, len(src.Query), def)
+		} else {
+			wtot := 0.0
+			for _, w := range src.Weights {
+				wtot += w
+			}
+			fill = wtot * def
+			scored, err = WSumBeliefs(rev, doc, bel, src.Query, src.Weights, def)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		filled, err := Fill(scored, c.domain, fill)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s == 0 {
+			total = filled
+		} else if total, err = Multiplex("+", total, filled); err != nil {
+			t.Fatal(err)
+		}
 	}
-	docs := make([]OID, len(hits))
-	scores := make([]float64, len(hits))
-	for i, h := range hits {
-		docs[i], scores[i] = h.d, h.s
+	total, err := MultiplexConst("/", total, c.div, true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return docs, scores
+	docs := make([]OID, total.Len())
+	scores := make([]float64, total.Len())
+	idx := make([]int, total.Len())
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(i, j int) bool {
+		a, b := idx[i], idx[j]
+		return worseHit(total.Tail.FloatAt(b), total.Head.OIDAt(b), total.Tail.FloatAt(a), total.Head.OIDAt(a))
+	})
+	for i, p := range idx {
+		docs[i], scores[i] = total.Head.OIDAt(p), total.Tail.FloatAt(p)
+	}
+	n := min(c.k, len(docs))
+	return docs[:n], scores[:n]
 }
 
 // check runs the case through PrunedTopK and demands the reference
@@ -138,7 +175,7 @@ func (c *sourcesCase) check(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%s: %v", c.label, err)
 	}
-	wantD, wantS := c.ref(def)
+	wantD, wantS := c.ref(t, def)
 	if got.Len() != len(wantD) {
 		t.Fatalf("%s k=%d div=%v: got %d hits, want %d", c.label, c.k, c.div, got.Len(), len(wantD))
 	}
@@ -153,12 +190,13 @@ func (c *sourcesCase) check(t *testing.T) {
 // TestPrunedTopKSourcesMatchesFold is the multi-source differential: for
 // 1–3 sources whose segment lists are cut independently (so slices
 // narrow postings on one side and not the other), random queries with
-// OOV and duplicate terms, empty queries, both fold modes and several
-// divisors, the one operator returns the exhaustive fold's ranking.
+// OOV and duplicate terms, empty queries, unweighted, weighted and mixed
+// folds and several divisors, the one operator returns the exhaustive
+// composition's ranking.
 func TestPrunedTopKSourcesMatchesFold(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for round := 0; round < 300; round++ {
-		c := randomSourcesCase(rng, 1+rng.Intn(3), 1+rng.Intn(400), 5, round%4 == 3)
+		c := randomSourcesCase(rng, 1+rng.Intn(3), 1+rng.Intn(400), 5, round%3)
 		c.label = fmt.Sprintf("round %d (%d sources)", round, len(c.srcs))
 		c.check(t)
 	}
@@ -169,7 +207,7 @@ func TestPrunedTopKSourcesMatchesFold(t *testing.T) {
 func TestPrunedTopKSourcesWideBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for round := 0; round < 6; round++ {
-		c := randomSourcesCase(rng, 2, 3000+rng.Intn(2000), 6, false)
+		c := randomSourcesCase(rng, 2, 3000+rng.Intn(2000), 6, round%3)
 		c.k = 1 + rng.Intn(30)
 		c.label = fmt.Sprintf("wide round %d", round)
 		c.check(t)
@@ -212,8 +250,12 @@ func TestPrunedTopKSourcesValidation(t *testing.T) {
 	for name, call := range map[string]func() error{
 		"no sources":   func() error { _, err := PrunedTopK(nil, 1, 0.4, 3, si.domain, nil); return err },
 		"zero divisor": func() error { _, err := PrunedTopK([]TopKSource{ok}, 0, 0.4, 3, si.domain, nil); return err },
-		"mixed folds": func() error {
-			_, err := PrunedTopK([]TopKSource{ok, weighted}, 2, 0.4, 3, si.domain, nil)
+		"no domain": func() error {
+			_, err := PrunedTopK([]TopKSource{ok, weighted}, 2, 0.4, 3, nil, nil)
+			return err
+		},
+		"weights misaligned": func() error {
+			_, err := PrunedTopK([]TopKSource{ok, {Segs: weighted.Segs, Query: []OID{0, 1}, Weights: []float64{1}}}, 2, 0.4, 3, si.domain, nil)
 			return err
 		},
 		"unordered segments": func() error {
@@ -233,17 +275,24 @@ func TestPrunedTopKSourcesValidation(t *testing.T) {
 
 // FuzzPrunedTopKSources drives the multi-source operator with random
 // postings: 1–3 sources over one document space, each cut into its own
-// random segment partition, random queries, fold mode, divisor and k,
-// compared BUN for BUN against the exhaustive fold.
+// random segment partition, random queries, fold mode (unweighted,
+// weighted or mixed), divisor and k, compared BUN for BUN against the
+// exhaustive composition (getbl/wsum_bel + fill, [+], [/]).
 func FuzzPrunedTopKSources(f *testing.F) {
 	for _, seed := range []int64{0, 1, 26, 1999} {
-		f.Add(seed, uint8(2), uint16(120), false)
+		f.Add(seed, uint8(2), uint16(120), uint8(foldsUnweighted))
 	}
-	f.Add(int64(7), uint8(1), uint16(1), false)
-	f.Add(int64(9), uint8(3), uint16(700), true)
-	f.Fuzz(func(t *testing.T, seed int64, nsrc uint8, ndocs uint16, weighted bool) {
+	f.Add(int64(7), uint8(1), uint16(1), uint8(foldsUnweighted))
+	f.Add(int64(9), uint8(3), uint16(700), uint8(foldsWeighted))
+	// Mixed folds over 3 sources and 301 documents: seeds 0, 3 and 12
+	// draw a zero-term source, 0, 12 and 29 out-of-range term OIDs, and
+	// 12, 29 and 36 weights from ~1e-3 to ~1e3.
+	for _, seed := range []int64{0, 3, 12, 29, 36} {
+		f.Add(seed, uint8(2), uint16(300), uint8(foldsMixed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, nsrc uint8, ndocs uint16, mode uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		c := randomSourcesCase(rng, 1+int(nsrc%3), 1+int(ndocs%1500), 6, weighted)
+		c := randomSourcesCase(rng, 1+int(nsrc%3), 1+int(ndocs%1500), 6, int(mode%3))
 		c.label = fmt.Sprintf("seed %d", seed)
 		c.check(t)
 	})

@@ -1,6 +1,7 @@
 package bat
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -118,7 +119,7 @@ func (si *synthIndex) refTopK(query []OID, weights []float64, def float64, k int
 		}
 		if weights == nil {
 			hits = append(hits, hit{OID(d), sum + float64(len(query)-matched)*def})
-		} else if matched > 0 {
+		} else {
 			hits = append(hits, hit{OID(d), sum + wtot*def})
 		}
 	}
@@ -246,13 +247,32 @@ func TestPrunedTopKEdges(t *testing.T) {
 	if _, err := si.scan(nil, nil, 0.4, 0, si.domain, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	// negative weight rejected (exhaustive fallback territory)
-	if _, err := si.scan([]OID{1}, []float64{-1}, 0.4, 3, si.domain, nil); err == nil {
-		t.Fatal("negative weight accepted")
+	// a weight that is negative, NaN or infinite is rejected (per-block
+	// bounds are monotone only under finite non-negative weights)
+	for _, w := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := si.scan([]OID{1}, []float64{w}, 0.4, 3, si.domain, nil); err == nil {
+			t.Fatalf("weight %v accepted", w)
+		}
 	}
-	// unweighted mode needs a domain
-	if _, err := si.scan([]OID{1}, nil, 0.4, 3, nil, nil); err == nil {
-		t.Fatal("nil domain accepted")
+	if _, err := si.scan([]OID{1, 2}, []float64{math.MaxFloat64, math.MaxFloat64}, 0.4, 3, si.domain, nil); err == nil {
+		t.Fatal("weights summing to +Inf accepted")
+	}
+	// both fold kinds fill from the domain, so both need one
+	for _, w := range [][]float64{nil, {1}} {
+		if _, err := si.scan([]OID{1}, w, 0.4, 3, nil, nil); err == nil {
+			t.Fatalf("nil domain accepted (weights %v)", w)
+		}
+	}
+	// k far beyond the collection returns the collection: the result is
+	// sized by what the scan and the domain supply, not by k
+	for _, w := range [][]float64{nil, {1}} {
+		got, err := si.scan([]OID{1}, w, 0.4, 1<<40, si.domain, nil)
+		if err != nil {
+			t.Fatalf("k = 1<<40 (weights %v): %v", w, err)
+		}
+		if got.Len() != si.ndocs {
+			t.Fatalf("k = 1<<40 (weights %v): %d hits, want %d", w, got.Len(), si.ndocs)
+		}
 	}
 }
 

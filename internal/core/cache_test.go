@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"testing"
-
-	"mirror/internal/ir"
 )
 
 // TestCacheDifferentialSingle: with the result cache enabled, every query
@@ -234,11 +232,10 @@ func TestCacheUnit(t *testing.T) {
 	})
 }
 
-// TestAlphaOneMatchesUnweightedSum pins the Rocchio Alpha fix to the old
-// behaviour at the default: Session.Run with Alpha = 1 must reproduce the
-// plain #sum combination bit-for-bit (CombineWSum with weights {1, 1} is
-// arithmetically identical to CombineSum), so existing callers see no
-// change.
+// TestAlphaOneMatchesUnweightedSum: a session round is the dual-coding
+// expression with weighted concepts, and with the text source's unit
+// weight it reproduces the former combination — the full text ranking,
+// the weighted content scores and #wsum {1, 1}, ranked — bit for bit.
 func TestAlphaOneMatchesUnweightedSum(t *testing.T) {
 	urls, anns := refreshCorpus(30, 5)
 	m := oneShotStub(t, urls, anns)
@@ -256,103 +253,16 @@ func TestAlphaOneMatchesUnweightedSum(t *testing.T) {
 	if len(sess.weights) == 0 {
 		t.Fatal("stub corpus yielded no cluster words to weight")
 	}
-
-	got, err := sess.Run(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Recompute the pre-Alpha combination by hand: plain #sum over text
-	// and weighted content evidence.
-	textHits := queryAnn(t, m, sess.Text, 0)
-	ts := hitsToScores(textHits)
 	terms, ws := sess.ClusterWeights()
-	var wtot float64
-	for _, w := range ws {
-		wtot += w
-	}
-	cs, err := m.WeightedContentScores(terms, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined, err := ir.CombineSum(
-		[]ir.Scores{ts, cs},
-		[]float64{float64(len(ir.Analyze(sess.Text))) * ir.DefaultBelief, wtot * ir.DefaultBelief},
-	)
-	ir.ReleaseScores(ts)
-	ir.ReleaseScores(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := scoresToHits(m.view(), combined, 10)
-	ir.ReleaseScores(combined)
-
-	if !hitsEqual(want, got) {
-		t.Fatalf("Alpha=1 Run diverges from the unweighted #sum:\n  want %v\n  got  %v", want, got)
-	}
-}
-
-// TestAlphaReweightsTextEvidence: the previously dead Alpha gain now
-// actually shifts the combination — raising it moves every document's
-// score toward its text evidence, exactly per the #wsum semantics.
-func TestAlphaReweightsTextEvidence(t *testing.T) {
-	urls, anns := refreshCorpus(30, 5)
-	m := oneShotStub(t, urls, anns)
-	sess, err := m.NewSession("harbor gull")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range queryAnn(t, m, "tide", 6) {
-		for _, w := range m.ContentTerms(h.OID) {
-			sess.weights[w] += 0.5
+	for _, k := range []int{10, 0} {
+		got, err := sess.Run(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := refSessionRun(t, m, sess.Text, terms, ws, k); !hitsEqual(want, got) {
+			t.Fatalf("k=%d: Run diverges from the #wsum composition:\n  want %v\n  got  %v", k, want, got)
 		}
 	}
-	if len(sess.weights) == 0 {
-		t.Fatal("stub corpus yielded no cluster words to weight")
-	}
-
-	base, err := sess.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.Alpha = 3
-	boosted, err := sess.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hitsEqual(base, boosted) {
-		t.Fatal("changing Alpha left the ranking untouched — the gain is still dead")
-	}
-
-	// Cross-check one document against the #wsum formula directly.
-	textHits := queryAnn(t, m, sess.Text, 0)
-	ts := hitsToScores(textHits)
-	terms, ws := sess.ClusterWeights()
-	var wtot float64
-	for _, w := range ws {
-		wtot += w
-	}
-	cs, err := m.WeightedContentScores(terms, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ir.CombineWSum(
-		[]ir.Scores{ts, cs},
-		[]float64{3, 1},
-		[]float64{float64(len(ir.Analyze(sess.Text))) * ir.DefaultBelief, wtot * ir.DefaultBelief},
-	)
-	ir.ReleaseScores(ts)
-	ir.ReleaseScores(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range boosted {
-		if s, ok := want[uint64(h.OID)]; !ok || s != h.Score {
-			ir.ReleaseScores(want)
-			t.Fatalf("doc %d: Run score %v, #wsum formula %v", h.OID, h.Score, s)
-		}
-	}
-	ir.ReleaseScores(want)
 }
 
 func queryAnn(t *testing.T, m *Mirror, text string, k int) []Hit {

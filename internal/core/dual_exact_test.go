@@ -16,7 +16,8 @@ import (
 // k <= 0 form exhaustively. The cut must be the prefix of the full
 // ranking, and the full ranking must be — bit for bit, ties included —
 // what the former composition returned: both evidence sources ranked in
-// full, converted to score maps, combined with ir.CombineSum and ranked.
+// full, converted to score maps, combined with #sum and ranked (the
+// test-only reference layer in feedback_ref_test.go).
 
 // dualSite is a retrieval surface with thesaurus expansion.
 type dualSite interface {
@@ -43,23 +44,12 @@ func combineSumDual(t *testing.T, s dualSite, text string, k int) []Hit {
 			t.Fatal(err)
 		}
 	}
-	ts, cs := hitsToScores(textHits), hitsToScores(contentHits)
-	combined, err := ir.CombineSum(
-		[]ir.Scores{ts, cs},
+	combined := refCombineWSum(
+		[]refScores{refHitScores(textHits), refHitScores(contentHits)},
+		[]float64{1, 1},
 		[]float64{float64(len(ir.Analyze(text))) * ir.DefaultBelief, float64(len(concepts)) * ir.DefaultBelief},
 	)
-	ir.ReleaseScores(ts)
-	ir.ReleaseScores(cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ranked := ir.Rank(combined, k)
-	ir.ReleaseScores(combined)
-	hits := make([]Hit, len(ranked))
-	for i, r := range ranked {
-		hits[i] = Hit{OID: bat.OID(r.Doc), URL: urls[bat.OID(r.Doc)], Score: r.Score}
-	}
-	return hits
+	return refRank(combined, k, func(d bat.OID) string { return urls[d] })
 }
 
 // dualTexts are the suite's probes: 3–6-term texts drawn from the stub
@@ -80,7 +70,7 @@ func dualTexts() []string {
 }
 
 // assertDualExact runs the suite's probes on one site at k ∈ {0, 1, 10,
-// 100}: the full ranking equals the CombineSum reference, every cut its
+// 100}: the full ranking equals the #sum reference, every cut its
 // prefix.
 func assertDualExact(t *testing.T, label string, s dualSite) {
 	t.Helper()
@@ -94,7 +84,7 @@ func assertDualExact(t *testing.T, label string, s dualSite) {
 			t.Fatalf("%s: %q: %v", label, text, err)
 		}
 		if !hitsEqual(want, full) {
-			t.Fatalf("%s: %q: the exhaustive dual plan diverges from the CombineSum composition:\n  want %v\n  got  %v", label, text, want, full)
+			t.Fatalf("%s: %q: the exhaustive dual plan diverges from the #sum composition:\n  want %v\n  got  %v", label, text, want, full)
 		}
 		for _, k := range []int{1, 10, 100} {
 			cut, err := s.QueryDualCoding(text, k)

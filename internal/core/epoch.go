@@ -155,44 +155,6 @@ func (ep *IndexEpoch) urlOf(oid bat.OID) string {
 	return s
 }
 
-// WeightedContentScores scores the epoch's image CONTREP with per-term
-// weights via the wsum physical operator (the relevance-feedback
-// primitive), shard-locally. The returned map is pooled: the caller
-// releases it with ir.ReleaseScores.
-func (ep *IndexEpoch) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
-	if len(terms) != len(weights) {
-		return nil, fmt.Errorf("core: %d terms vs %d weights", len(terms), len(weights))
-	}
-	prefix := InternalSet + "_image"
-	dict, ok := ep.DB.BAT(prefix + "_dictrev")
-	if !ok {
-		return nil, fmt.Errorf("core: content index incomplete")
-	}
-	var qoids []bat.OID
-	var qw []float64
-	for i, t := range terms {
-		if v, ok := dict.Find(t); ok {
-			qoids = append(qoids, v.(bat.OID))
-			qw = append(qw, weights[i])
-		}
-	}
-	rev, ok1 := ep.DB.BAT(prefix + "_termrev")
-	doc, ok2 := ep.DB.BAT(prefix + "_doc")
-	bel, ok3 := ep.DB.BAT(prefix + "_bel")
-	if !ok1 || !ok2 || !ok3 {
-		return nil, fmt.Errorf("core: content index incomplete")
-	}
-	scored, err := bat.WSumBeliefs(rev, doc, bel, qoids, qw, ir.DefaultBelief)
-	if err != nil {
-		return nil, err
-	}
-	out := ir.NewScores()
-	for i := 0; i < scored.Len(); i++ {
-		out[uint64(scored.Head.OIDAt(i))] = scored.Tail.FloatAt(i)
-	}
-	return out, nil
-}
-
 // SegmentsInfo describes the segment layout of one CONTREP on one store,
 // as published in the serving epoch (moash \segments).
 type SegmentsInfo struct {

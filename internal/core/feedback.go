@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"mirror/internal/bat"
@@ -23,12 +24,15 @@ type Session struct {
 	textTerms []string
 	weights   map[string]float64 // cluster word → weight
 	Round     int
-
-	// Rocchio-style gains: Alpha scales the original text query's
-	// evidence when Run combines it with the weighted content evidence;
-	// Beta/Gamma are the per-judgment feedback gains Feedback applies.
-	Alpha, Beta, Gamma float64
 }
+
+// The Rocchio-style gains Feedback applies per judgment: a relevant
+// item's cluster words gain feedbackGain weight, a non-relevant item's
+// lose feedbackPenalty. The original text query keeps unit weight.
+const (
+	feedbackGain    = 0.75
+	feedbackPenalty = 0.25
+)
 
 // newSession starts a session over a gather, seeding the content query
 // from the thesaurus of the view it was opened on.
@@ -37,7 +41,6 @@ func newSession(g *Gather, thes *thesaurus.Thesaurus, text string) *Session {
 		g: g, Text: text,
 		textTerms: ir.Analyze(text),
 		weights:   map[string]float64{},
-		Alpha:     1, Beta: 0.75, Gamma: 0.25,
 	}
 	for _, a := range thes.Associate(s.textTerms, 5) {
 		s.weights[a.Concept] = a.Belief
@@ -65,53 +68,28 @@ func (s *Session) ClusterWeights() ([]string, []float64) {
 }
 
 // Run evaluates the current session query over one pinned view and
-// returns the top k hits: text evidence plus weighted content evidence
-// combined with #wsum, the text term weighted by the session's Rocchio
-// Alpha gain (Alpha = 1, the default, reduces to the unweighted #sum
-// exactly). Every borrowed Scores map is released on every path,
-// including error returns (poolcheck-enforced).
+// returns the top k hits (k <= 0: the full ranking). The session query
+// is the dual-coding expression with the cluster words bound as a
+// weighted set: #wsum of the text evidence and the weighted content
+// evidence, one pruned two-source scan per leg for k > 0. The result
+// cache and the θ-memo key on text and terms, not on weights, so a
+// session round bypasses both.
 func (s *Session) Run(k int) ([]Hit, error) {
 	v := s.g.view()
 	if v == nil {
 		return nil, ErrNotIndexed
 	}
-	textHits, err := s.g.hits(v, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: s.Text})
-	if err != nil {
-		return nil, err
-	}
-	ts := hitsToScores(textHits)
 	terms, ws := s.ClusterWeights()
-	var cs ir.Scores
-	var wtot float64
-	for _, w := range ws {
-		wtot += w
-	}
-	if len(terms) > 0 {
-		cs, err = weightedContentScores(v, terms, ws)
-		if err != nil {
-			ir.ReleaseScores(cs) // nil on error; release is nil-safe
-			ir.ReleaseScores(ts)
-			return nil, err
-		}
-	}
-	combined, err := ir.CombineWSum(
-		[]ir.Scores{ts, cs},
-		[]float64{s.Alpha, 1},
-		[]float64{float64(len(s.textTerms)) * ir.DefaultBelief, wtot * ir.DefaultBelief},
-	)
-	ir.ReleaseScores(ts)
-	ir.ReleaseScores(cs)
+	l, err := gatherRows(v, ShardQueryArgs{Kind: "dual", Text: s.Text, Terms: terms, Weights: ws, K: k}, math.Inf(-1))
 	if err != nil {
-		ir.ReleaseScores(combined)
 		return nil, err
 	}
-	hits := scoresToHits(v, combined, k)
-	ir.ReleaseScores(combined)
-	return hits, nil
+	return rowHits(v, l.rows, k), nil
 }
 
 // Feedback applies one round of relevance judgments. Each relevant item's
-// cluster words gain Beta weight, each non-relevant item's lose Gamma; the
+// cluster words gain feedbackGain weight, each non-relevant item's lose
+// feedbackPenalty (a word whose weight drops to zero leaves the query); the
 // thesaurus is reinforced so the adaptation persists "across query
 // sessions" — and, in persistent mode, across restarts: each
 // reinforcement is logged to the WAL and replayed during recovery.
@@ -139,10 +117,10 @@ func (s *Session) Feedback(relevant, nonrelevant []bat.OID) error {
 		}
 		return nil
 	}
-	if err := apply(relevant, s.Beta, true); err != nil {
+	if err := apply(relevant, feedbackGain, true); err != nil {
 		return err
 	}
-	if err := apply(nonrelevant, -s.Gamma, false); err != nil {
+	if err := apply(nonrelevant, -feedbackPenalty, false); err != nil {
 		return err
 	}
 	s.Round++

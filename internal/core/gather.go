@@ -33,7 +33,8 @@ import (
 // Everything above the seam is shared: the result cache, the θ-memo seed
 // and record, the fold of each landed leg's merged k-th best into the
 // shared threshold, the bounded merge (k > 0) or sorted concatenation
-// (k <= 0), the wsum score union, dual expansion and feedback sessions.
+// (k <= 0), dual expansion and feedback sessions (a session round is a
+// dual leg with weighted concepts).
 // Nothing above the seam takes an engine lock: a view pins everything a
 // query reads (its thesaurus and its URL order included) at publish.
 
@@ -75,15 +76,12 @@ type thetaStreamer interface {
 }
 
 // ShardLeg is one shard's answer to one leg: rows ("ann", "content",
-// "dual", "moa"; a k > 0 leg is ranked and cut to k), a score vector
-// ("wsum"), or a scalar "moa" result, which only a one-leg view passes
-// through.
+// "dual", "moa"; a k > 0 leg is ranked and cut to k), or a scalar "moa"
+// result, which only a one-leg view passes through.
 type ShardLeg struct {
 	rows   []moa.Row
 	typ    moa.Type // "moa" legs evaluated in-process
 	scalar *moa.Result
-	oids   []uint64 // "wsum"
-	scores []float64
 	theta  float64 // pruning threshold the leg's scan reached (K > 0)
 }
 
@@ -101,14 +99,16 @@ func (ep *IndexEpoch) leg(q ShardQueryArgs, theta *bat.TopKThreshold, remap bool
 	var params map[string]moa.Param
 	src := q.Text
 	switch q.Kind {
-	case "wsum":
-		return ep.wsumLeg(q.Terms, q.Weights, remap)
 	case "ann":
 		src, params = annotationQuery, ir.QueryParams(ir.Analyze(q.Text))
 	case "content":
 		src, params = contentQuery, ir.QueryParams(q.Terms)
 	case "dual":
-		src, params = dualQuery, dualParams(q.Text, q.Terms)
+		var err error
+		if params, err = dualParams(q.Text, q.Terms, q.Weights); err != nil {
+			return nil, err
+		}
+		src = dualQuery
 	case "moa":
 		if q.Terms != nil {
 			params = ir.QueryParams(q.Terms)
@@ -140,30 +140,6 @@ func (ep *IndexEpoch) leg(q ShardQueryArgs, theta *bat.TopKThreshold, remap bool
 	if theta != nil {
 		l.theta = theta.Load()
 	}
-	return l, nil
-}
-
-// wsumLeg scores the epoch's image CONTREP with per-term weights (the
-// relevance-feedback primitive), under global OIDs when remap is set.
-func (ep *IndexEpoch) wsumLeg(terms []string, weights []float64, remap bool) (*ShardLeg, error) {
-	sc, err := ep.WeightedContentScores(terms, weights)
-	if err != nil {
-		ir.ReleaseScores(sc) // nil on error; release is nil-safe
-		return nil, err
-	}
-	l := &ShardLeg{oids: make([]uint64, 0, len(sc)), scores: make([]float64, 0, len(sc))}
-	for local, s := range sc {
-		oid := bat.OID(local)
-		if remap {
-			if oid, err = ep.globalOID(oid); err != nil {
-				ir.ReleaseScores(sc)
-				return nil, err
-			}
-		}
-		l.oids = append(l.oids, uint64(oid))
-		l.scores = append(l.scores, s)
-	}
-	ir.ReleaseScores(sc)
 	return l, nil
 }
 
@@ -313,23 +289,6 @@ func gatherRows(v ShardView, q ShardQueryArgs, seed float64) (*ShardLeg, error) 
 	return out, nil
 }
 
-// weightedContentScores runs a weighted-sum leg over the view and unions
-// the per-shard scores (shards are disjoint under global OIDs) into a
-// pooled map whose ownership transfers to the caller.
-func weightedContentScores(v ShardView, terms []string, weights []float64) (ir.Scores, error) {
-	legs, err := scatter(v, ShardQueryArgs{Kind: "wsum", Terms: terms, Weights: weights}, math.Inf(-1), nil)
-	if err != nil {
-		return nil, err
-	}
-	merged := ir.NewScores()
-	for _, l := range legs {
-		for i, g := range l.oids {
-			merged[g] = l.scores[i]
-		}
-	}
-	return merged, nil
-}
-
 // hitWorse orders hits under the ranked-retrieval total order: score
 // descending, OID ascending on ties — the same order every leg ranks by,
 // which is what makes the merge a pure top-k union.
@@ -399,17 +358,24 @@ func (g *Gather) hits(v ShardView, kind cacheKind, q ShardQueryArgs) ([]Hit, err
 	if err != nil {
 		return nil, err
 	}
-	hits := make([]Hit, len(l.rows))
-	for i, row := range l.rows {
-		score, _ := row.Value.(float64)
-		hits[i] = Hit{OID: row.OID, URL: v.URLOf(row.OID), Score: score}
-	}
-	if q.K <= 0 {
-		sort.Slice(hits, func(i, j int) bool { return hitWorse(hits[j], hits[i]) })
-	}
+	hits := rowHits(v, l.rows, q.K)
 	c.put(gen, kind, q.K, q.Text, q.Terms, hits)
 	memoTheta(tm, gen, kind, q.K, q.Text, q.Terms, hits)
 	return hits, nil
+}
+
+// rowHits resolves a gathered ranking's rows to hits; a full (k <= 0)
+// ranking arrives unordered and is sorted here.
+func rowHits(v ShardView, rows []moa.Row, k int) []Hit {
+	hits := make([]Hit, len(rows))
+	for i, row := range rows {
+		score, _ := row.Value.(float64)
+		hits[i] = Hit{OID: row.OID, URL: v.URLOf(row.OID), Score: score}
+	}
+	if k <= 0 {
+		sort.Slice(hits, func(i, j int) bool { return hitWorse(hits[j], hits[i]) })
+	}
+	return hits
 }
 
 // Every ranked-retrieval entry point pins the current view with one
@@ -537,18 +503,6 @@ func (g *Gather) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.
 		sort.Slice(l.rows, func(i, j int) bool { return l.rows[i].OID < l.rows[j].OID })
 	}
 	return &moa.Result{T: l.typ, Rows: l.rows, Ranked: k > 0}, v.Stamp(), nil
-}
-
-// WeightedContentScores scores the image CONTREP with per-term weights via
-// the wsum physical operator over one pinned view — the primitive the
-// relevance feedback loop uses. The returned map is pooled: the caller
-// releases it with ir.ReleaseScores.
-func (g *Gather) WeightedContentScores(terms []string, weights []float64) (ir.Scores, error) {
-	v := g.view()
-	if v == nil {
-		return nil, ErrNotIndexed
-	}
-	return weightedContentScores(v, terms, weights)
 }
 
 // ExpandQuery maps free text to the topK associated content clusters via

@@ -4,38 +4,31 @@ package core
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"mirror/internal/bat"
-	"mirror/internal/ir"
 	"mirror/internal/moa"
 )
 
 // The pooldebug leak tests snapshot the live-borrow counters around every
 // retrieval entry point — success and injected-failure paths alike — and
-// require the delta be zero: no pooled Scores map, ranking slice, row
-// scratch, scan scratch or block cursor set may outlive the call that
-// borrowed it. They complement the
-// static poolcheck analyzer: poolcheck proves the release calls exist on
-// every path, these tests prove the calls actually run.
+// require the delta be zero: no row scratch, scan scratch or block cursor
+// set may outlive the call that borrowed it. They complement the static
+// poolcheck analyzer: poolcheck proves the release calls exist on every
+// path, these tests prove the calls actually run.
 
-type poolCounters struct{ scores, ranked, rows, scan, cursors int }
+type poolCounters struct{ rows, scan, cursors int }
 
 func snapshotPools() poolCounters {
-	return poolCounters{
-		scores: ir.LiveScores(), ranked: LiveRanked(), rows: moa.LiveRows(),
-		scan: bat.LiveScanScratch(), cursors: bat.LiveBlockCursors(),
-	}
+	return poolCounters{rows: moa.LiveRows(), scan: bat.LiveScanScratch(), cursors: bat.LiveBlockCursors()}
 }
 
 func assertNoLeak(t *testing.T, label string, before poolCounters) {
 	t.Helper()
 	after := snapshotPools()
 	if after != before {
-		t.Errorf("%s leaked pooled scratch: scores %+d, ranked %+d, rows %+d, scan %+d, cursors %+d",
-			label, after.scores-before.scores, after.ranked-before.ranked, after.rows-before.rows,
-			after.scan-before.scan, after.cursors-before.cursors)
+		t.Errorf("%s leaked pooled scratch: rows %+d, scan %+d, cursors %+d",
+			label, after.rows-before.rows, after.scan-before.scan, after.cursors-before.cursors)
 	}
 }
 
@@ -75,24 +68,14 @@ func TestQueryPathsDoNotLeak(t *testing.T) {
 		assertNoLeak(t, "QueryDualCoding", before)
 	}
 
-	// WeightedContentScores transfers ownership to the caller: the borrow
-	// is live until the caller releases it.
-	clusters := m.ExpandQuery("harbor tide", 5)
-	if len(clusters) > 0 {
-		ws := make([]float64, len(clusters))
-		for i := range ws {
-			ws[i] = 1
-		}
+	// A raw Moa ranking the plan cannot prune is cut through the pooled
+	// row heap.
+	for _, k := range []int{3, 0} {
 		before := snapshotPools()
-		scores, err := m.WeightedContentScores(clusters, ws)
-		if err != nil {
+		if _, err := m.QueryTopK(`map[sum(getBL(THIS.annotation, query, stats)) * 2](ImageLibraryInternal);`, []string{"harbor"}, k); err != nil {
 			t.Fatal(err)
 		}
-		if got := ir.LiveScores() - before.scores; got != 1 {
-			t.Errorf("WeightedContentScores should hand the caller one live borrow, got %+d", got)
-		}
-		ir.ReleaseScores(scores)
-		assertNoLeak(t, "WeightedContentScores+release", before)
+		assertNoLeak(t, "QueryTopK", before)
 	}
 }
 
@@ -105,21 +88,23 @@ func TestSessionRunDoesNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force a non-empty content query even if the stub thesaurus
-	// associates nothing, so Run exercises the WeightedContentScores arm.
+	// associates nothing, so Run scans the weighted content source.
 	sess.weights["c000"] = 1
 
-	before := snapshotPools()
-	hits, err := sess.Run(8)
-	if err != nil {
-		t.Fatal(err)
+	var hits []Hit
+	for _, k := range []int{8, 0} {
+		before := snapshotPools()
+		if hits, err = sess.Run(k); err != nil {
+			t.Fatal(err)
+		}
+		assertNoLeak(t, "Session.Run", before)
 	}
-	assertNoLeak(t, "Session.Run", before)
 
 	if len(hits) > 0 {
 		if err := sess.Feedback([]bat.OID{hits[0].OID}, nil); err != nil {
 			t.Fatal(err)
 		}
-		before = snapshotPools()
+		before := snapshotPools()
 		if _, err := sess.Run(8); err != nil {
 			t.Fatal(err)
 		}
@@ -127,12 +112,11 @@ func TestSessionRunDoesNotLeak(t *testing.T) {
 	}
 }
 
-// TestSessionRunErrorPathDoesNotLeak pins the first pre-PR bug: when
-// WeightedContentScores fails mid-Run, the already-borrowed text score
-// map must still be released.
+// TestSessionRunErrorPathDoesNotLeak: a session round whose dual leg
+// fails surfaces the error and holds no pooled scratch afterwards.
 func TestSessionRunErrorPathDoesNotLeak(t *testing.T) {
 	m := leakStub(t)
-	spy := &legSpy{storeView: storeView{m.currentEpoch()}, fail: "wsum"}
+	spy := &legSpy{storeView: storeView{m.currentEpoch()}, fail: "dual"}
 	sess, err := NewGather(spyShards{storeShards{m}, spy}).NewSession("harbor gull")
 	if err != nil {
 		t.Fatal(err)
@@ -172,8 +156,8 @@ func TestDualCodingScanErrorDoesNotLeak(t *testing.T) {
 }
 
 // TestShardedQueryPathsDoNotLeak repeats the coverage over the
-// scatter-gather engine for N ∈ {1, 2, 8} shards, including the fan-out
-// WeightedContentScores merge and the sharded session.
+// scatter-gather engine for N ∈ {1, 2, 8} shards, including the sharded
+// session.
 func TestShardedQueryPathsDoNotLeak(t *testing.T) {
 	urls, anns := refreshCorpus(24, 11)
 	for _, shards := range []int{1, 2, 8} {
@@ -198,21 +182,6 @@ func TestShardedQueryPathsDoNotLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertNoLeak(t, "sharded queries", before)
-
-		clusters := e.ExpandQuery("harbor tide", 5)
-		if len(clusters) > 0 {
-			ws := make([]float64, len(clusters))
-			for i := range ws {
-				ws[i] = 1
-			}
-			before = snapshotPools()
-			scores, err := e.WeightedContentScores(clusters, ws)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ir.ReleaseScores(scores)
-			assertNoLeak(t, "sharded WeightedContentScores+release", before)
-		}
 
 		sess, err := e.NewSession("harbor gull")
 		if err != nil {
@@ -243,41 +212,4 @@ func TestCachedPathDoesNotBorrow(t *testing.T) {
 	if st := m.ResultCacheStats(); st.Hits == 0 {
 		t.Fatalf("expected a cache hit, stats = %+v", st)
 	}
-}
-
-func mustPanic(t *testing.T, wantSubstr string, fn func()) {
-	t.Helper()
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Errorf("no panic, want one containing %q", wantSubstr)
-			return
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, wantSubstr) {
-			t.Errorf("panic = %v, want one containing %q", r, wantSubstr)
-		}
-	}()
-	fn()
-}
-
-// TestDoubleReleasePanics: releasing the same pooled map twice is a bug
-// the debug build must catch loudly, not corrupt the pool silently.
-func TestDoubleReleasePanics(t *testing.T) {
-	s := ir.NewScores()
-	s[1] = 0.5
-	ir.ReleaseScores(s)
-	mustPanic(t, "double ReleaseScores", func() { ir.ReleaseScores(s) })
-}
-
-// TestUseAfterReleasePanics: feeding a released map into a combinator is
-// a use-after-free on pooled scratch; the debug build traps it at the
-// operator entry point.
-func TestUseAfterReleasePanics(t *testing.T) {
-	s := ir.NewScores()
-	s[1] = 0.5
-	ir.ReleaseScores(s)
-	mustPanic(t, "use of released Scores map", func() {
-		_, _ = ir.CombineSum([]ir.Scores{s}, []float64{1})
-	})
 }

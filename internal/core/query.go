@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"mirror/internal/bat"
 	"mirror/internal/ir"
 	"mirror/internal/moa"
@@ -22,7 +25,10 @@ const contentQuery = `
 // dualQuery is the Section 5.2 expression: the text query ranks the
 // annotations directly and, through the thesaurus, the image content
 // (the `concepts` it expands to); #sum averages the two belief sources.
-// A top-k request runs it as one two-source pruned scan.
+// A top-k request runs it as one two-source pruned scan. Relevance
+// feedback runs the same expression with `concepts` bound as a weighted
+// set (the session's cluster words), which makes it the #wsum of the
+// text and the weighted content evidence with unit source weights.
 const dualQuery = `
 	map[(sum(getBL(THIS.annotation, query, stats)) + sum(getBL(THIS.image, concepts, stats))) / 2](
 		ImageLibraryInternal );`
@@ -31,12 +37,31 @@ const dualQuery = `
 // expands to.
 const dualConcepts = 5
 
-// dualParams binds dualQuery: the analysed text as `query`, the
-// thesaurus expansion as `concepts`.
-func dualParams(text string, concepts []string) map[string]moa.Param {
+// dualParams binds dualQuery: the analysed text as `query`, and as
+// `concepts` the thesaurus expansion or, when weights is non-nil, a
+// session's cluster words with their weights (one finite, non-negative
+// weight per concept).
+func dualParams(text string, concepts []string, weights []float64) (map[string]moa.Param, error) {
 	params := ir.QueryParams(ir.Analyze(text))
-	params["concepts"] = ir.TermsParam(concepts)
-	return params
+	if weights == nil {
+		params["concepts"] = ir.TermsParam(concepts)
+		return params, nil
+	}
+	if len(weights) != len(concepts) {
+		return nil, fmt.Errorf("core: %d concepts vs %d weights", len(concepts), len(weights))
+	}
+	wtot := 0.0
+	for _, w := range weights {
+		if !(w >= 0) {
+			return nil, fmt.Errorf("core: negative or NaN concept weight %v", w)
+		}
+		wtot += w
+	}
+	if math.IsInf(wtot, 1) {
+		return nil, fmt.Errorf("core: concept weights sum to +Inf")
+	}
+	params["concepts"] = ir.WeightedTermsParam(concepts, weights)
+	return params, nil
 }
 
 // expandConcepts is the one query-expansion implementation: the topK
@@ -93,29 +118,4 @@ func (v storeView) Thesaurus() *thesaurus.Thesaurus { return v.ep.thes }
 
 func (v storeView) Leg(_ int, q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg, error) {
 	return v.ep.leg(q, theta, false)
-}
-
-// scoresToHits ranks a combined score map and resolves URLs against the
-// view; k > 0 cuts with the bounded partial selection. The ranking
-// scratch is pooled; RankInto may grow the backing array, so the borrow
-// is threaded through the same variable.
-func scoresToHits(v ShardView, s ir.Scores, k int) []Hit {
-	ranked := borrowRanked()
-	ranked = ir.RankInto(ranked, s, k)
-	hits := make([]Hit, 0, len(ranked))
-	for _, rk := range ranked {
-		hits = append(hits, Hit{OID: bat.OID(rk.Doc), URL: v.URLOf(bat.OID(rk.Doc)), Score: rk.Score})
-	}
-	releaseRanked(ranked)
-	return hits
-}
-
-// hitsToScores converts hits into a pooled Scores map; callers release it
-// with ir.ReleaseScores when done.
-func hitsToScores(hits []Hit) ir.Scores {
-	out := ir.NewScores()
-	for _, h := range hits {
-		out[uint64(h.OID)] = h.Score
-	}
-	return out
 }

@@ -373,8 +373,8 @@ func TestErrNotIndexedTyped(t *testing.T) {
 	if _, err := m.QueryDualCoding("x", 3); !errors.Is(err, ErrNotIndexed) {
 		t.Fatalf("QueryDualCoding err = %v, want ErrNotIndexed", err)
 	}
-	if _, err := m.WeightedContentScores([]string{"x"}, []float64{1}); !errors.Is(err, ErrNotIndexed) {
-		t.Fatalf("WeightedContentScores err = %v, want ErrNotIndexed", err)
+	if _, err := m.NewSession("x"); !errors.Is(err, ErrNotIndexed) {
+		t.Fatalf("NewSession err = %v, want ErrNotIndexed", err)
 	}
 	if _, err := m.Refresh(); !errors.Is(err, ErrNotIndexed) {
 		t.Fatalf("Refresh err = %v, want ErrNotIndexed", err)

@@ -32,10 +32,10 @@ func (s *Service) mirror() (*Mirror, error) {
 // ShardQueryArgs is one scatter leg of a router query, pinned to the
 // epoch published under Tag so every shard answers from the same round.
 type ShardQueryArgs struct {
-	Kind       string    // "ann" | "content" | "dual" | "moa" | "wsum"
+	Kind       string    // "ann" | "content" | "dual" | "moa"
 	Text       string    // query text ("ann", "dual") or Moa source ("moa")
-	Terms      []string  // cluster words ("content", "wsum"), concepts ("dual") or query terms ("moa")
-	Weights    []float64 // per-term weights ("wsum")
+	Terms      []string  // cluster words ("content"), concepts ("dual") or query terms ("moa")
+	Weights    []float64 // per-concept weights of a session's "dual" leg; nil = unweighted
 	K          int       // ranked top-k request; <= 0 = exhaustive
 	Tag        uint64    // publish tag the reply must be served at
 	ThetaFloor float64   // router's shared pruning threshold at send time
@@ -47,7 +47,7 @@ type ShardQueryArgs struct {
 // cut to the global top k, plus the pruning threshold reached — the
 // router folds Theta into its shared rising threshold for the remaining
 // legs. A row value travels as its float64 in Scores where it is one (all
-// "ann", "content", "dual" and "wsum" rows) and rendered with %v in
+// "ann", "content" and "dual" rows) and rendered with %v in
 // Values where it is not; Floats is nil when every value is a float64.
 type ShardQueryReply struct {
 	OIDs   []uint64
@@ -85,7 +85,7 @@ func (s *Service) ShardQuery(args ShardQueryArgs, reply *ShardQueryReply) error 
 	if l.scalar != nil {
 		return errScalarMerge
 	}
-	*reply = ShardQueryReply{OIDs: l.oids, Scores: l.scores, Theta: l.theta}
+	*reply = ShardQueryReply{Theta: l.theta}
 	mixed := false
 	for _, row := range l.rows {
 		f, isF := row.Value.(float64)
@@ -323,12 +323,7 @@ func (c *Client) ShardQuery(args ShardQueryArgs) (*ShardLeg, error) {
 	if err := c.call("Mirror.ShardQuery", args, &reply); err != nil {
 		return nil, wireErr(err)
 	}
-	l := &ShardLeg{theta: reply.Theta}
-	if args.Kind == "wsum" {
-		l.oids, l.scores = reply.OIDs, reply.Scores
-		return l, nil
-	}
-	l.rows = make([]moa.Row, len(reply.OIDs))
+	l := &ShardLeg{theta: reply.Theta, rows: make([]moa.Row, len(reply.OIDs))}
 	for i, oid := range reply.OIDs {
 		l.rows[i] = moa.Row{OID: bat.OID(oid), Value: reply.Scores[i]}
 		if reply.Floats != nil && !reply.Floats[i] {

@@ -42,7 +42,9 @@ import (
 )
 
 // wireVersion is the frame format's version; peers must match exactly.
-const wireVersion = 1
+// v2: a "dual" ShardQuery leg may carry a session's concept weights,
+// which a v1 shard would silently ignore.
+const wireVersion = 2
 
 // wireMagic opens a framed connection. No gob stream starts with its
 // first byte (a gob length byte in 0x80–0xf7 is out of range), so a gob

@@ -86,7 +86,7 @@ func sampleRequests() []wireMsg {
 	return []wireMsg{
 		{"Mirror.TextQuery", TextQueryArgs{Text: "kelp foam buoy", K: 10}},
 		{"Mirror.MoaQuery", MoaQueryArgs{Source: "count(ImageLibraryInternal);", QueryTerms: []string{"sea", ""}, K: 3}},
-		{"Mirror.ShardQuery", ShardQueryArgs{Kind: "wsum", Terms: []string{"c1", "c2"}, Weights: []float64{0.5, 1.5}, K: 10, Tag: 7, ThetaFloor: math.Inf(-1), ScanID: 42}},
+		{"Mirror.ShardQuery", ShardQueryArgs{Kind: "dual", Text: "harbor gull", Terms: []string{"c1", "c2"}, Weights: []float64{0.5, 1.5}, K: 10, Tag: 7, ThetaFloor: math.Inf(-1), ScanID: 42}},
 		{"Mirror.RaiseTheta", RaiseThetaArgs{ScanID: 42, Theta: 1.25}},
 		{"Mirror.Stats", dict.Empty{}},
 		{"Mirror.SessionFeedback", SessionFeedbackArgs{ID: 3, Relevant: []uint64{1, 2}, Nonrelevant: []uint64{9}}},
@@ -186,7 +186,7 @@ func TestWireMatchesGob(t *testing.T) {
 		&MoaQueryArgs{Source: "count(ImageLibraryInternal);", QueryTerms: []string{}, K: 5},
 		&MoaQueryArgs{QueryTerms: []string{"", "water"}},
 		&ShardQueryArgs{Kind: "ann", Text: "x", K: 10, Tag: 3, ThetaFloor: math.Inf(-1), ScanID: 1<<63 + 5},
-		&ShardQueryArgs{Kind: "wsum", Terms: []string{"a", ""}, Weights: []float64{nan, 0, math.Inf(1)}, ThetaFloor: nan},
+		&ShardQueryArgs{Kind: "dual", Terms: []string{"a", ""}, Weights: []float64{nan, 0, math.Inf(1)}, ThetaFloor: nan},
 		&ShardQueryArgs{Terms: []string{}, Weights: []float64{}},
 		&RaiseThetaArgs{ScanID: 9, Theta: math.Inf(-1)},
 		&RaiseThetaArgs{Theta: nan},

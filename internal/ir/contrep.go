@@ -338,7 +338,16 @@ func (c *Contrep) Functions() map[string]*moa.StructFunc {
 	}
 }
 
-// checkGetBL validates getBL(contrep, query, stats).
+// WeightedTermsType is the type of a weighted getBL query: the #wsum
+// form of the paper's query, whose terms each carry a weight (relevance
+// feedback's weighted cluster words). Bind it with WeightedTermsParam.
+var WeightedTermsType = &moa.SetType{Elem: &moa.TupleType{
+	Names: []string{"term", "weight"},
+	Types: []moa.Type{moa.StrType, moa.FloatType},
+}}
+
+// checkGetBL validates getBL(contrep, query, stats): query is a set of
+// terms or a weighted set of terms.
 func checkGetBL(result moa.Type) func(args []moa.Type) (moa.Type, error) {
 	return func(args []moa.Type) (moa.Type, error) {
 		if len(args) != 3 {
@@ -349,8 +358,11 @@ func checkGetBL(result moa.Type) func(args []moa.Type) (moa.Type, error) {
 			return nil, fmt.Errorf("moa: getBL query must be a set of terms, got %s", args[1])
 		}
 		at, ok := st.Elem.(*moa.AtomType)
+		if st.Equal(WeightedTermsType) {
+			at, ok = moa.StrType, true
+		}
 		if !ok || at.Kind != bat.KindStr {
-			return nil, fmt.Errorf("moa: getBL query elements must be strings, got %s", st.Elem)
+			return nil, fmt.Errorf("moa: getBL query elements must be strings or (string, flt weight) pairs, got %s", st.Elem)
 		}
 		if !args[2].Equal(moa.StatsType) {
 			return nil, fmt.Errorf("moa: getBL third argument must be stats, got %s", args[2])
@@ -360,13 +372,20 @@ func checkGetBL(result moa.Type) func(args []moa.Type) (moa.Type, error) {
 }
 
 // queryTermsVar emits the translation of the query parameter into term
-// OIDs: join the query strings with the reversed dictionary.
-func queryTermsVar(tr *moa.Translator, prefix string, query moa.Rep) (string, error) {
+// OIDs: join the query strings with the reversed dictionary. A weighted
+// query also yields its weights restricted to the same surviving terms
+// (w, aligned with q; "" for a plain query): an out-of-dictionary term
+// drops with its weight.
+func queryTermsVar(tr *moa.Translator, prefix string, query moa.Rep) (q, w string, err error) {
 	ps, ok := query.(*moa.ParamSetRep)
 	if !ok {
-		return "", fmt.Errorf("moa: getBL query must be a bound set parameter, got %T", query)
+		return "", "", fmt.Errorf("moa: getBL query must be a bound set parameter, got %T", query)
 	}
-	return tr.Emit("q", mil.C("join", mil.R(ps.ValsVar), mil.R(prefix+"_dictrev"))), nil
+	q = tr.Emit("q", mil.C("join", mil.R(ps.ValsVar), mil.R(prefix+"_dictrev")))
+	if ps.WeightsVar != "" {
+		w = tr.Emit("qw", mil.C("semijoin", mil.R(ps.WeightsVar), mil.R(q)))
+	}
+	return q, w, nil
 }
 
 // emitGetBLPairs is the unfused flattening: it materialises one belief per
@@ -379,9 +398,12 @@ func emitGetBLPairs(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.
 	if len(extra) != 2 {
 		return nil, fmt.Errorf("moa: getBL needs query and stats arguments")
 	}
-	q, err := queryTermsVar(tr, sr.Prefix, extra[0])
+	q, w, err := queryTermsVar(tr, sr.Prefix, extra[0])
 	if err != nil {
 		return nil, err
+	}
+	if w != "" {
+		return nil, fmt.Errorf("moa: a weighted getBL query is only defined under sum (enable aggregate fusion)")
 	}
 	pairs := tr.Emit("blp", mil.C("getbl_pairs",
 		mil.R(sr.Prefix+"_termrev"), mil.R(sr.Prefix+"_doc"), mil.R(sr.Prefix+"_bel"),
@@ -392,8 +414,8 @@ func emitGetBLPairs(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.
 }
 
 // emitGetBLScore is the fused flattening (sum∘getBL): the physical getbl
-// operator scans only the matching postings, then default scores are filled
-// in for the remaining domain elements.
+// (weighted: wsum_bel) operator scans only the matching postings, then
+// default scores are filled in for the remaining domain elements.
 func emitGetBLScore(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.Rep) (moa.Rep, error) {
 	sr, ok := recv.(*moa.StructRep)
 	if !ok {
@@ -402,18 +424,23 @@ func emitGetBLScore(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.
 	if len(extra) != 2 {
 		return nil, fmt.Errorf("moa: getBLScore needs query and stats arguments")
 	}
-	q, err := queryTermsVar(tr, sr.Prefix, extra[0])
+	q, w, err := queryTermsVar(tr, sr.Prefix, extra[0])
 	if err != nil {
 		return nil, err
 	}
-	scores := tr.Emit("bls", mil.C("getbl",
-		mil.R(sr.Prefix+"_termrev"), mil.R(sr.Prefix+"_doc"), mil.R(sr.Prefix+"_bel"),
-		mil.R(q), mil.L(DefaultBelief)))
+	cols := []mil.Expr{mil.R(sr.Prefix + "_termrev"), mil.R(sr.Prefix + "_doc"), mil.R(sr.Prefix + "_bel"), mil.R(q)}
+	// default score for elements with no matching posting: |q| · default,
+	// resp. Σ weights · default
+	qlen := mil.C("count", mil.R(q))
+	op := "getbl"
+	if w != "" {
+		cols, qlen, op = append(cols, mil.R(w)), mil.C("sum", mil.R(w)), "wsum_bel"
+	}
+	scores := tr.Emit("bls", mil.C(op, append(cols, mil.L(DefaultBelief))...))
 	if !ctx.Full {
 		scores = tr.Emit("bls", mil.C("semijoin", mil.R(scores), mil.R(ctx.DomainVar)))
 	}
-	// default score for elements with no matching posting: |q| · default
-	defScore := tr.Emit("dfs", mil.C("calc", mil.L("*"), mil.C("count", mil.R(q)), mil.L(DefaultBelief)))
+	defScore := tr.Emit("dfs", mil.C("calc", mil.L("*"), qlen, mil.L(DefaultBelief)))
 	filled := tr.Emit("bls", mil.C("fill", mil.R(scores), mil.R(ctx.DomainVar), mil.R(defScore)))
 	return &moa.AtomRep{Var: filled, T: moa.FloatType}, nil
 }
@@ -461,11 +488,15 @@ func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, calls []moa.TopKCall, 
 	}
 	args := []mil.Expr{mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar), mil.L(div)}
 	for i, c := range calls {
-		q, err := queryTermsVar(tr, prefixes[i], c.Extra[0])
+		q, w, err := queryTermsVar(tr, prefixes[i], c.Extra[0])
 		if err != nil {
 			return nil, err
 		}
-		args = append(args, mil.R(q), mil.L(int64(nsegs[i])))
+		args = append(args, mil.R(q))
+		if w != "" {
+			args = append(args, mil.R(w))
+		}
+		args = append(args, mil.L(int64(nsegs[i])))
 		for s := 0; s < nsegs[i]; s++ {
 			for _, suffix := range blockSegSuffixes {
 				args = append(args, mil.R(SegColumn(prefixes[i], s, suffix)))
@@ -488,7 +519,8 @@ func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, calls []moa.TopKCall, 
 }
 
 // evalGetBL is the tuple-at-a-time path: per element, produce the belief of
-// each query term present in the dictionary.
+// each query term present in the dictionary — weighted by its weight
+// under a weighted query, so that sum(getBL(...)) is the #wsum evidence.
 func evalGetBL(ip *moa.Interp, recv any, extra []any) (any, error) {
 	cv, ok := recv.(*ContrepValue)
 	if !ok {
@@ -501,20 +533,23 @@ func evalGetBL(ip *moa.Interp, recv any, extra []any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	terms, err := queryTermList(extra[0])
+	terms, weights, err := queryTermList(extra[0])
 	if err != nil {
 		return nil, err
 	}
 	out := make([]any, 0, len(terms))
-	for _, t := range terms {
+	for i, t := range terms {
 		if _, inDict := idx[t]; !inDict {
 			continue // OOV terms drop out, as in the flattened join
 		}
-		if b, ok := cv.Beliefs[t]; ok {
-			out = append(out, b)
-		} else {
-			out = append(out, DefaultBelief)
+		b, ok := cv.Beliefs[t]
+		if !ok {
+			b = DefaultBelief
 		}
+		if weights != nil {
+			b *= weights[i]
+		}
+		out = append(out, b)
 	}
 	return out, nil
 }
@@ -531,23 +566,33 @@ func evalGetBLScore(ip *moa.Interp, recv any, extra []any) (any, error) {
 	return sum, nil
 }
 
-// queryTermList extracts the term strings from an interpreted query value.
-func queryTermList(v any) ([]string, error) {
+// queryTermList extracts the term strings (and, from a weighted query,
+// their weights; nil otherwise) from an interpreted query value.
+func queryTermList(v any) ([]string, []float64, error) {
 	switch items := v.(type) {
 	case []moa.Row:
 		out := make([]string, 0, len(items))
+		var weights []float64
 		for _, r := range items {
+			if tv, ok := r.Value.(map[string]any); ok {
+				w, _ := tv["weight"].(float64)
+				weights = append(weights, w)
+				r.Value = tv["term"]
+			}
 			s, ok := r.Value.(string)
 			if !ok {
-				return nil, fmt.Errorf("moa: query term is %T", r.Value)
+				return nil, nil, fmt.Errorf("moa: query term is %T", r.Value)
 			}
 			out = append(out, s)
 		}
-		return out, nil
+		if weights != nil && len(weights) != len(out) {
+			return nil, nil, fmt.Errorf("moa: query mixes weighted and plain terms")
+		}
+		return out, weights, nil
 	case []string:
-		return items, nil
+		return items, nil, nil
 	}
-	return nil, fmt.Errorf("moa: unsupported query value %T", v)
+	return nil, nil, fmt.Errorf("moa: unsupported query value %T", v)
 }
 
 // QueryParams builds the standard parameter bindings for the paper's
@@ -557,6 +602,17 @@ func QueryParams(terms []string) map[string]moa.Param {
 		"query": TermsParam(terms),
 		"stats": {T: moa.StatsType, V: "stats"},
 	}
+}
+
+// WeightedTermsParam binds terms with one weight each (weights[i] is
+// terms[i]'s; len(weights) >= len(terms)) as a weighted set
+// (WeightedTermsType), the #wsum form getBL's query argument takes.
+func WeightedTermsParam(terms []string, weights []float64) moa.Param {
+	items := make([]any, len(terms))
+	for i, t := range terms {
+		items[i] = map[string]any{"term": t, "weight": weights[i]}
+	}
+	return moa.Param{T: WeightedTermsType, V: items}
 }
 
 // TermsParam binds a set of pre-analysed terms (or cluster words) as a

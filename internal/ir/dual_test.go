@@ -56,6 +56,28 @@ func dualParams(terms, concepts []string) map[string]moa.Param {
 	return p
 }
 
+// weightedDualParams binds the concepts as a weighted set — relevance
+// feedback's form of the dual query — with weights spread over 1e-2…1e2.
+func weightedDualParams(terms, concepts []string) map[string]moa.Param {
+	p := QueryParams(terms)
+	ws := make([]float64, len(concepts))
+	for i := range ws {
+		ws[i] = math.Pow(10, float64(i%5)-2) * (1 + 0.25*float64(i))
+	}
+	p["concepts"] = WeightedTermsParam(concepts, ws)
+	return p
+}
+
+// dualBindings are the two forms of the concepts parameter.
+var dualBindings = []struct {
+	name     string
+	params   func(terms, concepts []string) map[string]moa.Param
+	weighted bool
+}{
+	{"plain", dualParams, false},
+	{"weighted", weightedDualParams, true},
+}
+
 // dualQueries are (text, concepts) probes: shared and rare terms, an OOV
 // text term, an OOV and a duplicate concept, and an empty expansion.
 var dualQueries = []struct {
@@ -99,26 +121,78 @@ func TestDualInterpMatchesFlattened(t *testing.T) {
 	}
 	fused := moa.NewEngine(db)
 	unfused := &moa.Engine{DB: db, Opts: moa.Options{FuseMaps: true, CSE: true}}
-	for _, q := range dualQueries {
-		params := dualParams(Analyze(q.text), q.concepts)
-		flat := queryRows(t, fused, dualRank, params)
-		ann := queryRows(t, fused, annRank, params)
-		img := queryRows(t, fused, imgRank, params)
-		plain := queryRows(t, unfused, dualRank, params)
-		ires, err := moa.NewInterp(db, params).Query(dualRank)
+	for _, b := range dualBindings {
+		for _, q := range dualQueries {
+			params := b.params(Analyze(q.text), q.concepts)
+			flat := queryRows(t, fused, dualRank, params)
+			ann := queryRows(t, fused, annRank, params)
+			img := queryRows(t, fused, imgRank, params)
+			plain := flat
+			if b.weighted {
+				// a weighted getBL is defined under sum only
+				if _, err := unfused.Query(dualRank, params); err == nil {
+					t.Fatalf("%s %q: the unfused plan accepted a weighted getBL", b.name, q.text)
+				}
+			} else {
+				plain = queryRows(t, unfused, dualRank, params)
+			}
+			ires, err := moa.NewInterp(db, params).Query(dualRank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(flat) != 80 || len(ires.Rows) != 80 || len(plain) != 80 {
+				t.Fatalf("%s %q: rows flattened %d, interp %d, unfused %d, want 80", b.name, q.text, len(flat), len(ires.Rows), len(plain))
+			}
+			for _, r := range ires.Rows {
+				d := uint64(r.OID)
+				if want := (ann[d] + img[d]) / 2; flat[d] != want {
+					t.Fatalf("%s %q doc %d: flattened %v, (annotation %v + content %v) / 2 = %v", b.name, q.text, d, flat[d], ann[d], img[d], want)
+				}
+				if math.Abs(flat[d]-r.Value.(float64)) > 1e-9 || math.Abs(flat[d]-plain[d]) > 1e-9 {
+					t.Fatalf("%s %q doc %d: flattened %v, interp %v, unfused %v", b.name, q.text, d, flat[d], r.Value, plain[d])
+				}
+			}
+		}
+	}
+}
+
+// TestWeightedQueryDropsOOVWithWeight: an out-of-dictionary term of a
+// weighted query drops together with its weight — from the matched
+// documents' sums and from the default fill alike — on the exhaustive
+// and the pruned plan.
+func TestWeightedQueryDropsOOVWithWeight(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	db := dualDB(t)
+	for i := 0; i < 60; i++ {
+		dualInsert(t, db, rng, i)
+	}
+	if err := db.Finalize("Lib"); err != nil {
+		t.Fatal(err)
+	}
+	bind := func(concepts []string, ws []float64) map[string]moa.Param {
+		p := QueryParams(nil)
+		p["concepts"] = WeightedTermsParam(concepts, ws)
+		return p
+	}
+	with := bind([]string{"c1", "zeppelin", "c4"}, []float64{0.5, 7, 2})
+	without := bind([]string{"c1", "c4"}, []float64{0.5, 2})
+	for _, k := range []int{0, 1, 10} {
+		eng := moa.NewEngine(db)
+		eng.Opts.TopK = k
+		a, err := eng.Query(imgRank, with)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(flat) != 80 || len(ires.Rows) != 80 || len(plain) != 80 {
-			t.Fatalf("%q: rows flattened %d, interp %d, unfused %d, want 80", q.text, len(flat), len(ires.Rows), len(plain))
+		b, err := eng.Query(imgRank, without)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, r := range ires.Rows {
-			d := uint64(r.OID)
-			if want := (ann[d] + img[d]) / 2; flat[d] != want {
-				t.Fatalf("%q doc %d: flattened %v, (annotation %v + content %v) / 2 = %v", q.text, d, flat[d], ann[d], img[d], want)
-			}
-			if math.Abs(flat[d]-r.Value.(float64)) > 1e-9 || math.Abs(flat[d]-plain[d]) > 1e-9 {
-				t.Fatalf("%q doc %d: flattened %v, interp %v, unfused %v", q.text, d, flat[d], r.Value, plain[d])
+		if len(a.Rows) != len(b.Rows) || len(a.Rows) == 0 {
+			t.Fatalf("k=%d: %d vs %d rows", k, len(a.Rows), len(b.Rows))
+		}
+		for i := range a.Rows {
+			if a.Rows[i] != b.Rows[i] {
+				t.Fatalf("k=%d row %d: with the OOV term %v, without %v", k, i, a.Rows[i], b.Rows[i])
 			}
 		}
 	}
@@ -177,34 +251,42 @@ func TestDualPrunedMatchesExhaustive(t *testing.T) {
 	}
 	exhaustive := moa.NewEngine(db)
 	for _, q := range dualQueries {
-		params := dualParams(Analyze(q.text), q.concepts)
-		full, err := exhaustive.Query(dualRank, params)
+		for _, b := range dualBindings {
+			assertDualPruned(t, db, n, q.text, b.params(Analyze(q.text), q.concepts), exhaustive)
+		}
+	}
+}
+
+// assertDualPruned checks the pruned dual plan against the exhaustive one
+// at k ∈ {1, 10, 100, n+3}.
+func assertDualPruned(t *testing.T, db *moa.Database, n int, text string, params map[string]moa.Param, exhaustive *moa.Engine) {
+	t.Helper()
+	full, err := exhaustive.Query(dualRank, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 10, 100, n + 3} {
+		want := rankedRows(full.Rows, k)
+		eng := moa.NewEngine(db)
+		eng.Opts.TopK = k
+		c, err := eng.Compile(dualRank, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []int{1, 10, 100, n + 3} {
-			want := rankedRows(full.Rows, k)
-			eng := moa.NewEngine(db)
-			eng.Opts.TopK = k
-			c, err := eng.Compile(dualRank, params)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if mil := c.MIL(); strings.Count(mil, "prunedtopk(") != 1 || strings.Contains(mil, "getbl(") {
-				t.Fatalf("%q k=%d: dual body not fused into one prunedtopk:\n%s", q.text, k, mil)
-			}
-			res, err := c.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Ranked || len(res.Rows) != len(want) {
-				t.Fatalf("%q k=%d: ranked %v, %d rows, want %d", q.text, k, res.Ranked, len(res.Rows), len(want))
-			}
-			for i := range want {
-				if res.Rows[i].OID != want[i].OID || res.Rows[i].Value != want[i].Value {
-					t.Fatalf("%q k=%d rank %d: pruned (%d, %v), exhaustive (%d, %v)",
-						q.text, k, i, res.Rows[i].OID, res.Rows[i].Value, want[i].OID, want[i].Value)
-				}
+		if mil := c.MIL(); strings.Count(mil, "prunedtopk(") != 1 || strings.Contains(mil, "getbl(") {
+			t.Fatalf("%q k=%d: dual body not fused into one prunedtopk:\n%s", text, k, mil)
+		}
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Ranked || len(res.Rows) != len(want) {
+			t.Fatalf("%q k=%d: ranked %v, %d rows, want %d", text, k, res.Ranked, len(res.Rows), len(want))
+		}
+		for i := range want {
+			if res.Rows[i].OID != want[i].OID || res.Rows[i].Value != want[i].Value {
+				t.Fatalf("%q k=%d rank %d: pruned (%d, %v), exhaustive (%d, %v)",
+					text, k, i, res.Rows[i].OID, res.Rows[i].Value, want[i].OID, want[i].Value)
 			}
 		}
 	}

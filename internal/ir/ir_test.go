@@ -143,69 +143,6 @@ func TestBeliefProperties(t *testing.T) {
 	}
 }
 
-func TestCombinators(t *testing.T) {
-	a := Scores{1: 0.9, 2: 0.5}
-	b := Scores{1: 0.7, 3: 0.6}
-	defaults := []float64{DefaultBelief, DefaultBelief}
-
-	sum, err := CombineSum([]Scores{a, b}, defaults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(sum[1]-0.8) > 1e-12 {
-		t.Fatalf("sum[1] = %v", sum[1])
-	}
-	if math.Abs(sum[2]-(0.5+DefaultBelief)/2) > 1e-12 {
-		t.Fatalf("sum[2] = %v", sum[2])
-	}
-
-	w, err := CombineWSum([]Scores{a, b}, []float64{3, 1}, defaults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(w[1]-(3*0.9+0.7)/4) > 1e-12 {
-		t.Fatalf("wsum[1] = %v", w[1])
-	}
-
-	and, err := CombineAnd([]Scores{a, b}, defaults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(and[1]-0.63) > 1e-12 {
-		t.Fatalf("and[1] = %v", and[1])
-	}
-
-	or, err := CombineOr([]Scores{a, b}, defaults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(or[1]-(1-0.1*0.3)) > 1e-12 {
-		t.Fatalf("or[1] = %v", or[1])
-	}
-
-	not := CombineNot(a)
-	if math.Abs(not[1]-0.1) > 1e-12 {
-		t.Fatalf("not[1] = %v", not[1])
-	}
-
-	mx, err := CombineMax([]Scores{a, b}, defaults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx[1] != 0.9 || mx[3] != 0.6 {
-		t.Fatalf("max = %v", mx)
-	}
-
-	ranked := Rank(sum, 2)
-	if len(ranked) != 2 || ranked[0].Doc != 1 {
-		t.Fatalf("rank = %v", ranked)
-	}
-
-	if _, err := CombineSum([]Scores{a}, nil); err == nil {
-		t.Fatal("mismatched defaults should error")
-	}
-}
-
 // mkImgLib builds the paper's Section 3 TraditionalImgLib.
 func mkImgLib(t *testing.T) *moa.Database {
 	t.Helper()

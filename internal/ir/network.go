@@ -1,12 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"math"
-	"sort"
-
-	"mirror/internal/bat"
-)
+import "math"
 
 // DefaultBelief is the inference network's prior belief in a concept given a
 // document that contains no evidence for it (InQuery's default 0.4).
@@ -41,219 +35,4 @@ type Stats struct {
 	AvgDocLen     float64 // average document length in tokens
 	Terms         int     // dictionary size
 	DefaultBelief float64
-}
-
-// ---- evidence combination (the inference network query operators) ----
-
-// Scores maps document OIDs (as uint64 for package independence) to
-// beliefs. The combination operators implement the query formulation model
-// of the inference network: #sum, #wsum, #and, #or, #not, #max.
-//
-// Scores maps returned by NewScores and the Combine* operators are pooled
-// scratch (see pool.go): the caller owns the result and hands it back with
-// ReleaseScores exactly once on every path, including error returns — a
-// discipline enforced statically by internal/lint/poolcheck and dynamically
-// by the pooldebug build tag.
-type Scores map[uint64]float64
-
-// CombineSum averages the beliefs of the children (#sum). Documents missing
-// from a child contribute that child's default.
-func CombineSum(children []Scores, defaults []float64) (Scores, error) {
-	assertScoresLive(children...)
-	if len(children) != len(defaults) {
-		return nil, fmt.Errorf("ir: #sum: %d children vs %d defaults", len(children), len(defaults))
-	}
-	out := NewScores()
-	for _, ch := range children {
-		for d := range ch {
-			out[d] = 0
-		}
-	}
-	n := float64(len(children))
-	if n == 0 {
-		return out, nil
-	}
-	for d := range out {
-		s := 0.0
-		for ci, ch := range children {
-			if v, ok := ch[d]; ok {
-				s += v
-			} else {
-				s += defaults[ci]
-			}
-		}
-		out[d] = s / n
-	}
-	return out, nil
-}
-
-// CombineWSum is the weighted average (#wsum).
-func CombineWSum(children []Scores, weights, defaults []float64) (Scores, error) {
-	assertScoresLive(children...)
-	if len(children) != len(weights) || len(children) != len(defaults) {
-		return nil, fmt.Errorf("ir: #wsum: mismatched children/weights/defaults")
-	}
-	var wtot float64
-	for _, w := range weights {
-		wtot += w
-	}
-	if wtot == 0 {
-		return NewScores(), nil
-	}
-	out := NewScores()
-	for _, ch := range children {
-		for d := range ch {
-			out[d] = 0
-		}
-	}
-	for d := range out {
-		s := 0.0
-		for ci, ch := range children {
-			v, ok := ch[d]
-			if !ok {
-				v = defaults[ci]
-			}
-			s += weights[ci] * v
-		}
-		out[d] = s / wtot
-	}
-	return out, nil
-}
-
-// CombineAnd multiplies beliefs (#and).
-func CombineAnd(children []Scores, defaults []float64) (Scores, error) {
-	assertScoresLive(children...)
-	if len(children) != len(defaults) {
-		return nil, fmt.Errorf("ir: #and: mismatched children/defaults")
-	}
-	out := NewScores()
-	for _, ch := range children {
-		for d := range ch {
-			out[d] = 1
-		}
-	}
-	for d := range out {
-		p := 1.0
-		for ci, ch := range children {
-			v, ok := ch[d]
-			if !ok {
-				v = defaults[ci]
-			}
-			p *= v
-		}
-		out[d] = p
-	}
-	return out, nil
-}
-
-// CombineOr is the probabilistic or (#or): 1 − Π(1 − b).
-func CombineOr(children []Scores, defaults []float64) (Scores, error) {
-	assertScoresLive(children...)
-	if len(children) != len(defaults) {
-		return nil, fmt.Errorf("ir: #or: mismatched children/defaults")
-	}
-	out := NewScores()
-	for _, ch := range children {
-		for d := range ch {
-			out[d] = 0
-		}
-	}
-	for d := range out {
-		p := 1.0
-		for ci, ch := range children {
-			v, ok := ch[d]
-			if !ok {
-				v = defaults[ci]
-			}
-			p *= 1 - v
-		}
-		out[d] = 1 - p
-	}
-	return out, nil
-}
-
-// CombineNot negates belief (#not).
-func CombineNot(child Scores) Scores {
-	assertScoresLive(child)
-	out := NewScores()
-	for d, v := range child {
-		out[d] = 1 - v
-	}
-	return out
-}
-
-// CombineMax takes the maximum belief (#max).
-func CombineMax(children []Scores, defaults []float64) (Scores, error) {
-	assertScoresLive(children...)
-	if len(children) != len(defaults) {
-		return nil, fmt.Errorf("ir: #max: mismatched children/defaults")
-	}
-	out := NewScores()
-	for _, ch := range children {
-		for d := range ch {
-			out[d] = math.Inf(-1)
-		}
-	}
-	for d := range out {
-		m := math.Inf(-1)
-		for ci, ch := range children {
-			v, ok := ch[d]
-			if !ok {
-				v = defaults[ci]
-			}
-			if v > m {
-				m = v
-			}
-		}
-		out[d] = m
-	}
-	return out, nil
-}
-
-// Ranked is one entry of a ranking.
-type Ranked struct {
-	Doc   uint64
-	Score float64
-}
-
-// rankedWorse reports whether a ranks strictly after b (score descending,
-// document OID ascending on ties — the order every ranking in the system
-// uses).
-func rankedWorse(a, b Ranked) bool {
-	if a.Score != b.Score {
-		return a.Score < b.Score
-	}
-	return a.Doc > b.Doc
-}
-
-// Rank orders scores descending (ties by document OID) and cuts at k
-// (k <= 0 keeps everything). When k is smaller than the collection it runs
-// a bounded min-heap partial selection — O(N log k) instead of sorting all
-// N scores — with the identical tie order.
-func Rank(s Scores, k int) []Ranked {
-	return RankInto(nil, s, k)
-}
-
-// RankInto is Rank reusing dst's backing array (pass a slice retained from
-// a previous ranking to avoid the allocation; dst may be nil). The bounded
-// selection runs on bat.BoundedTopK — a total-order comparator (OIDs are
-// unique), so the result is independent of map iteration order.
-func RankInto(dst []Ranked, s Scores, k int) []Ranked {
-	assertScoresLive(s)
-	out := dst[:0]
-	if k > 0 && k < len(s) {
-		h := bat.NewBoundedTopK(k, rankedWorse)
-		for d, v := range s {
-			h.Offer(Ranked{Doc: d, Score: v})
-		}
-		return append(out, h.Ranked()...)
-	}
-	for d, v := range s {
-		out = append(out, Ranked{Doc: d, Score: v})
-	}
-	sort.Slice(out, func(i, j int) bool { return rankedWorse(out[j], out[i]) })
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
 }

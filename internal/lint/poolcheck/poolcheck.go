@@ -1,9 +1,8 @@
 // Package poolcheck statically enforces the pooled borrow/return
-// discipline on the query hot path: every Scores map or ranking slice
-// borrowed from a pool (ir.NewScores, the ir.Combine* operators,
-// hitsToScores, WeightedContentScores, borrowRanked, borrowRows, ...)
-// must be released exactly once on every control-flow path — including
-// error returns — or have its ownership transferred by returning it.
+// discipline on the query hot path: every piece of scratch borrowed from
+// a pool (borrowRows, borrowBlockCursors, borrowScanScratch) must be
+// released exactly once on every control-flow path — including error
+// returns — or have its ownership transferred by returning it.
 //
 // The checker is a purely syntactic forward dataflow over the AST
 // (go/parser + go/ast only: the module is dependency-free, so it mimics
@@ -24,8 +23,7 @@
 //     not mentioned in the return values is reported as leaked on that
 //     path.
 //   - x = Borrow(...) while x is live is reported (the old borrow leaks),
-//     unless x itself feeds the call (the threading style
-//     `ranked = ir.RankInto(ranked, ...)`).
+//     unless x itself feeds the call.
 //   - Assigning a live borrow into a field, index or map cell transfers
 //     ownership (it escapes the function's scope).
 //   - A borrow expression used as a bare statement discards the borrow
@@ -33,7 +31,7 @@
 //
 // Branches (if/switch/select) are analyzed per arm and merged; loops are
 // analyzed once, and a borrow created inside a loop body must be released
-// inside it. Raw scoresPool/rankedPool/rowPool access is reported outside
+// inside it. Raw rowPool/blockCursorPool/scanScratchPool access is reported outside
 // the files that own the pools (marked with a `//poolcheck:poolfile`
 // comment). _test.go files are skipped.
 package poolcheck
@@ -64,42 +62,21 @@ func (d Diagnostic) String() string {
 // class they borrow from. Ownership of the result transfers to the
 // assignee.
 var borrowFuncs = map[string]string{
-	"NewScores":             "scores",
-	"CombineSum":            "scores",
-	"CombineWSum":           "scores",
-	"CombineAnd":            "scores",
-	"CombineOr":             "scores",
-	"CombineNot":            "scores",
-	"CombineMax":            "scores",
-	"hitsToScores":          "scores",
-	"WeightedContentScores": "scores",
-	"weightedContentScores": "scores",
-	"borrowRanked":          "ranked",
-	"borrowRows":            "rows",
-	"borrowBlockCursors":    "blockcursors",
-	"borrowScanScratch":     "scanscratch",
+	"borrowRows":         "rows",
+	"borrowBlockCursors": "blockcursors",
+	"borrowScanScratch":  "scanscratch",
 }
 
 // releaseFuncs maps callee names that end a borrow to their pool class.
 var releaseFuncs = map[string]string{
-	"ReleaseScores":       "scores",
-	"releaseRanked":       "ranked",
 	"releaseRows":         "rows",
 	"releaseBlockCursors": "blockcursors",
 	"releaseScanScratch":  "scanscratch",
 }
 
-// threadFuncs pass a borrow through: `x = Thread(x, ...)` keeps the same
-// logical borrow live under the same name (the backing array may move).
-var threadFuncs = map[string]bool{
-	"RankInto": true,
-}
-
 // rawPools are the sync.Pool variables only their owning files (marked
 // //poolcheck:poolfile) may touch directly.
 var rawPools = map[string]bool{
-	"scoresPool":      true,
-	"rankedPool":      true,
 	"rowPool":         true,
 	"blockCursorPool": true,
 	"scanScratchPool": true,
@@ -207,7 +184,7 @@ func (c *checker) report(pos token.Pos, format string, args ...any) {
 	c.diags = append(c.diags, Diagnostic{Pos: c.fset.Position(pos), Msg: fmt.Sprintf(format, args...)})
 }
 
-// checkRawPoolAccess flags scoresPool.Get()/rankedPool.Put(...) style
+// checkRawPoolAccess flags rowPool.Get()/rowPool.Put(...) style
 // selectors outside pool-owning files.
 func (c *checker) checkRawPoolAccess(file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
@@ -500,12 +477,6 @@ func (c *checker) bindExpr(lhs, rhs ast.Expr, tok token.Token, st state) {
 	}
 	call, isCall := rhs.(*ast.CallExpr)
 	if !isCall {
-		return
-	}
-	name := calleeName(call)
-	if threadFuncs[name] && callUsesIdent(call, id.Name) {
-		// ranked = ir.RankInto(ranked, ...): same borrow, maybe-moved
-		// backing array; keeps the original borrow position.
 		return
 	}
 	class, isBorrow := borrowCallName(call)

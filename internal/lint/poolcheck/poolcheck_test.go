@@ -6,9 +6,9 @@ import (
 	"testing"
 )
 
-// TestFlagsPrePRLeaks pins the analyzer against the exact pre-fix
-// Session.Run / dual-coding combination shapes (testdata/leaky mirrors the tree
-// before this change): both error-path leaks must be reported.
+// TestFlagsPrePRLeaks pins the analyzer against error-path leaks in the
+// shapes of the query hot path (testdata/leaky): every leak must be
+// reported.
 func TestFlagsPrePRLeaks(t *testing.T) {
 	diags, err := CheckDir(filepath.Join("testdata", "leaky"))
 	if err != nil {
@@ -18,14 +18,14 @@ func TestFlagsPrePRLeaks(t *testing.T) {
 		t.Logf("diagnostic: %s", d)
 	}
 	wantSubstr := []string{
-		`"ts" is not released on this return path`,       // both functions
-		`"cs" is not released on this return path`,       // sessionRun's maybe-borrow
-		`"combined" is not released on this return path`, // both CombineSum error paths
+		`"scratch" is not released on this return path`, // both functions
+		`"sc" is not released on this return path`,      // cutLeg's maybe-borrow
+		`"cset" is not released on this return path`,    // both decode/merge error paths
 		"borrow is discarded",
 		"is overwritten while still live",
-		"raw scoresPool.Get",
-		"raw scoresPool.Put",
-		`"cset" is not released on this return path`, // block-decode cursor set
+		"raw rowPool.Get",
+		"raw rowPool.Put",
+		`"cur" is not released on this return path`, // block-decode cursor set
 	}
 	for _, want := range wantSubstr {
 		found := false
@@ -39,23 +39,28 @@ func TestFlagsPrePRLeaks(t *testing.T) {
 			t.Errorf("no diagnostic containing %q", want)
 		}
 	}
-	// The two pre-existing leaks the fix addresses: ts dropped on the
-	// WeightedContentScores error path of sessionRun AND on the
-	// QueryContent error path of combineDualEvidence.
-	tsLeaks := 0
-	for _, d := range diags {
-		if strings.Contains(d.Msg, `"ts" is not released`) {
-			tsLeaks++
+	// scratch is dropped on the scan error path of cutLeg AND on the
+	// empty-leg path of mergeLegs; cset on both functions' late error
+	// paths.
+	for name, want := range map[string]int{"scratch": 2, "cset": 2} {
+		n := 0
+		for _, d := range diags {
+			if strings.Contains(d.Msg, `"`+name+`" is not released`) {
+				n++
+			}
+		}
+		if n != want {
+			t.Errorf("got %d %s-leak diagnostics, want %d (one per function)", n, name, want)
 		}
 	}
-	if tsLeaks != 2 {
-		t.Errorf("got %d ts-leak diagnostics, want 2 (one per pre-PR function)", tsLeaks)
+	if len(diags) != 10 {
+		t.Errorf("got %d diagnostics, want 10", len(diags))
 	}
 }
 
-// TestCleanFixturePasses: the post-fix shapes (release on every path,
-// defer, ownership transfer by return, threading, escape, loops,
-// switches) must produce zero diagnostics.
+// TestCleanFixturePasses: the fixed shapes (release on every path,
+// defer, ownership transfer by return, escape, loops, switches) must
+// produce zero diagnostics.
 func TestCleanFixturePasses(t *testing.T) {
 	diags, err := CheckDir(filepath.Join("testdata", "clean"))
 	if err != nil {

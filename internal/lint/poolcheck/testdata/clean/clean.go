@@ -1,98 +1,79 @@
-// Package clean holds the post-fix shapes of the query hot path: every
+// Package clean holds the fixed shapes of the query hot path: every
 // borrow released exactly once on every path. poolcheck must report
 // nothing here. Never compiled — parsed by poolcheck_test only.
 package clean
 
-// sessionRun is the fixed Session.Run: every error return releases every
-// live borrow (releases are nil-safe).
-func sessionRun(k int) ([]Hit, error) {
-	textHits, err := m.QueryAnnotations(text, 0)
-	if err != nil {
-		return nil, err
-	}
-	ts := hitsToScores(textHits)
-	terms, ws := clusterWeights()
-	var cs ir.Scores
-	if len(terms) > 0 {
-		cs, err = m.WeightedContentScores(terms, ws)
-		if err != nil {
-			ir.ReleaseScores(cs)
-			ir.ReleaseScores(ts)
+// cutLeg is the fixed leg cut: every error return releases every live
+// borrow (releases are nil-safe).
+func cutLeg(rows []Row, m, k int) ([]Row, error) {
+	scratch := borrowRows()
+	var sc *scanScratch
+	if m > 0 {
+		sc = borrowScanScratch(m)
+		if err := prepare(sc); err != nil {
+			releaseScanScratch(sc)
+			releaseRows(scratch)
 			return nil, err
 		}
 	}
-	combined, err := ir.CombineWSum(
-		[]ir.Scores{ts, cs},
-		[]float64{alpha, 1},
-		[]float64{1, 1},
-	)
-	ir.ReleaseScores(ts)
-	ir.ReleaseScores(cs)
+	cset := borrowBlockCursors(m)
+	err := scan(cset, sc, scratch)
+	releaseRows(scratch)
+	releaseScanScratch(sc)
 	if err != nil {
-		ir.ReleaseScores(combined)
+		releaseBlockCursors(cset)
 		return nil, err
 	}
-	hits := scoresToHits(m, combined, k)
-	ir.ReleaseScores(combined)
-	return hits, nil
+	releaseBlockCursors(cset)
+	return rows[:k], nil
 }
 
 // deferred releases through defer: covers every exit after registration.
 func deferred() error {
-	s := ir.NewScores()
-	defer ir.ReleaseScores(s)
+	r := borrowRows()
+	defer releaseRows(r)
 	if bad() {
 		return errBad
 	}
-	use(s)
+	use(r)
 	return nil
 }
 
 // transferred returns the borrow: ownership moves to the caller.
-func transferred() (ir.Scores, error) {
-	out := ir.NewScores()
+func transferred() ([]Row, error) {
+	out := borrowRows()
 	if bad() {
-		ir.ReleaseScores(out)
+		releaseRows(out)
 		return nil, errBad
 	}
 	return out, nil
 }
 
-// threaded reuses ranking scratch through RankInto (the backing array may
-// move, so the borrow follows the variable).
-func threaded(s ir.Scores, k int) []Hit {
-	ranked := borrowRanked()
-	ranked = ir.RankInto(ranked, s, k)
-	hits := convert(ranked)
-	releaseRanked(ranked)
-	return hits
-}
-
 // escaped stores the borrow into an outer structure: ownership transfers.
-func escaped(perShard []ir.Scores, s int) {
-	out := ir.NewScores()
+func escaped(perShard [][]Row, s int) {
+	out := borrowRows()
 	perShard[s] = out
 }
 
 // looped borrows and releases within each iteration.
 func looped(n int) {
 	for i := 0; i < n; i++ {
-		s := ir.NewScores()
-		use(s)
-		ir.ReleaseScores(s)
+		r := borrowRows()
+		use(r)
+		releaseRows(r)
 	}
 }
 
 // switched releases on every arm that falls through.
 func switched(mode int) {
-	s := ir.NewScores()
+	r := borrowRows()
 	switch mode {
 	case 0:
-		use(s)
+		use(r)
 	default:
-		use2(s)
+		use2(r)
 	}
-	ir.ReleaseScores(s)
+	releaseRows(r)
 }
 
 // blockScan borrows block-decode cursors under defer: released on every

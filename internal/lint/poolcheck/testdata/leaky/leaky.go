@@ -1,100 +1,76 @@
-// Package leaky reproduces the pre-PR error-path pool leaks verbatim:
-// the exact Session.Run and dual-coding combination shapes this analyzer was
-// built to catch. Never compiled — parsed by poolcheck_test only.
+// Package leaky reproduces error-path pool leaks in the shapes of the
+// query hot path: a ranking cut and a multi-source scan that drop their
+// borrowed scratch on an error return, plus the discard, overwrite and
+// raw-pool shapes this analyzer was built to catch. Never compiled —
+// parsed by poolcheck_test only.
 package leaky
 
-// sessionRun is the pre-fix Session.Run: ts (and the maybe-borrowed cs)
-// leak when WeightedContentScores fails, and combined leaks when
-// CombineSum fails.
-func sessionRun(k int) ([]Hit, error) {
-	textHits, err := m.QueryAnnotations(text, 0)
-	if err != nil {
-		return nil, err
-	}
-	ts := hitsToScores(textHits)
-	terms, ws := clusterWeights()
-	var cs ir.Scores
-	var wtot float64
-	for _, w := range ws {
-		wtot += w
-	}
-	if len(terms) > 0 {
-		cs, err = m.WeightedContentScores(terms, ws)
-		if err != nil {
-			return nil, err // LEAK: ts and cs never released
+// cutLeg ranks one leg: scratch (and the maybe-borrowed sc) leak when
+// the scan fails, and cset leaks when the decode fails.
+func cutLeg(rows []Row, m, k int) ([]Row, error) {
+	scratch := borrowRows()
+	var sc *scanScratch
+	if m > 0 {
+		sc = borrowScanScratch(m)
+		if err := prepare(sc); err != nil {
+			return nil, err // LEAK: scratch and sc never released
 		}
 	}
-	combined, err := ir.CombineSum(
-		[]ir.Scores{ts, cs},
-		[]float64{float64(len(textTerms)) * ir.DefaultBelief, wtot * ir.DefaultBelief},
-	)
-	ir.ReleaseScores(ts)
-	ir.ReleaseScores(cs)
+	cset := borrowBlockCursors(m)
+	err := scan(cset, sc, scratch)
+	releaseRows(scratch)
+	releaseScanScratch(sc)
 	if err != nil {
-		return nil, err // LEAK: combined never released
+		return nil, err // LEAK: cset never released
 	}
-	hits := scoresToHits(m, combined, k)
-	ir.ReleaseScores(combined)
-	return hits, nil
+	releaseBlockCursors(cset)
+	return rows[:k], nil
 }
 
-// combineDualEvidence is the pre-fix dual-coding path: the text-evidence
-// borrow is dropped when the content retrieval fails, and combined leaks
-// when CombineSum fails.
-func combineDualEvidence(site dualCodingSite, text string, k int) ([]Hit, error) {
-	textHits, err := site.QueryAnnotations(text, 0)
-	if err != nil {
-		return nil, err
-	}
-	ts := hitsToScores(textHits)
-	clusterWords := site.ExpandQuery(text, 5)
-	var contentHits []Hit
-	if len(clusterWords) > 0 {
-		contentHits, err = site.QueryContent(clusterWords, 0)
-		if err != nil {
-			return nil, err // LEAK: ts never released
+// mergeLegs folds the legs of one query: the row scratch is dropped when
+// a leg fails, and cset leaks when the merge fails.
+func mergeLegs(legs [][]Row, k int) ([]Row, error) {
+	scratch := borrowRows()
+	for _, l := range legs {
+		if len(l) == 0 {
+			return nil, errEmpty // LEAK: scratch never released
 		}
 	}
-	cs := hitsToScores(contentHits)
-	combined, err := ir.CombineSum(
-		[]ir.Scores{ts, cs},
-		[]float64{1, 1},
-	)
-	ir.ReleaseScores(ts)
-	ir.ReleaseScores(cs)
+	cset := borrowBlockCursors(len(legs))
+	err := merge(cset, legs, scratch)
+	releaseRows(scratch)
 	if err != nil {
-		return nil, err // LEAK: combined never released
+		return nil, err // LEAK: cset never released
 	}
-	hits := scoresToHits(site, combined, k)
-	ir.ReleaseScores(combined)
-	return hits, nil
+	releaseBlockCursors(cset)
+	return legs[0][:k], nil
 }
 
 // discarded drops a borrow on the floor as a bare statement.
-func discarded(child ir.Scores) {
-	ir.CombineNot(child)
+func discarded() {
+	borrowRows()
 }
 
 // overwritten re-borrows into a live name, leaking the first borrow.
-func overwritten() ir.Scores {
-	s := ir.NewScores()
-	s = ir.NewScores() // LEAK: first borrow overwritten
-	return s
+func overwritten() []Row {
+	r := borrowRows()
+	r = borrowRows() // LEAK: first borrow overwritten
+	return r
 }
 
 // rawAccess touches the pool directly outside a poolfile.
 func rawAccess() {
-	s := scoresPool.Get().(Scores)
-	scoresPool.Put(s)
+	r := rowPool.Get().([]Row)
+	rowPool.Put(r)
 }
 
 // blockScanLeak borrows block-decode cursors and drops them on the error
 // path — the shape the block-postings scan must never take.
 func blockScanLeak(n int) error {
-	cset := borrowBlockCursors(n)
-	if err := scan(cset); err != nil {
-		return err // LEAK: cset never released
+	cur := borrowBlockCursors(n)
+	if err := scan(cur); err != nil {
+		return err // LEAK: cur never released
 	}
-	releaseBlockCursors(cset)
+	releaseBlockCursors(cur)
 	return nil
 }

@@ -461,6 +461,9 @@ func biWSumBel(_ *Env, args []any) (any, error) {
 	for i := range query {
 		query[i] = qb.Tail.OIDAt(i)
 	}
+	if wb.Tail.Kind() != bat.KindFloat {
+		return nil, errorf("wsum_bel: weights must be flt, got %s", wb.Tail.Kind())
+	}
 	weights := make([]float64, wb.Len())
 	for i := range weights {
 		weights[i] = wb.Tail.FloatAt(i)
@@ -471,24 +474,28 @@ func biWSumBel(_ *Env, args []any) (any, error) {
 // biPrunedTopK is the MIL surface of the pruned ranked-retrieval operator:
 //
 //	prunedtopk(default, k, domain, div,
-//	           query_1, nsegs_1, s0_poststart, s0_blkstart, s0_blkdir,
-//	           s0_blkdoc, s0_blkbdir, s0_blkbel, s0_maxbel, [s1_poststart, ...]
-//	           [, query_2, nsegs_2, ...])
+//	           query_1[, weights_1], nsegs_1, s0_poststart, s0_blkstart,
+//	           s0_blkdir, s0_blkdoc, s0_blkbdir, s0_blkbel, s0_maxbel,
+//	           [s1_poststart, ...]
+//	           [, query_2[, weights_2], nsegs_2, ...])
 //	    → [docOID, score]
 //
-// Each source is one CONTREP's query-term OIDs, its segment count and
-// seven block-layout BATs per segment (the bat/postcodec.go layout);
-// bat.PrunedTopK). It evaluates the inference-network sum of every
-// source with block-max max-score skipping, adds the per-source folds
-// and divides by div, and returns only the k best documents, already
-// ordered score descending / OID ascending — identical BUN-for-BUN to
-// getbl + fill per source, the [+] and [/] multiplexes and a full
+// Each source is one CONTREP's query-term OIDs, optionally a [_, flt]
+// BAT of per-term weights aligned with them (the weighted fold), its
+// segment count and seven block-layout BATs per segment (the
+// bat/postcodec.go layout; bat.PrunedTopK). It evaluates the
+// inference-network sum (or, weighted, #wsum) of every source with
+// block-max max-score skipping, adds the per-source folds and divides by
+// div, and returns only the k best documents, already ordered score
+// descending / OID ascending — identical BUN-for-BUN to getbl (resp.
+// wsum_bel) + fill per source, the [+] and [/] multiplexes and a full
 // descending sort cut at k. A source's segments must partition the
 // document space in ascending order (each document's postings entirely
 // in one segment — which is how internal/ir publishes them); the
 // sources' segmentations need not agree. domain supplies the OIDs of
 // documents matching no query term (they score Σ count(query_s)·default
-// / div and are merged in when the match set cannot fill k).
+// resp. Σ sum(weights_s)·default, over div, and are merged in when the
+// match set cannot fill k).
 func biPrunedTopK(env *Env, args []any) (any, error) {
 	def, err := argFloat(args, 0)
 	if err != nil {
@@ -512,15 +519,29 @@ func biPrunedTopK(env *Env, args []any) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		nsegs, err := argInt(args, i+1)
+		i++
+		var weights []float64
+		if i < len(args) {
+			if wb, ok := args[i].(*bat.BAT); ok {
+				if wb.Len() != qb.Len() || wb.Tail.Kind() != bat.KindFloat {
+					return nil, errorf("prunedtopk source %d: weights must be %d flt values, got %d %s", len(srcs)+1, qb.Len(), wb.Len(), wb.Tail.Kind())
+				}
+				weights = make([]float64, wb.Len())
+				for j := range weights {
+					weights[j] = wb.Tail.FloatAt(j)
+				}
+				i++
+			}
+		}
+		nsegs, err := argInt(args, i)
 		if err != nil {
 			return nil, err
 		}
-		i += 2
+		i++
 		if nsegs < 1 || int64(len(args)-i) < 7*nsegs {
 			return nil, errorf("prunedtopk source %d: %d segments need %d BATs, %d args remain", len(srcs)+1, nsegs, 7*nsegs, len(args)-i)
 		}
-		src := bat.TopKSource{Segs: make([]bat.PostingsSeg, nsegs), Query: make([]bat.OID, qb.Len())}
+		src := bat.TopKSource{Segs: make([]bat.PostingsSeg, nsegs), Query: make([]bat.OID, qb.Len()), Weights: weights}
 		for s := range src.Segs {
 			var cols [7]*bat.BAT
 			for j := range cols {

@@ -285,7 +285,21 @@ func TestPrunedTopKBuiltin(t *testing.T) {
 			t.Fatalf("two sources rank %d: (%d, %v)", i, out.Head.OIDAt(i), out.Tail.FloatAt(i))
 		}
 	}
-	// a segment short of its seven columns is an arity error, not a panic
+	// a weighted source beside an unweighted one: doc0 = (1.3 + 3·0.5 +
+	// 4·0.4) / 2, doc1 = (1.0 + 1·0.2 + 4·0.4) / 2, doc2 = (0.9 + 3·0.1 +
+	// 4·0.4) / 2, doc3 unmatched = (0.8 + 4·0.4) / 2
+	bind["w"] = mk(t, bat.KindFloat, 3.0, 1.0)
+	out = runSrc(t, "prunedtopk(0.4, 4, dom, 2, q"+split+", q, w"+merged+");", bind).(*bat.BAT)
+	wantW := []float64{(1.3 + 1.5 + 1.6) / 2, (1.0 + 0.2 + 1.6) / 2, (0.9 + 0.3 + 1.6) / 2, (0.8 + 1.6) / 2}
+	for i := range wantD {
+		if out.Head.OIDAt(i) != wantD[i] || math.Abs(out.Tail.FloatAt(i)-wantW[i]) > 1e-12 {
+			t.Fatalf("weighted source rank %d: (%d, %v), want (%d, %v)", i, out.Head.OIDAt(i), out.Tail.FloatAt(i), wantD[i], wantW[i])
+		}
+	}
+	// a segment short of its seven columns, and weights misaligned with
+	// their terms or not flt, are argument errors, not panics
+	bind["w1"] = mk(t, bat.KindFloat, 3.0)
+	bind["wi"] = mk(t, bat.KindInt, int64(3), int64(1))
 	env := NewEnv()
 	for k, v := range bind {
 		env.Bind(k, v)
@@ -294,6 +308,8 @@ func TestPrunedTopKBuiltin(t *testing.T) {
 		"prunedtopk(0.4, 2, dom, 1.0, q, 1, s0c0, s0c1, s0c2, s0c3);",
 		"prunedtopk(0.4, 2, dom, 1.0);",
 		"prunedtopk(0.4, 2, dom, 1.0, q, 0);",
+		"prunedtopk(0.4, 2, dom, 1.0, q, w1" + merged + ");",
+		"prunedtopk(0.4, 2, dom, 1.0, q, wi" + merged + ");",
 	} {
 		if _, err := RunSource(src, env); err == nil {
 			t.Fatalf("%s accepted", src)

@@ -9,7 +9,7 @@ import (
 // Ranking cut over Result rows: the exhaustive-fallback counterpart of
 // the pruned top-k operator, shared by the epoch query path, the RPC
 // server and the sharded merge. The heap scratch is pooled with the same
-// borrow/return discipline as the ir/core query scratch
+// borrow/return discipline as the bat scan scratch
 // (internal/lint/poolcheck-enforced, pooldebug-accounted).
 //
 // Raw rowPool access outside this file is a poolcheck diagnostic.

@@ -9,7 +9,7 @@ import (
 )
 
 // pooldebug: live-borrow accounting for the row scratch pool (see
-// internal/ir/pool_debug.go for the discipline's full description).
+// internal/bat/blockpool.go for the discipline's full description).
 // Slice identity is unstable across heap growth, so this tracks a counter
 // and poisons retained capacity rather than registering pointers.
 //

@@ -76,10 +76,13 @@ type StructRep struct {
 func (*StructRep) isRep() {}
 
 // ParamSetRep is a constant set bound as a query parameter: ValsVar holds
-// [void, value] (one BUN per element), independent of any context.
+// [void, value] (one BUN per element), independent of any context. A
+// weighted set also binds WeightsVar, [void, flt] aligned with ValsVar;
+// it is empty for a plain set.
 type ParamSetRep struct {
-	ValsVar string
-	ElemT   Type
+	ValsVar    string
+	WeightsVar string
+	ElemT      Type
 }
 
 func (*ParamSetRep) isRep() {}

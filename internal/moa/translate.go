@@ -12,7 +12,9 @@ import (
 
 // Param is a query parameter binding: a Moa type plus a Go value.
 // Supported: atomic params (Go scalar), set-of-atom params ([]string,
-// []int64, []float64, []any), and the stats handle (value ignored).
+// []int64, []float64, []any), weighted sets (a SET of two-field tuples
+// whose second field is a flt weight, bound as []any of map[string]any —
+// see weightedElem) and the stats handle (value ignored).
 type Param struct {
 	T Type
 	V any
@@ -68,11 +70,13 @@ type Translated struct {
 
 // setSlot is a set-of-atoms parameter the program references: binding it
 // installs the value BAT [void, value] and the identity BAT [void, void]
-// under the two fixed names the lowering emitted.
+// under the two fixed names the lowering emitted — and, for a weighted
+// set, the weight BAT [void, flt] under wgtName.
 type setSlot struct {
-	slot            int
-	elem            *AtomType
-	valName, idName string
+	slot                     int
+	elem                     *AtomType
+	valName, idName, wgtName string
+	fields                   []string // weighted: the tuple's value and weight field names
 }
 
 // scalarFn computes a bind-time scalar from the slot values.
@@ -107,7 +111,25 @@ func (tl *Translated) bind(vals []any) ([]binding, error) {
 		}
 		vb := bat.NewDense(0, ss.elem.Kind)
 		ids := bat.New(bat.KindVoid, bat.KindVoid)
+		var wb *bat.BAT
+		if ss.wgtName != "" {
+			wb = bat.NewDense(0, bat.KindFloat)
+		}
 		for i, item := range items {
+			if wb != nil {
+				tv, ok := item.(map[string]any)
+				if !ok {
+					return nil, fmt.Errorf("moa: parameter %q: weighted element is %T, want map[string]any", name, item)
+				}
+				w, ok := numVal(tv[ss.fields[1]])
+				if !ok {
+					return nil, fmt.Errorf("moa: parameter %q: weight %v is not a number", name, tv[ss.fields[1]])
+				}
+				if err := wb.Append(bat.OID(i), w); err != nil {
+					return nil, err
+				}
+				item = tv[ss.fields[0]]
+			}
 			if err := vb.Append(bat.OID(i), coerceAtom(ss.elem, item)); err != nil {
 				return nil, fmt.Errorf("moa: parameter %q: %w", name, err)
 			}
@@ -116,6 +138,9 @@ func (tl *Translated) bind(vals []any) ([]binding, error) {
 			}
 		}
 		out = append(out, binding{ss.valName, vb}, binding{ss.idName, ids})
+		if wb != nil {
+			out = append(out, binding{ss.wgtName, wb})
+		}
 	}
 	for _, bs := range tl.scalars {
 		v, err := bs.fn(vals)
@@ -436,6 +461,9 @@ func (tr *Translator) lowerParamScan(n *ParamScanPlan) (*SetVal, error) {
 	if err != nil {
 		return nil, err
 	}
+	if psr.WeightsVar != "" {
+		return nil, fmt.Errorf("moa: weighted set parameter %q is only usable as a structure function's query", n.Name)
+	}
 	idVar := "param_" + n.Name + "_id"
 	return &SetVal{
 		DomainVar: idVar,
@@ -491,15 +519,30 @@ func (tr *Translator) bindParamSet(name string, st *SetType) (*ParamSetRep, erro
 	if psr, ok := tr.paramSet[name]; ok {
 		return psr, nil
 	}
-	at, ok := st.Elem.(*AtomType)
-	if !ok {
-		return nil, fmt.Errorf("moa: set parameter %q must contain atoms", name)
+	ss := setSlot{slot: tr.slotIdx[name], valName: "param_" + name + "_val", idName: "param_" + name + "_id"}
+	if tt, at, ok := weightedElem(st.Elem); ok {
+		ss.elem, ss.wgtName, ss.fields = at, "param_"+name+"_wgt", tt.Names
+	} else if ss.elem, ok = st.Elem.(*AtomType); !ok {
+		return nil, fmt.Errorf("moa: set parameter %q must contain atoms or (atom, flt weight) pairs", name)
 	}
-	ss := setSlot{slot: tr.slotIdx[name], elem: at, valName: "param_" + name + "_val", idName: "param_" + name + "_id"}
 	tr.sets = append(tr.sets, ss)
-	psr := &ParamSetRep{ValsVar: ss.valName, ElemT: st.Elem}
+	psr := &ParamSetRep{ValsVar: ss.valName, WeightsVar: ss.wgtName, ElemT: st.Elem}
 	tr.paramSet[name] = psr
 	return psr, nil
+}
+
+// weightedElem reports whether a set's element type makes it a weighted
+// set — a two-field tuple of an atom value and a flt weight, e.g. the
+// TUPLE<str: term, flt: weight> of a weighted query — and returns the
+// tuple and its value atom. A weighted set parameter binds as two
+// aligned BATs: its values, as any atom set, and their weights.
+func weightedElem(elem Type) (*TupleType, *AtomType, bool) {
+	tt, ok := elem.(*TupleType)
+	if !ok || len(tt.Types) != 2 || !tt.Types[1].Equal(FloatType) {
+		return nil, nil, false
+	}
+	at, ok := tt.Types[0].(*AtomType)
+	return tt, at, ok
 }
 
 // paramScalar declares an atom parameter's environment scalar.
