@@ -39,7 +39,6 @@ func main() {
 		dictAddr = flag.String("dict", "", "data dictionary address (required)")
 		mediaURL = flag.String("media", "", "media server base URL; discovered via the dictionary when empty")
 		addr     = flag.String("addr", "127.0.0.1:8641", "listen address")
-		saveDir  = flag.String("save", "", "write a one-shot snapshot of the database to this directory after indexing (unsharded only)")
 		local    = flag.Bool("local-pipeline", false, "run extraction in-process instead of via daemons")
 
 		storeDir  = flag.String("store", "", "persistent store directory (BAT buffer pool + WAL); recovers on restart")
@@ -177,16 +176,6 @@ func main() {
 			}
 			fmt.Printf("mirrord: initial checkpoint: %d BATs written (%d bytes)\n", st.Written, st.Bytes)
 		}
-	}
-	if *saveDir != "" {
-		m, ok := r.(*core.Mirror)
-		if !ok {
-			log.Fatal("mirrord: -save snapshots are unsharded only (checkpoint the sharded store instead)")
-		}
-		if err := m.Save(*saveDir); err != nil {
-			log.Fatalf("mirrord: save: %v", err)
-		}
-		fmt.Printf("mirrord: database saved to %s\n", *saveDir)
 	}
 
 	bound, stop, err := core.Serve(r, *addr, *dictAddr)

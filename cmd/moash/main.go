@@ -40,8 +40,11 @@
 // With -shards N the demo collection is hash-partitioned across N
 // in-memory stores and queries scatter-gather through the sharded engine
 // (the differential guarantee makes the results indistinguishable from
-// the unsharded shell). -load accepts a sharded store root (written by
-// mirrord -shards) as well as a standalone snapshot. In sharded mode,
+// the unsharded shell). -load accepts a standalone store (written by
+// mirrord -store), opened read-only at its last checkpoint, as well as a
+// sharded store root (mirrord -shards), which opens read-write — WAL
+// tails replayed and truncated, orphans swept — so stop the server
+// first. In sharded mode,
 // query plumbing that is inherently single-store — \mil, \milrun, \plan,
 // define — runs against shard 0 and says so.
 package main
@@ -67,7 +70,7 @@ func main() {
 	var (
 		n       = flag.Int("n", 40, "demo collection size")
 		seed    = flag.Int64("seed", 1, "demo collection seed")
-		load    = flag.String("load", "", "load a saved database directory (snapshot or sharded store root) instead of generating")
+		load    = flag.String("load", "", "open a store directory instead of generating: a standalone store read-only at its last checkpoint, or a sharded store root read-write (stop the server first)")
 		noPipe  = flag.Bool("no-pipeline", false, "skip the content pipeline (text-only)")
 		shardsN = flag.Int("shards", 0, "shard the demo collection across N in-memory stores (0 = unsharded)")
 		cacheB  = flag.Int64("query-cache", 0, "bytes of epoch-keyed query result cache for \\rank/\\dual (0 disables); invalidated automatically when \\refresh publishes a new epoch")

@@ -35,15 +35,12 @@ type BAT struct {
 	// pinned by any global cache.
 	blockView atomic.Pointer[blockViewMemo]
 
-	// Persistence state used by the BAT buffer pool (internal/storage).
+	// Persistence state used by the BAT buffer pool (internal/storage):
 	// dirty is set by Append and cleared by the pool after a checkpoint
-	// writes the BAT's heap files; pins counts callers that hold a
-	// reference obtained from the pool, which will not evict (unmap) a
-	// BAT while pins > 0 or dirty. Views (Reverse, Mirror, Slice) are
-	// fresh descriptors and do not share these bits; only the canonical
-	// BAT registered with the pool is tracked.
+	// writes the BAT's heap files. Views (Reverse, Mirror, Slice) are
+	// fresh descriptors and do not share the bit; only the canonical BAT
+	// registered with the pool is tracked.
 	dirty atomic.Bool
-	pins  atomic.Int32
 }
 
 // Dirty reports whether the BAT has been mutated since the buffer pool
@@ -58,20 +55,6 @@ func (b *BAT) MarkDirty() { b.dirty.Store(true) }
 // ClearDirty resets the dirty flag; the buffer pool calls it after the
 // BAT's heap files have been durably written.
 func (b *BAT) ClearDirty() { b.dirty.Store(false) }
-
-// Pin takes a reference that prevents the buffer pool from evicting the
-// BAT's backing memory. Every Pin must be matched by a Release.
-func (b *BAT) Pin() { b.pins.Add(1) }
-
-// Release drops a pin taken with Pin.
-func (b *BAT) Release() {
-	if b.pins.Add(-1) < 0 {
-		panic("bat: Release without matching Pin")
-	}
-}
-
-// PinCount reports the number of outstanding pins.
-func (b *BAT) PinCount() int { return int(b.pins.Load()) }
 
 // New creates an empty BAT with the given head and tail kinds.
 func New(hk, tk Kind) *BAT {

@@ -30,11 +30,10 @@
 // files are durable. Code that mutates a column's backing slice
 // directly must call MarkDirty itself.
 //
-// Pinning. BATs loaded through the buffer pool may be backed by
-// memory-mapped heap files. Pin/Release bracket every use of such a
-// BAT: the pool never unmaps a BAT with PinCount > 0 (or with dirty
-// state), so holding a pin is what makes a loaded column's slices safe
-// to read. In-memory BATs carry the same API as a no-op.
+// Mapped memory. BATs loaded through the buffer pool may be backed by
+// memory-mapped heap files. The pool unmaps them only when it closes,
+// so a loaded column's slices stay readable for as long as the pool is
+// open, even after a checkpoint replaces or drops the BAT.
 package bat
 
 import (

@@ -19,9 +19,9 @@ package bat
 
 // Freeze returns an immutable point-in-time view of b sharing its backing
 // storage. The caller must guarantee no append is concurrently mutating b
-// during the call. The view carries no dirty/pin state of its own — the
-// canonical BAT remains the one the buffer pool tracks (and must stay
-// pinned for as long as views of it are alive).
+// during the call. The view carries no dirty state of its own — the
+// canonical BAT remains the one the buffer pool tracks, and the pool
+// keeps any mapping behind it until the pool closes.
 func Freeze(b *BAT) *BAT {
 	return &BAT{
 		Head:    freezeColumn(b.Head),

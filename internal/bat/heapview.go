@@ -64,7 +64,7 @@ func FromColumns(head, tail *Column, hsorted, tsorted, hkey, tkey bool) (*BAT, e
 }
 
 // MemBytes estimates the resident size of the BAT's two columns in
-// bytes; the buffer pool uses it to enforce its byte budget.
+// bytes.
 func (b *BAT) MemBytes() int64 {
 	return b.Head.memBytes() + b.Tail.memBytes()
 }

@@ -208,12 +208,12 @@ func (c *epochLRU[V]) put(gen int64, kind cacheKind, k int, text string, terms [
 	st.idx[key] = st.lru.PushFront(e)
 	st.used += e.cost
 	for st.used > st.max {
-		st.evictLocked(st.lru.Back())
+		st.removeLocked(st.lru.Back())
 	}
 }
 
-// evictLocked removes one entry; the stripe mutex is held.
-func (st *lruStripe[V]) evictLocked(el *list.Element) {
+// removeLocked removes one entry; the stripe mutex is held.
+func (st *lruStripe[V]) removeLocked(el *list.Element) {
 	e := el.Value.(*lruEntry[V])
 	st.lru.Remove(el)
 	delete(st.idx, e.key)
@@ -232,7 +232,7 @@ func (c *epochLRU[V]) sweep(gen int64) {
 		for el := st.lru.Front(); el != nil; el = next {
 			next = el.Next()
 			if el.Value.(*lruEntry[V]).key.gen < gen {
-				st.evictLocked(el)
+				st.removeLocked(el)
 			}
 		}
 		st.mu.Unlock()

@@ -6,11 +6,12 @@
 // pipeline, and query by text, by content, or by both (dual coding), with
 // relevance feedback.
 //
-// Persistence comes in two modes (see ARCHITECTURE.md §"On-disk format"):
+// Persistence has one writer and one reader of the same store (see
+// ARCHITECTURE.md §"On-disk format"):
 //
-//   - Save/Load write and read a whole-database snapshot through the
-//     BAT buffer pool in internal/storage; the loaded instance owns
-//     private memory and keeps no file handles.
+//   - Load opens a store's last checkpoint read-only through the BAT
+//     buffer pool in internal/storage; the loaded instance owns private
+//     memory, keeps no file handles and ignores the WAL.
 //   - OpenPersistent keeps the pool open for the life of the process:
 //     BATs load zero-copy (mmap) where the platform allows, every
 //     insert and relevance-feedback event is appended to a write-ahead

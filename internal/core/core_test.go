@@ -14,11 +14,17 @@ import (
 // pipeline once; it is shared across the tests in this file.
 func buildDemo(t *testing.T, n int) (*Mirror, []*corpus.Item) {
 	t.Helper()
-	items := corpus.Generate(corpus.Config{N: n, W: 48, H: 48, Seed: 11, AnnotateRate: 0.75})
 	m, err := New()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m, fillDemo(t, m, n)
+}
+
+// fillDemo ingests and indexes buildDemo's collection into m.
+func fillDemo(t *testing.T, m *Mirror, n int) []*corpus.Item {
+	t.Helper()
+	items := corpus.Generate(corpus.Config{N: n, W: 48, H: 48, Seed: 11, AnnotateRate: 0.75})
 	for _, it := range items {
 		if err := m.AddImage(it.URL, it.Annotation, it.Scene.Img); err != nil {
 			t.Fatal(err)
@@ -30,7 +36,7 @@ func buildDemo(t *testing.T, n int) (*Mirror, []*corpus.Item) {
 	if err := m.BuildContentIndex(opts); err != nil {
 		t.Fatal(err)
 	}
-	return m, items
+	return items
 }
 
 func TestIngestAndIndex(t *testing.T) {
@@ -229,16 +235,21 @@ func TestRawMoaQueryThroughCore(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip checkpoints a persistent store and reloads it
+// with the read-only Load: same hits, thesaurus, and raster
+// re-attachment.
 func TestSaveLoadRoundTrip(t *testing.T) {
-	m, items := buildDemo(t, 16)
+	dir := filepath.Join(t.TempDir(), "db")
+	m, _ := openStore(t, dir)
+	defer m.ClosePersistent()
+	items := fillDemo(t, m, 16)
 	class := mostAnnotatedClass(items)
 	term := corpus.CanonicalTerm(class)
 	before, err := m.QueryAnnotations(term, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := filepath.Join(t.TempDir(), "db")
-	if err := m.Save(dir); err != nil {
+	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	m2, err := Load(dir)

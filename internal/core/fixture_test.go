@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mirror/internal/ir"
@@ -29,6 +30,37 @@ const preBlockFixture = "testdata/store-v2-raw"
 // queries at k = 8, 3 and 0, default-score ties included.
 const preBlockGolden = "testdata/store-v2-raw.golden.json"
 
+// The v3 fixtures pin today's format — manifest version 3, block
+// postings — together with the WAL record shapes recovery must keep
+// replaying. Both were written, and their golden hit lists recorded, by
+// the parent of the commit that added them, with the generator below
+// (copy it into a _test.go file of this package to rebuild; the goldens
+// are the hits of a copy of each fixture reopened by OpenPersistent,
+// asserted equal to the live instance's hits before it closed, for the
+// texts "forest" and "water sand sunshine" at k = 8, 3 and 0).
+//
+// v3Fixture: corpus.Generate{N: 14, W: 48, H: 48, Seed: 7,
+// AnnotateRate: 0.8}; OpenPersistent; AddImage items 0–9;
+// BuildContentIndex (rgb_coarse + gabor, KMax 5); Checkpoint. Then,
+// left un-checkpointed in the WAL: for items 10 and 11, AddImage +
+// Refresh (the second Refresh compacts); NewSession("forest").Run(4)
+// and Feedback(first hit relevant, last hit non-relevant); then
+// ClosePersistent. WAL: insert, publish, insert, publish, merge, merge,
+// feedback, feedback.
+//
+// v3ShardedFixture: corpus.Generate{N: 16, W: 48, H: 48, Seed: 5,
+// AnnotateRate: 0.8}; OpenShardedPersistent{Shards: 2}; AddImage items
+// 0–11; BuildContentIndex (rgb_coarse, KMax 4); Checkpoint; AddImage
+// items 12–15; Refresh (a delta publish in each shard's WAL, the
+// in-process stats-less record; shard 1 also logs a merge); then
+// ClosePersistent.
+const (
+	v3Fixture              = "testdata/store-v3"
+	v3Golden               = "testdata/store-v3.golden.json"
+	v3ShardedFixture       = "testdata/store-v3-sharded"
+	v3ShardedFixtureGolden = "testdata/store-v3-sharded.golden.json"
+)
+
 type goldenCase struct {
 	Surface string `json:"surface"` // "dual" or "annotations"
 	Text    string `json:"text"`
@@ -38,7 +70,12 @@ type goldenCase struct {
 
 func loadPreBlockGolden(t *testing.T) []goldenCase {
 	t.Helper()
-	raw, err := os.ReadFile(preBlockGolden)
+	return loadGolden(t, preBlockGolden)
+}
+
+func loadGolden(t *testing.T, path string) []goldenCase {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,9 +89,16 @@ func loadPreBlockGolden(t *testing.T) []goldenCase {
 	return cases
 }
 
+// goldenQuerier is the query surface the golden lists exercise; a single
+// store and a sharded engine both provide it.
+type goldenQuerier interface {
+	QueryAnnotations(text string, k int) ([]Hit, error)
+	QueryDualCoding(text string, k int) ([]Hit, error)
+}
+
 // assertGoldenHits replays every golden query against m and demands the
 // recorded ranking hit-for-hit, scores bit-for-bit.
-func assertGoldenHits(t *testing.T, label string, m *Mirror, cases []goldenCase) {
+func assertGoldenHits(t *testing.T, label string, m goldenQuerier, cases []goldenCase) {
 	t.Helper()
 	for _, c := range cases {
 		query := m.QueryAnnotations
@@ -84,7 +128,7 @@ func manifestVersion(t *testing.T, dir string) int {
 	return man.Version
 }
 
-func copyTree(t *testing.T, src, dst string) {
+func copyTree(t testing.TB, src, dst string) {
 	t.Helper()
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		t.Fatal(err)
@@ -249,6 +293,132 @@ func TestCorruptLegacyStoreFailsOpen(t *testing.T) {
 		if err == nil {
 			m.ClosePersistent()
 			t.Errorf("%s: corrupt legacy store opened", name)
+		}
+	}
+}
+
+// walOps lists the ops of the WAL records in dir, in log order.
+func walOps(t *testing.T, dir string) []string {
+	t.Helper()
+	recs, _, torn, err := replayWAL(filepath.Join(dir, walName))
+	if err != nil || torn {
+		t.Fatalf("read WAL in %s: torn=%v %v", dir, torn, err)
+	}
+	ops := make([]string, len(recs))
+	for i, r := range recs {
+		ops[i] = r.Op
+	}
+	return ops
+}
+
+// TestV3FixtureOpensAndReplays: the committed v3 store recovers — its
+// checkpoint plus a WAL tail of every standalone record kind — to the
+// recorded rankings, and still does after a checkpoint folds the tail in
+// and the store reopens from disk alone.
+func TestV3FixtureOpensAndReplays(t *testing.T) {
+	if v := manifestVersion(t, v3Fixture); v != 3 {
+		t.Fatalf("fixture manifest version = %d, want 3", v)
+	}
+	want := []string{"insert", "publish", "insert", "publish", "merge", "merge", "feedback", "feedback"}
+	if got := walOps(t, v3Fixture); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fixture WAL ops = %v, want %v", got, want)
+	}
+	golden := loadGolden(t, v3Golden)
+	dir := filepath.Join(t.TempDir(), "store")
+	copyTree(t, v3Fixture, dir)
+
+	m, stats, err := OpenPersistent(PersistOptions{Dir: dir, Verify: true})
+	if err != nil {
+		t.Fatalf("open fixture: %v", err)
+	}
+	if stats.WALRecords != len(want) || stats.WALSkipped != 0 || stats.TornTail {
+		t.Fatalf("recovery = %+v, want %d records applied", stats, len(want))
+	}
+	assertGoldenHits(t, "recovered", m, golden)
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	m.ClosePersistent()
+
+	m2, stats, err := OpenPersistent(PersistOptions{Dir: dir, Verify: true})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer m2.ClosePersistent()
+	if stats.WALRecords != 0 {
+		t.Fatalf("checkpointed store replayed %d WAL records", stats.WALRecords)
+	}
+	assertGoldenHits(t, "reopened", m2, golden)
+}
+
+// TestV3ShardedFixtureOpensAndReplays: the committed 2-shard root
+// recovers — per-shard checkpoints plus WAL tails holding a delta
+// publish — to the recorded global rankings, before and after a
+// checkpoint and reopen.
+func TestV3ShardedFixtureOpensAndReplays(t *testing.T) {
+	for i := 0; i < 2; i++ {
+		shard := filepath.Join(v3ShardedFixture, shardDirName(i))
+		if v := manifestVersion(t, shard); v != 3 {
+			t.Fatalf("shard %d manifest version = %d, want 3", i, v)
+		}
+		if ops := fmt.Sprint(walOps(t, shard)); !strings.Contains(ops, "publish") {
+			t.Fatalf("shard %d WAL ops %s hold no delta publish", i, ops)
+		}
+	}
+	golden := loadGolden(t, v3ShardedFixtureGolden)
+	dir := filepath.Join(t.TempDir(), "root")
+	copyTree(t, v3ShardedFixture, dir)
+
+	e, stats, err := OpenShardedPersistent(ShardedPersistOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("open fixture: %v", err)
+	}
+	if stats.Shards != 2 || stats.WALRecords == 0 {
+		t.Fatalf("recovery = %+v, want 2 shards replaying their WAL tails", stats)
+	}
+	assertGoldenHits(t, "recovered", e, golden)
+	if _, err := e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.ClosePersistent(); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, _, err := OpenShardedPersistent(ShardedPersistOptions{Dir: dir})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer e2.ClosePersistent()
+	assertGoldenHits(t, "reopened", e2, golden)
+}
+
+// TestReopenedStoreCheckpointsNothing: a store opened from disk (the mmap
+// path) and left unchanged writes no BAT at its checkpoints — the pool
+// recognises every BAT it loaded as clean.
+func TestReopenedStoreCheckpointsNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	copyTree(t, v3Fixture, dir)
+	m, _, err := OpenPersistent(PersistOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(); err != nil { // folds the WAL tail in
+		t.Fatal(err)
+	}
+	m.ClosePersistent()
+
+	m2, _, err := OpenPersistent(PersistOptions{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.ClosePersistent()
+	for i := 0; i < 2; i++ {
+		st, err := m2.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Written != 0 || st.Skipped == 0 {
+			t.Fatalf("checkpoint %d of an unchanged reopened store wrote %d BATs (skipped %d), want 0", i+1, st.Written, st.Skipped)
 		}
 	}
 }

@@ -18,10 +18,10 @@ import (
 	"mirror/internal/thesaurus"
 )
 
-// Persistence of a Mirror instance. Two modes share one on-disk format
-// (the BAT buffer pool of internal/storage):
+// Persistence of a Mirror instance. One writer and one reader share the
+// on-disk format (the BAT buffer pool of internal/storage):
 //
-//   - Save/Load: whole-database snapshot, for tools and tests.
+//   - Load: a read-only copy of the last checkpoint, for tools and tests.
 //   - OpenPersistent: a long-running server opens the store once, keeps
 //     the pool mapped for zero-copy reads, logs every insert and
 //     feedback event to an append-only WAL, and calls Checkpoint to
@@ -79,7 +79,6 @@ type PersistOptions struct {
 	WALSync bool   // fsync the WAL on every append (durable per-op)
 	Verify  bool   // checksum heap files on load
 	NoMmap  bool   // force the portable (copying) load path
-	Budget  int64  // pool byte budget for clean unpinned BATs; 0 = unlimited
 
 	// ShardIndex/ShardCount declare the store a member of a sharded
 	// layout (ShardCount > 0). A fresh store is stamped with them; an
@@ -258,31 +257,7 @@ func (w *wal) reset() error {
 
 func (w *wal) close() error { return w.f.Close() }
 
-// ---- snapshot save / load ----
-
-// Save persists the database (all BATs), the schema, and the demo
-// metadata to dir as one full checkpoint. Rasters are NOT saved — the
-// media server owns the footage; a loaded instance answers queries
-// immediately, while re-running the extraction pipeline requires
-// re-attaching rasters with AddRaster.
-func (m *Mirror) Save(dir string) error {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	extra, err := m.persistExtraLocked()
-	if err != nil {
-		return err
-	}
-	if err := storage.Save(dir, m.DB.Snapshot(), extra); err != nil {
-		return err
-	}
-	// A snapshot is complete by definition: drop any WAL a previous
-	// persistent instance left in this directory, or a later
-	// OpenPersistent would replay stale records on top of the snapshot.
-	if err := os.Remove(filepath.Join(dir, walName)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("core: remove stale WAL: %w", err)
-	}
-	return nil
-}
+// ---- checkpoint metadata / load ----
 
 // persistExtraLocked serialises the schema and demo metadata for the
 // store manifest. Callers hold m.mu.
@@ -383,8 +358,12 @@ func buildFromBATs(bats map[string]*bat.BAT, extra map[string]string) (*Mirror, 
 	return m, nil
 }
 
-// Load opens a saved Mirror database as an in-memory snapshot (no pool
-// kept open, no WAL). Long-running servers should use OpenPersistent.
+// Load opens a store's last checkpoint as an in-memory snapshot: no pool
+// kept open, and nothing on disk touched — the WAL tail is not replayed
+// and no orphaned heap file is swept, so it may run beside a live
+// writer. Rasters are never stored (the media server owns the footage);
+// re-running the extraction pipeline requires re-attaching them with
+// AddRaster. Long-running servers use OpenPersistent.
 func Load(dir string) (*Mirror, error) {
 	bats, extra, err := storage.Load(dir)
 	if err != nil {
@@ -426,7 +405,7 @@ type RecoveryStats struct {
 func OpenPersistent(opts PersistOptions) (*Mirror, RecoveryStats, error) {
 	var stats RecoveryStats
 	pool, err := storage.OpenOrCreate(opts.Dir, storage.Options{
-		Verify: opts.Verify, NoMmap: opts.NoMmap, Budget: opts.Budget,
+		Verify: opts.Verify, NoMmap: opts.NoMmap,
 	})
 	if err != nil {
 		return nil, stats, err
@@ -442,9 +421,8 @@ func OpenPersistent(opts PersistOptions) (*Mirror, RecoveryStats, error) {
 	} else {
 		bats := make(map[string]*bat.BAT, len(names))
 		for _, name := range names {
-			// The pin taken by Get is held for the life of the process:
-			// these BATs are installed in the logical database, so the
-			// pool must never unmap them.
+			// These BATs are installed in the logical database; the pool
+			// keeps their mappings until ClosePersistent.
 			b, err := pool.Get(name)
 			if err != nil {
 				pool.Close()
@@ -717,7 +695,7 @@ func (m *Mirror) Checkpoint() (storage.CheckpointStats, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.pool == nil {
-		return storage.CheckpointStats{}, fmt.Errorf("core: Checkpoint on a non-persistent Mirror (use Save)")
+		return storage.CheckpointStats{}, fmt.Errorf("core: Checkpoint on a non-persistent Mirror (open it with OpenPersistent)")
 	}
 	extra, err := m.persistExtraLocked()
 	if err != nil {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sync"
 	"testing"
 
 	"mirror/internal/bat"
@@ -210,73 +213,6 @@ func TestCrashBetweenCheckpointAndWALResetIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestSaveDoesNotStealDirtyState takes a snapshot (Save) from a live
-// persistent instance with unflushed changes: the snapshot must not
-// clear the dirty bits the live pool still needs, so the next
-// Checkpoint still writes them.
-func TestSaveDoesNotStealDirtyState(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	snap := filepath.Join(t.TempDir(), "snap")
-	m, _ := openStore(t, dir)
-	defer m.ClosePersistent()
-	for _, u := range []string{"a", "b"} {
-		if err := m.AddImage("http://img/"+u, "annotation "+u, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := m.Save(snap); err != nil {
-		t.Fatal(err)
-	}
-	st, err := m.Checkpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Written == 0 {
-		t.Fatal("Checkpoint after Save wrote nothing: the snapshot stole the dirty bits")
-	}
-	// And the primary store really holds the data.
-	m2, _ := openStore(t, dir)
-	defer m2.ClosePersistent()
-	if m2.Size() != 2 {
-		t.Fatalf("primary store lost data: size %d, want 2", m2.Size())
-	}
-}
-
-// TestSaveDropsStaleWAL snapshots into a directory that a crashed
-// persistent instance left a WAL in: the snapshot must not be haunted
-// by stale records on a later OpenPersistent.
-func TestSaveDropsStaleWAL(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
-	m, _ := openStore(t, dir)
-	if err := m.AddImage("http://img/old", "stale", nil); err != nil {
-		t.Fatal(err)
-	}
-	// Crash with the WAL pending, then reuse the directory for a
-	// snapshot of a different database.
-	if walSize(t, dir) == 0 {
-		t.Fatal("precondition: pending WAL expected")
-	}
-	other, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := other.AddImage("http://img/new", "fresh", nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := other.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-
-	m2, stats := openStore(t, dir)
-	defer m2.ClosePersistent()
-	if stats.WALRecords != 0 || stats.WALSkipped != 0 {
-		t.Fatalf("stale WAL replayed over the snapshot: %+v", stats)
-	}
-	if got := m2.URLs(); len(got) != 1 || got[0] != "http://img/new" {
-		t.Fatalf("snapshot contents haunted by stale WAL: %v", got)
-	}
-}
-
 // TestCorruptHeapFileFailsRecoveryLoudly flips bytes in a checkpointed
 // heap file: OpenPersistent must refuse rather than serve silent
 // partial state.
@@ -381,11 +317,10 @@ func TestFeedbackReplayedAcrossRestart(t *testing.T) {
 }
 
 // TestPersistentQueriesMatchSnapshot asserts a store reopened through
-// the pool answers ranked queries identically to a Save/Load snapshot
-// of the same database.
+// the pool (mmap) answers ranked queries identically to the read-only
+// Load of the same checkpoint.
 func TestPersistentQueriesMatchSnapshot(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")
-	snapDir := filepath.Join(t.TempDir(), "snap")
 	m, _ := openStore(t, dir)
 	items := corpus.Generate(corpus.Config{N: 16, W: 48, H: 48, Seed: 9, AnnotateRate: 0.8})
 	for _, it := range items {
@@ -399,9 +334,6 @@ func TestPersistentQueriesMatchSnapshot(t *testing.T) {
 	if err := m.BuildContentIndex(opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Save(snapDir); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := m.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +341,7 @@ func TestPersistentQueriesMatchSnapshot(t *testing.T) {
 
 	mp, _ := openStore(t, dir)
 	defer mp.ClosePersistent()
-	ms, err := Load(snapDir)
+	ms, err := Load(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,4 +362,136 @@ func TestPersistentQueriesMatchSnapshot(t *testing.T) {
 			t.Fatalf("hit %d differs: pool %+v snapshot %+v", i, hp[i], hs[i])
 		}
 	}
+}
+
+// pinnedShards serves one fixed view: queries through it keep reading
+// an old epoch after the store has published newer ones.
+type pinnedShards struct {
+	storeShards
+	v ShardView
+}
+
+func (s pinnedShards) View() ShardView { return s.v }
+
+// TestOldEpochSurvivesCheckpointOverMappedBATs: the pool unmaps only at
+// Close, so an epoch taken on a store reopened through mmap keeps
+// answering — bit for bit, while and after a Refresh + Checkpoint
+// replaces and drops the mapped BATs it reads and unlinks their files.
+func TestOldEpochSurvivesCheckpointOverMappedBATs(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	items := corpus.Generate(corpus.Config{N: 14, W: 48, H: 48, Seed: 7, AnnotateRate: 0.8})
+	m, _ := openStore(t, dir)
+	for _, it := range items[:10] {
+		if err := m.AddImage(it.URL, it.Annotation, it.Scene.Img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := DefaultIndexOptions()
+	opts.Features = []string{"rgb_coarse", "gabor"}
+	opts.KMax = 5
+	if err := m.BuildContentIndex(opts); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.AddImage(items[10].URL, items[10].Annotation, items[10].Scene.Img); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Refresh(); err != nil { // a second, small segment
+		t.Fatal(err)
+	}
+	if _, err := m.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	m.ClosePersistent()
+
+	m, _, err := OpenPersistent(PersistOptions{Dir: dir}) // mmap path
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.ClosePersistent()
+	loaded := m.DB.Snapshot()
+	old := NewGather(pinnedShards{storeShards{m}, storeView{m.currentEpoch()}})
+	queries := []string{"forest", "water sand sunshine"}
+	want := map[string][]Hit{}
+	for _, q := range queries {
+		for _, dual := range []bool{false, true} {
+			h, err := queryTop5(old, q, dual)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[fmt.Sprint(q, dual)] = h
+		}
+	}
+	check := func() error {
+		for _, q := range queries {
+			for _, dual := range []bool{false, true} {
+				got, err := queryTop5(old, q, dual)
+				if err != nil {
+					return err
+				}
+				if w := want[fmt.Sprint(q, dual)]; !reflect.DeepEqual(got, w) {
+					return fmt.Errorf("%q dual=%v: hits %+v, want %+v", q, dual, got, w)
+				}
+			}
+		}
+		return nil
+	}
+
+	// Query the old epoch throughout: the refresh compacts the segment
+	// the reopen mapped, and the checkpoint replaces, drops and unlinks.
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	var during error
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for during == nil {
+			select {
+			case <-done:
+				return
+			default:
+				during = check()
+			}
+		}
+	}()
+	for _, it := range items[11:] {
+		if err := m.AddImage(it.URL, it.Annotation, it.Scene.Img); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st, err := m.Refresh()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cst, err := m.Checkpoint()
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if during != nil {
+		t.Fatalf("old epoch during refresh+checkpoint: %v", during)
+	}
+	if st.Merges == 0 || cst.Written == 0 {
+		t.Fatalf("refresh merged %d times, checkpoint wrote %d BATs: the test needs both", st.Merges, cst.Written)
+	}
+	now := m.DB.Snapshot()
+	replaced := 0
+	for name, b := range loaded {
+		if now[name] != b && b.Tail.Kind() != bat.KindVoid {
+			replaced++
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("no mapped BAT was replaced or dropped: the test exercises nothing")
+	}
+	if err := check(); err != nil {
+		t.Fatalf("old epoch after checkpoint: %v", err)
+	}
+}
+
+func queryTop5(g *Gather, text string, dual bool) ([]Hit, error) {
+	if dual {
+		return g.QueryDualCoding(text, 5)
+	}
+	return g.QueryAnnotations(text, 5)
 }

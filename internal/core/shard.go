@@ -751,7 +751,6 @@ type ShardedPersistOptions struct {
 	WALSync bool
 	Verify  bool
 	NoMmap  bool
-	Budget  int64 // total byte budget, split evenly across shards
 }
 
 // ShardRecoveryStats aggregates per-shard recovery.
@@ -819,7 +818,6 @@ func OpenShardedPersistent(opts ShardedPersistOptions) (*ShardedEngine, ShardRec
 				WALSync:    opts.WALSync,
 				Verify:     opts.Verify,
 				NoMmap:     opts.NoMmap,
-				Budget:     opts.Budget / int64(n),
 				ShardIndex: i,
 				ShardCount: n,
 			})

@@ -61,9 +61,14 @@ func TestContrepSurvivesStorage(t *testing.T) {
 	}
 
 	dir := filepath.Join(t.TempDir(), "irdb")
-	if err := storage.Save(dir, db.Snapshot(), map[string]string{"schema": db.SchemaSource()}); err != nil {
+	p, err := storage.Create(dir, storage.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := p.Checkpoint(db.Snapshot(), map[string]string{"schema": db.SchemaSource()}); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
 	bats, extra, err := storage.Load(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -26,9 +26,9 @@ import (
 //     crash at any instant leaves a store that opens to the previous
 //     checkpoint;
 //   - Get loads a BAT on demand (mmap zero-copy for 8-byte fixed-width
-//     columns on linux, a portable read elsewhere) and pins it; Release
-//     unpins, letting the pool evict cold, clean BATs once the
-//     configured byte budget is exceeded.
+//     columns on linux, a portable read elsewhere). Mappings live until
+//     Close: a BAT the pool handed out stays readable even after a
+//     checkpoint replaces or drops it, with nothing for callers to hold.
 //
 // Generation-numbered file names are what make the manifest swap atomic:
 // a rewritten BAT gets fresh files (name.g<N>.head, …) and the old
@@ -78,18 +78,6 @@ type Options struct {
 	// NoMmap forces the portable read path: loaded BATs own private
 	// memory and stay valid after the pool closes.
 	NoMmap bool
-	// Budget bounds the resident bytes of clean, unpinned BATs; once
-	// exceeded the pool evicts in LRU order. 0 means unlimited.
-	Budget int64
-}
-
-// entry is one resident BAT.
-type entry struct {
-	b       *bat.BAT
-	maps    []mapping
-	bytes   int64
-	lastUse uint64
-	pins    int // pool-issued pins (mirrors b.PinCount for pool callers)
 }
 
 // Pool is a persistent BAT buffer pool over one store directory.
@@ -97,10 +85,15 @@ type Pool struct {
 	dir  string
 	opts Options
 
-	mu    sync.Mutex
-	man   *manifest
-	live  map[string]*entry
-	clock uint64
+	mu  sync.Mutex
+	man *manifest
+	// live holds the BAT each name last loaded or checkpointed as: a
+	// checkpoint skips a name whose BAT is still this pointer and clean.
+	live map[string]*bat.BAT
+	// maps holds every mmap region the pool ever made. Close is the only
+	// place they are unmapped, which is what keeps a replaced or dropped
+	// BAT's columns valid for a reader that still holds it.
+	maps []mapping
 }
 
 // CheckpointStats reports what one checkpoint did.
@@ -136,7 +129,7 @@ func Create(dir string, opts Options) (*Pool, error) {
 		dir:  dir,
 		opts: opts,
 		man:  &manifest{Version: formatVersion, BATs: map[string]*batMeta{}},
-		live: map[string]*entry{},
+		live: map[string]*bat.BAT{},
 	}
 	if err := p.writeManifestLocked(); err != nil {
 		return nil, err
@@ -144,8 +137,20 @@ func Create(dir string, opts Options) (*Pool, error) {
 	return p, nil
 }
 
-// Open opens an existing store.
+// Open opens an existing store for writing: heap files no manifest
+// entry references (a crashed checkpoint's leftovers) are deleted.
 func Open(dir string, opts Options) (*Pool, error) {
+	p, err := openManifest(dir, opts)
+	if err != nil {
+		return nil, err
+	}
+	p.removeOrphansLocked()
+	return p, nil
+}
+
+// openManifest reads and validates dir's MANIFEST. It changes nothing on
+// disk, so a reader may open a store a live writer is checkpointing.
+func openManifest(dir string, opts Options) (*Pool, error) {
 	mb, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -165,9 +170,12 @@ func Open(dir string, opts Options) (*Pool, error) {
 	if m.BATs == nil {
 		m.BATs = map[string]*batMeta{}
 	}
-	p := &Pool{dir: dir, opts: opts, man: &m, live: map[string]*entry{}}
-	p.removeOrphansLocked()
-	return p, nil
+	for name, bm := range m.BATs {
+		if bm == nil {
+			return nil, fmt.Errorf("storage: manifest: BAT %q has no description", name)
+		}
+	}
+	return &Pool{dir: dir, opts: opts, man: &m, live: map[string]*bat.BAT{}}, nil
 }
 
 // OpenOrCreate opens dir as a store, initialising it when empty.
@@ -201,60 +209,13 @@ func (p *Pool) Extra() map[string]string {
 	return out
 }
 
-// Get returns the named BAT, loading it from its heap files if it is
-// not resident, and pins it. Callers must Release it when done; holding
-// a BAT (or slices of its columns) past Release is a use-after-evict
-// bug once a Budget is set.
+// Get returns the named BAT, loading it from its heap files on first
+// use. A BAT loaded through mmap stays valid until Close.
 func (p *Pool) Get(name string) (*bat.BAT, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	e, err := p.loadLocked(name)
-	if err != nil {
-		return nil, err
-	}
-	p.clock++
-	e.lastUse = p.clock
-	e.pins++
-	e.b.Pin()
-	p.evictLocked()
-	return e.b, nil
-}
-
-// Release drops one pin on a BAT obtained from Get.
-func (p *Pool) Release(name string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	e, ok := p.live[name]
-	if !ok || e.pins == 0 {
-		return
-	}
-	e.pins--
-	e.b.Release()
-	p.evictLocked()
-}
-
-// ResidentBytes reports the memory held by resident BATs.
-func (p *Pool) ResidentBytes() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var n int64
-	for _, e := range p.live {
-		n += e.bytes
-	}
-	return n
-}
-
-// Resident reports how many BATs are currently loaded.
-func (p *Pool) Resident() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.live)
-}
-
-// loadLocked returns the resident entry for name, loading it if needed.
-func (p *Pool) loadLocked(name string) (*entry, error) {
-	if e, ok := p.live[name]; ok {
-		return e, nil
+	if b, ok := p.live[name]; ok {
+		return b, nil
 	}
 	bm, ok := p.man.BATs[name]
 	if !ok {
@@ -281,41 +242,9 @@ func (p *Pool) loadLocked(name string) (*entry, error) {
 		}
 		return nil, fmt.Errorf("storage: load %s: %w", name, err)
 	}
-	e := &entry{b: b, maps: append(hm, tm...), bytes: b.MemBytes()}
-	p.live[name] = e
-	return e, nil
-}
-
-// evictLocked unmaps cold, clean, unpinned BATs until the resident set
-// fits the byte budget.
-func (p *Pool) evictLocked() {
-	if p.opts.Budget <= 0 {
-		return
-	}
-	var total int64
-	for _, e := range p.live {
-		total += e.bytes
-	}
-	for total > p.opts.Budget {
-		var victim string
-		var ve *entry
-		for name, e := range p.live {
-			if e.pins > 0 || e.b.PinCount() > 0 || e.b.Dirty() {
-				continue
-			}
-			if ve == nil || e.lastUse < ve.lastUse {
-				victim, ve = name, e
-			}
-		}
-		if ve == nil {
-			return // everything pinned or dirty
-		}
-		for _, m := range ve.maps {
-			m.close()
-		}
-		delete(p.live, victim)
-		total -= ve.bytes
-	}
+	p.maps = append(p.maps, append(hm, tm...)...)
+	p.live[name] = b
+	return b, nil
 }
 
 // flagsOf packs a BAT's property flags.
@@ -350,15 +279,6 @@ func flagsOf(b *bat.BAT) uint8 {
 // it leaves the new one. Old-generation files are deleted only after
 // the commit point.
 func (p *Pool) Checkpoint(bats map[string]*bat.BAT, extra map[string]string) (CheckpointStats, error) {
-	return p.checkpoint(bats, extra, true)
-}
-
-// checkpoint implements Checkpoint. When adopt is false (the Save
-// wrapper's throwaway pool) the caller's BATs are written but NOT
-// adopted: their dirty bits are left untouched and the resident cache
-// is not updated, so snapshotting a live database never erases the
-// dirty state its own pool still needs to flush.
-func (p *Pool) checkpoint(bats map[string]*bat.BAT, extra map[string]string, adopt bool) (CheckpointStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var st CheckpointStats
@@ -381,9 +301,7 @@ func (p *Pool) checkpoint(bats map[string]*bat.BAT, extra map[string]string, ado
 	for _, name := range names {
 		b := bats[name]
 		old, had := p.man.BATs[name]
-		e, resident := p.live[name]
-		clean := had && !b.Dirty() && resident && e.b == b
-		if clean {
+		if had && !b.Dirty() && p.live[name] == b {
 			newBATs[name] = old
 			st.Skipped++
 			continue
@@ -430,50 +348,23 @@ func (p *Pool) checkpoint(bats map[string]*bat.BAT, extra map[string]string, ado
 		return st, err
 	}
 
-	// Commit point passed: retire old generations and refresh the cache.
+	// Commit point passed: retire old generations and adopt the BATs.
+	// A replaced or dropped BAT's mappings stay open until Close (the
+	// unlinked files live on behind them), so an epoch still reading it
+	// is safe.
 	for _, f := range obsolete {
 		os.Remove(filepath.Join(bdir, f))
 	}
-	if !adopt {
-		return st, nil
-	}
 	for _, name := range names {
-		b := bats[name]
-		b.ClearDirty()
-		if e, ok := p.live[name]; ok {
-			if e.b != b {
-				e.closeMapsIfSafe()
-				delete(p.live, name)
-			} else {
-				e.bytes = b.MemBytes() // the BAT may have grown since load
-			}
-		}
-		if _, ok := p.live[name]; !ok {
-			p.live[name] = &entry{b: b, bytes: b.MemBytes(), lastUse: p.clock}
-		}
+		bats[name].ClearDirty()
+		p.live[name] = bats[name]
 	}
-	for name, e := range p.live {
+	for name := range p.live {
 		if _, keep := newBATs[name]; !keep {
-			e.closeMapsIfSafe()
 			delete(p.live, name)
 		}
 	}
-	p.evictLocked()
 	return st, nil
-}
-
-// closeMapsIfSafe unmaps an entry's regions unless the BAT is pinned
-// (in which case the mappings are leaked to the process lifetime rather
-// than risking a use-after-unmap; pinned replacements are a caller
-// bug).
-func (e *entry) closeMapsIfSafe() {
-	if e.pins > 0 || e.b.PinCount() > 0 {
-		return
-	}
-	for _, m := range e.maps {
-		m.close()
-	}
-	e.maps = nil
 }
 
 // metaFiles lists the heap files a batMeta references.
@@ -526,21 +417,20 @@ func (p *Pool) removeOrphansLocked() {
 	}
 }
 
-// Close unmaps every resident BAT. BATs loaded through the mmap path
-// must not be used afterwards; the core layer keeps its pool open for
-// the life of the process.
+// Close unmaps every region the pool mapped. BATs loaded through the
+// mmap path must not be used afterwards; the core layer keeps its pool
+// open for the life of the process.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var firstErr error
-	for name, e := range p.live {
-		for _, m := range e.maps {
-			if err := m.close(); err != nil && firstErr == nil {
-				firstErr = err
-			}
+	for _, m := range p.maps {
+		if err := m.close(); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		delete(p.live, name)
 	}
+	p.maps = nil
+	clear(p.live)
 	return firstErr
 }
 

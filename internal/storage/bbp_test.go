@@ -11,8 +11,7 @@ import (
 )
 
 // sampleBATs builds one BAT per interesting kind combination.
-func sampleBATs(t *testing.T) map[string]*bat.BAT {
-	t.Helper()
+func sampleBATs() map[string]*bat.BAT {
 	dense := bat.NewDense(7, bat.KindStr)
 	dense.MustAppend(bat.OID(7), "alpha")
 	dense.MustAppend(bat.OID(8), "")
@@ -66,7 +65,7 @@ func TestPoolRoundTripAllKinds(t *testing.T) {
 	for _, noMmap := range []bool{false, true} {
 		t.Run(fmt.Sprintf("noMmap=%v", noMmap), func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "db")
-			in := sampleBATs(t)
+			in := sampleBATs()
 			p, err := Create(dir, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -90,7 +89,6 @@ func TestPoolRoundTripAllKinds(t *testing.T) {
 					t.Fatal(err)
 				}
 				assertSameBAT(t, name, got, want)
-				p2.Release(name)
 			}
 		})
 	}
@@ -165,7 +163,6 @@ func TestIncrementalCheckpointRewritesOnlyDirty(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertSameBAT(t, name, got, want)
-		p2.Release(name)
 	}
 }
 
@@ -196,70 +193,10 @@ func TestCheckpointDropsRemovedBATs(t *testing.T) {
 	}
 }
 
-func TestEvictionUnderBudgetAndPinning(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	bats := map[string]*bat.BAT{}
-	for i := 0; i < 8; i++ {
-		b := bat.NewDense(0, bat.KindInt)
-		for j := 0; j < 1000; j++ {
-			b.MustAppend(bat.OID(j), int64(j))
-		}
-		bats[fmt.Sprintf("b%d", i)] = b
-	}
-	if err := Save(dir, bats, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	// Budget fits roughly two BATs (each ~8KB tail + void head).
-	p, err := Open(dir, Options{Budget: 20 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	for i := 0; i < 8; i++ {
-		name := fmt.Sprintf("b%d", i)
-		b, err := p.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Len() != 1000 {
-			t.Fatalf("%s: len %d", name, b.Len())
-		}
-		p.Release(name)
-	}
-	if r := p.Resident(); r > 3 {
-		t.Fatalf("resident after sweep = %d, want <= 3 (eviction under budget)", r)
-	}
-
-	// A pinned BAT must survive any amount of pressure.
-	pinned, err := p.Get("b0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < 8; i++ {
-		name := fmt.Sprintf("b%d", i)
-		if _, err := p.Get(name); err != nil {
-			t.Fatal(err)
-		}
-		p.Release(name)
-	}
-	if pinned.Len() != 1000 || pinned.Tail.IntAt(999) != 999 {
-		t.Fatal("pinned BAT content lost under eviction pressure")
-	}
-	again, err := p.Get("b0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != pinned {
-		t.Fatal("pinned BAT was evicted and reloaded as a new object")
-	}
-	p.Release("b0")
-	p.Release("b0")
-}
-
 // TestPropIncrementalEqualsFullSave drives a pool through random
 // mutate-and-checkpoint rounds and asserts the store always equals what
-// a monolithic Save of the same logical state would load back.
+// a full checkpoint of the same logical state through a fresh pool would
+// load back.
 func TestPropIncrementalEqualsFullSave(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	incDir := filepath.Join(t.TempDir(), "inc")
@@ -295,13 +232,14 @@ func TestPropIncrementalEqualsFullSave(t *testing.T) {
 			t.Fatalf("round %d: %v", round, err)
 		}
 
-		// Reference: a fresh monolithic save of clones of the live state.
+		// Reference: a fresh pool's full checkpoint of clones of the live
+		// state.
 		fullDir := filepath.Join(t.TempDir(), fmt.Sprintf("full%d", round))
 		clones := map[string]*bat.BAT{}
 		for name, b := range live {
 			clones[name] = b.Clone()
 		}
-		if err := Save(fullDir, clones, map[string]string{"round": fmt.Sprint(round)}); err != nil {
+		if err := checkpointFresh(fullDir, clones, map[string]string{"round": fmt.Sprint(round)}); err != nil {
 			t.Fatal(err)
 		}
 

@@ -9,8 +9,8 @@ import (
 	"mirror/internal/bat"
 )
 
-// crashFixture saves a two-BAT store and returns its dir plus the path
-// of one int heap file.
+// crashFixture checkpoints a two-BAT store and returns its dir plus the
+// path of one int heap file.
 func crashFixture(t *testing.T) (dir, heapFile string) {
 	t.Helper()
 	dir = filepath.Join(t.TempDir(), "db")
@@ -20,7 +20,7 @@ func crashFixture(t *testing.T) (dir, heapFile string) {
 	}
 	s := bat.NewDense(0, bat.KindStr)
 	s.MustAppend(bat.OID(0), "hello")
-	if err := Save(dir, map[string]*bat.BAT{"nums": a, "strs": s}, nil); err != nil {
+	if err := checkpointFresh(dir, map[string]*bat.BAT{"nums": a, "strs": s}, nil); err != nil {
 		t.Fatal(err)
 	}
 	p, err := Open(dir, Options{})
@@ -49,7 +49,6 @@ func TestTruncatedHeapFileFailsLoudly(t *testing.T) {
 		if _, err := p.Get("strs"); err != nil {
 			t.Fatalf("undamaged BAT must still load: %v", err)
 		}
-		p.Release("strs")
 		p.Close()
 	}
 }
@@ -107,7 +106,6 @@ func TestCrashBeforeManifestCommitRecovers(t *testing.T) {
 	if b.Len() != 512 || b.Tail.IntAt(511) != 511 {
 		t.Fatal("recovered BAT has wrong content")
 	}
-	p.Release("nums")
 	if _, err := os.Stat(filepath.Join(bdir, "nums.g99.tail")); !os.IsNotExist(err) {
 		t.Fatal("orphaned heap file from the crashed checkpoint was not swept")
 	}

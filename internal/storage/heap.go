@@ -214,6 +214,12 @@ func readHeapFile(path string, wantSize int64, wantCRC uint32, verify bool) ([]b
 	return data, nil
 }
 
+// sizeHolds reports whether a file of size bytes holds exactly n values
+// of width bytes each, without overflowing on a corrupt manifest's n.
+func sizeHolds(size, width int64, n int) bool {
+	return size >= 0 && size%width == 0 && size/width == int64(n)
+}
+
 // loadColumn rebuilds a column from its heap file(s). When mmapOK the
 // 8-byte fixed-width kinds are mapped and adopted zero-copy; the
 // returned mappings must stay open for the column's lifetime. All other
@@ -223,13 +229,16 @@ func loadColumn(dir string, m colMeta, mmapOK, verify bool) (*bat.Column, []mapp
 	if err != nil {
 		return nil, nil, err
 	}
+	if m.N < 0 {
+		return nil, nil, fmt.Errorf("storage: column length %d in manifest (corrupt)", m.N)
+	}
 	switch kind {
 	case bat.KindVoid:
 		return bat.NewVoid(bat.OID(m.Base), m.N), nil, nil
 
 	case bat.KindOID, bat.KindInt, bat.KindFloat:
 		path := filepath.Join(dir, m.File)
-		if int64(m.N)*8 != m.Size {
+		if !sizeHolds(m.Size, 8, m.N) {
 			return nil, nil, fmt.Errorf("storage: heap file %s: manifest n=%d inconsistent with size %d", path, m.N, m.Size)
 		}
 		if mmapOK && hostLittleEndian && m.Size > 0 {
@@ -317,7 +326,7 @@ func loadColumn(dir string, m colMeta, mmapOK, verify bool) (*bat.Column, []mapp
 
 	case bat.KindStr:
 		offPath := filepath.Join(dir, m.File)
-		if int64(m.N+1)*8 != m.Size {
+		if !sizeHolds(m.Size, 8, m.N+1) {
 			return nil, nil, fmt.Errorf("storage: offset file %s: manifest n=%d inconsistent with size %d", offPath, m.N, m.Size)
 		}
 		offData, err := readHeapFile(offPath, m.Size, m.CRC, verify)

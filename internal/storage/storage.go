@@ -4,12 +4,13 @@
 // A store holds a versioned MANIFEST plus one binary heap file per
 // materialised BAT column under bats/ (an offset+heap file pair for
 // str columns); void columns are pure manifest metadata. The Pool type
-// is the primary API: Open/Create a store, Get (pin) and Release BATs,
-// and Checkpoint the current database — incrementally, rewriting only
-// the heap files of BATs that changed since the previous checkpoint.
-// On linux, 8-byte fixed-width columns load zero-copy via mmap, so a
-// cold start costs O(working set) page faults rather than O(database)
-// reads; other platforms use a portable read path.
+// is the API a server uses: Open/Create a store, Get BATs, and
+// Checkpoint the current database — incrementally, rewriting only the
+// heap files of BATs that changed since the previous checkpoint. On
+// linux, 8-byte fixed-width columns load zero-copy via mmap, so a cold
+// start costs O(working set) page faults rather than O(database)
+// reads; other platforms use a portable read path. The pool unmaps
+// only in Close, so every BAT it handed out stays readable until then.
 //
 // Durability invariant (the fix for the historical rename-before-fsync
 // bug in this package): heap files are written tmp+fsync+rename, the
@@ -18,12 +19,10 @@
 // The manifest rename is the single commit point; a crash on either
 // side of it leaves a store that opens cleanly to a checkpoint.
 //
-// Save and Load remain as whole-database convenience wrappers for
-// callers that do not need incremental checkpoints; they use the same
-// on-disk format (and the same durability guarantee). Invariants the
-// pool relies on are documented on bat.BAT: Append sets the dirty bit,
-// and Pin/Release bracket every use of a pooled BAT so eviction never
-// unmaps memory in use.
+// Load is the read-only opener: it copies every BAT of the last
+// checkpoint into private memory and writes nothing, so it may run
+// beside a live writer. Invariant the pool relies on, documented on
+// bat.BAT: Append sets the dirty bit.
 package storage
 
 import (
@@ -32,34 +31,14 @@ import (
 	"mirror/internal/bat"
 )
 
-// Save writes the BATs (and opaque extra metadata, e.g. serialised
-// schema text) into dir as a full checkpoint, atomically replacing the
-// store's previous logical contents: BATs absent from the map are
-// dropped from the store. Files the store does not own (e.g. a WAL
-// managed by internal/core) are left in place — higher layers decide
-// their fate. The data is durable before the manifest commit point
-// (see the package comment).
-func Save(dir string, bats map[string]*bat.BAT, extra map[string]string) error {
-	p, err := OpenOrCreate(dir, Options{})
-	if err != nil {
-		return err
-	}
-	defer p.Close()
-	// adopt=false: a fresh pool has no resident cache, so every BAT is
-	// written in full — and the caller's BATs are left untouched (their
-	// dirty bits may belong to a live pool that still has to flush them).
-	if _, err := p.checkpoint(bats, extra, false); err != nil {
-		return err
-	}
-	return nil
-}
-
-// Load reads every BAT of a store written by Save (or checkpointed by a
-// Pool). The returned BATs own private memory (no mmap), so they remain
-// valid indefinitely; long-running servers that want zero-copy loads
-// and incremental checkpoints should keep a Pool open instead.
+// Load reads every BAT of a store's last checkpoint. It opens the store
+// read-only — unlike Open it sweeps no orphaned heap files, which may be
+// a live writer's checkpoint in flight. The returned BATs own private
+// memory (no mmap), so they remain valid indefinitely; long-running
+// servers that want zero-copy loads and incremental checkpoints keep a
+// Pool open instead.
 func Load(dir string) (map[string]*bat.BAT, map[string]string, error) {
-	p, err := Open(dir, Options{Verify: true, NoMmap: true})
+	p, err := openManifest(dir, Options{Verify: true, NoMmap: true})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,7 +50,6 @@ func Load(dir string) (map[string]*bat.BAT, map[string]string, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("storage: load %s: %w", dir, err)
 		}
-		p.Release(name)
 		bats[name] = b
 	}
 	return bats, p.Extra(), nil

@@ -1,13 +1,27 @@
 package storage
 
 import (
-	"bytes"
+	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
-	"testing/quick"
 
 	"mirror/internal/bat"
 )
+
+// checkpointFresh writes bats as one full checkpoint through a fresh
+// pool over dir (created when absent), the way a server's first
+// checkpoint writes a store.
+func checkpointFresh(dir string, bats map[string]*bat.BAT, extra map[string]string) error {
+	p, err := OpenOrCreate(dir, Options{})
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	_, err = p.Checkpoint(bats, extra)
+	return err
+}
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
@@ -20,7 +34,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	b3.MustAppend(int64(-3), true)
 
 	in := map[string]*bat.BAT{"lib_source": b1, "scores": b2, "flags": b3}
-	if err := Save(dir, in, map[string]string{"schema": "define X ..."}); err != nil {
+	if err := checkpointFresh(dir, in, map[string]string{"schema": "define X ..."}); err != nil {
 		t.Fatal(err)
 	}
 	out, extra, err := Load(dir)
@@ -48,12 +62,12 @@ func TestSaveOverwritesAtomically(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	b := bat.NewDense(0, bat.KindInt)
 	b.MustAppend(bat.OID(0), int64(1))
-	if err := Save(dir, map[string]*bat.BAT{"a": b}, nil); err != nil {
+	if err := checkpointFresh(dir, map[string]*bat.BAT{"a": b}, nil); err != nil {
 		t.Fatal(err)
 	}
 	b2 := bat.NewDense(0, bat.KindInt)
 	b2.MustAppend(bat.OID(0), int64(2))
-	if err := Save(dir, map[string]*bat.BAT{"b": b2}, nil); err != nil {
+	if err := checkpointFresh(dir, map[string]*bat.BAT{"b": b2}, nil); err != nil {
 		t.Fatal(err)
 	}
 	out, _, err := Load(dir)
@@ -72,7 +86,7 @@ func TestInvalidNames(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	b := bat.New(bat.KindOID, bat.KindInt)
 	for _, name := range []string{"", "../evil", "a/b", `a\b`} {
-		if err := Save(dir, map[string]*bat.BAT{name: b}, nil); err == nil {
+		if err := checkpointFresh(dir, map[string]*bat.BAT{name: b}, nil); err == nil {
 			t.Errorf("Save with name %q should fail", name)
 		}
 	}
@@ -84,60 +98,58 @@ func TestLoadMissingDir(t *testing.T) {
 	}
 }
 
-func TestPropBATBinaryRoundTrip(t *testing.T) {
-	f := func(ints []int64, strs []string, flts []float64) bool {
-		b := bat.New(bat.KindInt, bat.KindStr)
-		n := len(ints)
-		if len(strs) < n {
-			n = len(strs)
-		}
-		for i := 0; i < n; i++ {
-			b.MustAppend(ints[i], strs[i])
-		}
-		var buf bytes.Buffer
-		if _, err := b.WriteTo(&buf); err != nil {
-			return false
-		}
-		got, err := bat.ReadBAT(&buf)
-		if err != nil || got.Len() != b.Len() {
-			return false
-		}
-		for i := 0; i < got.Len(); i++ {
-			if got.Head.IntAt(i) != b.Head.IntAt(i) || got.Tail.StrAt(i) != b.Tail.StrAt(i) {
-				return false
-			}
-		}
-		// float BAT round trip including NaN-free values
-		fb := bat.NewDense(0, bat.KindFloat)
-		for i, v := range flts {
-			fb.MustAppend(bat.OID(i), v)
-		}
-		buf.Reset()
-		if _, err := fb.WriteTo(&buf); err != nil {
-			return false
-		}
-		got2, err := bat.ReadBAT(&buf)
-		if err != nil || got2.Len() != fb.Len() {
-			return false
-		}
-		for i := 0; i < got2.Len(); i++ {
-			a, c := got2.Tail.FloatAt(i), fb.Tail.FloatAt(i)
-			if a != c && !(a != a && c != c) { // NaN-safe compare
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
+// TestLoadLeavesStoreUntouched: Load is the read-only opener, so it must
+// not sweep heap files the manifest does not name yet — they may be a
+// live writer's checkpoint in flight, whose manifest commit would then
+// name missing files. The directory must come out byte-for-byte as it
+// went in.
+func TestLoadLeavesStoreUntouched(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := checkpointFresh(dir, sampleBATs(), map[string]string{"k": "v"}); err != nil {
 		t.Fatal(err)
+	}
+	// A next-generation heap file written the way an in-flight
+	// checkpoint writes it, before its manifest commit.
+	inflight := filepath.Join(dir, batsDirName, "floats.g2.tail")
+	if err := os.WriteFile(inflight, []byte("next generation"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := treeBytes(t, dir)
+	if _, _, err := Load(dir); err != nil {
+		t.Fatal(err)
+	}
+	if after := treeBytes(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("Load changed the store directory:\nbefore %v\nafter  %v", keys(before), keys(after))
 	}
 }
 
-func TestCorruptMagic(t *testing.T) {
-	if _, err := bat.ReadBAT(bytes.NewReader([]byte("XXXX garbage"))); err == nil {
-		t.Fatal("bad magic should fail")
+// treeBytes maps every file under dir (relative path) to its contents.
+func treeBytes(t testing.TB, dir string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = string(data)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := bat.ReadBAT(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input should fail")
+	return out
+}
+
+func keys(m map[string]string) []string {
+	var ks []string
+	for k := range m {
+		ks = append(ks, k)
 	}
+	sort.Strings(ks)
+	return ks
 }
