@@ -391,7 +391,7 @@ func BenchmarkE9_FeedbackIteration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hits, err := sess.Run(10)
+		hits, err := m.SessionRun(sess, 10)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -403,10 +403,10 @@ func BenchmarkE9_FeedbackIteration(b *testing.B) {
 				nonrel = append(nonrel, h.OID)
 			}
 		}
-		if err := sess.Feedback(rel, nonrel); err != nil {
+		if sess, err = m.SessionFeedback(sess, rel, nonrel); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sess.Run(10); err != nil {
+		if _, err := m.SessionRun(sess, 10); err != nil {
 			b.Fatal(err)
 		}
 	}

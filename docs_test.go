@@ -5,10 +5,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
 
+	"mirror/internal/core"
 	"mirror/internal/load"
 	"mirror/internal/mil"
 )
@@ -145,6 +147,62 @@ func TestDocsOperationsCoversEveryMirrordFlag(t *testing.T) {
 	for _, anchor := range []string{"Recovery walkthrough", "Crash matrix", "Sharding", "Distributed topology", "wal.log", "MANIFEST", "Online ingest", "Load testing & soak"} {
 		if !strings.Contains(doc, anchor) {
 			t.Errorf("docs/OPERATIONS.md lost its %q section/anchor", anchor)
+		}
+	}
+}
+
+// TestDocsOperationsCoversEveryRPC checks docs/OPERATIONS.md's RPC
+// surface against the Mirror service both ways: every net/rpc method of
+// *core.Service is named in a bullet of "The RPC surface", and every RPC
+// named there — or anywhere in the manual as `Mirror.<name>` — exists.
+func TestDocsOperationsCoversEveryRPC(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("docs", "OPERATIONS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(src)
+	// net/rpc serves exported methods of the form (args, *reply) error.
+	rpcs := map[string]bool{}
+	svc := reflect.TypeOf((*core.Service)(nil))
+	errType := reflect.TypeOf((*error)(nil)).Elem()
+	for i := 0; i < svc.NumMethod(); i++ {
+		m := svc.Method(i)
+		if m.Type.NumIn() == 3 && m.Type.In(2).Kind() == reflect.Pointer &&
+			m.Type.NumOut() == 1 && m.Type.Out(0) == errType {
+			rpcs[m.Name] = true
+		}
+	}
+	if len(rpcs) == 0 {
+		t.Fatal("found no RPC methods on *core.Service")
+	}
+
+	start := strings.Index(doc, "## The RPC surface")
+	if start < 0 {
+		t.Fatal(`docs/OPERATIONS.md lost its "The RPC surface" section`)
+	}
+	section := doc[start+1:]
+	if end := strings.Index(section, "\n## "); end >= 0 {
+		section = section[:end]
+	}
+	named := map[string]bool{}
+	bullet := regexp.MustCompile("(?m)^- ((?:`[A-Za-z]+`(?: / )?)+) —")
+	name := regexp.MustCompile("`([A-Za-z]+)`")
+	for _, b := range bullet.FindAllStringSubmatch(section, -1) {
+		for _, n := range name.FindAllStringSubmatch(b[1], -1) {
+			named[n[1]] = true
+		}
+	}
+	for rpc := range rpcs {
+		if !named[rpc] {
+			t.Errorf("docs/OPERATIONS.md's RPC surface does not document Mirror.%s", rpc)
+		}
+	}
+	for _, m := range regexp.MustCompile("`Mirror\\.([A-Za-z]+)`").FindAllStringSubmatch(doc, -1) {
+		named[m[1]] = true
+	}
+	for n := range named {
+		if !rpcs[n] {
+			t.Errorf("docs/OPERATIONS.md names RPC Mirror.%s, which *core.Service does not serve", n)
 		}
 	}
 }

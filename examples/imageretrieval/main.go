@@ -80,7 +80,7 @@ func run(w io.Writer) error {
 	}
 	relevant := func(h core.Hit) bool { return items[h.OID].HasClass(class) }
 	for round := 1; round <= 3; round++ {
-		hits, err := sess.Run(10)
+		hits, err := m.SessionRun(sess, 10)
 		if err != nil {
 			return err
 		}
@@ -94,11 +94,11 @@ func run(w io.Writer) error {
 				nonrel = append(nonrel, h.OID)
 			}
 		}
-		if err := sess.Feedback(rel, nonrel); err != nil {
+		if sess, err = m.SessionFeedback(sess, rel, nonrel); err != nil {
 			return err
 		}
 	}
-	final, err := sess.Run(10)
+	final, err := m.SessionRun(sess, 10)
 	if err != nil {
 		return err
 	}

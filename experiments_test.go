@@ -372,13 +372,13 @@ func TestE9FeedbackImproves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits0, err := sess.Run(0)
+		hits0, err := m.SessionRun(sess, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		p0 := unannPrec(hits0)
 		for round := 0; round < 2; round++ {
-			hits, err := sess.Run(12)
+			hits, err := m.SessionRun(sess, 12)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -390,11 +390,11 @@ func TestE9FeedbackImproves(t *testing.T) {
 					nonrel = append(nonrel, h)
 				}
 			}
-			if err := sess.Feedback(oids(rel), oids(nonrel)); err != nil {
+			if sess, err = m.SessionFeedback(sess, oids(rel), oids(nonrel)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		hits2, err := sess.Run(0)
+		hits2, err := m.SessionRun(sess, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

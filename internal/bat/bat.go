@@ -111,16 +111,6 @@ func (b *BAT) MustAppend(h, t any) {
 	}
 }
 
-// AppendBUNs bulk-appends all BUNs of o (same column kinds required).
-func (b *BAT) AppendBUNs(o *BAT) error {
-	for i := 0; i < o.Len(); i++ {
-		if err := b.Append(o.Head.Get(i), o.Tail.Get(i)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Reverse returns a view with head and tail swapped. O(1): columns are
 // shared, so the result must be treated as read-only (all operators do).
 func (b *BAT) Reverse() *BAT {

@@ -245,21 +245,22 @@ func TestAlphaOneMatchesUnweightedSum(t *testing.T) {
 	}
 	// Seed the content query from real indexed cluster words so the
 	// content evidence is non-trivial.
+	weights := sessionWeights(t, sess)
 	for _, h := range queryAnn(t, m, "harbor", 6) {
 		for _, w := range m.ContentTerms(h.OID) {
-			sess.weights[w] += 0.5
+			weights[w] += 0.5
 		}
 	}
-	if len(sess.weights) == 0 {
+	if len(weights) == 0 {
 		t.Fatal("stub corpus yielded no cluster words to weight")
 	}
-	terms, ws := sess.ClusterWeights()
+	sess = sessionOf(sess.Text, weights, sess.Round)
 	for _, k := range []int{10, 0} {
-		got, err := sess.Run(k)
+		got, err := m.SessionRun(sess, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := refSessionRun(t, m, sess.Text, terms, ws, k); !hitsEqual(want, got) {
+		if want := refSessionRun(t, m, sess.Text, sess.Concepts, sess.Weights, k); !hitsEqual(want, got) {
 			t.Fatalf("k=%d: Run diverges from the #wsum composition:\n  want %v\n  got  %v", k, want, got)
 		}
 	}

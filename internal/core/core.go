@@ -110,9 +110,10 @@ type Mirror struct {
 	// engine's global statistics; the engine finishes the publish once
 	// every shard is open. deferredThes stashes the replayed documents'
 	// thesaurus contribution for the engine to fold into the shared
-	// instance.
-	deferredDelta bool
-	deferredThes  []thesaurus.Doc
+	// instance, deferredMerges the merge records logged after them.
+	deferredDelta  bool
+	deferredThes   []thesaurus.Doc
+	deferredMerges []walRecord
 
 	// persistent mode (OpenPersistent): the BAT buffer pool backing the
 	// loaded BATs and the write-ahead log capturing inserts/feedback

@@ -170,7 +170,7 @@ func TestSessionFeedbackImproves(t *testing.T) {
 		return PrecisionAtK(un, k, relevant)
 	}
 
-	hits0, err := sess.Run(0)
+	hits0, err := m.SessionRun(sess, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSessionFeedbackImproves(t *testing.T) {
 
 	// the user judges the visible top 12 over two rounds
 	for round := 0; round < 2; round++ {
-		hits, err := sess.Run(12)
+		hits, err := m.SessionRun(sess, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +190,11 @@ func TestSessionFeedbackImproves(t *testing.T) {
 				nonrel = append(nonrel, h.OID)
 			}
 		}
-		if err := sess.Feedback(rel, nonrel); err != nil {
+		if sess, err = m.SessionFeedback(sess, rel, nonrel); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hits2, err := sess.Run(0)
+	hits2, err := m.SessionRun(sess, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +205,11 @@ func TestSessionFeedbackImproves(t *testing.T) {
 	if sess.Round != 2 {
 		t.Fatalf("round = %d", sess.Round)
 	}
-	if err := sess.Feedback(nil, nil); err == nil {
+	if _, err := m.SessionFeedback(sess, nil, nil); err == nil {
 		t.Fatal("empty feedback should error")
 	}
-	terms, ws := sess.ClusterWeights()
-	if len(terms) != len(ws) || len(terms) == 0 {
-		t.Fatalf("cluster weights: %v %v", terms, ws)
+	if len(sess.Concepts) != len(sess.Weights) || len(sess.Concepts) == 0 {
+		t.Fatalf("cluster weights: %v %v", sess.Concepts, sess.Weights)
 	}
 }
 

@@ -7,124 +7,166 @@ import (
 
 	"mirror/internal/bat"
 	"mirror/internal/ir"
-	"mirror/internal/thesaurus"
 )
 
-// Session is an interactive retrieval session with relevance feedback, the
-// loop of Section 5.2: "The user may provide relevance feedback for these
-// images; this relevance feedback is used to improve the current query."
+// Session is the state of one interactive retrieval session with relevance
+// feedback, the loop of Section 5.2: "The user may provide relevance
+// feedback for these images; this relevance feedback is used to improve
+// the current query."
 //
-// The session query has a text part (fixed) and a content part: weighted
-// cluster words, initialised from the thesaurus and updated from feedback
-// Rocchio-style (relevant items add their cluster words' weight,
-// non-relevant subtract).
+// It is a plain value the caller holds; the engine keeps nothing per
+// session. The query has a fixed text part and a content part, the
+// weighted cluster words Concepts/Weights, seeded from the thesaurus and
+// moved by each feedback round Rocchio-style. What persists "across query
+// sessions" is the thesaurus reinforcement, which is WAL-logged, so a
+// session survives a server restart or a failover unchanged. The engine
+// takes the concepts in any order and keeps them canonical: weight
+// descending, then name. It reads the caller's slices and never writes
+// them. Round counts the feedback rounds applied; only the caller reads it.
 type Session struct {
-	g         *Gather
-	Text      string
-	textTerms []string
-	weights   map[string]float64 // cluster word → weight
-	Round     int
+	Text     string
+	Concepts []string
+	Weights  []float64
+	Round    int
 }
 
-// The Rocchio-style gains Feedback applies per judgment: a relevant
-// item's cluster words gain feedbackGain weight, a non-relevant item's
-// lose feedbackPenalty. The original text query keeps unit weight.
+// The Rocchio-style gains SessionFeedback applies per judgment: a
+// relevant item's cluster words gain feedbackGain weight, a non-relevant
+// item's lose feedbackPenalty. The original text query keeps unit weight.
 const (
 	feedbackGain    = 0.75
 	feedbackPenalty = 0.25
 )
 
-// newSession starts a session over a gather, seeding the content query
-// from the thesaurus of the view it was opened on.
-func newSession(g *Gather, thes *thesaurus.Thesaurus, text string) *Session {
-	s := &Session{
-		g: g, Text: text,
-		textTerms: ir.Analyze(text),
-		weights:   map[string]float64{},
+// conceptWeights validates a weighted concept set — one weight per
+// concept, no concept twice, no weight negative or NaN, and a sum short
+// of +Inf — and returns it as concept → weight.
+func conceptWeights(concepts []string, weights []float64) (map[string]float64, error) {
+	if len(weights) != len(concepts) {
+		return nil, fmt.Errorf("core: %d concepts vs %d weights", len(concepts), len(weights))
 	}
-	for _, a := range thes.Associate(s.textTerms, 5) {
-		s.weights[a.Concept] = a.Belief
+	out := make(map[string]float64, len(concepts))
+	wtot := 0.0
+	for i, c := range concepts {
+		w := weights[i]
+		if !(w >= 0) {
+			return nil, fmt.Errorf("core: negative or NaN concept weight %v", w)
+		}
+		if _, dup := out[c]; dup {
+			return nil, fmt.Errorf("core: concept %q given twice", c)
+		}
+		out[c] = w
+		wtot += w
+	}
+	if math.IsInf(wtot, 1) {
+		return nil, fmt.Errorf("core: concept weights sum to +Inf")
+	}
+	return out, nil
+}
+
+// sessionOf builds a session in canonical order from concept → weight.
+func sessionOf(text string, weights map[string]float64, round int) Session {
+	s := Session{Text: text, Concepts: make([]string, 0, len(weights)), Weights: make([]float64, len(weights)), Round: round}
+	for c := range weights {
+		s.Concepts = append(s.Concepts, c)
+	}
+	sort.Slice(s.Concepts, func(i, j int) bool {
+		wi, wj := weights[s.Concepts[i]], weights[s.Concepts[j]]
+		if wi != wj {
+			return wi > wj
+		}
+		return s.Concepts[i] < s.Concepts[j]
+	})
+	for i, c := range s.Concepts {
+		s.Weights[i] = weights[c]
 	}
 	return s
 }
 
-// ClusterWeights returns the current content query (sorted by weight).
-func (s *Session) ClusterWeights() ([]string, []float64) {
-	terms := make([]string, 0, len(s.weights))
-	for t := range s.weights {
-		terms = append(terms, t)
+// NewSession starts a relevance-feedback session from a free-text query,
+// seeding its concepts from the serving view's thesaurus.
+func (g *Gather) NewSession(text string) (Session, error) {
+	v := g.view()
+	if v == nil {
+		return Session{}, ErrNotIndexed
 	}
-	sort.Slice(terms, func(i, j int) bool {
-		if s.weights[terms[i]] != s.weights[terms[j]] {
-			return s.weights[terms[i]] > s.weights[terms[j]]
+	weights := map[string]float64{}
+	if thes := v.Thesaurus(); thes != nil {
+		for _, a := range thes.Associate(ir.Analyze(text), 5) {
+			weights[a.Concept] = a.Belief
 		}
-		return terms[i] < terms[j]
-	})
-	ws := make([]float64, len(terms))
-	for i, t := range terms {
-		ws[i] = s.weights[t]
 	}
-	return terms, ws
+	return sessionOf(text, weights, 0), nil
 }
 
-// Run evaluates the current session query over one pinned view and
-// returns the top k hits (k <= 0: the full ranking). The session query
-// is the dual-coding expression with the cluster words bound as a
-// weighted set: #wsum of the text evidence and the weighted content
-// evidence, one pruned two-source scan per leg for k > 0. The result
-// cache and the θ-memo key on text and terms, not on weights, so a
-// session round bypasses both.
-func (s *Session) Run(k int) ([]Hit, error) {
-	v := s.g.view()
+// SessionRun evaluates a session's query over one pinned view and returns
+// the top k hits (k <= 0: the full ranking). The session query is the
+// dual-coding expression with the cluster words bound as a weighted set:
+// #wsum of the text evidence and the weighted content evidence, one pruned
+// two-source scan per leg for k > 0. The result cache and the θ-memo key
+// on text and terms, not on weights, so a session round bypasses both.
+func (g *Gather) SessionRun(s Session, k int) ([]Hit, error) {
+	weights, err := conceptWeights(s.Concepts, s.Weights)
+	if err != nil {
+		return nil, err
+	}
+	s = sessionOf(s.Text, weights, s.Round)
+	v := g.view()
 	if v == nil {
 		return nil, ErrNotIndexed
 	}
-	terms, ws := s.ClusterWeights()
-	l, err := gatherRows(v, ShardQueryArgs{Kind: "dual", Text: s.Text, Terms: terms, Weights: ws, K: k}, math.Inf(-1))
+	l, err := gatherRows(v, ShardQueryArgs{Kind: "dual", Text: s.Text, Terms: s.Concepts, Weights: s.Weights, K: k}, math.Inf(-1))
 	if err != nil {
 		return nil, err
 	}
 	return rowHits(v, l.rows, k), nil
 }
 
-// Feedback applies one round of relevance judgments. Each relevant item's
-// cluster words gain feedbackGain weight, each non-relevant item's lose
-// feedbackPenalty (a word whose weight drops to zero leaves the query); the
-// thesaurus is reinforced so the adaptation persists "across query
-// sessions" — and, in persistent mode, across restarts: each
-// reinforcement is logged to the WAL and replayed during recovery.
-// On a WAL error the batch may be partially applied; everything applied
-// is already in the thesaurus (and persists at the next checkpoint), so
-// do not retry the same judgments.
-func (s *Session) Feedback(relevant, nonrelevant []bat.OID) error {
+// SessionFeedback applies one round of relevance judgments and returns the
+// advanced session. Each relevant item's cluster words gain feedbackGain
+// weight, each non-relevant item's lose feedbackPenalty (a word whose
+// weight drops to zero leaves the query); the thesaurus is reinforced so
+// the adaptation persists "across query sessions" — and, in persistent
+// mode, across restarts: each reinforcement is logged to the WAL and
+// replayed during recovery. On a WAL error the batch may be partially
+// applied to the thesaurus (and persists at the next checkpoint), so do
+// not retry the same judgments; the caller's session is unchanged.
+func (g *Gather) SessionFeedback(s Session, relevant, nonrelevant []bat.OID) (Session, error) {
 	if len(relevant)+len(nonrelevant) == 0 {
-		return fmt.Errorf("core: feedback needs at least one judgment")
+		return s, fmt.Errorf("core: feedback needs at least one judgment")
 	}
+	weights, err := conceptWeights(s.Concepts, s.Weights)
+	if err != nil {
+		return s, err
+	}
+	textTerms := ir.Analyze(s.Text)
 	apply := func(oids []bat.OID, gain float64, rel bool) error {
 		for _, oid := range oids {
-			words := s.g.shards.ContentTerms(oid)
+			words := g.shards.ContentTerms(oid)
+			if len(words) == 0 {
+				continue // unknown OID: nothing to weight, reinforce or log
+			}
 			for _, w := range words {
-				s.weights[w] += gain
-				if s.weights[w] <= 0 {
-					delete(s.weights, w)
+				weights[w] += gain
+				if weights[w] <= 0 {
+					delete(weights, w)
 				}
 			}
 			// Under the write lock: reinforcement + WAL append stay
 			// atomic with any concurrent Checkpoint.
-			if err := s.g.shards.ReinforceLogged(s.textTerms, words, rel); err != nil {
+			if err := g.shards.ReinforceLogged(textTerms, words, rel); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 	if err := apply(relevant, feedbackGain, true); err != nil {
-		return err
+		return s, err
 	}
 	if err := apply(nonrelevant, -feedbackPenalty, false); err != nil {
-		return err
+		return s, err
 	}
-	s.Round++
-	return nil
+	return sessionOf(s.Text, weights, s.Round+1), nil
 }
 
 // PrecisionAtK is the evaluation helper used by E9: the fraction of the
@@ -143,21 +185,4 @@ func PrecisionAtK(hits []Hit, k int, relevant func(Hit) bool) float64 {
 		}
 	}
 	return float64(n) / float64(k)
-}
-
-// MeanReciprocalRank is the evaluation helper used by E8.
-func MeanReciprocalRank(rankings [][]Hit, relevant func(Hit) bool) float64 {
-	if len(rankings) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, hits := range rankings {
-		for i, h := range hits {
-			if relevant(h) {
-				sum += 1 / float64(i+1)
-				break
-			}
-		}
-	}
-	return sum / float64(len(rankings))
 }

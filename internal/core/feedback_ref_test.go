@@ -100,7 +100,7 @@ func refWeightedContentScores(ep *IndexEpoch, terms []string, weights []float64)
 	return out, nil
 }
 
-// refSessionRun is the former Session.Run composition over a single
+// refSessionRun is the former session-round composition over a single
 // store: the full text ranking, the weighted content scores, combined by
 // #wsum with unit source weights (defaults |text|·def and Σw·def) and
 // ranked.

@@ -43,9 +43,9 @@ const preBlockGolden = "testdata/store-v2-raw.golden.json"
 // AnnotateRate: 0.8}; OpenPersistent; AddImage items 0–9;
 // BuildContentIndex (rgb_coarse + gabor, KMax 5); Checkpoint. Then,
 // left un-checkpointed in the WAL: for items 10 and 11, AddImage +
-// Refresh (the second Refresh compacts); NewSession("forest").Run(4)
-// and Feedback(first hit relevant, last hit non-relevant); then
-// ClosePersistent. WAL: insert, publish, insert, publish, merge, merge,
+// Refresh (the second Refresh compacts); a feedback session on "forest":
+// one round at k = 4, then feedback (first hit relevant, last hit
+// non-relevant); then ClosePersistent. WAL: insert, publish, insert, publish, merge, merge,
 // feedback, feedback.
 //
 // v3ShardedFixture: corpus.Generate{N: 16, W: 48, H: 48, Seed: 5,
@@ -373,8 +373,19 @@ func TestV3ShardedFixtureOpensAndReplays(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open fixture: %v", err)
 	}
-	if stats.Shards != 2 || stats.WALRecords == 0 {
-		t.Fatalf("recovery = %+v, want 2 shards replaying their WAL tails", stats)
+	if stats.Shards != 2 || stats.WALRecords == 0 || stats.WALSkipped != 0 {
+		t.Fatalf("recovery = %+v, want 2 shards replaying their whole WAL tails", stats)
+	}
+	// Shard 1's WAL ends with a merge of its annotation CONTREP's two
+	// segments into one; recovery leaves it as the crash did.
+	segs := -1
+	for _, info := range e.Segments() {
+		if info.Shard == 1 && info.Prefix == InternalSet+"_annotation" {
+			segs = len(info.Segs)
+		}
+	}
+	if segs != 1 {
+		t.Fatalf("shard 1's annotation CONTREP recovered with %d segments, want the logged merge's 1", segs)
 	}
 	assertGoldenHits(t, "recovered", e, golden)
 	if _, err := e.Checkpoint(); err != nil {

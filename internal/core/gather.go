@@ -516,16 +516,6 @@ func (g *Gather) ExpandQuery(text string, topK int) []string {
 	return expandConcepts(v.Thesaurus(), text, topK)
 }
 
-// NewSession starts a relevance-feedback session from a free-text query;
-// judgments arrive as the OIDs the engine's hits carry.
-func (g *Gather) NewSession(text string) (*Session, error) {
-	v := g.view()
-	if v == nil {
-		return nil, ErrNotIndexed
-	}
-	return newSession(g, v.Thesaurus(), text), nil
-}
-
 // SetResultCache installs (or, with maxBytes <= 0, removes) an
 // epoch-keyed query result cache bounded to roughly maxBytes. Safe to call
 // at any time; in-flight queries keep using the cache they loaded.

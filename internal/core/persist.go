@@ -584,13 +584,23 @@ func (m *Mirror) replayPublish(r walRecord) (bool, error) {
 // replayMerge re-applies one segment compaction. The SegsBefore guard
 // skips merges the checkpoint already reflects (or that no longer apply
 // after a deferred sharded recovery); skipping a merge never changes
-// query results — compaction is layout-only.
+// query results — compaction is layout-only. A shard whose publish is
+// deferred stashes the merge (reported skipped) for finishDeferredDelta.
 func (m *Mirror) replayMerge(r walRecord) (bool, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.indexed || m.deferredDelta {
+	if !m.indexed {
 		return false, nil
 	}
+	if m.deferredDelta {
+		m.deferredMerges = append(m.deferredMerges, r)
+		return false, nil
+	}
+	return m.replayMergeLocked(r)
+}
+
+// replayMergeLocked is replayMerge's guarded merge; callers hold m.mu.
+func (m *Mirror) replayMergeLocked(r walRecord) (bool, error) {
 	if ir.SegmentCount(m.DB, r.Prefix) != r.SegsBefore {
 		return false, nil
 	}

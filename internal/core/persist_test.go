@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -288,11 +289,11 @@ func TestFeedbackReplayedAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := sess.Run(4)
+	hits, err := m1.SessionRun(sess, 4)
 	if err != nil || len(hits) == 0 {
 		t.Fatalf("session run: %v (%d hits)", err, len(hits))
 	}
-	if err := sess.Feedback([]bat.OID{hits[0].OID}, nil); err != nil {
+	if _, err := m1.SessionFeedback(sess, []bat.OID{hits[0].OID}, nil); err != nil {
 		t.Fatal(err)
 	}
 	wantAssoc := m1.Thes.Associate(AnalyzeQuery(text), 8)
@@ -313,6 +314,32 @@ func TestFeedbackReplayedAcrossRestart(t *testing.T) {
 			gotAssoc[i].Belief != wantAssoc[i].Belief {
 			t.Fatalf("association %d after replay = %+v, want %+v", i, gotAssoc[i], wantAssoc[i])
 		}
+	}
+}
+
+// TestFeedbackOnUnknownOIDLogsNothing: a judgment of a document the
+// store does not hold has no cluster words, so it neither moves the
+// session nor appends to the WAL — a client cannot grow the log with
+// judgments of made-up OIDs.
+func TestFeedbackOnUnknownOIDLogsNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	copyTree(t, v3Fixture, dir)
+	m, _ := openStore(t, dir)
+	defer m.ClosePersistent()
+	sess, err := m.NewSession("forest")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := walSize(t, dir)
+	next, err := m.SessionFeedback(sess, []bat.OID{1 << 40}, []bat.OID{bat.OID(m.Size())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := walSize(t, dir); after != before {
+		t.Fatalf("judging unknown OIDs grew the WAL %d → %d bytes", before, after)
+	}
+	if !slices.Equal(next.Concepts, sess.Concepts) || !slices.Equal(next.Weights, sess.Weights) || next.Round != 1 {
+		t.Fatalf("judging unknown OIDs moved the session: %+v → %+v", sess, next)
 	}
 }
 

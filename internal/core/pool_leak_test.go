@@ -79,7 +79,7 @@ func TestQueryPathsDoNotLeak(t *testing.T) {
 	}
 }
 
-// TestSessionRunDoesNotLeak covers the feedback loop: Run on a fresh
+// TestSessionRunDoesNotLeak covers the feedback loop: a round on a fresh
 // session, then again after a feedback round reweights the content query.
 func TestSessionRunDoesNotLeak(t *testing.T) {
 	m := leakStub(t)
@@ -88,27 +88,27 @@ func TestSessionRunDoesNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Force a non-empty content query even if the stub thesaurus
-	// associates nothing, so Run scans the weighted content source.
-	sess.weights["c000"] = 1
+	// associates nothing, so the round scans the weighted content source.
+	sess = withWeight(t, sess, "c000", 1)
 
 	var hits []Hit
 	for _, k := range []int{8, 0} {
 		before := snapshotPools()
-		if hits, err = sess.Run(k); err != nil {
+		if hits, err = m.SessionRun(sess, k); err != nil {
 			t.Fatal(err)
 		}
-		assertNoLeak(t, "Session.Run", before)
+		assertNoLeak(t, "SessionRun", before)
 	}
 
 	if len(hits) > 0 {
-		if err := sess.Feedback([]bat.OID{hits[0].OID}, nil); err != nil {
+		if sess, err = m.SessionFeedback(sess, []bat.OID{hits[0].OID}, nil); err != nil {
 			t.Fatal(err)
 		}
 		before := snapshotPools()
-		if _, err := sess.Run(8); err != nil {
+		if _, err := m.SessionRun(sess, 8); err != nil {
 			t.Fatal(err)
 		}
-		assertNoLeak(t, "Session.Run after feedback", before)
+		assertNoLeak(t, "SessionRun after feedback", before)
 	}
 }
 
@@ -117,17 +117,18 @@ func TestSessionRunDoesNotLeak(t *testing.T) {
 func TestSessionRunErrorPathDoesNotLeak(t *testing.T) {
 	m := leakStub(t)
 	spy := &legSpy{storeView: storeView{m.currentEpoch()}, fail: "dual"}
-	sess, err := NewGather(spyShards{storeShards{m}, spy}).NewSession("harbor gull")
+	g := NewGather(spyShards{storeShards{m}, spy})
+	sess, err := g.NewSession("harbor gull")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.weights["c000"] = 1 // guarantee the failing arm runs
+	sess = withWeight(t, sess, "c000", 1) // guarantee the failing arm runs
 
 	before := snapshotPools()
-	if _, err := sess.Run(8); !errors.Is(err, errInjected) {
+	if _, err := g.SessionRun(sess, 8); !errors.Is(err, errInjected) {
 		t.Fatalf("Run error = %v, want injected failure", err)
 	}
-	assertNoLeak(t, "Session.Run error path", before)
+	assertNoLeak(t, "SessionRun error path", before)
 }
 
 // TestDualCodingScanErrorDoesNotLeak drives the dual-coding plan into a
@@ -187,12 +188,12 @@ func TestShardedQueryPathsDoNotLeak(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess.weights["c000"] = 1
+		sess = withWeight(t, sess, "c000", 1)
 		before = snapshotPools()
-		if _, err := sess.Run(8); err != nil {
+		if _, err := e.SessionRun(sess, 8); err != nil {
 			t.Fatal(err)
 		}
-		assertNoLeak(t, "sharded Session.Run", before)
+		assertNoLeak(t, "sharded SessionRun", before)
 	}
 }
 

@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"mirror/internal/bat"
 	"mirror/internal/ir"
 	"mirror/internal/moa"
@@ -39,26 +36,15 @@ const dualConcepts = 5
 
 // dualParams binds dualQuery: the analysed text as `query`, and as
 // `concepts` the thesaurus expansion or, when weights is non-nil, a
-// session's cluster words with their weights (one finite, non-negative
-// weight per concept).
+// session's cluster words with their weights (conceptWeights' rules).
 func dualParams(text string, concepts []string, weights []float64) (map[string]moa.Param, error) {
 	params := ir.QueryParams(ir.Analyze(text))
 	if weights == nil {
 		params["concepts"] = ir.TermsParam(concepts)
 		return params, nil
 	}
-	if len(weights) != len(concepts) {
-		return nil, fmt.Errorf("core: %d concepts vs %d weights", len(concepts), len(weights))
-	}
-	wtot := 0.0
-	for _, w := range weights {
-		if !(w >= 0) {
-			return nil, fmt.Errorf("core: negative or NaN concept weight %v", w)
-		}
-		wtot += w
-	}
-	if math.IsInf(wtot, 1) {
-		return nil, fmt.Errorf("core: concept weights sum to +Inf")
+	if _, err := conceptWeights(concepts, weights); err != nil {
+		return nil, err
 	}
 	params["concepts"] = ir.WeightedTermsParam(concepts, weights)
 	return params, nil

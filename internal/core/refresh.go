@@ -111,28 +111,41 @@ func (m *Mirror) covered() int {
 // finishDeferredDelta completes a shard's structurally replayed publish
 // records: the engine has re-registered the global statistics overrides
 // and unioned the vocabulary, so segment derivation and belief
-// recomputation can run, followed by the shard's epoch publish. Also the
+// recomputation can run, then the stashed merges replay under their
+// SegsBefore guard, followed by the shard's epoch publish. Also the
 // no-op-delta path for shards that replayed nothing (their beliefs still
-// move when siblings' deltas changed df/N/avgdl).
-func (m *Mirror) finishDeferredDelta() error {
+// move when siblings' deltas changed df/N/avgdl). It returns how many
+// stashed merges applied.
+func (m *Mirror) finishDeferredDelta() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, prefix := range contrepPrefixes {
 		if ir.SegmentCount(m.DB, prefix) == 0 {
 			if err := ir.EnsureSegmented(m.DB, prefix); err != nil {
-				return err
+				return 0, err
 			}
 			continue
 		}
 		if _, err := ir.AppendSegment(m.DB, prefix); err != nil {
-			return err
+			return 0, err
 		}
 		if err := ir.RefinalizeSegments(m.DB, prefix); err != nil {
-			return err
+			return 0, err
 		}
 	}
+	merged := 0
+	for _, r := range m.deferredMerges {
+		applied, err := m.replayMergeLocked(r)
+		if err != nil {
+			return merged, err
+		}
+		if applied {
+			merged++
+		}
+	}
+	m.deferredMerges = nil
 	m.deferredDelta = false
-	return m.publishEpochLocked()
+	return merged, m.publishEpochLocked()
 }
 
 // maxSegments reports the larger CONTREP segment count (introspection).

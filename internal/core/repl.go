@@ -128,14 +128,6 @@ func (m *Mirror) KeepEpochHistory(n int) {
 	}
 }
 
-// ShardIdentity reports the store's position in its sharded layout
-// (count 0 for standalone stores).
-func (m *Mirror) ShardIdentity() (index, count int) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.shardIndex, m.shardCount
-}
-
 // Topology describes the store's place in the serving topology (moash
 // \topology).
 func (m *Mirror) Topology() string {

@@ -51,7 +51,9 @@ type Retriever interface {
 	QueryTopKStamped(src string, queryTerms []string, k int) (*moa.Result, EpochStamp, error)
 	ServingEpoch() (EpochStamp, bool)
 	ExpandQuery(text string, topK int) []string
-	NewSession(text string) (*Session, error)
+	NewSession(text string) (Session, error)
+	SessionRun(s Session, k int) ([]Hit, error)
+	SessionFeedback(s Session, relevant, nonrelevant []bat.OID) (Session, error)
 	SetResultCache(maxBytes int64)
 	SetThetaMemo(maxEntries int)
 	Topology() string
@@ -75,27 +77,7 @@ type Retriever interface {
 type Service struct {
 	m    Retriever
 	gate chan struct{}
-
-	// Feedback sessions are server-side state (the Rocchio weights live
-	// with the store that reinforces the thesaurus); clients hold opaque
-	// IDs. The table dies with the process — after a restart clients
-	// start fresh sessions.
-	smu      sync.Mutex
-	sessions map[uint64]*serverSession
-	lastSess uint64
 }
-
-// serverSession serialises one client's session calls: the Session type
-// itself is not safe for concurrent use, and net/rpc dispatches every
-// request in its own goroutine.
-type serverSession struct {
-	mu sync.Mutex
-	s  *Session
-}
-
-// maxServerSessions bounds the session table so leaked client sessions
-// cannot grow server memory without bound.
-const maxServerSessions = 1024
 
 // defaultQueryGate is the default cap on concurrently executing queries.
 func defaultQueryGate() int {
@@ -327,70 +309,33 @@ func (s *Service) Stats(_ dict.Empty, reply *StatsReply) error {
 // SessionStartArgs opens a relevance-feedback session for a text query.
 type SessionStartArgs struct{ Text string }
 
-// SessionStartReply returns the server-side session handle.
-type SessionStartReply struct{ ID uint64 }
-
-// SessionStart opens a server-side feedback session (Section 5.2's
-// interactive loop) and returns its handle. Sessions are process-local:
-// a restarted server forgets them, and clients start over.
-func (s *Service) SessionStart(args SessionStartArgs, reply *SessionStartReply) error {
+// SessionStart opens a feedback session (Section 5.2's interactive loop)
+// and replies with its state, which the client holds and sends back with
+// every later call: the server keeps nothing per session, so a session
+// survives a server restart.
+func (s *Service) SessionStart(args SessionStartArgs, reply *Session) error {
 	sess, err := s.m.NewSession(args.Text)
-	if err != nil {
-		return err
-	}
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	if s.sessions == nil {
-		s.sessions = make(map[uint64]*serverSession)
-	}
-	if len(s.sessions) >= maxServerSessions {
-		return fmt.Errorf("core: session table full (%d live sessions; SessionEnd some)", maxServerSessions)
-	}
-	s.lastSess++
-	s.sessions[s.lastSess] = &serverSession{s: sess}
-	reply.ID = s.lastSess
-	return nil
-}
-
-// lookupSession resolves a session handle.
-func (s *Service) lookupSession(id uint64) (*serverSession, error) {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	ss, ok := s.sessions[id]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown session %d (sessions do not survive a server restart)", id)
-	}
-	return ss, nil
+	*reply = sess
+	return err
 }
 
 // SessionRunArgs evaluates a session's current query.
 type SessionRunArgs struct {
-	ID uint64
-	K  int
+	Session Session
+	K       int
 }
 
-// SessionRunReply returns the session ranking and the feedback round it
-// reflects.
-type SessionRunReply struct {
-	Round int
-	Hits  []WireHit
-}
+// SessionRunReply returns the session ranking.
+type SessionRunReply struct{ Hits []WireHit }
 
 // SessionRun evaluates the session's current (text + weighted content)
 // query and returns the top k hits.
 func (s *Service) SessionRun(args SessionRunArgs, reply *SessionRunReply) error {
-	ss, err := s.lookupSession(args.ID)
-	if err != nil {
-		return err
-	}
 	defer s.acquire()()
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	hits, err := ss.s.Run(args.K)
+	hits, err := s.m.SessionRun(args.Session, args.K)
 	if err != nil {
 		return err
 	}
-	reply.Round = ss.s.Round
 	reply.Hits = wireHits(hits)
 	return nil
 }
@@ -406,42 +351,18 @@ func wireHits(hits []Hit) []WireHit {
 
 // SessionFeedbackArgs applies one round of relevance judgments.
 type SessionFeedbackArgs struct {
-	ID          uint64
+	Session     Session
 	Relevant    []uint64 // OIDs judged relevant
 	Nonrelevant []uint64 // OIDs judged non-relevant
 }
 
-// SessionFeedbackReply reports the feedback round after the judgments.
-type SessionFeedbackReply struct{ Round int }
-
-// SessionFeedback applies judgments: the session's content weights move
-// Rocchio-style and the thesaurus reinforcement is WAL-logged on
-// persistent stores (it survives restarts even though the session does
-// not).
-func (s *Service) SessionFeedback(args SessionFeedbackArgs, reply *SessionFeedbackReply) error {
-	ss, err := s.lookupSession(args.ID)
-	if err != nil {
-		return err
-	}
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if err := ss.s.Feedback(toOIDs(args.Relevant), toOIDs(args.Nonrelevant)); err != nil {
-		return err
-	}
-	reply.Round = ss.s.Round
-	return nil
-}
-
-// SessionEndArgs closes a session.
-type SessionEndArgs struct{ ID uint64 }
-
-// SessionEnd drops the session from the table; unknown IDs are a no-op
-// (the table is already gone after a restart).
-func (s *Service) SessionEnd(args SessionEndArgs, _ *dict.Empty) error {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	delete(s.sessions, args.ID)
-	return nil
+// SessionFeedback applies judgments and replies with the advanced
+// session: its content weights move Rocchio-style, and the thesaurus
+// reinforcement is WAL-logged on persistent stores.
+func (s *Service) SessionFeedback(args SessionFeedbackArgs, reply *Session) error {
+	next, err := s.m.SessionFeedback(args.Session, toOIDs(args.Relevant), toOIDs(args.Nonrelevant))
+	*reply = next
+	return err
 }
 
 // toOIDs converts wire OIDs.
@@ -756,32 +677,28 @@ func (c *Client) Stats() (*StatsReply, error) {
 	return &reply, err
 }
 
-// SessionStart opens a remote relevance-feedback session.
-func (c *Client) SessionStart(text string) (uint64, error) {
-	var reply SessionStartReply
+// NewSession opens a remote relevance-feedback session; the caller holds
+// the returned state and passes it to SessionRun and SessionFeedback.
+func (c *Client) NewSession(text string) (Session, error) {
+	var reply Session
 	err := c.call("Mirror.SessionStart", SessionStartArgs{Text: text}, &reply)
-	return reply.ID, wireErr(err)
+	return reply, wireErr(err)
 }
 
 // SessionRun evaluates the session's current query.
-func (c *Client) SessionRun(id uint64, k int) (*SessionRunReply, error) {
+func (c *Client) SessionRun(s Session, k int) ([]WireHit, error) {
 	var reply SessionRunReply
-	err := c.call("Mirror.SessionRun", SessionRunArgs{ID: id, K: k}, &reply)
-	return &reply, wireErr(err)
+	err := c.call("Mirror.SessionRun", SessionRunArgs{Session: s, K: k}, &reply)
+	return reply.Hits, wireErr(err)
 }
 
-// SessionFeedback applies one round of relevance judgments.
-func (c *Client) SessionFeedback(id uint64, relevant, nonrelevant []uint64) (*SessionFeedbackReply, error) {
-	var reply SessionFeedbackReply
+// SessionFeedback applies one round of relevance judgments and returns the
+// advanced session.
+func (c *Client) SessionFeedback(s Session, relevant, nonrelevant []uint64) (Session, error) {
+	var reply Session
 	err := c.call("Mirror.SessionFeedback",
-		SessionFeedbackArgs{ID: id, Relevant: relevant, Nonrelevant: nonrelevant}, &reply)
-	return &reply, wireErr(err)
-}
-
-// SessionEnd closes a remote session.
-func (c *Client) SessionEnd(id uint64) error {
-	var reply dict.Empty
-	return c.call("Mirror.SessionEnd", SessionEndArgs{ID: id}, &reply)
+		SessionFeedbackArgs{Session: s, Relevant: relevant, Nonrelevant: nonrelevant}, &reply)
+	return reply, wireErr(err)
 }
 
 // MoaQuery runs a raw Moa query.

@@ -96,33 +96,23 @@ func TestServeLoadHarnessSurface(t *testing.T) {
 		t.Fatalf("post-refresh stamp = %d/%d (was %d/12)", reply2.Epoch, reply2.EpochDocs, reply.Epoch)
 	}
 
-	// Server-side feedback sessions.
-	id, err := c.SessionStart(term)
+	// Feedback sessions: the client holds the state.
+	sess, err := c.NewSession(term)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := c.SessionRun(id, 5)
-	if err != nil || len(run.Hits) == 0 || run.Round != 0 {
+	run, err := c.SessionRun(sess, 5)
+	if err != nil || len(run) == 0 || sess.Round != 0 {
 		t.Fatalf("session run = %+v, %v", run, err)
 	}
-	fb, err := c.SessionFeedback(id, []uint64{run.Hits[0].OID}, nil)
-	if err != nil || fb.Round != 1 {
-		t.Fatalf("feedback = %+v, %v", fb, err)
+	next, err := c.SessionFeedback(sess, []uint64{run[0].OID}, nil)
+	if err != nil || next.Round != 1 || sess.Round != 0 {
+		t.Fatalf("feedback = %+v, %v", next, err)
 	}
-	run2, err := c.SessionRun(id, 5)
-	if err != nil || run2.Round != 1 {
-		t.Fatalf("post-feedback run = %+v, %v", run2, err)
+	if _, err := c.SessionRun(next, 5); err != nil {
+		t.Fatalf("post-feedback run: %v", err)
 	}
-	if err := c.SessionEnd(id); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SessionRun(id, 5); err == nil || !strings.Contains(err.Error(), "unknown session") {
-		t.Fatalf("ended session error = %v", err)
-	}
-	if err := c.SessionEnd(id); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := c.SessionFeedback(id, []uint64{1}, nil); err == nil {
-		t.Fatal("feedback on ended session must fail")
+	if _, err := c.SessionFeedback(next, nil, nil); err == nil {
+		t.Fatal("feedback without judgments must fail")
 	}
 }

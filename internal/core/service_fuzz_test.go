@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -26,10 +27,12 @@ func fuzzWeightBytes(ws ...float64) []byte {
 }
 
 // FuzzServiceArgs feeds hostile but well-formed RPC arguments — any K,
-// text, terms and weights (length mismatches, NaN, ±Inf, ≤ 0) — into the
-// ranked service calls a remote client or router reaches: ShardQuery on a
-// shard member, TextQuery (plain and dual) and SessionRun. Each call must
-// return an error or at most N rows, and never panic.
+// text, terms and weights (length mismatches, NaN, ±Inf, ≤ 0, duplicate
+// concepts, up to 10 000 padded ones), any session round and judged
+// OIDs, and any Moa source — into the service calls a remote client or
+// router reaches: ShardQuery on a shard member, TextQuery (plain and
+// dual), the stateless session calls and MoaQuery. Each call must return
+// an error or at most N rows, and never panic.
 func FuzzServiceArgs(f *testing.F) {
 	urls, anns := refreshCorpus(30, 5)
 	e, err := NewSharded(1)
@@ -49,17 +52,22 @@ func FuzzServiceArgs(f *testing.F) {
 	n := member.Size()
 	tag := member.currentEpoch().Tag
 
-	f.Add("dual", int64(10), "harbor gull", "c000 c001", fuzzWeightBytes(0.5, 2), 0.0)
-	f.Add("dual", int64(1<<40), "harbor", "c000", fuzzWeightBytes(1), math.Inf(-1))
-	f.Add("dual", int64(-3), "tide", "c000 c001 c002", fuzzWeightBytes(1), 0.3)
-	f.Add("dual", int64(5), "gull", "c000 c001", fuzzWeightBytes(math.NaN(), math.Inf(1)), math.NaN())
-	f.Add("dual", int64(5), "", "c002", fuzzWeightBytes(-1), math.Inf(1))
-	f.Add("dual", int64(0), "harbor", "c000 c001", fuzzWeightBytes(0, math.MaxFloat64), 0.0)
-	f.Add("ann", int64(1<<62), "harbor harbor", "", []byte{}, 0.0)
-	f.Add("content", int64(7), "", "c000 zeppelin", fuzzWeightBytes(math.Inf(-1)), 0.0)
-	f.Add("wsum", int64(3), "harbor", "c000", fuzzWeightBytes(1), 0.0)
-	f.Fuzz(func(t *testing.T, kind string, k int64, text, terms string, wb []byte, floor float64) {
-		if len(text) > 256 || len(terms) > 256 || len(wb) > 256 {
+	const rank = `map[sum(THIS)](map[getBL(THIS.annotation, query, stats)](ImageLibraryInternal));`
+	long := rank[:len(rank)-1] + strings.Repeat(" ", maxCachedSrcFuzz) + ";" // past the plan cache's source cap
+	f.Add("dual", int64(10), "harbor gull", "c000 c001", fuzzWeightBytes(0.5, 2), 0.0, int64(0), uint64(0), uint64(1), uint16(0), rank)
+	f.Add("dual", int64(1<<40), "harbor", "c000", fuzzWeightBytes(1), math.Inf(-1), int64(3), uint64(2), uint64(1<<62), uint16(0), long)
+	f.Add("dual", int64(-3), "tide", "c000 c001 c002", fuzzWeightBytes(1), 0.3, int64(-1), uint64(0), uint64(0), uint16(0), "count(ImageLibraryInternal);")
+	f.Add("dual", int64(5), "gull", "c000 c001", fuzzWeightBytes(math.NaN(), math.Inf(1)), math.NaN(), int64(1), uint64(1), uint64(2), uint16(0), "map[")
+	f.Add("dual", int64(5), "", "c002", fuzzWeightBytes(-1), math.Inf(1), int64(0), uint64(3), uint64(4), uint16(0), "")
+	f.Add("dual", int64(0), "harbor", "c000 c001", fuzzWeightBytes(0, math.MaxFloat64), 0.0, int64(0), uint64(5), uint64(6), uint16(0), strings.Repeat("(", 5000))
+	f.Add("dual", int64(10), "harbor", "c000 c001 c000", fuzzWeightBytes(1, 2, 3), 0.0, int64(0), uint64(1), uint64(2), uint16(0), rank)
+	f.Add("dual", int64(10), "harbor gull", "c000", fuzzWeightBytes(1), 0.0, int64(2), uint64(0), uint64(math.MaxUint64), uint16(10000), rank)
+	f.Add("ann", int64(1<<62), "harbor harbor", "", []byte{}, 0.0, int64(math.MaxInt64), uint64(7), uint64(8), uint16(0), "sum(ImageLibraryInternal);")
+	f.Add("content", int64(7), "", "c000 zeppelin", fuzzWeightBytes(math.Inf(-1)), 0.0, int64(math.MinInt64), uint64(9), uint64(10), uint16(3), long+long)
+	f.Add("wsum", int64(3), "harbor", "c000", fuzzWeightBytes(1), 0.0, int64(0), uint64(11), uint64(12), uint16(1), "map[THIS.nosuch](ImageLibraryInternal);")
+	f.Fuzz(func(t *testing.T, kind string, k int64, text, terms string, wb []byte, floor float64,
+		round int64, rel, non uint64, pad uint16, src string) {
+		if len(text) > 256 || len(terms) > 256 || len(wb) > 256 || len(src) > 3*maxCachedSrcFuzz {
 			return // keep each input small so one run stays fast
 		}
 		K := int(k)
@@ -82,23 +90,36 @@ func FuzzServiceArgs(f *testing.F) {
 			}
 		}
 
-		var st SessionStartReply
-		if err := svc.SessionStart(SessionStartArgs{Text: text}, &st); err != nil {
+		var mq MoaQueryReply
+		if err := svc.MoaQuery(MoaQueryArgs{Source: src, QueryTerms: words, K: K}, &mq); err == nil && len(mq.OIDs) > n {
+			t.Fatalf("MoaQuery(%q, K=%d): %d rows over %d documents", src, K, len(mq.OIDs), n)
+		}
+
+		var seeded Session
+		if err := svc.SessionStart(SessionStartArgs{Text: text}, &seeded); err != nil {
 			t.Fatal(err)
 		}
-		defer svc.SessionEnd(SessionEndArgs{ID: st.ID}, nil)
-		ss, err := svc.lookupSession(st.ID)
-		if err != nil {
-			t.Fatal(err)
+		sess := Session{Text: text, Concepts: words, Weights: ws, Round: int(round)}
+		for i := 0; i < int(min(pad, 10000)); i++ {
+			sess.Concepts = append(sess.Concepts, fmt.Sprintf("p%05d", i))
+			sess.Weights = append(sess.Weights, 1)
 		}
-		for i, w := range words {
-			if i < len(ws) {
-				ss.s.weights[w] = ws[i]
+		for _, st := range []Session{seeded, sess} {
+			var sr SessionRunReply
+			if err := svc.SessionRun(SessionRunArgs{Session: st, K: K}, &sr); err == nil && len(sr.Hits) > n {
+				t.Fatalf("SessionRun(K=%d, %d concepts): %d hits over %d documents", K, len(st.Concepts), len(sr.Hits), n)
 			}
-		}
-		var sr SessionRunReply
-		if err := svc.SessionRun(SessionRunArgs{ID: st.ID, K: K}, &sr); err == nil && len(sr.Hits) > n {
-			t.Fatalf("SessionRun(K=%d, weights %v): %d hits over %d documents", K, ss.s.weights, len(sr.Hits), n)
+			var next Session
+			fa := SessionFeedbackArgs{Session: st, Relevant: []uint64{rel}, Nonrelevant: []uint64{non}}
+			if err := svc.SessionFeedback(fa, &next); err == nil {
+				if _, err := conceptWeights(next.Concepts, next.Weights); err != nil || next.Round != st.Round+1 {
+					t.Fatalf("SessionFeedback(%d concepts, round %d): next round %d, invalid state: %v", len(st.Concepts), st.Round, next.Round, err)
+				}
+			}
 		}
 	})
 }
+
+// maxCachedSrcFuzz is moa's plan-cache source cap (maxCachedSrc, 4 KiB):
+// longer sources compile without being cached.
+const maxCachedSrcFuzz = 4 << 10

@@ -88,15 +88,15 @@ func TestRouterSessionMatchesWSumComposition(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 3; round++ {
-			terms, ws := rs.ClusterWeights()
+			terms, ws := rs.Concepts, rs.Weights
 			weighted = weighted || len(terms) > 0
-			if st, sw := ss.ClusterWeights(); !slices.Equal(st, terms) || !slices.Equal(sw, ws) {
-				t.Fatalf("%q round %d: router weights %v %v, single store %v %v", text, round, terms, ws, st, sw)
+			if !slices.Equal(ss.Concepts, terms) || !slices.Equal(ss.Weights, ws) {
+				t.Fatalf("%q round %d: router weights %v %v, single store %v %v", text, round, terms, ws, ss.Concepts, ss.Weights)
 			}
 			var full []core.Hit
 			for _, k := range []int{0, 1, 10, 100} {
 				want := core.RefSessionRun(t, fx.single, text, terms, ws, k)
-				got, err := rs.Run(k)
+				got, err := fx.router.SessionRun(rs, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -115,10 +115,11 @@ func TestRouterSessionMatchesWSumComposition(t *testing.T) {
 					non = append(non, h.OID)
 				}
 			}
-			for _, s := range []*core.Session{rs, ss} {
-				if err := s.Feedback(rel, non); err != nil {
-					t.Fatal(err)
-				}
+			if rs, err = fx.router.SessionFeedback(rs, rel, non); err != nil {
+				t.Fatal(err)
+			}
+			if ss, err = fx.single.SessionFeedback(ss, rel, non); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
@@ -159,16 +160,16 @@ func TestHugeKOverRPC(t *testing.T) {
 		if err != nil || len(moa.OIDs) == 0 || len(moa.OIDs) > n {
 			t.Fatalf("%s: MoaQueryTopK(K=%d): %v rows, err %v; want 1..%d", tc.name, k, moa, err, n)
 		}
-		id, err := c.SessionStart(text)
+		sess, err := c.NewSession(text)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for round := 0; round < 2; round++ {
-			sr, err := c.SessionRun(id, k)
-			if err != nil || len(sr.Hits) == 0 || len(sr.Hits) > n {
-				t.Fatalf("%s: SessionRun(K=%d) round %d: %v, err %v; want 1..%d hits", tc.name, k, round, sr, err, n)
+			sr, err := c.SessionRun(sess, k)
+			if err != nil || len(sr) == 0 || len(sr) > n {
+				t.Fatalf("%s: SessionRun(K=%d) round %d: %d hits, err %v; want 1..%d hits", tc.name, k, round, len(sr), err, n)
 			}
-			if _, err := c.SessionFeedback(id, []uint64{sr.Hits[0].OID}, nil); err != nil {
+			if sess, err = c.SessionFeedback(sess, []uint64{sr[0].OID}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"mirror/internal/bat"
@@ -16,9 +17,29 @@ import (
 // combined by #wsum with unit source weights, then ranked
 // (refSessionRun).
 
-// sessionSite is an engine that opens feedback sessions.
+// sessionSite is an engine that runs feedback sessions.
 type sessionSite interface {
-	NewSession(text string) (*Session, error)
+	NewSession(text string) (Session, error)
+	SessionRun(s Session, k int) ([]Hit, error)
+	SessionFeedback(s Session, relevant, nonrelevant []bat.OID) (Session, error)
+}
+
+// sessionWeights is a session's concepts as concept → weight.
+func sessionWeights(t testing.TB, s Session) map[string]float64 {
+	t.Helper()
+	w, err := conceptWeights(s.Concepts, s.Weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// withWeight returns s with concept c at weight w.
+func withWeight(t testing.TB, s Session, c string, w float64) Session {
+	t.Helper()
+	weights := sessionWeights(t, s)
+	weights[c] = w
+	return sessionOf(s.Text, weights, s.Round)
 }
 
 // sessionJudgments picks one round's judgments from a ranking: its top
@@ -66,17 +87,16 @@ func TestSessionRunMatchesWSumComposition(t *testing.T) {
 	// with their texts' terms, "zeppelin" among them.
 	empty := false
 	for _, text := range append([]string{"quux zeppelin"}, dualTexts()...) {
-		sessions := make([]*Session, len(sites))
+		sessions := make([]Session, len(sites))
 		for i, site := range sites {
 			var err error
 			if sessions[i], err = site.s.NewSession(text); err != nil {
 				t.Fatal(err)
 			}
 		}
-		terms0, _ := sessions[0].ClusterWeights()
-		empty = empty || len(terms0) == 0
+		empty = empty || len(sessions[0].Concepts) == 0
 		for round := 0; round < 3; round++ {
-			terms, ws := sessions[0].ClusterWeights()
+			terms, ws := sessions[0].Concepts, sessions[0].Weights
 			var full []Hit
 			for _, k := range []int{0, 1, 10, 100} {
 				want := refSessionRun(t, ref, text, terms, ws, k)
@@ -84,10 +104,10 @@ func TestSessionRunMatchesWSumComposition(t *testing.T) {
 					full = want
 				}
 				for i, sess := range sessions {
-					if gt, gw := sess.ClusterWeights(); !slices.Equal(gt, terms) || !slices.Equal(gw, ws) {
-						t.Fatalf("%s: %q round %d: session weights %v %v, one-shot store %v %v", sites[i].name, text, round, gt, gw, terms, ws)
+					if !slices.Equal(sess.Concepts, terms) || !slices.Equal(sess.Weights, ws) {
+						t.Fatalf("%s: %q round %d: session weights %v %v, one-shot store %v %v", sites[i].name, text, round, sess.Concepts, sess.Weights, terms, ws)
 					}
-					got, err := sess.Run(k)
+					got, err := sites[i].s.SessionRun(sess, k)
 					if err != nil {
 						t.Fatalf("%s: %q round %d k=%d: %v", sites[i].name, text, round, k, err)
 					}
@@ -99,7 +119,8 @@ func TestSessionRunMatchesWSumComposition(t *testing.T) {
 			}
 			rel, non := sessionJudgments(full)
 			for i, sess := range sessions {
-				if err := sess.Feedback(rel, non); err != nil {
+				var err error
+				if sessions[i], err = sites[i].s.SessionFeedback(sess, rel, non); err != nil {
 					t.Fatalf("%s: %v", sites[i].name, err)
 				}
 			}
@@ -125,15 +146,16 @@ func TestSessionDoesNotShareDualCache(t *testing.T) {
 			t.Fatal(err)
 		}
 		concepts := m.ExpandQuery(text, dualConcepts)
-		sess.weights = map[string]float64{}
+		weights := map[string]float64{}
 		for i, c := range concepts {
-			sess.weights[c] = 0.5 + 3*float64(i)
+			weights[c] = 0.5 + 3*float64(i)
 		}
-		if terms, _ := sess.ClusterWeights(); len(terms) == 0 || !slices.Equal(sortedCopy(terms), sortedCopy(concepts)) {
+		sess = sessionOf(sess.Text, weights, sess.Round)
+		if terms := sess.Concepts; len(terms) == 0 || !slices.Equal(sortedCopy(terms), sortedCopy(concepts)) {
 			t.Fatalf("session terms %v, dual expansion %v", terms, concepts)
 		}
 		run := func() ([]Hit, []Hit) {
-			s, err := sess.Run(k)
+			s, err := m.SessionRun(sess, k)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,8 +178,7 @@ func TestSessionDoesNotShareDualCache(t *testing.T) {
 				t.Fatal("the cached dual answer moved")
 			}
 		}
-		terms, ws := sess.ClusterWeights()
-		if want := refSessionRun(t, m, text, terms, ws, k); !hitsEqual(want, s) {
+		if want := refSessionRun(t, m, text, sess.Concepts, sess.Weights, k); !hitsEqual(want, s) {
 			t.Fatalf("session first %v: session answer %v, want %v", sessionFirst, s, want)
 		}
 		m.SetResultCache(0)
@@ -194,12 +215,14 @@ func TestSessionShardLegBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	weights := sessionWeights(t, sess)
 	for _, h := range queryAnn(t, single, "harbor", 8) {
 		for _, w := range single.ContentTerms(h.OID) {
-			sess.weights[w] += 0.5
+			weights[w] += 0.5
 		}
 	}
-	terms, ws := sess.ClusterWeights()
+	sess = sessionOf(sess.Text, weights, sess.Round)
+	terms, ws := sess.Concepts, sess.Weights
 	full := refSessionRun(t, single, sess.Text, terms, ws, 0)
 	for _, k := range []int{1, 10, 100} {
 		var rows []Hit
@@ -231,20 +254,92 @@ func TestSessionShardLegBounded(t *testing.T) {
 func TestSessionRunRejectsBadWeights(t *testing.T) {
 	urls, anns := refreshCorpus(40, 5)
 	m := oneShotStub(t, urls, anns)
-	sess, err := m.NewSession("harbor")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, ws := range [][]float64{{-1}, {math.NaN()}, {math.Inf(1)}, {math.MaxFloat64, math.MaxFloat64}} {
-		sess.weights = map[string]float64{}
-		for i, w := range ws {
-			sess.weights[fmt.Sprintf("c%03d", i)] = w
+		sess := Session{Text: "harbor", Weights: ws}
+		for i := range ws {
+			sess.Concepts = append(sess.Concepts, fmt.Sprintf("c%03d", i))
 		}
 		for _, k := range []int{10, 0} {
-			if hits, err := sess.Run(k); err == nil {
+			if hits, err := m.SessionRun(sess, k); err == nil {
 				t.Fatalf("weights %v k=%d: %d hits, want an error", ws, k, len(hits))
 			}
 		}
+		if _, err := m.SessionFeedback(sess, []bat.OID{0}, nil); err == nil {
+			t.Fatalf("weights %v: feedback accepted them", ws)
+		}
+	}
+}
+
+// TestSessionStateIsCanonicalAndValidated: the engine ranks a session's
+// concepts in any order exactly like the canonical order, refuses
+// duplicate concepts and mismatched lengths, and never
+// writes to the caller's slices — checked under -race by rounds and
+// feedback running concurrently on one shared state.
+func TestSessionStateIsCanonicalAndValidated(t *testing.T) {
+	urls, anns := refreshCorpus(200, 5)
+	m := oneShotStub(t, urls, anns)
+	sess, err := m.NewSession("harbor gull")
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := sessionWeights(t, sess)
+	for i, h := range queryAnn(t, m, "harbor", 6) {
+		for _, w := range m.ContentTerms(h.OID) {
+			weights[w] += 0.25 * float64(i%3)
+		}
+	}
+	sess = sessionOf(sess.Text, weights, 0)
+	if len(sess.Concepts) < 3 {
+		t.Fatalf("session concepts %v: too few to reorder", sess.Concepts)
+	}
+	reordered := Session{Text: sess.Text, Concepts: slices.Clone(sess.Concepts), Weights: slices.Clone(sess.Weights)}
+	slices.Reverse(reordered.Concepts)
+	slices.Reverse(reordered.Weights)
+	for _, k := range []int{0, 1, 10, 100} {
+		want, err := m.SessionRun(sess, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := m.SessionRun(reordered, k); err != nil || !hitsEqual(want, got) {
+			t.Fatalf("k=%d: reordered state ranks %v (err %v), canonical %v", k, got, err, want)
+		}
+	}
+
+	for name, bad := range map[string]Session{
+		"duplicate concept": {Text: "harbor", Concepts: []string{"c000", "c001", "c000"}, Weights: []float64{1, 2, 3}},
+		"more weights":      {Text: "harbor", Concepts: []string{"c000"}, Weights: []float64{1, 2}},
+		"fewer weights":     {Text: "harbor", Concepts: []string{"c000", "c001"}, Weights: []float64{1}},
+	} {
+		if hits, err := m.SessionRun(bad, 10); err == nil {
+			t.Fatalf("%s: SessionRun returned %d hits, want an error", name, len(hits))
+		}
+		if _, err := m.SessionFeedback(bad, []bat.OID{0}, nil); err == nil {
+			t.Fatalf("%s: SessionFeedback accepted it", name)
+		}
+	}
+
+	concepts, ws := slices.Clone(reordered.Concepts), slices.Clone(reordered.Weights)
+	hits, err := m.SessionRun(reordered, 10)
+	if err != nil || len(hits) == 0 {
+		t.Fatalf("round: %d hits, err %v", len(hits), err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				if _, err := m.SessionRun(reordered, 10); err != nil {
+					t.Error(err)
+				}
+			} else if next, err := m.SessionFeedback(reordered, []bat.OID{hits[0].OID}, nil); err != nil || next.Round != 1 {
+				t.Errorf("feedback: round %d, err %v", next.Round, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if !slices.Equal(reordered.Concepts, concepts) || !slices.Equal(reordered.Weights, ws) || reordered.Round != 0 {
+		t.Fatalf("the caller's state moved: %+v, was %v %v", reordered, concepts, ws)
 	}
 }
 
@@ -271,17 +366,17 @@ func BenchmarkSessionRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hits, err := sess.Run(10)
+	hits, err := m.SessionRun(sess, 10)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rel, non := sessionJudgments(hits)
-	if err := sess.Feedback(rel, non); err != nil {
+	if sess, err = m.SessionFeedback(sess, rel, non); err != nil {
 		b.Fatal(err)
 	}
 	b.Run("session", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := sess.Run(10); err != nil {
+			if _, err := m.SessionRun(sess, 10); err != nil {
 				b.Fatal(err)
 			}
 		}

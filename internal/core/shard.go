@@ -911,6 +911,7 @@ func OpenShardedPersistent(opts ShardedPersistOptions) (*ShardedEngine, ShardRec
 		}
 		annVocab := sortedKeys(e.annStats.DF)
 		imgVocab := sortedKeys(e.imgStats.DF)
+		merged := make([]int, len(e.shards))
 		err := e.fanOut(func(s int, sh *Mirror) error {
 			ir.SetGlobalStats(sh.DB, InternalSet+"_annotation", e.annStats)
 			ir.SetGlobalStats(sh.DB, InternalSet+"_image", e.imgStats)
@@ -920,8 +921,14 @@ func OpenShardedPersistent(opts ShardedPersistOptions) (*ShardedEngine, ShardRec
 			if err := ir.EnsureDictTerms(sh.DB, InternalSet+"_image", imgVocab); err != nil {
 				return err
 			}
-			return sh.finishDeferredDelta()
+			var err error
+			merged[s], err = sh.finishDeferredDelta()
+			return err
 		})
+		for _, n := range merged { // stashed merges that replayed after all
+			stats.WALRecords += n
+			stats.WALSkipped -= n
+		}
 		for _, sh := range e.shards {
 			ir.SetGlobalStats(sh.DB, InternalSet+"_annotation", nil)
 			ir.SetGlobalStats(sh.DB, InternalSet+"_image", nil)

@@ -341,11 +341,11 @@ func TestShardedSessionFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := ss.Run(8)
+	h1, err := single.SessionRun(ss, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := se.Run(8)
+	h2, err := e.SessionRun(se, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,17 +355,17 @@ func TestShardedSessionFeedback(t *testing.T) {
 	}
 	rel := []bat.OID{h1[0].OID}
 	non := []bat.OID{h1[len(h1)-1].OID}
-	if err := ss.Feedback(rel, non); err != nil {
+	if ss, err = single.SessionFeedback(ss, rel, non); err != nil {
 		t.Fatal(err)
 	}
-	if err := se.Feedback(rel, non); err != nil {
+	if se, err = e.SessionFeedback(se, rel, non); err != nil {
 		t.Fatal(err)
 	}
-	h1, err = ss.Run(8)
+	h1, err = single.SessionRun(ss, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err = se.Run(8)
+	h2, err = e.SessionRun(se, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,8 +43,10 @@ import (
 
 // wireVersion is the frame format's version; peers must match exactly.
 // v2: a "dual" ShardQuery leg may carry a session's concept weights,
-// which a v1 shard would silently ignore.
-const wireVersion = 2
+// which a v1 shard would silently ignore. v3: the session calls carry
+// the session's state instead of a server-side ID; gob matches fields by
+// name, so a v2 client's {ID, K} would decode as an empty session.
+const wireVersion = 3
 
 // wireMagic opens a framed connection. No gob stream starts with its
 // first byte (a gob length byte in 0x80–0xf7 is out of range), so a gob

@@ -89,9 +89,9 @@ func sampleRequests() []wireMsg {
 		{"Mirror.ShardQuery", ShardQueryArgs{Kind: "dual", Text: "harbor gull", Terms: []string{"c1", "c2"}, Weights: []float64{0.5, 1.5}, K: 10, Tag: 7, ThetaFloor: math.Inf(-1), ScanID: 42}},
 		{"Mirror.RaiseTheta", RaiseThetaArgs{ScanID: 42, Theta: 1.25}},
 		{"Mirror.Stats", dict.Empty{}},
-		{"Mirror.SessionFeedback", SessionFeedbackArgs{ID: 3, Relevant: []uint64{1, 2}, Nonrelevant: []uint64{9}}},
+		{"Mirror.SessionFeedback", SessionFeedbackArgs{Session: Session{Text: "harbor", Concepts: []string{"c1", "c2"}, Weights: []float64{2, 0.5}, Round: 1}, Relevant: []uint64{1, 2}, Nonrelevant: []uint64{9}}},
 		{"Mirror.AddImage", AddImageArgs{URL: "img://x", Annotation: "sea", PPM: []byte("P6 1 1 255 abc")}},
-		{"Mirror.SessionFeedback", SessionFeedbackArgs{ID: 4}}, // a second gob body: no type descriptor
+		{"Mirror.SessionFeedback", SessionFeedbackArgs{Session: Session{Round: 4}}}, // a second gob body: no type descriptor
 		{"Mirror.TextQuery", TextQueryArgs{Text: "harbor", K: 5, Dual: true}},
 	}
 }
@@ -353,8 +353,8 @@ func TestWireClientRefusesGobServer(t *testing.T) {
 func TestWireVersionMismatch(t *testing.T) {
 	newer := append(wireMagic[:], wireVersion+1)
 
-	// A newer client against this server gets the server's hello and a
-	// hang-up.
+	// A newer client, or a v2 one whose session calls carried IDs,
+	// against this server gets the server's hello and a hang-up.
 	m, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -364,18 +364,20 @@ func TestWireVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write(newer); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	got, err := io.ReadAll(conn)
-	if err != nil || !bytes.Equal(got, wireHello) {
-		t.Fatalf("server answered a newer hello with %x, %v; want its own hello %x and EOF", got, err, wireHello)
+	for _, hello := range [][]byte{newer, append(wireMagic[:], 2)} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(hello); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		got, err := io.ReadAll(conn)
+		if err != nil || !bytes.Equal(got, wireHello) {
+			t.Fatalf("server answered hello %x with %x, %v; want its own hello %x and EOF", hello, got, err, wireHello)
+		}
 	}
 
 	// This client against a newer server names both versions.

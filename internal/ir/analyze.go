@@ -22,9 +22,6 @@ func init() {
 	}
 }
 
-// IsStopWord reports whether w (lowercase) is in the stop list.
-func IsStopWord(w string) bool { return stopWords[w] }
-
 // Tokenize splits text into lowercase alphanumeric tokens.
 func Tokenize(text string) []string {
 	out := make([]string, 0, 16)

@@ -6,8 +6,6 @@
 // in Section 3 of the paper.
 package ir
 
-import "strings"
-
 // Stem applies the Porter stemming algorithm (Porter, 1980) to a lowercase
 // word. Words shorter than 3 characters are returned unchanged.
 func Stem(word string) string {
@@ -243,13 +241,4 @@ func (w *stemWord) step5b() {
 	if w.endsDoubleC(len(w.b)) && w.b[len(w.b)-1] == 'l' && w.measure(len(w.b)) > 1 {
 		w.b = w.b[:len(w.b)-1]
 	}
-}
-
-// StemPhrase stems each whitespace-separated word of a phrase.
-func StemPhrase(phrase string) string {
-	parts := strings.Fields(phrase)
-	for i, p := range parts {
-		parts[i] = Stem(strings.ToLower(p))
-	}
-	return strings.Join(parts, " ")
 }

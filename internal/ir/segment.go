@@ -97,13 +97,6 @@ type segDir struct {
 
 func (sd *segDir) count() int { return len(sd.pairEnd) }
 
-func (sd *segDir) pairRange(s int) (lo, hi int) {
-	if s > 0 {
-		lo = sd.pairEnd[s-1]
-	}
-	return lo, sd.pairEnd[s]
-}
-
 func readSegDir(a dbAccess, prefix string) (*segDir, bool) {
 	b, ok := a.get(prefix + "_segdir")
 	if !ok || b.Len()%2 != 0 {

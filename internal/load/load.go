@@ -454,57 +454,56 @@ func ingestWorker(o Options, sc *Scenario, media *mediaserver.Server, oracle *co
 	}
 }
 
-// feedbackWorker runs multi-turn relevance feedback sessions: start, rank,
-// judge (best hit relevant, worst nonrelevant), re-rank, end. Server
-// restarts kill server-side sessions — the worker just starts a new one.
+// feedbackWorker runs multi-turn relevance feedback sessions: start, then
+// three rounds of rank and judge (best hit relevant, worst nonrelevant).
+// The worker holds the session's state, so a reconnect or a server
+// restart resumes the same session at the round it reached.
 func feedbackWorker(i int, o Options, sc *Scenario, addr string, met *metrics, stop <-chan struct{}) {
 	w := &rpcWorker{addr: addr}
 	defer w.drop()
 	rng := rand.New(rand.NewSource(sc.Spec.Seed ^ int64(0x9d9d*(i+1))))
+	var sess core.Session
+	open := false
+	fail := func() {
+		met.fail("feedback")
+		w.drop()
+		sleepOrStop(stop, 25*time.Millisecond)
+	}
 	for !stopped(stop) {
-		text := sc.Sessions[rng.Intn(len(sc.Sessions))]
 		c, err := w.client()
 		if err != nil {
-			met.fail("feedback")
-			sleepOrStop(stop, 25*time.Millisecond)
+			fail()
 			continue
 		}
-		id, err := c.SessionStart(text)
+		if !open {
+			if sess, err = c.NewSession(sc.Sessions[rng.Intn(len(sc.Sessions))]); err != nil {
+				fail()
+				continue
+			}
+			open = true
+		}
+		t0 := time.Now()
+		hits, err := c.SessionRun(sess, o.K)
 		if err != nil {
-			met.fail("feedback")
-			w.drop()
-			sleepOrStop(stop, 25*time.Millisecond)
+			fail()
 			continue
 		}
-		clean := true
-		for round := 0; round < 3 && !stopped(stop); round++ {
-			t0 := time.Now()
-			rr, err := c.SessionRun(id, o.K)
-			if err != nil {
-				met.fail("feedback")
-				w.drop()
-				clean = false
-				break
-			}
-			met.observe("feedback", time.Since(t0))
-			if len(rr.Hits) == 0 {
-				break
-			}
-			rel := []uint64{rr.Hits[0].OID}
-			var non []uint64
-			if len(rr.Hits) > 1 {
-				non = append(non, rr.Hits[len(rr.Hits)-1].OID)
-			}
-			if _, err := c.SessionFeedback(id, rel, non); err != nil {
-				met.fail("feedback")
-				w.drop()
-				clean = false
-				break
-			}
+		met.observe("feedback", time.Since(t0))
+		if len(hits) == 0 {
+			open = false
+			continue
 		}
-		if clean {
-			c.SessionEnd(id)
+		rel := []uint64{hits[0].OID}
+		var non []uint64
+		if len(hits) > 1 {
+			non = append(non, hits[len(hits)-1].OID)
 		}
+		next, err := c.SessionFeedback(sess, rel, non)
+		if err != nil {
+			fail() // the session stays: the retry re-ranks and re-judges
+			continue
+		}
+		sess, open = next, next.Round < 3
 	}
 }
 

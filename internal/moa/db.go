@@ -523,14 +523,3 @@ func typeToDDL(t Type) string {
 	}
 	return t.String()
 }
-
-// Cards reports each set's cardinality (diagnostics and tests).
-func (db *Database) Cards() map[string]int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[string]int, len(db.sets))
-	for n, d := range db.sets {
-		out[n] = d.Card
-	}
-	return out
-}

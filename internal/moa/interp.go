@@ -24,9 +24,6 @@ func NewInterp(db *Database, params map[string]Param) *Interp {
 	return &Interp{DB: db, Params: params, setsCache: map[string][]Row{}}
 }
 
-// InvalidateCache drops materialised collections (call after inserts).
-func (ip *Interp) InvalidateCache() { ip.setsCache = map[string][]Row{} }
-
 // Query parses, checks and evaluates a query tuple-at-a-time.
 func (ip *Interp) Query(src string) (*Result, error) {
 	expr, err := ParseQuery(src)

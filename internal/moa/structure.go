@@ -1,8 +1,6 @@
 package moa
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 
 	"mirror/internal/bat"
@@ -101,18 +99,6 @@ func LookupStructure(name string) (Structure, bool) {
 	return s, ok
 }
 
-// RegisteredStructures lists registered structure names, sorted.
-func RegisteredStructures() []string {
-	structMu.RLock()
-	defer structMu.RUnlock()
-	names := make([]string, 0, len(structReg))
-	for n := range structReg {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // lookupStructFunc finds a function named fn among all registered
 // structures whose receiver type matches recv.
 func lookupStructFunc(fn string, recv Type) (*StructFunc, bool) {
@@ -122,9 +108,4 @@ func lookupStructFunc(fn string, recv Type) (*StructFunc, bool) {
 	}
 	f, ok := st.S.Functions()[fn]
 	return f, ok
-}
-
-// errStructure is a helper for structure implementations.
-func errStructure(name, format string, args ...any) error {
-	return fmt.Errorf("moa: %s: %s", name, fmt.Sprintf(format, args...))
 }
