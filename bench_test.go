@@ -391,7 +391,7 @@ func BenchmarkE9_FeedbackIteration(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		hits, err := m.SessionRun(sess, 10)
+		hits, _, err := m.Run(sess.Query(10))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -406,7 +406,7 @@ func BenchmarkE9_FeedbackIteration(b *testing.B) {
 		if sess, err = m.SessionFeedback(sess, rel, nonrel); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := m.SessionRun(sess, 10); err != nil {
+		if _, _, err := m.Run(sess.Query(10)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -288,10 +288,10 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 			}
 			fmt.Print(plan)
 		case strings.HasPrefix(line, `\rank `):
-			hits, err := r.QueryAnnotations(strings.TrimPrefix(line, `\rank `), 10)
+			hits, _, err := r.Run(core.Query{Stmt: core.StmtAnnotation, Text: strings.TrimPrefix(line, `\rank `), K: 10})
 			printHits(hits, err)
 		case strings.HasPrefix(line, `\dual `):
-			hits, err := r.QueryDualCoding(strings.TrimPrefix(line, `\dual `), 10)
+			hits, _, err := r.Run(core.Query{Stmt: core.StmtDual, Text: strings.TrimPrefix(line, `\dual `), K: 10})
 			printHits(hits, err)
 		case strings.HasPrefix(line, `\terms `):
 			for _, c := range r.ExpandQuery(strings.TrimPrefix(line, `\terms `), 8) {
@@ -318,7 +318,7 @@ func repl(r core.Retriever, sharded *core.ShardedEngine) {
 // runShardedQuery evaluates a Moa query through the scatter-gather engine
 // (no MIL display: N programs run, one per shard).
 func runShardedQuery(e *core.ShardedEngine, src string, queryTerms []string, topK int) {
-	res, err := e.QueryTopK(src, queryTerms, topK)
+	res, _, err := e.QueryTopKStamped(src, queryTerms, topK)
 	if err != nil {
 		fmt.Printf("error: %v\n", err)
 		return

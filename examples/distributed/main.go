@@ -112,12 +112,12 @@ func run(w io.Writer) error {
 	}
 	fmt.Fprintf(w, "\nclient sees schema:\n%s\n", schema)
 
-	hits, err := client.TextQuery("forest", 5, true)
+	dual, err := client.Run(core.Query{Stmt: core.StmtDual, Text: "forest", K: 5})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, "client dual-coding query \"forest\":")
-	for i, h := range hits {
+	for i, h := range dual.Hits {
 		fmt.Fprintf(w, "  %d. %-40s %.4f\n", i+1, h.URL, h.Score)
 	}
 

@@ -92,11 +92,11 @@ func run(w io.Writer) error {
 		if !exists {
 			continue
 		}
-		th, err := m.QueryAnnotations(term, 0)
+		th, _, err := m.Run(core.Query{Stmt: core.StmtAnnotation, Text: term})
 		if err != nil {
 			return err
 		}
-		dh, err := m.QueryDualCoding(term, 0)
+		dh, _, err := m.Run(core.Query{Stmt: core.StmtDual, Text: term})
 		if err != nil {
 			return err
 		}

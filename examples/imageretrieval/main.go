@@ -54,7 +54,7 @@ func run(w io.Writer) error {
 	class := 2 // media class "water"; its canonical annotation term is "ocean"
 
 	// 1. plain annotation retrieval (only annotated items can match)
-	hits, err := m.QueryAnnotations(queryText, 5)
+	hits, _, err := m.Run(core.Query{Stmt: core.StmtAnnotation, Text: queryText, K: 5})
 	if err != nil {
 		return err
 	}
@@ -66,7 +66,7 @@ func run(w io.Writer) error {
 	fmt.Fprintf(w, "\nthesaurus associates %q with clusters %v\n", queryText, clusters)
 
 	// 3. dual coding: text + content evidence combined
-	dual, err := m.QueryDualCoding(queryText, 8)
+	dual, _, err := m.Run(core.Query{Stmt: core.StmtDual, Text: queryText, K: 8})
 	if err != nil {
 		return err
 	}
@@ -80,7 +80,7 @@ func run(w io.Writer) error {
 	}
 	relevant := func(h core.Hit) bool { return items[h.OID].HasClass(class) }
 	for round := 1; round <= 3; round++ {
-		hits, err := m.SessionRun(sess, 10)
+		hits, _, err := m.Run(sess.Query(10))
 		if err != nil {
 			return err
 		}
@@ -98,7 +98,7 @@ func run(w io.Writer) error {
 			return err
 		}
 	}
-	final, err := m.SessionRun(sess, 10)
+	final, _, err := m.Run(sess.Query(10))
 	if err != nil {
 		return err
 	}

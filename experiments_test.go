@@ -309,7 +309,7 @@ func TestE8DualCoding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dh, err := m.QueryDualCoding(term, 0)
+		dh, _, err := m.Run(core.Query{Stmt: core.StmtDual, Text: term})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -372,13 +372,13 @@ func TestE9FeedbackImproves(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hits0, err := m.SessionRun(sess, 0)
+		hits0, _, err := m.Run(sess.Query(0))
 		if err != nil {
 			t.Fatal(err)
 		}
 		p0 := unannPrec(hits0)
 		for round := 0; round < 2; round++ {
-			hits, err := m.SessionRun(sess, 12)
+			hits, _, err := m.Run(sess.Query(12))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +394,7 @@ func TestE9FeedbackImproves(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		hits2, err := m.SessionRun(sess, 0)
+		hits2, _, err := m.Run(sess.Query(0))
 		if err != nil {
 			t.Fatal(err)
 		}

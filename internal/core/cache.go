@@ -30,18 +30,9 @@ import (
 // true global k-th score only prunes documents that provably cannot enter
 // the top k (ties at the k-th score survive, because a tied document's
 // bound is strictly above θ by the slack). So a repeat of the same
-// (epoch, surface, k, query) seeded with the terminal value returns the
+// (epoch, statement, k, query) seeded with the terminal value returns the
 // BUN-for-BUN identical ranking while skipping nearly all decode and
 // scoring work.
-
-// cacheKind separates the three ranked query surfaces in the key space.
-type cacheKind uint8
-
-const (
-	cacheAnnotations cacheKind = iota + 1
-	cacheContent
-	cacheDual
-)
 
 // cacheStripeCount is the number of shared-nothing stripes (power of two).
 const cacheStripeCount = 16
@@ -49,9 +40,9 @@ const cacheStripeCount = 16
 // cacheKey is scalar-only so lookups allocate nothing.
 type cacheKey struct {
 	gen  int64 // epoch sequence number the value was computed against
-	kind cacheKind
+	stmt Stmt
 	k    int
-	hash uint64 // fnv64a over the query surface (text or terms)
+	hash uint64 // fnv64a over the query surface (text and terms)
 }
 
 // lruEntry pins the query surface verbatim so a hash collision can never
@@ -124,16 +115,16 @@ func newThetaMemo(maxEntries int) *ThetaMemo {
 
 // cacheHash is fnv64a over the query surface; inlined byte-at-a-time so a
 // lookup performs zero allocations.
-func cacheHash(text string, terms []string) uint64 {
+func cacheHash(q *Query) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(text); i++ {
-		h = (h ^ uint64(text[i])) * prime64
+	for i := 0; i < len(q.Text); i++ {
+		h = (h ^ uint64(q.Text[i])) * prime64
 	}
-	for _, t := range terms {
+	for _, t := range q.Terms {
 		h = (h ^ 0xff) * prime64 // term separator
 		for i := 0; i < len(t); i++ {
 			h = (h ^ uint64(t[i])) * prime64
@@ -144,30 +135,30 @@ func cacheHash(text string, terms []string) uint64 {
 
 // matches reports whether the entry was stored for exactly this query
 // surface (collision guard).
-func (e *lruEntry[V]) matches(text string, terms []string) bool {
-	if e.text != text || len(e.terms) != len(terms) {
+func (e *lruEntry[V]) matches(q *Query) bool {
+	if e.text != q.Text || len(e.terms) != len(q.Terms) {
 		return false
 	}
-	for i := range terms {
-		if e.terms[i] != terms[i] {
+	for i := range q.Terms {
+		if e.terms[i] != q.Terms[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// get returns the value stored for (gen, kind, k, surface) and whether it
-// was present. k <= 0 requests (full rankings) are never stored.
-func (c *epochLRU[V]) get(gen int64, kind cacheKind, k int, text string, terms []string) (V, bool) {
+// get returns the value stored for q at generation gen and whether it was
+// present. k <= 0 requests (full rankings) are never stored.
+func (c *epochLRU[V]) get(gen int64, q *Query) (V, bool) {
 	var zero V
-	if c == nil || k <= 0 {
+	if c == nil || q.K <= 0 {
 		return zero, false
 	}
-	key := cacheKey{gen: gen, kind: kind, k: k, hash: cacheHash(text, terms)}
+	key := cacheKey{gen: gen, stmt: q.Stmt, k: q.K, hash: cacheHash(q)}
 	st := &c.stripes[key.hash&(cacheStripeCount-1)]
 	st.mu.Lock()
 	if el, ok := st.idx[key]; ok {
-		if e := el.Value.(*lruEntry[V]); e.matches(text, terms) {
+		if e := el.Value.(*lruEntry[V]); e.matches(q) {
 			st.lru.MoveToFront(el)
 			v := e.val
 			st.mu.Unlock()
@@ -183,14 +174,14 @@ func (c *epochLRU[V]) get(gen int64, kind cacheKind, k int, text string, terms [
 // put stores a value; the query surface is copied (callers may reuse
 // their terms slice). Entries costing more than a whole stripe are not
 // stored.
-func (c *epochLRU[V]) put(gen int64, kind cacheKind, k int, text string, terms []string, v V) {
-	if c == nil || k <= 0 {
+func (c *epochLRU[V]) put(gen int64, q *Query, v V) {
+	if c == nil || q.K <= 0 {
 		return
 	}
-	key := cacheKey{gen: gen, kind: kind, k: k, hash: cacheHash(text, terms)}
-	e := &lruEntry[V]{key: key, text: text, val: v}
-	if len(terms) > 0 {
-		e.terms = append(make([]string, 0, len(terms)), terms...)
+	key := cacheKey{gen: gen, stmt: q.Stmt, k: q.K, hash: cacheHash(q)}
+	e := &lruEntry[V]{key: key, text: q.Text, val: v}
+	if len(q.Terms) > 0 {
+		e.terms = append(make([]string, 0, len(q.Terms)), q.Terms...)
 	}
 	e.cost = c.cost(e)
 	st := &c.stripes[key.hash&(cacheStripeCount-1)]
@@ -300,9 +291,9 @@ const DefaultThetaMemoEntries = 8192
 // full ranking (len(hits) == k) carries an exact k-th score; short
 // rankings mean fewer than k scoreable documents, where no finite seed
 // is safe to pre-raise.
-func memoTheta(tm *ThetaMemo, gen int64, kind cacheKind, k int, text string, terms []string, hits []Hit) {
-	if k <= 0 || len(hits) != k {
+func memoTheta(tm *ThetaMemo, gen int64, q *Query, hits []Hit) {
+	if q.K <= 0 || len(hits) != q.K {
 		return
 	}
-	tm.put(gen, kind, k, text, terms, hits[k-1].Score)
+	tm.put(gen, q, hits[q.K-1].Score)
 }

@@ -140,8 +140,8 @@ func TestCacheUnit(t *testing.T) {
 
 	t.Run("nil cache is inert", func(t *testing.T) {
 		var c *resultCache
-		c.put(1, cacheDual, 10, "q", nil, hits)
-		if _, ok := c.get(1, cacheDual, 10, "q", nil); ok {
+		c.put(1, &Query{Stmt: StmtDual, K: 10, Text: "q"}, hits)
+		if _, ok := c.get(1, &Query{Stmt: StmtDual, K: 10, Text: "q"}); ok {
 			t.Fatal("nil cache returned a hit")
 		}
 		c.sweep(2)
@@ -155,34 +155,34 @@ func TestCacheUnit(t *testing.T) {
 
 	t.Run("key dimensions", func(t *testing.T) {
 		c := newResultCache(1 << 20)
-		c.put(1, cacheDual, 10, "q", nil, hits)
-		if got, ok := c.get(1, cacheDual, 10, "q", nil); !ok || !hitsEqual(got, hits) {
+		c.put(1, &Query{Stmt: StmtDual, K: 10, Text: "q"}, hits)
+		if got, ok := c.get(1, &Query{Stmt: StmtDual, K: 10, Text: "q"}); !ok || !hitsEqual(got, hits) {
 			t.Fatal("exact-key get missed")
 		}
 		for _, miss := range []func() ([]Hit, bool){
-			func() ([]Hit, bool) { return c.get(2, cacheDual, 10, "q", nil) },        // other epoch
-			func() ([]Hit, bool) { return c.get(1, cacheAnnotations, 10, "q", nil) }, // other surface
-			func() ([]Hit, bool) { return c.get(1, cacheDual, 5, "q", nil) },         // other k
-			func() ([]Hit, bool) { return c.get(1, cacheDual, 10, "r", nil) },        // other text
+			func() ([]Hit, bool) { return c.get(2, &Query{Stmt: StmtDual, K: 10, Text: "q"}) },       // other epoch
+			func() ([]Hit, bool) { return c.get(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "q"}) }, // other surface
+			func() ([]Hit, bool) { return c.get(1, &Query{Stmt: StmtDual, K: 5, Text: "q"}) },        // other k
+			func() ([]Hit, bool) { return c.get(1, &Query{Stmt: StmtDual, K: 10, Text: "r"}) },       // other text
 		} {
 			if _, ok := miss(); ok {
 				t.Fatal("get hit on a differing key dimension")
 			}
 		}
 		// Term queries key on the term list, order-sensitively.
-		c.put(1, cacheContent, 10, "", []string{"c1", "c2"}, hits)
-		if _, ok := c.get(1, cacheContent, 10, "", []string{"c1", "c2"}); !ok {
+		c.put(1, &Query{Stmt: StmtContent, K: 10, Text: "", Terms: []string{"c1", "c2"}}, hits)
+		if _, ok := c.get(1, &Query{Stmt: StmtContent, K: 10, Text: "", Terms: []string{"c1", "c2"}}); !ok {
 			t.Fatal("terms get missed")
 		}
-		if _, ok := c.get(1, cacheContent, 10, "", []string{"c2", "c1"}); ok {
+		if _, ok := c.get(1, &Query{Stmt: StmtContent, K: 10, Text: "", Terms: []string{"c2", "c1"}}); ok {
 			t.Fatal("terms get ignored order")
 		}
 	})
 
 	t.Run("full rankings bypass", func(t *testing.T) {
 		c := newResultCache(1 << 20)
-		c.put(1, cacheDual, 0, "q", nil, hits)
-		if _, ok := c.get(1, cacheDual, 0, "q", nil); ok {
+		c.put(1, &Query{Stmt: StmtDual, K: 0, Text: "q"}, hits)
+		if _, ok := c.get(1, &Query{Stmt: StmtDual, K: 0, Text: "q"}); ok {
 			t.Fatal("k <= 0 must never be cached")
 		}
 	})
@@ -191,7 +191,7 @@ func TestCacheUnit(t *testing.T) {
 		const budget = 16 * 1024
 		c := newResultCache(budget)
 		for i := 0; i < 4096; i++ {
-			c.put(1, cacheDual, 10, fmt.Sprintf("query-%04d", i), nil, hits)
+			c.put(1, &Query{Stmt: StmtDual, K: 10, Text: fmt.Sprintf("query-%04d", i)}, hits)
 		}
 		st := c.stats()
 		if st.Bytes > budget {
@@ -200,20 +200,20 @@ func TestCacheUnit(t *testing.T) {
 		if st.Items == 0 {
 			t.Fatal("eviction emptied the cache entirely")
 		}
-		if _, ok := c.get(1, cacheDual, 10, "query-4095", nil); !ok {
+		if _, ok := c.get(1, &Query{Stmt: StmtDual, K: 10, Text: "query-4095"}); !ok {
 			t.Fatal("most recently inserted entry was evicted")
 		}
 	})
 
 	t.Run("sweep drops stale generations", func(t *testing.T) {
 		c := newResultCache(1 << 20)
-		c.put(1, cacheDual, 10, "old", nil, hits)
-		c.put(2, cacheDual, 10, "new", nil, hits)
+		c.put(1, &Query{Stmt: StmtDual, K: 10, Text: "old"}, hits)
+		c.put(2, &Query{Stmt: StmtDual, K: 10, Text: "new"}, hits)
 		c.sweep(2)
-		if _, ok := c.get(1, cacheDual, 10, "old", nil); ok {
+		if _, ok := c.get(1, &Query{Stmt: StmtDual, K: 10, Text: "old"}); ok {
 			t.Fatal("swept generation still served")
 		}
-		if _, ok := c.get(2, cacheDual, 10, "new", nil); !ok {
+		if _, ok := c.get(2, &Query{Stmt: StmtDual, K: 10, Text: "new"}); !ok {
 			t.Fatal("current generation swept by mistake")
 		}
 		if st := c.stats(); st.Items != 1 {
@@ -223,10 +223,10 @@ func TestCacheUnit(t *testing.T) {
 
 	t.Run("collision guard", func(t *testing.T) {
 		e := &cacheEntry{text: "q", terms: []string{"a"}}
-		if !e.matches("q", []string{"a"}) {
+		if !e.matches(&Query{Text: "q", Terms: []string{"a"}}) {
 			t.Fatal("exact surface rejected")
 		}
-		if e.matches("q", []string{"b"}) || e.matches("p", []string{"a"}) || e.matches("q", nil) {
+		if e.matches(&Query{Text: "q", Terms: []string{"b"}}) || e.matches(&Query{Text: "p", Terms: []string{"a"}}) || e.matches(&Query{Text: "q"}) {
 			t.Fatal("differing surface accepted — a hash collision could serve wrong results")
 		}
 	})
@@ -256,7 +256,7 @@ func TestAlphaOneMatchesUnweightedSum(t *testing.T) {
 	}
 	sess = sessionOf(sess.Text, weights, sess.Round)
 	for _, k := range []int{10, 0} {
-		got, err := m.SessionRun(sess, k)
+		got, err := rank(m, sess.Query(k))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -123,7 +123,7 @@ func TestDualCodingFindsUnannotated(t *testing.T) {
 	m, items := buildDemo(t, 36)
 	class := mostAnnotatedClass(items)
 	term := corpus.CanonicalTerm(class)
-	hits, err := m.QueryDualCoding(term, len(items))
+	hits, err := rank(m, Query{Stmt: StmtDual, Text: term, K: len(items)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSessionFeedbackImproves(t *testing.T) {
 		return PrecisionAtK(un, k, relevant)
 	}
 
-	hits0, err := m.SessionRun(sess, 0)
+	hits0, err := rank(m, sess.Query(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestSessionFeedbackImproves(t *testing.T) {
 
 	// the user judges the visible top 12 over two rounds
 	for round := 0; round < 2; round++ {
-		hits, err := m.SessionRun(sess, 12)
+		hits, err := rank(m, sess.Query(12))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +194,7 @@ func TestSessionFeedbackImproves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	hits2, err := m.SessionRun(sess, 0)
+	hits2, err := rank(m, sess.Query(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,17 +215,17 @@ func TestSessionFeedbackImproves(t *testing.T) {
 
 func TestRawMoaQueryThroughCore(t *testing.T) {
 	m, _ := buildDemo(t, 12)
-	res, err := m.Query(`count(ImageLibraryInternal);`, nil)
+	res, err := adhoc(m, `count(ImageLibraryInternal);`, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Scalar.(int64) != 12 {
 		t.Fatalf("count = %v", res.Scalar)
 	}
-	res, err = m.Query(`
+	res, err = adhoc(m, `
 		map[sum(THIS)](
 			map[getBL(THIS.annotation, query, stats)](ImageLibraryInternal));`,
-		AnalyzeQuery("ocean"))
+		AnalyzeQuery("ocean"), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

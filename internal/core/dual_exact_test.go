@@ -79,7 +79,7 @@ func assertDualExact(t *testing.T, label string, s dualSite) {
 		n := len(s.ExpandQuery(text, dualConcepts))
 		empty, expanded = empty || n == 0, expanded || n > 0
 		want := combineSumDual(t, s, text, 0)
-		full, err := s.QueryDualCoding(text, 0)
+		full, err := rank(s, Query{Stmt: StmtDual, Text: text})
 		if err != nil {
 			t.Fatalf("%s: %q: %v", label, text, err)
 		}
@@ -87,7 +87,7 @@ func assertDualExact(t *testing.T, label string, s dualSite) {
 			t.Fatalf("%s: %q: the exhaustive dual plan diverges from the #sum composition:\n  want %v\n  got  %v", label, text, want, full)
 		}
 		for _, k := range []int{1, 10, 100} {
-			cut, err := s.QueryDualCoding(text, k)
+			cut, err := rank(s, Query{Stmt: StmtDual, Text: text, K: k})
 			if err != nil {
 				t.Fatalf("%s: %q k=%d: %v", label, text, k, err)
 			}
@@ -145,11 +145,11 @@ func TestDualCodingExactSharded(t *testing.T) {
 		assertDualExact(t, label, e)
 		for _, text := range dualTexts() {
 			for _, k := range []int{0, 1, 10, 100} {
-				want, err := single.QueryDualCoding(text, k)
+				want, err := rank(single, Query{Stmt: StmtDual, Text: text, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := e.QueryDualCoding(text, k)
+				got, err := rank(e, Query{Stmt: StmtDual, Text: text, K: k})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -193,7 +193,7 @@ func TestDualCacheFollowsFeedback(t *testing.T) {
 		const text, k = "harbor gull", 10
 		tc.cache(1 << 20)
 		before := tc.r.ExpandQuery(text, dualConcepts)
-		stale, err := tc.r.QueryDualCoding(text, k)
+		stale, err := rank(tc.r, Query{Stmt: StmtDual, Text: text, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,12 +212,12 @@ func TestDualCacheFollowsFeedback(t *testing.T) {
 		if after := tc.r.ExpandQuery(text, dualConcepts); slices.Equal(before, after) {
 			t.Fatalf("%s: reinforcing %q left the expansion at %v; the probe tests nothing", tc.name, concept, before)
 		}
-		got, err := tc.r.QueryDualCoding(text, k)
+		got, err := rank(tc.r, Query{Stmt: StmtDual, Text: text, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tc.cache(0)
-		want, err := tc.r.QueryDualCoding(text, k)
+		want, err := rank(tc.r, Query{Stmt: StmtDual, Text: text, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,27 +99,15 @@ func (g *Gather) NewSession(text string) (Session, error) {
 	return sessionOf(text, weights, 0), nil
 }
 
-// SessionRun evaluates a session's query over one pinned view and returns
-// the top k hits (k <= 0: the full ranking). The session query is the
-// dual-coding expression with the cluster words bound as a weighted set:
-// #wsum of the text evidence and the weighted content evidence, one pruned
-// two-source scan per leg for k > 0. The result cache and the θ-memo key
-// on text and terms, not on weights, so a session round bypasses both.
-func (g *Gather) SessionRun(s Session, k int) ([]Hit, error) {
-	weights, err := conceptWeights(s.Concepts, s.Weights)
-	if err != nil {
-		return nil, err
+// Query is the session's current round for Run: the dual statement with
+// the cluster words as a weighted set, the #wsum of the text and the
+// weighted content evidence; k <= 0 asks for the full ranking.
+func (s Session) Query(k int) Query {
+	q := Query{Stmt: StmtDual, Text: s.Text, Terms: s.Concepts, Weights: s.Weights, K: k}
+	if q.Weights == nil { // a round without concepts is still weighted
+		q.Weights = []float64{}
 	}
-	s = sessionOf(s.Text, weights, s.Round)
-	v := g.view()
-	if v == nil {
-		return nil, ErrNotIndexed
-	}
-	l, err := gatherRows(v, ShardQueryArgs{Kind: "dual", Text: s.Text, Terms: s.Concepts, Weights: s.Weights, K: k}, math.Inf(-1))
-	if err != nil {
-		return nil, err
-	}
-	return rowHits(v, l.rows, k), nil
+	return q
 }
 
 // SessionFeedback applies one round of relevance judgments and returns the

@@ -89,23 +89,16 @@ func loadGolden(t *testing.T, path string) []goldenCase {
 	return cases
 }
 
-// goldenQuerier is the query surface the golden lists exercise; a single
-// store and a sharded engine both provide it.
-type goldenQuerier interface {
-	QueryAnnotations(text string, k int) ([]Hit, error)
-	QueryDualCoding(text string, k int) ([]Hit, error)
-}
-
 // assertGoldenHits replays every golden query against m and demands the
 // recorded ranking hit-for-hit, scores bit-for-bit.
-func assertGoldenHits(t *testing.T, label string, m goldenQuerier, cases []goldenCase) {
+func assertGoldenHits(t *testing.T, label string, m ranker, cases []goldenCase) {
 	t.Helper()
 	for _, c := range cases {
-		query := m.QueryAnnotations
+		stmt := StmtAnnotation
 		if c.Surface == "dual" {
-			query = m.QueryDualCoding
+			stmt = StmtDual
 		}
-		got, err := query(c.Text, c.K)
+		got, err := rank(m, Query{Stmt: stmt, Text: c.Text, K: c.K})
 		if err != nil {
 			t.Fatalf("%s: %s %q k=%d: %v", label, c.Surface, c.Text, c.K, err)
 		}

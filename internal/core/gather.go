@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -75,12 +76,12 @@ type thetaStreamer interface {
 	ThetaRose(scanID uint64, theta float64, running []int)
 }
 
-// ShardLeg is one shard's answer to one leg: rows ("ann", "content",
-// "dual", "moa"; a k > 0 leg is ranked and cut to k), or a scalar "moa"
-// result, which only a one-leg view passes through.
+// ShardLeg is one shard's answer to one leg: rows (a k > 0 leg is ranked
+// and cut to k), or a scalar ad-hoc Moa result, which only a one-leg view
+// passes through.
 type ShardLeg struct {
 	rows   []moa.Row
-	typ    moa.Type // "moa" legs evaluated in-process
+	typ    moa.Type // legs evaluated in-process
 	scalar *moa.Result
 	theta  float64 // pruning threshold the leg's scan reached (K > 0)
 }
@@ -91,30 +92,31 @@ type ShardLeg struct {
 var errScalarMerge = errors.New("scalar Moa queries cannot be merged across shards (run against one shard)")
 
 // leg evaluates one leg against the epoch: the one per-shard leg every
-// view runs. It evaluates with the given pruning threshold, remaps local
+// view runs. It binds the leg's statement the same way whatever the
+// statement, evaluates with the given pruning threshold, remaps local
 // OIDs to global when remap is set (sharded legs; a store answering for
 // itself keeps its own OIDs), and ranks and cuts an unranked k > 0 result
 // to k.
 func (ep *IndexEpoch) leg(q ShardQueryArgs, theta *bat.TopKThreshold, remap bool) (*ShardLeg, error) {
-	var params map[string]moa.Param
-	src := q.Text
-	switch q.Kind {
-	case "ann":
-		src, params = annotationQuery, ir.QueryParams(ir.Analyze(q.Text))
-	case "content":
-		src, params = contentQuery, ir.QueryParams(q.Terms)
-	case "dual":
-		var err error
-		if params, err = dualParams(q.Text, q.Terms, q.Weights); err != nil {
+	if q.Stmt >= numStmts {
+		return nil, fmt.Errorf("%w %d", ErrUnknownStmt, q.Stmt)
+	}
+	src := cmp.Or(stmtSources[q.Stmt], q.Source) // StmtSource has none
+	// `stats` always, `query` when Query is non-nil, and `concepts` — a
+	// weighted set iff Weights is non-nil — when Concepts is. A plain set
+	// is not bound as unit weights: #wsum adds each belief's surplus over
+	// the default, #sum the beliefs, so scores would move in the last bit.
+	params := map[string]moa.Param{"stats": ir.StatsParam}
+	if q.Query != nil {
+		params["query"] = ir.TermsParam(q.Query)
+	}
+	if q.Weights != nil {
+		if _, err := conceptWeights(q.Concepts, q.Weights); err != nil {
 			return nil, err
 		}
-		src = dualQuery
-	case "moa":
-		if q.Terms != nil {
-			params = ir.QueryParams(q.Terms)
-		}
-	default:
-		return nil, fmt.Errorf("core: unknown shard query kind %q", q.Kind)
+		params["concepts"] = ir.WeightedTermsParam(q.Concepts, q.Weights)
+	} else if q.Concepts != nil {
+		params["concepts"] = ir.TermsParam(q.Concepts)
 	}
 	res, err := ep.Eng.QueryTopK(src, params, q.K, theta)
 	if err != nil {
@@ -340,28 +342,48 @@ func (g *Gather) view() ShardView {
 // Indexed reports whether a view is being served.
 func (g *Gather) Indexed() bool { return g.shards.View() != nil }
 
-// hits runs a ranking ("ann", "content" or "dual") over one pinned view:
-// the result cache answers repeats, the θ-memo seeds the threshold, and a
-// full ranking records its terminal k-th score.
-func (g *Gather) hits(v ShardView, kind cacheKind, q ShardQueryArgs) ([]Hit, error) {
-	gen := v.Stamp().Seq
-	c := g.cache.Load()
-	if hits, ok := c.get(gen, kind, q.K, q.Text, q.Terms); ok {
-		return hits, nil
+// Run is the one ranked-query implementation: it runs q over one pinned
+// view and returns the hits with that view's stamp. The result cache
+// answers repeats before any text is analysed, and the θ-memo seeds the
+// threshold; both key on (generation, statement, k, text, terms). A dual
+// query without concepts is expanded first, and the expansion is part of
+// the key: feedback reinforces the thesaurus without publishing, so one
+// text can expand differently within one view. The key has no weights,
+// so a weighted round (a feedback session's) bypasses both.
+func (g *Gather) Run(q Query) ([]Hit, EpochStamp, error) {
+	v := g.view()
+	if v == nil {
+		return nil, EpochStamp{}, ErrNotIndexed
 	}
-	tm := g.memo.Load()
+	st := v.Stamp()
+	q, err := q.canonical()
+	if err != nil {
+		return nil, st, err
+	}
+	var text []string
+	if q.Stmt == StmtDual && q.Terms == nil {
+		text = ir.Analyze(q.Text)
+		q.Terms = expandConcepts(v.Thesaurus(), text, dualConcepts)
+	}
+	c, tm := g.cache.Load(), g.memo.Load()
+	if q.Weights != nil {
+		c, tm = nil, nil
+	}
+	if hits, ok := c.get(st.Seq, &q); ok {
+		return hits, st, nil
+	}
 	seed := math.Inf(-1)
-	if s, ok := tm.get(gen, kind, q.K, q.Text, q.Terms); ok {
+	if s, ok := tm.get(st.Seq, &q); ok {
 		seed = s
 	}
-	l, err := gatherRows(v, q, seed)
+	l, err := gatherRows(v, q.leg(text), seed)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
 	hits := rowHits(v, l.rows, q.K)
-	c.put(gen, kind, q.K, q.Text, q.Terms, hits)
-	memoTheta(tm, gen, kind, q.K, q.Text, q.Terms, hits)
-	return hits, nil
+	c.put(st.Seq, &q, hits)
+	memoTheta(tm, st.Seq, &q, hits)
+	return hits, st, nil
 }
 
 // rowHits resolves a gathered ranking's rows to hits; a full (k <= 0)
@@ -387,7 +409,7 @@ func rowHits(v ShardView, rows []moa.Row, k int) []Hit {
 // ServingEpoch reports the stamp of the view queries are currently served
 // from; ok is false (and the stamp zero) before the first publish. Because
 // queries pin their own view, a stamp observed here only brackets
-// concurrent answers — per-answer stamps come from the Stamped variants.
+// concurrent answers — per-answer stamps come from Run.
 func (g *Gather) ServingEpoch() (EpochStamp, bool) {
 	v := g.shards.View()
 	if v == nil {
@@ -396,84 +418,25 @@ func (g *Gather) ServingEpoch() (EpochStamp, bool) {
 	return v.Stamp(), true
 }
 
-// QueryAnnotations ranks the collection against a free-text query using
-// the textual annotations (the Section 3 scenario). The text passes
-// through the same analyzer as the indexed annotations. k > 0 is pushed
-// down into the query plan (pruned top-k retrieval); k <= 0 returns the
-// full ranking.
+// QueryAnnotations, QueryAnnotationsStamped, QueryContent and
+// QueryDualCodingStamped run one statement each through Run; they stay
+// for the benchmark harness in bench/.
 func (g *Gather) QueryAnnotations(text string, k int) ([]Hit, error) {
 	hits, _, err := g.QueryAnnotationsStamped(text, k)
 	return hits, err
 }
 
-// QueryAnnotationsStamped is QueryAnnotations plus the stamp of the view
-// every leg ran against — the same pinned view, so the stamp can never
-// mislabel the answer under concurrent publishes.
 func (g *Gather) QueryAnnotationsStamped(text string, k int) ([]Hit, EpochStamp, error) {
-	v := g.view()
-	if v == nil {
-		return nil, EpochStamp{}, ErrNotIndexed
-	}
-	hits, err := g.hits(v, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: text, K: k})
-	return hits, v.Stamp(), err
+	return g.Run(Query{Stmt: StmtAnnotation, Text: text, K: k})
 }
 
-// QueryContent ranks the collection by image content given cluster words
-// (normally chosen through the thesaurus). k behaves as in
-// QueryAnnotations.
 func (g *Gather) QueryContent(clusterWords []string, k int) ([]Hit, error) {
-	v := g.view()
-	if v == nil {
-		return nil, ErrNotIndexed
-	}
-	return g.hits(v, cacheContent, ShardQueryArgs{Kind: "content", Terms: clusterWords, K: k})
-}
-
-// QueryDualCoding is the full Section 5.2 retrieval: the text query ranks
-// annotations directly AND, through the thesaurus, the image content
-// representation; the two belief sources are combined with the inference
-// network's #sum operator — one Moa expression (dualQuery) per leg, each
-// one two-source pruned scan under the shared threshold. k behaves as in
-// QueryAnnotations.
-func (g *Gather) QueryDualCoding(text string, k int) ([]Hit, error) {
-	hits, _, err := g.QueryDualCodingStamped(text, k)
+	hits, _, err := g.Run(Query{Stmt: StmtContent, Terms: clusterWords, K: k})
 	return hits, err
 }
 
-// QueryDualCodingStamped is QueryDualCoding plus the stamp of the pinned
-// view every leg read. The gather expands the text once, with the view's
-// thesaurus, and ships the concepts in the leg. The expansion is part of
-// the cache and θ-memo key: feedback reinforces the thesaurus without
-// publishing, so one text can expand differently within one view.
 func (g *Gather) QueryDualCodingStamped(text string, k int) ([]Hit, EpochStamp, error) {
-	v := g.view()
-	if v == nil {
-		return nil, EpochStamp{}, ErrNotIndexed
-	}
-	q := ShardQueryArgs{Kind: "dual", Text: text, Terms: expandConcepts(v.Thesaurus(), text, dualConcepts), K: k}
-	hits, err := g.hits(v, cacheDual, q)
-	return hits, v.Stamp(), err
-}
-
-// Query exposes raw Moa queries (used by moash and the network server).
-// The optional query terms bind the `query`/`stats` parameters.
-func (g *Gather) Query(src string, queryTerms []string) (*moa.Result, error) {
-	return g.QueryTopK(src, queryTerms, 0)
-}
-
-// QueryTopK runs a raw Moa query on every leg. k > 0 pushes a ranked
-// top-k request into each leg's plan optimizer and returns at most k rows,
-// ranked, whether the plan pruned or ran exhaustively; k <= 0 returns every
-// row in ascending OID order. A one-leg view (a single store) returns a
-// scalar result as is; a merge of several legs refuses it.
-//
-// Indexed engines evaluate against the serving view (snapshot-isolated);
-// an engine that never published evaluates against its live databases —
-// the pre-index browsing moash supports — which is safe only without
-// concurrent ingest.
-func (g *Gather) QueryTopK(src string, queryTerms []string, k int) (*moa.Result, error) {
-	res, _, err := g.QueryTopKStamped(src, queryTerms, k)
-	return res, err
+	return g.Run(Query{Stmt: StmtDual, Text: text, K: k})
 }
 
 // liveViewer is the optional Shards hook behind pre-index Moa browsing: a
@@ -481,8 +444,13 @@ func (g *Gather) QueryTopK(src string, queryTerms []string, k int) (*moa.Result,
 // one; a router has no epoch to pin before its first build).
 type liveViewer interface{ liveView() ShardView }
 
-// QueryTopKStamped is QueryTopK plus the stamp of the view every leg
-// evaluated against; the live-database fallback returns the zero stamp.
+// QueryTopKStamped runs ad-hoc Moa on every leg, the optional query terms
+// bound as `query`, and returns it with the stamp of the view the legs
+// read. k > 0 returns at most k rows, ranked, pruned plan or not; k <= 0
+// every row in ascending OID order. A one-leg view returns a scalar as
+// is; a merge of several legs refuses it. An engine that never published
+// evaluates against its live databases (moash's pre-index browsing, safe
+// only without concurrent ingest) under the zero stamp.
 func (g *Gather) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.Result, EpochStamp, error) {
 	v := g.view()
 	if v == nil {
@@ -492,7 +460,7 @@ func (g *Gather) QueryTopKStamped(src string, queryTerms []string, k int) (*moa.
 		}
 		v = lv.liveView()
 	}
-	l, err := gatherRows(v, ShardQueryArgs{Kind: "moa", Text: src, Terms: queryTerms, K: k}, math.Inf(-1))
+	l, err := gatherRows(v, ShardQueryArgs{Stmt: StmtSource, Source: src, Query: queryTerms, K: k}, math.Inf(-1))
 	if err != nil {
 		return nil, v.Stamp(), err
 	}
@@ -513,7 +481,7 @@ func (g *Gather) ExpandQuery(text string, topK int) []string {
 	if v == nil {
 		return nil
 	}
-	return expandConcepts(v.Thesaurus(), text, topK)
+	return expandConcepts(v.Thesaurus(), ir.Analyze(text), topK)
 }
 
 // SetResultCache installs (or, with maxBytes <= 0, removes) an

@@ -21,15 +21,15 @@ func assertAnswersUnderWriteLock(t *testing.T, label string, mu *sync.RWMutex, r
 	defer mu.Unlock()
 	done := make(chan error, 1)
 	go func() {
-		if _, err := r.QueryAnnotations(text, 5); err != nil {
+		if _, err := rank(r, Query{Stmt: StmtAnnotation, Text: text, K: 5}); err != nil {
 			done <- err
 			return
 		}
-		if _, err := r.QueryContent(concepts, 5); err != nil {
+		if _, err := rank(r, Query{Stmt: StmtContent, Terms: concepts, K: 5}); err != nil {
 			done <- err
 			return
 		}
-		_, err := r.QueryDualCoding(text, 5)
+		_, err := rank(r, Query{Stmt: StmtDual, Text: text, K: 5})
 		done <- err
 	}()
 	select {

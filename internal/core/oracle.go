@@ -13,7 +13,7 @@ import (
 // the harness only sees stamped replies — it rebuilds the reference index
 // for the stamped prefix and demands bit-equal scores.
 //
-// Annotation rankings (TextQuery with Dual=false) are what the oracle
+// Annotation rankings (StmtAnnotation) are what the oracle
 // verifies, and deliberately so: the paper's Section 3 getBL ranking over
 // the annotation CONTREP depends only on the document set and its
 // annotations — the exact integer df/N/avgdl bookkeeping — never on the
@@ -121,7 +121,8 @@ func (o *Oracle) Expected(prefix int, text string, k int) ([]Hit, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.QueryAnnotations(text, k)
+	hits, _, err := m.Run(Query{Stmt: StmtAnnotation, Text: text, K: k})
+	return hits, err
 }
 
 // VerifyHits checks a stamped annotation reply against the reference
@@ -141,7 +142,7 @@ func (o *Oracle) VerifyHits(prefix int, text string, k int, got []WireHit) error
 	// The full reference ranking, not the cut one: boundary ties under a
 	// k-cut are resolved per-store, so a returned URL is judged by its
 	// score in the full ranking.
-	full, err := m.QueryAnnotations(text, 0)
+	full, _, err := m.Run(Query{Stmt: StmtAnnotation, Text: text})
 	if err != nil {
 		return err
 	}

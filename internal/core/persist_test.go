@@ -289,7 +289,7 @@ func TestFeedbackReplayedAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, err := m1.SessionRun(sess, 4)
+	hits, err := rank(m1, sess.Query(4))
 	if err != nil || len(hits) == 0 {
 		t.Fatalf("session run: %v (%d hits)", err, len(hits))
 	}
@@ -518,7 +518,7 @@ func TestOldEpochSurvivesCheckpointOverMappedBATs(t *testing.T) {
 
 func queryTop5(g *Gather, text string, dual bool) ([]Hit, error) {
 	if dual {
-		return g.QueryDualCoding(text, 5)
+		return rank(g, Query{Stmt: StmtDual, Text: text, K: 5})
 	}
 	return g.QueryAnnotations(text, 5)
 }

@@ -62,7 +62,7 @@ func TestQueryPathsDoNotLeak(t *testing.T) {
 		assertNoLeak(t, "QueryContent", before)
 
 		before = snapshotPools()
-		if _, err := m.QueryDualCoding("harbor gull", k); err != nil {
+		if _, err := rank(m, Query{Stmt: StmtDual, Text: "harbor gull", K: k}); err != nil {
 			t.Fatal(err)
 		}
 		assertNoLeak(t, "QueryDualCoding", before)
@@ -72,7 +72,7 @@ func TestQueryPathsDoNotLeak(t *testing.T) {
 	// row heap.
 	for _, k := range []int{3, 0} {
 		before := snapshotPools()
-		if _, err := m.QueryTopK(`map[sum(getBL(THIS.annotation, query, stats)) * 2](ImageLibraryInternal);`, []string{"harbor"}, k); err != nil {
+		if _, err := adhoc(m, `map[sum(getBL(THIS.annotation, query, stats)) * 2](ImageLibraryInternal);`, []string{"harbor"}, k); err != nil {
 			t.Fatal(err)
 		}
 		assertNoLeak(t, "QueryTopK", before)
@@ -94,7 +94,7 @@ func TestSessionRunDoesNotLeak(t *testing.T) {
 	var hits []Hit
 	for _, k := range []int{8, 0} {
 		before := snapshotPools()
-		if hits, err = m.SessionRun(sess, k); err != nil {
+		if hits, err = rank(m, sess.Query(k)); err != nil {
 			t.Fatal(err)
 		}
 		assertNoLeak(t, "SessionRun", before)
@@ -105,7 +105,7 @@ func TestSessionRunDoesNotLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := snapshotPools()
-		if _, err := m.SessionRun(sess, 8); err != nil {
+		if _, err := rank(m, sess.Query(8)); err != nil {
 			t.Fatal(err)
 		}
 		assertNoLeak(t, "SessionRun after feedback", before)
@@ -116,7 +116,7 @@ func TestSessionRunDoesNotLeak(t *testing.T) {
 // fails surfaces the error and holds no pooled scratch afterwards.
 func TestSessionRunErrorPathDoesNotLeak(t *testing.T) {
 	m := leakStub(t)
-	spy := &legSpy{storeView: storeView{m.currentEpoch()}, fail: "dual"}
+	spy := &legSpy{storeView: storeView{m.currentEpoch()}, fail: StmtDual}
 	g := NewGather(spyShards{storeShards{m}, spy})
 	sess, err := g.NewSession("harbor gull")
 	if err != nil {
@@ -125,7 +125,7 @@ func TestSessionRunErrorPathDoesNotLeak(t *testing.T) {
 	sess = withWeight(t, sess, "c000", 1) // guarantee the failing arm runs
 
 	before := snapshotPools()
-	if _, err := g.SessionRun(sess, 8); !errors.Is(err, errInjected) {
+	if _, err := rank(g, sess.Query(8)); !errors.Is(err, errInjected) {
 		t.Fatalf("Run error = %v, want injected failure", err)
 	}
 	assertNoLeak(t, "SessionRun error path", before)
@@ -150,7 +150,7 @@ func TestDualCodingScanErrorDoesNotLeak(t *testing.T) {
 		data[i] = 0xff
 	}
 	before := snapshotPools()
-	if _, err := m.QueryDualCoding(text, 5); err == nil {
+	if _, err := rank(m, Query{Stmt: StmtDual, Text: text, K: 5}); err == nil {
 		t.Fatal("dual coding over a corrupt content segment returned no error")
 	}
 	assertNoLeak(t, "dual-coding scan error path", before)
@@ -179,7 +179,7 @@ func TestShardedQueryPathsDoNotLeak(t *testing.T) {
 		if _, err := e.QueryAnnotations("harbor gull", 5); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.QueryDualCoding("harbor gull", 5); err != nil {
+		if _, err := rank(e, Query{Stmt: StmtDual, Text: "harbor gull", K: 5}); err != nil {
 			t.Fatal(err)
 		}
 		assertNoLeak(t, "sharded queries", before)
@@ -190,7 +190,7 @@ func TestShardedQueryPathsDoNotLeak(t *testing.T) {
 		}
 		sess = withWeight(t, sess, "c000", 1)
 		before = snapshotPools()
-		if _, err := e.SessionRun(sess, 8); err != nil {
+		if _, err := rank(e, sess.Query(8)); err != nil {
 			t.Fatal(err)
 		}
 		assertNoLeak(t, "sharded SessionRun", before)
@@ -202,11 +202,11 @@ func TestShardedQueryPathsDoNotLeak(t *testing.T) {
 func TestCachedPathDoesNotBorrow(t *testing.T) {
 	m := leakStub(t)
 	m.SetResultCache(1 << 20)
-	if _, err := m.QueryDualCoding("harbor gull", 5); err != nil {
+	if _, err := rank(m, Query{Stmt: StmtDual, Text: "harbor gull", K: 5}); err != nil {
 		t.Fatal(err) // cold: populates the cache
 	}
 	before := snapshotPools()
-	if _, err := m.QueryDualCoding("harbor gull", 5); err != nil {
+	if _, err := rank(m, Query{Stmt: StmtDual, Text: "harbor gull", K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	assertNoLeak(t, "cached QueryDualCoding", before)

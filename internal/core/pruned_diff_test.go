@@ -83,7 +83,7 @@ func assertPrunedEqualsExhaustive(t *testing.T, label string, site retrievalSite
 	t.Helper()
 	for _, q := range []string{"harbor gull", "tide", "kelp foam buoy", "lantern mist salt", "gull gull pier"} {
 		assertCutIsPrefix(t, label, fmt.Sprintf("annotations %q", q), k, func(k int) ([]Hit, error) { return site.QueryAnnotations(q, k) })
-		assertCutIsPrefix(t, label, fmt.Sprintf("dual coding %q", q), k, func(k int) ([]Hit, error) { return site.QueryDualCoding(q, k) })
+		assertCutIsPrefix(t, label, fmt.Sprintf("dual coding %q", q), k, func(k int) ([]Hit, error) { return rank(site, Query{Stmt: StmtDual, Text: q, K: k}) })
 	}
 	for _, cw := range [][]string{{"stub_a_0", "stub_b_2"}, {"stub_a_1", "stub_a_3", "stub_b_0"}} {
 		assertCutIsPrefix(t, label, fmt.Sprintf("content %v", cw), k, func(k int) ([]Hit, error) { return site.QueryContent(cw, k) })
@@ -97,7 +97,7 @@ func assertLargeRound(t *testing.T, label string, site retrievalSite) {
 	for _, q := range largeRoundQueries() {
 		for what, query := range map[string]func(string, int) ([]Hit, error){
 			"annotations": site.QueryAnnotations,
-			"dual coding": site.QueryDualCoding,
+			"dual coding": func(text string, k int) ([]Hit, error) { return rank(site, Query{Stmt: StmtDual, Text: text, K: k}) },
 		} {
 			full, err := query(q, 0)
 			if err != nil {

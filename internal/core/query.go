@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+
 	"mirror/internal/bat"
 	"mirror/internal/ir"
-	"mirror/internal/moa"
 	"mirror/internal/thesaurus"
 )
 
@@ -34,30 +36,93 @@ const dualQuery = `
 // expands to.
 const dualConcepts = 5
 
-// dualParams binds dualQuery: the analysed text as `query`, and as
-// `concepts` the thesaurus expansion or, when weights is non-nil, a
-// session's cluster words with their weights (conceptWeights' rules).
-func dualParams(text string, concepts []string, weights []float64) (map[string]moa.Param, error) {
-	params := ir.QueryParams(ir.Analyze(text))
-	if weights == nil {
-		params["concepts"] = ir.TermsParam(concepts)
-		return params, nil
+// Stmt names a ranked statement: one of the Moa expressions above, or, on
+// a leg only, an ad-hoc Moa source.
+type Stmt uint8
+
+const (
+	StmtSource     Stmt = iota // ad-hoc Moa text (ShardQueryArgs.Source); no Query runs it
+	StmtAnnotation             // annotationQuery
+	StmtContent                // contentQuery
+	StmtDual                   // dualQuery; with Weights, a feedback session round
+	numStmts
+)
+
+// stmtSources is each named statement's Moa expression.
+var stmtSources = [numStmts]string{
+	StmtAnnotation: annotationQuery,
+	StmtContent:    contentQuery,
+	StmtDual:       dualQuery,
+}
+
+// ErrUnknownStmt refuses a statement number no engine defines.
+var ErrUnknownStmt = errors.New("core: unknown statement")
+
+// Query is the one ranked request: every engine's Run and the client's
+// ranked RPC take it.
+//
+//   - StmtAnnotation ranks the annotations against Text.
+//   - StmtContent ranks the image content against the cluster words Terms.
+//   - StmtDual ranks both against Text, the content through the concepts
+//     Terms; nil Terms expand Text with the serving view's thesaurus. With
+//     Weights (one per concept, non-nil even when empty) the concepts are
+//     a weighted set: a feedback session round (Session.Query).
+//
+// K > 0 asks for the k best hits, K <= 0 for the full ranking.
+type Query struct {
+	Stmt    Stmt
+	Text    string
+	Terms   []string
+	Weights []float64
+	K       int
+}
+
+// canonical validates q and puts a weighted concept set in canonical
+// order, so one state ranks bit-identically whatever order it came in.
+func (q Query) canonical() (Query, error) {
+	if q.Stmt == StmtSource || q.Stmt >= numStmts {
+		return q, fmt.Errorf("%w %d", ErrUnknownStmt, q.Stmt)
 	}
-	if _, err := conceptWeights(concepts, weights); err != nil {
-		return nil, err
+	if q.Weights == nil {
+		return q, nil
 	}
-	params["concepts"] = ir.WeightedTermsParam(concepts, weights)
-	return params, nil
+	if q.Stmt != StmtDual {
+		return q, fmt.Errorf("core: concept weights on statement %d (only a dual statement takes them)", q.Stmt)
+	}
+	weights, err := conceptWeights(q.Terms, q.Weights)
+	if err != nil {
+		return q, err
+	}
+	s := sessionOf(q.Text, weights, 0)
+	q.Terms, q.Weights = s.Concepts, s.Weights
+	return q, nil
+}
+
+// leg is the leg a canonical query ships: the analysed text (content:
+// the cluster words) as `query` and, for dual, its concepts — non-nil
+// even when empty, since a named statement binds every parameter its
+// expression reads. text is Text already analysed, or nil.
+func (q Query) leg(text []string) ShardQueryArgs {
+	a := ShardQueryArgs{Stmt: q.Stmt, Query: text, K: q.K}
+	if q.Stmt == StmtContent {
+		a.Query = append([]string{}, q.Terms...)
+	} else if text == nil {
+		a.Query = ir.Analyze(q.Text)
+	}
+	if q.Stmt == StmtDual {
+		a.Concepts, a.Weights = append([]string{}, q.Terms...), q.Weights
+	}
+	return a
 }
 
 // expandConcepts is the one query-expansion implementation: the topK
-// concepts the thesaurus associates with the analysed text. nil thesaurus
-// (pre-index) expands to nothing.
-func expandConcepts(thes *thesaurus.Thesaurus, text string, topK int) []string {
+// concepts the thesaurus associates with the analysed text terms. nil
+// thesaurus (pre-index) expands to nothing.
+func expandConcepts(thes *thesaurus.Thesaurus, terms []string, topK int) []string {
 	if thes == nil {
 		return nil
 	}
-	assocs := thes.Associate(ir.Analyze(text), topK)
+	assocs := thes.Associate(terms, topK)
 	out := make([]string, len(assocs))
 	for i, a := range assocs {
 		out[i] = a.Concept

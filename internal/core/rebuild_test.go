@@ -27,7 +27,7 @@ func TestRebuildIndexAfterNewImages(t *testing.T) {
 	if err := m.BuildContentIndex(opts); err != nil {
 		t.Fatal(err)
 	}
-	res, err := m.Query(`count(ImageLibraryInternal);`, nil)
+	res, err := adhoc(m, `count(ImageLibraryInternal);`, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRebuildIndexAfterNewImages(t *testing.T) {
 		}
 	}
 	// The snapshot still counts 12 documents even though 20 are ingested.
-	res, err = m.Query(`count(ImageLibraryInternal);`, nil)
+	res, err = adhoc(m, `count(ImageLibraryInternal);`, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRebuildIndexAfterNewImages(t *testing.T) {
 	if err := m.BuildContentIndex(opts); err != nil {
 		t.Fatal(err)
 	}
-	res, err = m.Query(`count(ImageLibraryInternal);`, nil)
+	res, err = adhoc(m, `count(ImageLibraryInternal);`, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

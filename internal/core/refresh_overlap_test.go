@@ -31,7 +31,7 @@ func TestRefreshOverlapsDualCodingQueries(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := m.QueryDualCoding(q, 5); err != nil {
+				if _, err := rank(m, Query{Stmt: StmtDual, Text: q, K: 5}); err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mirror/internal/cluster"
+	"mirror/internal/moa"
 )
 
 // ---- deterministic stub pipeline ----
@@ -145,9 +146,28 @@ func hitsEqual(a, b []Hit) bool {
 }
 
 type retrievalSite interface {
+	ranker
 	QueryAnnotations(text string, k int) ([]Hit, error)
 	QueryContent(clusterWords []string, k int) ([]Hit, error)
-	QueryDualCoding(text string, k int) ([]Hit, error)
+}
+
+// ranker is anything that runs ranked queries: every engine.
+type ranker interface {
+	Run(q Query) ([]Hit, EpochStamp, error)
+}
+
+// rank runs q on r without its stamp.
+func rank(r ranker, q Query) ([]Hit, error) {
+	hits, _, err := r.Run(q)
+	return hits, err
+}
+
+// adhoc runs an ad-hoc Moa query on r without its stamp.
+func adhoc(r interface {
+	QueryTopKStamped(string, []string, int) (*moa.Result, EpochStamp, error)
+}, src string, terms []string, k int) (*moa.Result, error) {
+	res, _, err := r.QueryTopKStamped(src, terms, k)
+	return res, err
 }
 
 // assertSameRetrieval compares annotation, content and dual-coding
@@ -166,11 +186,11 @@ func assertSameRetrieval(t *testing.T, label string, want, got retrievalSite, k 
 		if !hitsEqual(wh, gh) {
 			t.Fatalf("%s: annotation ranking for %q diverges:\n  want %v\n  got  %v", label, q, wh, gh)
 		}
-		dw, err := want.QueryDualCoding(q, k)
+		dw, err := rank(want, Query{Stmt: StmtDual, Text: q, K: k})
 		if err != nil {
 			t.Fatalf("%s: ref dual %q: %v", label, q, err)
 		}
-		dg, err := got.QueryDualCoding(q, k)
+		dg, err := rank(got, Query{Stmt: StmtDual, Text: q, K: k})
 		if err != nil {
 			t.Fatalf("%s: got dual %q: %v", label, q, err)
 		}
@@ -238,11 +258,11 @@ func TestIncrementalEqualsOneShotSingleStore(t *testing.T) {
 		assertSameRetrieval(t, label+" full", ref, inc, 0)
 
 		// Raw Moa query path over the epoch, BUN-for-BUN.
-		wres, err := ref.QueryTopK(annotationQuery, AnalyzeQuery("harbor tide"), 7)
+		wres, err := adhoc(ref, annotationQuery, AnalyzeQuery("harbor tide"), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gres, err := inc.QueryTopK(annotationQuery, AnalyzeQuery("harbor tide"), 7)
+		gres, err := adhoc(inc, annotationQuery, AnalyzeQuery("harbor tide"), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +345,8 @@ func TestRefreshIsSnapshotIsolated(t *testing.T) {
 	urls, anns := refreshCorpus(16, 3)
 	m := oneShotStub(t, urls[:12], anns[:12])
 	ep := m.currentEpoch()
-	before, err := new(Gather).hits(storeView{ep}, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: "harbor gull"})
+	pinned := NewGather(spyShards{v: &legSpy{storeView: storeView{ep}}})
+	before, err := pinned.QueryAnnotations("harbor gull", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +366,7 @@ func TestRefreshIsSnapshotIsolated(t *testing.T) {
 		t.Fatalf("refresh covered %d docs (current=%v), want 4/true", st.NewDocs, m.Current())
 	}
 	// The pinned pre-refresh epoch still answers exactly as before.
-	after, err := new(Gather).hits(storeView{ep}, cacheAnnotations, ShardQueryArgs{Kind: "ann", Text: "harbor gull"})
+	after, err := pinned.QueryAnnotations("harbor gull", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +391,7 @@ func TestErrNotIndexedTyped(t *testing.T) {
 	if _, err := m.QueryContent([]string{"x"}, 3); !errors.Is(err, ErrNotIndexed) {
 		t.Fatalf("QueryContent err = %v, want ErrNotIndexed", err)
 	}
-	if _, err := m.QueryDualCoding("x", 3); !errors.Is(err, ErrNotIndexed) {
+	if _, err := rank(m, Query{Stmt: StmtDual, Text: "x", K: 3}); !errors.Is(err, ErrNotIndexed) {
 		t.Fatalf("QueryDualCoding err = %v, want ErrNotIndexed", err)
 	}
 	if _, err := m.NewSession("x"); !errors.Is(err, ErrNotIndexed) {

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// blockingRetriever wedges QueryAnnotationsStamped until released,
+// blockingRetriever wedges Run until released,
 // standing in for any slow in-flight handler at shutdown time.
 type blockingRetriever struct {
 	Retriever
@@ -13,7 +13,7 @@ type blockingRetriever struct {
 	release chan struct{} // handler returns when this closes
 }
 
-func (b *blockingRetriever) QueryAnnotationsStamped(text string, k int) ([]Hit, EpochStamp, error) {
+func (b *blockingRetriever) Run(Query) ([]Hit, EpochStamp, error) {
 	close(b.entered)
 	<-b.release
 	return []Hit{{OID: 7, URL: "http://x/drained.ppm", Score: 0.5}}, EpochStamp{Seq: 3, Docs: 1}, nil

@@ -41,18 +41,11 @@ type Retriever interface {
 	AddRaster(url string, img *media.Image) error
 	BuildContentIndex(opts IndexOptions) error
 	BuildContentIndexDistributed(opts IndexOptions, dictAddr string) error
-	QueryAnnotations(text string, k int) ([]Hit, error)
-	QueryContent(clusterWords []string, k int) ([]Hit, error)
-	QueryDualCoding(text string, k int) ([]Hit, error)
-	QueryAnnotationsStamped(text string, k int) ([]Hit, EpochStamp, error)
-	QueryDualCodingStamped(text string, k int) ([]Hit, EpochStamp, error)
-	Query(src string, queryTerms []string) (*moa.Result, error)
-	QueryTopK(src string, queryTerms []string, k int) (*moa.Result, error)
+	Run(q Query) ([]Hit, EpochStamp, error)
 	QueryTopKStamped(src string, queryTerms []string, k int) (*moa.Result, EpochStamp, error)
 	ServingEpoch() (EpochStamp, bool)
 	ExpandQuery(text string, topK int) []string
 	NewSession(text string) (Session, error)
-	SessionRun(s Session, k int) ([]Hit, error)
 	SessionFeedback(s Session, relevant, nonrelevant []bat.OID) (Session, error)
 	SetResultCache(maxBytes int64)
 	SetThetaMemo(maxEntries int)
@@ -104,19 +97,12 @@ type WireHit struct {
 	Score float64
 }
 
-// TextQueryArgs asks for a ranked annotation/dual-coding query.
-type TextQueryArgs struct {
-	Text string
-	K    int
-	Dual bool // combine annotation and content evidence
-}
-
-// TextQueryReply returns the ranking, stamped with the published epoch it
-// was served from (Epoch 0 only before the first publish, which TextQuery
-// rejects — so replies always carry a real stamp). EpochDocs is the number
-// of documents that epoch covers: external exactness checkers compare the
-// ranking against a reference build over the first EpochDocs ingested
-// documents.
+// TextQueryReply is the ranked RPC's reply: the ranking, stamped with the
+// published epoch it was served from (Epoch 0 only before the first
+// publish, which Run rejects — so replies always carry a real stamp).
+// EpochDocs is the number of documents that epoch covers: external
+// exactness checkers compare the ranking against a reference build over
+// the first EpochDocs ingested documents.
 type TextQueryReply struct {
 	Hits      []WireHit
 	Epoch     int64
@@ -126,7 +112,7 @@ type TextQueryReply struct {
 // MoaQueryArgs carries a raw Moa query plus optional query-term bindings.
 // K > 0 pushes a ranked top-k request into the query plan and returns at
 // most the k best rows, ranked — pruned or exhaustive plan alike (every
-// Retriever's QueryTopK ranks and cuts).
+// Retriever's QueryTopKStamped ranks and cuts).
 type MoaQueryArgs struct {
 	Source     string
 	QueryTerms []string
@@ -148,17 +134,11 @@ type MoaQueryReply struct {
 // SchemaReply returns the DDL of the served database.
 type SchemaReply struct{ Source string }
 
-// TextQuery implements ranked retrieval over the wire.
-func (s *Service) TextQuery(args TextQueryArgs, reply *TextQueryReply) error {
+// Run is the ranked RPC. The query arrives by pointer: by value it is too
+// wide for registers, and net/rpc's reflect call would allocate a frame.
+func (s *Service) Run(q *Query, reply *TextQueryReply) error {
 	defer s.acquire()()
-	var hits []Hit
-	var st EpochStamp
-	var err error
-	if args.Dual {
-		hits, st, err = s.m.QueryDualCodingStamped(args.Text, args.K)
-	} else {
-		hits, st, err = s.m.QueryAnnotationsStamped(args.Text, args.K)
-	}
+	hits, st, err := s.m.Run(*q)
 	if err != nil {
 		return err
 	}
@@ -311,33 +291,12 @@ type SessionStartArgs struct{ Text string }
 
 // SessionStart opens a feedback session (Section 5.2's interactive loop)
 // and replies with its state, which the client holds and sends back with
-// every later call: the server keeps nothing per session, so a session
-// survives a server restart.
+// every later call — a round is a Run of Session.Query: the server keeps
+// nothing per session, so a session survives a server restart.
 func (s *Service) SessionStart(args SessionStartArgs, reply *Session) error {
 	sess, err := s.m.NewSession(args.Text)
 	*reply = sess
 	return err
-}
-
-// SessionRunArgs evaluates a session's current query.
-type SessionRunArgs struct {
-	Session Session
-	K       int
-}
-
-// SessionRunReply returns the session ranking.
-type SessionRunReply struct{ Hits []WireHit }
-
-// SessionRun evaluates the session's current (text + weighted content)
-// query and returns the top k hits.
-func (s *Service) SessionRun(args SessionRunArgs, reply *SessionRunReply) error {
-	defer s.acquire()()
-	hits, err := s.m.SessionRun(args.Session, args.K)
-	if err != nil {
-		return err
-	}
-	reply.Hits = wireHits(hits)
-	return nil
 }
 
 // wireHits converts a ranking for the wire, sized up front.
@@ -641,7 +600,7 @@ func wireErr(err error) error {
 		return nil
 	}
 	msg := err.Error()
-	for _, base := range []error{ErrNotIndexed, ErrEpochRetired, ErrFollower} {
+	for _, base := range []error{ErrNotIndexed, ErrEpochRetired, ErrFollower, ErrUnknownStmt} {
 		if strings.Contains(msg, base.Error()) {
 			return &remoteError{msg: msg, base: base}
 		}
@@ -649,7 +608,14 @@ func wireErr(err error) error {
 	return err
 }
 
-// TextQuery runs a ranked text (or dual-coding) query.
+// Run runs one ranked query on the remote engine.
+func (c *Client) Run(q Query) (*TextQueryReply, error) {
+	var reply TextQueryReply
+	err := c.call("Mirror.Run", q, &reply)
+	return &reply, wireErr(err)
+}
+
+// TextQuery runs a ranked annotation (or dual-coding) query.
 func (c *Client) TextQuery(text string, k int, dual bool) ([]WireHit, error) {
 	reply, err := c.TextQueryStamped(text, k, dual)
 	return reply.Hits, err
@@ -658,9 +624,11 @@ func (c *Client) TextQuery(text string, k int, dual bool) ([]WireHit, error) {
 // TextQueryStamped is TextQuery returning the full reply, including the
 // epoch stamp of the snapshot the answer was served from.
 func (c *Client) TextQueryStamped(text string, k int, dual bool) (*TextQueryReply, error) {
-	var reply TextQueryReply
-	err := c.call("Mirror.TextQuery", TextQueryArgs{Text: text, K: k, Dual: dual}, &reply)
-	return &reply, wireErr(err)
+	q := Query{Stmt: StmtAnnotation, Text: text, K: k}
+	if dual {
+		q.Stmt = StmtDual
+	}
+	return c.Run(q)
 }
 
 // AddImage ingests one document (PPM raster bytes) into the remote store.
@@ -678,18 +646,12 @@ func (c *Client) Stats() (*StatsReply, error) {
 }
 
 // NewSession opens a remote relevance-feedback session; the caller holds
-// the returned state and passes it to SessionRun and SessionFeedback.
+// the returned state, runs a round with Run(s.Query(k)) and advances it
+// with SessionFeedback.
 func (c *Client) NewSession(text string) (Session, error) {
 	var reply Session
 	err := c.call("Mirror.SessionStart", SessionStartArgs{Text: text}, &reply)
 	return reply, wireErr(err)
-}
-
-// SessionRun evaluates the session's current query.
-func (c *Client) SessionRun(s Session, k int) ([]WireHit, error) {
-	var reply SessionRunReply
-	err := c.call("Mirror.SessionRun", SessionRunArgs{Session: s, K: k}, &reply)
-	return reply.Hits, wireErr(err)
 }
 
 // SessionFeedback applies one round of relevance judgments and returns the

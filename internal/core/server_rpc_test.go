@@ -101,7 +101,8 @@ func TestServeLoadHarnessSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := c.SessionRun(sess, 5)
+	reply3, err := c.Run(sess.Query(5))
+	run := reply3.Hits
 	if err != nil || len(run) == 0 || sess.Round != 0 {
 		t.Fatalf("session run = %+v, %v", run, err)
 	}
@@ -109,7 +110,7 @@ func TestServeLoadHarnessSurface(t *testing.T) {
 	if err != nil || next.Round != 1 || sess.Round != 0 {
 		t.Fatalf("feedback = %+v, %v", next, err)
 	}
-	if _, err := c.SessionRun(next, 5); err != nil {
+	if _, err := c.Run(next.Query(5)); err != nil {
 		t.Fatalf("post-feedback run: %v", err)
 	}
 	if _, err := c.SessionFeedback(next, nil, nil); err == nil {

@@ -32,10 +32,11 @@ func (s *Service) mirror() (*Mirror, error) {
 // ShardQueryArgs is one scatter leg of a router query, pinned to the
 // epoch published under Tag so every shard answers from the same round.
 type ShardQueryArgs struct {
-	Kind       string    // "ann" | "content" | "dual" | "moa"
-	Text       string    // query text ("ann", "dual") or Moa source ("moa")
-	Terms      []string  // cluster words ("content"), concepts ("dual") or query terms ("moa")
-	Weights    []float64 // per-concept weights of a session's "dual" leg; nil = unweighted
+	Stmt       Stmt      // the statement to run; StmtSource runs Source
+	Source     string    // ad-hoc Moa text (StmtSource)
+	Query      []string  // analysed query terms bound as `query`; nil = unbound
+	Concepts   []string  // content concepts bound as `concepts`, one weight each in Weights
+	Weights    []float64 // the concepts' weights (a plain dual query's are 1); nil = unbound
 	K          int       // ranked top-k request; <= 0 = exhaustive
 	Tag        uint64    // publish tag the reply must be served at
 	ThetaFloor float64   // router's shared pruning threshold at send time
@@ -47,7 +48,7 @@ type ShardQueryArgs struct {
 // cut to the global top k, plus the pruning threshold reached — the
 // router folds Theta into its shared rising threshold for the remaining
 // legs. A row value travels as its float64 in Scores where it is one (all
-// "ann", "content" and "dual" rows) and rendered with %v in
+// rows of the named statements) and rendered with %v in
 // Values where it is not; Floats is nil when every value is a float64.
 type ShardQueryReply struct {
 	OIDs   []uint64

@@ -75,14 +75,16 @@ func TestSessionSurvivesRestart(t *testing.T) {
 			round := func(n int) {
 				var full []WireHit
 				for _, k := range []int{0, 1, 10} {
-					got, err := c.SessionRun(sess, k)
+					reply, err := c.Run(sess.Query(k))
 					if err != nil {
 						t.Fatalf("round %d k=%d: %v", n, k, err)
 					}
-					want, err := twinC.SessionRun(twin, k)
+					got := reply.Hits
+					twinReply, err := twinC.Run(twin.Query(k))
 					if err != nil {
 						t.Fatal(err)
 					}
+					want := twinReply.Hits
 					if !slices.Equal(got, want) {
 						t.Fatalf("round %d k=%d: resumed session ranks %v, twin %v", n, k, got, want)
 					}

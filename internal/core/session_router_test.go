@@ -96,7 +96,7 @@ func TestRouterSessionMatchesWSumComposition(t *testing.T) {
 			var full []core.Hit
 			for _, k := range []int{0, 1, 10, 100} {
 				want := core.RefSessionRun(t, fx.single, text, terms, ws, k)
-				got, err := fx.router.SessionRun(rs, k)
+				got, _, err := fx.router.Run(rs.Query(k))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -130,7 +130,8 @@ func TestRouterSessionMatchesWSumComposition(t *testing.T) {
 
 // TestHugeKOverRPC: a client's K reaches the scan unchanged, so a K far
 // beyond the collection must answer with the collection — not size a
-// result buffer by K. Every ranked RPC, against a served single store
+// result buffer by K. Every ranked statement over the ranked RPC — a
+// session round included — and MoaQuery, against a served single store
 // and a served router.
 func TestHugeKOverRPC(t *testing.T) {
 	const k = 1 << 40
@@ -156,6 +157,10 @@ func TestHugeKOverRPC(t *testing.T) {
 				t.Fatalf("%s: TextQuery(dual=%v, K=%d): %d hits, err %v; want 1..%d", tc.name, dual, k, len(hits), err, n)
 			}
 		}
+		content, err := c.Run(core.Query{Stmt: core.StmtContent, Terms: tc.r.ExpandQuery(text, 3), K: k})
+		if err != nil || len(content.Hits) == 0 || len(content.Hits) > n {
+			t.Fatalf("%s: content Run(K=%d): %d hits, err %v; want 1..%d", tc.name, k, len(content.Hits), err, n)
+		}
 		moa, err := c.MoaQueryTopK(`map[sum(THIS)](map[getBL(THIS.annotation, query, stats)](ImageLibraryInternal));`, []string{text}, k)
 		if err != nil || len(moa.OIDs) == 0 || len(moa.OIDs) > n {
 			t.Fatalf("%s: MoaQueryTopK(K=%d): %v rows, err %v; want 1..%d", tc.name, k, moa, err, n)
@@ -165,11 +170,11 @@ func TestHugeKOverRPC(t *testing.T) {
 			t.Fatal(err)
 		}
 		for round := 0; round < 2; round++ {
-			sr, err := c.SessionRun(sess, k)
-			if err != nil || len(sr) == 0 || len(sr) > n {
-				t.Fatalf("%s: SessionRun(K=%d) round %d: %d hits, err %v; want 1..%d hits", tc.name, k, round, len(sr), err, n)
+			reply, err := c.Run(sess.Query(k))
+			if err != nil || len(reply.Hits) == 0 || len(reply.Hits) > n {
+				t.Fatalf("%s: session Run(K=%d) round %d: %d hits, err %v; want 1..%d hits", tc.name, k, round, len(reply.Hits), err, n)
 			}
-			if sess, err = c.SessionFeedback(sess, []uint64{sr[0].OID}, nil); err != nil {
+			if sess, err = c.SessionFeedback(sess, []uint64{reply.Hits[0].OID}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

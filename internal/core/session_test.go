@@ -19,8 +19,8 @@ import (
 
 // sessionSite is an engine that runs feedback sessions.
 type sessionSite interface {
+	ranker
 	NewSession(text string) (Session, error)
-	SessionRun(s Session, k int) ([]Hit, error)
 	SessionFeedback(s Session, relevant, nonrelevant []bat.OID) (Session, error)
 }
 
@@ -107,7 +107,7 @@ func TestSessionRunMatchesWSumComposition(t *testing.T) {
 					if !slices.Equal(sess.Concepts, terms) || !slices.Equal(sess.Weights, ws) {
 						t.Fatalf("%s: %q round %d: session weights %v %v, one-shot store %v %v", sites[i].name, text, round, sess.Concepts, sess.Weights, terms, ws)
 					}
-					got, err := sites[i].s.SessionRun(sess, k)
+					got, err := rank(sites[i].s, sess.Query(k))
 					if err != nil {
 						t.Fatalf("%s: %q round %d k=%d: %v", sites[i].name, text, round, k, err)
 					}
@@ -155,11 +155,11 @@ func TestSessionDoesNotShareDualCache(t *testing.T) {
 			t.Fatalf("session terms %v, dual expansion %v", terms, concepts)
 		}
 		run := func() ([]Hit, []Hit) {
-			s, err := m.SessionRun(sess, k)
+			s, err := rank(m, sess.Query(k))
 			if err != nil {
 				t.Fatal(err)
 			}
-			d, err := m.QueryDualCoding(text, k)
+			d, err := rank(m, Query{Stmt: StmtDual, Text: text, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,7 +169,7 @@ func TestSessionDoesNotShareDualCache(t *testing.T) {
 		if sessionFirst {
 			s, d = run()
 		} else {
-			d0, err := m.QueryDualCoding(text, k)
+			d0, err := rank(m, Query{Stmt: StmtDual, Text: text, K: k})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func TestSessionDoesNotShareDualCache(t *testing.T) {
 			t.Fatalf("session first %v: session answer %v, want %v", sessionFirst, s, want)
 		}
 		m.SetResultCache(0)
-		want, err := m.QueryDualCoding(text, k)
+		want, err := rank(m, Query{Stmt: StmtDual, Text: text, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -229,8 +229,8 @@ func TestSessionShardLegBounded(t *testing.T) {
 		floor := full[min(k, len(full))-1].Score
 		for i, member := range e.shards {
 			ep := member.currentEpoch()
-			args := ShardQueryArgs{Kind: "dual", Text: sess.Text, Terms: terms, Weights: ws, K: k,
-				Tag: ep.Tag, ThetaFloor: floor, ScanID: nextScanID()}
+			args := sess.Query(k).leg(nil)
+			args.Tag, args.ThetaFloor, args.ScanID = ep.Tag, floor, nextScanID()
 			var reply ShardQueryReply
 			if err := (&Service{m: member}).ShardQuery(args, &reply); err != nil {
 				t.Fatal(err)
@@ -260,7 +260,7 @@ func TestSessionRunRejectsBadWeights(t *testing.T) {
 			sess.Concepts = append(sess.Concepts, fmt.Sprintf("c%03d", i))
 		}
 		for _, k := range []int{10, 0} {
-			if hits, err := m.SessionRun(sess, k); err == nil {
+			if hits, err := rank(m, sess.Query(k)); err == nil {
 				t.Fatalf("weights %v k=%d: %d hits, want an error", ws, k, len(hits))
 			}
 		}
@@ -296,11 +296,11 @@ func TestSessionStateIsCanonicalAndValidated(t *testing.T) {
 	slices.Reverse(reordered.Concepts)
 	slices.Reverse(reordered.Weights)
 	for _, k := range []int{0, 1, 10, 100} {
-		want, err := m.SessionRun(sess, k)
+		want, err := rank(m, sess.Query(k))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err := m.SessionRun(reordered, k); err != nil || !hitsEqual(want, got) {
+		if got, err := rank(m, reordered.Query(k)); err != nil || !hitsEqual(want, got) {
 			t.Fatalf("k=%d: reordered state ranks %v (err %v), canonical %v", k, got, err, want)
 		}
 	}
@@ -310,7 +310,7 @@ func TestSessionStateIsCanonicalAndValidated(t *testing.T) {
 		"more weights":      {Text: "harbor", Concepts: []string{"c000"}, Weights: []float64{1, 2}},
 		"fewer weights":     {Text: "harbor", Concepts: []string{"c000", "c001"}, Weights: []float64{1}},
 	} {
-		if hits, err := m.SessionRun(bad, 10); err == nil {
+		if hits, err := rank(m, bad.Query(10)); err == nil {
 			t.Fatalf("%s: SessionRun returned %d hits, want an error", name, len(hits))
 		}
 		if _, err := m.SessionFeedback(bad, []bat.OID{0}, nil); err == nil {
@@ -319,7 +319,7 @@ func TestSessionStateIsCanonicalAndValidated(t *testing.T) {
 	}
 
 	concepts, ws := slices.Clone(reordered.Concepts), slices.Clone(reordered.Weights)
-	hits, err := m.SessionRun(reordered, 10)
+	hits, err := rank(m, reordered.Query(10))
 	if err != nil || len(hits) == 0 {
 		t.Fatalf("round: %d hits, err %v", len(hits), err)
 	}
@@ -329,7 +329,7 @@ func TestSessionStateIsCanonicalAndValidated(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%2 == 0 {
-				if _, err := m.SessionRun(reordered, 10); err != nil {
+				if _, err := rank(m, reordered.Query(10)); err != nil {
 					t.Error(err)
 				}
 			} else if next, err := m.SessionFeedback(reordered, []bat.OID{hits[0].OID}, nil); err != nil || next.Round != 1 {
@@ -366,7 +366,7 @@ func BenchmarkSessionRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hits, err := m.SessionRun(sess, 10)
+	hits, err := rank(m, sess.Query(10))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -376,16 +376,49 @@ func BenchmarkSessionRound(b *testing.B) {
 	}
 	b.Run("session", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.SessionRun(sess, 10); err != nil {
+			if _, err := rank(m, sess.Query(10)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("dual", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := m.QueryDualCoding(text, 10); err != nil {
+			if _, err := rank(m, Query{Stmt: StmtDual, Text: text, K: 10}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// TestSessionAndDualKeepTheirPlans: a feedback round and a plain
+// dual-coding query run one Moa source whose `concepts` differ in slot
+// type (a weighted set vs a plain one). The epoch's plan cache keeps a
+// plan for each, so once both are warm, alternating them compiles
+// nothing.
+func TestSessionAndDualKeepTheirPlans(t *testing.T) {
+	urls, anns := refreshCorpus(200, 5)
+	m := oneShotStub(t, urls, anns)
+	const text, k = "harbor gull", 10
+	sess, err := m.NewSession(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forms := []Query{{Stmt: StmtDual, Text: text, K: k}, sess.Query(k)}
+	for _, q := range forms {
+		if _, err := rank(m, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := m.currentEpoch().Eng
+	_, before := eng.PlanCacheStats()
+	for i := 0; i < 100; i++ {
+		for _, q := range forms {
+			if _, err := rank(m, q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, after := eng.PlanCacheStats(); after != before {
+		t.Fatalf("100 alternations of a session round and a dual query compiled %d plans, want 0", after-before)
+	}
 }

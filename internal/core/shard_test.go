@@ -84,11 +84,11 @@ func TestShardedEqualsSingleStore(t *testing.T) {
 					}
 					diffHits(t, fmt.Sprintf("rank %q k=%d", q, k), want, got)
 				}
-				want, err := single.QueryDualCoding(q, 10)
+				want, err := rank(single, Query{Stmt: StmtDual, Text: q, K: 10})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := e.QueryDualCoding(q, 10)
+				got, err := rank(e, Query{Stmt: StmtDual, Text: q, K: 10})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,11 +125,11 @@ func TestShardedMoaQueryEqualsSingleStore(t *testing.T) {
 	terms := []string{corpus.CanonicalTerm(mostAnnotatedClass(items)), "scene"}
 
 	const k = 5
-	want, err := single.QueryTopK(annotationQuery, terms, k)
+	want, err := adhoc(single, annotationQuery, terms, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.QueryTopK(annotationQuery, terms, k)
+	got, err := adhoc(e, annotationQuery, terms, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestShardedMoaQueryEqualsSingleStore(t *testing.T) {
 	}
 
 	// full result: same rows, ascending global OIDs
-	wantFull, err := single.Query(annotationQuery, terms)
+	wantFull, err := adhoc(single, annotationQuery, terms, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotFull, err := e.Query(annotationQuery, terms)
+	gotFull, err := adhoc(e, annotationQuery, terms, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestShardedMoaQueryEqualsSingleStore(t *testing.T) {
 	}
 
 	// scalar queries cannot be merged and must say so
-	if _, err := e.Query("count(ImageLibrary);", nil); err == nil {
+	if _, err := adhoc(e, "count(ImageLibrary);", nil, 0); err == nil {
 		t.Fatal("scalar query across shards should be refused")
 	}
 }
@@ -212,11 +212,11 @@ func TestShardedMoaNativeValues(t *testing.T) {
 			for _, src := range queries {
 				for _, k := range []int{0, 4} {
 					label := fmt.Sprintf("N=%d indexed=%v k=%d %s", n, indexed, k, src)
-					want, err := single.QueryTopK(src, terms, k)
+					want, err := adhoc(single, src, terms, k)
 					if err != nil {
 						t.Fatalf("%s: single: %v", label, err)
 					}
-					got, err := sharded.QueryTopK(src, terms, k)
+					got, err := adhoc(sharded, src, terms, k)
 					if err != nil {
 						t.Fatalf("%s: sharded: %v", label, err)
 					}
@@ -341,11 +341,11 @@ func TestShardedSessionFeedback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h1, err := single.SessionRun(ss, 8)
+	h1, err := rank(single, ss.Query(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := e.SessionRun(se, 8)
+	h2, err := rank(e, se.Query(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,11 +361,11 @@ func TestShardedSessionFeedback(t *testing.T) {
 	if se, err = e.SessionFeedback(se, rel, non); err != nil {
 		t.Fatal(err)
 	}
-	h1, err = single.SessionRun(ss, 8)
+	h1, err = rank(single, ss.Query(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err = e.SessionRun(se, 8)
+	h2, err = rank(e, se.Query(8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,17 +11,17 @@ import (
 var errInjected = errors.New("injected failure")
 
 // legSpy is a one-leg view over a real epoch that records the threshold
-// every leg receives and fails the legs of one kind (fail) with
-// errInjected.
+// every leg receives and fails the legs of one statement (fail, when
+// set) with errInjected.
 type legSpy struct {
 	storeView
-	fail   string
+	fail   Stmt
 	thetas []*bat.TopKThreshold
 }
 
 func (v *legSpy) Leg(s int, q ShardQueryArgs, theta *bat.TopKThreshold) (*ShardLeg, error) {
 	v.thetas = append(v.thetas, theta)
-	if q.Kind == v.fail {
+	if v.fail != StmtSource && q.Stmt == v.fail {
 		return nil, errInjected
 	}
 	return v.storeView.Leg(s, q, theta)
@@ -123,8 +123,8 @@ func TestThetaMemoDifferentialSharded(t *testing.T) {
 func TestThetaMemoUnit(t *testing.T) {
 	t.Run("nil memo is inert", func(t *testing.T) {
 		var tm *ThetaMemo
-		tm.put(1, cacheAnnotations, 10, "q", nil, 0.7)
-		if _, ok := tm.get(1, cacheAnnotations, 10, "q", nil); ok {
+		tm.put(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "q"}, 0.7)
+		if _, ok := tm.get(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "q"}); ok {
 			t.Fatal("nil memo returned a seed")
 		}
 		tm.sweep(2)
@@ -154,25 +154,25 @@ func TestThetaMemoUnit(t *testing.T) {
 
 	t.Run("key dimensions", func(t *testing.T) {
 		tm := newThetaMemo(1 << 10)
-		tm.put(1, cacheAnnotations, 10, "q", nil, 0.7)
-		if s, ok := tm.get(1, cacheAnnotations, 10, "q", nil); !ok || s != 0.7 {
+		tm.put(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "q"}, 0.7)
+		if s, ok := tm.get(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "q"}); !ok || s != 0.7 {
 			t.Fatalf("exact-key get = (%v,%v)", s, ok)
 		}
 		for _, miss := range []func() (float64, bool){
-			func() (float64, bool) { return tm.get(2, cacheAnnotations, 10, "q", nil) }, // other epoch
-			func() (float64, bool) { return tm.get(1, cacheContent, 10, "q", nil) },     // other surface
-			func() (float64, bool) { return tm.get(1, cacheAnnotations, 5, "q", nil) },  // other k
-			func() (float64, bool) { return tm.get(1, cacheAnnotations, 10, "r", nil) }, // other text
+			func() (float64, bool) { return tm.get(2, &Query{Stmt: StmtAnnotation, K: 10, Text: "q"}) }, // other epoch
+			func() (float64, bool) { return tm.get(1, &Query{Stmt: StmtContent, K: 10, Text: "q"}) },    // other surface
+			func() (float64, bool) { return tm.get(1, &Query{Stmt: StmtAnnotation, K: 5, Text: "q"}) },  // other k
+			func() (float64, bool) { return tm.get(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "r"}) }, // other text
 		} {
 			if _, ok := miss(); ok {
 				t.Fatal("get hit on a differing key dimension — a cross-epoch or cross-query seed would break exactness")
 			}
 		}
-		tm.put(1, cacheContent, 10, "", []string{"c1", "c2"}, 0.5)
-		if _, ok := tm.get(1, cacheContent, 10, "", []string{"c1", "c2"}); !ok {
+		tm.put(1, &Query{Stmt: StmtContent, K: 10, Text: "", Terms: []string{"c1", "c2"}}, 0.5)
+		if _, ok := tm.get(1, &Query{Stmt: StmtContent, K: 10, Text: "", Terms: []string{"c1", "c2"}}); !ok {
 			t.Fatal("terms get missed")
 		}
-		if _, ok := tm.get(1, cacheContent, 10, "", []string{"c2", "c1"}); ok {
+		if _, ok := tm.get(1, &Query{Stmt: StmtContent, K: 10, Text: "", Terms: []string{"c2", "c1"}}); ok {
 			t.Fatal("terms get ignored order")
 		}
 	})
@@ -181,47 +181,47 @@ func TestThetaMemoUnit(t *testing.T) {
 		const bound = 64
 		tm := newThetaMemo(bound)
 		for i := 0; i < 4096; i++ {
-			tm.put(1, cacheAnnotations, 10, fmt.Sprintf("query-%04d", i), nil, 0.5)
+			tm.put(1, &Query{Stmt: StmtAnnotation, K: 10, Text: fmt.Sprintf("query-%04d", i)}, 0.5)
 		}
 		if st := tm.stats(); st.Items > bound {
 			t.Fatalf("memo holds %d entries, bound %d", st.Items, bound)
 		}
-		if _, ok := tm.get(1, cacheAnnotations, 10, "query-4095", nil); !ok {
+		if _, ok := tm.get(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "query-4095"}); !ok {
 			t.Fatal("most recently inserted seed was evicted")
 		}
 	})
 
 	t.Run("sweep drops stale generations", func(t *testing.T) {
 		tm := newThetaMemo(1 << 10)
-		tm.put(1, cacheAnnotations, 10, "old", nil, 0.7)
-		tm.put(2, cacheAnnotations, 10, "new", nil, 0.8)
+		tm.put(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "old"}, 0.7)
+		tm.put(2, &Query{Stmt: StmtAnnotation, K: 10, Text: "new"}, 0.8)
 		tm.sweep(2)
-		if _, ok := tm.get(1, cacheAnnotations, 10, "old", nil); ok {
+		if _, ok := tm.get(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "old"}); ok {
 			t.Fatal("swept generation still served")
 		}
-		if _, ok := tm.get(2, cacheAnnotations, 10, "new", nil); !ok {
+		if _, ok := tm.get(2, &Query{Stmt: StmtAnnotation, K: 10, Text: "new"}); !ok {
 			t.Fatal("current generation swept by mistake")
 		}
 	})
 
 	t.Run("collision guard", func(t *testing.T) {
 		e := &thetaEntry{text: "q", terms: []string{"a"}}
-		if !e.matches("q", []string{"a"}) {
+		if !e.matches(&Query{Text: "q", Terms: []string{"a"}}) {
 			t.Fatal("exact surface rejected")
 		}
-		if e.matches("q", []string{"b"}) || e.matches("p", []string{"a"}) || e.matches("q", nil) {
+		if e.matches(&Query{Text: "q", Terms: []string{"b"}}) || e.matches(&Query{Text: "p", Terms: []string{"a"}}) || e.matches(&Query{Text: "q"}) {
 			t.Fatal("differing surface accepted — a collision could seed with another query's score")
 		}
 	})
 
 	t.Run("short rankings never seed", func(t *testing.T) {
 		tm := newThetaMemo(1 << 10)
-		memoTheta(tm, 1, cacheAnnotations, 10, "q", nil, []Hit{{OID: 1, Score: 0.9}})
-		if _, ok := tm.get(1, cacheAnnotations, 10, "q", nil); ok {
+		memoTheta(tm, 1, &Query{Stmt: StmtAnnotation, K: 10, Text: "q"}, []Hit{{OID: 1, Score: 0.9}})
+		if _, ok := tm.get(1, &Query{Stmt: StmtAnnotation, K: 10, Text: "q"}); ok {
 			t.Fatal("a ranking shorter than k has no exact k-th score; seeding from it is unsafe")
 		}
-		memoTheta(tm, 1, cacheAnnotations, 1, "q", nil, []Hit{{OID: 1, Score: 0.9}})
-		if s, ok := tm.get(1, cacheAnnotations, 1, "q", nil); !ok || s != 0.9 {
+		memoTheta(tm, 1, &Query{Stmt: StmtAnnotation, K: 1, Text: "q"}, []Hit{{OID: 1, Score: 0.9}})
+		if s, ok := tm.get(1, &Query{Stmt: StmtAnnotation, K: 1, Text: "q"}); !ok || s != 0.9 {
 			t.Fatalf("full ranking seed = (%v,%v), want (0.9,true)", s, ok)
 		}
 	})

@@ -11,11 +11,12 @@ package core
 //	u8 kind      body layout: none, gob, or one fixed layout
 //	body
 //
-// The query calls — TextQuery, MoaQuery, ShardQuery, RaiseTheta and the
+// The query calls — Run, MoaQuery, ShardQuery, RaiseTheta and the
 // dict.Empty argument/reply — have hand-written fixed layouts: strings
 // are uvarint-length-prefixed, ints zig-zag varints, floats their IEEE
 // bits, and a string list travels as its lengths followed by one slab,
-// decoded as substrings of a single string. Every other body is gob inside
+// decoded as substrings of a single string (appendOpt: behind a presence
+// byte where nil-ness means something). Every other body is gob inside
 // the frame, through one persistent gob Encoder/Decoder pair per
 // connection. Error responses carry no body.
 //
@@ -45,8 +46,10 @@ import (
 // v2: a "dual" ShardQuery leg may carry a session's concept weights,
 // which a v1 shard would silently ignore. v3: the session calls carry
 // the session's state instead of a server-side ID; gob matches fields by
-// name, so a v2 client's {ID, K} would decode as an empty session.
-const wireVersion = 3
+// name, so a v2 client's {ID, K} would decode as an empty session. v4:
+// TextQuery and SessionRun fold into Run, and a ShardQuery leg carries a
+// statement number and analysed terms instead of a kind string and text.
+const wireVersion = 4
 
 // wireMagic opens a framed connection. No gob stream starts with its
 // first byte (a gob length byte in 0x80–0xf7 is out of range), so a gob
@@ -70,7 +73,7 @@ const (
 	bodyNone byte = iota
 	bodyGob
 	bodyEmpty
-	bodyTextQueryArgs
+	bodyQuery
 	bodyTextQueryReply
 	bodyMoaQueryArgs
 	bodyMoaQueryReply
@@ -391,16 +394,19 @@ type wireDecoder interface {
 	readWire(r *wireReader)
 }
 
-func (TextQueryArgs) wireKind() byte { return bodyTextQueryArgs }
+func (Query) wireKind() byte { return bodyQuery }
 
-func (a TextQueryArgs) appendWire(b []byte) []byte {
+func (a Query) appendWire(b []byte) []byte {
+	b = append(b, byte(a.Stmt))
 	b = appendStr(b, a.Text)
-	b = binary.AppendVarint(b, int64(a.K))
-	return appendBool(b, a.Dual)
+	b = appendOpt(b, a.Terms, appendStrs)
+	b = appendOpt(b, a.Weights, appendF64s)
+	return binary.AppendVarint(b, int64(a.K))
 }
 
-func (a *TextQueryArgs) readWire(r *wireReader) {
-	a.Text, a.K, a.Dual = r.str(), r.int(), r.bool()
+func (a *Query) readWire(r *wireReader) {
+	a.Stmt, a.Text = Stmt(r.byte()), r.str()
+	a.Terms, a.Weights, a.K = readOpt(r, (*wireReader).strs), readOpt(r, (*wireReader).f64s), r.int()
 }
 
 func (TextQueryReply) wireKind() byte { return bodyTextQueryReply }
@@ -465,10 +471,11 @@ func (a *MoaQueryReply) readWire(r *wireReader) {
 func (ShardQueryArgs) wireKind() byte { return bodyShardQueryArgs }
 
 func (a ShardQueryArgs) appendWire(b []byte) []byte {
-	b = appendStr(b, a.Kind)
-	b = appendStr(b, a.Text)
-	b = appendStrs(b, a.Terms)
-	b = appendF64s(b, a.Weights)
+	b = append(b, byte(a.Stmt))
+	b = appendStr(b, a.Source)
+	b = appendOpt(b, a.Query, appendStrs)
+	b = appendOpt(b, a.Concepts, appendStrs)
+	b = appendOpt(b, a.Weights, appendF64s)
 	b = binary.AppendVarint(b, int64(a.K))
 	b = binary.AppendUvarint(b, a.Tag)
 	b = appendF64(b, a.ThetaFloor)
@@ -476,7 +483,8 @@ func (a ShardQueryArgs) appendWire(b []byte) []byte {
 }
 
 func (a *ShardQueryArgs) readWire(r *wireReader) {
-	a.Kind, a.Text, a.Terms, a.Weights = r.str(), r.str(), r.strs(), r.f64s()
+	a.Stmt, a.Source = Stmt(r.byte()), r.str()
+	a.Query, a.Concepts, a.Weights = readOpt(r, (*wireReader).strs), readOpt(r, (*wireReader).strs), readOpt(r, (*wireReader).f64s)
 	a.K, a.Tag, a.ThetaFloor, a.ScanID = r.int(), r.uvarint(), r.f64(), r.uvarint()
 }
 
@@ -550,6 +558,14 @@ func appendF64s(b []byte, vs []float64) []byte {
 func appendStrs(b []byte, ss []string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(ss)))
 	return appendSlab(b, len(ss), func(i int) string { return ss[i] })
+}
+
+// appendOpt writes a presence byte, then the list when it is non-nil.
+func appendOpt[T any](b []byte, vs []T, app func([]byte, []T) []byte) []byte {
+	if vs == nil {
+		return appendBool(b, false)
+	}
+	return app(appendBool(b, true), vs)
 }
 
 // appendSlab writes n string lengths, then the strings' bytes back to back.
@@ -706,6 +722,18 @@ func (r *wireReader) slab(n int, set func(int, string)) {
 		set(i, s[off:off+int(l)])
 		off += int(l)
 	}
+}
+
+// readOpt reads a list behind a presence byte: nil when absent, non-nil
+// (if empty) when present.
+func readOpt[T any](r *wireReader, read func(*wireReader) []T) []T {
+	if !r.bool() {
+		return nil
+	}
+	if vs := read(r); vs != nil || r.err != nil {
+		return vs
+	}
+	return []T{}
 }
 
 func (r *wireReader) u64s() []uint64 {

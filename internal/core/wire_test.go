@@ -73,7 +73,7 @@ var wireRequests = []struct {
 	method string
 	args   func() any
 }{
-	{"Mirror.TextQuery", func() any { return new(TextQueryArgs) }},
+	{"Mirror.Run", func() any { return new(Query) }},
 	{"Mirror.MoaQuery", func() any { return new(MoaQueryArgs) }},
 	{"Mirror.ShardQuery", func() any { return new(ShardQueryArgs) }},
 	{"Mirror.RaiseTheta", func() any { return new(RaiseThetaArgs) }},
@@ -84,15 +84,19 @@ var wireRequests = []struct {
 
 func sampleRequests() []wireMsg {
 	return []wireMsg{
-		{"Mirror.TextQuery", TextQueryArgs{Text: "kelp foam buoy", K: 10}},
+		{"Mirror.Run", Query{Stmt: StmtAnnotation, Text: "kelp foam buoy", K: 10}},
 		{"Mirror.MoaQuery", MoaQueryArgs{Source: "count(ImageLibraryInternal);", QueryTerms: []string{"sea", ""}, K: 3}},
-		{"Mirror.ShardQuery", ShardQueryArgs{Kind: "dual", Text: "harbor gull", Terms: []string{"c1", "c2"}, Weights: []float64{0.5, 1.5}, K: 10, Tag: 7, ThetaFloor: math.Inf(-1), ScanID: 42}},
+		{"Mirror.ShardQuery", ShardQueryArgs{Stmt: StmtDual, Query: []string{"harbor", "gull"}, Concepts: []string{"c1", "c2"}, Weights: []float64{0.5, 1.5}, K: 10, Tag: 7, ThetaFloor: math.Inf(-1), ScanID: 42}},
+		{"Mirror.ShardQuery", ShardQueryArgs{Source: "count(ImageLibraryInternal);", Query: []string{}, K: 1 << 62}},
 		{"Mirror.RaiseTheta", RaiseThetaArgs{ScanID: 42, Theta: 1.25}},
 		{"Mirror.Stats", dict.Empty{}},
 		{"Mirror.SessionFeedback", SessionFeedbackArgs{Session: Session{Text: "harbor", Concepts: []string{"c1", "c2"}, Weights: []float64{2, 0.5}, Round: 1}, Relevant: []uint64{1, 2}, Nonrelevant: []uint64{9}}},
 		{"Mirror.AddImage", AddImageArgs{URL: "img://x", Annotation: "sea", PPM: []byte("P6 1 1 255 abc")}},
 		{"Mirror.SessionFeedback", SessionFeedbackArgs{Session: Session{Round: 4}}}, // a second gob body: no type descriptor
-		{"Mirror.TextQuery", TextQueryArgs{Text: "harbor", K: 5, Dual: true}},
+		{"Mirror.Run", Query{Stmt: StmtDual, Text: "harbor", K: 5}},
+		{"Mirror.Run", Query{Stmt: StmtDual, Text: "harbor gull", Terms: []string{"c1", "c2"}, Weights: []float64{2, 0.5}, K: 10}}, // a session round
+		{"Mirror.Run", Query{Stmt: StmtDual, Text: "tide", Weights: []float64{}, K: 1 << 62}},                                      // a round without concepts
+		{"Mirror.Run", Query{Stmt: numStmts, Terms: []string{"c1"}, Weights: []float64{math.NaN(), -1, math.Inf(1)}}},
 	}
 }
 
@@ -175,24 +179,28 @@ func FuzzWireClientCodec(f *testing.F) {
 
 // TestWireMatchesGob: every fixed layout decodes to exactly what a gob
 // round trip of the same value yields — nil for empty slices, −∞ and NaN
-// kept, empty strings kept.
+// kept, empty strings kept — except a Query and a leg, whose lists keep
+// their nil-ness (an empty weight list makes a session round): those
+// decode to exactly the value sent.
 func TestWireMatchesGob(t *testing.T) {
 	nan := math.NaN()
 	args := []any{
-		&TextQueryArgs{},
-		&TextQueryArgs{Text: "sea sand", K: 10, Dual: true},
-		&TextQueryArgs{K: -1},
+		&Query{},
+		&Query{Stmt: StmtDual, Text: "sea sand", K: 10},
+		&Query{K: -1},
+		&Query{Stmt: StmtDual, Terms: []string{}, Weights: []float64{}},
+		&Query{Stmt: 200, Terms: []string{"a", ""}, Weights: []float64{nan, 0, math.Inf(1)}, K: 1 << 62},
 		&MoaQueryArgs{},
 		&MoaQueryArgs{Source: "count(ImageLibraryInternal);", QueryTerms: []string{}, K: 5},
 		&MoaQueryArgs{QueryTerms: []string{"", "water"}},
-		&ShardQueryArgs{Kind: "ann", Text: "x", K: 10, Tag: 3, ThetaFloor: math.Inf(-1), ScanID: 1<<63 + 5},
-		&ShardQueryArgs{Kind: "dual", Terms: []string{"a", ""}, Weights: []float64{nan, 0, math.Inf(1)}, ThetaFloor: nan},
-		&ShardQueryArgs{Terms: []string{}, Weights: []float64{}},
+		&ShardQueryArgs{Stmt: StmtAnnotation, Query: []string{"x"}, K: 10, Tag: 3, ThetaFloor: math.Inf(-1), ScanID: 1<<63 + 5},
+		&ShardQueryArgs{Stmt: StmtDual, Query: []string{}, Concepts: []string{"a", ""}, Weights: []float64{nan, 0, math.Inf(1)}, ThetaFloor: nan},
+		&ShardQueryArgs{Source: "count(ImageLibraryInternal);", Concepts: []string{}, Weights: []float64{}},
 		&RaiseThetaArgs{ScanID: 9, Theta: math.Inf(-1)},
 		&RaiseThetaArgs{Theta: nan},
 		&dict.Empty{},
 	}
-	args = withRandom(t, args, &TextQueryArgs{}, &MoaQueryArgs{}, &ShardQueryArgs{}, &RaiseThetaArgs{})
+	args = withRandom(t, args, &Query{}, &MoaQueryArgs{}, &ShardQueryArgs{}, &RaiseThetaArgs{})
 	for _, v := range args {
 		sc := newWireServerCodec(memConn{Reader: afterHello(captureRequests(t, []wireMsg{{"Mirror.X", v}}))})
 		var req rpc.Request
@@ -206,7 +214,12 @@ func TestWireMatchesGob(t *testing.T) {
 		if err := sc.ReadRequestBody(got); err != nil {
 			t.Fatalf("%T: %v", v, err)
 		}
-		if want := gobRoundTrip(t, v); !sameValue(got, want) {
+		want := gobRoundTrip(t, v)
+		switch v.(type) {
+		case *Query, *ShardQueryArgs:
+			want = v
+		}
+		if !sameValue(got, want) {
 			t.Errorf("wire %#v, gob %#v", got, want)
 		}
 	}
@@ -353,8 +366,9 @@ func TestWireClientRefusesGobServer(t *testing.T) {
 func TestWireVersionMismatch(t *testing.T) {
 	newer := append(wireMagic[:], wireVersion+1)
 
-	// A newer client, or a v2 one whose session calls carried IDs,
-	// against this server gets the server's hello and a hang-up.
+	// A newer client, a v2 one whose session calls carried IDs, or a v3
+	// one that still calls TextQuery and SessionRun, against this server
+	// gets the server's hello and a hang-up.
 	m, err := New()
 	if err != nil {
 		t.Fatal(err)
@@ -364,7 +378,7 @@ func TestWireVersionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	for _, hello := range [][]byte{newer, append(wireMagic[:], 2)} {
+	for _, hello := range [][]byte{newer, append(wireMagic[:], 2), append(wireMagic[:], 3)} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)

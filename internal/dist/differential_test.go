@@ -147,6 +147,12 @@ func checkShardThesauri(t *testing.T, phase string, single *core.Mirror, sharded
 
 // compareEngines drives every retrieval surface against the three
 // topologies and requires identical answers, ties included.
+// hitsOf runs q on r without its stamp.
+func hitsOf(r core.Retriever, q core.Query) ([]core.Hit, error) {
+	hits, _, err := r.Run(q)
+	return hits, err
+}
+
 func compareEngines(t *testing.T, phase string, single, sharded, router core.Retriever) {
 	t.Helper()
 	if a, b, c := single.Size(), sharded.Size(), router.Size(); a != b || a != c {
@@ -163,9 +169,9 @@ func compareEngines(t *testing.T, phase string, single, sharded, router core.Ret
 		term := corpus.CanonicalTerm(class)
 		label := fmt.Sprintf("%s/%s", phase, term)
 		for _, k := range []int{5, 0} {
-			h1, st1, err1 := single.QueryAnnotationsStamped(term, k)
-			h2, _, err2 := sharded.QueryAnnotationsStamped(term, k)
-			h3, st3, err3 := router.QueryAnnotationsStamped(term, k)
+			h1, st1, err1 := single.Run(core.Query{Stmt: core.StmtAnnotation, Text: term, K: k})
+			h2, _, err2 := sharded.Run(core.Query{Stmt: core.StmtAnnotation, Text: term, K: k})
+			h3, st3, err3 := router.Run(core.Query{Stmt: core.StmtAnnotation, Text: term, K: k})
 			if err1 != nil || err2 != nil || err3 != nil {
 				t.Fatalf("%s k=%d: errs %v/%v/%v", label, k, err1, err2, err3)
 			}
@@ -176,9 +182,9 @@ func compareEngines(t *testing.T, phase string, single, sharded, router core.Ret
 			sameHits(t, label+"/ann/router", h1, h3, k)
 		}
 
-		d1, err1 := single.QueryDualCoding(term, 5)
-		d2, err2 := sharded.QueryDualCoding(term, 5)
-		d3, err3 := router.QueryDualCoding(term, 5)
+		d1, err1 := hitsOf(single, core.Query{Stmt: core.StmtDual, Text: term, K: 5})
+		d2, err2 := hitsOf(sharded, core.Query{Stmt: core.StmtDual, Text: term, K: 5})
+		d3, err3 := hitsOf(router, core.Query{Stmt: core.StmtDual, Text: term, K: 5})
 		if err1 != nil || err2 != nil || err3 != nil {
 			t.Fatalf("%s dual: errs %v/%v/%v", label, err1, err2, err3)
 		}
@@ -193,9 +199,9 @@ func compareEngines(t *testing.T, phase string, single, sharded, router core.Ret
 			t.Fatalf("%s expand: %v vs %v", label, e1, e3)
 		}
 		if len(e1) > 0 {
-			q1, err1 := single.QueryContent(e1, 5)
-			q2, err2 := sharded.QueryContent(e1, 5)
-			q3, err3 := router.QueryContent(e1, 5)
+			q1, err1 := hitsOf(single, core.Query{Stmt: core.StmtContent, Terms: e1, K: 5})
+			q2, err2 := hitsOf(sharded, core.Query{Stmt: core.StmtContent, Terms: e1, K: 5})
+			q3, err3 := hitsOf(router, core.Query{Stmt: core.StmtContent, Terms: e1, K: 5})
 			if err1 != nil || err2 != nil || err3 != nil {
 				t.Fatalf("%s content: errs %v/%v/%v", label, err1, err2, err3)
 			}
@@ -358,17 +364,17 @@ func TestDifferentialLargeRound(t *testing.T) {
 			words := single.ExpandQuery(q, 6)
 			for _, k := range []int{1, 10, 100, 0} {
 				label := fmt.Sprintf("N%d/%q/k=%d", n, q, k)
-				want, err1 := single.QueryAnnotations(q, k)
-				got2, err2 := sharded.QueryAnnotations(q, k)
-				got3, err3 := c.router.QueryAnnotations(q, k)
+				want, err1 := hitsOf(single, core.Query{Stmt: core.StmtAnnotation, Text: q, K: k})
+				got2, err2 := hitsOf(sharded, core.Query{Stmt: core.StmtAnnotation, Text: q, K: k})
+				got3, err3 := hitsOf(c.router, core.Query{Stmt: core.StmtAnnotation, Text: q, K: k})
 				if err1 != nil || err2 != nil || err3 != nil {
 					t.Fatalf("%s ann: errs %v/%v/%v", label, err1, err2, err3)
 				}
 				sameHits(t, label+"/ann/sharded", want, got2, k)
 				sameHits(t, label+"/ann/router", want, got3, k)
-				want, err1 = single.QueryDualCoding(q, k)
-				got2, err2 = sharded.QueryDualCoding(q, k)
-				got3, err3 = c.router.QueryDualCoding(q, k)
+				want, err1 = hitsOf(single, core.Query{Stmt: core.StmtDual, Text: q, K: k})
+				got2, err2 = hitsOf(sharded, core.Query{Stmt: core.StmtDual, Text: q, K: k})
+				got3, err3 = hitsOf(c.router, core.Query{Stmt: core.StmtDual, Text: q, K: k})
 				if err1 != nil || err2 != nil || err3 != nil {
 					t.Fatalf("%s dual: errs %v/%v/%v", label, err1, err2, err3)
 				}
@@ -377,9 +383,9 @@ func TestDifferentialLargeRound(t *testing.T) {
 				if len(words) == 0 {
 					continue
 				}
-				want, err1 = single.QueryContent(words, k)
-				got2, err2 = sharded.QueryContent(words, k)
-				got3, err3 = c.router.QueryContent(words, k)
+				want, err1 = hitsOf(single, core.Query{Stmt: core.StmtContent, Terms: words, K: k})
+				got2, err2 = hitsOf(sharded, core.Query{Stmt: core.StmtContent, Terms: words, K: k})
+				got3, err3 = hitsOf(c.router, core.Query{Stmt: core.StmtContent, Terms: words, K: k})
 				if err1 != nil || err2 != nil || err3 != nil {
 					t.Fatalf("%s content: errs %v/%v/%v", label, err1, err2, err3)
 				}

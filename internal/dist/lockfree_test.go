@@ -3,6 +3,8 @@ package dist
 import (
 	"testing"
 	"time"
+
+	"mirror/internal/core"
 )
 
 // TestRouterQueriesIgnoreWriteLock write-holds the router's metadata lock —
@@ -25,15 +27,15 @@ func TestRouterQueriesIgnoreWriteLock(t *testing.T) {
 	defer c.router.mu.Unlock()
 	done := make(chan error, 1)
 	go func() {
-		if _, err := c.router.QueryAnnotations(text, 5); err != nil {
+		if _, err := hitsOf(c.router, core.Query{Stmt: core.StmtAnnotation, Text: text, K: 5}); err != nil {
 			done <- err
 			return
 		}
-		if _, err := c.router.QueryContent(concepts, 5); err != nil {
+		if _, err := hitsOf(c.router, core.Query{Stmt: core.StmtContent, Terms: concepts, K: 5}); err != nil {
 			done <- err
 			return
 		}
-		_, err := c.router.QueryDualCoding(text, 5)
+		_, err := hitsOf(c.router, core.Query{Stmt: core.StmtDual, Text: text, K: 5})
 		done <- err
 	}()
 	select {

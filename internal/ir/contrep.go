@@ -598,11 +598,11 @@ func queryTermList(v any) ([]string, []float64, error) {
 // QueryParams builds the standard parameter bindings for the paper's
 // queries: `query` (a set of pre-analysed terms) and `stats`.
 func QueryParams(terms []string) map[string]moa.Param {
-	return map[string]moa.Param{
-		"query": TermsParam(terms),
-		"stats": {T: moa.StatsType, V: "stats"},
-	}
+	return map[string]moa.Param{"query": TermsParam(terms), "stats": StatsParam}
 }
+
+// StatsParam binds `stats`, the collection statistics getBL scores under.
+var StatsParam = moa.Param{T: moa.StatsType, V: "stats"}
 
 // WeightedTermsParam binds terms with one weight each (weights[i] is
 // terms[i]'s; len(weights) >= len(terms)) as a weighted set

@@ -219,7 +219,7 @@ func InjectDist(cl *distCluster, f Fault, queryText string) (*FaultReport, error
 	rep := &FaultReport{Fault: f}
 	switch f {
 	case FaultKillShardDuringQuery:
-		fireAsync(cl.RouterAddr, func(c *core.Client) { c.TextQueryStamped(queryText, 5, false) })
+		fireAsync(cl.RouterAddr, func(c *core.Client) { c.Run(core.Query{Stmt: core.StmtAnnotation, Text: queryText, K: 5}) })
 		return rep, cl.bounce(cl.Primaries[0], "", rep)
 	case FaultKillShardDuringRefresh:
 		fireAsync(cl.RouterAddr, func(c *core.Client) { c.Refresh() })

@@ -374,9 +374,9 @@ func queryWorker(i int, o Options, sc *Scenario, oracle *core.Oracle, addr strin
 	for !stopped(stop) {
 		q := sample()
 		dual = !dual
-		op := "query"
+		op, stmt := "query", core.StmtAnnotation
 		if dual {
-			op = "query_dual"
+			op, stmt = "query_dual", core.StmtDual
 		}
 		c, err := w.client()
 		if err != nil {
@@ -385,7 +385,7 @@ func queryWorker(i int, o Options, sc *Scenario, oracle *core.Oracle, addr strin
 			continue
 		}
 		t0 := time.Now()
-		reply, err := c.TextQueryStamped(q.Text, o.K, dual)
+		reply, err := c.Run(core.Query{Stmt: stmt, Text: q.Text, K: o.K})
 		if err != nil {
 			met.fail(op)
 			w.drop()
@@ -483,11 +483,12 @@ func feedbackWorker(i int, o Options, sc *Scenario, addr string, met *metrics, s
 			open = true
 		}
 		t0 := time.Now()
-		hits, err := c.SessionRun(sess, o.K)
+		reply, err := c.Run(sess.Query(o.K))
 		if err != nil {
 			fail()
 			continue
 		}
+		hits := reply.Hits
 		met.observe("feedback", time.Since(t0))
 		if len(hits) == 0 {
 			open = false
@@ -567,7 +568,7 @@ func quiesce(o Options, sc *Scenario, oracle *core.Oracle, addr string, met *met
 	o.Logf("load[%s]: quiesced at epoch %d over %d docs; final verification battery (%d queries)",
 		o.Topology, st.Epoch, st.EpochDocs, len(sc.Queries))
 	for _, q := range sc.Queries {
-		reply, err := c.TextQueryStamped(q.Text, o.K, false)
+		reply, err := c.Run(core.Query{Stmt: core.StmtAnnotation, Text: q.Text, K: o.K})
 		if err != nil {
 			return nil, fmt.Errorf("load: final battery %q: %w", q.Text, err)
 		}

@@ -103,29 +103,33 @@ func (e *Engine) PlanCacheStats() (hits, misses uint64) {
 }
 
 const (
-	// planCacheCap bounds the plans an engine keeps. The served workload
-	// has a handful of distinct sources (the two ranking expressions times
-	// the k values in use); the rest is headroom for ad-hoc MoaQuery
+	// planCacheCap bounds the keys an engine keeps plans for. The served
+	// workload has a handful of distinct sources (the ranking expressions
+	// times the k values in use); the rest is headroom for ad-hoc MoaQuery
 	// traffic, evicted least-recently-used.
 	planCacheCap = 64
+	// maxSlotVariants bounds a key's plans, one per slot signature: served
+	// traffic binds a source in at most two ways (dual-coding concepts
+	// plain or weighted, ad-hoc Moa with or without `query`).
+	maxSlotVariants = 2
 	// maxCachedSrc keeps oversized sources out of the cache, so its memory
-	// is bounded by planCacheCap plans of bounded source, not by what a
+	// is bounded by planCacheCap keys of bounded source, not by what a
 	// client chooses to send.
 	maxCachedSrc = 4 << 10
 )
 
 // planKey is the part of a plan's identity a map can hash. The database
 // version is held once for the whole cache (a version change empties it),
-// and the parameter names and types are compared against the cached
-// plan's slots.
+// and the parameter names and types pick one of the key's plans by their
+// slots.
 type planKey struct {
 	src  string
 	opts Options
 }
 
 type planEntry struct {
-	p    *Prepared
-	used uint64 // cache tick of the last hit
+	ps   [maxSlotVariants]*Prepared // newest first
+	used uint64                     // cache tick of the last hit
 }
 
 // planCache is an engine's fixed-capacity plan store. Invalidation is by
@@ -150,18 +154,23 @@ func (c *planCache) get(ver uint64, key planKey, params map[string]Param) *Prepa
 	if ver > c.ver { // versions only grow: everything cached is unreachable
 		c.ver, c.plans = ver, nil
 	}
-	if ent := c.plans[key]; ver == c.ver && ent != nil && slotsMatch(ent.p.tl.Slots, params) {
-		c.tick++
-		ent.used = c.tick
-		c.hits++
-		return ent.p
+	if ent := c.plans[key]; ver == c.ver && ent != nil {
+		for _, p := range ent.ps {
+			if p != nil && slotsMatch(p.tl.Slots, params) {
+				c.tick++
+				ent.used = c.tick
+				c.hits++
+				return p
+			}
+		}
 	}
 	c.misses++
 	return nil
 }
 
-// put files a freshly compiled plan, evicting the least recently used one
-// at capacity. A plan compiled against an older version than the cache has
+// put files a freshly compiled plan as its key's newest, evicting the
+// key's oldest plan or, for a new key at capacity, the least recently
+// used key. A plan compiled against an older version than the cache has
 // since seen is dropped.
 func (c *planCache) put(ver uint64, key planKey, p *Prepared) {
 	if len(key.src) > maxCachedSrc {
@@ -175,7 +184,8 @@ func (c *planCache) put(ver uint64, key planKey, p *Prepared) {
 	if c.plans == nil {
 		c.plans = make(map[planKey]*planEntry)
 	}
-	if _, replace := c.plans[key]; !replace && len(c.plans) >= planCacheCap {
+	ent := c.plans[key]
+	if ent == nil && len(c.plans) >= planCacheCap {
 		var oldest planKey
 		min := ^uint64(0)
 		for k, ent := range c.plans {
@@ -185,8 +195,13 @@ func (c *planCache) put(ver uint64, key planKey, p *Prepared) {
 		}
 		delete(c.plans, oldest)
 	}
+	if ent == nil {
+		ent = &planEntry{}
+		c.plans[key] = ent
+	}
 	c.tick++
-	c.plans[key] = &planEntry{p: p, used: c.tick}
+	copy(ent.ps[1:], ent.ps[:])
+	ent.ps[0], ent.used = p, c.tick
 }
 
 // slotsMatch reports whether params declares exactly the slots' names and

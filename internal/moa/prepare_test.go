@@ -165,6 +165,43 @@ func TestPlanCacheKey(t *testing.T) {
 	}
 }
 
+// TestPlanCacheSlotVariants: one source keeps a plan for each of its
+// last maxSlotVariants parameter signatures, so alternating two compiles
+// nothing; a further signature evicts the key's oldest plan.
+func TestPlanCacheSlotVariants(t *testing.T) {
+	eng := NewEngine(mkPeopleDB(t))
+	q := `map[THIS.age + bump](People);`
+	sigs := []map[string]Param{
+		{"bump": {T: IntType, V: int64(1)}},
+		{"bump": {T: FloatType, V: 0.5}},
+		{"bump": {T: IntType, V: int64(1)}, "unused": {T: IntType, V: int64(2)}},
+	}
+	run := func(params map[string]Param) [2]uint64 {
+		t.Helper()
+		if _, err := eng.Query(q, params); err != nil {
+			t.Fatal(err)
+		}
+		h, m := eng.PlanCacheStats()
+		return [2]uint64{h, m}
+	}
+	run(sigs[0])
+	run(sigs[1])
+	for i := 0; i < 10; i++ {
+		if got, want := run(sigs[i%2]), [2]uint64{uint64(i + 1), 2}; got != want {
+			t.Fatalf("alternation %d: hits/misses %v, want %v", i, got, want)
+		}
+	}
+	if got := run(sigs[2]); got != [2]uint64{10, 3} {
+		t.Fatalf("third signature: hits/misses %v, want [10 3]", got)
+	}
+	if got := run(sigs[1]); got != [2]uint64{11, 3} {
+		t.Fatalf("the newer of the first two was evicted: hits/misses %v, want [11 3]", got)
+	}
+	if got := run(sigs[0]); got != [2]uint64{11, 4} {
+		t.Fatalf("the oldest plan survived a third signature: hits/misses %v, want [11 4]", got)
+	}
+}
+
 // TestPlanCacheBounded: adversarial traffic of distinct sources cannot
 // grow the cache past its constant capacity, an oversized source is never
 // retained, and the least recently used plan is the one evicted.
