@@ -246,6 +246,49 @@ func BenchmarkE4_FlattenedVsTupleAtATime(b *testing.B) {
 	}
 }
 
+// BenchmarkE4_InsertBatchVsTuple is E4's write row: the same n analysed
+// documents indexed into an empty CONTREP collection as one set-at-a-time
+// InsertBatch (typed columns, one bulk append per BAT) and as n
+// tuple-at-a-time Inserts. It reports ns and allocations per document.
+func BenchmarkE4_InsertBatchVsTuple(b *testing.B) {
+	for _, n := range []int{2000, 8000} {
+		urls := make([]string, n)
+		terms := make([][]string, n)
+		for i, d := range corpus.TextCollection(corpus.DefaultTextConfig(n)) {
+			urls[i], terms[i] = fmt.Sprintf("doc://%d", i), ir.Analyze(d)
+		}
+		run := func(b *testing.B, insert func(db *moa.Database) error) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				db := moa.NewDatabase()
+				if err := db.DefineFromSource(`define Docs as SET<TUPLE<Atomic<URL>: source, CONTREP<Text>: body>>;`); err != nil {
+					b.Fatal(err)
+				}
+				if err := insert(db); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/doc")
+		}
+		b.Run(fmt.Sprintf("batch/n=%d", n), func(b *testing.B) {
+			run(b, func(db *moa.Database) error {
+				_, err := db.InsertBatch("Docs", map[string]any{"source": urls, "body": terms})
+				return err
+			})
+		})
+		b.Run(fmt.Sprintf("tuple-at-a-time/n=%d", n), func(b *testing.B) {
+			run(b, func(db *moa.Database) error {
+				for i := range urls {
+					if _, err := db.Insert("Docs", map[string]any{"source": urls[i], "body": terms[i]}); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
+}
+
 // ---- E5: design for scalability ----
 
 // BenchmarkE5_ScalabilitySweep measures ranked retrieval cost as the

@@ -103,6 +103,40 @@ func (b *BAT) Append(h, t any) error {
 	return nil
 }
 
+// AppendColumns appends every BUN of the parallel columns h and t in one
+// step: the set-at-a-time form of Append, leaving the BAT exactly as
+// len(h) single Appends of the same values would (contents, flags and
+// dirty bit), but without boxing and with one index/flag reset. Kinds
+// follow Append: a void side takes a void column continuing its dense
+// sequence, an oid side takes oid or void values, every other side takes
+// its own kind. Nothing is appended on error; an empty append is a no-op.
+func (b *BAT) AppendColumns(h, t *Column) error {
+	if h.Len() != t.Len() {
+		return fmt.Errorf("bat: append %d head values with %d tail values", h.Len(), t.Len())
+	}
+	if h.Len() == 0 {
+		return nil
+	}
+	if err := b.Head.canAppendAll(h); err != nil {
+		return err
+	}
+	if err := b.Tail.canAppendAll(t); err != nil {
+		return err
+	}
+	b.Head.appendAll(h)
+	b.Tail.appendAll(t)
+	b.hash.Store(nil)
+	b.blockView.Store(nil)
+	b.dirty.Store(true)
+	if b.Head.Kind() != KindVoid {
+		b.HSorted, b.HKey = false, false
+	}
+	if b.Tail.Kind() != KindVoid {
+		b.TSorted, b.TKey = false, false
+	}
+	return nil
+}
+
 // MustAppend is Append that panics on a type mismatch; used by internal
 // builders whose types are known statically.
 func (b *BAT) MustAppend(h, t any) {

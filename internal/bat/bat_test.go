@@ -71,6 +71,81 @@ func TestVoidDensity(t *testing.T) {
 	}
 }
 
+// TestAppendColumnsMatchesAppend: a bulk append leaves every kind pairing
+// the BAT that the same BUNs appended one by one leave, onto an empty BAT
+// and onto one holding a BUN, and a refused bulk append (wrong kind,
+// broken density, ragged columns) changes nothing.
+func TestAppendColumnsMatchesAppend(t *testing.T) {
+	cases := []struct {
+		name   string
+		mk     func() *BAT
+		pre    []any // one BUN appended first, or nil
+		h, t   *Column
+		boxedH []any
+		boxedT []any
+	}{
+		{"void,str", func() *BAT { return NewDense(0, KindStr) }, nil, NewVoid(5, 2), ColumnOfStrs([]string{"a", "b"}),
+			[]any{OID(5), OID(6)}, []any{"a", "b"}},
+		{"void,str continued", func() *BAT { return NewDense(0, KindStr) }, []any{OID(4), "z"}, NewVoid(5, 2), ColumnOfStrs([]string{"a", "b"}),
+			[]any{OID(5), OID(6)}, []any{"a", "b"}},
+		{"void,void continued", func() *BAT { return New(KindVoid, KindVoid) }, []any{OID(2), OID(2)}, NewVoid(3, 2), NewVoid(3, 2),
+			[]any{OID(3), OID(4)}, []any{OID(3), OID(4)}},
+		{"oid,oid from void", func() *BAT { return New(KindOID, KindOID) }, []any{OID(1), OID(6)}, ColumnOfOIDs([]OID{9, 9}), NewVoid(7, 2),
+			[]any{OID(9), OID(9)}, []any{OID(7), OID(8)}},
+		{"oid,int", func() *BAT { return New(KindOID, KindInt) }, nil, ColumnOfOIDs([]OID{1, 0}), ColumnOfInts([]int64{4, -4}),
+			[]any{OID(1), OID(0)}, []any{int64(4), int64(-4)}},
+		{"void,flt", func() *BAT { return NewDense(0, KindFloat) }, nil, NewVoid(0, 1), ColumnOfFloats([]float64{0.5}),
+			[]any{OID(0)}, []any{0.5}},
+		{"void,bit", func() *BAT { return NewDense(0, KindBool) }, nil, NewVoid(0, 2), ColumnOfBools([]bool{true, false}),
+			[]any{OID(0), OID(1)}, []any{true, false}},
+		{"void,bytes", func() *BAT { return NewDense(0, KindBytes) }, nil, NewVoid(0, 2), ColumnOfBytes([]byte{7, 255}),
+			[]any{OID(0), OID(1)}, []any{int64(7), int64(255)}},
+	}
+	for _, c := range cases {
+		bulk, single := c.mk(), c.mk()
+		if c.pre != nil {
+			bulk.MustAppend(c.pre[0], c.pre[1])
+			single.MustAppend(c.pre[0], c.pre[1])
+			bulk.ClearDirty()
+		}
+		if err := bulk.AppendColumns(c.h, c.t); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range c.boxedH {
+			single.MustAppend(c.boxedH[i], c.boxedT[i])
+		}
+		if bulk.String() != single.String() || bulk.HSorted != single.HSorted || bulk.HKey != single.HKey ||
+			bulk.TSorted != single.TSorted || bulk.TKey != single.TKey || bulk.Dirty() != single.Dirty() {
+			t.Fatalf("%s: bulk %v (flags %v %v %v %v), single %v (flags %v %v %v %v)", c.name,
+				bulk, bulk.HSorted, bulk.HKey, bulk.TSorted, bulk.TKey,
+				single, single.HSorted, single.HKey, single.TSorted, single.TKey)
+		}
+	}
+
+	b := NewDense(0, KindInt)
+	b.MustAppend(OID(0), int64(1))
+	for _, bad := range []struct {
+		name string
+		h, t *Column
+	}{
+		{"wrong tail kind", NewVoid(1, 1), ColumnOfStrs([]string{"x"})},
+		{"density gap", NewVoid(2, 1), ColumnOfInts([]int64{2})},
+		{"materialised head into void", ColumnOfOIDs([]OID{1}), ColumnOfInts([]int64{2})},
+		{"ragged", NewVoid(1, 2), ColumnOfInts([]int64{2})},
+	} {
+		if err := b.AppendColumns(bad.h, bad.t); err == nil {
+			t.Fatalf("%s: accepted", bad.name)
+		}
+		if b.Len() != 1 || b.Tail.Len() != 1 {
+			t.Fatalf("%s: refused append changed the BAT: %v", bad.name, b)
+		}
+	}
+	b.ClearDirty()
+	if err := b.AppendColumns(NewVoid(1, 0), ColumnOfInts(nil)); err != nil || b.Dirty() {
+		t.Fatalf("empty append: err %v, dirty %v", err, b.Dirty())
+	}
+}
+
 func TestReverseMirrorMark(t *testing.T) {
 	b := mkDenseStr("a", "b", "c")
 	r := b.Reverse()

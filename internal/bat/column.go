@@ -261,6 +261,51 @@ func (c *Column) Append(v any) error {
 	return fmt.Errorf("bat: bad column kind %v", c.kind)
 }
 
+// canAppendAll reports why appendAll(src) would violate c's kind or
+// density, before anything is appended.
+func (c *Column) canAppendAll(src *Column) error {
+	switch {
+	case c.kind == KindVoid && src.kind != KindVoid:
+		return fmt.Errorf("bat: cannot append %s values to void column", src.kind)
+	case c.kind == KindVoid && c.n > 0 && src.base != c.base+OID(c.n):
+		return fmt.Errorf("bat: void column density violated: got %d want %d", src.base, c.base+OID(c.n))
+	case c.kind == KindOID && src.kind != KindOID && src.kind != KindVoid:
+		return fmt.Errorf("bat: cannot append %s values to oid column", src.kind)
+	case c.kind != KindVoid && c.kind != KindOID && src.kind != c.kind:
+		return fmt.Errorf("bat: cannot append %s values to %s column", src.kind, c.kind)
+	}
+	return nil
+}
+
+// appendAll appends every value of src; canAppendAll(src) must hold.
+func (c *Column) appendAll(src *Column) {
+	switch c.kind {
+	case KindVoid:
+		if c.n == 0 {
+			c.base = src.base
+		}
+		c.n += src.n
+	case KindOID:
+		if src.kind == KindOID {
+			c.oids = append(c.oids, src.oids...)
+			return
+		}
+		for i := 0; i < src.n; i++ {
+			c.oids = append(c.oids, src.base+OID(i))
+		}
+	case KindInt:
+		c.ints = append(c.ints, src.ints...)
+	case KindFloat:
+		c.flts = append(c.flts, src.flts...)
+	case KindStr:
+		c.strs = append(c.strs, src.strs...)
+	case KindBool:
+		c.bools = append(c.bools, src.bools...)
+	case KindBytes:
+		c.bytes = append(c.bytes, src.bytes...)
+	}
+}
+
 // appendFrom copies value i of src (same kind family) onto c. A void source
 // may feed an OID destination and vice versa when density holds.
 func (c *Column) appendFrom(src *Column, i int) {

@@ -52,7 +52,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // PostingsBlockSize is the number of postings per compressed block.
@@ -254,57 +254,50 @@ type BlockBeliefsEncoder struct {
 	BelDir []int64 // 2 per block: belEnd, qmaxBits
 	Data   []byte  // _blkbel blob
 
-	dict []float64
-	idx  map[uint64]int
+	keys []uint64 // scratch: the run's sort keys, sorted, then deduplicated
+	idx  []uint32 // scratch: each posting's dictionary index
 }
 
 // NewBlockBeliefsEncoder returns an empty belief encoder.
 func NewBlockBeliefsEncoder() *BlockBeliefsEncoder {
-	return &BlockBeliefsEncoder{idx: make(map[uint64]int)}
+	return &BlockBeliefsEncoder{}
 }
 
 // AddTerm encodes one term's belief run and returns the exact maximum
 // belief of the run (0 for an empty run), for _maxbel.
+//
+// The dictionary is the run's distinct values (by bit pattern: exactness
+// is defined on the stored bits) in ascending order, built by sorting a
+// copy of the run and binary-searching each posting's index. The order
+// is the IEEE total order, which is numeric order for every value a
+// belief can take; only a run holding NaNs, or both zeros, orders those
+// entries differently from a numeric sort (still decoding exactly).
 func (e *BlockBeliefsEncoder) AddTerm(bels []float64) float64 {
 	if len(bels) == 0 {
 		return 0
 	}
-	// collect the distinct values (by bit pattern: exactness is defined
-	// on the stored bits, and NaN-safety falls out for free)
-	e.dict = e.dict[:0]
-	for k := range e.idx {
-		delete(e.idx, k)
-	}
-	useDict := true
+	e.keys = e.keys[:0]
 	for _, v := range bels {
-		bits := math.Float64bits(v)
-		if _, ok := e.idx[bits]; !ok {
-			if len(e.dict) >= maxBeliefDict {
-				useDict = false
-				break
-			}
-			e.idx[bits] = 0
-			e.dict = append(e.dict, v)
-		}
+		e.keys = append(e.keys, beliefKey(v))
 	}
+	slices.Sort(e.keys)
+	dict := slices.Compact(e.keys)
+	useDict := len(dict) <= maxBeliefDict
 	if useDict {
-		sort.Float64s(e.dict)
-		for i, v := range e.dict {
-			e.idx[math.Float64bits(v)] = i
-		}
 		// dict coding must beat raw to be worth the indirection
-		dictSize := uvarintLen(uint64(len(e.dict))) + 8*len(e.dict)
+		e.idx = e.idx[:0]
+		dictSize := uvarintLen(uint64(len(dict))) + 8*len(dict)
 		for _, v := range bels {
-			dictSize += uvarintLen(uint64(e.idx[math.Float64bits(v)]))
+			i, _ := slices.BinarySearch(dict, beliefKey(v))
+			e.idx = append(e.idx, uint32(i))
+			dictSize += uvarintLen(uint64(i))
 		}
-		if dictSize >= 1+8*len(bels) {
-			useDict = false
-		}
+		useDict = dictSize < 1+8*len(bels)
 	}
 	if useDict {
-		e.Data = binary.AppendUvarint(e.Data, uint64(len(e.dict)))
-		for _, v := range e.dict {
-			e.Data = binary.LittleEndian.AppendUint64(e.Data, math.Float64bits(v))
+		e.Data = binary.AppendUvarint(e.Data, uint64(len(dict)))
+		for _, k := range dict {
+			e.Data = binary.LittleEndian.AppendUint64(e.Data, math.Float64bits(beliefOfKey(k)))
 		}
 	} else {
 		e.Data = binary.AppendUvarint(e.Data, 0)
@@ -316,9 +309,9 @@ func (e *BlockBeliefsEncoder) AddTerm(bels []float64) float64 {
 			hi = len(bels)
 		}
 		blkMax := math.Inf(-1)
-		for _, v := range bels[lo:hi] {
+		for i, v := range bels[lo:hi] {
 			if useDict {
-				e.Data = binary.AppendUvarint(e.Data, uint64(e.idx[math.Float64bits(v)]))
+				e.Data = binary.AppendUvarint(e.Data, uint64(e.idx[lo+i]))
 			} else {
 				e.Data = binary.LittleEndian.AppendUint64(e.Data, math.Float64bits(v))
 			}
@@ -332,6 +325,24 @@ func (e *BlockBeliefsEncoder) AddTerm(bels []float64) float64 {
 		}
 	}
 	return max
+}
+
+// beliefKey maps v to a key whose unsigned order is the IEEE total order
+// of v: numeric order for non-NaN values, with -0 just below +0.
+func beliefKey(v float64) uint64 {
+	b := math.Float64bits(v)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// beliefOfKey inverts beliefKey.
+func beliefOfKey(k uint64) float64 {
+	if k>>63 != 0 {
+		return math.Float64frombits(k &^ (1 << 63))
+	}
+	return math.Float64frombits(^k)
 }
 
 func uvarintLen(v uint64) int {

@@ -201,9 +201,7 @@ func (m *Mirror) addImage(url, annotation string, img *media.Image, global *uint
 	if _, dup := m.urls[url]; dup {
 		return fmt.Errorf("core: image %q already in library", url)
 	}
-	if _, err := m.DB.Insert(LibrarySet, map[string]any{
-		"source": url, "annotation": annotation, "image": url,
-	}); err != nil {
+	if err := m.insertLibraryLocked([]string{url}, []string{annotation}); err != nil {
 		return err
 	}
 	// Commit the in-memory state fully before logging, so a WAL failure
@@ -223,6 +221,15 @@ func (m *Mirror) addImage(url, annotation string, img *media.Image, global *uint
 		return fmt.Errorf("core: %q ingested but not WAL-logged (will persist at next checkpoint): %w", url, err)
 	}
 	return nil
+}
+
+// insertLibraryLocked appends items to the library set as one batch: the
+// source and image fields both carry the URL. Callers hold m.mu (write).
+func (m *Mirror) insertLibraryLocked(urls, annotations []string) error {
+	_, err := m.DB.InsertBatch(LibrarySet, map[string]any{
+		"source": urls, "annotation": annotations, "image": urls,
+	})
+	return err
 }
 
 // Size reports the number of library items.

@@ -461,27 +461,36 @@ func OpenPersistent(opts PersistOptions) (*Mirror, RecoveryStats, error) {
 		return nil, stats, err
 	}
 	stats.TornTail = torn
-	for _, r := range recs {
-		applied, err := m.applyWALRecord(r)
+	for len(recs) > 0 {
+		// A run of consecutive inserts replays as one batch; every other
+		// record replays alone.
+		n := 1
+		for recs[0].Op == "insert" && n < len(recs) && recs[n].Op == "insert" {
+			n++
+		}
+		applied, err := m.applyWALRecords(recs[:n])
 		if err != nil {
 			pool.Close()
 			return nil, stats, fmt.Errorf("core: WAL replay: %w", err)
 		}
-		if applied {
-			stats.WALRecords++
-		} else {
-			stats.WALSkipped++
-		}
-		// A follower resumes pulling from the highest replication stamp
-		// it durably applied (the checkpoint's position is the floor; a
-		// torn WAL tail simply lowers the stamp, and the primary re-ships
-		// the suffix for idempotent re-apply).
-		if r.Ship > m.replPos {
-			m.replPos = r.Ship
-			if r.ShipNonce != 0 {
-				m.replNonce = r.ShipNonce
+		for i, r := range recs[:n] {
+			if applied[i] {
+				stats.WALRecords++
+			} else {
+				stats.WALSkipped++
+			}
+			// A follower resumes pulling from the highest replication
+			// stamp it durably applied (the checkpoint's position is the
+			// floor; a torn WAL tail simply lowers the stamp, and the
+			// primary re-ships the suffix for idempotent re-apply).
+			if r.Ship > m.replPos {
+				m.replPos = r.Ship
+				if r.ShipNonce != 0 {
+					m.replNonce = r.ShipNonce
+				}
 			}
 		}
+		recs = recs[n:]
 	}
 
 	// Serve the recovered index: one epoch publish restores snapshot-
@@ -511,29 +520,32 @@ func OpenPersistent(opts PersistOptions) (*Mirror, RecoveryStats, error) {
 	return m, stats, nil
 }
 
-// applyWALRecord re-executes one logged operation during recovery.
-// Replay must be idempotent: a crash between a checkpoint's manifest
-// commit and the WAL reset leaves records the checkpoint already
-// contains, and they must not brick the store. Inserts whose URL the
-// checkpoint already holds are skipped (applied=false); feedback
-// records in that window re-reinforce, which only nudges already-learnt
-// co-occurrence counts — tolerated by design, like the prototype's
-// approximate adaptation.
-func (m *Mirror) applyWALRecord(r walRecord) (applied bool, err error) {
-	switch r.Op {
+// applyWALRecords re-executes logged operations during recovery: a run
+// of consecutive inserts, or any one record, reporting per record
+// whether it applied. Replay must be idempotent: a crash between a
+// checkpoint's manifest commit and the WAL reset leaves records the
+// checkpoint already contains, and they must not brick the store.
+// Inserts whose URL the checkpoint already holds are skipped
+// (applied=false); feedback records in that window re-reinforce, which
+// only nudges already-learnt co-occurrence counts — tolerated by design,
+// like the prototype's approximate adaptation.
+func (m *Mirror) applyWALRecords(recs []walRecord) ([]bool, error) {
+	applied, err := true, error(nil)
+	switch r := recs[0]; r.Op {
 	case "insert":
-		return m.replayInsert(r.URL, r.Annotation, r.Global)
+		return m.replayInserts(recs)
 	case "feedback":
 		if m.Thes != nil {
 			m.Thes.Reinforce(r.Words, r.Concepts, r.Relevant)
 		}
-		return true, nil
 	case "publish":
-		return m.replayPublish(r)
+		applied, err = m.replayPublish(r)
 	case "merge":
-		return m.replayMerge(r)
+		applied, err = m.replayMerge(r)
+	default:
+		return nil, fmt.Errorf("core: unknown WAL op %q", r.Op)
 	}
-	return false, fmt.Errorf("core: unknown WAL op %q", r.Op)
+	return []bool{applied}, err
 }
 
 // replayPublish re-applies one delta publish during recovery, using the
@@ -621,25 +633,43 @@ func (m *Mirror) dropIndexLocked() {
 	m.epoch.Store(nil)
 }
 
-// replayInsert is AddImage minus the raster (footage is never in the
-// WAL; the media server owns it, exactly as after Load).
-func (m *Mirror) replayInsert(url, annotation string, global *uint64) (bool, error) {
+// replayInserts is AddImage minus the raster for a run of consecutive
+// insert records, applied as one library batch (footage is never in the
+// WAL; the media server owns it, exactly as after Load). A record whose
+// URL the store, or an earlier record of the run, already holds is
+// skipped (applied[i] false: already in the checkpoint), as replaying
+// the records one at a time would skip it.
+func (m *Mirror) replayInserts(recs []walRecord) (applied []bool, err error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.urls[url]; dup {
-		return false, nil // already in the checkpoint: idempotent skip
+	applied = make([]bool, len(recs))
+	urls := make([]string, 0, len(recs))
+	anns := make([]string, 0, len(recs))
+	run := make(map[string]struct{}, len(recs))
+	for i, r := range recs {
+		_, dup := m.urls[r.URL]
+		if _, again := run[r.URL]; dup || again {
+			continue
+		}
+		run[r.URL] = struct{}{}
+		applied[i] = true
+		urls = append(urls, r.URL)
+		anns = append(anns, r.Annotation)
 	}
-	if _, err := m.DB.Insert(LibrarySet, map[string]any{
-		"source": url, "annotation": annotation, "image": url,
-	}); err != nil {
-		return false, err
+	if err := m.insertLibraryLocked(urls, anns); err != nil {
+		return nil, err
 	}
-	m.order = append(m.order, url)
-	m.urls[url] = struct{}{}
-	if global != nil {
-		m.globalOIDs = append(m.globalOIDs, *global)
+	for i, r := range recs {
+		if !applied[i] {
+			continue
+		}
+		m.order = append(m.order, r.URL)
+		m.urls[r.URL] = struct{}{}
+		if r.Global != nil {
+			m.globalOIDs = append(m.globalOIDs, *r.Global)
+		}
 	}
-	return true, nil
+	return applied, nil
 }
 
 // logWAL appends a record when running in persistent mode; a no-op

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mirror/internal/bat"
 	"mirror/internal/ir"
 	"mirror/internal/media"
 	"mirror/internal/thesaurus"
@@ -305,18 +306,24 @@ func (m *Mirror) stageDocsLocked(base int, docs []walDoc) ([]stagedDoc, []thesau
 	return staged, thDocs
 }
 
-// insertStagedLocked appends staged documents to the internal set. The
-// annotation goes in as its analysed tokens, which the CONTREP indexes
-// exactly as it would the raw text. Callers hold m.mu (write).
+// insertStagedLocked appends staged documents to the internal set as one
+// batch. The annotation goes in as its analysed tokens, which the CONTREP
+// indexes exactly as it would the raw text. Callers hold m.mu (write).
 func (m *Mirror) insertStagedLocked(staged []stagedDoc) error {
-	for _, sd := range staged {
-		oid, err := m.DB.Insert(InternalSet, map[string]any{
-			"source": sd.url, "annotation": sd.toks, "image": sd.terms,
-		})
-		if err != nil {
-			return fmt.Errorf("%s: %w", sd.url, err)
-		}
-		m.contentTerms[oid] = sd.terms
+	urls := make([]string, len(staged))
+	toks := make([][]string, len(staged))
+	terms := make([][]string, len(staged))
+	for i, sd := range staged {
+		urls[i], toks[i], terms[i] = sd.url, sd.toks, sd.terms
+	}
+	first, err := m.DB.InsertBatch(InternalSet, map[string]any{
+		"source": urls, "annotation": toks, "image": terms,
+	})
+	if err != nil {
+		return err
+	}
+	for i, t := range terms {
+		m.contentTerms[first+bat.OID(i)] = t
 	}
 	return nil
 }

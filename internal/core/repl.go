@@ -446,7 +446,7 @@ func (m *Mirror) ApplyGenesis(payloads [][]byte, nonce, pos uint64) error {
 func (m *Mirror) applyShippedRecord(r walRecord) error {
 	switch r.Op {
 	case "insert":
-		if _, err := m.replayInsert(r.URL, r.Annotation, r.Global); err != nil {
+		if _, err := m.replayInserts([]walRecord{r}); err != nil {
 			return err
 		}
 		m.mu.Lock()

@@ -61,7 +61,9 @@ type ShardQueryReply struct {
 // ShardQuery evaluates one scatter leg at the epoch carrying args.Tag:
 // the same leg an in-process engine runs, its threshold seeded at the
 // router's floor and, under a ScanID, raisable mid-scan by RaiseTheta.
-func (s *Service) ShardQuery(args ShardQueryArgs, reply *ShardQueryReply) error {
+// args comes by pointer: net/rpc's dispatch copies a by-value argument
+// of this size to the heap on every leg.
+func (s *Service) ShardQuery(args *ShardQueryArgs, reply *ShardQueryReply) error {
 	m, err := s.mirror()
 	if err != nil {
 		return err
@@ -79,7 +81,7 @@ func (s *Service) ShardQuery(args ShardQueryArgs, reply *ShardQueryReply) error 
 			defer registerScanTheta(args.ScanID, theta)()
 		}
 	}
-	l, err := ep.leg(args, theta, true)
+	l, err := ep.leg(*args, theta, true)
 	if err != nil {
 		return err
 	}

@@ -89,7 +89,7 @@ func FuzzServiceArgs(f *testing.F) {
 
 		var sq ShardQueryReply
 		args := ShardQueryArgs{Stmt: Stmt(stmt), Source: src, Query: words, Concepts: concepts, Weights: ws, K: K, Tag: tag, ThetaFloor: floor, ScanID: uint64(k)}
-		if err := svc.ShardQuery(args, &sq); err == nil && (len(sq.OIDs) > n || len(sq.Scores) != len(sq.OIDs)) {
+		if err := svc.ShardQuery(&args, &sq); err == nil && (len(sq.OIDs) > n || len(sq.Scores) != len(sq.OIDs)) {
 			t.Fatalf("ShardQuery(%+v): %d OIDs, %d scores over %d documents", args, len(sq.OIDs), len(sq.Scores), n)
 		}
 

@@ -232,7 +232,7 @@ func TestSessionShardLegBounded(t *testing.T) {
 			args := sess.Query(k).leg(nil)
 			args.Tag, args.ThetaFloor, args.ScanID = ep.Tag, floor, nextScanID()
 			var reply ShardQueryReply
-			if err := (&Service{m: member}).ShardQuery(args, &reply); err != nil {
+			if err := (&Service{m: member}).ShardQuery(&args, &reply); err != nil {
 				t.Fatal(err)
 			}
 			if len(reply.OIDs) > k {

@@ -12,7 +12,7 @@ import (
 // FuzzWALReplay replays hostile WAL tails beside the v3 fixture's
 // checkpoint. The input is split at newlines (marshaled records hold
 // none) and every part is framed with a valid length and CRC, so the
-// JSON decoding and applyWALRecord really run instead of the torn-tail
+// JSON decoding and applyWALRecords really run instead of the torn-tail
 // check stopping at the first byte. OpenPersistent must return a store
 // or an error, never panic.
 //

@@ -517,3 +517,48 @@ func TestWireHopAllocsPinned(t *testing.T) {
 		t.Fatalf("a cache-hit round trip allocates %.0f objects/op, over the pinned %d", got, wireHopAllocs)
 	}
 }
+
+// shardLegAllocs pins one ranked ShardQuery leg round trip (k = 10 over
+// one of two shards of a 400-document engine, client and server in one
+// process), measured at 104 with go1.24 on linux/amd64. A by-value
+// ShardQueryArgs costs one more: net/rpc's dispatch boxes the 16-word
+// argument on every leg.
+const shardLegAllocs = 104
+
+// TestShardLegAllocsPinned is TestWireHopAllocsPinned for the router's
+// hop: a change that adds per-leg garbage to the shard side fails here.
+func TestShardLegAllocsPinned(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	urls, anns := refreshCorpus(400, 7)
+	m := buildShardedIncremental(t, 2, urls, anns, 100, 100).shards[0]
+	addr, stop, err := Serve(m, "127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	c, err := DialMirror(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	args := ShardQueryArgs{Stmt: StmtAnnotation, Query: []string{"kelp", "foam", "buoy"}, K: 10,
+		Tag: m.currentEpoch().Tag, ThetaFloor: math.Inf(-1)}
+	leg, err := c.ShardQuery(args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(leg.rows) != args.K {
+		t.Fatalf("warm-up leg returned %d rows, want %d", len(leg.rows), args.K)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := c.ShardQuery(args); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ranked ShardQuery leg round trip: %.0f allocs/op (pinned %d)", got, shardLegAllocs)
+	if got > shardLegAllocs {
+		t.Fatalf("a shard leg round trip allocates %.0f objects/op, over the pinned %d", got, shardLegAllocs)
+	}
+}

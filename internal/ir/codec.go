@@ -184,7 +184,7 @@ func writeSegData(a dbAccess, prefix string, slot int, sd *segData) error {
 // blocks are decoded, per-posting beliefs recomputed, and only
 // _blkbdir/_blkbel/_maxbel are rewritten — the structure columns never
 // change after build.
-func refinalizeBlockSegment(a dbAccess, prefix string, slot int, dlenOf map[bat.OID]int64, avgdl float64, df []int64, n int) error {
+func refinalizeBlockSegment(a dbAccess, prefix string, slot int, bc *beliefCalc) error {
 	bp, err := segBlockView(a, prefix, slot)
 	if err != nil {
 		return err
@@ -196,10 +196,6 @@ func refinalizeBlockSegment(a dbAccess, prefix string, slot int, dlenOf map[bat.
 	var tfBuf [bat.PostingsBlockSize]int64
 	var bels []float64
 	for t := 0; t < nt; t++ {
-		dft := int64(0)
-		if t < len(df) {
-			dft = df[t]
-		}
 		blo, bhi := bp.TermBlocks(t)
 		bels = bels[:0]
 		for b := blo; b < bhi; b++ {
@@ -208,7 +204,10 @@ func refinalizeBlockSegment(a dbAccess, prefix string, slot int, dlenOf map[bat.
 				return fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
 			}
 			for i := 0; i < cnt; i++ {
-				bels = append(bels, Belief(int(tfBuf[i]), int(dlenOf[docBuf[i]]), avgdl, int(dft), n))
+				if docBuf[i] >= bat.OID(len(bc.norm)) {
+					return fmt.Errorf("ir: %s: segment %d term %d: posting of document %d beyond the %d documents", prefix, slot, t, docBuf[i], len(bc.norm))
+				}
+				bels = append(bels, bc.belief(t, docBuf[i], tfBuf[i]))
 			}
 		}
 		maxb[t] = bele.AddTerm(bels)

@@ -2,7 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"mirror/internal/bat"
@@ -174,71 +174,113 @@ func ReleaseDBCaches(db *moa.Database) {
 	docMu.Unlock()
 }
 
-// Insert implements moa.Structure: v is the raw text (string) or a
-// pre-analysed term list ([]string, used for cluster "words" in the image
-// pipeline). Beliefs are recomputed by Finalize.
-func (c *Contrep) Insert(db *moa.Database, prefix string, owner bat.OID, v any) error {
-	var terms []string
-	switch x := v.(type) {
-	case string:
-		terms = Analyze(x)
+// Prepare implements moa.Structure: a CONTREP column is one term list
+// per row — [][]string of pre-analysed terms (cluster "words" in the
+// image pipeline, or already analysed text), []string of raw texts,
+// which Analyze tokenises here, or []any rows each holding a text, a
+// []string or a []any of strings. Beliefs are recomputed by Finalize.
+func (c *Contrep) Prepare(col any) (any, int, error) {
+	switch x := col.(type) {
+	case [][]string:
+		return x, len(x), nil
 	case []string:
-		terms = x
-	case []any:
-		for _, item := range x {
-			s, ok := item.(string)
-			if !ok {
-				return fmt.Errorf("ir: CONTREP value list must contain strings, got %T", item)
-			}
-			terms = append(terms, s)
+		out := make([][]string, len(x))
+		for i, text := range x {
+			out[i] = Analyze(text)
 		}
-	default:
-		return fmt.Errorf("ir: CONTREP value must be string or []string, got %T", v)
+		return out, len(x), nil
+	case []any:
+		out := make([][]string, len(x))
+		for i, v := range x {
+			switch y := v.(type) {
+			case string:
+				out[i] = Analyze(y)
+			case []string:
+				out[i] = y
+			case []any:
+				terms := make([]string, len(y))
+				for j, item := range y {
+					s, ok := item.(string)
+					if !ok {
+						return nil, 0, fmt.Errorf("ir: CONTREP value list must contain strings, got %T", item)
+					}
+					terms[j] = s
+				}
+				out[i] = terms
+			default:
+				return nil, 0, fmt.Errorf("ir: CONTREP value must be string or []string, got %T", v)
+			}
+		}
+		return out, len(x), nil
 	}
-	tf, dlen := TermFrequencies(terms)
+	return nil, 0, fmt.Errorf("ir: CONTREP column must be [][]string, []string or []any, got %T", col)
+}
 
+// Insert implements moa.Structure: it indexes the prepared term lists of
+// documents first, first+1, … set-at-a-time. Each document's term
+// frequencies are counted over a sorted copy of its terms, so its
+// postings come out in term order, and new terms join the dictionary
+// document by document in that order, as one insert per document added
+// them; every column then grows with one bulk append. Beliefs are
+// placeholders until Finalize/RefinalizeSegments.
+func (c *Contrep) Insert(db *moa.Database, prefix string, first bat.OID, prepared any) error {
+	docs := prepared.([][]string)
 	idx, err := dictIndex(db, prefix, true)
 	if err != nil {
 		return err
 	}
 	dict := mustBATL(db, prefix+"_dict")
 	termB := mustBATL(db, prefix+"_term")
-	docB := mustBATL(db, prefix+"_doc")
-	tfB := mustBATL(db, prefix+"_tf")
-	belB := mustBATL(db, prefix+"_bel")
-	dlenB := mustBATL(db, prefix+"_dlen")
-
-	// deterministic term order
-	words := make([]string, 0, len(tf))
-	for w := range tf {
-		words = append(words, w)
+	nterms := dict.Len()
+	tokens := 0
+	for _, doc := range docs {
+		tokens += len(doc)
 	}
-	sort.Strings(words)
-
-	for _, w := range words {
-		toid, known := idx[w]
-		if !known {
-			toid = bat.OID(dict.Len())
-			if err := dict.Append(toid, w); err != nil {
-				return err
+	var newTerms []string
+	terms := make([]bat.OID, 0, tokens) // a posting per distinct term: at most one per token
+	owners := make([]bat.OID, 0, tokens)
+	tfs := make([]int64, 0, tokens)
+	dlens := make([]int64, 0, len(docs))
+	var sorted []string
+	for i, doc := range docs {
+		sorted = append(sorted[:0], doc...)
+		slices.Sort(sorted)
+		for lo := 0; lo < len(sorted); {
+			hi := lo + 1
+			for hi < len(sorted) && sorted[hi] == sorted[lo] {
+				hi++
 			}
-			idx[w] = toid
+			w := sorted[lo]
+			toid, known := idx[w]
+			if !known {
+				toid = bat.OID(nterms + len(newTerms))
+				newTerms = append(newTerms, w)
+				idx[w] = toid
+			}
+			terms = append(terms, toid)
+			owners = append(owners, first+bat.OID(i))
+			tfs = append(tfs, int64(hi-lo))
+			lo = hi
 		}
-		pair := bat.OID(termB.Len())
-		if err := termB.Append(pair, toid); err != nil {
-			return err
-		}
-		if err := docB.Append(pair, owner); err != nil {
-			return err
-		}
-		if err := tfB.Append(pair, int64(tf[w])); err != nil {
-			return err
-		}
-		if err := belB.Append(pair, 0.0); err != nil {
+		dlens = append(dlens, int64(len(doc)))
+	}
+	pairs := bat.NewVoid(bat.OID(termB.Len()), len(terms))
+	for _, a := range []struct {
+		suffix string
+		h, t   *bat.Column
+	}{
+		{"_dict", bat.NewVoid(bat.OID(nterms), len(newTerms)), bat.ColumnOfStrs(newTerms)},
+		{"_term", pairs, bat.ColumnOfOIDs(terms)},
+		{"_doc", pairs, bat.ColumnOfOIDs(owners)},
+		{"_tf", pairs, bat.ColumnOfInts(tfs)},
+		{"_bel", pairs, bat.ColumnOfFloats(make([]float64, len(terms)))},
+		{"_dlen", bat.NewVoid(first, len(docs)), bat.ColumnOfInts(dlens)},
+	} {
+		if err := mustBATL(db, prefix+a.suffix).AppendColumns(a.h, a.t); err != nil {
 			return err
 		}
 	}
-	return dlenB.Append(owner, int64(dlen))
+	return nil
 }
 
 // Finalize implements moa.Structure: it rebuilds the derived

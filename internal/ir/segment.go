@@ -298,13 +298,18 @@ func refinalizeSegments(a dbAccess, db *moa.Database, prefix string) error {
 	}
 
 	// Collection statistics from the raw columns (identical arithmetic to
-	// the monolithic Finalize).
+	// the monolithic Finalize). Document lengths are indexed by owner
+	// OID, which runs densely over the n documents.
 	n := dlenB.Len()
 	var totalLen int64
-	dlenOf := make(map[bat.OID]int64, n)
+	dlen := make([]int64, n)
 	for i := 0; i < n; i++ {
+		o := dlenB.Head.OIDAt(i)
+		if o >= bat.OID(n) {
+			return fmt.Errorf("ir: %s: document %d has a length row beyond the %d documents", prefix, o, n)
+		}
 		l := dlenB.Tail.IntAt(i)
-		dlenOf[dlenB.Head.OIDAt(i)] = l
+		dlen[o] = l
 		totalLen += l
 	}
 	avgdl := 0.0
@@ -334,25 +339,28 @@ func refinalizeSegments(a dbAccess, db *moa.Database, prefix string) error {
 			df[t] = int64(gs.DF[dict.Tail.StrAt(t)])
 		}
 	}
-	dfB := bat.NewDense(0, bat.KindInt)
+
+	// Belief split by what each factor depends on: the idf factor per
+	// term, the length norm per document, only the tf part per posting.
+	bc := &beliefCalc{idf: make([]float64, len(df)), hasIDF: make([]bool, len(df)), norm: make([]float64, len(dlen))}
 	for t, c := range df {
-		dfB.MustAppend(bat.OID(t), c)
+		bc.idf[t], bc.hasIDF[t] = termIDF(int(c), n)
+	}
+	for d, l := range dlen {
+		bc.norm[d] = lenNorm(int(l), avgdl)
 	}
 
 	// Pair-ordered beliefs (the exhaustive getbl/wsum input).
-	bel := bat.NewDense(0, bat.KindFloat)
-	for i := 0; i < termB.Len(); i++ {
-		t := termB.Tail.OIDAt(i)
+	bels := make([]float64, termB.Len())
+	for i := range bels {
 		d := docB.Tail.OIDAt(i)
-		tf := int(tfB.Tail.IntAt(i))
-		bel.MustAppend(bat.OID(i), Belief(tf, int(dlenOf[d]), avgdl, int(df[t]), n))
+		if d >= bat.OID(len(dlen)) {
+			return fmt.Errorf("ir: %s: posting %d of document %d beyond the %d documents", prefix, i, d, len(dlen))
+		}
+		bels[i] = bc.belief(int(termB.Tail.OIDAt(i)), d, tfB.Tail.IntAt(i))
 	}
 
-	stats := bat.NewDense(0, bat.KindFloat)
-	stats.MustAppend(bat.OID(0), float64(n))
-	stats.MustAppend(bat.OID(1), avgdl)
-	stats.MustAppend(bat.OID(2), DefaultBelief)
-	stats.MustAppend(bat.OID(3), float64(dict.Len()))
+	stats := []float64{float64(n), avgdl, DefaultBelief, float64(dict.Len())}
 
 	// Per-segment beliefs and bounds. Belief is a pure per-posting
 	// function, so these are exactly the pair-ordered values scattered —
@@ -361,14 +369,17 @@ func refinalizeSegments(a dbAccess, db *moa.Database, prefix string) error {
 	// upward-quantized per-block bounds); the structure columns are never
 	// re-encoded here.
 	for s := 0; s < sd.count(); s++ {
-		if err := refinalizeBlockSegment(a, prefix, s, dlenOf, avgdl, df, n); err != nil {
+		if err := refinalizeBlockSegment(a, prefix, s, bc); err != nil {
 			return err
 		}
 	}
 
+	dfB := adoptDense(bat.ColumnOfInts(df))
+	bel := adoptDense(bat.ColumnOfFloats(bels))
+	statsB := adoptDense(bat.ColumnOfFloats(stats))
 	a.put(prefix+"_df", dfB)
 	a.put(prefix+"_bel", bel)
-	a.put(prefix+"_stats", stats)
+	a.put(prefix+"_stats", statsB)
 	a.put(prefix+"_termrev", termB.Reverse())
 	a.put(prefix+"_dictrev", dict.Reverse())
 	return nil

@@ -276,15 +276,37 @@ func (db *Database) Base() map[string]*bat.BAT {
 // NextOID allocates n OIDs in a namespace and returns the first.
 func (db *Database) NextOID(ns string, n int) bat.OID {
 	first := db.counters[ns]
-	db.counters[ns] += uint64(n)
+	if n > 0 {
+		db.counters[ns] += uint64(n)
+	}
 	return bat.OID(first)
 }
 
-// Insert adds one element to a defined set. Tuple values are
-// map[string]any; set values are []any; atomic values are Go scalars;
-// structure fields take whatever the structure's Insert accepts (CONTREP
-// takes the raw text, which it tokenises and indexes).
+// Insert adds one element to a defined set: a one-row InsertBatch. Tuple
+// values are map[string]any; set values are []any; atomic values are Go
+// scalars; structure fields take whatever the structure accepts for one
+// row (CONTREP takes the raw text, which it tokenises and indexes, or a
+// pre-analysed term list).
 func (db *Database) Insert(setName string, value any) (bat.OID, error) {
+	return db.InsertBatch(setName, []any{value})
+}
+
+// InsertBatch appends a column of elements to a defined set in one pass
+// and returns the OID of the first; the rest follow densely. A column of
+// type T holds one value per row:
+//
+//	atomic str/int/flt/oid/bit  []string, []int64, []float64, []bat.OID, []bool
+//	TUPLE                       map[string]any: one column per field
+//	SET/LIST                    []any: each row's items as []any
+//	structure field             whatever the structure's Prepare takes
+//	                            (CONTREP: []string texts, [][]string terms)
+//
+// and any column may instead be a []any of rows in Insert's form. Every
+// value is checked, and every nested OID range sized, before anything is
+// appended: a refused batch leaves the database as it was. Each BAT then
+// grows once, through typed bulk appends, under one lock — and ends
+// exactly as the same rows inserted one at a time would leave it.
+func (db *Database) InsertBatch(setName string, col any) (bat.OID, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	def, ok := db.sets[setName]
@@ -292,38 +314,194 @@ func (db *Database) Insert(setName string, value any) (bat.OID, error) {
 		return 0, fmt.Errorf("moa: unknown set %q", setName)
 	}
 	st := def.Type.(*SetType)
-	oid := db.NextOID(setName, 1)
-	if err := db.insertElem(setName, oid, st.Elem, value); err != nil {
+	bc, err := prepareCol(colPath{prefix: setName}, st.Elem, col)
+	if err != nil {
 		return 0, err
 	}
-	def.Card++
-	return oid, nil
+	first := db.NextOID(setName, bc.n)
+	if err := db.insertElems(setName, first, st.Elem, &bc); err != nil {
+		return 0, err
+	}
+	def.Card += bc.n
+	return first, nil
 }
 
-func (db *Database) insertElem(prefix string, oid bat.OID, elem Type, value any) error {
-	if err := db.bats[prefix+"__id"].Append(oid, oid); err != nil {
+// batchCol is one checked column of an InsertBatch, in the shape of its
+// type: an atom's typed values, a tuple's field columns (in field order),
+// a set's per-row item counts over one column of all items, or a
+// structure's prepared column.
+type batchCol struct {
+	n        int
+	atom     *bat.Column
+	fields   []batchCol
+	counts   []int
+	items    *batchCol
+	prepared any
+}
+
+// colPath names the column being checked, for errors: the field of a
+// prefix, joined only when an error is printed.
+type colPath struct{ prefix, field string }
+
+func (p colPath) String() string {
+	if p.field == "" {
+		return p.prefix
+	}
+	return p.prefix + "_" + p.field
+}
+
+// prepareCol checks col against type t and converts it to a batchCol.
+func prepareCol(path colPath, t Type, col any) (batchCol, error) {
+	switch t := t.(type) {
+	case *AtomType:
+		c, err := atomColumn(t, col)
+		if err != nil {
+			return batchCol{}, fmt.Errorf("moa: insert into %s: %w", path, err)
+		}
+		return batchCol{n: c.Len(), atom: c}, nil
+	case *TupleType:
+		return prepareTuple(path, t, col)
+	case *SetType, *ListType:
+		rows, ok := col.([]any)
+		if !ok {
+			return batchCol{}, fmt.Errorf("moa: insert into %s: set column must be []any, got %T", path, col)
+		}
+		bc := batchCol{n: len(rows), counts: make([]int, len(rows))}
+		var items []any
+		for i, r := range rows {
+			its, ok := r.([]any)
+			if !ok {
+				return batchCol{}, fmt.Errorf("moa: insert into %s: set value must be []any, got %T", path, r)
+			}
+			bc.counts[i] = len(its)
+			items = append(items, its...)
+		}
+		et, _ := ElemType(t)
+		ic, err := prepareCol(path, et, items)
+		if err != nil {
+			return batchCol{}, err
+		}
+		bc.items = &ic
+		return bc, nil
+	case *StructType:
+		p, n, err := t.S.Prepare(col)
+		if err != nil {
+			return batchCol{}, fmt.Errorf("moa: insert into %s: %w", path, err)
+		}
+		return batchCol{n: n, prepared: p}, nil
+	}
+	return batchCol{}, fmt.Errorf("moa: insert: unsupported type %s", t)
+}
+
+// prepareTuple checks a tuple column: a map of field columns of one
+// length, or []any rows of map[string]any (transposed here).
+func prepareTuple(path colPath, t *TupleType, col any) (batchCol, error) {
+	cols, ok := col.(map[string]any)
+	if rows, isRows := col.([]any); isRows {
+		cols, ok = make(map[string]any, len(t.Names)), true
+		for _, fn := range t.Names {
+			cols[fn] = make([]any, len(rows))
+		}
+		for i, r := range rows {
+			tv, ok := r.(map[string]any)
+			if !ok {
+				return batchCol{}, fmt.Errorf("moa: insert into %s: tuple value must be map[string]any, got %T", path, r)
+			}
+			for k, v := range tv {
+				fc, known := cols[k]
+				if !known {
+					return batchCol{}, fmt.Errorf("moa: insert into %s: unknown field %q", path, k)
+				}
+				fc.([]any)[i] = v
+			}
+			if len(tv) != len(t.Names) {
+				for _, fn := range t.Names {
+					if _, present := tv[fn]; !present {
+						return batchCol{}, fmt.Errorf("moa: insert into %s: missing field %q", path, fn)
+					}
+				}
+			}
+		}
+	}
+	if !ok {
+		return batchCol{}, fmt.Errorf("moa: insert into %s: tuple column must be map[string]any, got %T", path, col)
+	}
+	for k := range cols {
+		if _, ok := t.Field(k); !ok {
+			return batchCol{}, fmt.Errorf("moa: insert into %s: unknown field %q", path, k)
+		}
+	}
+	bc := batchCol{n: -1, fields: make([]batchCol, len(t.Names))}
+	prefix := path.String()
+	for i, fn := range t.Names {
+		fc, present := cols[fn]
+		if !present {
+			return batchCol{}, fmt.Errorf("moa: insert into %s: missing field %q", path, fn)
+		}
+		f, err := prepareCol(colPath{prefix, fn}, t.Types[i], fc)
+		if err != nil {
+			return batchCol{}, err
+		}
+		if bc.n >= 0 && f.n != bc.n {
+			return batchCol{}, fmt.Errorf("moa: insert into %s: field %q has %d rows, want %d", path, fn, f.n, bc.n)
+		}
+		bc.n, bc.fields[i] = f.n, f
+	}
+	return bc, nil
+}
+
+// atomColumn converts an atom column to a typed bat column: a typed
+// slice of the atom's kind is wrapped without copying, a []any of
+// scalars is coerced value by value exactly as a single Append would.
+func atomColumn(t *AtomType, col any) (*bat.Column, error) {
+	switch t.Kind {
+	case bat.KindStr:
+		if s, ok := col.([]string); ok {
+			return bat.ColumnOfStrs(s), nil
+		}
+	case bat.KindInt:
+		if s, ok := col.([]int64); ok {
+			return bat.ColumnOfInts(s), nil
+		}
+	case bat.KindFloat:
+		if s, ok := col.([]float64); ok {
+			return bat.ColumnOfFloats(s), nil
+		}
+	case bat.KindOID:
+		if s, ok := col.([]bat.OID); ok {
+			return bat.ColumnOfOIDs(s), nil
+		}
+	case bat.KindBool:
+		if s, ok := col.([]bool); ok {
+			return bat.ColumnOfBools(s), nil
+		}
+	}
+	rows, ok := col.([]any)
+	if !ok {
+		return nil, fmt.Errorf("%s column must be []any or a typed slice, got %T", t, col)
+	}
+	c := bat.NewColumn(t.Kind)
+	for _, v := range rows {
+		if err := c.Append(coerceAtom(t, v)); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// insertElems appends a checked column of elements of one domain (a
+// defined set, or the children of a SET/LIST field) owning OIDs first….
+func (db *Database) insertElems(prefix string, first bat.OID, elem Type, bc *batchCol) error {
+	ids := bat.NewVoid(first, bc.n)
+	if err := db.bats[prefix+"__id"].AppendColumns(ids, ids); err != nil {
 		return err
 	}
 	switch t := elem.(type) {
 	case *AtomType:
-		b := db.bats[prefix+"_val"]
-		return b.Append(oid, coerceAtom(t, value))
+		return db.bats[prefix+"_val"].AppendColumns(ids, bc.atom)
 	case *TupleType:
-		tv, ok := value.(map[string]any)
-		if !ok {
-			return fmt.Errorf("moa: insert into %s: tuple value must be map[string]any, got %T", prefix, value)
-		}
-		for k := range tv {
-			if _, ok := t.Field(k); !ok {
-				return fmt.Errorf("moa: insert into %s: unknown field %q", prefix, k)
-			}
-		}
 		for i, fn := range t.Names {
-			fv, present := tv[fn]
-			if !present {
-				return fmt.Errorf("moa: insert into %s: missing field %q", prefix, fn)
-			}
-			if err := db.insertField(prefix+"_"+fn, oid, t.Types[i], fv); err != nil {
+			if err := db.insertField(prefix+"_"+fn, first, t.Types[i], &bc.fields[i]); err != nil {
 				return err
 			}
 		}
@@ -332,57 +510,35 @@ func (db *Database) insertElem(prefix string, oid bat.OID, elem Type, value any)
 	return fmt.Errorf("moa: insert: unsupported element type %s", elem)
 }
 
-func (db *Database) insertField(prefix string, owner bat.OID, ft Type, value any) error {
+// insertField appends one field's checked column for owners first….
+func (db *Database) insertField(prefix string, first bat.OID, ft Type, bc *batchCol) error {
 	switch t := ft.(type) {
 	case *AtomType:
-		return db.bats[prefix].Append(owner, coerceAtom(t, value))
+		return db.bats[prefix].AppendColumns(bat.NewVoid(first, bc.n), bc.atom)
 	case *SetType, *ListType:
-		items, ok := value.([]any)
-		if !ok {
-			return fmt.Errorf("moa: insert into %s: set value must be []any, got %T", prefix, value)
+		total := bc.items.n
+		child := db.NextOID(prefix, total)
+		owners := make([]bat.OID, 0, total)
+		pos := make([]int64, 0, total)
+		for i, c := range bc.counts {
+			for j := 0; j < c; j++ {
+				owners = append(owners, first+bat.OID(i))
+				pos = append(pos, int64(j))
+			}
+		}
+		children := bat.NewVoid(child, total)
+		if err := db.bats[prefix].AppendColumns(bat.ColumnOfOIDs(owners), children); err != nil {
+			return err
+		}
+		if _, isList := ft.(*ListType); isList {
+			if err := db.bats[prefix+"_pos"].AppendColumns(children, bat.ColumnOfInts(pos)); err != nil {
+				return err
+			}
 		}
 		et, _ := ElemType(ft)
-		assoc := db.bats[prefix]
-		_, isList := ft.(*ListType)
-		for pos, item := range items {
-			child := db.NextOID(prefix, 1)
-			if err := assoc.Append(owner, child); err != nil {
-				return err
-			}
-			if err := db.bats[prefix+"__id"].Append(child, child); err != nil {
-				return err
-			}
-			if isList {
-				if err := db.bats[prefix+"_pos"].Append(child, int64(pos)); err != nil {
-					return err
-				}
-			}
-			switch e := et.(type) {
-			case *AtomType:
-				if err := db.bats[prefix+"_val"].Append(child, coerceAtom(e, item)); err != nil {
-					return err
-				}
-			case *TupleType:
-				tv, ok := item.(map[string]any)
-				if !ok {
-					return fmt.Errorf("moa: insert into %s: tuple element must be map[string]any", prefix)
-				}
-				for i, fn := range e.Names {
-					fv, present := tv[fn]
-					if !present {
-						return fmt.Errorf("moa: insert into %s: missing field %q", prefix, fn)
-					}
-					if err := db.insertField(prefix+"_"+fn, child, e.Types[i], fv); err != nil {
-						return err
-					}
-				}
-			default:
-				return fmt.Errorf("moa: insert: unsupported nested element type %s", et)
-			}
-		}
-		return nil
+		return db.insertElems(prefix, child, et, bc.items)
 	case *StructType:
-		return t.S.Insert(db, prefix, owner, value)
+		return t.S.Insert(db, prefix, first, bc.prepared)
 	}
 	return fmt.Errorf("moa: insert: unsupported field type %s", ft)
 }

@@ -23,9 +23,14 @@ type Structure interface {
 	// Columns lists the physical BATs backing a field with physical name
 	// prefix (e.g. "lib_annotation").
 	Columns(prefix string) []ColumnSpec
-	// Insert appends one logical value (structure-specific Go representation)
-	// owned by owner into the column BATs. The Database is already locked.
-	Insert(db *Database, prefix string, owner bat.OID, v any) error
+	// Prepare checks a column of field values (a structure-specific Go
+	// representation; a []any holds one value per row) and returns it in
+	// the form Insert takes, with its row count. It must not touch the
+	// database: an insert checks every value before it appends anything.
+	Prepare(col any) (prepared any, n int, err error)
+	// Insert appends a prepared column whose rows are owned by first,
+	// first+1, … into the column BATs. The Database is already locked.
+	Insert(db *Database, prefix string, first bat.OID, prepared any) error
 	// Finalize recomputes any derived columns after a batch of inserts
 	// (e.g. CONTREP recomputes beliefs once collection statistics settle).
 	Finalize(db *Database, prefix string) error
