@@ -319,9 +319,10 @@ func BenchmarkE5_PhysicalGetBL(b *testing.B) {
 	for _, n := range []int{1000, 4000, 16000, 32000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			db := textDB(b, n)
-			rev, _ := db.BAT("Docs_body_termrev")
-			doc, _ := db.BAT("Docs_body_doc")
-			bel, _ := db.BAT("Docs_body_bel")
+			segs, err := ir.Segments(db, "Docs_body")
+			if err != nil {
+				b.Fatal(err)
+			}
 			dict, _ := db.BAT("Docs_body_dict")
 			dictRev := dict.Reverse()
 			var q []bat.OID
@@ -332,7 +333,7 @@ func BenchmarkE5_PhysicalGetBL(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				beliefs, counts, err := bat.GetBL(rev, doc, bel, q)
+				beliefs, counts, err := bat.GetBL(segs, q)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -26,20 +26,18 @@ import (
 	"mirror/internal/ir"
 )
 
-// e11Index is the physical fixture: one corpus as the pruned operator's
-// block segment and as the exhaustive pipeline's pair columns.
+// e11Index is the physical fixture: one corpus as the block segment
+// both the pruned operator and the exhaustive pipeline read.
 type e11Index struct {
 	n int // documents
-	// term-ordered postings: the block segment the pruned operator scans,
-	// and the flat arrays it was encoded from (mkE11Shards re-slices them)
+	// term-ordered postings: the block segment the operators scan, and
+	// the flat arrays it was encoded from (mkE11Shards re-slices them)
 	seg     bat.PostingsSeg
 	starts  []int64
 	postDoc []bat.OID
 	postBel []float64
-	// original pair layout (exhaustive getbl input)
-	revTerm, doc, bel *bat.BAT
-	domain            *bat.BAT
-	nterms            int
+	domain  *bat.BAT
+	nterms  int
 }
 
 var (
@@ -99,8 +97,7 @@ func mkE11Index(n int) *e11Index {
 	return ix
 }
 
-// e11Assemble builds both physical representations from generated
-// postings triples. Docs must ascend per term — the generation loops
+// e11Assemble builds the block segment from generated postings triples. Docs must ascend per term — the generation loops
 // iterate d ascending, so the counting sort by term preserves that order.
 func e11Assemble(n, nterms int, termOf, docOf []bat.OID, belOf []float64) *e11Index {
 	p := len(termOf)
@@ -129,9 +126,6 @@ func e11Assemble(n, nterms int, termOf, docOf []bat.OID, belOf []float64) *e11In
 		starts:  starts,
 		postDoc: pd,
 		postBel: pb,
-		revTerm: &bat.BAT{Head: bat.ColumnOfOIDs(termOf), Tail: bat.NewVoid(0, p)},
-		doc:     adoptVoid(bat.ColumnOfOIDs(docOf)),
-		bel:     adoptVoid(bat.ColumnOfFloats(belOf)),
 		domain:  &bat.BAT{Head: bat.NewVoid(0, n), Tail: bat.NewVoid(0, n)},
 	}
 	ix.domain.HSorted, ix.domain.HKey = true, true
@@ -234,12 +228,6 @@ func e11Encode(starts []int64, docs []bat.OID, bels []float64) bat.PostingsSeg {
 	return seg
 }
 
-func adoptVoid(tail *bat.Column) *bat.BAT {
-	b := &bat.BAT{Head: bat.NewVoid(0, tail.Len()), Tail: tail}
-	b.HSorted, b.HKey = true, true
-	return b
-}
-
 // e11Queries mixes common (high-df) and rare terms.
 func e11Queries(ix *e11Index) [][]bat.OID {
 	return [][]bat.OID{
@@ -258,7 +246,7 @@ func e11Queries(ix *e11Index) [][]bat.OID {
 // e11Exhaustive is the legacy pipeline: score matches, fill the whole
 // domain with the default, sort everything descending, cut at k.
 func e11Exhaustive(ix *e11Index, q []bat.OID, k int) (*bat.BAT, error) {
-	beliefs, counts, err := bat.GetBL(ix.revTerm, ix.doc, ix.bel, q)
+	beliefs, counts, err := bat.GetBL([]bat.PostingsSeg{ix.seg}, q)
 	if err != nil {
 		return nil, err
 	}
@@ -402,7 +390,7 @@ func TestE11PrunedEqualsExhaustiveShape(t *testing.T) {
 // e11CanonicalTopK computes the exhaustive ranking with the canonical
 // fold and tie order (score descending, OID ascending).
 func e11CanonicalTopK(ix *e11Index, q []bat.OID, k int) []e11Hit {
-	beliefs, counts, err := bat.GetBL(ix.revTerm, ix.doc, ix.bel, q)
+	beliefs, counts, err := bat.GetBL([]bat.PostingsSeg{ix.seg}, q)
 	if err != nil {
 		panic(err)
 	}

@@ -525,8 +525,8 @@ func TestGetBLAndSumBeliefs(t *testing.T) {
 	add(1, 10, 0.7)
 	add(2, 12, 0.6)
 
-	rev := term.Reverse()
-	beliefs, counts, err := GetBL(rev, doc, bel, []OID{10, 11})
+	segs := []PostingsSeg{synthOfPairs(term, doc, bel).seg}
+	beliefs, counts, err := GetBL(segs, []OID{10, 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -566,8 +566,8 @@ func TestWSumBeliefs(t *testing.T) {
 	}
 	add(0, 10, 0.9)
 	add(1, 11, 0.6)
-	rev := term.Reverse()
-	out, err := WSumBeliefs(rev, doc, bel, []OID{10, 11}, []float64{2, 1}, 0.4)
+	segs := []PostingsSeg{synthOfPairs(term, doc, bel).seg}
+	out, err := WSumBeliefs(segs, []OID{10, 11}, []float64{2, 1}, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestWSumBeliefs(t *testing.T) {
 	if !ok || math.Abs(v.(float64)-2.2) > 1e-12 {
 		t.Fatalf("wsum(doc0) = %v", v)
 	}
-	if _, err := WSumBeliefs(rev, doc, bel, []OID{10}, []float64{1, 2}, 0.4); err == nil {
+	if _, err := WSumBeliefs(segs, []OID{10}, []float64{1, 2}, 0.4); err == nil {
 		t.Fatal("weight length mismatch should error")
 	}
 }

@@ -774,6 +774,50 @@ func (bp *BlockPostings) DecodeBelBlock(t, b int, dict []float64, dataOff int64,
 	return nil
 }
 
+// TermPostings accumulates decoded postings term after term, each term's
+// run in document order: the flat form the exhaustive operators, the
+// segment merge and the segment tests read. A nil TFs skips the term
+// frequencies (the exhaustive operators read none).
+type TermPostings struct {
+	Docs []OID
+	TFs  []int64
+	Bels []float64
+	dict []float64 // scratch for the current term's belief dictionary
+}
+
+// AppendTerm decodes every block of term t of bp onto p.
+func (p *TermPostings) AppendTerm(bp *BlockPostings, t int) error {
+	blo, bhi := bp.TermBlocks(t)
+	if blo == bhi {
+		return nil
+	}
+	dict, dictOff, err := bp.TermDict(t, p.dict)
+	if err != nil {
+		return err
+	}
+	if dict != nil {
+		p.dict = dict
+	}
+	for b := blo; b < bhi; b++ {
+		plo, phi := bp.BlockSpan(t, b)
+		at, n := len(p.Docs), phi-plo
+		p.Docs = slices.Grow(p.Docs, n)[:at+n]
+		p.Bels = slices.Grow(p.Bels, n)[:at+n]
+		var tfs []int64
+		if p.TFs != nil {
+			p.TFs = slices.Grow(p.TFs, n)[:at+n]
+			tfs = p.TFs[at:]
+		}
+		if _, err := bp.DecodeDocBlock(t, b, p.Docs[at:], tfs); err != nil {
+			return err
+		}
+		if err := bp.DecodeBelBlock(t, b, dict, dictOff, p.Bels[at:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // CheckPostingOffsets validates a segment's per-term posting offsets
 // against its posting count: nterms+1 entries, starting at 0, monotone,
 // ending at npostings — after which starts[t]:starts[t+1] slices any

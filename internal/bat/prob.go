@@ -7,15 +7,47 @@ import "fmt"
 // probabilistic operators at the physical level, provide an efficient
 // implementation of the inference network retrieval model."
 //
-// A flattened CONTREP is a triple of positionally aligned BATs over a dense
-// pair-OID head:
-//
-//	term   [pair(void), termOID]
-//	doc    [pair(void), docOID]
-//	belief [pair(void), flt]
-//
-// GetBL is the physical workhorse behind the Moa-level getBL(): given the
-// OIDs of the query terms it produces the per-document evidence.
+// The exhaustive operators read a CONTREP's postings in the one form the
+// store keeps them: the block-compressed segments the pruned operator
+// scans (PostingsSeg; topk.go). Each query term's postings are decoded
+// term by term in query order and, within a term, segment by segment;
+// segments partition the document space in ascending order, so every
+// term's run is document-ascending.
+
+// queryPostings decodes the postings of every query term, in query
+// order, into one TermPostings; ends[i] is the end of query term i's run.
+// A term beyond a segment's dictionary has no postings there.
+func queryPostings(segs []PostingsSeg, query []OID) (p TermPostings, ends []int, err error) {
+	views := make([]*BlockPostings, len(segs))
+	for g, s := range segs {
+		if views[g], err = cachedBlockPostings(s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel); err != nil {
+			return p, nil, fmt.Errorf("bat: getBL: segment %d: %w", g, err)
+		}
+	}
+	// Sized from the match volume, never from the collection.
+	total := 0
+	for _, q := range query {
+		for _, bp := range views {
+			if uint64(q) < uint64(bp.NTerms()) {
+				lo, hi := bp.TermRange(int(q))
+				total += hi - lo
+			}
+		}
+	}
+	p.Docs, p.Bels = make([]OID, 0, total), make([]float64, 0, total)
+	ends = make([]int, len(query))
+	for i, q := range query {
+		for g, bp := range views {
+			if uint64(q) < uint64(bp.NTerms()) {
+				if err := p.AppendTerm(bp, int(q)); err != nil {
+					return p, nil, fmt.Errorf("bat: getBL: segment %d term %d: %w", g, q, err)
+				}
+			}
+		}
+		ends[i] = len(p.Docs)
+	}
+	return p, ends, nil
+}
 
 // GetBL scans the postings of the query terms and returns
 //
@@ -26,59 +58,26 @@ import "fmt"
 // accounts for the default belief of unmatched terms algebraically
 // (sum = matchedSum + (|q|-matched)·defaultBelief), which is what makes the
 // operator scale with the posting lists rather than with the collection.
-//
-// revTerm must be term.Reverse() retained by the caller, so that its hash
-// index (built here on first use) persists across queries.
-func GetBL(revTerm, doc, belief *BAT, query []OID) (beliefs, counts *BAT, err error) {
-	if doc.Len() != belief.Len() || doc.Len() != revTerm.Len() {
-		return nil, nil, fmt.Errorf("bat: getBL: misaligned contrep columns (%d/%d/%d)",
-			revTerm.Len(), doc.Len(), belief.Len())
+func GetBL(segs []PostingsSeg, query []OID) (beliefs, counts *BAT, err error) {
+	p, _, err := queryPostings(segs, query)
+	if err != nil {
+		return nil, nil, err
 	}
-	if doc.Tail.Kind() != KindOID && doc.Tail.Kind() != KindVoid {
-		return nil, nil, fmt.Errorf("bat: getBL: doc tail must be oid, got %s", doc.Tail.Kind())
-	}
-	if belief.Tail.Kind() != KindFloat {
-		return nil, nil, fmt.Errorf("bat: getBL: belief tail must be flt, got %s", belief.Tail.Kind())
-	}
-	revHash := revTerm.ensureHash()
-
-	// Gather the matched posting positions first; everything after is sized
-	// from the match volume, never from the collection.
-	var matched [][]int
-	total := 0
-	for _, q := range query {
-		var positions []int
-		if revTerm.HDense() {
-			// degenerate but possible: term column dense (each pair its own term)
-			i := int(int64(q) - int64(revTerm.Head.Base()))
-			if i >= 0 && i < revTerm.Len() {
-				positions = []int{i}
-			}
-		} else {
-			positions = revHash.positions(revTerm.Head, q)
-		}
-		matched = append(matched, positions)
-		total += len(positions)
-	}
-
-	// Gather the beliefs term by term, in query order, into pre-sized
-	// columns (no per-row append).
 	beliefs = New(KindOID, KindFloat)
-	beliefs.Head.oids = make([]OID, 0, total)
-	beliefs.Tail.flts = make([]float64, 0, total)
-	for _, positions := range matched {
-		for _, p := range positions {
-			beliefs.Head.oids = append(beliefs.Head.oids, doc.Tail.OIDAt(p))
-			beliefs.Tail.flts = append(beliefs.Tail.flts, belief.Tail.flts[p])
-		}
-	}
+	beliefs.Head.oids = p.Docs
+	beliefs.Tail.flts = p.Bels
+	return beliefs, matchCounts(p.Docs), nil
+}
 
+// matchCounts counts the BUNs per document of GetBL's beliefs column:
+// [docOID, int] in order of first appearance.
+func matchCounts(docs []OID) *BAT {
 	// Dense accumulator fast path: document OIDs are small integers after
 	// flattening (0..card-1), so per-document counters live in a flat array
 	// rather than a hash map — the columnar execution style the physical
 	// layer exists for. Falls back to a map for sparse OID spaces.
-	maxDoc := maxOID(beliefs.Head.oids)
-	useDense := uint64(maxDoc) < uint64(4*total+1024)
+	maxDoc := maxOID(docs)
+	useDense := uint64(maxDoc) < uint64(4*len(docs)+1024)
 	var cntArr []int64
 	var cntMap map[OID]int64
 	if useDense {
@@ -87,7 +86,7 @@ func GetBL(revTerm, doc, belief *BAT, query []OID) (beliefs, counts *BAT, err er
 		cntMap = make(map[OID]int64)
 	}
 	order := make([]OID, 0, 64)
-	for _, d := range beliefs.Head.oids {
+	for _, d := range docs {
 		if useDense {
 			if cntArr[d] == 0 {
 				order = append(order, d)
@@ -100,7 +99,7 @@ func GetBL(revTerm, doc, belief *BAT, query []OID) (beliefs, counts *BAT, err er
 			cntMap[d]++
 		}
 	}
-	counts = New(KindOID, KindInt)
+	counts := New(KindOID, KindInt)
 	counts.Head.oids = make([]OID, 0, len(order))
 	counts.Tail.ints = make([]int64, 0, len(order))
 	for _, d := range order {
@@ -114,7 +113,7 @@ func GetBL(revTerm, doc, belief *BAT, query []OID) (beliefs, counts *BAT, err er
 		counts.Tail.ints = append(counts.Tail.ints, c)
 	}
 	counts.HKey = true
-	return beliefs, counts, nil
+	return counts
 }
 
 // SumBeliefs folds the output of GetBL into per-document belief sums with
@@ -175,32 +174,32 @@ func maxOID(oids []OID) OID {
 // operator: query term i carries weight w[i]. Beliefs of unmatched terms
 // default as in SumBeliefs. Because weights are per-term, this recomputes
 // the scan rather than reusing GetBL output.
-func WSumBeliefs(revTerm, doc, belief *BAT, query []OID, weights []float64, defaultBelief float64) (*BAT, error) {
+func WSumBeliefs(segs []PostingsSeg, query []OID, weights []float64, defaultBelief float64) (*BAT, error) {
 	if len(query) != len(weights) {
 		return nil, fmt.Errorf("bat: wsum: %d terms vs %d weights", len(query), len(weights))
 	}
-	revHash := revTerm.ensureHash()
+	p, ends, err := queryPostings(segs, query)
+	if err != nil {
+		return nil, err
+	}
 	var wtot float64
 	for _, w := range weights {
 		wtot += w
 	}
 	sums := make(map[OID]float64)
 	order := make([]OID, 0, 64)
-	seen := make(map[OID]bool)
-	for qi, q := range query {
-		if revTerm.HDense() {
-			continue
-		}
-		for _, p := range revHash.positions(revTerm.Head, q) {
-			d := doc.Tail.OIDAt(p)
-			if !seen[d] {
-				seen[d] = true
+	lo := 0
+	for qi, hi := range ends {
+		for i := lo; i < hi; i++ {
+			d := p.Docs[i]
+			if _, seen := sums[d]; !seen {
 				order = append(order, d)
 			}
 			// add weighted surplus over the default belief; the default mass
 			// w·defaultBelief for every term is added once below.
-			sums[d] += weights[qi] * (belief.Tail.flts[p] - defaultBelief)
+			sums[d] += weights[qi] * (p.Bels[i] - defaultBelief)
 		}
+		lo = hi
 	}
 	out := New(KindOID, KindFloat)
 	for _, d := range order {
@@ -217,21 +216,23 @@ func WSumBeliefs(revTerm, doc, belief *BAT, query []OID, weights []float64, defa
 // document. Cost is Θ(|domain|·|query|) — this is the operator the
 // sum∘getBL fusion rewrite eliminates (BenchmarkE7_OptimizerAblation).
 // Output is grouped by document in domain order.
-func GetBLPairs(revTerm, doc, belief *BAT, query []OID, defaultBelief float64, domain *BAT) (*BAT, error) {
-	revHash := revTerm.ensureHash()
+func GetBLPairs(segs []PostingsSeg, query []OID, defaultBelief float64, domain *BAT) (*BAT, error) {
+	p, ends, err := queryPostings(segs, query)
+	if err != nil {
+		return nil, err
+	}
 	// Per-document belief lookup for the query terms only.
 	type key struct {
 		d OID
 		q int
 	}
-	matched := make(map[key]float64)
-	for qi, q := range query {
-		if revTerm.HDense() {
-			continue
+	matched := make(map[key]float64, len(p.Docs))
+	lo := 0
+	for qi, hi := range ends {
+		for i := lo; i < hi; i++ {
+			matched[key{p.Docs[i], qi}] = p.Bels[i]
 		}
-		for _, p := range revHash.positions(revTerm.Head, q) {
-			matched[key{doc.Tail.OIDAt(p), qi}] = belief.Tail.flts[p]
-		}
+		lo = hi
 	}
 	out := New(KindOID, KindFloat)
 	for i := 0; i < domain.Len(); i++ {

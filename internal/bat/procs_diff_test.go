@@ -271,21 +271,21 @@ func TestParDiffCalc(t *testing.T) {
 	checkDiff(t, "multiplex-not", func() (*BAT, error) { return MultiplexUnary("not", a) })
 }
 
-// synthContrep builds an aligned (term, doc, belief) flattened CONTREP.
-func synthContrep(r *rand.Rand, pairs, terms, docs int) (rev, doc, bel *BAT, query []OID) {
+// synthContrep builds a CONTREP's postings from random (term, doc,
+// belief) pairs, as one block segment.
+func synthContrep(r *rand.Rand, pairs, terms, docs int) (segs []PostingsSeg, query []OID) {
 	term := NewDense(0, KindOID)
-	doc = NewDense(0, KindOID)
-	bel = NewDense(0, KindFloat)
+	doc := NewDense(0, KindOID)
+	bel := NewDense(0, KindFloat)
 	for i := 0; i < pairs; i++ {
 		term.MustAppend(OID(i), OID(r.Intn(terms)))
 		doc.MustAppend(OID(i), OID(r.Intn(docs)))
 		bel.MustAppend(OID(i), 0.05+float64(r.Intn(90))/100)
 	}
-	rev = term.Reverse()
 	for q := 0; q < 4; q++ {
 		query = append(query, OID(r.Intn(terms)))
 	}
-	return rev, doc, bel, query
+	return []PostingsSeg{synthOfPairs(term, doc, bel).seg}, query
 }
 
 func TestParDiffGetBLSumBeliefsFill(t *testing.T) {
@@ -295,12 +295,12 @@ func TestParDiffGetBLSumBeliefsFill(t *testing.T) {
 		if pairs > 10000 {
 			terms = 8 // a 4-term query then matches well over 8 192 BUNs
 		}
-		rev, doc, bel, query := synthContrep(r, pairs, terms, pairs/4+7)
+		segs, query := synthContrep(r, pairs, terms, pairs/4+7)
 
 		var oneB, oneC, fourB, fourC *BAT
 		var oneErr, fourErr error
-		atProcs(1, func() { oneB, oneC, oneErr = GetBL(rev, doc, bel, query) })
-		atProcs(4, func() { fourB, fourC, fourErr = GetBL(rev, doc, bel, query) })
+		atProcs(1, func() { oneB, oneC, oneErr = GetBL(segs, query) })
+		atProcs(4, func() { fourB, fourC, fourErr = GetBL(segs, query) })
 		if oneErr != nil || fourErr != nil {
 			t.Fatalf("getbl: %v / %v", oneErr, fourErr)
 		}
@@ -308,7 +308,7 @@ func TestParDiffGetBLSumBeliefsFill(t *testing.T) {
 		assertSameBAT(t, "getbl counts", oneC, fourC)
 
 		checkDiff(t, "sumbeliefs", func() (*BAT, error) {
-			b, c, err := GetBL(rev, doc, bel, query)
+			b, c, err := GetBL(segs, query)
 			if err != nil {
 				return nil, err
 			}
@@ -319,7 +319,7 @@ func TestParDiffGetBLSumBeliefsFill(t *testing.T) {
 		domain := &BAT{Head: NewVoid(0, pairs/4+7), Tail: NewVoid(0, pairs/4+7)}
 		domain.HSorted, domain.HKey = true, true
 		checkDiff(t, "fill", func() (*BAT, error) {
-			b, c, err := GetBL(rev, doc, bel, query)
+			b, c, err := GetBL(segs, query)
 			if err != nil {
 				return nil, err
 			}

@@ -209,7 +209,7 @@ func TestPropGetBLMatchesNaive(t *testing.T) {
 			}
 		}
 		query := []OID{0, OID(nTerms / 2)}
-		beliefs, counts, err := GetBL(term.Reverse(), doc, bel, query)
+		beliefs, counts, err := GetBL([]PostingsSeg{synthOfPairs(term, doc, bel).seg}, query)
 		if err != nil {
 			return false
 		}
@@ -271,7 +271,7 @@ func TestPropGetBLPairsShape(t *testing.T) {
 			domain.MustAppend(OID(d), OID(d))
 		}
 		query := []OID{0, 1, 2}
-		pairs, err := GetBLPairs(term.Reverse(), doc, bel, query, 0.4, domain)
+		pairs, err := GetBLPairs([]PostingsSeg{synthOfPairs(term, doc, bel).seg}, query, 0.4, domain)
 		if err != nil {
 			return false
 		}

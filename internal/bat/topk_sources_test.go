@@ -105,7 +105,8 @@ func (si *synthIndex) columns() (rev, doc, bel *BAT) {
 	return term.Reverse(), doc, bel
 }
 
-// ref is the exhaustive composition the operator must reproduce: per
+// ref is the exhaustive composition the operator must reproduce, over the
+// pair-fed reference operators (prob_ref_test.go): per
 // source getbl + SumBeliefs (unweighted) or WSumBeliefs (weighted), each
 // filled over the domain at qlen·def resp. wtot·def, the folds added
 // left to right ([+]), divided ([/]), fully sorted (score descending,
@@ -119,7 +120,7 @@ func (c *sourcesCase) ref(t *testing.T, def float64) ([]OID, []float64) {
 		var err error
 		fill := float64(len(src.Query)) * def
 		if src.Weights == nil {
-			beliefs, counts, gerr := GetBL(rev, doc, bel, src.Query)
+			beliefs, counts, gerr := pairGetBL(rev, doc, bel, src.Query)
 			if gerr != nil {
 				t.Fatal(gerr)
 			}
@@ -130,7 +131,7 @@ func (c *sourcesCase) ref(t *testing.T, def float64) ([]OID, []float64) {
 				wtot += w
 			}
 			fill = wtot * def
-			scored, err = WSumBeliefs(rev, doc, bel, src.Query, src.Weights, def)
+			scored, err = pairWSumBeliefs(rev, doc, bel, src.Query, src.Weights, def)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -68,12 +68,9 @@ func (m *Mirror) publishEpochLocked() error {
 		db.PutBAT(name, bat.Freeze(b))
 	}
 	db.SyncAfterLoad()
-	// Pre-build the hash indexes the hot query paths probe, so the first
-	// query after a publish does not pay for them.
+	// Pre-build the dictionary hash every query's term lookup probes, so
+	// the first query after a publish does not pay for it.
 	for _, prefix := range contrepPrefixes {
-		if b, ok := db.BAT(prefix + "_termrev"); ok {
-			b.EnsureIndex()
-		}
 		if b, ok := db.BAT(prefix + "_dictrev"); ok {
 			b.EnsureIndex()
 		}

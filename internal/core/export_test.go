@@ -6,3 +6,7 @@ package core
 // store (refSessionRun), the reference router sessions are checked
 // against.
 var RefSessionRun = refSessionRun
+
+// PairBeliefColumns lists the pair-order belief columns a store or its
+// epochs hold (pairBeliefColumns).
+var PairBeliefColumns = pairBeliefColumns

@@ -75,11 +75,12 @@ func refRank(s refScores, k int, urlOf func(bat.OID) string) []Hit {
 func refWeightedContentScores(ep *IndexEpoch, terms []string, weights []float64) (refScores, error) {
 	prefix := InternalSet + "_image"
 	dict, ok := ep.DB.BAT(prefix + "_dictrev")
-	rev, ok1 := ep.DB.BAT(prefix + "_termrev")
-	doc, ok2 := ep.DB.BAT(prefix + "_doc")
-	bel, ok3 := ep.DB.BAT(prefix + "_bel")
-	if !ok || !ok1 || !ok2 || !ok3 {
+	if !ok {
 		return nil, fmt.Errorf("content index incomplete")
+	}
+	segs, err := ir.Segments(ep.DB, prefix)
+	if err != nil {
+		return nil, err
 	}
 	var qoids []bat.OID
 	var qw []float64
@@ -89,7 +90,7 @@ func refWeightedContentScores(ep *IndexEpoch, terms []string, weights []float64)
 			qw = append(qw, weights[i])
 		}
 	}
-	scored, err := bat.WSumBeliefs(rev, doc, bel, qoids, qw, ir.DefaultBelief)
+	scored, err := bat.WSumBeliefs(segs, qoids, qw, ir.DefaultBelief)
 	if err != nil {
 		return nil, err
 	}

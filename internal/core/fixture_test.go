@@ -244,7 +244,7 @@ func TestUpgradeIsIdempotent(t *testing.T) {
 	defer m.ClosePersistent()
 	before := m.DB.Snapshot()
 	for _, prefix := range contrepPrefixes {
-		if err := ir.UpgradeRawSegments(m.DB, prefix); err != nil {
+		if err := ir.UpgradeLayout(m.DB, prefix); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -308,12 +308,13 @@ func buildFromBATs(bats map[string]*bat.BAT, extra map[string]string) (*Mirror, 
 		db.PutBAT(name, b)
 	}
 	db.SyncAfterLoad()
-	// A checkpoint written before the block codec holds raw-layout
-	// postings segments: re-encode them as blocks before anything (WAL
-	// replay, refresh, the planner) meets them. In memory only — the next
-	// checkpoint persists the upgrade.
+	// A checkpoint written by an earlier build may predate segmentation,
+	// hold raw-layout postings segments, or carry the pair-order belief
+	// copy (_bel, _termrev): bring it to today's layout before anything
+	// (WAL replay, refresh, the planner) meets it. In memory only — the
+	// next checkpoint persists the upgrade.
 	for _, prefix := range contrepPrefixes {
-		if err := ir.UpgradeRawSegments(db, prefix); err != nil {
+		if err := ir.UpgradeLayout(db, prefix); err != nil {
 			return nil, fmt.Errorf("core: postings layout upgrade (%s): %w", prefix, err)
 		}
 	}

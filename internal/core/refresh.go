@@ -121,12 +121,6 @@ func (m *Mirror) finishDeferredDelta() (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, prefix := range contrepPrefixes {
-		if ir.SegmentCount(m.DB, prefix) == 0 {
-			if err := ir.EnsureSegmented(m.DB, prefix); err != nil {
-				return 0, err
-			}
-			continue
-		}
 		if _, err := ir.AppendSegment(m.DB, prefix); err != nil {
 			return 0, err
 		}
@@ -204,16 +198,6 @@ func (m *Mirror) publishDeltaLocked(urls []string, words map[string][]string, an
 // has re-registered the global statistics) — recomputes beliefs and
 // extends the thesaurus. Callers hold m.mu (write).
 func (m *Mirror) applyDeltaLocked(urls []string, words map[string][]string, annVocab, imgVocab []string, refinalize bool) ([]walDoc, error) {
-	// Upgrade a store checkpointed before segmentation existed: its
-	// monolithic derived columns become segment 0. Shards defer the
-	// upgrade too (it recomputes beliefs).
-	if refinalize {
-		for _, prefix := range contrepPrefixes {
-			if err := ir.EnsureSegmented(m.DB, prefix); err != nil {
-				return nil, err
-			}
-		}
-	}
 	walDocs := make([]walDoc, len(urls))
 	for i, url := range urls {
 		walDocs[i] = walDoc{URL: url, Words: words[url]}

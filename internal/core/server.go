@@ -397,37 +397,11 @@ func ServeAs(r Retriever, addr, dictAddr, kind, name string) (string, func(), er
 		}
 	}
 	drain := &rpcDrain{}
-	var connMu sync.Mutex
-	conns := map[net.Conn]struct{}{}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			connMu.Lock()
-			conns[conn] = struct{}{}
-			connMu.Unlock()
-			go func() {
-				srv.ServeCodec(newCountedServerCodec(conn, drain))
-				connMu.Lock()
-				delete(conns, conn)
-				connMu.Unlock()
-			}()
-		}
-	}()
-	stop := func() {
-		// No new connections, drain handlers already computing (their
-		// replies reach the wire), then drop the established connections —
-		// a stopped server must look down to its peers, not wedge them.
-		l.Close()
-		drain.wait(serveDrainTimeout)
-		connMu.Lock()
-		for conn := range conns {
-			conn.Close()
-		}
-		connMu.Unlock()
-	}
+	// On stop, handlers already computing drain first: their replies
+	// reach the wire before the connections drop.
+	stop := dict.ServeConns(l,
+		func(conn net.Conn) { srv.ServeCodec(newCountedServerCodec(conn, drain)) },
+		func() { drain.wait(serveDrainTimeout) })
 	return l.Addr().String(), stop, nil
 }
 
@@ -608,11 +582,16 @@ func wireErr(err error) error {
 	return err
 }
 
+// request sends one call and returns its reply, re-typing a recognised
+// server error (wireErr). Every Client call goes through it.
+func request[R any](c *Client, method string, args any) (*R, error) {
+	reply := new(R)
+	return reply, wireErr(c.call(method, args, reply))
+}
+
 // Run runs one ranked query on the remote engine.
 func (c *Client) Run(q Query) (*TextQueryReply, error) {
-	var reply TextQueryReply
-	err := c.call("Mirror.Run", q, &reply)
-	return &reply, wireErr(err)
+	return request[TextQueryReply](c, "Mirror.Run", q)
 }
 
 // TextQuery runs a ranked annotation (or dual-coding) query.
@@ -633,34 +612,28 @@ func (c *Client) TextQueryStamped(text string, k int, dual bool) (*TextQueryRepl
 
 // AddImage ingests one document (PPM raster bytes) into the remote store.
 func (c *Client) AddImage(url, annotation string, ppm []byte) (*AddImageReply, error) {
-	var reply AddImageReply
-	err := c.call("Mirror.AddImage", AddImageArgs{URL: url, Annotation: annotation, PPM: ppm}, &reply)
-	return &reply, err
+	return request[AddImageReply](c, "Mirror.AddImage", AddImageArgs{URL: url, Annotation: annotation, PPM: ppm})
 }
 
 // Stats fetches the remote serving-state snapshot.
 func (c *Client) Stats() (*StatsReply, error) {
-	var reply StatsReply
-	err := c.call("Mirror.Stats", dict.Empty{}, &reply)
-	return &reply, err
+	return request[StatsReply](c, "Mirror.Stats", dict.Empty{})
 }
 
 // NewSession opens a remote relevance-feedback session; the caller holds
 // the returned state, runs a round with Run(s.Query(k)) and advances it
 // with SessionFeedback.
 func (c *Client) NewSession(text string) (Session, error) {
-	var reply Session
-	err := c.call("Mirror.SessionStart", SessionStartArgs{Text: text}, &reply)
-	return reply, wireErr(err)
+	reply, err := request[Session](c, "Mirror.SessionStart", SessionStartArgs{Text: text})
+	return *reply, err
 }
 
 // SessionFeedback applies one round of relevance judgments and returns the
 // advanced session.
 func (c *Client) SessionFeedback(s Session, relevant, nonrelevant []uint64) (Session, error) {
-	var reply Session
-	err := c.call("Mirror.SessionFeedback",
-		SessionFeedbackArgs{Session: s, Relevant: relevant, Nonrelevant: nonrelevant}, &reply)
-	return reply, wireErr(err)
+	reply, err := request[Session](c, "Mirror.SessionFeedback",
+		SessionFeedbackArgs{Session: s, Relevant: relevant, Nonrelevant: nonrelevant})
+	return *reply, err
 }
 
 // MoaQuery runs a raw Moa query.
@@ -671,29 +644,22 @@ func (c *Client) MoaQuery(src string, queryTerms []string) (*MoaQueryReply, erro
 // MoaQueryTopK runs a raw Moa query with a ranked top-k request pushed
 // down to the server's plan optimizer.
 func (c *Client) MoaQueryTopK(src string, queryTerms []string, k int) (*MoaQueryReply, error) {
-	var reply MoaQueryReply
-	err := c.call("Mirror.MoaQuery", MoaQueryArgs{Source: src, QueryTerms: queryTerms, K: k}, &reply)
-	return &reply, wireErr(err)
+	return request[MoaQueryReply](c, "Mirror.MoaQuery", MoaQueryArgs{Source: src, QueryTerms: queryTerms, K: k})
 }
 
 // Refresh asks the remote DBMS to incrementally index pending documents
 // and publish a new epoch.
 func (c *Client) Refresh() (*RefreshReply, error) {
-	var reply RefreshReply
-	err := c.call("Mirror.Refresh", dict.Empty{}, &reply)
-	return &reply, wireErr(err)
+	return request[RefreshReply](c, "Mirror.Refresh", dict.Empty{})
 }
 
 // Schema fetches the remote schema.
 func (c *Client) Schema() (string, error) {
-	var reply SchemaReply
-	err := c.call("Mirror.Schema", dict.Empty{}, &reply)
+	reply, err := request[SchemaReply](c, "Mirror.Schema", dict.Empty{})
 	return reply.Source, err
 }
 
 // Checkpoint asks the remote DBMS to flush dirty BATs to its store.
 func (c *Client) Checkpoint() (*CheckpointReply, error) {
-	var reply CheckpointReply
-	err := c.call("Mirror.Checkpoint", dict.Empty{}, &reply)
-	return &reply, err
+	return request[CheckpointReply](c, "Mirror.Checkpoint", dict.Empty{})
 }

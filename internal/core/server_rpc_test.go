@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -115,5 +116,34 @@ func TestServeLoadHarnessSurface(t *testing.T) {
 	}
 	if _, err := c.SessionFeedback(next, nil, nil); err == nil {
 		t.Fatal("feedback without judgments must fail")
+	}
+}
+
+// TestClientRetypesEveryCall: every Client call re-types a recognised
+// server failure, so a write against a served follower reaches the
+// remote caller as ErrFollower, like the in-process call.
+func TestClientRetypesEveryCall(t *testing.T) {
+	m, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetFollower()
+	addr, stop, err := m.Serve("127.0.0.1:0", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	c, err := DialMirror(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	it := corpus.Generate(corpus.Config{N: 1, W: 48, H: 48, Seed: 11})[0]
+	var ppm bytes.Buffer
+	if err := it.Scene.Img.EncodePPM(&ppm); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddImage(it.URL, it.Annotation, ppm.Bytes()); !errors.Is(err, ErrFollower) {
+		t.Fatalf("AddImage on a served follower: %v, want ErrFollower", err)
 	}
 }

@@ -322,9 +322,9 @@ func (s *Service) Topology(_ dict.Empty, reply *TopologyReply) error {
 // ShardQuery runs one scatter leg against a shard daemon and decodes the
 // reply into the leg the gather merges.
 func (c *Client) ShardQuery(args ShardQueryArgs) (*ShardLeg, error) {
-	var reply ShardQueryReply
-	if err := c.call("Mirror.ShardQuery", args, &reply); err != nil {
-		return nil, wireErr(err)
+	reply, err := request[ShardQueryReply](c, "Mirror.ShardQuery", args)
+	if err != nil {
+		return nil, err
 	}
 	l := &ShardLeg{theta: reply.Theta, rows: make([]moa.Row, len(reply.OIDs))}
 	for i, oid := range reply.OIDs {
@@ -338,56 +338,43 @@ func (c *Client) ShardQuery(args ShardQueryArgs) (*ShardLeg, error) {
 
 // RaiseTheta streams a threshold raise into an in-flight scatter leg.
 func (c *Client) RaiseTheta(scanID uint64, theta float64) error {
-	var reply dict.Empty
-	err := c.call("Mirror.RaiseTheta", RaiseThetaArgs{ScanID: scanID, Theta: theta}, &reply)
-	return wireErr(err)
+	_, err := request[dict.Empty](c, "Mirror.RaiseTheta", RaiseThetaArgs{ScanID: scanID, Theta: theta})
+	return err
 }
 
 // ShardIngest routes one document to its home shard.
 func (c *Client) ShardIngest(url, annotation string, ppm []byte, global uint64) (*ShardIngestReply, error) {
-	var reply ShardIngestReply
-	err := c.call("Mirror.ShardIngest", ShardIngestArgs{URL: url, Annotation: annotation, PPM: ppm, Global: global}, &reply)
-	return &reply, wireErr(err)
+	return request[ShardIngestReply](c, "Mirror.ShardIngest", ShardIngestArgs{URL: url, Annotation: annotation, PPM: ppm, Global: global})
 }
 
 // ShardPublish applies one slice of a publish round on a shard daemon.
 func (c *Client) ShardPublish(args ShardPublishArgs) (*ShardPublishReply, error) {
-	var reply ShardPublishReply
-	err := c.call("Mirror.ShardPublish", args, &reply)
-	return &reply, wireErr(err)
+	return request[ShardPublishReply](c, "Mirror.ShardPublish", args)
 }
 
 // ShardState probes a shard daemon's serving and replication state.
 func (c *Client) ShardState() (*ShardStateReply, error) {
-	var reply ShardStateReply
-	err := c.call("Mirror.ShardState", dict.Empty{}, &reply)
-	return &reply, wireErr(err)
+	return request[ShardStateReply](c, "Mirror.ShardState", dict.Empty{})
 }
 
 // WALShip pulls a batch of replication stream records from a primary.
 func (c *Client) WALShip(nonce, since uint64) (*WALShipReply, error) {
-	var reply WALShipReply
-	err := c.call("Mirror.WALShip", WALShipArgs{Nonce: nonce, Since: since}, &reply)
-	return &reply, wireErr(err)
+	return request[WALShipReply](c, "Mirror.WALShip", WALShipArgs{Nonce: nonce, Since: since})
 }
 
 // ShardSync pulls a full resync stream from a primary.
 func (c *Client) ShardSync() (*ShardSyncReply, error) {
-	var reply ShardSyncReply
-	err := c.call("Mirror.ShardSync", dict.Empty{}, &reply)
-	return &reply, wireErr(err)
+	return request[ShardSyncReply](c, "Mirror.ShardSync", dict.Empty{})
 }
 
 // Reinforce applies one thesaurus reinforcement on the remote store.
 func (c *Client) Reinforce(words, concepts []string, relevant bool) error {
-	var reply dict.Empty
-	err := c.call("Mirror.Reinforce", ReinforceArgs{Words: words, Concepts: concepts, Relevant: relevant}, &reply)
-	return wireErr(err)
+	_, err := request[dict.Empty](c, "Mirror.Reinforce", ReinforceArgs{Words: words, Concepts: concepts, Relevant: relevant})
+	return err
 }
 
 // Topology asks the remote server for its serving topology.
 func (c *Client) Topology() (string, error) {
-	var reply TopologyReply
-	err := c.call("Mirror.Topology", dict.Empty{}, &reply)
-	return reply.Desc, wireErr(err)
+	reply, err := request[TopologyReply](c, "Mirror.Topology", dict.Empty{})
+	return reply.Desc, err
 }

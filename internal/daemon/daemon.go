@@ -28,7 +28,7 @@ type Handle struct {
 	stop func()
 }
 
-// Stop terminates the daemon's listener.
+// Stop terminates the daemon: its listener and every connection.
 func (h *Handle) Stop() { h.stop() }
 
 // Start serves rcvr (an rpc service value) under serviceName on an
@@ -44,29 +44,21 @@ func Start(name, kind, serviceName string, provides []string, rcvr any, dictAddr
 		l.Close()
 		return nil, fmt.Errorf("daemon %s: register: %w", name, err)
 	}
-	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			go srv.ServeConn(conn)
-		}
-	}()
+	stop := dict.ServeConns(l, func(c net.Conn) { srv.ServeConn(c) }, nil)
 	info := dict.DaemonInfo{Name: name, Kind: kind, Addr: l.Addr().String(), Provides: provides}
 	if dictAddr != "" {
 		dc, err := dict.Dial(dictAddr)
 		if err != nil {
-			l.Close()
+			stop()
 			return nil, err
 		}
 		defer dc.Close()
 		if err := dc.Register(info); err != nil {
-			l.Close()
+			stop()
 			return nil, fmt.Errorf("daemon %s: dictionary registration: %w", name, err)
 		}
 	}
-	return &Handle{Info: info, stop: func() { l.Close() }}, nil
+	return &Handle{Info: info, stop: stop}, nil
 }
 
 // ---- segmenter daemon ----

@@ -180,3 +180,25 @@ func TestStartDemoDaemonsRegistersAll(t *testing.T) {
 		t.Fatalf("daemon kinds: seg=%d cluster=%d thesaurus=%d", len(segs), len(clus), len(ths))
 	}
 }
+
+// TestStopClosesEstablishedConnections: a stopped daemon stops answering
+// the clients that connected before the stop, not only new ones.
+func TestStopClosesEstablishedConnections(t *testing.T) {
+	h, err := Start("seg-stop", "segmenter", "Segment", nil, NewSegmentService(), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(h.Info)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ppm := testPPM(t, "sky", "night")
+	if _, err := c.Segment(ppm); err != nil {
+		t.Fatal(err)
+	}
+	h.Stop()
+	if _, err := c.Segment(ppm); err == nil {
+		t.Fatal("a stopped daemon still answered an established connection")
+	}
+}

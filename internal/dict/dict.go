@@ -125,22 +125,50 @@ func (s *Service) GetMeta(args GetMetaArgs, out *string) error {
 	return nil
 }
 
-// Serve runs the dictionary RPC server on l until the listener closes.
-// It returns immediately; callers stop it by closing l.
-func Serve(l net.Listener, d *Dictionary) {
-	srv := rpc.NewServer()
-	if err := srv.RegisterName("Dict", &Service{d: d}); err != nil {
-		panic(err) // impossible: Service satisfies the rpc contract
-	}
+// ServeConns accepts connections on l and serves each on its own
+// goroutine — the accept loop of every RPC server in the system (the
+// dictionary, the daemons, the Mirror service). The returned stop closes
+// l, runs drain (when non-nil) while the established connections still
+// answer, then closes them: a stopped server must look down to its
+// peers, not keep serving those that connected before the stop.
+func ServeConns(l net.Listener, serve func(net.Conn), drain func()) (stop func()) {
+	var mu sync.Mutex
+	conns := map[net.Conn]struct{}{}
+	stopped := false
 	go func() {
 		for {
 			conn, err := l.Accept()
 			if err != nil {
 				return
 			}
-			go srv.ServeConn(conn)
+			mu.Lock()
+			if stopped {
+				mu.Unlock()
+				conn.Close()
+				return
+			}
+			conns[conn] = struct{}{}
+			mu.Unlock()
+			go func() {
+				serve(conn)
+				mu.Lock()
+				delete(conns, conn)
+				mu.Unlock()
+			}()
 		}
 	}()
+	return func() {
+		l.Close()
+		if drain != nil {
+			drain()
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		stopped = true
+		for conn := range conns {
+			conn.Close()
+		}
+	}
 }
 
 // Start listens on addr (use "127.0.0.1:0" for an ephemeral port), serves a
@@ -150,8 +178,11 @@ func Start(addr string) (string, func(), error) {
 	if err != nil {
 		return "", nil, fmt.Errorf("dict: listen %s: %w", addr, err)
 	}
-	Serve(l, New())
-	return l.Addr().String(), func() { l.Close() }, nil
+	srv := rpc.NewServer()
+	if err := srv.RegisterName("Dict", &Service{d: New()}); err != nil {
+		panic(err) // impossible: Service satisfies the rpc contract
+	}
+	return l.Addr().String(), ServeConns(l, func(c net.Conn) { srv.ServeConn(c) }, nil), nil
 }
 
 // Client is a typed client for the dictionary service.

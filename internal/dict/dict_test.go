@@ -98,3 +98,28 @@ func TestDialFailure(t *testing.T) {
 		t.Fatal("dialing a closed port should fail")
 	}
 }
+
+// TestStopClosesEstablishedConnections: a stopped dictionary stops
+// answering the clients that connected before the stop, not only new
+// ones.
+func TestStopClosesEstablishedConnections(t *testing.T) {
+	addr, stop, err := Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Register(DaemonInfo{Name: "seg-1", Kind: "segmenter", Addr: "x:2"}); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if err := c.Register(DaemonInfo{Name: "seg-2", Kind: "segmenter", Addr: "x:3"}); err == nil {
+		t.Fatal("a stopped dictionary still answered Register on an established connection")
+	}
+	if _, err := c.List(""); err == nil {
+		t.Fatal("a stopped dictionary still answered List on an established connection")
+	}
+}

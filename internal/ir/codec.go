@@ -20,7 +20,7 @@ import (
 // Stores checkpointed before the block codec existed hold the legacy raw
 // layout instead — _poststart/_postdoc/_posttf/_postbel/_maxbel, three
 // 8-byte columns per posting. That layout is a read-once input: every
-// open runs UpgradeRawSegments, which decodes it (readSegData's legacy
+// open runs UpgradeLayout, whose upgradeRawSegments which decodes it (readSegData's legacy
 // branch, the only raw code left) and re-encodes it as blocks; the next
 // checkpoint persists the upgrade. Nothing writes it any more.
 
@@ -30,18 +30,30 @@ func segIsBlock(a dbAccess, prefix string, slot int) bool {
 	return ok
 }
 
-// segBlockView assembles slot s's seven block columns into a validated
-// decode view.
-func segBlockView(a dbAccess, prefix string, slot int) (*bat.BlockPostings, error) {
+// segPostings assembles slot s's seven block columns.
+func segPostings(a dbAccess, prefix string, slot int) (bat.PostingsSeg, error) {
 	var cols [7]*bat.BAT
 	for i, suffix := range blockSegSuffixes {
 		b, ok := a.get(SegColumn(prefix, slot, suffix))
 		if !ok {
-			return nil, fmt.Errorf("ir: %s: segment %d lost %s", prefix, slot, suffix)
+			return bat.PostingsSeg{}, fmt.Errorf("ir: %s: segment %d lost %s", prefix, slot, suffix)
 		}
 		cols[i] = b
 	}
-	bp, err := bat.NewBlockPostings(cols[0], cols[1], cols[2], cols[3], cols[4], cols[5], cols[6])
+	return bat.PostingsSeg{
+		Start: cols[0], BlkStart: cols[1], BlkDir: cols[2], BlkDoc: cols[3],
+		BlkBDir: cols[4], BlkBel: cols[5], MaxBel: cols[6],
+	}, nil
+}
+
+// segBlockView assembles slot s's seven block columns into a validated
+// decode view.
+func segBlockView(a dbAccess, prefix string, slot int) (*bat.BlockPostings, error) {
+	s, err := segPostings(a, prefix, slot)
+	if err != nil {
+		return nil, err
+	}
+	bp, err := bat.NewBlockPostings(s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel)
 	if err != nil {
 		return nil, fmt.Errorf("ir: %s: segment %d: %w", prefix, slot, err)
 	}
@@ -72,43 +84,17 @@ func readSegData(a dbAccess, prefix string, slot int) (*segData, error) {
 	if nt > 0 {
 		_, np = bp.TermRange(nt - 1)
 	}
-	sd := &segData{
-		starts: make([]int64, nt+1),
-		docs:   make([]bat.OID, 0, np),
-		tfs:    make([]int64, 0, np),
-		bels:   make([]float64, 0, np),
-		maxb:   make([]float64, nt),
-	}
-	var docBuf [bat.PostingsBlockSize]bat.OID
-	var tfBuf [bat.PostingsBlockSize]int64
-	var belBuf [bat.PostingsBlockSize]float64
-	var dictBuf []float64
+	sd := &segData{starts: make([]int64, nt+1), maxb: make([]float64, nt)}
+	p := bat.TermPostings{Docs: make([]bat.OID, 0, np), TFs: make([]int64, 0, np), Bels: make([]float64, 0, np)}
 	for t := 0; t < nt; t++ {
-		sd.starts[t] = int64(len(sd.docs))
-		blo, bhi := bp.TermBlocks(t)
-		var dict []float64
-		var dictOff int64
-		if bhi > blo {
-			if dict, dictOff, err = bp.TermDict(t, dictBuf); err != nil {
-				return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
-			}
-			dictBuf = dict
-		}
-		for b := blo; b < bhi; b++ {
-			n, err := bp.DecodeDocBlock(t, b, docBuf[:], tfBuf[:])
-			if err != nil {
-				return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
-			}
-			sd.docs = append(sd.docs, docBuf[:n]...)
-			sd.tfs = append(sd.tfs, tfBuf[:n]...)
-			if err := bp.DecodeBelBlock(t, b, dict, dictOff, belBuf[:n]); err != nil {
-				return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
-			}
-			sd.bels = append(sd.bels, belBuf[:n]...)
+		sd.starts[t] = int64(len(p.Docs))
+		if err := p.AppendTerm(bp, t); err != nil {
+			return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
 		}
 		sd.maxb[t] = bp.MaxBelief(t)
 	}
-	sd.starts[nt] = int64(len(sd.docs))
+	sd.starts[nt] = int64(len(p.Docs))
+	sd.docs, sd.tfs, sd.bels = p.Docs, p.TFs, p.Bels
 	return sd, nil
 }
 
@@ -218,13 +204,12 @@ func refinalizeBlockSegment(a dbAccess, prefix string, slot int, bc *beliefCalc)
 	return nil
 }
 
-// UpgradeRawSegments re-encodes every legacy raw-layout segment of the
+// upgradeRawSegments re-encodes every legacy raw-layout segment of the
 // CONTREP as a block segment (a no-op for block segments, and for stores
-// that predate segmentation — EnsureSegmented rebuilds those from the
+// that predate segmentation — ensureSegmented rebuilds those from the
 // pair columns). Beliefs are copied bit-exact, so an upgraded store
-// answers queries hit-for-hit identically. core runs it on every loaded
-// checkpoint; the next Checkpoint persists the result.
-func UpgradeRawSegments(db *moa.Database, prefix string) error {
+// answers queries hit-for-hit identically. UpgradeLayout runs it.
+func upgradeRawSegments(db *moa.Database, prefix string) error {
 	a := access(db)
 	sd, ok := readSegDir(a, prefix)
 	if !ok {

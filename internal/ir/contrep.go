@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"mirror/internal/bat"
@@ -18,14 +19,12 @@ import (
 //	prefix_term  [pair(void), termOID]   postings: term of pair
 //	prefix_doc   [pair(void), ownerOID]  postings: owning element
 //	prefix_tf    [pair(void), int]       postings: term frequency
-//	prefix_bel   [pair(void), flt]       postings: belief (derived)
 //	prefix_dict  [termOID(void), str]    dictionary
 //	prefix_df    [termOID(void), int]    document frequency (derived)
 //	prefix_dlen  [ownerOID, int]         document length
 //	prefix_stats [void, flt]             N, avgdl, defaultBelief, |dict|
-//	prefix_termrev                       reverse view of _term (derived),
-//	                                     carrying the persistent hash index
-//	                                     the physical getbl operator probes
+//	prefix_dictrev                       reverse view of _dict (derived):
+//	                                     query strings join it to term OIDs
 //	prefix_poststart [termOID(void),int] term-ordered postings offsets
 //	                                     (derived), nterms+1 entries
 //	prefix_blk…                          the postings re-sorted by (term,
@@ -38,7 +37,8 @@ import (
 //	                                     pruned top-k retrieval
 //
 // The term-ordered columns exist once per index segment (segment.go);
-// slot 0 carries the names above.
+// slot 0 carries the names above. They are the only copy of the beliefs:
+// the pruned and the exhaustive operators both read them.
 //
 // The structure registers the query functions getBL (per-term beliefs, the
 // paper's operator) and getBLScore (the sum∘getBL fusion target, which
@@ -77,7 +77,6 @@ func (*Contrep) Columns(prefix string) []moa.ColumnSpec {
 		{Suffix: "_term", HeadKind: bat.KindVoid, TailKind: bat.KindOID},
 		{Suffix: "_doc", HeadKind: bat.KindVoid, TailKind: bat.KindOID},
 		{Suffix: "_tf", HeadKind: bat.KindVoid, TailKind: bat.KindInt},
-		{Suffix: "_bel", HeadKind: bat.KindVoid, TailKind: bat.KindFloat},
 		{Suffix: "_dict", HeadKind: bat.KindVoid, TailKind: bat.KindStr},
 		{Suffix: "_df", HeadKind: bat.KindVoid, TailKind: bat.KindInt},
 		{Suffix: "_dlen", HeadKind: bat.KindOID, TailKind: bat.KindInt},
@@ -95,14 +94,7 @@ type cacheKey struct {
 var (
 	dictMu    sync.Mutex
 	dictCache = map[cacheKey]map[string]bat.OID{}
-	docMu     sync.Mutex
-	docCache  = map[cacheKey]*docIndex{}
 )
-
-type docIndex struct {
-	builtLen int
-	pairs    map[bat.OID][]int
-}
 
 // dictIndex returns (building or refreshing as needed) the in-memory
 // term→OID index for a CONTREP's dictionary. locked indicates the caller
@@ -130,30 +122,8 @@ func dictIndex(db *moa.Database, prefix string, locked bool) (map[string]bat.OID
 	return idx, nil
 }
 
-// postingsOf returns the posting positions for one document, building a
-// doc→positions index lazily.
-func postingsOf(db *moa.Database, prefix string, owner bat.OID) ([]int, error) {
-	docMu.Lock()
-	defer docMu.Unlock()
-	key := cacheKey{db, prefix}
-	doc, ok := db.BAT(prefix + "_doc")
-	if !ok {
-		return nil, fmt.Errorf("ir: missing BAT %s_doc", prefix)
-	}
-	idx := docCache[key]
-	if idx == nil || idx.builtLen != doc.Len() {
-		idx = &docIndex{builtLen: doc.Len(), pairs: make(map[bat.OID][]int)}
-		for i := 0; i < doc.Len(); i++ {
-			d := doc.Tail.OIDAt(i)
-			idx.pairs[d] = append(idx.pairs[d], i)
-		}
-		docCache[key] = idx
-	}
-	return idx.pairs[owner], nil
-}
-
-// ReleaseDBCaches drops the package-level dictionary and posting caches
-// keyed by the given database. Epoch-based serving (internal/core)
+// ReleaseDBCaches drops the package-level dictionary cache entries keyed
+// by the given database. Epoch-based serving (internal/core)
 // creates a fresh snapshot database per index publish; releasing the
 // superseded snapshot's cache entries keeps the package registries from
 // pinning one database per epoch for the process lifetime.
@@ -165,13 +135,6 @@ func ReleaseDBCaches(db *moa.Database) {
 		}
 	}
 	dictMu.Unlock()
-	docMu.Lock()
-	for k := range docCache {
-		if k.db == db {
-			delete(docCache, k)
-		}
-	}
-	docMu.Unlock()
 }
 
 // Prepare implements moa.Structure: a CONTREP column is one term list
@@ -222,7 +185,7 @@ func (c *Contrep) Prepare(col any) (any, int, error) {
 // postings come out in term order, and new terms join the dictionary
 // document by document in that order, as one insert per document added
 // them; every column then grows with one bulk append. Beliefs are
-// placeholders until Finalize/RefinalizeSegments.
+// derived by Finalize/RefinalizeSegments.
 func (c *Contrep) Insert(db *moa.Database, prefix string, first bat.OID, prepared any) error {
 	docs := prepared.([][]string)
 	idx, err := dictIndex(db, prefix, true)
@@ -273,7 +236,6 @@ func (c *Contrep) Insert(db *moa.Database, prefix string, first bat.OID, prepare
 		{"_term", pairs, bat.ColumnOfOIDs(terms)},
 		{"_doc", pairs, bat.ColumnOfOIDs(owners)},
 		{"_tf", pairs, bat.ColumnOfInts(tfs)},
-		{"_bel", pairs, bat.ColumnOfFloats(make([]float64, len(terms)))},
 		{"_dlen", bat.NewVoid(first, len(docs)), bat.ColumnOfInts(dlens)},
 	} {
 		if err := mustBATL(db, prefix+a.suffix).AppendColumns(a.h, a.t); err != nil {
@@ -285,8 +247,8 @@ func (c *Contrep) Insert(db *moa.Database, prefix string, first bat.OID, prepare
 
 // Finalize implements moa.Structure: it rebuilds the derived
 // representation — document frequencies, collection statistics, the
-// belief column, the persistent reversed views, and the term-ordered
-// postings with per-term max-belief bounds — as a SINGLE index segment
+// reversed dictionary, and the term-ordered postings with their beliefs
+// and per-term max-belief bounds — as a SINGLE index segment
 // (segment.go). A batch build is exactly the degenerate case of the
 // segmented layout, which is what makes the incremental path (delta
 // AppendSegment + RefinalizeSegments, compacted by MergeSegments)
@@ -301,7 +263,7 @@ func (c *Contrep) Finalize(db *moa.Database, prefix string) error {
 	if _, err := appendSegment(a, prefix); err != nil {
 		return err
 	}
-	return refinalizeSegments(a, db, prefix)
+	return refinalizeSegments(a, prefix, globalStatsFor(db, prefix))
 }
 
 // adoptDense wraps an adopted tail column as a [void, tail] BAT.
@@ -311,20 +273,40 @@ func adoptDense(tail *bat.Column) *bat.BAT {
 	return b
 }
 
-// Materialize implements moa.Structure.
+// Materialize implements moa.Structure: the beliefs of owner's terms.
+// Each is recomputed from the stored tf and document length under the
+// _df/_stats the same refinalize wrote beside the segments' beliefs, by
+// the same arithmetic (beliefCalc.belief), so it equals the segment's
+// value bit for bit.
 func (c *Contrep) Materialize(db *moa.Database, prefix string, owner bat.OID) (any, error) {
-	positions, err := postingsOf(db, prefix, owner)
+	st, err := ReadStats(db, prefix)
 	if err != nil {
 		return nil, err
 	}
 	termB := mustBAT(db, prefix+"_term")
-	belB := mustBAT(db, prefix+"_bel")
+	docB := mustBAT(db, prefix+"_doc")
+	tfB := mustBAT(db, prefix+"_tf")
+	dfB := mustBAT(db, prefix+"_df")
 	dict := mustBAT(db, prefix+"_dict")
-	out := &ContrepValue{Prefix: prefix, Beliefs: make(map[string]float64, len(positions))}
-	for _, p := range positions {
-		t := termB.Tail.OIDAt(p)
-		w := dict.Tail.StrAt(int(t))
-		out.Beliefs[w] = belB.Tail.FloatAt(p)
+	dl, ok := mustBAT(db, prefix+"_dlen").Find(owner)
+	if !ok {
+		return nil, fmt.Errorf("ir: %s has no document %d", prefix, owner)
+	}
+	norm := lenNorm(int(dl.(int64)), st.AvgDocLen)
+	// Insert appends documents in ascending OID order, so _doc ascends
+	// and owner's postings are one run.
+	n := docB.Len()
+	lo := sort.Search(n, func(i int) bool { return docB.Tail.OIDAt(i) >= owner })
+	out := &ContrepValue{Prefix: prefix, Beliefs: map[string]float64{}}
+	for p := lo; p < n && docB.Tail.OIDAt(p) == owner; p++ {
+		t := int(termB.Tail.OIDAt(p))
+		b := DefaultBelief
+		if t < dfB.Len() {
+			if idf, ok := termIDF(int(dfB.Tail.IntAt(t)), st.N); ok {
+				b = tfBelief(int(tfB.Tail.IntAt(p)), norm, idf)
+			}
+		}
+		out.Beliefs[dict.Tail.StrAt(t)] = b
 	}
 	return out, nil
 }
@@ -430,6 +412,32 @@ func queryTermsVar(tr *moa.Translator, prefix string, query moa.Rep) (q, w strin
 	return q, w, nil
 }
 
+// segOperands is the operand tail of every probabilistic builtin for one
+// CONTREP: its segment count, then the seven block-layout columns of each
+// segment. Incremental indexing splits the derived representation into
+// segments — slot 0 keeps the canonical names, delta slots are suffixed
+// _seg<s> — so the list is whatever this database (a published epoch
+// snapshot) holds. A CONTREP that was never finalized has no segments,
+// and so no postings form at all.
+func segOperands(tr *moa.Translator, prefix string) ([]mil.Expr, error) {
+	n := 0
+	for n == 0 || tr.HasBAT(SegColumn(prefix, n, "_poststart")) {
+		for _, suffix := range blockSegSuffixes {
+			if !tr.HasBAT(SegColumn(prefix, n, suffix)) {
+				return nil, fmt.Errorf("moa: %s has no postings segment %d (not finalized, or a half-published slot)", prefix, n)
+			}
+		}
+		n++
+	}
+	ops := []mil.Expr{mil.L(int64(n))}
+	for s := 0; s < n; s++ {
+		for _, suffix := range blockSegSuffixes {
+			ops = append(ops, mil.R(SegColumn(prefix, s, suffix)))
+		}
+	}
+	return ops, nil
+}
+
 // emitGetBLPairs is the unfused flattening: it materialises one belief per
 // (element, query term) — including defaults — as a nested SET<flt>.
 func emitGetBLPairs(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.Rep) (moa.Rep, error) {
@@ -447,9 +455,12 @@ func emitGetBLPairs(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.
 	if w != "" {
 		return nil, fmt.Errorf("moa: a weighted getBL query is only defined under sum (enable aggregate fusion)")
 	}
+	segs, err := segOperands(tr, sr.Prefix)
+	if err != nil {
+		return nil, err
+	}
 	pairs := tr.Emit("blp", mil.C("getbl_pairs",
-		mil.R(sr.Prefix+"_termrev"), mil.R(sr.Prefix+"_doc"), mil.R(sr.Prefix+"_bel"),
-		mil.R(q), mil.L(DefaultBelief), mil.R(ctx.DomainVar)))
+		append([]mil.Expr{mil.L(DefaultBelief), mil.R(ctx.DomainVar), mil.R(q)}, segs...)...))
 	assoc := tr.Emit("bla", mil.C("mark", mil.R(pairs), mil.L(int64(0))))
 	vals := tr.Emit("blv", mil.C("reverse", mil.C("mark", mil.C("reverse", mil.R(pairs)), mil.L(int64(0)))))
 	return &moa.SetRep{AssocVar: assoc, ValsVar: vals, ElemT: moa.FloatType}, nil
@@ -470,15 +481,19 @@ func emitGetBLScore(tr *moa.Translator, ctx *moa.Ctx, recv moa.Rep, extra []moa.
 	if err != nil {
 		return nil, err
 	}
-	cols := []mil.Expr{mil.R(sr.Prefix + "_termrev"), mil.R(sr.Prefix + "_doc"), mil.R(sr.Prefix + "_bel"), mil.R(q)}
+	segs, err := segOperands(tr, sr.Prefix)
+	if err != nil {
+		return nil, err
+	}
+	args := []mil.Expr{mil.L(DefaultBelief), mil.R(q)}
 	// default score for elements with no matching posting: |q| · default,
 	// resp. Σ weights · default
 	qlen := mil.C("count", mil.R(q))
 	op := "getbl"
 	if w != "" {
-		cols, qlen, op = append(cols, mil.R(w)), mil.C("sum", mil.R(w)), "wsum_bel"
+		args, qlen, op = append(args, mil.R(w)), mil.C("sum", mil.R(w)), "wsum_bel"
 	}
-	scores := tr.Emit("bls", mil.C(op, append(cols, mil.L(DefaultBelief))...))
+	scores := tr.Emit("bls", mil.C(op, append(args, segs...)...))
 	if !ctx.Full {
 		scores = tr.Emit("bls", mil.C("semijoin", mil.R(scores), mil.R(ctx.DomainVar)))
 	}
@@ -500,9 +515,8 @@ func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, calls []moa.TopKCall, 
 	if !ctx.Full {
 		return nil, fmt.Errorf("moa: pruned top-k requires a full-collection scan")
 	}
-	prefixes := make([]string, len(calls))
-	nsegs := make([]int, len(calls))
-	for i, c := range calls {
+	args := []mil.Expr{mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar), mil.L(div)}
+	for _, c := range calls {
 		sr, ok := c.Recv.(*moa.StructRep)
 		if !ok {
 			return nil, fmt.Errorf("moa: getBLScore receiver must be a CONTREP field, got %T", c.Recv)
@@ -510,27 +524,11 @@ func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, calls []moa.TopKCall, 
 		if len(c.Extra) != 2 {
 			return nil, fmt.Errorf("moa: getBLScore needs query and stats arguments")
 		}
-		// A checkpoint written before the term-ordered postings existed (or
-		// a CONTREP never finalized) lacks the derived columns: fall back to
-		// the exhaustive plan instead of emitting dangling references.
-		// Incremental indexing splits the derived representation into
-		// segments — slot 0 keeps the canonical names, delta slots are
-		// suffixed _seg<s> — so the emitted scan enumerates whatever segment
-		// list this database (a published epoch snapshot) holds, seven
-		// block-layout columns each.
-		for nsegs[i] == 0 || tr.HasBAT(SegColumn(sr.Prefix, nsegs[i], "_poststart")) {
-			for _, suffix := range blockSegSuffixes {
-				if !tr.HasBAT(SegColumn(sr.Prefix, nsegs[i], suffix)) {
-					return nil, moa.ErrNoPrunedForm // no derived columns, or a half-published slot
-				}
-			}
-			nsegs[i]++
+		segs, err := segOperands(tr, sr.Prefix)
+		if err != nil {
+			return nil, err
 		}
-		prefixes[i] = sr.Prefix
-	}
-	args := []mil.Expr{mil.L(DefaultBelief), mil.L(int64(k)), mil.R(ctx.DomainVar), mil.L(div)}
-	for i, c := range calls {
-		q, w, err := queryTermsVar(tr, prefixes[i], c.Extra[0])
+		q, w, err := queryTermsVar(tr, sr.Prefix, c.Extra[0])
 		if err != nil {
 			return nil, err
 		}
@@ -538,12 +536,7 @@ func emitGetBLScoreTopK(tr *moa.Translator, ctx *moa.Ctx, calls []moa.TopKCall, 
 		if w != "" {
 			args = append(args, mil.R(w))
 		}
-		args = append(args, mil.L(int64(nsegs[i])))
-		for s := 0; s < nsegs[i]; s++ {
-			for _, suffix := range blockSegSuffixes {
-				args = append(args, mil.R(SegColumn(prefixes[i], s, suffix)))
-			}
-		}
+		args = append(args, segs...)
 	}
 	pk := tr.Emit("pk", mil.C("prunedtopk", args...))
 	dom := tr.Emit("pkd", mil.C("mirror", mil.R(pk)))

@@ -76,20 +76,23 @@ func TestGlobalStatsShardBeliefsMatchWhole(t *testing.T) {
 		}
 	}
 
-	// Per-document beliefs: read term→belief maps via the dictionary so
-	// the comparison is OID-layout independent.
+	// Per-document beliefs, read off the segments: term→belief maps via
+	// the dictionary so the comparison is OID-layout independent.
 	beliefsOf := func(db *moa.Database, local bat.OID) map[string]float64 {
-		termB, _ := db.BAT("L_body_term")
-		docB, _ := db.BAT("L_body_doc")
-		belB, _ := db.BAT("L_body_bel")
 		dict, _ := db.BAT("L_body_dict")
 		out := map[string]float64{}
-		for i := 0; i < docB.Len(); i++ {
-			if docB.Tail.OIDAt(i) != local {
-				continue
+		for s := 0; s < SegmentCount(db, "L_body"); s++ {
+			data, err := readSegData(access(db), "L_body", s)
+			if err != nil {
+				t.Fatal(err)
 			}
-			w := dict.Tail.StrAt(int(termB.Tail.OIDAt(i)))
-			out[w] = belB.Tail.FloatAt(i)
+			for tIdx := 0; tIdx+1 < len(data.starts); tIdx++ {
+				for i := data.starts[tIdx]; i < data.starts[tIdx+1]; i++ {
+					if data.docs[i] == local {
+						out[dict.Tail.StrAt(tIdx)] = data.bels[i]
+					}
+				}
+			}
 		}
 		return out
 	}

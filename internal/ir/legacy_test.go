@@ -74,9 +74,10 @@ func segmentedTestDB(t *testing.T, seed int64) (inc, ref *moa.Database) {
 }
 
 // TestUpgradeRawSegments: a segmented store in the legacy raw layout
-// upgrades to block segments whose logical postings — beliefs bit-for-bit
-// — equal a fresh build's, serves the pruned plan again, leaves no raw
-// column behind, and a second upgrade touches nothing.
+// has no postings form the operators read until it is upgraded; it then
+// holds block segments whose logical postings — beliefs bit-for-bit —
+// equal a fresh build's, serves the pruned plan, leaves no raw column
+// behind, and a second upgrade touches nothing.
 func TestUpgradeRawSegments(t *testing.T) {
 	const prefix = "Lib_body"
 	db, ref := segmentedTestDB(t, 5)
@@ -84,15 +85,11 @@ func TestUpgradeRawSegments(t *testing.T) {
 
 	eng := moa.NewEngine(db)
 	eng.Opts.TopK = 5
-	c, err := eng.Compile(`map[sum(THIS)](map[getBL(THIS.body, query, stats)](Lib));`, QueryParams([]string{"harbor"}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := c.Run(); err != nil || res.Ranked {
-		t.Fatalf("un-upgraded raw store must fall back to the exhaustive plan (ranked=%v err=%v)", res != nil && res.Ranked, err)
+	if _, err := eng.Compile(`map[sum(THIS)](map[getBL(THIS.body, query, stats)](Lib));`, QueryParams([]string{"harbor"})); err == nil {
+		t.Fatal("an un-upgraded raw store compiled a query over postings it does not hold")
 	}
 
-	if err := UpgradeRawSegments(db, prefix); err != nil {
+	if err := upgradeRawSegments(db, prefix); err != nil {
 		t.Fatal(err)
 	}
 	assertDerivedEqual(t, ref, db, prefix, "upgraded")
@@ -113,7 +110,7 @@ func TestUpgradeRawSegments(t *testing.T) {
 	}
 
 	before := db.Snapshot()
-	if err := UpgradeRawSegments(db, prefix); err != nil {
+	if err := upgradeRawSegments(db, prefix); err != nil {
 		t.Fatal(err)
 	}
 	for name, b := range db.Snapshot() {
@@ -211,7 +208,7 @@ func TestUpgradeRawSegmentsMalformed(t *testing.T) {
 					}
 				}()
 				if op == "upgrade" {
-					err = UpgradeRawSegments(db, prefix)
+					err = upgradeRawSegments(db, prefix)
 				} else {
 					err = MergeSegments(db, prefix, 0, 2)
 				}

@@ -160,6 +160,19 @@ func SegmentCount(db *moa.Database, prefix string) int {
 	return sd.count()
 }
 
+// Segments returns a CONTREP's postings segments, oldest first, as the
+// physical operators take them.
+func Segments(db *moa.Database, prefix string) ([]bat.PostingsSeg, error) {
+	segs := make([]bat.PostingsSeg, SegmentCount(db, prefix))
+	for s := range segs {
+		var err error
+		if segs[s], err = segPostings(access(db), prefix, s); err != nil {
+			return nil, err
+		}
+	}
+	return segs, nil
+}
+
 // buildSegmentStructure derives slot's postings structure from the raw
 // pair range [pairLo, pairHi): a counting sort by term, each term's run
 // document-ascending (a repair sort runs if a caller ever violated
@@ -266,23 +279,22 @@ func appendSegment(a dbAccess, prefix string) (bool, error) {
 }
 
 // RefinalizeSegments recomputes everything that depends on collection
-// statistics — the _df/_stats columns, the pair-ordered _bel column, and
-// every segment's belief columns — plus the reversed term/dictionary
-// views, honouring a registered GlobalStats override exactly like the
-// monolithic Finalize. Segment structure is left untouched. New derived
-// BATs replace the old wholesale, so a published epoch's frozen views
-// keep serving the pre-refresh state.
+// statistics — the _df/_stats columns and every segment's belief columns
+// — plus the reversed dictionary, honouring a registered GlobalStats
+// override exactly like the monolithic Finalize. Segment structure is
+// left untouched. New derived BATs replace the old wholesale, so a
+// published epoch's frozen views keep serving the pre-refresh state.
 func RefinalizeSegments(db *moa.Database, prefix string) error {
-	return refinalizeSegments(access(db), db, prefix)
+	return refinalizeSegments(access(db), prefix, globalStatsFor(db, prefix))
 }
 
-func refinalizeSegments(a dbAccess, db *moa.Database, prefix string) error {
+// refinalizeSegments is RefinalizeSegments under the statistics override
+// gs (nil: the collection's own statistics).
+func refinalizeSegments(a dbAccess, prefix string, gs *GlobalStats) error {
 	termB, ok1 := a.get(prefix + "_term")
-	docB, ok2 := a.get(prefix + "_doc")
-	tfB, ok3 := a.get(prefix + "_tf")
-	dlenB, ok4 := a.get(prefix + "_dlen")
-	dict, ok5 := a.get(prefix + "_dict")
-	if !ok1 || !ok2 || !ok3 || !ok4 || !ok5 {
+	dlenB, ok2 := a.get(prefix + "_dlen")
+	dict, ok3 := a.get(prefix + "_dict")
+	if !ok1 || !ok2 || !ok3 {
 		return fmt.Errorf("ir: %s: missing raw CONTREP columns", prefix)
 	}
 	sd, ok := readSegDir(a, prefix)
@@ -332,7 +344,7 @@ func refinalizeSegments(a dbAccess, db *moa.Database, prefix string) error {
 
 	// Sharded indexing: the registered override replaces the local view
 	// of n, avgdl and df with the global one (see globalstats.go).
-	if gs := globalStatsFor(db, prefix); gs != nil {
+	if gs != nil {
 		n = gs.N
 		avgdl = gs.AvgDocLen
 		for t := range df {
@@ -350,37 +362,21 @@ func refinalizeSegments(a dbAccess, db *moa.Database, prefix string) error {
 		bc.norm[d] = lenNorm(int(l), avgdl)
 	}
 
-	// Pair-ordered beliefs (the exhaustive getbl/wsum input).
-	bels := make([]float64, termB.Len())
-	for i := range bels {
-		d := docB.Tail.OIDAt(i)
-		if d >= bat.OID(len(dlen)) {
-			return fmt.Errorf("ir: %s: posting %d of document %d beyond the %d documents", prefix, i, d, len(dlen))
-		}
-		bels[i] = bc.belief(int(termB.Tail.OIDAt(i)), d, tfB.Tail.IntAt(i))
-	}
-
 	stats := []float64{float64(n), avgdl, DefaultBelief, float64(dict.Len())}
 
 	// Per-segment beliefs and bounds. Belief is a pure per-posting
-	// function, so these are exactly the pair-ordered values scattered —
-	// no fold-order concern. Each segment decodes its immutable doc/tf
-	// blocks and rewrites only the belief columns (and their
-	// upward-quantized per-block bounds); the structure columns are never
-	// re-encoded here.
+	// function of (term, document, tf), so no fold-order concern. Each
+	// segment decodes its immutable doc/tf blocks and rewrites only the
+	// belief columns (and their upward-quantized per-block bounds); the
+	// structure columns are never re-encoded here.
 	for s := 0; s < sd.count(); s++ {
 		if err := refinalizeBlockSegment(a, prefix, s, bc); err != nil {
 			return err
 		}
 	}
 
-	dfB := adoptDense(bat.ColumnOfInts(df))
-	bel := adoptDense(bat.ColumnOfFloats(bels))
-	statsB := adoptDense(bat.ColumnOfFloats(stats))
-	a.put(prefix+"_df", dfB)
-	a.put(prefix+"_bel", bel)
-	a.put(prefix+"_stats", statsB)
-	a.put(prefix+"_termrev", termB.Reverse())
+	a.put(prefix+"_df", adoptDense(bat.ColumnOfInts(df)))
+	a.put(prefix+"_stats", adoptDense(bat.ColumnOfFloats(stats)))
 	a.put(prefix+"_dictrev", dict.Reverse())
 	return nil
 }
@@ -500,21 +496,64 @@ func PickMerge(sizes []int, fanIn int) (lo, hi int, ok bool) {
 	return lo, n, true
 }
 
-// EnsureSegmented upgrades a CONTREP whose derived representation
-// predates segmentation (a store checkpointed by an older build): the
-// existing postings become segment 0 (structure re-derived from the pair
-// columns — the old layout lacks _posttf) covering everything so far.
-// No-op when a directory already exists.
-func EnsureSegmented(db *moa.Database, prefix string) error {
+// UpgradeLayout brings a CONTREP checkpointed by an earlier build to
+// today's layout; core runs it on every loaded checkpoint, before WAL
+// replay, refresh or the planner meet the store, and the next checkpoint
+// persists the result. It is a no-op on a current store.
+//   - A store from before segmentation gets its one segment
+//     (ensureSegmented).
+//   - Legacy raw-layout segments are re-encoded as blocks
+//     (upgradeRawSegments).
+//   - The pair-order belief column _bel and the reversed term view
+//     _termrev, a second copy of the beliefs that earlier builds kept for
+//     the exhaustive operators, are dropped: those read the segments.
+func UpgradeLayout(db *moa.Database, prefix string) error {
+	if err := upgradeRawSegments(db, prefix); err != nil {
+		return err
+	}
+	if err := ensureSegmented(db, prefix); err != nil {
+		return err
+	}
+	a := access(db)
+	for _, suffix := range []string{"_bel", "_termrev"} {
+		if _, ok := a.get(prefix + suffix); ok {
+			a.del(prefix + suffix)
+		}
+	}
+	return nil
+}
+
+// ensureSegmented upgrades a finalized CONTREP whose derived
+// representation predates segmentation: the existing postings become
+// segment 0 (structure re-derived from the pair columns — the old layout
+// lacks _posttf) covering everything so far. Its beliefs are derived
+// under the statistics the store was finalized with (its _df/_stats:
+// a shard member's hold the global ones), so they are the beliefs it
+// served. No-op when a directory exists or the CONTREP was never
+// finalized.
+func ensureSegmented(db *moa.Database, prefix string) error {
 	a := access(db)
 	if _, ok := readSegDir(a, prefix); ok {
 		return nil
+	}
+	st, err := ReadStats(db, prefix)
+	if err != nil {
+		return nil // never finalized: the first Finalize segments it
+	}
+	dfB, ok1 := a.get(prefix + "_df")
+	dict, ok2 := a.get(prefix + "_dict")
+	if !ok1 || !ok2 {
+		return fmt.Errorf("ir: %s: finalized without _df/_dict", prefix)
+	}
+	gs := &GlobalStats{N: st.N, AvgDocLen: st.AvgDocLen, DF: make(map[string]int, dfB.Len())}
+	for t := 0; t < dfB.Len() && t < dict.Len(); t++ {
+		gs.DF[dict.Tail.StrAt(t)] = int(dfB.Tail.IntAt(t))
 	}
 	writeSegDir(a, prefix, &segDir{})
 	if _, err := appendSegment(a, prefix); err != nil {
 		return err
 	}
-	return refinalizeSegments(a, db, prefix)
+	return refinalizeSegments(a, prefix, gs)
 }
 
 // dropSegments removes every segmented derived column and the directory

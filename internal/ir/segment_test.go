@@ -52,7 +52,7 @@ func segInsert(t *testing.T, db *moa.Database, i int, text string) {
 // the logical postings content of two databases' CONTREPs.
 func assertDerivedEqual(t *testing.T, want, got *moa.Database, prefix, label string) {
 	t.Helper()
-	for _, name := range []string{prefix + "_bel", prefix + "_df", prefix + "_stats"} {
+	for _, name := range []string{prefix + "_df", prefix + "_stats"} {
 		wb, ok1 := want.BAT(name)
 		gb, ok2 := got.BAT(name)
 		if !ok1 || !ok2 {
@@ -243,8 +243,9 @@ func TestMergePolicyBoundedFanIn(t *testing.T) {
 
 // TestEnsureSegmentedUpgradesOldLayout simulates a store checkpointed
 // before segmentation existed: canonical raw derived columns only, no
-// directory, no _posttf. EnsureSegmented must produce a 1-segment block
-// layout whose derived state matches a fresh Finalize.
+// directory, no _posttf, and the pair-order _bel/_termrev copy. The
+// open-time UpgradeLayout must produce a 1-segment block layout whose
+// derived state matches a fresh Finalize, and drop the pair-order copy.
 func TestEnsureSegmentedUpgradesOldLayout(t *testing.T) {
 	const prefix = "Lib_body"
 	db := segTestDB(t)
@@ -263,8 +264,16 @@ func TestEnsureSegmentedUpgradesOldLayout(t *testing.T) {
 	if SegmentCount(db, prefix) != 0 {
 		t.Fatal("directory still present after strip")
 	}
-	if err := EnsureSegmented(db, prefix); err != nil {
+	term, _ := db.BAT(prefix + "_term")
+	db.PutBAT(prefix+"_termrev", term.Reverse())
+	db.PutBAT(prefix+"_bel", term)
+	if err := UpgradeLayout(db, prefix); err != nil {
 		t.Fatal(err)
+	}
+	for _, suffix := range []string{"_bel", "_termrev"} {
+		if _, ok := db.BAT(prefix + suffix); ok {
+			t.Fatalf("upgrade left %s behind", prefix+suffix)
+		}
 	}
 	if SegmentCount(db, prefix) != 1 {
 		t.Fatalf("segments = %d, want 1", SegmentCount(db, prefix))

@@ -387,103 +387,127 @@ func biExists(_ *Env, args []any) (any, error) {
 	return b.Exists(args[1]), nil
 }
 
-// biGetBL is the MIL surface of the probabilistic physical operator:
+// The probabilistic builtins read a CONTREP's postings as one or more
+// sources, each written
 //
-//	getbl(revterm, doc, belief, query, default) → [docOID, score]
+//	query[, weights], nsegs, s0_poststart, s0_blkstart, s0_blkdir,
+//	s0_blkdoc, s0_blkbdir, s0_blkbel, s0_maxbel[, s1_poststart, ...]
 //
-// query is a BAT whose tail holds the query-term OIDs; default is the
-// inference network's default belief for unmatched terms.
-func biGetBL(_ *Env, args []any) (any, error) {
-	if err := wantArgs(args, 5); err != nil {
-		return nil, err
-	}
-	rev, err := argBAT(args, 0)
+// query is a BAT whose tail holds the query-term OIDs; weights, when
+// present, a [_, flt] BAT of per-term weights aligned with them; then the
+// segment count and seven block-layout BATs per segment (the
+// bat/postcodec.go layout), segments in ascending document order.
+
+// parseSource parses one source starting at args[i] and returns it with
+// the index of the first argument after it.
+func parseSource(op string, args []any, i, n int) (bat.TopKSource, int, error) {
+	var src bat.TopKSource
+	qb, err := argBAT(args, i)
 	if err != nil {
-		return nil, err
+		return src, 0, err
 	}
-	doc, err := argBAT(args, 1)
+	i++
+	if i < len(args) {
+		if wb, ok := args[i].(*bat.BAT); ok {
+			if wb.Len() != qb.Len() || wb.Tail.Kind() != bat.KindFloat {
+				return src, 0, errorf("%s source %d: weights must be %d flt values, got %d %s", op, n, qb.Len(), wb.Len(), wb.Tail.Kind())
+			}
+			src.Weights = make([]float64, wb.Len())
+			for j := range src.Weights {
+				src.Weights[j] = wb.Tail.FloatAt(j)
+			}
+			i++
+		}
+	}
+	nsegs, err := argInt(args, i)
 	if err != nil {
-		return nil, err
+		return src, 0, err
 	}
-	bel, err := argBAT(args, 2)
-	if err != nil {
-		return nil, err
+	i++
+	if nsegs < 1 || int64(len(args)-i) < 7*nsegs {
+		return src, 0, errorf("%s source %d: %d segments need %d BATs, %d args remain", op, n, nsegs, 7*nsegs, len(args)-i)
 	}
-	qb, err := argBAT(args, 3)
-	if err != nil {
-		return nil, err
+	src.Segs = make([]bat.PostingsSeg, nsegs)
+	for s := range src.Segs {
+		var cols [7]*bat.BAT
+		for j := range cols {
+			if cols[j], err = argBAT(args, i); err != nil {
+				return src, 0, err
+			}
+			i++
+		}
+		src.Segs[s] = bat.PostingsSeg{
+			Start: cols[0], BlkStart: cols[1], BlkDir: cols[2], BlkDoc: cols[3],
+			BlkBDir: cols[4], BlkBel: cols[5], MaxBel: cols[6],
+		}
 	}
-	def, err := argFloat(args, 4)
-	if err != nil {
-		return nil, err
+	src.Query = make([]bat.OID, qb.Len())
+	for j := range src.Query {
+		src.Query[j] = qb.Tail.OIDAt(j)
 	}
-	query := make([]bat.OID, qb.Len())
-	for i := range query {
-		query[i] = qb.Tail.OIDAt(i)
-	}
-	beliefs, counts, err := bat.GetBL(rev, doc, bel, query)
-	if err != nil {
-		return nil, err
-	}
-	return bat.SumBeliefs(beliefs, counts, len(query), def)
+	return src, i, nil
 }
 
-// biWSumBel: wsum_bel(revterm, doc, belief, query, weights, default).
+// oneSource parses args[i:] as exactly one source, weighted or not as
+// weighted says.
+func oneSource(op string, args []any, i int, weighted bool) (bat.TopKSource, error) {
+	src, end, err := parseSource(op, args, i, 1)
+	if err != nil {
+		return src, err
+	}
+	if end != len(args) {
+		return src, errorf("%s takes one source, %d args remain after it", op, len(args)-end)
+	}
+	if (src.Weights != nil) != weighted {
+		if weighted {
+			return src, errorf("%s: the source needs a weights BAT", op)
+		}
+		return src, errorf("%s: a weighted source takes wsum_bel", op)
+	}
+	return src, nil
+}
+
+// biGetBL is the MIL surface of the probabilistic physical operator:
+//
+//	getbl(default, source) → [docOID, score]
+//
+// the summed beliefs of every document matching a query term, unmatched
+// terms at the inference network's default belief.
+func biGetBL(_ *Env, args []any) (any, error) {
+	def, err := argFloat(args, 0)
+	if err != nil {
+		return nil, err
+	}
+	src, err := oneSource("getbl", args, 1, false)
+	if err != nil {
+		return nil, err
+	}
+	beliefs, counts, err := bat.GetBL(src.Segs, src.Query)
+	if err != nil {
+		return nil, err
+	}
+	return bat.SumBeliefs(beliefs, counts, len(src.Query), def)
+}
+
+// biWSumBel: wsum_bel(default, weighted source) → [docOID, score].
 func biWSumBel(_ *Env, args []any) (any, error) {
-	if err := wantArgs(args, 6); err != nil {
-		return nil, err
-	}
-	rev, err := argBAT(args, 0)
+	def, err := argFloat(args, 0)
 	if err != nil {
 		return nil, err
 	}
-	doc, err := argBAT(args, 1)
+	src, err := oneSource("wsum_bel", args, 1, true)
 	if err != nil {
 		return nil, err
 	}
-	bel, err := argBAT(args, 2)
-	if err != nil {
-		return nil, err
-	}
-	qb, err := argBAT(args, 3)
-	if err != nil {
-		return nil, err
-	}
-	wb, err := argBAT(args, 4)
-	if err != nil {
-		return nil, err
-	}
-	def, err := argFloat(args, 5)
-	if err != nil {
-		return nil, err
-	}
-	query := make([]bat.OID, qb.Len())
-	for i := range query {
-		query[i] = qb.Tail.OIDAt(i)
-	}
-	if wb.Tail.Kind() != bat.KindFloat {
-		return nil, errorf("wsum_bel: weights must be flt, got %s", wb.Tail.Kind())
-	}
-	weights := make([]float64, wb.Len())
-	for i := range weights {
-		weights[i] = wb.Tail.FloatAt(i)
-	}
-	return bat.WSumBeliefs(rev, doc, bel, query, weights, def)
+	return bat.WSumBeliefs(src.Segs, src.Query, src.Weights, def)
 }
 
 // biPrunedTopK is the MIL surface of the pruned ranked-retrieval operator:
 //
-//	prunedtopk(default, k, domain, div,
-//	           query_1[, weights_1], nsegs_1, s0_poststart, s0_blkstart,
-//	           s0_blkdir, s0_blkdoc, s0_blkbdir, s0_blkbel, s0_maxbel,
-//	           [s1_poststart, ...]
-//	           [, query_2[, weights_2], nsegs_2, ...])
+//	prunedtopk(default, k, domain, div, source_1[, source_2, ...])
 //	    → [docOID, score]
 //
-// Each source is one CONTREP's query-term OIDs, optionally a [_, flt]
-// BAT of per-term weights aligned with them (the weighted fold), its
-// segment count and seven block-layout BATs per segment (the
-// bat/postcodec.go layout; bat.PrunedTopK). It evaluates the
+// Each source is one CONTREP's (bat.PrunedTopK). It evaluates the
 // inference-network sum (or, weighted, #wsum) of every source with
 // block-max max-score skipping, adds the per-source folds and divides by
 // div, and returns only the k best documents, already ordered score
@@ -515,50 +539,11 @@ func biPrunedTopK(env *Env, args []any) (any, error) {
 	}
 	var srcs []bat.TopKSource
 	for i := 4; i < len(args); {
-		qb, err := argBAT(args, i)
+		src, next, err := parseSource("prunedtopk", args, i, len(srcs)+1)
 		if err != nil {
 			return nil, err
 		}
-		i++
-		var weights []float64
-		if i < len(args) {
-			if wb, ok := args[i].(*bat.BAT); ok {
-				if wb.Len() != qb.Len() || wb.Tail.Kind() != bat.KindFloat {
-					return nil, errorf("prunedtopk source %d: weights must be %d flt values, got %d %s", len(srcs)+1, qb.Len(), wb.Len(), wb.Tail.Kind())
-				}
-				weights = make([]float64, wb.Len())
-				for j := range weights {
-					weights[j] = wb.Tail.FloatAt(j)
-				}
-				i++
-			}
-		}
-		nsegs, err := argInt(args, i)
-		if err != nil {
-			return nil, err
-		}
-		i++
-		if nsegs < 1 || int64(len(args)-i) < 7*nsegs {
-			return nil, errorf("prunedtopk source %d: %d segments need %d BATs, %d args remain", len(srcs)+1, nsegs, 7*nsegs, len(args)-i)
-		}
-		src := bat.TopKSource{Segs: make([]bat.PostingsSeg, nsegs), Query: make([]bat.OID, qb.Len()), Weights: weights}
-		for s := range src.Segs {
-			var cols [7]*bat.BAT
-			for j := range cols {
-				if cols[j], err = argBAT(args, i); err != nil {
-					return nil, err
-				}
-				i++
-			}
-			src.Segs[s] = bat.PostingsSeg{
-				Start: cols[0], BlkStart: cols[1], BlkDir: cols[2], BlkDoc: cols[3],
-				BlkBDir: cols[4], BlkBel: cols[5], MaxBel: cols[6],
-			}
-		}
-		for j := range src.Query {
-			src.Query[j] = qb.Tail.OIDAt(j)
-		}
-		srcs = append(srcs, src)
+		srcs, i = append(srcs, src), next
 	}
 	if len(srcs) == 0 {
 		return nil, errorf("prunedtopk expects 4 scalar args plus at least one source, got %d args", len(args))
@@ -666,39 +651,20 @@ func init() {
 	builtins["getbl_pairs"] = biGetBLPairs
 }
 
-// biGetBLPairs: getbl_pairs(revterm, doc, belief, query, default, domain) —
-// the materialising per-term belief operator (see bat.GetBLPairs).
+// biGetBLPairs: getbl_pairs(default, domain, source) — the materialising
+// per-term belief operator (see bat.GetBLPairs).
 func biGetBLPairs(_ *Env, args []any) (any, error) {
-	if err := wantArgs(args, 6); err != nil {
-		return nil, err
-	}
-	rev, err := argBAT(args, 0)
+	def, err := argFloat(args, 0)
 	if err != nil {
 		return nil, err
 	}
-	doc, err := argBAT(args, 1)
+	domain, err := argBAT(args, 1)
 	if err != nil {
 		return nil, err
 	}
-	bel, err := argBAT(args, 2)
+	src, err := oneSource("getbl_pairs", args, 2, false)
 	if err != nil {
 		return nil, err
 	}
-	qb, err := argBAT(args, 3)
-	if err != nil {
-		return nil, err
-	}
-	def, err := argFloat(args, 4)
-	if err != nil {
-		return nil, err
-	}
-	domain, err := argBAT(args, 5)
-	if err != nil {
-		return nil, err
-	}
-	query := make([]bat.OID, qb.Len())
-	for i := range query {
-		query[i] = qb.Tail.OIDAt(i)
-	}
-	return bat.GetBLPairs(rev, doc, bel, query, def, domain)
+	return bat.GetBLPairs(src.Segs, src.Query, def, domain)
 }

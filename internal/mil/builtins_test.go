@@ -142,21 +142,33 @@ func TestFillBuiltin(t *testing.T) {
 }
 
 func TestWSumBelBuiltin(t *testing.T) {
-	term := bat.NewDense(0, bat.KindOID)
-	doc := bat.NewDense(0, bat.KindOID)
-	bel := bat.NewDense(0, bat.KindFloat)
-	term.MustAppend(bat.OID(0), bat.OID(10))
-	doc.MustAppend(bat.OID(0), bat.OID(0))
-	bel.MustAppend(bat.OID(0), 0.9)
-	q := mk(t, bat.KindOID, bat.OID(10))
-	w := mk(t, bat.KindFloat, 2.0)
-	bind := map[string]any{
-		"rev": term.Reverse(), "doc": doc, "bel": bel, "q": q, "w": w,
+	// term 10 → (doc 0, 0.9)
+	seg, err := bat.EncodeBlockSegment(append(make([]int64, 11), 1), []bat.OID{0}, []int64{1}, []float64{0.9})
+	if err != nil {
+		t.Fatal(err)
 	}
-	v := runSrc(t, `find(wsum_bel(rev, doc, bel, q, w, 0.4), 0@0);`, bind)
+	bind := map[string]any{"q": mk(t, bat.KindOID, bat.OID(10)), "w": mk(t, bat.KindFloat, 2.0)}
+	segs := segArgs(bind, "s", seg)
+	v := runSrc(t, `find(wsum_bel(0.4, q, w`+segs+`), 0@0);`, bind)
 	// 2*(0.9-0.4) + 2*0.4 = 1.8
 	if math.Abs(v.(float64)-1.8) > 1e-12 {
 		t.Fatalf("wsum_bel = %v", v)
+	}
+	// wsum_bel needs its weights; getbl and getbl_pairs refuse them, and
+	// each takes exactly one source
+	for _, src := range []string{
+		`wsum_bel(0.4, q` + segs + `);`,
+		`getbl(0.4, q, w` + segs + `);`,
+		`getbl_pairs(0.4, q, q, w` + segs + `);`,
+		`getbl(0.4, q` + segs + `, q` + segs + `);`,
+	} {
+		env := NewEnv()
+		for k, v := range bind {
+			env.Bind(k, v)
+		}
+		if _, err := RunSource(src, env); err == nil {
+			t.Errorf("%s accepted", src)
+		}
 	}
 }
 
@@ -219,6 +231,20 @@ func TestMuxBoolOps(t *testing.T) {
 	}
 }
 
+// segArgs binds the seven columns of every segment under prefix-derived
+// names and returns the source tail naming them: ", nsegs, cols...".
+func segArgs(bind map[string]any, prefix string, segs ...bat.PostingsSeg) string {
+	out := fmt.Sprintf(", %d", len(segs))
+	for i, s := range segs {
+		for j, b := range []*bat.BAT{s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel} {
+			name := fmt.Sprintf("%s%dc%d", prefix, i, j)
+			bind[name] = b
+			out += ", " + name
+		}
+	}
+	return out
+}
+
 // TestPrunedTopKBuiltin exercises the MIL surface of the pruned retrieval
 // operator on a hand-built block-layout postings fixture: two segments,
 // two terms, four documents, one unmatched document merged in at the
@@ -246,18 +272,7 @@ func TestPrunedTopKBuiltin(t *testing.T) {
 		domain.MustAppend(bat.OID(i), bat.OID(i))
 	}
 	bind := map[string]any{"q": q, "dom": domain}
-	segArgs := func(prefix string, segs ...bat.PostingsSeg) string {
-		out := fmt.Sprintf(", %d", len(segs))
-		for i, s := range segs {
-			for j, b := range []*bat.BAT{s.Start, s.BlkStart, s.BlkDir, s.BlkDoc, s.BlkBDir, s.BlkBel, s.MaxBel} {
-				name := fmt.Sprintf("%s%dc%d", prefix, i, j)
-				bind[name] = b
-				out += ", " + name
-			}
-		}
-		return out
-	}
-	split, merged := segArgs("s", s0, s1), segArgs("w", whole)
+	split, merged := segArgs(bind, "s", s0, s1), segArgs(bind, "w", whole)
 
 	v := runSrc(t, "prunedtopk(0.4, 4, dom, 1.0, q"+split+");", bind)
 	out := v.(*bat.BAT)

@@ -141,23 +141,19 @@ func TestJoinPipeline(t *testing.T) {
 }
 
 func TestGetBLBuiltin(t *testing.T) {
-	term := bat.NewDense(0, bat.KindOID)
-	doc := bat.NewDense(0, bat.KindOID)
-	bel := bat.NewDense(0, bat.KindFloat)
-	add := func(i int, d, tm bat.OID, b float64) {
-		term.MustAppend(bat.OID(i), tm)
-		doc.MustAppend(bat.OID(i), d)
-		bel.MustAppend(bat.OID(i), b)
+	// term 10 → (doc 0, 0.9); term 11 → (doc 1, 0.6)
+	seg, err := bat.EncodeBlockSegment(append(make([]int64, 11), 1, 2), []bat.OID{0, 1}, []int64{1, 1}, []float64{0.9, 0.6})
+	if err != nil {
+		t.Fatal(err)
 	}
-	add(0, 0, 10, 0.9)
-	add(1, 1, 11, 0.6)
 	q := bat.NewDense(0, bat.KindOID)
 	q.MustAppend(bat.OID(0), bat.OID(10))
 	q.MustAppend(bat.OID(1), bat.OID(11))
+	bind := map[string]any{"q": q}
 	v := runSrc(t, `
-		var scores := getbl(rev, doc, bel, q, 0.4);
+		var scores := getbl(0.4, q`+segArgs(bind, "s", seg)+`);
 		find(scores, 0@0);
-	`, map[string]any{"rev": term.Reverse(), "doc": doc, "bel": bel, "q": q})
+	`, bind)
 	if math.Abs(v.(float64)-1.3) > 1e-12 { // 0.9 + default 0.4
 		t.Fatalf("getbl doc0 = %v", v)
 	}

@@ -113,7 +113,7 @@ type TopKPlan struct {
 // ranked top K.
 type PrunedPlan struct {
 	Src   *ScanPlan
-	Body  Expr        // the fused map body (the exhaustive fallback's)
+	Body  Expr        // the fused map body (Explain prints it)
 	Calls []*CallExpr // the summed score calls, left to right
 	Div   float64     // the constant divisor (1 without one)
 	Fn    *StructFunc

@@ -1,7 +1,6 @@
 package moa
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -403,12 +402,6 @@ func (tr *Translator) lowerPlan(p Plan) (*SetVal, error) {
 		return tr.lowerPlan(n.Src)
 	case *PrunedPlan:
 		sv, err := tr.lowerPruned(n)
-		if errors.Is(err, ErrNoPrunedForm) {
-			// The physical form is unavailable (e.g. a store written
-			// before the term-ordered postings existed): lower the
-			// equivalent exhaustive map and let the caller rank.
-			return tr.lowerPlan(&MapPlan{Src: n.Src, Body: n.Body})
-		}
 		if err != nil {
 			return nil, err
 		}
@@ -418,13 +411,7 @@ func (tr *Translator) lowerPlan(p Plan) (*SetVal, error) {
 	return nil, fmt.Errorf("moa: cannot lower plan %T", p)
 }
 
-// ErrNoPrunedForm is returned by a StructFunc's EmitTopK when the pruned
-// physical representation is not available in the current database (for
-// example a checkpoint written before the term-ordered postings columns
-// existed); the lowering then falls back to exhaustive evaluation.
-var ErrNoPrunedForm = errors.New("moa: pruned top-k form unavailable")
-
-// HasBAT reports whether a stored physical BAT exists; structure EmitTopK
+// HasBAT reports whether a stored physical BAT exists; structure emit
 // hooks use it to verify their derived columns before emitting references.
 func (tr *Translator) HasBAT(name string) bool {
 	_, ok := tr.db.BAT(name)
