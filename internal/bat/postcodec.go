@@ -52,6 +52,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -254,8 +255,12 @@ type BlockBeliefsEncoder struct {
 	BelDir []int64 // 2 per block: belEnd, qmaxBits
 	Data   []byte  // _blkbel blob
 
-	keys []uint64 // scratch: the run's sort keys, sorted, then deduplicated
-	idx  []uint32 // scratch: each posting's dictionary index
+	keys  []uint64 // scratch: the run's distinct keys, first appearance first
+	slot  []uint32 // scratch: each posting's position in keys
+	dict  []uint64 // scratch: keys, sorted
+	rank  []uint32 // scratch: each entry of keys' position in dict
+	idx   []uint32 // scratch: each posting's dictionary index
+	table []uint32 // scratch: open-addressing hash of keys, 1-based, 0 = empty
 }
 
 // NewBlockBeliefsEncoder returns an empty belief encoder.
@@ -267,29 +272,86 @@ func NewBlockBeliefsEncoder() *BlockBeliefsEncoder {
 // belief of the run (0 for an empty run), for _maxbel.
 //
 // The dictionary is the run's distinct values (by bit pattern: exactness
-// is defined on the stored bits) in ascending order, built by sorting a
-// copy of the run and binary-searching each posting's index. The order
-// is the IEEE total order, which is numeric order for every value a
-// belief can take; only a run holding NaNs, or both zeros, orders those
-// entries differently from a numeric sort (still decoding exactly).
+// is defined on the stored bits) in ascending order. A hash table finds
+// each posting's distinct value, so only the distinct values are sorted
+// and ranked. The order is the IEEE total order, which is numeric order
+// for every value a belief can take; only a run holding NaNs, or both
+// zeros, orders those entries differently from a numeric sort (still
+// decoding exactly).
 func (e *BlockBeliefsEncoder) AddTerm(bels []float64) float64 {
 	if len(bels) == 0 {
 		return 0
 	}
-	e.keys = e.keys[:0]
-	for _, v := range bels {
-		e.keys = append(e.keys, beliefKey(v))
+	if !e.distinct(bels) {
+		return e.appendRun(bels, nil, nil) // over maxBeliefDict: raw
 	}
-	slices.Sort(e.keys)
-	dict := slices.Compact(e.keys)
-	useDict := len(dict) <= maxBeliefDict
-	if useDict {
+	e.dict = append(e.dict[:0], e.keys...)
+	slices.Sort(e.dict)
+	e.rank = e.rank[:0]
+	for _, k := range e.keys {
+		r, _ := slices.BinarySearch(e.dict, k)
+		e.rank = append(e.rank, uint32(r))
+	}
+	e.idx = e.idx[:0]
+	for _, s := range e.slot {
+		e.idx = append(e.idx, e.rank[s])
+	}
+	return e.appendRun(bels, e.dict, e.idx)
+}
+
+// distinct fills e.keys with the distinct belief keys of bels in order of
+// first appearance and e.slot with each posting's position in e.keys. It
+// stops, reporting false, once more than maxBeliefDict keys are found.
+func (e *BlockBeliefsEncoder) distinct(bels []float64) bool {
+	size := 4
+	for size < 2*min(len(bels), maxBeliefDict+1) {
+		size *= 2
+	}
+	if cap(e.table) < size {
+		e.table = make([]uint32, size)
+	}
+	table := e.table[:size]
+	clear(table)
+	shift := 64 - bits.TrailingZeros(uint(size))
+	mask := uint64(size - 1)
+	e.keys, e.slot = e.keys[:0], e.slot[:0]
+	for _, v := range bels {
+		k := beliefKey(v)
+		h := (k * 0x9e3779b97f4a7c15) >> shift
+		for {
+			s := table[h]
+			if s == 0 {
+				if len(e.keys) == maxBeliefDict {
+					return false
+				}
+				e.keys = append(e.keys, k)
+				table[h] = uint32(len(e.keys))
+				e.slot = append(e.slot, uint32(len(e.keys)-1))
+				break
+			}
+			if e.keys[s-1] == k {
+				e.slot = append(e.slot, s-1)
+				break
+			}
+			h = (h + 1) & mask
+		}
+	}
+	return true
+}
+
+// appendRun writes one non-empty term run whose distinct belief keys,
+// ascending, are dict; idx holds each posting's index into dict, or is nil
+// when dict exceeds maxBeliefDict. The run is dictionary-coded when idx is
+// given and the dictionary form is smaller than raw 8-byte coding, raw
+// otherwise. Every block gets its upward-quantized maximum in BelDir; the
+// run's exact maximum is returned. AddTerm and the segment merge
+// (MergeBlockSegments) both write through here.
+func (e *BlockBeliefsEncoder) appendRun(bels []float64, dict []uint64, idx []uint32) float64 {
+	useDict := false
+	if idx != nil {
 		// dict coding must beat raw to be worth the indirection
-		e.idx = e.idx[:0]
 		dictSize := uvarintLen(uint64(len(dict))) + 8*len(dict)
-		for _, v := range bels {
-			i, _ := slices.BinarySearch(dict, beliefKey(v))
-			e.idx = append(e.idx, uint32(i))
+		for _, i := range idx {
 			dictSize += uvarintLen(uint64(i))
 		}
 		useDict = dictSize < 1+8*len(bels)
@@ -311,7 +373,7 @@ func (e *BlockBeliefsEncoder) AddTerm(bels []float64) float64 {
 		blkMax := math.Inf(-1)
 		for i, v := range bels[lo:hi] {
 			if useDict {
-				e.Data = binary.AppendUvarint(e.Data, uint64(e.idx[lo+i]))
+				e.Data = binary.AppendUvarint(e.Data, uint64(idx[lo+i]))
 			} else {
 				e.Data = binary.LittleEndian.AppendUint64(e.Data, math.Float64bits(v))
 			}
@@ -719,21 +781,31 @@ func (bp *BlockPostings) TermDict(t int, dst []float64) (dict []float64, dataOff
 	return dict, base + int64(pos), nil
 }
 
-// DecodeBelBlock decodes block b of term t's beliefs into bels (length
-// ≥ the block's posting count). dict and dataOff come from TermDict;
-// pass the same values for every block of the term.
-func (bp *BlockPostings) DecodeBelBlock(t, b int, dict []float64, dataOff int64, bels []float64) error {
-	plo, phi := bp.BlockSpan(t, b)
-	n := phi - plo
+// belBlockData returns the bytes of block b of term t's belief region:
+// the indices (or raw values) after the dictionary for the term's first
+// block, from the previous block's end otherwise.
+func (bp *BlockPostings) belBlockData(t, b int, dataOff int64) ([]byte, error) {
 	lo := dataOff
 	if b > int(bp.blkStart[t]) {
 		lo = bp.belDir[2*(b-1)]
 	}
 	hi := bp.belDir[2*b]
 	if lo < 0 || hi < lo || hi > int64(len(bp.belData)) {
-		return fmt.Errorf("bat: belief block %d region [%d,%d) out of range", b, lo, hi)
+		return nil, fmt.Errorf("bat: belief block %d region [%d,%d) out of range", b, lo, hi)
 	}
-	data := bp.belData[lo:hi]
+	return bp.belData[lo:hi], nil
+}
+
+// DecodeBelBlock decodes block b of term t's beliefs into bels (length
+// ≥ the block's posting count). dict and dataOff come from TermDict;
+// pass the same values for every block of the term.
+func (bp *BlockPostings) DecodeBelBlock(t, b int, dict []float64, dataOff int64, bels []float64) error {
+	plo, phi := bp.BlockSpan(t, b)
+	n := phi - plo
+	data, err := bp.belBlockData(t, b, dataOff)
+	if err != nil {
+		return err
+	}
 	if dict == nil {
 		if len(data) != n*8 {
 			return fmt.Errorf("bat: raw belief block %d: %d bytes for %d postings", b, len(data), n)
@@ -767,6 +839,34 @@ func (bp *BlockPostings) DecodeBelBlock(t, b int, dict []float64, dataOff int64,
 			return fmt.Errorf("bat: belief block %d: bad dict index at posting %d", b, i)
 		}
 		bels[i] = dict[idx]
+	}
+	if pos != len(data) {
+		return fmt.Errorf("bat: belief block %d: %d trailing bytes", b, len(data)-pos)
+	}
+	return nil
+}
+
+// decodeBelIdx decodes block b of a dictionary-coded term t into idx
+// (exactly the block's posting count long): each posting's index into the
+// term's k-entry dictionary, whose per-posting region starts at dataOff.
+func (bp *BlockPostings) decodeBelIdx(t, b int, dataOff int64, k int, idx []uint32) error {
+	data, err := bp.belBlockData(t, b, dataOff)
+	if err != nil {
+		return err
+	}
+	pos := 0
+	for i := range idx {
+		v, w := uint64(0), 1
+		if pos < len(data) && data[pos] < 0x80 {
+			v = uint64(data[pos])
+		} else if v, w = binary.Uvarint(data[pos:]); w <= 0 {
+			return fmt.Errorf("bat: belief block %d: bad dict index at posting %d", b, i)
+		}
+		if v >= uint64(k) {
+			return fmt.Errorf("bat: belief block %d: bad dict index at posting %d", b, i)
+		}
+		idx[i] = uint32(v)
+		pos += w
 	}
 	if pos != len(data) {
 		return fmt.Errorf("bat: belief block %d: %d trailing bytes", b, len(data)-pos)

@@ -61,6 +61,17 @@ func Fit(data [][]float64, k int, seed int64) (*Model, error) {
 	for i := range resp {
 		resp[i] = make([]float64, k)
 	}
+	// A +0 responsibility adds ±0 to a sum that starts at +0, which
+	// changes nothing, so the M step may skip it — but only while every
+	// product it skips is ±0: 0·Inf is NaN. The mean sums multiply data
+	// values, so those must be finite. The variance sums multiply
+	// x_t − μ_t: a responsibility can only be exactly 0 when the initial
+	// variances are finite (an infinite one makes every responsibility
+	// NaN, for good), which bounds the data's spread, and so every such
+	// difference, far below overflow.
+	finite := allFinite(data)
+	nj := make([]float64, k)
+	dead := make([]bool, k)
 	var sc scorer
 	prev := math.Inf(-1)
 	for iter := 0; iter < emIters; iter++ {
@@ -85,45 +96,7 @@ func Fit(data [][]float64, k int, seed int64) (*Model, error) {
 			}
 			ll += maxLog + math.Log(sum)
 		}
-		// M step
-		for j := 0; j < k; j++ {
-			var nj float64
-			mean := make([]float64, d)
-			for i, x := range data {
-				r := resp[i][j]
-				nj += r
-				for t := 0; t < d; t++ {
-					mean[t] += r * x[t]
-				}
-			}
-			if nj < 1e-10 {
-				// dead component: re-seed on a random point
-				p := data[rng.Intn(n)]
-				copy(mean, p)
-				nj = 1
-				m.Weights[j] = 1e-6
-				m.Means[j] = mean
-				m.Vars[j] = append([]float64(nil), globalVar...)
-				continue
-			}
-			for t := 0; t < d; t++ {
-				mean[t] /= nj
-			}
-			vr := make([]float64, d)
-			for i, x := range data {
-				r := resp[i][j]
-				for t := 0; t < d; t++ {
-					dt := x[t] - mean[t]
-					vr[t] += r * dt * dt
-				}
-			}
-			for t := 0; t < d; t++ {
-				vr[t] = vr[t]/nj + varFloor
-			}
-			m.Weights[j] = nj / float64(n)
-			m.Means[j] = mean
-			m.Vars[j] = vr
-		}
+		mStep(m, data, resp, nj, dead, globalVar, finite, rng)
 		if ll-prev < emTol && iter > 3 {
 			prev = ll
 			break
@@ -134,6 +107,100 @@ func Fit(data [][]float64, k int, seed int64) (*Model, error) {
 	params := float64(k*(2*d) + (k - 1))
 	m.BIC = -2*m.LogLik + params*math.Log(float64(n))
 	return m, nil
+}
+
+// mStep re-estimates m's weights, means and variances from the
+// responsibilities, bit for bit as a per-component loop would: for each
+// component j, nj and every mean and variance sum still accumulate in
+// ascending i. The loops run i outer and j inner, so the data is walked
+// once for the counts and means and once for the variances, not twice
+// per component. A component whose mass falls below 1e-10 is dead: it is
+// re-seeded on a random point, drawing from rng in ascending j. nj and
+// dead are scratch of length K; finite reports that every data value is
+// finite, which makes skipping +0 responsibilities exact. The t loops are
+// unrolled by four: each statement is the next add of its own (j, t) sum,
+// so no sum changes order.
+func mStep(m *Model, data, resp [][]float64, nj []float64, dead []bool, globalVar []float64, finite bool, rng *rand.Rand) {
+	n := len(data)
+	clear(nj)
+	for j := range m.Means {
+		clear(m.Means[j])
+	}
+	for i, x := range data {
+		for j, r := range resp[i] {
+			if r == 0 && finite {
+				continue
+			}
+			nj[j] += r
+			mean := m.Means[j][:len(x)]
+			t := 0
+			for ; t+4 <= len(mean); t += 4 {
+				mean[t] += r * x[t]
+				mean[t+1] += r * x[t+1]
+				mean[t+2] += r * x[t+2]
+				mean[t+3] += r * x[t+3]
+			}
+			for ; t < len(mean); t++ {
+				mean[t] += r * x[t]
+			}
+		}
+	}
+	for j := range m.Means {
+		mean := m.Means[j]
+		dead[j] = nj[j] < 1e-10
+		if dead[j] {
+			// dead component: re-seed on a random point
+			copy(mean, data[rng.Intn(n)])
+			m.Weights[j] = 1e-6
+			copy(m.Vars[j], globalVar)
+			continue
+		}
+		for t := range mean {
+			mean[t] /= nj[j]
+		}
+		clear(m.Vars[j])
+	}
+	for i, x := range data {
+		for j, r := range resp[i] {
+			if dead[j] || (r == 0 && finite) {
+				continue
+			}
+			mean, vr := m.Means[j][:len(x)], m.Vars[j][:len(x)]
+			t := 0
+			for ; t+4 <= len(vr); t += 4 {
+				d0, d1, d2, d3 := x[t]-mean[t], x[t+1]-mean[t+1], x[t+2]-mean[t+2], x[t+3]-mean[t+3]
+				vr[t] += r * d0 * d0
+				vr[t+1] += r * d1 * d1
+				vr[t+2] += r * d2 * d2
+				vr[t+3] += r * d3 * d3
+			}
+			for ; t < len(vr); t++ {
+				dt := x[t] - mean[t]
+				vr[t] += r * dt * dt
+			}
+		}
+	}
+	for j, vr := range m.Vars {
+		if dead[j] {
+			continue
+		}
+		for t := range vr {
+			vr[t] = vr[t]/nj[j] + varFloor
+		}
+		m.Weights[j] = nj[j] / float64(n)
+	}
+}
+
+// allFinite reports whether no value of rows is ±Inf or NaN.
+func allFinite(rows [][]float64) bool {
+	for _, x := range rows {
+		for _, v := range x {
+			if math.IsInf(v, 0) || math.IsNaN(v) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // scorer evaluates the log joint log(w_j) + log N(x | μ_j, diag v_j) of a
@@ -240,9 +307,9 @@ func (m *Model) Posterior(x []float64) []float64 {
 
 // Select fits models for k in [kmin, kmax] and returns the one with the
 // best (lowest) BIC — AutoClass's search over the number of classes. The
-// fits are independent and run on up to GOMAXPROCS goroutines; the pick
-// then scans them in ascending k, so the result (ties go to the smaller
-// k) is the serial search's.
+// fits are independent and run on up to GOMAXPROCS goroutines, largest k
+// first; the pick then scans them in ascending k, so the result (ties go
+// to the smaller k) is the serial search's.
 func Select(data [][]float64, kmin, kmax int, seed int64) (*Model, error) {
 	if kmin < 1 || kmax < kmin {
 		return nil, fmt.Errorf("cluster: bad k range [%d,%d]", kmin, kmax)
@@ -262,7 +329,10 @@ func Select(data [][]float64, kmin, kmax int, seed int64) (*Model, error) {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < len(models); i = int(next.Add(1)) - 1 {
+			// Largest k first: a fit costs about k, so the costliest start
+			// early and the last ones to finish are short.
+			for n := int(next.Add(1)); n <= len(models); n = int(next.Add(1)) {
+				i := len(models) - n
 				k := kmin + i
 				models[i], errs[i] = Fit(data, k, seed+int64(k))
 			}

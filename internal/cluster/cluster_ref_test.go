@@ -314,3 +314,69 @@ func TestSelectMatchesSerialSearch(t *testing.T) {
 		requireSameModel(t, fmt.Sprintf("seed=%d", seed), got, want)
 	}
 }
+
+// fuzzData derives a data set from fuzz input. shape picks the
+// pathologies: far-apart blobs (responsibilities that underflow to
+// exactly +0), coarse repeated values (duplicate rows and components left
+// without mass), magnitudes near the float64 limit, and Inf or NaN
+// entries at positions the poison bytes choose.
+func fuzzData(seed int64, n, d int, shape uint8, poison []byte) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	data := make([][]float64, n)
+	for i := range data {
+		if shape&1 != 0 && i > 0 && rng.Intn(3) == 0 {
+			data[i] = append([]float64(nil), data[rng.Intn(i)]...) // duplicate row
+			continue
+		}
+		x := make([]float64, d)
+		c := float64(rng.Intn(3))
+		for t := range x {
+			switch {
+			case shape&2 != 0:
+				x[t] = c * 1e3 // far-apart blobs of identical points
+			case shape&4 != 0:
+				x[t] = float64(rng.Intn(2)) * float64(1+rng.Intn(2)*50)
+			default:
+				x[t] = c*4 + rng.NormFloat64()
+			}
+			if shape&8 != 0 && rng.Intn(7) == 0 {
+				x[t] *= 1e305 // differences overflow
+			}
+		}
+		data[i] = x
+	}
+	odd := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.MaxFloat64, -math.MaxFloat64}
+	for i := 0; i+1 < len(poison); i += 2 {
+		row, col := int(poison[i])%n, int(poison[i+1])%d
+		data[row][col] = odd[int(poison[i]^poison[i+1])%len(odd)]
+	}
+	return data
+}
+
+// FuzzFitMatchesReference pins Fit, one-pass M step included, to refFit
+// bit for bit — LogLik, BIC, weights, means and variances — on data with
+// exact-zero responsibilities, dead components, duplicate rows, k == n,
+// huge magnitudes and Inf/NaN entries.
+func FuzzFitMatchesReference(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(3), uint8(4), uint8(0), []byte{})
+	f.Add(int64(2), uint8(30), uint8(2), uint8(5), uint8(2), []byte{})           // exact-zero responsibilities
+	f.Add(int64(3), uint8(9), uint8(2), uint8(7), uint8(4), []byte{})            // dead components
+	f.Add(int64(4), uint8(12), uint8(3), uint8(12), uint8(1), []byte{})          // duplicate rows, k == n
+	f.Add(int64(5), uint8(16), uint8(2), uint8(3), uint8(2), []byte{3, 1})       // an Inf entry
+	f.Add(int64(6), uint8(16), uint8(2), uint8(3), uint8(0), []byte{2, 0, 7, 1}) // NaN entries
+	f.Add(int64(7), uint8(24), uint8(3), uint8(4), uint8(10), []byte{})          // magnitudes near the limit
+	f.Fuzz(func(t *testing.T, seed int64, n, d, k, shape uint8, poison []byte) {
+		nn, dd := 1+int(n)%48, 1+int(d)%6
+		kk := 1 + int(k)%nn
+		data := fuzzData(seed, nn, dd, shape, poison)
+		want, werr := refFit(data, kk, seed)
+		got, gerr := Fit(data, kk, seed)
+		if (werr != nil) != (gerr != nil) {
+			t.Fatalf("Fit error %v, reference %v", gerr, werr)
+		}
+		if werr != nil {
+			return
+		}
+		requireSameModel(t, fmt.Sprintf("n=%d d=%d k=%d shape=%d", nn, dd, kk, shape), got, want)
+	})
+}

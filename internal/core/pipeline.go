@@ -241,13 +241,22 @@ func assignExtraction(pipe segmentExtractor, cb *Codebook, order []string) (map[
 	if err != nil {
 		return nil, err
 	}
-	segWords := make([][]string, len(segURLs))
 	for _, fname := range cb.Features {
-		sc := cb.Spaces[fname]
-		if sc == nil || sc.Model == nil {
+		if sc := cb.Spaces[fname]; sc == nil || sc.Model == nil {
 			return nil, fmt.Errorf("core: codebook has no model for feature %q", fname)
 		}
-		for si, cl := range sc.AssignAll(perFeature[fname]) {
+	}
+	// Feature spaces assign independently, so they run concurrently; the
+	// words append serially in feature order afterwards, as in
+	// runExtraction.
+	assigns := make([][]int, len(cb.Features))
+	parallelEach(len(cb.Features), func(fi int) error {
+		assigns[fi] = cb.Spaces[cb.Features[fi]].AssignAll(perFeature[cb.Features[fi]])
+		return nil
+	})
+	segWords := make([][]string, len(segURLs))
+	for fi, fname := range cb.Features {
+		for si, cl := range assigns[fi] {
 			segWords[si] = append(segWords[si], fmt.Sprintf("%s_%d", fname, cl))
 		}
 	}
@@ -289,10 +298,12 @@ func (m *Mirror) populateShardIndex(imageWords map[string][]string, annDict, img
 
 // parallelEach runs f(i) for every i in [0, n) on up to GOMAXPROCS
 // workers. It is one of the two fan-outs inside a single request, both in
-// the content pipeline; the other is cluster.Select, which fits a feature
-// space's k range concurrently inside one of these workers. Pipeline items
-// are few but each costs milliseconds of image work, so even two are worth
-// a goroutine (query operators, by contrast, run on the caller's
+// set-up work: the content pipeline (extraction, fits, frozen-codebook
+// assignment) and document staging (stageDocsLocked's annotation
+// analysis); the other is cluster.Select, which fits a feature space's k
+// range concurrently inside one of these workers. Pipeline items are few
+// but each costs milliseconds of image work, so even two are worth a
+// goroutine (query operators, by contrast, run on the caller's
 // goroutine). A non-nil return from f stops the dispatch of further items —
 // matching the serial loops this replaced, which aborted at first failure —
 // though items already in flight still finish.

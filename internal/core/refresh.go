@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mirror/internal/bat"
 	"mirror/internal/ir"
@@ -261,31 +262,47 @@ func (m *Mirror) applyDeltaLocked(urls []string, words map[string][]string, annV
 // and the thesaurus training doc.
 type stagedDoc struct {
 	url   string
-	toks  []string
+	toks  []string // analysed annotation tokens, sorted
 	terms []string // deduplicated, sorted content words
 }
 
 // stageDocsLocked reads the library annotation of position base+i for
 // docs[i] and analyses it once. It returns the staged documents and the
-// thesaurus training docs of the annotated ones, in order. Callers hold
-// m.mu.
+// thesaurus training docs of the annotated ones, in order. The
+// annotations are read on the caller's goroutine (BAT.Find may build the
+// column's hash); the analysis, the costly part, runs on parallelEach
+// with each result stored at its document's position, so the output is
+// the serial loop's at any GOMAXPROCS. Live Refresh, WAL replay and the
+// base build all stage through here. Callers hold m.mu.
 func (m *Mirror) stageDocsLocked(base int, docs []walDoc) ([]stagedDoc, []thesaurus.Doc) {
 	annB, _ := m.DB.BAT(LibrarySet + "_annotation")
-	staged := make([]stagedDoc, len(docs))
-	var thDocs []thesaurus.Doc
-	for i, d := range docs {
-		var ann string
-		if annB != nil {
+	anns := make([]string, len(docs))
+	if annB != nil {
+		for i := range docs {
 			if v, ok := annB.Find(orderOID(base + i)); ok {
-				ann, _ = v.(string)
+				anns[i], _ = v.(string)
 			}
 		}
-		sd := stagedDoc{url: d.URL, terms: dedupSorted(append([]string(nil), d.Words...))}
-		if ann != "" {
-			sd.toks = ir.Analyze(ann)
-			thDocs = append(thDocs, thesaurus.Doc{Words: sd.toks, Concepts: sd.terms})
+	}
+	staged := make([]stagedDoc, len(docs))
+	parallelEach(len(docs), func(i int) error {
+		sd := stagedDoc{url: docs[i].URL, terms: dedupSorted(append([]string(nil), docs[i].Words...))}
+		if anns[i] != "" {
+			sd.toks = ir.Analyze(anns[i])
+			// The CONTREP insert counts term frequencies over a sorted
+			// copy of the tokens, and sorting sorted input is one linear
+			// pass: sort here, on both cores. The thesaurus counts are
+			// order-free.
+			slices.Sort(sd.toks)
 		}
 		staged[i] = sd
+		return nil
+	})
+	var thDocs []thesaurus.Doc
+	for i, sd := range staged {
+		if anns[i] != "" {
+			thDocs = append(thDocs, thesaurus.Doc{Words: sd.toks, Concepts: sd.terms})
+		}
 	}
 	return staged, thDocs
 }

@@ -20,9 +20,9 @@ import (
 // Stores checkpointed before the block codec existed hold the legacy raw
 // layout instead — _poststart/_postdoc/_posttf/_postbel/_maxbel, three
 // 8-byte columns per posting. That layout is a read-once input: every
-// open runs UpgradeLayout, whose upgradeRawSegments which decodes it (readSegData's legacy
-// branch, the only raw code left) and re-encodes it as blocks; the next
-// checkpoint persists the upgrade. Nothing writes it any more.
+// open runs UpgradeLayout, whose upgradeRawSegments decodes it
+// (readLegacyRawSeg, the only raw code left) and re-encodes it as blocks;
+// the next checkpoint persists the upgrade. Nothing writes it any more.
 
 // segIsBlock reports whether segment slot s is stored block-compressed.
 func segIsBlock(a dbAccess, prefix string, slot int) bool {
@@ -60,42 +60,14 @@ func segBlockView(a dbAccess, prefix string, slot int) (*bat.BlockPostings, erro
 	return bp, nil
 }
 
-// segData is one segment's postings, decoded to flat arrays — the form
-// the merge and the legacy upgrade work on.
+// segData is one segment's postings as flat arrays — the form the legacy
+// upgrade reads and segment build writes.
 type segData struct {
 	starts []int64
 	docs   []bat.OID
 	tfs    []int64
 	bels   []float64
 	maxb   []float64
-}
-
-// readSegData decodes slot s into flat arrays.
-func readSegData(a dbAccess, prefix string, slot int) (*segData, error) {
-	if !segIsBlock(a, prefix, slot) {
-		return readLegacyRawSeg(a, prefix, slot)
-	}
-	bp, err := segBlockView(a, prefix, slot)
-	if err != nil {
-		return nil, err
-	}
-	nt := bp.NTerms()
-	np := 0
-	if nt > 0 {
-		_, np = bp.TermRange(nt - 1)
-	}
-	sd := &segData{starts: make([]int64, nt+1), maxb: make([]float64, nt)}
-	p := bat.TermPostings{Docs: make([]bat.OID, 0, np), TFs: make([]int64, 0, np), Bels: make([]float64, 0, np)}
-	for t := 0; t < nt; t++ {
-		sd.starts[t] = int64(len(p.Docs))
-		if err := p.AppendTerm(bp, t); err != nil {
-			return nil, fmt.Errorf("ir: %s: segment %d term %d: %w", prefix, slot, t, err)
-		}
-		sd.maxb[t] = bp.MaxBelief(t)
-	}
-	sd.starts[nt] = int64(len(p.Docs))
-	sd.docs, sd.tfs, sd.bels = p.Docs, p.TFs, p.Bels
-	return sd, nil
 }
 
 // readLegacyRawSeg reads slot s of a pre-block-codec store: the five raw
@@ -152,6 +124,13 @@ func writeSegData(a dbAccess, prefix string, slot int, sd *segData) error {
 	if err != nil {
 		return fmt.Errorf("ir: %s: segment %d: %w", prefix, slot, err)
 	}
+	putSegPostings(a, prefix, slot, seg)
+	return nil
+}
+
+// putSegPostings installs seg's seven block columns as slot s and deletes
+// any legacy raw columns left at that slot.
+func putSegPostings(a dbAccess, prefix string, slot int, seg bat.PostingsSeg) {
 	a.put(SegColumn(prefix, slot, "_poststart"), seg.Start)
 	a.put(SegColumn(prefix, slot, "_blkstart"), seg.BlkStart)
 	a.put(SegColumn(prefix, slot, "_blkdir"), seg.BlkDir)
@@ -162,7 +141,6 @@ func writeSegData(a dbAccess, prefix string, slot int, sd *segData) error {
 	for _, suffix := range legacyRawSuffixes {
 		a.del(SegColumn(prefix, slot, suffix))
 	}
-	return nil
 }
 
 // refinalizeBlockSegment recomputes a segment's beliefs under the

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -232,4 +233,86 @@ func TestRefinalizeRejectsRawSegment(t *testing.T) {
 	} else if want := fmt.Sprintf("%s: segment 0 lost _blkstart", prefix); !strings.Contains(err.Error(), want) {
 		t.Fatalf("error %q does not name the missing block column", err)
 	}
+}
+
+// FuzzLegacyRawSeg drives hostile raw-layout segment columns — the five
+// columns a pre-block-codec checkpoint hands readLegacyRawSeg straight
+// off disk — through UpgradeLayout. A bad column must come back as an
+// error, never a panic, and the upgrade may allocate only in proportion
+// to the columns it was given; an upgrade that succeeds leaves block
+// segments the scan accepts.
+func FuzzLegacyRawSeg(f *testing.F) {
+	f.Add([]byte{0, 2, 5, 9}, uint8(0), uint8(0))
+	f.Add([]byte{3, 1, 2}, uint8(1), uint8(1))
+	f.Add([]byte{0x7f, 0xff, 0x80, 1}, uint8(2), uint8(2))
+	f.Add([]byte{0xf0, 0x0f, 0x3c}, uint8(0), uint8(3))
+	f.Add([]byte{4}, uint8(1), uint8(4))
+	f.Add([]byte{1, 0}, uint8(2), uint8(5))
+	f.Add([]byte{2}, uint8(0), uint8(6))
+	f.Add([]byte{0, 1, 1, 2, 3, 5, 8, 13, 21}, uint8(1), uint8(7))
+	const prefix = "Lib_body"
+	suffixes := []string{"_poststart", "_postdoc", "_posttf", "_postbel", "_maxbel"}
+	f.Fuzz(func(t *testing.T, raw []byte, slot, mode uint8) {
+		db, _ := segmentedTestDB(t, 9)
+		writeLegacyRawSegs(t, db, prefix)
+		s := int(slot) % SegmentCount(db, prefix)
+		// Values small enough to land inside the columns, with 0x80 and
+		// above escaping to the extremes.
+		ints := make([]int64, len(raw))
+		for i, b := range raw {
+			switch {
+			case b < 0x80:
+				ints[i] = int64(b)
+			case b < 0xc0:
+				ints[i] = -int64(b & 0x3f)
+			default:
+				ints[i] = int64(b&0x3f) << 56
+			}
+		}
+		oids := make([]bat.OID, len(ints))
+		floats := make([]float64, len(ints))
+		for i, v := range ints {
+			oids[i], floats[i] = bat.OID(v), float64(v)/7
+		}
+		cols := map[string]*bat.BAT{
+			"_poststart": adoptDense(bat.ColumnOfInts(ints)),
+			"_postdoc":   adoptDense(bat.ColumnOfOIDs(oids)),
+			"_posttf":    adoptDense(bat.ColumnOfInts(ints)),
+			"_postbel":   adoptDense(bat.ColumnOfFloats(floats)),
+			"_maxbel":    adoptDense(bat.ColumnOfFloats(floats)),
+		}
+		switch m := int(mode) % 8; {
+		case m < 5: // one column replaced
+			db.PutBAT(SegColumn(prefix, s, suffixes[m]), cols[suffixes[m]])
+		case m == 5: // one column of the wrong kind
+			name := suffixes[len(raw)%len(suffixes)]
+			wrong := cols["_postbel"]
+			if name == "_postbel" || name == "_maxbel" {
+				wrong = cols["_posttf"]
+			}
+			db.PutBAT(SegColumn(prefix, s, name), wrong)
+		case m == 6: // one column missing
+			db.DropBAT(SegColumn(prefix, s, suffixes[len(raw)%len(suffixes)]))
+		default: // every column replaced
+			for _, suffix := range suffixes {
+				db.PutBAT(SegColumn(prefix, s, suffix), cols[suffix])
+			}
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := UpgradeLayout(db, prefix)
+		runtime.ReadMemStats(&after)
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(4<<20+256*len(raw)); grew > limit {
+			t.Fatalf("upgrade allocated %d bytes for %d input values (limit %d)", grew, len(raw), limit)
+		}
+		if err != nil {
+			return
+		}
+		for i := 0; i < SegmentCount(db, prefix); i++ {
+			if _, err := segBlockView(access(db), prefix, i); err != nil {
+				t.Fatalf("upgrade succeeded but segment %d is not a valid block segment: %v", i, err)
+			}
+		}
+	})
 }

@@ -42,7 +42,9 @@ import (
 //     postings live entirely in one segment.
 //   - Within a segment, each term's postings run is document-ascending.
 //   - Merging adjacent segments is pure concatenation per term (doc
-//     ranges are adjacent), so compaction never touches beliefs.
+//     ranges are adjacent), so compaction never recomputes beliefs; it
+//     unions each term's belief dictionaries and remaps the stored
+//     indices.
 //   - After RefinalizeSegments, the logical postings content (term →
 //     (doc, tf, belief) multiset) equals what a monolithic Finalize over
 //     the same raw columns derives; queries over the segment list are
@@ -385,9 +387,11 @@ func refinalizeSegments(a dbAccess, prefix string, gs *GlobalStats) error {
 // segments cover adjacent document ranges and every term run is
 // document-ascending, so the merged run is pure per-term concatenation in
 // slot order — beliefs are copied bit-exact, never recomputed (statistics
-// do not move at a merge), and the merged per-term bound is the max of
-// the slot bounds. Higher slots shift down; stale slot names are
-// dropped.
+// do not move at a merge). bat.MergeBlockSegments keeps each term's
+// belief dictionaries (their union, indices remapped) rather than
+// decoding and re-encoding every belief; the merged columns are the ones
+// encoding the concatenated postings would give. Higher slots shift down;
+// stale slot names are dropped.
 func MergeSegments(db *moa.Database, prefix string, lo, hi int) error {
 	a := access(db)
 	sd, ok := readSegDir(a, prefix)
@@ -398,52 +402,24 @@ func MergeSegments(db *moa.Database, prefix string, lo, hi int) error {
 		return fmt.Errorf("ir: %s: bad merge range [%d,%d) of %d segments", prefix, lo, hi, sd.count())
 	}
 
-	inputs := make([]*segData, 0, hi-lo)
-	nt := 0
-	np := int64(0)
+	views := make([]*bat.BlockPostings, 0, hi-lo)
 	for s := lo; s < hi; s++ {
-		data, err := readSegData(a, prefix, s)
+		bp, err := segBlockView(a, prefix, s)
 		if err != nil {
 			return fmt.Errorf("ir: %s: segment %d incomplete, cannot merge: %w", prefix, s, err)
 		}
-		if len(data.starts)-1 > nt {
-			nt = len(data.starts) - 1
-		}
-		np += int64(len(data.docs))
-		inputs = append(inputs, data)
+		views = append(views, bp)
 	}
-
-	merged := &segData{
-		starts: make([]int64, nt+1),
-		docs:   make([]bat.OID, 0, np),
-		tfs:    make([]int64, 0, np),
-		bels:   make([]float64, 0, np),
-		maxb:   make([]float64, nt),
+	merged, err := bat.MergeBlockSegments(views)
+	if err != nil {
+		return fmt.Errorf("ir: %s: merging segments [%d,%d): %w", prefix, lo, hi, err)
 	}
-	for t := 0; t < nt; t++ {
-		merged.starts[t] = int64(len(merged.docs))
-		for _, v := range inputs { // slot order == ascending doc ranges
-			if t+1 >= len(v.starts) {
-				continue
-			}
-			rlo, rhi := v.starts[t], v.starts[t+1]
-			merged.docs = append(merged.docs, v.docs[rlo:rhi]...)
-			merged.tfs = append(merged.tfs, v.tfs[rlo:rhi]...)
-			merged.bels = append(merged.bels, v.bels[rlo:rhi]...)
-			if t < len(v.maxb) && v.maxb[t] > merged.maxb[t] {
-				merged.maxb[t] = v.maxb[t]
-			}
-		}
-	}
-	merged.starts[nt] = int64(len(merged.docs))
 
 	// Install the merged segment at slot lo, shift survivors down, drop
 	// the now-unused tail slot names, rewrite the directory. The shift
 	// deletes any suffix absent at the source slot so a destination never
 	// keeps a column from its previous occupant.
-	if err := writeSegData(a, prefix, lo, merged); err != nil {
-		return err
-	}
+	putSegPostings(a, prefix, lo, merged)
 
 	removed := hi - lo - 1
 	for s := hi; s < sd.count(); s++ {
