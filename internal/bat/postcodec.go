@@ -976,6 +976,12 @@ func EncodeBlockSegment(starts []int64, docs []OID, tfs []int64, bels []float64)
 		}
 		maxb[t] = bele.AddTerm(run)
 	}
+	return blockSegment(starts, maxb, enc, bele), nil
+}
+
+// blockSegment adopts a segment's offsets, exact maxima and finished
+// encoders as its seven columns.
+func blockSegment(starts []int64, maxb []float64, enc *BlockPostingsEncoder, bele *BlockBeliefsEncoder) PostingsSeg {
 	dense := func(tail *Column) *BAT {
 		return &BAT{Head: NewVoid(0, tail.Len()), Tail: tail, HSorted: true, HKey: true}
 	}
@@ -987,5 +993,5 @@ func EncodeBlockSegment(starts []int64, docs []OID, tfs []int64, bels []float64)
 		BlkDoc:   dense(ColumnOfBytes(enc.Data)),
 		BlkBDir:  dense(ColumnOfInts(bele.BelDir)),
 		BlkBel:   dense(ColumnOfBytes(bele.Data)),
-	}, nil
+	}
 }

@@ -72,18 +72,7 @@ func MergeBlockSegments(views []*BlockPostings) (PostingsSeg, error) {
 		}
 		starts[t+1] = starts[t] + int64(len(m.docs))
 	}
-	dense := func(tail *Column) *BAT {
-		return &BAT{Head: NewVoid(0, tail.Len()), Tail: tail, HSorted: true, HKey: true}
-	}
-	return PostingsSeg{
-		Start:    dense(ColumnOfInts(starts)),
-		MaxBel:   dense(ColumnOfFloats(maxb)),
-		BlkStart: dense(ColumnOfInts(enc.BlkStart)),
-		BlkDir:   dense(ColumnOfInts(enc.BlkDir)),
-		BlkDoc:   dense(ColumnOfBytes(enc.Data)),
-		BlkBDir:  dense(ColumnOfInts(bele.BelDir)),
-		BlkBel:   dense(ColumnOfBytes(bele.Data)),
-	}, nil
+	return blockSegment(starts, maxb, enc, bele), nil
 }
 
 // mergePart is one input's share of the term being merged: its view and,

@@ -70,8 +70,6 @@ func Fit(data [][]float64, k int, seed int64) (*Model, error) {
 	// NaN, for good), which bounds the data's spread, and so every such
 	// difference, far below overflow.
 	finite := allFinite(data)
-	nj := make([]float64, k)
-	dead := make([]bool, k)
 	var sc scorer
 	prev := math.Inf(-1)
 	for iter := 0; iter < emIters; iter++ {
@@ -96,7 +94,7 @@ func Fit(data [][]float64, k int, seed int64) (*Model, error) {
 			}
 			ll += maxLog + math.Log(sum)
 		}
-		mStep(m, data, resp, nj, dead, globalVar, finite, rng)
+		mStep(m, data, resp, globalVar, finite, rng)
 		if ll-prev < emTol && iter > 3 {
 			prev = ll
 			break
@@ -115,14 +113,15 @@ func Fit(data [][]float64, k int, seed int64) (*Model, error) {
 // ascending i. The loops run i outer and j inner, so the data is walked
 // once for the counts and means and once for the variances, not twice
 // per component. A component whose mass falls below 1e-10 is dead: it is
-// re-seeded on a random point, drawing from rng in ascending j. nj and
-// dead are scratch of length K; finite reports that every data value is
-// finite, which makes skipping +0 responsibilities exact. The t loops are
-// unrolled by four: each statement is the next add of its own (j, t) sum,
-// so no sum changes order.
-func mStep(m *Model, data, resp [][]float64, nj []float64, dead []bool, globalVar []float64, finite bool, rng *rand.Rand) {
+// re-seeded on a random point, drawing from rng in ascending j. finite
+// reports that every data value is finite, which makes skipping +0
+// responsibilities exact. The t loops are unrolled by four: each
+// statement is the next add of its own (j, t) sum, so no sum changes
+// order.
+func mStep(m *Model, data, resp [][]float64, globalVar []float64, finite bool, rng *rand.Rand) {
 	n := len(data)
-	clear(nj)
+	nj := make([]float64, m.K)
+	dead := make([]bool, m.K)
 	for j := range m.Means {
 		clear(m.Means[j])
 	}
